@@ -143,8 +143,8 @@ func (c *batchOwnChecker) checkColumnEscapes(fn ast.Node, body *ast.BlockStmt) {
 			if !isFieldStore(lhs) {
 				continue
 			}
-			// Stores into a tracked value's own fields (cb.payload =
-			// cb.payload[:n]) are the value managing its own storage,
+			// Stores into a tracked value's own fields (cb.sel =
+			// cb.sel[:words]) are the value managing its own storage,
 			// not an escape.
 			if c.aliasesColumns(lhs, params) != nil {
 				continue

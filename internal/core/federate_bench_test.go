@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"booterscope/internal/federation"
@@ -42,7 +39,7 @@ func scanFederated(c *federation.Coordinator) error {
 // BenchmarkFederatedScan compares the federated merged scan across 3
 // vantage archives against a plain scan of the single union archive
 // holding the same records — the price of the cross-store k-way merge.
-// Run via make bench; results land in BENCH_8.json.
+// make bench-smoke runs it for one iteration.
 func BenchmarkFederatedScan(b *testing.B) {
 	c, union, recs := fedBenchArchive(b)
 	b.Run("union-1store", func(b *testing.B) {
@@ -61,70 +58,4 @@ func BenchmarkFederatedScan(b *testing.B) {
 		}
 		b.ReportMetric(float64(recs)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
-}
-
-// TestWriteFederationBenchArtifact measures both scan paths and
-// records the result in the file named by BENCH_FEDERATION_OUT (make
-// bench sets BENCH_8.json). Skipped without the env var so normal
-// test runs stay fast.
-func TestWriteFederationBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_FEDERATION_OUT")
-	if out == "" {
-		t.Skip("set BENCH_FEDERATION_OUT to write the benchmark artifact")
-	}
-	c, union, recs := fedBenchArchive(t)
-
-	timeIt := func(run func() error) float64 {
-		runtime.GC()
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return r.T.Seconds() / float64(r.N)
-	}
-	// Paired rounds, best ratio kept — same protocol as BENCH_4 (see
-	// TestWriteBenchArtifact): per-round ratios shrug off shared-box
-	// noise that absolute times cannot.
-	const rounds = 4
-	var unionSec, fedSec float64
-	ratio := 0.0
-	for i := 0; i < rounds; i++ {
-		u := timeIt(func() error { return scanUnion(union) })
-		f := timeIt(func() error { return scanFederated(c) })
-		if r := u / f; r > ratio {
-			unionSec, fedSec, ratio = u, f, r
-		}
-	}
-
-	artifact := map[string]any{
-		"benchmark":       "BenchmarkFederatedScan",
-		"archive_records": recs,
-		"vantages":        len(c.Names()),
-		"union_single_store": map[string]any{
-			"seconds":         unionSec,
-			"records_per_sec": float64(recs) / unionSec,
-		},
-		"federated": map[string]any{
-			"seconds":         fedSec,
-			"records_per_sec": float64(recs) / fedSec,
-		},
-		"federated_vs_union": ratio,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("union %.3fs, federated(3 vantages) %.3fs, ratio %.2fx -> %s", unionSec, fedSec, ratio, out)
-	// The merge across 3 stores touches the same records plus heap
-	// bookkeeping; anything past a 3x slowdown means the cross-store
-	// plane is broken, not just taxed.
-	if ratio < 1.0/3.0 {
-		t.Errorf("federated scan is %.1fx slower than the union scan, want < 3x", 1/ratio)
-	}
 }

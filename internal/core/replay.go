@@ -100,44 +100,41 @@ func (r *ReplayStudy) par() int { return pipe.Parallelism(r.Parallelism) }
 
 // OpenReplay opens the archive at dir (written by WriteArchive or
 // cmd/flowgen -out). At least one vantage store must be present; the
-// analysis window comes from the stores' manifest metadata.
+// analysis window comes from the stores' manifest metadata, which must
+// agree across vantages.
 func OpenReplay(dir string) (*ReplayStudy, error) {
-	return OpenReplayOptions(dir, flowstore.Options{})
-}
-
-// OpenReplayOptions is OpenReplay with explicit store options — the
-// seam the differential tests use to pin the row-decode oracle
-// (flowstore.Options.RowDecode) against the columnar default. Geometry
-// fields are overwritten by each store's manifest as usual.
-func OpenReplayOptions(dir string, opts flowstore.Options) (*ReplayStudy, error) {
 	r := &ReplayStudy{
 		Event:  takedown.FBITakedown,
 		dir:    dir,
 		stores: make(map[trafficgen.Kind]*flowstore.Store),
 	}
+	first := "" // slug of the store r.window was read from
 	for _, ak := range archiveKinds {
 		sd := filepath.Join(dir, ak.Slug)
 		if _, err := os.Stat(filepath.Join(sd, "MANIFEST.json")); err != nil {
 			continue
 		}
-		st, err := flowstore.Open(sd, opts)
+		st, err := flowstore.Open(sd, flowstore.Options{})
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("core: opening %s store: %w", ak.Slug, err)
 		}
 		r.stores[ak.Kind] = st
-	}
-	if len(r.stores) == 0 {
-		return nil, fmt.Errorf("core: no vantage stores under %s", dir)
-	}
-	for _, st := range r.stores {
 		w, err := windowFromMeta(st.Meta())
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		r.window = w
-		break
+		if first == "" {
+			first, r.window = ak.Slug, w
+		} else if !w.Start.Equal(r.window.Start) || w.Days != r.window.Days || !w.Takedown.Equal(r.window.Takedown) {
+			r.Close()
+			return nil, fmt.Errorf("core: archive stores %s and %s disagree on the analysis window (%+v vs %+v)",
+				first, ak.Slug, r.window, w)
+		}
+	}
+	if first == "" {
+		return nil, fmt.Errorf("core: no vantage stores under %s", dir)
 	}
 	return r, nil
 }
@@ -267,8 +264,8 @@ func (r *ReplayStudy) Analyze(k trafficgen.Kind) (*takedown.Analysis, error) {
 		Protocols:   []uint8{packet.IPProtoUDP},
 		PortsEither: triggerPorts(),
 		// Union of the trigger and counter stages' reads — end times
-		// and AS numbers stay on disk, which the hot-path benchmark
-		// (BENCH_9) leans on.
+		// and AS numbers stay on disk, which the replay_analyze
+		// benchmark workload leans on.
 		Project: flowstore.ColSrcAddr | flowstore.ColDstAddr |
 			flowstore.ColSrcPort | flowstore.ColDstPort | flowstore.ColProto |
 			flowstore.ColCounters | flowstore.ColStartSec,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +86,75 @@ func TestReplayMatchesLive(t *testing.T) {
 		}
 		if !reflect.DeepEqual(live5.Hourly, rep5.Hourly) {
 			t.Errorf("%v figure5: hourly series diverge (%d vs %d points)", k, len(live5.Hourly), len(rep5.Hourly))
+		}
+
+		// The landscape figures: the replayed columnar scan against the
+		// same aggregation fed whole-record batches from the generator.
+		live2bc, err := figure2bcSource(takedown.ScenarioSource(study.Scenario, k), k, 1)
+		if err != nil {
+			t.Fatalf("%v live figure2bc: %v", k, err)
+		}
+		rep2bc, err := replay.Figure2bc(k)
+		if err != nil {
+			t.Fatalf("%v replay figure2bc: %v", k, err)
+		}
+		if len(live2bc.Victims) == 0 || !reflect.DeepEqual(live2bc, rep2bc) {
+			t.Errorf("%v figure2bc: replay diverges from live (%d vs %d victims)", k, len(rep2bc.Victims), len(live2bc.Victims))
+		}
+	}
+	live2a, err := figure2aSource(takedown.ScenarioSource(study.Scenario, trafficgen.KindIXP), 1)
+	if err != nil {
+		t.Fatalf("live figure2a: %v", err)
+	}
+	rep2a, err := replay.Figure2a()
+	if err != nil {
+		t.Fatalf("replay figure2a: %v", err)
+	}
+	if live2a.Histogram.Total() == 0 || !reflect.DeepEqual(live2a, rep2a) {
+		t.Errorf("figure2a: replay diverges from live")
+	}
+}
+
+// TestOpenReplayWindow: the analysis window is read in vantage order and
+// every store must carry the same one — an archive assembled from two
+// different runs is refused, naming both stores.
+func TestOpenReplayWindow(t *testing.T) {
+	meta := func(start, days, td string) map[string]string {
+		return map[string]string{"start": start, "days": days, "takedown": td}
+	}
+	const start, td = "2018-12-04T00:00:00Z", "2018-12-19T00:00:00Z"
+	for _, tc := range []struct {
+		name       string
+		ixp, tier2 map[string]string
+		wantErr    bool
+	}{
+		{"agree", meta(start, "30", td), meta(start, "30", td), false},
+		{"same instant, other zone", meta(start, "30", td), meta("2018-12-04T01:00:00+01:00", "30", td), false},
+		{"days differ", meta(start, "30", td), meta(start, "31", td), true},
+		{"start differs", meta(start, "30", td), meta("2018-12-05T00:00:00Z", "30", td), true},
+		{"takedown differs", meta(start, "30", td), meta(start, "30", "2018-12-20T00:00:00Z"), true},
+	} {
+		dir := t.TempDir()
+		for slug, m := range map[string]map[string]string{"ixp": tc.ixp, "tier2": tc.tier2} {
+			st, err := flowstore.Open(filepath.Join(dir, slug), flowstore.Options{NoSync: true, Meta: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay, err := OpenReplay(dir)
+		if err == nil {
+			replay.Close()
+		}
+		switch {
+		case tc.wantErr && (err == nil || !strings.Contains(err.Error(), "ixp") || !strings.Contains(err.Error(), "tier2")):
+			t.Errorf("%s: err = %v, want a disagreement naming ixp and tier2", tc.name, err)
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.wantErr && (replay.Window().Days != 30 || !replay.Window().Start.Equal(time.Date(2018, 12, 4, 0, 0, 0, 0, time.UTC))):
+			t.Errorf("%s: window %+v", tc.name, replay.Window())
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // 16-byte form plus per-row flag bits (validity, 4-vs-16,
 // direction) — exactly the flowstore codec's wire model — so equality
 // and hashing never construct a netip.Addr. Times are (unix second,
-// nanosecond) pairs; Record reconstructs them with time.Unix(...).UTC()
-// byte-identically to the row decoder.
+// nanosecond) pairs; Record reconstructs them with time.Unix(...).UTC(),
+// the instant the encoded record carried.
 type Columns struct {
 	// Flags holds the per-row Flag* bits.
 	Flags []uint8

@@ -3,9 +3,7 @@ package flowstore
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"net/netip"
-	"time"
 
 	"booterscope/internal/flow"
 )
@@ -20,23 +18,21 @@ import (
 // IPv6 and invalid addresses — round-trips bit-for-bit (times compare
 // with time.Time.Equal; decoded times are UTC).
 //
-// Two payload formats coexist:
+// Payload layout (format v2): a 0x00 marker byte, uvarint format
+// version, uvarint column count, then per column a one-byte encoding
+// tag followed by the length-prefixed column bytes. Tag 0 (raw) is a
+// plain uvarint stream (one byte per record for the flags and protocol
+// columns); tag 1 (dict) is dictionary/bitmap encoding, applied to any
+// value column that turns out low-cardinality in a given block
+// (protocol, ports, victim-set destination halves, sampling rates,
+// timestamp deltas): uvarint(#distinct), the distinct values in
+// first-appearance order, then — unless the column is constant — row
+// indices bit-packed at the minimal width in {1, 2, 4, 8} bits; tag 2
+// (fixed) is described at encFixed. DESIGN.md §14 documents the layout.
 //
-//   - v1: a bare sequence of 17 length-prefixed columns. Its first byte
-//     is uvarint(len(flags column)) — the record count — which is never
-//     zero, so a v1 payload never starts with 0x00.
-//   - v2: a 0x00 marker byte, uvarint format version, uvarint column
-//     count, then per column a one-byte encoding tag followed by the
-//     length-prefixed column bytes. Tag 0 (raw) is the v1 byte stream;
-//     tag 1 (dict) is dictionary/bitmap encoding, applied to any value
-//     column that turns out low-cardinality in a given block (protocol,
-//     ports, victim-set destination halves, sampling rates, timestamp
-//     deltas): uvarint(#distinct), the distinct values in
-//     first-appearance order, then — unless the column is constant —
-//     row indices bit-packed at the minimal width in {1, 2, 4, 8} bits.
-//
-// New blocks are written as v2; both versions decode, so old archives
-// keep reading. DESIGN.md §14 documents the layout.
+// The 0x00 marker distinguishes this layout from the retired v1 format
+// (a bare sequence of length-prefixed columns, whose first byte was the
+// never-zero record count); parse rejects a v1 payload by name.
 
 // Per-record flag bits (column 0) — canonical values live in the flow
 // package so columnar consumers share them.
@@ -101,11 +97,6 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uint64 halves (see flow.AddrHalves).
 func addrHalves(a netip.Addr) (hi, lo uint64) { return flow.AddrHalves(a) }
 
-// addrFromHalves reconstructs an address from its halves and flag bits.
-func addrFromHalves(hi, lo uint64, valid, is4 bool) netip.Addr {
-	return flow.AddrFromHalves(hi, lo, valid, is4)
-}
-
 // blockValues is the column-major staging area encodeBlock fills before
 // choosing per-column encodings.
 type blockValues struct {
@@ -119,8 +110,6 @@ type blockValues struct {
 
 // gather fills the staging arrays from records.
 func (bv *blockValues) gather(records []flow.Record) {
-	n := len(records)
-	bv.flags = append(bv.flags[:0], make([]byte, 0, n)...)
 	bv.flags = bv.flags[:0]
 	bv.proto = bv.proto[:0]
 	for i := colSrcHiIdx; i < nCols; i++ {
@@ -314,8 +303,8 @@ func encodeValueColumn(vals []uint64) (byte, []byte) {
 // destination halves, near-constant sampling rates, and the mostly-0/1
 // sorted-timestamp deltas — decode via bit-unpack + table lookup
 // instead of per-row varints. Only the flags column is excluded: the
-// format fixes it as a raw byte column (it doubles as the v1/v2 record
-// count sentinel).
+// format fixes it as a raw byte column (its length is the block's
+// record count, which the reader checks before sizing any vector).
 var dictableColumns = [nCols]bool{
 	colSrcHiIdx:    true,
 	colSrcLoIdx:    true,
@@ -337,8 +326,8 @@ var dictableColumns = [nCols]bool{
 
 // encodeBlock encodes records into a v2 column payload: 0x00 marker,
 // format version, column count, then per-column encoding tags and
-// length-prefixed bytes. decodeBlock (and the columnar decoder) is the
-// exact inverse.
+// length-prefixed bytes. ColumnBlock.load plus its column decoders are
+// the exact inverse.
 func encodeBlock(records []flow.Record) []byte {
 	var bv blockValues
 	bv.gather(records)
@@ -354,8 +343,8 @@ func encodeBlock(records []flow.Record) []byte {
 			}
 			encs[i], cols[i] = encodeValueColumn(protoVals)
 			if encs[i] == encRaw {
-				// Raw protocol bytes are the v1 byte column, one byte per
-				// record, never uvarint-expanded.
+				// Raw protocol is a byte column, one byte per record, never
+				// uvarint-expanded.
 				cols[i] = bv.proto
 			}
 			continue
@@ -382,32 +371,6 @@ func encodeBlock(records []flow.Record) []byte {
 	return out
 }
 
-// encodeBlockV1 is the legacy payload writer, kept for the
-// backward-compatibility tests and the fuzz seed corpus: archives
-// written by older binaries carry exactly this layout.
-func encodeBlockV1(records []flow.Record) []byte {
-	var bv blockValues
-	bv.gather(records)
-	var cols [nCols][]byte
-	cols[colFlagsIdx] = bv.flags
-	cols[colProtoIdx] = bv.proto
-	for i := colSrcHiIdx; i < nCols; i++ {
-		if i == colProtoIdx {
-			continue
-		}
-		cols[i] = appendUvarints(nil, bv.vals[i])
-	}
-	size := 0
-	for _, c := range cols {
-		size += len(c) + binary.MaxVarintLen64
-	}
-	out := make([]byte, 0, size)
-	for _, c := range cols {
-		out = appendColumn(out, c)
-	}
-	return out
-}
-
 // colReader iterates one column's uvarints.
 type colReader struct {
 	b   []byte
@@ -423,56 +386,22 @@ func (c *colReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// splitColumns cuts a v1 payload back into its length-prefixed columns.
-func splitColumns(payload []byte, want int) ([][]byte, error) {
-	cols := make([][]byte, 0, want)
-	off := 0
-	for i := 0; i < want; i++ {
-		l, n := binary.Uvarint(payload[off:])
-		if n <= 0 || off+n+int(l) > len(payload) || l > uint64(len(payload)) {
-			return nil, fmt.Errorf("flowstore: corrupt column %d header", i)
-		}
-		off += n
-		cols = append(cols, payload[off:off+int(l)])
-		off += int(l)
-	}
-	return cols, nil
-}
-
 // parsedBlock is a payload cut into per-column byte slices (views into
-// the payload buffer) with their encoding tags — the shared front end
-// of the row decoder and the columnar decoder.
+// the payload buffer) with their encoding tags.
 type parsedBlock struct {
 	cols [nCols][]byte
 	encs [nCols]byte
 }
 
-// parsePayload detects the payload format and splits it into columns.
-func parsePayload(payload []byte) (*parsedBlock, error) {
-	pb := &parsedBlock{}
-	if err := pb.parse(payload); err != nil {
-		return nil, err
-	}
-	return pb, nil
-}
-
-// parse detects the payload format and fills pb with column views into
-// payload (no copying — pb is valid only while payload is). A v1
-// payload's first byte is the flags-column length uvarint, which is
-// ≥ 1 for every written block, so a leading 0x00 unambiguously marks
-// the v2 header.
+// parse checks the payload header and fills pb with column views into
+// payload (no copying — pb is valid only while payload is).
 func (pb *parsedBlock) parse(payload []byte) error {
 	*pb = parsedBlock{}
 	if len(payload) == 0 {
 		return fmt.Errorf("flowstore: empty block payload")
 	}
 	if payload[0] != 0x00 {
-		cols, err := splitColumns(payload, nCols)
-		if err != nil {
-			return err
-		}
-		copy(pb.cols[:], cols)
-		return nil
+		return fmt.Errorf("flowstore: block payload is in the retired v1 format (no 0x00 marker); regenerate with flowgen")
 	}
 	off := 1
 	ver, n := binary.Uvarint(payload[off:])
@@ -528,85 +457,6 @@ func dictHeader(col []byte, count int) (values []uint64, packed []byte, err erro
 	return values, col[rd.off:], nil
 }
 
-// bitReader unpacks fixed-width dict indices, LSB-first within each
-// byte.
-type bitReader struct {
-	b     []byte
-	width int
-	pos   int // row position
-}
-
-func (r *bitReader) next() (uint64, error) {
-	if r.width == 0 {
-		return 0, nil
-	}
-	perByte := 8 / r.width
-	byteIx := r.pos / perByte
-	if byteIx >= len(r.b) {
-		return 0, fmt.Errorf("flowstore: dict index column truncated at row %d", r.pos)
-	}
-	shift := uint(r.pos%perByte) * uint(r.width)
-	r.pos++
-	return uint64(r.b[byteIx]>>shift) & (1<<uint(r.width) - 1), nil
-}
-
-// valueReader iterates one value column row by row regardless of its
-// encoding — the row decoder's per-column cursor.
-type valueReader struct {
-	enc    byte
-	raw    colReader
-	values []uint64
-	bits   bitReader
-	fixed  []byte // encFixed values (width byte stripped)
-	width  int
-	pos    int
-}
-
-func newValueReader(col []byte, enc byte, count int) (valueReader, error) {
-	v := valueReader{enc: enc}
-	switch enc {
-	case encRaw:
-		v.raw = colReader{b: col}
-		return v, nil
-	case encFixed:
-		w, data, err := fixedHeader(col, count)
-		if err != nil {
-			return v, err
-		}
-		v.width, v.fixed = w, data
-		return v, nil
-	}
-	values, packed, err := dictHeader(col, count)
-	if err != nil {
-		return v, err
-	}
-	v.values = values
-	v.bits = bitReader{b: packed, width: dictWidth(len(values))}
-	return v, nil
-}
-
-func (v *valueReader) next() (uint64, error) {
-	switch v.enc {
-	case encRaw:
-		return v.raw.uvarint()
-	case encFixed:
-		off := v.pos * v.width
-		if off+v.width > len(v.fixed) {
-			return 0, fmt.Errorf("flowstore: fixed column truncated at row %d", v.pos)
-		}
-		v.pos++
-		return fixedLoad(v.fixed[off:], v.width), nil
-	}
-	ix, err := v.bits.next()
-	if err != nil {
-		return 0, err
-	}
-	if ix >= uint64(len(v.values)) {
-		return 0, fmt.Errorf("flowstore: dict index %d out of range", ix)
-	}
-	return v.values[ix], nil
-}
-
 // fixedHeader validates an encFixed column against the row count and
 // returns its width and value bytes.
 func fixedHeader(col []byte, count int) (width int, data []byte, err error) {
@@ -623,136 +473,4 @@ func fixedHeader(col []byte, count int) (width int, data []byte, err error) {
 		return 0, nil, fmt.Errorf("flowstore: fixed column length %d, want %d", len(col)-1, count*w)
 	}
 	return w, col[1:], nil
-}
-
-// fixedLoad reads one little-endian value at the given width.
-func fixedLoad(b []byte, width int) uint64 {
-	switch width {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default:
-		return binary.LittleEndian.Uint64(b)
-	}
-}
-
-// checkFieldRanges validates the narrow-field casts a decoded row
-// performs, so corrupt payloads error instead of silently truncating —
-// the row and columnar decoders apply identical checks, which is what
-// lets the differential fuzz target require identical outcomes.
-func checkFieldRanges(sport, dport, sns, ens, srcAS, dstAS, sampling uint64) error {
-	if sport > math.MaxUint16 || dport > math.MaxUint16 {
-		return fmt.Errorf("flowstore: port value out of range")
-	}
-	if sns >= 1e9 || ens >= 1e9 {
-		return fmt.Errorf("flowstore: nanosecond value out of range")
-	}
-	if srcAS > math.MaxUint32 || dstAS > math.MaxUint32 || sampling > math.MaxUint32 {
-		return fmt.Errorf("flowstore: 32-bit field out of range")
-	}
-	return nil
-}
-
-// decodeBlock decodes a column payload (either format) into count
-// records row at a time, appending to dst and returning it. This is
-// the reference decoder: the columnar fast path must match it byte for
-// byte (the differential golden and the fuzz target pin this).
-func decodeBlock(dst []flow.Record, payload []byte, count int) ([]flow.Record, error) {
-	pb, err := parsePayload(payload)
-	if err != nil {
-		return dst, err
-	}
-	colFlags := pb.cols[colFlagsIdx]
-	if pb.encs[colFlagsIdx] != encRaw || len(colFlags) != count {
-		return dst, fmt.Errorf("flowstore: flags column length %d, want %d", len(colFlags), count)
-	}
-	// Protocol: a raw byte column (v1 layout) or an encoded value
-	// column, dispatched on its tag.
-	var protoAt func(i int) (uint64, error)
-	if pb.encs[colProtoIdx] == encRaw {
-		colProto := pb.cols[colProtoIdx]
-		if len(colProto) != count {
-			return dst, fmt.Errorf("flowstore: block byte-column length mismatch (%d flags, %d protos, want %d)",
-				len(colFlags), len(colProto), count)
-		}
-		protoAt = func(i int) (uint64, error) { return uint64(colProto[i]), nil }
-	} else {
-		vr, err := newValueReader(pb.cols[colProtoIdx], pb.encs[colProtoIdx], count)
-		if err != nil {
-			return dst, err
-		}
-		protoAt = func(int) (uint64, error) { return vr.next() }
-	}
-	var rd [nCols]valueReader
-	for i := colSrcHiIdx; i < nCols; i++ {
-		if i == colProtoIdx {
-			continue
-		}
-		if rd[i], err = newValueReader(pb.cols[i], pb.encs[i], count); err != nil {
-			return dst, err
-		}
-	}
-	prevStartSec := int64(0)
-	for i := 0; i < count; i++ {
-		flags := colFlags[i]
-		shi, err1 := rd[colSrcHiIdx].next()
-		slo, err2 := rd[colSrcLoIdx].next()
-		dhi, err3 := rd[colDstHiIdx].next()
-		dlo, err4 := rd[colDstLoIdx].next()
-		sport, err5 := rd[colSrcPortIdx].next()
-		dport, err6 := rd[colDstPortIdx].next()
-		proto, err7 := protoAt(i)
-		pkts, err8 := rd[colPacketsIdx].next()
-		bytes, err9 := rd[colBytesIdx].next()
-		ssecD, err10 := rd[colStartSecIdx].next()
-		sns, err11 := rd[colStartNsIdx].next()
-		esecD, err12 := rd[colEndSecIdx].next()
-		ens, err13 := rd[colEndNsIdx].next()
-		srcAS, err14 := rd[colSrcASIdx].next()
-		dstAS, err15 := rd[colDstASIdx].next()
-		sampling, err16 := rd[colSamplingIdx].next()
-		for _, e := range []error{err1, err2, err3, err4, err5, err6, err7, err8,
-			err9, err10, err11, err12, err13, err14, err15, err16} {
-			if e != nil {
-				return dst, e
-			}
-		}
-		if proto > math.MaxUint8 {
-			return dst, fmt.Errorf("flowstore: protocol value out of range")
-		}
-		if err := checkFieldRanges(sport, dport, sns, ens, srcAS, dstAS, sampling); err != nil {
-			return dst, err
-		}
-		ssec := prevStartSec + unzigzag(ssecD)
-		prevStartSec = ssec
-		esec := ssec + unzigzag(esecD)
-		dst = append(dst, flow.Record{
-			Key: flow.Key{
-				Src:      addrFromHalves(shi, slo, flags&flagSrcValid != 0, flags&flagSrcIs4 != 0),
-				Dst:      addrFromHalves(dhi, dlo, flags&flagDstValid != 0, flags&flagDstIs4 != 0),
-				SrcPort:  uint16(sport),
-				DstPort:  uint16(dport),
-				Protocol: uint8(proto),
-			},
-			Packets:      pkts,
-			Bytes:        bytes,
-			Start:        time.Unix(ssec, int64(sns)).UTC(),
-			End:          time.Unix(esec, int64(ens)).UTC(),
-			SrcAS:        uint32(srcAS),
-			DstAS:        uint32(dstAS),
-			Direction:    direction(flags),
-			SamplingRate: uint32(sampling),
-		})
-	}
-	return dst, nil
-}
-
-func direction(flags byte) flow.Direction {
-	if flags&flagEgress != 0 {
-		return flow.Egress
-	}
-	return flow.Ingress
 }

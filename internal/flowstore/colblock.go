@@ -9,13 +9,12 @@ import (
 	"booterscope/internal/flow"
 )
 
-// ColumnBlock is the columnar scan path's working set for one block:
-// frame scratch buffers, the parsed per-column byte views, the decoded
-// column vectors, and a selection bitmap. Blocks are pooled and
-// recycled across blocks, segments, and scans (including across
-// vantage scanners in a federated scan — every store shares the same
-// process-wide pool), so a steady-state scan allocates nothing per
-// block.
+// ColumnBlock is the scan's working set for one block: the parsed
+// per-column byte views, the decoded column vectors, and a selection
+// bitmap. Blocks are pooled and recycled across blocks, segments, and
+// scans (including across vantage scanners in a federated scan — every
+// store shares the same process-wide pool), so a steady-state scan
+// allocates nothing per block.
 //
 // Lifecycle (ownership rules in DESIGN.md §14): obtain with
 // getColumnBlock, fill with segmentReader.nextBlockColumnar, filter
@@ -26,10 +25,7 @@ import (
 // why survivors are compacted by copy into the consumer-owned
 // flow.Columns rather than handed out as sub-slices.
 type ColumnBlock struct {
-	// ixb and payload are frame-read scratch, sized once and reused.
-	ixb     []byte
-	payload []byte
-	// pb holds per-column byte views into payload.
+	// pb holds per-column byte views into the loaded payload.
 	pb    parsedBlock
 	count int
 	// Cols holds decoded column vectors; only columns with decoded[i]
@@ -72,9 +68,9 @@ func (cb *ColumnBlock) reset() {
 }
 
 // load parses a block payload for count records and decodes the flags
-// column. The flags column is raw one-byte-per-record in both payload
-// formats, so requiring len(flags) == count before sizing any vector
-// is the guard against payloads whose record count would over-allocate.
+// column. The flags column is raw one-byte-per-record, so requiring
+// len(flags) == count before sizing any vector is the guard against
+// payloads whose record count would over-allocate.
 func (cb *ColumnBlock) load(payload []byte, count int) error {
 	cb.reset()
 	if err := cb.pb.parse(payload); err != nil {
@@ -142,8 +138,7 @@ func decodeUvarints(dst []uint64, col []byte, count int) error {
 }
 
 // decodeDict decodes a dict-encoded column into dst. Range validation
-// of the looked-up values is the caller's job (per row, matching the
-// row decoder's accept/reject behavior exactly).
+// of the looked-up values is the caller's job.
 //
 //bsvet:hotpath
 func decodeDict(dst []uint64, col []byte, count int) error {
@@ -286,7 +281,7 @@ func (cb *ColumnBlock) decodeCol(i int) error {
 }
 
 // decodeU16Col widens a value column into uint16s, rejecting
-// out-of-range values like the row decoder does.
+// out-of-range values.
 func (cb *ColumnBlock) decodeU16Col(i int, dst []uint16) error {
 	sp := u64ScratchPool.Get().(*[]uint64)
 	defer u64ScratchPool.Put(sp)
@@ -338,8 +333,8 @@ func (cb *ColumnBlock) decodeNsCol(i int, dst []uint32) error {
 }
 
 // decodeProtoCol handles the protocol column's two shapes: a raw byte
-// column (the v1 layout, one byte per record) or an encoded value
-// column, dispatched on its tag.
+// column (one byte per record) or an encoded value column, dispatched
+// on its tag.
 func (cb *ColumnBlock) decodeProtoCol() error {
 	col := cb.pb.cols[colProtoIdx]
 	if cb.pb.encs[colProtoIdx] == encRaw {
@@ -418,17 +413,14 @@ func (cb *ColumnBlock) decodeSet(set ColumnSet) error {
 	return nil
 }
 
-// decodeAll decodes every column — what full materialization needs.
-func (cb *ColumnBlock) decodeAll() error { return cb.decodeSet(AllColumns) }
-
 // colPredicate is a Query compiled for columnar evaluation: field
 // predicates lowered to integer comparisons against decoded columns,
 // plus the set of columns the predicate touches. compilePredicate +
-// rowMatches together reproduce Query.matches exactly — including the
-// netip corner cases (an Is4 record address never equals an Is4In6
-// query address; a zoned query address matches nothing, since decoded
-// addresses never carry zones) — which the pushdown property test
-// pins against the row path.
+// rowMatches together are the Query's exact record-level semantics —
+// including the netip corner cases (an Is4 record address never equals
+// an Is4In6 query address; a zoned query address matches nothing,
+// since decoded addresses never carry zones) — which the pushdown
+// property test pins against a reference predicate over whole records.
 type colPredicate struct {
 	hasFrom, hasTo bool
 	fromSec, toSec int64

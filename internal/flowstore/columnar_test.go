@@ -1,8 +1,14 @@
 package flowstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,17 +16,17 @@ import (
 	"booterscope/internal/pipe"
 )
 
-// decodeThenFilter is the row-path reference the pushdown tests compare
-// against: decode every record, then apply the exact Query predicate.
+// decodeThenFilter is the reference the pushdown tests compare against:
+// decode every record whole, then apply the reference predicate.
 func decodeThenFilter(t *testing.T, payload []byte, n int, q *Query) []flow.Record {
 	t.Helper()
-	recs, err := decodeBlock(nil, payload, n)
+	recs, err := refDecodeBlock(payload, n)
 	if err != nil {
-		t.Fatalf("row decode: %v", err)
+		t.Fatalf("reference decode: %v", err)
 	}
 	var out []flow.Record
 	for i := range recs {
-		if q.matches(&recs[i]) {
+		if refMatches(q, &recs[i]) {
 			out = append(out, recs[i])
 		}
 	}
@@ -43,7 +49,7 @@ func columnarFilter(t *testing.T, payload []byte, n int, q *Query) []flow.Record
 	if cb.selCount == 0 {
 		return nil
 	}
-	if err := cb.decodeAll(); err != nil {
+	if err := cb.decodeSet(AllColumns); err != nil {
 		t.Fatalf("decode all: %v", err)
 	}
 	return cb.materializeSelected(nil)
@@ -107,9 +113,9 @@ func randQuery(rng *rand.Rand, recs []flow.Record) Query {
 	return q
 }
 
-// TestPushdownMatchesRowFilter is the satellite property test: for
+// TestPushdownMatchesRowFilter is the pushdown property test: for
 // randomized blocks and randomized queries, the pushed-down selection
-// must keep exactly the records the row path's decode-then-filter
+// must keep exactly the records the reference decode-then-filter
 // keeps, bit for bit and in order.
 func TestPushdownMatchesRowFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -120,19 +126,16 @@ func TestPushdownMatchesRowFilter(t *testing.T) {
 			recs[i] = randRecord(rng)
 		}
 		payload := encodeBlock(recs)
-		if trial%3 == 0 { // the v1 reader must push down identically
-			payload = encodeBlockV1(recs)
-		}
 		q := randQuery(rng, recs)
 		want := decodeThenFilter(t, payload, n, &q)
 		got := columnarFilter(t, payload, n, &q)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: pushdown kept %d records, row filter %d (query %+v)",
+			t.Fatalf("trial %d: pushdown kept %d records, reference filter %d (query %+v)",
 				trial, len(got), len(want), q)
 		}
 		for i := range want {
 			if !recordEqual(&got[i], &want[i]) {
-				t.Fatalf("trial %d record %d diverges (query %+v)\ncolumnar: %+v\nrow:      %+v",
+				t.Fatalf("trial %d record %d diverges (query %+v)\ncolumnar:  %+v\nreference: %+v",
 					trial, i, q, got[i], want[i])
 			}
 		}
@@ -161,7 +164,7 @@ func TestAppendSelectedMatchesMaterialize(t *testing.T) {
 		if err := cb.applyQuery(&p); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		if err := cb.decodeAll(); err != nil {
+		if err := cb.decodeSet(AllColumns); err != nil {
 			t.Fatalf("decode all: %v", err)
 		}
 		direct := cb.materializeSelected(nil)
@@ -182,39 +185,30 @@ func TestAppendSelectedMatchesMaterialize(t *testing.T) {
 	}
 }
 
-// TestV1ArchiveCompat: blocks written by the previous row-oriented
-// format must decode identically through the row decoder and the
-// columnar reader — old archives stay readable.
-func TestV1ArchiveCompat(t *testing.T) {
+// TestV1PayloadRejected: the retired v1 block format is refused by
+// name, with the way out, rather than misparsed — by the scan's block
+// loader and by the reference decoder alike.
+func TestV1PayloadRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(200)
-		recs := make([]flow.Record, n)
-		for i := range recs {
-			recs[i] = randRecord(rng)
-		}
-		v1 := encodeBlockV1(recs)
-		rowDecoded, err := decodeBlock(nil, v1, n)
-		if err != nil {
-			t.Fatalf("row decode of v1: %v", err)
-		}
-		got := columnarFilter(t, v1, n, &Query{})
-		if len(got) != n || len(rowDecoded) != n {
-			t.Fatalf("trial %d: v1 decode lengths row=%d col=%d want %d",
-				trial, len(rowDecoded), len(got), n)
-		}
-		for i := range recs {
-			if !recordEqual(&got[i], &recs[i]) || !recordEqual(&rowDecoded[i], &recs[i]) {
-				t.Fatalf("trial %d record %d: v1 round-trip mismatch", trial, i)
-			}
-		}
+	recs := make([]flow.Record, 50)
+	for i := range recs {
+		recs[i] = randRecord(rng)
+	}
+	v1 := encodeBlockV1(recs)
+	cb := getColumnBlock()
+	defer cb.Release()
+	err := cb.load(v1, len(recs))
+	if err == nil || !strings.Contains(err.Error(), "v1 format") || !strings.Contains(err.Error(), "regenerate with flowgen") {
+		t.Fatalf("load of a v1 payload: err = %v, want one naming the v1 format and flowgen", err)
+	}
+	if _, refErr := refDecodeBlock(v1, len(recs)); refErr == nil {
+		t.Fatal("reference decoder accepted a v1 payload")
 	}
 }
 
 // TestScanStatsColumnsDecoded is the accounting golden: a pruned,
 // predicated scan must report both the prune fraction and the share of
-// columns the pushdown actually decoded, and the row-decode oracle must
-// report a 1.0 decode fraction over the same archive.
+// columns the pushdown actually decoded.
 func TestScanStatsColumnsDecoded(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	recs := genFlows(rng, testBase, 6, 12_000)
@@ -265,101 +259,97 @@ func TestScanStatsColumnsDecoded(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Row-decode oracle over the same archive: identical multiset
-	// accounting, full-decode fraction.
-	o, err := Open(dir, Options{RowDecode: true})
-	if err != nil {
-		t.Fatal(err)
+// oracleQueries are the query shapes the scan-level differential and
+// the digest golden run: everything, a protocol+port predicate, and a
+// time window cutting through partitions.
+var oracleQueries = []Query{
+	{},
+	{Protocols: []uint8{17}, PortsEither: []uint16{123}},
+	{From: testBase.Add(12 * time.Hour), To: testBase.Add(60 * time.Hour)},
+}
+
+// oracleStore is the seeded multi-shard, multi-partition store those
+// two tests scan.
+func oracleStore(t *testing.T) *Store {
+	return buildTestStore(t, genFlows(rand.New(rand.NewSource(89)), testBase, 4, 9000), 3)
+}
+
+// scanKeys runs q both ways and returns each record's recordKey: the
+// Scan stream in delivery order, and the ScanBatches multiset sorted.
+func scanKeys(t *testing.T, s *Store, q Query) (ordered, batches []string) {
+	t.Helper()
+	if _, err := s.Scan(q, func(r *flow.Record) error {
+		ordered = append(ordered, recordKey(r))
+		return nil
+	}); err != nil {
+		t.Fatalf("scan %+v: %v", q, err)
 	}
-	defer o.Close()
-	oStats, err := o.ScanBatches(q, func(b *pipe.Batch) error { b.Release(); return nil })
-	if err != nil {
-		t.Fatalf("row-decode scan: %v", err)
+	if _, err := s.ScanBatches(q, func(b *pipe.Batch) error {
+		defer b.Release()
+		rs := b.Records()
+		for i := range rs {
+			batches = append(batches, recordKey(&rs[i]))
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("scan batches %+v: %v", q, err)
 	}
-	if got := oStats.ColumnsDecodedFraction(); got != 1.0 {
-		t.Fatalf("row decode fraction = %v, want 1.0", got)
-	}
-	if oStats.RecordsMatched != stats.RecordsMatched ||
-		oStats.RecordsScanned != stats.RecordsScanned ||
-		oStats.BlocksPruned != stats.BlocksPruned {
-		t.Fatalf("oracle accounting diverges:\ncolumnar = %+v\nrow      = %+v", stats, oStats)
-	}
+	sort.Strings(batches)
+	return ordered, batches
 }
 
 // TestRowDecodeOracleEquivalence is the flowstore-level differential:
-// the row-decode path and the columnar path must produce the identical
-// record multiset from ScanBatches and the identical ordered stream
-// from Scan.
+// Scan must deliver exactly the reference scan's records in its order,
+// and ScanBatches the same multiset.
 func TestRowDecodeOracleEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	recs := genFlows(rng, testBase, 4, 9000)
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 3, BlockRecords: 128, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
+	s := oracleStore(t)
+	for qi, q := range oracleQueries {
+		var want []string
+		for _, r := range refScan(t, s, q) {
+			want = append(want, recordKey(&r))
+		}
+		if len(want) == 0 {
+			t.Fatalf("query %d: reference scan is empty", qi)
+		}
+		ordered, batches := scanKeys(t, s, q)
+		if !slices.Equal(ordered, want) {
+			t.Errorf("query %d: Scan stream (%d records) diverges from the reference scan (%d)", qi, len(ordered), len(want))
+		}
+		sort.Strings(want)
+		if !slices.Equal(batches, want) {
+			t.Errorf("query %d: ScanBatches multiset (%d records) diverges from the reference scan (%d)", qi, len(batches), len(want))
+		}
 	}
-	if err := s.Append(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	queries := []Query{
-		{},
-		{Protocols: []uint8{17}, PortsEither: []uint16{123}},
-		{From: testBase.Add(12 * time.Hour), To: testBase.Add(60 * time.Hour)},
+// TestScanDigestGolden freezes the scan output itself: SHA-256 over the
+// ordered Scan stream and over the sorted ScanBatches multiset, one
+// recordKey per line. The constants were computed at the last commit
+// that still had the row-at-a-time decoder, with it switched off and
+// on; both settings produced these digests.
+func TestScanDigestGolden(t *testing.T) {
+	golden := []struct{ ordered, batches string }{
+		{"f7f5915425d8e007f960fd90ee23a87317f10cad3c3dd1393a06ed6651167431", "b827f19beff34e3e7020b857f231f6b90372e596865a123b366b5c59227be836"},
+		{"f7fbca6b64090256b287e1c388c0e88175c7c9da55f0b8cf6b1263fc079b52fc", "4e9cacf13f7f5d1d3101e23a4c0f4046af562876ed6f164ea37f6af64449201e"},
+		{"ac278e38efc8ad2e7c1336b9a7c3bcebdd957409bbbad7c22a5890a88953c2b4", "d8371e4e2111c2fb7482c84a499de131b10e778ce5a0a1e1f1e48c4ded50af0c"},
 	}
-	for qi, q := range queries {
-		var ordered [2][]string     // Scan stream per path
-		var multi [2]map[string]int // ScanBatches multiset per path
-		for pi, rowDecode := range []bool{false, true} {
-			st, err := Open(dir, Options{RowDecode: rowDecode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = st.Scan(q, func(r *flow.Record) error {
-				ordered[pi] = append(ordered[pi], recordKey(r))
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("query %d scan (rowDecode=%v): %v", qi, rowDecode, err)
-			}
-			multi[pi] = make(map[string]int)
-			_, err = st.ScanBatches(q, func(b *pipe.Batch) error {
-				defer b.Release()
-				rs := b.Records()
-				for i := range rs {
-					multi[pi][recordKey(&rs[i])]++
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("query %d batches (rowDecode=%v): %v", qi, rowDecode, err)
-			}
-			st.Close()
+	digest := func(keys []string) string {
+		h := sha256.New()
+		for _, k := range keys {
+			io.WriteString(h, k+"\n")
 		}
-		if len(ordered[0]) != len(ordered[1]) {
-			t.Fatalf("query %d: ordered stream lengths %d vs %d", qi, len(ordered[0]), len(ordered[1]))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	s := oracleStore(t)
+	for qi, q := range oracleQueries {
+		ordered, batches := scanKeys(t, s, q)
+		if got := digest(ordered); got != golden[qi].ordered {
+			t.Errorf("query %d: ordered Scan digest %s, want %s", qi, got, golden[qi].ordered)
 		}
-		for i := range ordered[0] {
-			if ordered[0][i] != ordered[1][i] {
-				t.Fatalf("query %d: ordered stream diverges at %d:\ncolumnar: %s\nrow:      %s",
-					qi, i, ordered[0][i], ordered[1][i])
-			}
-		}
-		if len(multi[0]) != len(multi[1]) {
-			t.Fatalf("query %d: batch multisets differ: %d vs %d distinct", qi, len(multi[0]), len(multi[1]))
-		}
-		for k, n := range multi[0] {
-			if multi[1][k] != n {
-				t.Fatalf("query %d: batch multiset diverges at %s: columnar %d, row %d",
-					qi, k, n, multi[1][k])
-			}
+		if got := digest(batches); got != golden[qi].batches {
+			t.Errorf("query %d: ScanBatches digest %s, want %s", qi, got, golden[qi].batches)
 		}
 	}
 }

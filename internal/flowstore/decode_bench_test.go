@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// benchPayload encodes one sorted block of generated flows — the unit
-// both decode paths consume.
+// benchPayload encodes one sorted block of generated flows.
 func benchPayload(b *testing.B) ([]byte, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(97))
@@ -16,28 +15,9 @@ func benchPayload(b *testing.B) ([]byte, int) {
 	return encodeBlock(recs), len(recs)
 }
 
-// BenchmarkDecodeBlockRow measures the row-oracle decoder: one block
-// into []flow.Record. make bench-smoke runs this for a single
-// iteration so the reference path cannot silently stop compiling.
-func BenchmarkDecodeBlockRow(b *testing.B) {
-	payload, n := benchPayload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recs, err := decodeBlock(nil, payload, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) != n {
-			b.Fatalf("decoded %d records, want %d", len(recs), n)
-		}
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkDecodeBlockColumnar measures the columnar hot path over the
-// same block: load, decode every column into the pooled vectors, no
-// record materialization.
+// BenchmarkDecodeBlockColumnar measures the block decode hot path: load,
+// decode every column into the pooled vectors, no record
+// materialization.
 func BenchmarkDecodeBlockColumnar(b *testing.B) {
 	payload, n := benchPayload(b)
 	cb := getColumnBlock()
@@ -48,7 +28,7 @@ func BenchmarkDecodeBlockColumnar(b *testing.B) {
 		if err := cb.load(payload, n); err != nil {
 			b.Fatal(err)
 		}
-		if err := cb.decodeAll(); err != nil {
+		if err := cb.decodeSet(AllColumns); err != nil {
 			b.Fatal(err)
 		}
 	}

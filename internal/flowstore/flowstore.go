@@ -70,12 +70,6 @@ type Options struct {
 	// creation (e.g. generator seed, scale, vantage point) so replay
 	// can reconstruct the analysis window.
 	Meta map[string]string
-	// RowDecode scans with the legacy row-at-a-time block decoder
-	// instead of the columnar path. It is not geometry — it is a
-	// per-open behavior switch, kept so the old path can serve as the
-	// differential-testing oracle (the golden tests run every analysis
-	// both ways and require byte-identical output).
-	RowDecode bool
 }
 
 func (o Options) withDefaults() Options {

@@ -105,7 +105,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			recs[i] = randRecord(rng)
 		}
 		payload := encodeBlock(recs)
-		got, err := decodeBlock(nil, payload, n)
+		got, err := refDecodeBlock(payload, n)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -143,7 +143,7 @@ func TestCodecExtremes(t *testing.T) {
 		},
 	}
 	payload := encodeBlock(recs)
-	got, err := decodeBlock(nil, payload, len(recs))
+	got, err := refDecodeBlock(payload, len(recs))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -276,13 +276,13 @@ func TestScanPredicates(t *testing.T) {
 	for qi, q := range queries {
 		want := 0
 		for i := range recs {
-			if q.matches(&recs[i]) {
+			if refMatches(&q, &recs[i]) {
 				want++
 			}
 		}
 		got := 0
 		if _, err := s.Scan(q, func(r *flow.Record) error {
-			if !q.matches(r) {
+			if !refMatches(&q, r) {
 				t.Fatalf("query %d: scan returned non-matching record %+v", qi, *r)
 			}
 			got++
@@ -322,7 +322,7 @@ func TestScanPruning(t *testing.T) {
 	}
 	want := 0
 	for i := range recs {
-		if q.matches(&recs[i]) {
+		if refMatches(&q, &recs[i]) {
 			want++
 		}
 	}

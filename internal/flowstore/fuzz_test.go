@@ -7,17 +7,18 @@ import (
 	"booterscope/internal/flow"
 )
 
-// FuzzDecodeBlock is the satellite fuzz target for the block readers:
-// for any payload — valid, truncated, or corrupted — both the row
-// decoder and the columnar reader must return an error or succeed,
-// never panic, and never allocate past the declared record count. The
-// two paths must also agree: a payload one accepts, the other accepts
-// with bit-identical records; a payload one rejects, the other rejects.
+// FuzzDecodeBlock is the differential fuzz target for the block reader:
+// for any payload — valid, truncated, or corrupted — both the scan's
+// ColumnBlock decoder and the test-only reference decoder must return
+// an error or succeed, never panic, and never allocate past the
+// declared record count. The two must also agree: a payload one
+// accepts, the other accepts with bit-identical records; a payload one
+// rejects (the retired v1 seeds among them), the other rejects.
 //
 // Run with: go test -fuzz=FuzzDecodeBlock ./internal/flowstore/
 func FuzzDecodeBlock(f *testing.F) {
-	// Seed corpus: valid v2 and v1 payloads over representative record
-	// populations, plus hostile shapes.
+	// Seed corpus: valid payloads over representative record
+	// populations, their v1 forms, plus hostile shapes.
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 8; trial++ {
 		n := 1 + rng.Intn(200)
@@ -45,7 +46,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			count = 1
 		}
 
-		rowRecs, rowErr := decodeBlock(nil, payload, count)
+		refRecs, refErr := refDecodeBlock(payload, count)
 
 		cb := getColumnBlock()
 		defer cb.Release()
@@ -54,37 +55,37 @@ func FuzzDecodeBlock(f *testing.F) {
 		if colErr == nil {
 			p := compilePredicate(&Query{})
 			if colErr = cb.applyQuery(&p); colErr == nil {
-				if colErr = cb.decodeAll(); colErr == nil {
+				if colErr = cb.decodeSet(AllColumns); colErr == nil {
 					colRecs = cb.materializeSelected(nil)
 				}
 			}
 		}
 
-		if (rowErr == nil) != (colErr == nil) {
-			t.Fatalf("decode paths disagree: row err = %v, columnar err = %v", rowErr, colErr)
+		if (refErr == nil) != (colErr == nil) {
+			t.Fatalf("decoders disagree: reference err = %v, columnar err = %v", refErr, colErr)
 		}
-		if rowErr != nil {
+		if refErr != nil {
 			return
 		}
-		if len(rowRecs) != count || len(colRecs) != count {
-			t.Fatalf("decoded %d row / %d columnar records, declared %d", len(rowRecs), len(colRecs), count)
+		if len(refRecs) != count || len(colRecs) != count {
+			t.Fatalf("decoded %d reference / %d columnar records, declared %d", len(refRecs), len(colRecs), count)
 		}
-		for i := range rowRecs {
-			if !recordEqual(&rowRecs[i], &colRecs[i]) {
-				t.Fatalf("record %d diverges between paths\nrow:      %+v\ncolumnar: %+v",
-					i, rowRecs[i], colRecs[i])
+		for i := range refRecs {
+			if !recordEqual(&refRecs[i], &colRecs[i]) {
+				t.Fatalf("record %d diverges\nreference: %+v\ncolumnar:  %+v",
+					i, refRecs[i], colRecs[i])
 			}
 		}
 
 		// Accepted payloads must re-encode and round-trip bit-for-bit —
 		// the writer canonicalizes whatever the reader admits.
-		re := encodeBlock(rowRecs)
-		back, err := decodeBlock(nil, re, count)
+		re := encodeBlock(refRecs)
+		back, err := refDecodeBlock(re, count)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
 		}
-		for i := range rowRecs {
-			if !recordEqual(&rowRecs[i], &back[i]) {
+		for i := range refRecs {
+			if !recordEqual(&refRecs[i], &back[i]) {
 				t.Fatalf("record %d fails re-encode round-trip", i)
 			}
 		}

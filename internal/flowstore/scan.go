@@ -37,14 +37,13 @@ type Query struct {
 	// Protocols, when non-empty, matches any of the given IP protocols.
 	Protocols []uint8
 	// Project, when non-zero, names the column groups the caller will
-	// read from delivered columnar batches; the columnar ScanBatches
-	// path then skips decoding every other column (predicate columns
-	// are always decoded). Projected-out columns in delivered batches
-	// hold unspecified values, so a projecting caller must consume
-	// batches columnar — materializing records from a projected batch
-	// yields garbage in the omitted fields. The sorted Scan path and
-	// the row-decode oracle ignore Project and always produce full
-	// records. Zero means all columns.
+	// read from delivered columnar batches; ScanBatches then skips
+	// decoding every other column (predicate columns are always
+	// decoded). Projected-out columns in delivered batches hold
+	// unspecified values, so a projecting caller must consume batches
+	// columnar — materializing records from a projected batch yields
+	// garbage in the omitted fields. The sorted Scan path ignores
+	// Project and always produces full records. Zero means all columns.
 	Project ColumnSet
 }
 
@@ -83,56 +82,6 @@ const (
 	AllColumns ColumnSet = 1<<nCols - 1
 )
 
-// matches applies the exact record-level predicate.
-func (q *Query) matches(r *flow.Record) bool {
-	if !q.From.IsZero() && r.Start.Before(q.From) {
-		return false
-	}
-	if !q.To.IsZero() && !r.Start.Before(q.To) {
-		return false
-	}
-	if q.Dst.IsValid() && r.Dst != q.Dst {
-		return false
-	}
-	if len(q.DstPorts) > 0 {
-		ok := false
-		for _, p := range q.DstPorts {
-			if r.DstPort == p {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(q.PortsEither) > 0 {
-		ok := false
-		for _, p := range q.PortsEither {
-			if r.SrcPort == p || r.DstPort == p {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(q.Protocols) > 0 {
-		ok := false
-		for _, p := range q.Protocols {
-			if r.Protocol == p {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // segPrunable prunes a whole segment from its manifest entry.
 func (q *Query) segPrunable(e *SegmentEntry) bool {
 	if !q.From.IsZero() && e.MaxStartSec < q.From.Unix() {
@@ -159,12 +108,11 @@ type ScanStats struct {
 	// records that passed the exact predicate and reached the caller.
 	RecordsScanned uint64
 	RecordsMatched uint64
-	// ColumnsDecoded and ColumnsTotal count per-block column decodes on
-	// the columnar path: every scanned (non-pruned) block contributes
-	// its column count to ColumnsTotal, and only the columns actually
-	// decoded — the predicate's columns, plus the rest when any row
-	// survives — to ColumnsDecoded. The row-decode oracle path decodes
-	// everything, so there the two are equal.
+	// ColumnsDecoded and ColumnsTotal count per-block column decodes:
+	// every scanned (non-pruned) block contributes its column count to
+	// ColumnsTotal, and only the columns actually decoded — the
+	// predicate's columns, plus the projected rest when any row
+	// survives — to ColumnsDecoded.
 	ColumnsDecoded uint64
 	ColumnsTotal   uint64
 }
@@ -194,10 +142,9 @@ func (s ScanStats) PruneFraction() float64 {
 }
 
 // ColumnsDecodedFraction is the share of scanned blocks' columns the
-// lazy columnar path actually decoded — 1.0 means every column of
-// every scanned block was paid for (the row path's constant), lower
-// means predicate pushdown skipped whole columns of blocks no row
-// survived in.
+// lazy decode actually paid for — 1.0 means every column of every
+// scanned block, lower means predicate pushdown or projection skipped
+// whole columns.
 func (s ScanStats) ColumnsDecodedFraction() float64 {
 	if s.ColumnsTotal == 0 {
 		return 0
@@ -205,10 +152,10 @@ func (s ScanStats) ColumnsDecodedFraction() float64 {
 	return float64(s.ColumnsDecoded) / float64(s.ColumnsTotal)
 }
 
-// shardBatch is one shard's sorted batch of matching records. The
-// record slab lives in a pooled pipe.Batch: scanners recycle partition
-// slabs through the pool instead of allocating one per partition, so a
-// steady-state scan stops feeding the garbage collector.
+// shardBatch is one batch of matching records from a shard scanner. The
+// slab lives in a pooled pipe.Batch: scanners recycle slabs through the
+// pool instead of allocating one per partition, so a steady-state scan
+// stops feeding the garbage collector.
 type shardBatch struct {
 	batch *pipe.Batch
 	err   error
@@ -219,11 +166,10 @@ type shardBatch struct {
 // start time and each partition's survivors are sorted stably, so the
 // stream is nondecreasing in Start with ties left in ingest order.
 type shardCursor struct {
-	shard int
-	ch    <-chan shardBatch
-	cur   *pipe.Batch
-	pos   int
-	err   error
+	ch  <-chan shardBatch
+	cur *pipe.Batch
+	pos int
+	err error
 }
 
 // Next advances to the next record, pulling batches as needed. A
@@ -305,6 +251,56 @@ func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeItem)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
+// merger is the k-way merge behind both MergeStreams and Cursor:
+// ascending Start, ties broken by stream index, then by each stream's
+// own record order. A stream error ends the merge as soon as it is
+// observed — the first failure surfaces in err — and because every
+// stream's Err is read at the moment it runs dry, a clean end means no
+// stream failed.
+type merger struct {
+	streams []RecordStream
+	h       mergeHeap
+	started bool
+	err     error
+}
+
+// next steps past the head it returned last and reports the new head
+// (stream ordinal and record), or false at the end or on a stream
+// error. The first call primes the heap with every stream's first
+// record.
+func (m *merger) next() (*mergeItem, bool) {
+	switch {
+	case m.err != nil:
+		return nil, false
+	case !m.started:
+		m.started = true
+		m.h = make(mergeHeap, 0, len(m.streams))
+		for i, s := range m.streams {
+			if r, ok := s.Next(); ok {
+				m.h = append(m.h, &mergeItem{rec: r, stream: s, ord: i})
+			} else if m.err = s.Err(); m.err != nil {
+				return nil, false
+			}
+		}
+		heap.Init(&m.h)
+	case len(m.h) > 0:
+		it := m.h[0]
+		if r, ok := it.stream.Next(); ok {
+			it.rec = r
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h)
+			if m.err = it.stream.Err(); m.err != nil {
+				return nil, false
+			}
+		}
+	}
+	if len(m.h) == 0 {
+		return nil, false
+	}
+	return m.h[0], true
+}
+
 // MergeStreams funnels k time-ordered record streams into one
 // deterministic stream: ascending Start, ties broken by stream index,
 // then by each stream's own record order. fn receives the index of the
@@ -312,88 +308,109 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h
 // merge and is returned. A stream error aborts the merge as soon as it
 // is observed — the first failure surfaces, remaining streams are left
 // for the caller to cancel/clean up (flowstore cursors do both in
-// Close). On a clean merge every stream's Err is still checked so no
-// failure is swallowed.
+// Close).
 func MergeStreams(streams []RecordStream, fn func(i int, r *flow.Record) error) error {
-	h := make(mergeHeap, 0, len(streams))
-	for i, s := range streams {
-		r, ok := s.Next()
+	m := merger{streams: streams}
+	for {
+		it, ok := m.next()
 		if !ok {
-			if err := s.Err(); err != nil {
-				return err
-			}
-			continue
+			return m.err
 		}
-		h = append(h, &mergeItem{rec: r, stream: s, ord: i})
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := h[0]
 		if err := fn(it.ord, it.rec); err != nil {
 			return err
 		}
-		if r, ok := it.stream.Next(); ok {
-			it.rec = r
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-			if err := it.stream.Err(); err != nil {
-				return err
-			}
-		}
 	}
-	for _, s := range streams {
-		if err := s.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// Cursor is a pull-based ordered scan over one store: the same
-// parallel shard scanners and k-way merge Scan uses, exposed as a
-// RecordStream so callers can interleave several stores' scans (the
-// federation coordinator merges one Cursor per vantage archive).
-// Records arrive in ascending start time, ties broken by shard index
-// then ingest order. The pointer returned by Next is valid only until
-// the following call. Close cancels any remaining work, reclaims every
-// pooled slab, and returns the scan's accounting; it must always be
-// called, even after exhaustion.
-type Cursor struct {
-	cursors []*shardCursor
-	h       mergeHeap
-	inited  bool
-	done    chan struct{}
-	statsCh chan ScanStats
-	stats   ScanStats
+// scanRun is one launched scan: a scanner goroutine per shard feeding
+// outs, cancelled by closing done, each reporting its accounting on
+// statsCh when it exits.
+type scanRun struct {
 	begin   time.Time
-	err     error
+	stats   ScanStats // plan-time pruning; finish adds the scanners' share
+	statsCh chan ScanStats
+	done    chan struct{}
+	// outs holds one channel per shard for a sorted scan (the merge
+	// needs each shard's stream apart) and a single shared channel
+	// otherwise. Each is closed once every scanner sending on it exits.
+	outs []chan shardBatch
+}
+
+// launch snapshots the manifest and starts the shard scanners for q.
+func (s *Store) launch(q Query, sorted bool) *scanRun {
+	begin := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
+	shards, dir, byShard, stats := s.planScan(q)
+	nOut := 1
+	if sorted {
+		nOut = shards
+	}
+	run := &scanRun{
+		begin:   begin,
+		stats:   stats,
+		statsCh: make(chan ScanStats, shards),
+		done:    make(chan struct{}),
+		outs:    make([]chan shardBatch, nOut),
+	}
+	senders := make([]sync.WaitGroup, nOut)
+	for o := range run.outs {
+		// Room for two slabs per sender: a scanner decodes ahead while
+		// the consumer works through what it was last handed.
+		run.outs[o] = make(chan shardBatch, 2*shards/nOut)
+	}
+	for shard := 0; shard < shards; shard++ {
+		o := shard % nOut
+		senders[o].Add(1)
+		go func(out chan<- shardBatch) {
+			defer senders[o].Done()
+			scanShard(dir, shard, byShard[shard], q, out, run.statsCh, run.done, sorted)
+		}(run.outs[o])
+	}
+	for o, out := range run.outs {
+		go func(out chan shardBatch) {
+			senders[o].Wait()
+			close(out)
+		}(out)
+	}
+	return run
+}
+
+// finish collects every scanner's accounting. The caller must have
+// closed done or be past draining outs, so the scanners do exit.
+func (run *scanRun) finish() ScanStats {
+	for i := 0; i < cap(run.statsCh); i++ { // one report per shard
+		run.stats.Merge(<-run.statsCh)
+	}
+	metricScanSeconds.ObserveDuration(time.Since(run.begin)) //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
+	return run.stats
+}
+
+// Cursor is a pull-based ordered scan over one store: parallel shard
+// scanners behind a k-way merge, exposed as a RecordStream so callers
+// can interleave several stores' scans (the federation coordinator
+// merges one Cursor per vantage archive). Records arrive in ascending
+// start time, ties broken by shard index then ingest order. The pointer
+// returned by Next is valid only until the following call. Close
+// cancels any remaining work, reclaims every pooled slab, and returns
+// the scan's accounting; it must always be called, even after
+// exhaustion.
+type Cursor struct {
+	run     *scanRun
+	cursors []*shardCursor // the merge's streams, kept typed for drain
+	merge   merger
 	closed  bool
 }
 
 // NewCursor starts an ordered scan of q and returns its cursor. The
 // shard scanners run concurrently from this call on; Close stops them.
 func (s *Store) NewCursor(q Query) *Cursor {
-	begin := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
-	shards, dir, byShard, stats := s.planScan(q)
-
 	// Partition-ordered segment lists give each shard stream global
 	// time order: partitions are disjoint in start time, and records
 	// within a partition are sorted after decoding.
-	c := &Cursor{
-		done:    make(chan struct{}),
-		statsCh: make(chan ScanStats, shards),
-		stats:   stats,
-		begin:   begin,
-	}
-	for shard := 0; shard < shards; shard++ {
-		segs := byShard[shard]
-		ch := make(chan shardBatch, 2)
-		c.cursors = append(c.cursors, &shardCursor{shard: shard, ch: ch})
-		go func(shard int, segs []SegmentEntry, ch chan shardBatch) {
-			scanShard(dir, shard, segs, q, ch, c.statsCh, c.done, true, s.opts.RowDecode)
-			close(ch)
-		}(shard, segs, ch)
+	c := &Cursor{run: s.launch(q, true)}
+	for _, out := range c.run.outs {
+		sc := &shardCursor{ch: out}
+		c.cursors = append(c.cursors, sc)
+		c.merge.streams = append(c.merge.streams, sc)
 	}
 	return c
 }
@@ -402,72 +419,33 @@ func (s *Store) NewCursor(q Query) *Cursor {
 // exhaustion or on the first shard error — check Err (or Close's
 // returned error) to distinguish.
 func (c *Cursor) Next() (*flow.Record, bool) {
-	if c.closed || c.err != nil {
+	if c.closed {
 		return nil, false
 	}
-	if !c.inited {
-		c.inited = true
-		c.h = make(mergeHeap, 0, len(c.cursors))
-		for _, sc := range c.cursors {
-			r, ok := sc.Next()
-			if !ok {
-				if sc.err != nil {
-					c.err = sc.err
-					return nil, false
-				}
-				continue
-			}
-			c.h = append(c.h, &mergeItem{rec: r, stream: sc, ord: sc.shard})
-		}
-		heap.Init(&c.h)
-	} else if c.h.Len() > 0 {
-		it := c.h[0]
-		if r, ok := it.stream.Next(); ok {
-			it.rec = r
-			heap.Fix(&c.h, 0)
-		} else {
-			heap.Pop(&c.h)
-			if err := it.stream.Err(); err != nil {
-				c.err = err
-				return nil, false
-			}
-		}
-	}
-	if c.h.Len() == 0 {
+	it, ok := c.merge.next()
+	if !ok {
 		return nil, false
 	}
-	return c.h[0].rec, true
+	return it.rec, true
 }
 
 // Err reports the first shard error the cursor observed (nil while
 // records are still flowing or after clean exhaustion).
-func (c *Cursor) Err() error { return c.err }
+func (c *Cursor) Err() error { return c.merge.err }
 
 // Close cancels the scan, reclaims every outstanding pooled slab, and
-// returns the accounting plus the first error (a shard failure
-// surfaces here even if the caller stopped reading early). Idempotent.
+// returns the accounting plus the error that ended the merge, if one
+// did. Idempotent.
 func (c *Cursor) Close() (ScanStats, error) {
-	if c.closed {
-		return c.stats, c.err
-	}
-	c.closed = true
-	close(c.done)
-	for range c.cursors {
-		c.stats.Merge(<-c.statsCh)
-	}
-	for _, sc := range c.cursors {
-		sc.drain()
-	}
-	metricScanSeconds.ObserveDuration(time.Since(c.begin)) //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
-	if c.err == nil {
+	if !c.closed {
+		c.closed = true
+		close(c.run.done)
+		c.run.finish()
 		for _, sc := range c.cursors {
-			if sc.err != nil {
-				c.err = sc.err
-				break
-			}
+			sc.drain()
 		}
 	}
-	return c.stats, c.err
+	return c.run.stats, c.merge.err
 }
 
 // Scan streams every sealed record matching q to fn in ascending start
@@ -534,195 +512,47 @@ func (s *Store) planScan(q Query) (shards int, dir string, byShard map[int][]Seg
 }
 
 // ScanBatches streams every sealed record matching q to emit as pooled
-// record batches, without the k-way time-ordered funnel Scan pays for:
-// shard scanners feed a shared channel and batches arrive in whatever
-// order decoding finishes, unsorted. Use it to drive a pipe fan-out
-// (order-insensitive or watermark-driven stages); use Scan when the
-// consumer needs global time order. Ownership of each batch passes to
-// emit; an error from emit cancels the scan and is returned.
+// columnar batches, without the k-way time-ordered funnel Scan pays
+// for: shard scanners feed a shared channel and batches arrive in
+// whatever order decoding finishes, unsorted. Use it to drive a pipe
+// fan-out (order-insensitive or watermark-driven stages); use Scan when
+// the consumer needs global time order. Ownership of each batch passes
+// to emit; an error from emit cancels the scan and is returned.
 func (s *Store) ScanBatches(q Query, emit func(*pipe.Batch) error) (ScanStats, error) {
-	start := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
-	shards, dir, byShard, stats := s.planScan(q)
-
-	statsCh := make(chan ScanStats, shards)
-	done := make(chan struct{})
-	out := make(chan shardBatch, 2*shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			scanShard(dir, shard, byShard[shard], q, out, statsCh, done, false, s.opts.RowDecode)
-		}(shard)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
+	run := s.launch(q, false)
 	var firstErr error
-	for b := range out {
-		if firstErr != nil {
-			// Drain: done is closed, scanners exit promptly. Queued
+	for b := range run.outs[0] {
+		switch {
+		case firstErr != nil:
+			// Draining: done is closed, scanners exit promptly. Queued
 			// slabs still go back to the pool.
 			if b.batch != nil {
 				b.batch.Release()
 			}
-			continue
-		}
-		if b.err != nil {
+		case b.err != nil:
 			firstErr = b.err
-			close(done)
-			continue
-		}
-		if err := emit(b.batch); err != nil {
-			firstErr = err
-			close(done)
+			close(run.done)
+		default:
+			if firstErr = emit(b.batch); firstErr != nil {
+				close(run.done)
+			}
 		}
 	}
-	for i := 0; i < shards; i++ {
-		stats.Merge(<-statsCh)
-	}
-	metricScanSeconds.ObserveDuration(time.Since(start)) //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
-	return stats, firstErr
+	return run.finish(), firstErr
 }
 
 // scanShard streams one shard's matching records, partition by
-// partition, each partition's survivors sorted by start time when
-// sorted is set (the ordered Scan path; batch scans skip the sort). A
-// close of done cancels the scan: pending sends abort and no further
+// partition. Each block is parsed into a pooled ColumnBlock, the
+// compiled query predicate runs against only the columns it references,
+// and survivors are copied out column-wise — filtered-out rows are
+// never materialized, and blocks with no survivors never decode their
+// remaining columns. Unsorted scans emit columnar batches
+// (pipe.Batch.Cols); with sorted set (the ordered Scan path) survivors
+// are materialized into records for the k-way merge, which needs whole
+// flow.Records anyway, and each partition's are sorted by start time.
+// A close of done cancels the scan: pending sends abort and no further
 // segments are decoded. The caller owns out; stats are always sent.
-//
-// rowDecode selects the legacy row-at-a-time decoder — kept as the
-// differential-testing oracle for the columnar path (Options.RowDecode
-// and the golden tests pin columnar == row byte-identically).
-func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted, rowDecode bool) {
-	if !rowDecode {
-		scanShardColumnar(dir, shard, segs, q, out, statsCh, done, sorted)
-		return
-	}
-	var stats ScanStats
-	defer func() {
-		statsCh <- stats
-	}()
-	send := func(b shardBatch) bool {
-		select {
-		case out <- b:
-			return true
-		case <-done:
-			return false
-		}
-	}
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shard))
-	for i := 0; i < len(segs); {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		// Group segments of one partition: their records interleave in
-		// time and must be sorted together.
-		j := i + 1
-		for j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec {
-			j++
-		}
-		// The partition slab comes from the batch pool: after a few
-		// partitions the scanner cycles grown slabs instead of handing
-		// a fresh allocation per partition to the garbage collector.
-		slab := pipe.NewBatch()
-		part := slab.Recs
-		for _, e := range segs[i:j] {
-			stats.SegmentsScanned++
-			r, err := openSegmentReader(filepath.Join(shardDir, e.File))
-			if err != nil {
-				slab.Recs = part
-				slab.Release()
-				send(shardBatch{err: err})
-				return
-			}
-			for {
-				before := len(part)
-				recs, _, err := r.nextBlock(&q, part)
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					r.close()
-					slab.Recs = part
-					slab.Release()
-					send(shardBatch{err: err})
-					return
-				}
-				if recs == nil {
-					stats.BlocksPruned++
-					metricBlocksPruned.Inc()
-					continue
-				}
-				part = recs
-				decoded := len(part) - before
-				stats.BlocksScanned++
-				stats.RecordsScanned += uint64(decoded)
-				// Row decode always pays for every column.
-				stats.ColumnsDecoded += nCols
-				stats.ColumnsTotal += nCols
-				metricBlocksScanned.Inc()
-				metricRecordsScanned.Add(uint64(decoded))
-				// Filter in place: only survivors stay for the sort.
-				kept := part[:before]
-				for k := before; k < len(part); k++ {
-					if q.matches(&part[k]) {
-						kept = append(kept, part[k])
-					}
-				}
-				part = kept
-				// Unsorted scans need no partition-wide slab: flush at
-				// batch granularity so every pooled slab converges on
-				// DefaultBatchSize capacity instead of ballooning to
-				// whole partitions.
-				if !sorted && len(part) >= pipe.DefaultBatchSize {
-					slab.Recs = part
-					stats.RecordsMatched += uint64(len(part))
-					metricRecordsMatched.Add(uint64(len(part)))
-					if !send(shardBatch{batch: slab}) {
-						slab.Release()
-						r.close()
-						return
-					}
-					slab = pipe.NewBatch()
-					part = slab.Recs
-				}
-			}
-			r.close()
-		}
-		slab.Recs = part
-		if len(part) > 0 {
-			if sorted {
-				// Stable: equal timestamps keep ingest order, the
-				// tertiary key of the deterministic merge order.
-				sort.SliceStable(part, func(a, b int) bool { return part[a].Start.Before(part[b].Start) })
-			}
-			stats.RecordsMatched += uint64(len(part))
-			metricRecordsMatched.Add(uint64(len(part)))
-			if !send(shardBatch{batch: slab}) {
-				slab.Release()
-				return
-			}
-		} else {
-			slab.Release()
-		}
-		i = j
-	}
-}
-
-// scanShardColumnar is the columnar scan path: each block is parsed
-// into a pooled ColumnBlock, the compiled query predicate runs against
-// only the columns it references, and survivors are copied out
-// column-wise — filtered-out rows are never materialized, and blocks
-// with no survivors never decode their remaining columns. Unsorted
-// scans emit columnar batches (pipe.Batch.Cols); the sorted path
-// materializes survivors into records for the k-way merge, which
-// needs whole flow.Records anyway.
-func scanShardColumnar(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted bool) {
+func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted bool) {
 	var stats ScanStats
 	defer func() {
 		statsCh <- stats

@@ -359,47 +359,25 @@ func InspectSegment(path string) ([]BlockInfo, error) {
 	return s.blocks, nil
 }
 
-// segmentReader iterates the matching blocks of one on-disk segment.
-// With data non-nil the whole segment was prefetched into a pooled
-// buffer and block reads are slice operations; otherwise each block is
-// read positionally from the file.
+// segmentReader iterates the matching blocks of one on-disk segment,
+// read whole into a pooled buffer: block reads are slice operations.
 type segmentReader struct {
-	f    *os.File
-	size int64
-	off  int64
-	data []byte  // whole-file prefetch; nil for positional readers
+	data []byte // the whole segment file
+	off  int
 	bufp *[]byte // pool slot backing data, returned on close
 }
 
-// segBufPool recycles whole-segment prefetch buffers across segments
-// and scans. Buffers grow to the largest segment seen (a few MB at the
-// default geometry) and there are at most a handful in flight — one
-// per concurrently scanned shard.
+// segBufPool recycles whole-segment buffers across segments and scans.
+// Buffers grow to the largest segment seen (a few MB at the default
+// geometry) and there are at most a handful in flight — one per
+// concurrently scanned shard.
 var segBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func openSegmentReader(path string) (*segmentReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		f.Close()
-		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
-	}
-	return &segmentReader{f: f, size: st.Size(), off: int64(len(segMagic))}, nil
-}
-
 // openSegmentReaderPrefetch reads the entire segment into a pooled
-// buffer with one read syscall and iterates blocks as slices of it —
-// the columnar scan path uses this so a full-archive scan costs one
-// syscall per segment instead of three per block. Views handed out by
-// nextBlockColumnar point into the buffer and are valid until close.
+// buffer with one read syscall and iterates blocks as slices of it, so
+// a full-archive scan costs one syscall per segment instead of three
+// per block. Views handed out by nextBlockColumnar point into the
+// buffer and are valid until close.
 func openSegmentReaderPrefetch(path string) (*segmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -411,144 +389,58 @@ func openSegmentReaderPrefetch(path string) (*segmentReader, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < int64(len(segMagic)) {
-		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
-	}
 	bufp := segBufPool.Get().(*[]byte)
 	buf := *bufp
 	if int64(cap(buf)) < size {
 		buf = make([]byte, size)
 	}
-	buf = buf[:size]
-	if _, err := io.ReadFull(f, buf); err != nil {
-		*bufp = buf[:0]
-		segBufPool.Put(bufp)
+	r := &segmentReader{data: buf[:size], off: len(segMagic), bufp: bufp}
+	if _, err := io.ReadFull(f, r.data); err != nil {
+		r.close()
 		return nil, fmt.Errorf("flowstore: reading %s: %w", path, err)
 	}
-	if [8]byte(buf[:8]) != segMagic {
-		*bufp = buf[:0]
-		segBufPool.Put(bufp)
+	if len(r.data) < len(segMagic) || [8]byte(r.data[:8]) != segMagic {
+		r.close()
 		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
 	}
-	*bufp = buf
-	return &segmentReader{size: size, off: int64(len(segMagic)), data: buf, bufp: bufp}, nil
+	return r, nil
 }
 
+// close returns the segment buffer to the pool; r is dead afterwards.
 func (r *segmentReader) close() {
-	if r.f != nil {
-		r.f.Close()
-	}
-	if r.bufp != nil {
-		*r.bufp = r.data[:0]
-		segBufPool.Put(r.bufp)
-		r.data, r.bufp = nil, nil
-	}
+	*r.bufp = r.data[:0]
+	segBufPool.Put(r.bufp)
 }
 
-// nextBlock reads the next frame's index; when the query prunes the
-// block, the payload is skipped without being read. Returns nil records
-// with a non-nil index for pruned blocks and (nil, nil, io.EOF) at the
-// end.
-func (r *segmentReader) nextBlock(q *Query, recs []flow.Record) ([]flow.Record, *blockIndex, error) {
-	if r.off >= r.size {
-		return nil, nil, io.EOF
-	}
-	var head [frameHeadLen]byte
-	if _, err := r.f.ReadAt(head[:], r.off); err != nil {
-		return nil, nil, fmt.Errorf("flowstore: reading frame header: %w", err)
-	}
-	frameLen := int64(binary.BigEndian.Uint32(head[0:4]))
-	if frameLen < blockIndexLen || r.off+frameHeadLen+frameLen > r.size {
-		return nil, nil, fmt.Errorf("flowstore: %w at offset %d (unrecovered segment?)", errTornFrame, r.off)
-	}
-	ixb := make([]byte, blockIndexLen)
-	if _, err := r.f.ReadAt(ixb, r.off+frameHeadLen); err != nil {
-		return nil, nil, err
-	}
-	ix, err := unmarshalIndex(ixb)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ix.prunable(q) {
-		r.off += frameHeadLen + frameLen
-		return nil, &ix, nil
-	}
-	payload := make([]byte, frameLen-blockIndexLen)
-	if _, err := r.f.ReadAt(payload, r.off+frameHeadLen+blockIndexLen); err != nil {
-		return nil, nil, err
-	}
-	recs, err = decodeBlock(recs, payload, int(ix.Records))
-	if err != nil {
-		return nil, nil, err
-	}
-	r.off += frameHeadLen + frameLen
-	return recs, &ix, nil
-}
-
-// nextBlockColumnar is nextBlock's columnar counterpart: the frame is
-// read into cb's reusable scratch buffers (no per-block allocation)
-// and only parsed into column views — decoding is left to the caller's
-// pushed-down predicate. Pruned blocks skip the payload read entirely
-// and report pruned=true with cb left empty. Returns io.EOF at the end
-// of the segment.
+// nextBlockColumnar parses the next frame's index and, unless the
+// query prunes the block, loads its payload into cb as column views —
+// decoding is left to the caller's pushed-down predicate. Pruned blocks
+// report pruned=true with cb left empty. Returns io.EOF at the end of
+// the segment.
 func (r *segmentReader) nextBlockColumnar(q *Query, cb *ColumnBlock) (pruned bool, err error) {
-	if r.off >= r.size {
+	if r.off >= len(r.data) {
 		return false, io.EOF
 	}
-	var head [frameHeadLen]byte
-	if r.data != nil {
-		copy(head[:], r.data[r.off:])
-	} else if _, err := r.f.ReadAt(head[:], r.off); err != nil {
-		return false, fmt.Errorf("flowstore: reading frame header: %w", err)
+	rest := r.data[r.off:]
+	frameLen := -1 // a tail too short for a frame header is torn too
+	if len(rest) >= frameHeadLen {
+		frameLen = int(binary.BigEndian.Uint32(rest))
 	}
-	frameLen := int64(binary.BigEndian.Uint32(head[0:4]))
-	if frameLen < blockIndexLen || r.off+frameHeadLen+frameLen > r.size {
+	if frameLen < blockIndexLen || frameLen > len(rest)-frameHeadLen {
 		return false, fmt.Errorf("flowstore: %w at offset %d (unrecovered segment?)", errTornFrame, r.off)
 	}
-	var ixb []byte
-	if r.data != nil {
-		ixb = r.data[r.off+frameHeadLen : r.off+frameHeadLen+blockIndexLen]
-	} else {
-		if cap(cb.ixb) < blockIndexLen {
-			cb.ixb = make([]byte, blockIndexLen)
-		}
-		cb.ixb = cb.ixb[:blockIndexLen]
-		if _, err := r.f.ReadAt(cb.ixb, r.off+frameHeadLen); err != nil {
-			return false, err
-		}
-		ixb = cb.ixb
-	}
-	ix, err := unmarshalIndex(ixb)
+	frame := rest[frameHeadLen : frameHeadLen+frameLen]
+	ix, err := unmarshalIndex(frame)
 	if err != nil {
 		return false, err
 	}
+	r.off += frameHeadLen + frameLen
 	if ix.prunable(q) {
-		r.off += frameHeadLen + frameLen
 		cb.reset()
 		return true, nil
 	}
-	plen := int(frameLen - blockIndexLen)
-	var payload []byte
-	if r.data != nil {
-		// Zero-copy view into the prefetched segment: valid until the
-		// reader closes, and cb only reads it during load and column
-		// decode — the decoded columns it hands onward are cb-owned.
-		payload = r.data[r.off+frameHeadLen+blockIndexLen : r.off+frameHeadLen+frameLen]
-	} else {
-		if cap(cb.payload) < plen {
-			cb.payload = make([]byte, plen)
-		}
-		cb.payload = cb.payload[:plen]
-		payload = cb.payload
-	}
-	if r.data == nil {
-		if _, err := r.f.ReadAt(payload, r.off+frameHeadLen+blockIndexLen); err != nil {
-			return false, err
-		}
-	}
-	if err := cb.load(payload, int(ix.Records)); err != nil {
-		return false, err
-	}
-	r.off += frameHeadLen + frameLen
-	return false, nil
+	// The payload is a zero-copy view into the segment buffer: valid
+	// until the reader closes, and cb only reads it during load and
+	// column decode — the decoded columns it hands onward are cb-owned.
+	return false, cb.load(frame[blockIndexLen:], int(ix.Records))
 }
