@@ -1,9 +1,12 @@
 package flowstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"net/netip"
+	"hash/crc32"
+	"math/bits"
+	"slices"
 
 	"booterscope/internal/flow"
 )
@@ -81,96 +84,11 @@ const (
 // blockFormatV2 is the version uvarint following the 0x00 marker.
 const blockFormatV2 = 2
 
-// appendColumn appends a length-prefixed column.
-func appendColumn(dst []byte, col []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(col)))
-	return append(dst, col...)
-}
-
 // zigzag maps signed to unsigned preserving small magnitudes.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// addrHalves splits an address's 16-byte form into two big-endian
-// uint64 halves (see flow.AddrHalves).
-func addrHalves(a netip.Addr) (hi, lo uint64) { return flow.AddrHalves(a) }
-
-// blockValues is the column-major staging area encodeBlock fills before
-// choosing per-column encodings.
-type blockValues struct {
-	flags []byte
-	proto []byte
-	// vals holds the 14 uvarint value columns (indices colSrcHiIdx..,
-	// excluding flags and proto) as raw uint64s; time columns hold their
-	// zigzag deltas.
-	vals [nCols][]uint64
-}
-
-// gather fills the staging arrays from records.
-func (bv *blockValues) gather(records []flow.Record) {
-	bv.flags = bv.flags[:0]
-	bv.proto = bv.proto[:0]
-	for i := colSrcHiIdx; i < nCols; i++ {
-		if i == colProtoIdx {
-			continue
-		}
-		bv.vals[i] = bv.vals[i][:0]
-	}
-	prevStartSec := int64(0)
-	for i := range records {
-		r := &records[i]
-		var flags byte
-		if r.Src.IsValid() {
-			flags |= flagSrcValid
-			if r.Src.Is4() {
-				flags |= flagSrcIs4
-			}
-		}
-		if r.Dst.IsValid() {
-			flags |= flagDstValid
-			if r.Dst.Is4() {
-				flags |= flagDstIs4
-			}
-		}
-		if r.Direction == flow.Egress {
-			flags |= flagEgress
-		}
-		bv.flags = append(bv.flags, flags)
-		bv.proto = append(bv.proto, r.Protocol)
-
-		shi, slo := addrHalves(r.Src)
-		dhi, dlo := addrHalves(r.Dst)
-		bv.vals[colSrcHiIdx] = append(bv.vals[colSrcHiIdx], shi)
-		bv.vals[colSrcLoIdx] = append(bv.vals[colSrcLoIdx], slo)
-		bv.vals[colDstHiIdx] = append(bv.vals[colDstHiIdx], dhi)
-		bv.vals[colDstLoIdx] = append(bv.vals[colDstLoIdx], dlo)
-		bv.vals[colSrcPortIdx] = append(bv.vals[colSrcPortIdx], uint64(r.SrcPort))
-		bv.vals[colDstPortIdx] = append(bv.vals[colDstPortIdx], uint64(r.DstPort))
-		bv.vals[colPacketsIdx] = append(bv.vals[colPacketsIdx], r.Packets)
-		bv.vals[colBytesIdx] = append(bv.vals[colBytesIdx], r.Bytes)
-
-		ssec := r.Start.Unix()
-		bv.vals[colStartSecIdx] = append(bv.vals[colStartSecIdx], zigzag(ssec-prevStartSec))
-		prevStartSec = ssec
-		bv.vals[colStartNsIdx] = append(bv.vals[colStartNsIdx], uint64(r.Start.Nanosecond()))
-		bv.vals[colEndSecIdx] = append(bv.vals[colEndSecIdx], zigzag(r.End.Unix()-ssec))
-		bv.vals[colEndNsIdx] = append(bv.vals[colEndNsIdx], uint64(r.End.Nanosecond()))
-
-		bv.vals[colSrcASIdx] = append(bv.vals[colSrcASIdx], uint64(r.SrcAS))
-		bv.vals[colDstASIdx] = append(bv.vals[colDstASIdx], uint64(r.DstAS))
-		bv.vals[colSamplingIdx] = append(bv.vals[colSamplingIdx], uint64(r.SamplingRate))
-	}
-}
-
-// appendUvarints appends vals as a raw uvarint stream.
-func appendUvarints(dst []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, v)
-	}
-	return dst
-}
 
 // maxDictValues bounds dictionary size; past it a column is not
 // low-cardinality and raw encoding wins anyway.
@@ -194,43 +112,6 @@ func dictWidth(n int) int {
 	}
 }
 
-// dictEncode builds the dict form of a value column, reporting ok=false
-// when the column is not low-cardinality enough to dictionary-encode.
-// Distinct values are listed in first-appearance order — deterministic,
-// pinned by the layout golden test.
-func dictEncode(vals []uint64) (data []byte, ok bool) {
-	var distinct []uint64
-	idx := make([]uint8, len(vals))
-	pos := make(map[uint64]uint8, 16)
-	for i, v := range vals {
-		j, seen := pos[v]
-		if !seen {
-			if len(distinct) >= maxDictValues {
-				return nil, false
-			}
-			j = uint8(len(distinct))
-			distinct = append(distinct, v)
-			pos[v] = j
-		}
-		idx[i] = j
-	}
-	data = binary.AppendUvarint(data, uint64(len(distinct)))
-	for _, d := range distinct {
-		data = binary.AppendUvarint(data, d)
-	}
-	w := dictWidth(len(distinct))
-	if w > 0 {
-		perByte := 8 / w
-		packed := (len(vals) + perByte - 1) / perByte
-		start := len(data)
-		data = append(data, make([]byte, packed)...)
-		for i, ix := range idx {
-			data[start+i/perByte] |= ix << (uint(i%perByte) * uint(w))
-		}
-	}
-	return data, true
-}
-
 // fixedWidth returns the smallest byte width in {1, 2, 4, 8} that
 // holds maxv.
 func fixedWidth(maxv uint64) int {
@@ -246,129 +127,236 @@ func fixedWidth(maxv uint64) int {
 	}
 }
 
-// fixedEncode builds the encFixed form of a value column: one width
-// byte, then the values little-endian at that stride.
-func fixedEncode(vals []uint64, width int) []byte {
-	data := make([]byte, 1+len(vals)*width)
-	data[0] = byte(width)
-	off := 1
+// blockEncoder turns one block of staged columns into its on-disk frame.
+// A Store owns one for its whole life (Store.mu serialises the write
+// path): every buffer grows to the block geometry once and is reused
+// for each block after, so steady-state encoding allocates nothing.
+type blockEncoder struct {
+	frame []byte   // frame under construction: head, index, payload
+	vals  []uint64 // one narrow column widened to the codec's uint64 view
+	idx   []uint8  // dictionary position of each row of the column probed
+	// dict holds that column's distinct values in first-appearance order;
+	// slots is the open-addressed value → position+1 table over them,
+	// twice maxDictValues so probe chains stay short.
+	dict   [maxDictValues]uint64
+	slots  [2 * maxDictValues]uint16
+	perm   []int32      // stable start-time order of an out-of-order block
+	sorted flow.Columns // that block, permuted
+}
+
+// sortedCopy returns c's rows in stable (start second, nanosecond)
+// order — the order the block format stores — as a permuted copy in
+// e's scratch. Writers call it only for blocks that arrived out of
+// order.
+func (e *blockEncoder) sortedCopy(c *flow.Columns) *flow.Columns {
+	e.perm = e.perm[:0]
+	for i := range c.Flags {
+		e.perm = append(e.perm, int32(i))
+	}
+	slices.SortStableFunc(e.perm, func(a, b int32) int {
+		if d := cmp.Compare(c.StartSec[a], c.StartSec[b]); d != 0 {
+			return d
+		}
+		return cmp.Compare(c.StartNs[a], c.StartNs[b])
+	})
+	e.sorted.Reset()
+	e.sorted.AppendIndexed(c, e.perm)
+	return &e.sorted
+}
+
+// encode builds the frame of one block — length, CRC, sparse index,
+// v2 payload (0x00 marker, format version, column count, then per
+// column an encoding tag and length-prefixed bytes) — from columns
+// already in start-time order. ColumnBlock.load plus its column
+// decoders are the payload's exact inverse. The frame aliases e's
+// scratch and is valid until the next call.
+//
+//bsvet:hotpath
+func (e *blockEncoder) encode(c *flow.Columns) ([]byte, blockIndex) {
+	n := c.Len()
+	if cap(e.vals) < n {
+		e.vals, e.idx = make([]uint64, n), make([]uint8, n)
+	}
+	ix := buildIndex(c)
+	f := append(e.frame[:0], make([]byte, frameHeadLen)...) // patched below
+	f = ix.marshal(f)
+	f = append(f, 0x00)
+	f = binary.AppendUvarint(f, blockFormatV2)
+	f = binary.AppendUvarint(f, nCols)
+	// The flags column is raw by format: its length is the block's
+	// record count, which the reader checks before sizing any vector.
+	f = append(f, encRaw)
+	f = binary.AppendUvarint(f, uint64(n))
+	e.frame = append(f, c.Flags...)
+
+	// Value columns, in column-index order.
+	vals := e.vals[:n]
+	e.appendValueColumn(c.SrcHi, nil)
+	e.appendValueColumn(c.SrcLo, nil)
+	e.appendValueColumn(c.DstHi, nil)
+	e.appendValueColumn(c.DstLo, nil)
+	e.appendValueColumn(widen(vals, c.SrcPort), nil)
+	e.appendValueColumn(widen(vals, c.DstPort), nil)
+	e.appendValueColumn(widen(vals, c.Proto), c.Proto)
+	e.appendValueColumn(c.Packets, nil)
+	e.appendValueColumn(c.Bytes, nil)
+	prev := int64(0)
+	for i, s := range c.StartSec {
+		vals[i], prev = zigzag(s-prev), s
+	}
+	e.appendValueColumn(vals, nil)
+	e.appendValueColumn(widen(vals, c.StartNs), nil)
+	for i, s := range c.EndSec {
+		vals[i] = zigzag(s - c.StartSec[i])
+	}
+	e.appendValueColumn(vals, nil)
+	e.appendValueColumn(widen(vals, c.EndNs), nil)
+	e.appendValueColumn(widen(vals, c.SrcAS), nil)
+	e.appendValueColumn(widen(vals, c.DstAS), nil)
+	e.appendValueColumn(widen(vals, c.Sampling), nil)
+
+	f = e.frame
+	binary.BigEndian.PutUint32(f[0:4], uint32(len(f)-frameHeadLen))
+	binary.BigEndian.PutUint32(f[4:8], crc32.ChecksumIEEE(f[frameHeadLen:]))
+	return f, ix
+}
+
+// widen copies a narrow column into dst as the uint64s the codec
+// encodes.
+//
+//bsvet:hotpath
+func widen[T uint8 | uint16 | uint32](dst []uint64, src []T) []uint64 {
+	for i, v := range src {
+		dst[i] = uint64(v)
+	}
+	return dst
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// measure returns the length of vals as a raw uvarint stream and their
+// maximum — what the encoding choice needs, without building any form.
+//
+//bsvet:hotpath
+func measure(vals []uint64) (rawLen int, maxv uint64) {
 	for _, v := range vals {
-		switch width {
-		case 1:
-			data[off] = byte(v)
-		case 2:
-			binary.LittleEndian.PutUint16(data[off:], uint16(v))
-		case 4:
-			binary.LittleEndian.PutUint32(data[off:], uint32(v))
-		default:
-			binary.LittleEndian.PutUint64(data[off:], v)
-		}
-		off += width
+		rawLen += uvarintLen(v)
+		maxv = max(maxv, v)
 	}
-	return data
+	return rawLen, maxv
 }
 
-// encodeValueColumn picks raw, dict, or fixed encoding for one uvarint
-// value column, returning the tag and column bytes. Dict wins whenever
-// it is no larger than raw (cheapest to decode); otherwise the column
-// is high-entropy, and when its average varint runs past half the
-// fixed stride the writer trades at most ~15% size for fixed-width
-// loads — the columnar scan decodes those columns several times faster
-// than a per-byte varint loop. Everything else stays raw.
-func encodeValueColumn(vals []uint64) (byte, []byte) {
-	raw := appendUvarints(nil, vals)
-	dict, ok := dictEncode(vals)
-	if ok && len(dict) <= len(raw) {
-		return encDict, dict
+// probe builds the dictionary of vals: distinct values into e.dict in
+// first-appearance order — deterministic, pinned by the layout golden
+// test — and each row's position into e.idx. It gives up, ok=false, at
+// the first value past maxDictValues distinct ones.
+//
+//bsvet:hotpath
+func (e *blockEncoder) probe(vals []uint64) (distinct int, ok bool) {
+	clear(e.slots[:])
+	const mask = uint64(len(e.slots) - 1)
+	for i, v := range vals {
+		h := v * 0x9e3779b97f4a7c15 >> 55 // Fibonacci hash to 9 bits
+		for e.slots[h] != 0 && e.dict[e.slots[h]-1] != v {
+			h = (h + 1) & mask
+		}
+		if e.slots[h] == 0 {
+			if distinct == maxDictValues {
+				return 0, false
+			}
+			e.dict[distinct] = v
+			distinct++
+			e.slots[h] = uint16(distinct)
+		}
+		e.idx[i] = uint8(e.slots[h] - 1)
 	}
-	if len(vals) > 0 {
-		var maxv uint64
+	return distinct, true
+}
+
+// appendValueColumn appends one value column to the frame as encoding
+// tag, length and bytes, picking raw, dict or fixed by arithmetic and
+// writing only the winner. Dict wins whenever it is no larger than raw
+// (cheapest to decode); otherwise the column is high-entropy, and when
+// its average varint runs past half the fixed stride the writer trades
+// at most ~15% size for fixed-width loads — the columnar scan decodes
+// those columns several times faster than a per-byte varint loop.
+// Everything else stays raw: a uvarint stream, or for the protocol
+// column (rawBytes non-nil) one byte per record, never uvarint-expanded
+// — though the choice still weighs its uvarint size. High-entropy
+// columns (random source addresses, byte counters) land raw or fixed;
+// protocol, ports, victim-set destination halves, near-constant
+// sampling rates and the mostly-0/1 sorted-timestamp deltas land dict.
+//
+//bsvet:hotpath
+func (e *blockEncoder) appendValueColumn(vals []uint64, rawBytes []uint8) {
+	n, f := len(vals), e.frame
+	rawLen, maxv := measure(vals)
+	if distinct, ok := e.probe(vals); ok {
+		w := dictWidth(distinct)
+		dictLen, _ := measure(e.dict[:distinct])
+		dictLen += uvarintLen(uint64(distinct)) + (n*w+7)/8
+		if dictLen <= rawLen {
+			f = append(f, encDict)
+			f = binary.AppendUvarint(f, uint64(dictLen))
+			f = binary.AppendUvarint(f, uint64(distinct))
+			for _, d := range e.dict[:distinct] {
+				f = binary.AppendUvarint(f, d)
+			}
+			e.frame = appendPacked(f, e.idx[:n], w)
+			return
+		}
+	}
+	if w := fixedWidth(maxv); n > 0 && w > 1 && rawLen > n*(w/2+1) {
+		f = append(f, encFixed)
+		f = binary.AppendUvarint(f, uint64(1+n*w))
+		f = append(f, byte(w))
 		for _, v := range vals {
-			if v > maxv {
-				maxv = v
+			switch w {
+			case 2:
+				f = binary.LittleEndian.AppendUint16(f, uint16(v))
+			case 4:
+				f = binary.LittleEndian.AppendUint32(f, uint32(v))
+			default:
+				f = binary.LittleEndian.AppendUint64(f, v)
 			}
 		}
-		if w := fixedWidth(maxv); w > 1 && len(raw) > len(vals)*(w/2+1) {
-			return encFixed, fixedEncode(vals, w)
-		}
+		e.frame = f
+		return
 	}
-	return encRaw, raw
+	f = append(f, encRaw)
+	if rawBytes != nil {
+		f = binary.AppendUvarint(f, uint64(n))
+		e.frame = append(f, rawBytes...)
+		return
+	}
+	f = binary.AppendUvarint(f, uint64(rawLen))
+	for _, v := range vals {
+		f = binary.AppendUvarint(f, v)
+	}
+	e.frame = f
 }
 
-// dictableColumns marks the columns the writer attempts dictionary
-// encoding on: every value column. The per-block size comparison in
-// encodeValueColumn keeps whichever form is smaller, so high-entropy
-// columns (random source addresses, byte counters) still land raw
-// while the low-cardinality ones — protocol, ports, victim-set
-// destination halves, near-constant sampling rates, and the mostly-0/1
-// sorted-timestamp deltas — decode via bit-unpack + table lookup
-// instead of per-row varints. Only the flags column is excluded: the
-// format fixes it as a raw byte column (its length is the block's
-// record count, which the reader checks before sizing any vector).
-var dictableColumns = [nCols]bool{
-	colSrcHiIdx:    true,
-	colSrcLoIdx:    true,
-	colDstHiIdx:    true,
-	colDstLoIdx:    true,
-	colSrcPortIdx:  true,
-	colDstPortIdx:  true,
-	colProtoIdx:    true,
-	colPacketsIdx:  true,
-	colBytesIdx:    true,
-	colStartSecIdx: true,
-	colStartNsIdx:  true,
-	colEndSecIdx:   true,
-	colEndNsIdx:    true,
-	colSrcASIdx:    true,
-	colDstASIdx:    true,
-	colSamplingIdx: true,
-}
-
-// encodeBlock encodes records into a v2 column payload: 0x00 marker,
-// format version, column count, then per-column encoding tags and
-// length-prefixed bytes. ColumnBlock.load plus its column decoders are
-// the exact inverse.
-func encodeBlock(records []flow.Record) []byte {
-	var bv blockValues
-	bv.gather(records)
-
-	var encs [nCols]byte
-	var cols [nCols][]byte
-	cols[colFlagsIdx] = bv.flags
-	for i := colSrcHiIdx; i < nCols; i++ {
-		if i == colProtoIdx {
-			protoVals := make([]uint64, len(bv.proto))
-			for j, p := range bv.proto {
-				protoVals[j] = uint64(p)
-			}
-			encs[i], cols[i] = encodeValueColumn(protoVals)
-			if encs[i] == encRaw {
-				// Raw protocol is a byte column, one byte per record, never
-				// uvarint-expanded.
-				cols[i] = bv.proto
-			}
-			continue
+// appendPacked appends dictionary positions bit-packed w bits each
+// (w in {0, 1, 2, 4, 8}; 0 — a constant column — appends nothing),
+// low bits first within a byte.
+//
+//bsvet:hotpath
+func appendPacked(f []byte, idx []uint8, w int) []byte {
+	if w == 0 {
+		return f
+	}
+	if w == 8 {
+		return append(f, idx...)
+	}
+	for i := 0; i < len(idx); i += 8 / w {
+		var b byte
+		for j, ix := range idx[i:min(i+8/w, len(idx))] {
+			b |= ix << (j * w)
 		}
-		if dictableColumns[i] {
-			encs[i], cols[i] = encodeValueColumn(bv.vals[i])
-			continue
-		}
-		encs[i], cols[i] = encRaw, appendUvarints(nil, bv.vals[i])
+		f = append(f, b)
 	}
-
-	size := 2 + binary.MaxVarintLen64
-	for _, c := range cols {
-		size += len(c) + binary.MaxVarintLen64 + 1
-	}
-	out := make([]byte, 0, size)
-	out = append(out, 0x00)
-	out = binary.AppendUvarint(out, blockFormatV2)
-	out = binary.AppendUvarint(out, nCols)
-	for i, c := range cols {
-		out = append(out, encs[i])
-		out = appendColumn(out, c)
-	}
-	return out
+	return f
 }
 
 // colReader iterates one column's uvarints.

@@ -171,7 +171,7 @@ func decodeDict(dst []uint64, col []byte, count int) error {
 
 // decodeFixed decodes an encFixed column into dst with fixed-stride
 // little-endian loads — the vectorized path for high-entropy wide
-// columns the writer refused to varint (see encodeValueColumn).
+// columns the writer refused to varint (see appendValueColumn).
 //
 //bsvet:hotpath
 func decodeFixed(dst []uint64, col []byte, count int) error {

@@ -25,9 +25,10 @@ package flowstore
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -130,6 +131,23 @@ type Store struct {
 	stats  Stats
 	rec    RecoveryReport
 	closed bool
+	// enc is the write path's one block encoder and free its staging
+	// slabs not currently held by an open segment; both live as long as
+	// the store, so steady-state ingest reuses memory instead of
+	// allocating per block or per segment.
+	enc  blockEncoder
+	free []*flow.Columns
+}
+
+// takeSlab hands a new segment writer an empty staging slab, reusing
+// one a sealed segment returned when there is one.
+func (s *Store) takeSlab() *flow.Columns {
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		return c
+	}
+	return new(flow.Columns)
 }
 
 // shardWriter routes one shard's records into per-partition segments.
@@ -142,29 +160,62 @@ type shardWriter struct {
 	havePart bool
 }
 
-// shardOf routes a record to a shard by an FNV-1a hash of its flow
-// key. The hash is fixed (not per-process seeded) so the same input
-// always produces the same shard layout — replay determinism extends
-// to the bytes on disk.
+// sortedParts lists the shard's open partitions in ascending order, so
+// that seal order — which error surfaces first, which staging slab is
+// reused next — never depends on map iteration.
+func (sw *shardWriter) sortedParts() []int64 {
+	parts := make([]int64, 0, len(sw.open))
+	for p := range sw.open {
+		parts = append(parts, p)
+	}
+	slices.Sort(parts)
+	return parts
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime64 to the k-th power.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnv1a folds the low n bytes of v, most significant first, into the
+// FNV-1a state h — exactly what hashing them one at a time computes. A
+// zero byte leaves h^b == h, so a run of k leading zero bytes (an IPv4
+// address's whole high half) is one multiply by prime^k.
+//
+//bsvet:hotpath
+func fnv1a(h, v uint64, n int) uint64 {
+	v <<= 8 * (8 - n)
+	k := min(bits.LeadingZeros64(v)/8, n)
+	h *= fnvPrimePow[k]
+	v <<= 8 * k
+	for ; k < n; k++ {
+		h = (h ^ v>>56) * fnvPrime64
+		v <<= 8
+	}
+	return h
+}
+
+// shardOf routes a record to a shard by the FNV-1a hash of its flow
+// key: source and destination in 16-byte form, both ports big-endian,
+// protocol. The hash is fixed (not per-process seeded) so the same
+// input always produces the same shard layout — replay determinism
+// extends to the bytes on disk.
+//
+//bsvet:hotpath
 func shardOf(r *flow.Record, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	src, dst := r.Src.As16(), r.Dst.As16()
-	for _, b := range src {
-		mix(b)
-	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(r.SrcPort >> 8))
-	mix(byte(r.SrcPort))
-	mix(byte(r.DstPort >> 8))
-	mix(byte(r.DstPort))
-	mix(r.Protocol)
+	shi, slo := flow.AddrHalves(r.Src)
+	dhi, dlo := flow.AddrHalves(r.Dst)
+	h := fnv1a(fnv1a(fnv1a(fnv1a(fnvOffset64, shi, 8), slo, 8), dhi, 8), dlo, 8)
+	h = fnv1a(h, uint64(r.SrcPort)<<24|uint64(r.DstPort)<<8|uint64(r.Protocol), 5)
 	return int(h % uint64(shards))
 }
 
@@ -383,7 +434,7 @@ func (s *Store) Append(records []flow.Record) error {
 			}
 			continue
 		}
-		if err := w.add(*r); err != nil && firstErr == nil {
+		if err := w.add(r); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -403,9 +454,9 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 	if !sw.havePart || part > sw.maxPart {
 		sw.maxPart, sw.havePart = part, true
 		psec := int64(s.opts.Partition / time.Second)
-		for p, w := range sw.open {
+		for _, p := range sw.sortedParts() {
 			if p <= part-2*psec {
-				if err := s.sealSegment(sw, p, w); err != nil {
+				if err := s.sealSegment(sw, p, sw.open[p]); err != nil {
 					return nil, err
 				}
 			}
@@ -463,12 +514,7 @@ func (s *Store) Seal() error {
 func (s *Store) sealLocked() error {
 	var firstErr error
 	for _, sw := range s.shards {
-		parts := make([]int64, 0, len(sw.open))
-		for p := range sw.open {
-			parts = append(parts, p)
-		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-		for _, p := range parts {
+		for _, p := range sw.sortedParts() {
 			if err := s.sealSegment(sw, p, sw.open[p]); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -501,7 +547,7 @@ func (s *Store) Stats() Stats {
 	st.RecordsBuffered = 0
 	for _, sw := range s.shards {
 		for _, w := range sw.open {
-			st.RecordsBuffered += uint64(len(w.buf))
+			st.RecordsBuffered += uint64(w.cols.Len())
 		}
 	}
 	return st

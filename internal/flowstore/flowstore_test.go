@@ -396,38 +396,95 @@ func TestDeterministicLayout(t *testing.T) {
 	}
 }
 
-// TestCrashRecovery kills a writer mid-segment with a chaos failpoint,
-// tears the tail of a segment file, reopens, and asserts the store's
-// accounting explains every appended record — zero silent loss.
-func TestCrashRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	recs := genFlows(rng, testBase, 1, 4000)
-	dir := t.TempDir()
-
-	// FailFrom kills every block write from op 12 on: some blocks land,
-	// then the writer is "dead" — the shape of a crashed process.
-	fp := chaos.FailFrom(12)
-	s, err := Open(dir, Options{Shards: 2, BlockRecords: 128, NoSync: true, WriteFault: fp})
+// crashAppend appends recs in 400-record calls to a fresh store whose
+// block writes fp governs and returns it unsealed — the state a killed
+// process leaves — with the last error Append reported.
+func crashAppend(t *testing.T, recs []flow.Record, fp *chaos.Failpoint) (*Store, error) {
+	t.Helper()
+	s, err := Open(t.TempDir(), Options{Shards: 2, BlockRecords: 128, NoSync: true, WriteFault: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var appendErr error
 	for off := 0; off < len(recs); off += 400 {
-		end := off + 400
-		if end > len(recs) {
-			end = len(recs)
-		}
-		if err := s.Append(recs[off:end]); err != nil {
+		if err := s.Append(recs[off:min(off+400, len(recs))]); err != nil {
 			appendErr = err
 		}
 	}
-	if appendErr == nil || !errors.Is(appendErr, chaos.ErrInjected) {
-		t.Fatalf("expected an injected fault from Append, got %v", appendErr)
+	return s, appendErr
+}
+
+// TestCrashRecovery kills a writer at every block-write op in turn with
+// a chaos failpoint and asserts that the store's accounting explains
+// every appended record and that a reopen adopts exactly the durable
+// ones; it then tears the tail of a segment file, reopens, and accounts
+// for the tear too — zero silent loss.
+func TestCrashRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	recs := genFlows(rng, testBase, 1, 4000)
+
+	// A probe that never fires counts the block writes of a clean run.
+	probe := chaos.NewFailpoint()
+	if _, err := crashAppend(t, recs, probe); err != nil {
+		t.Fatalf("clean run: %v", err)
 	}
+	ops := probe.Ops()
+	if ops < 20 {
+		t.Fatalf("clean run made %d block writes; the matrix needs a few dozen", ops)
+	}
+
+	var s *Store // the op-12 crash, torn further below
+	for k := uint64(0); k < ops; k++ {
+		// FailFrom kills every block write from op k on: k blocks land,
+		// then the writer is "dead" — the shape of a crashed process.
+		dead, appendErr := crashAppend(t, recs, chaos.FailFrom(k))
+		if !errors.Is(appendErr, chaos.ErrInjected) {
+			t.Fatalf("op %d: expected an injected fault from Append, got %v", k, appendErr)
+		}
+		st := dead.Stats()
+		if st.RecordsAppended != st.RecordsDurable+st.RecordsBuffered+st.RecordsDropped {
+			t.Fatalf("op %d: accounting invariant broken mid-crash: %+v", k, st)
+		}
+		if st.BlocksWritten != k || st.RecordsDurable != 128*k || st.RecordsDropped != 128*(ops-k) {
+			t.Fatalf("op %d of %d: want %d blocks durable and the rest dropped, got %+v", k, ops, k, st)
+		}
+		if k == 12 {
+			s = dead
+			continue // reopened below, after the tear
+		}
+		re, err := Open(dead.Dir(), Options{})
+		if err != nil {
+			t.Fatalf("op %d: reopen: %v", k, err)
+		}
+		n := uint64(0)
+		if _, err := re.Scan(Query{}, func(*flow.Record) error { n++; return nil }); err != nil {
+			t.Fatalf("op %d: scan after reopen: %v", k, err)
+		}
+		if rec := re.Recovery(); rec.RecoveredRecords != st.RecordsDurable || n != st.RecordsDurable || rec.TornSegments != 0 {
+			t.Fatalf("op %d: reopen adopted %d records (%d torn segments), scan served %d, want exactly the %d durable",
+				k, rec.RecoveredRecords, rec.TornSegments, n, st.RecordsDurable)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// A fault at op k alone: the dropped block's staging slab is
+		// emptied, not poisoned — the segment takes the very next record,
+		// and every block after the fault lands.
+		once, appendErr := crashAppend(t, recs, chaos.NewFailpoint(k))
+		if !errors.Is(appendErr, chaos.ErrInjected) {
+			t.Fatalf("single fault at op %d: expected an injected fault from Append, got %v", k, appendErr)
+		}
+		if err := once.Close(); err != nil {
+			t.Fatalf("single fault at op %d: close: %v", k, err)
+		}
+		st = once.Stats()
+		if st.RecordsDropped != 128 || st.RecordsBuffered != 0 || st.RecordsDurable != uint64(len(recs))-128 {
+			t.Fatalf("single fault at op %d: want one 128-record block dropped and the rest durable, got %+v", k, st)
+		}
+	}
+	dir := s.Dir()
 	st := s.Stats()
-	if st.RecordsAppended != st.RecordsDurable+st.RecordsBuffered+st.RecordsDropped {
-		t.Fatalf("accounting invariant broken mid-crash: %+v", st)
-	}
 	if st.RecordsDropped == 0 || st.RecordsDurable == 0 {
 		t.Fatalf("want both durable and dropped records, got %+v", st)
 	}
@@ -560,6 +617,35 @@ func TestMetaRoundTrip(t *testing.T) {
 	for k, v := range meta {
 		if got[k] != v {
 			t.Fatalf("meta[%q] = %q, want %q", k, got[k], v)
+		}
+	}
+}
+
+// TestStaleSealOrder: when a new newest partition makes several open
+// ones stale at once, they seal oldest first — not in map order — so
+// the first error to surface and the order staging slabs come back for
+// reuse are the same on every run.
+func TestStaleSealOrder(t *testing.T) {
+	at := func(day int) []flow.Record {
+		r := tieRecord(day, testBase.Add(time.Duration(day)*24*time.Hour))
+		return []flow.Record{r}
+	}
+	for run := 0; run < 16; run++ { // two-entry map order is a coin flip
+		s, err := Open(t.TempDir(), Options{Shards: 1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, day := range []int{1, 0, 5} { // day 5 strands days 0 and 1
+			if err := s.Append(at(day)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs := s.Segments() // seal order until the next manifest save sorts it
+		if len(segs) != 2 || segs[0].PartitionSec >= segs[1].PartitionSec {
+			t.Fatalf("run %d: stale partitions sealed as %+v, want day 0 then day 1", run, segs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

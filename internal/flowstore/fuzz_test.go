@@ -1,6 +1,7 @@
 package flowstore
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -78,8 +79,12 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 
 		// Accepted payloads must re-encode and round-trip bit-for-bit —
-		// the writer canonicalizes whatever the reader admits.
+		// the writer canonicalizes whatever the reader admits — and the
+		// production encoder must write what the reference encoder does.
 		re := encodeBlock(refRecs)
+		if !bytes.Equal(re, refEncodeBlock(refRecs)) {
+			t.Fatalf("production and reference encoders diverge on %d records", count)
+		}
 		back, err := refDecodeBlock(re, count)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)

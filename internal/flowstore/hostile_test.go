@@ -92,7 +92,7 @@ func TestHostileSealedSegment(t *testing.T) {
 		}, "bad segment magic"},
 		{"v1 payload", func(seg []byte) []byte {
 			blk := recs[:100]
-			ix := buildIndex(blk)
+			ix := buildIndex(stage(blk))
 			body := append(ix.marshal(nil), encodeBlockV1(blk)...)
 			seg = binary.BigEndian.AppendUint32(seg[:first], uint32(len(body)))
 			seg = binary.BigEndian.AppendUint32(seg, crc32.ChecksumIEEE(body))

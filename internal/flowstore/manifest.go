@@ -65,20 +65,30 @@ func (m *manifest) save(dir string) error {
 		return err
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	f, err := os.Open(tmp)
+	_, err = f.Write(append(b, '\n'))
 	if err == nil {
-		f.Sync()
-		f.Close()
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("flowstore: writing %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("flowstore: syncing %s: %w", dir, err)
 	}
 	return nil
 }

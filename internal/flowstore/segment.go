@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,31 +61,35 @@ func (ix *blockIndex) setProto(p uint8) { ix.Protocols[p>>3] |= 1 << (p & 7) }
 // hasProto reports whether protocol p occurs in the block.
 func (ix *blockIndex) hasProto(p uint8) bool { return ix.Protocols[p>>3]&(1<<(p&7)) != 0 }
 
-// buildIndex computes the sparse index of a sorted record block.
-func buildIndex(records []flow.Record) blockIndex {
-	ix := blockIndex{Records: uint32(len(records))}
-	for i := range records {
-		r := &records[i]
-		sec := r.Start.Unix()
-		d := r.Dst.As16()
-		if i == 0 {
-			ix.MinStartSec, ix.MaxStartSec = sec, sec
-			ix.MinDst, ix.MaxDst = d, d
-		} else {
-			if sec < ix.MinStartSec {
-				ix.MinStartSec = sec
-			}
-			if sec > ix.MaxStartSec {
-				ix.MaxStartSec = sec
-			}
-			if bytes.Compare(d[:], ix.MinDst[:]) < 0 {
-				ix.MinDst = d
-			}
-			if bytes.Compare(d[:], ix.MaxDst[:]) > 0 {
-				ix.MaxDst = d
-			}
+// buildIndex computes the sparse index of a block from its staged
+// columns. Destination halves compare as the big-endian 16-byte form
+// does: high half first, unsigned.
+//
+//bsvet:hotpath
+func buildIndex(c *flow.Columns) blockIndex {
+	ix := blockIndex{Records: uint32(c.Len())}
+	if c.Len() == 0 {
+		return ix
+	}
+	ix.MinStartSec, ix.MaxStartSec = c.StartSec[0], c.StartSec[0]
+	minHi, minLo := c.DstHi[0], c.DstLo[0]
+	maxHi, maxLo := minHi, minLo
+	for i, hi := range c.DstHi {
+		ix.MinStartSec, ix.MaxStartSec = min(ix.MinStartSec, c.StartSec[i]), max(ix.MaxStartSec, c.StartSec[i])
+		lo := c.DstLo[i]
+		if hi < minHi || hi == minHi && lo < minLo {
+			minHi, minLo = hi, lo
 		}
-		ix.setProto(r.Protocol)
+		if hi > maxHi || hi == maxHi && lo > maxLo {
+			maxHi, maxLo = hi, lo
+		}
+	}
+	binary.BigEndian.PutUint64(ix.MinDst[:8], minHi)
+	binary.BigEndian.PutUint64(ix.MinDst[8:], minLo)
+	binary.BigEndian.PutUint64(ix.MaxDst[:8], maxHi)
+	binary.BigEndian.PutUint64(ix.MaxDst[8:], maxLo)
+	for _, p := range c.Proto {
+		ix.setProto(p)
 	}
 	return ix
 }
@@ -149,16 +152,22 @@ func (ix *blockIndex) prunable(q *Query) bool {
 
 // segmentWriter appends blocks to one segment file.
 type segmentWriter struct {
-	store   *Store
-	shard   int
-	path    string
-	f       *os.File
-	buf     []flow.Record
-	records uint64 // durable records (in fully written blocks)
-	blocks  uint64
-	bytes   uint64
-	minSec  int64
-	maxSec  int64
+	store *Store
+	shard int
+	path  string
+	f     *os.File
+	// cols stages the open block: each record is transposed into it once,
+	// at add, and the block is encoded from it. The slab comes from the
+	// store's free list and goes back on seal.
+	cols *flow.Columns
+	// unsorted records that some staged row starts before its
+	// predecessor; only such blocks pay for the sort.
+	unsorted bool
+	records  uint64 // durable records (in fully written blocks)
+	blocks   uint64
+	bytes    uint64
+	minSec   int64
+	maxSec   int64
 	// broken marks a writer whose file may hold a partial frame after a
 	// real write error; further blocks are dropped (and accounted)
 	// rather than interleaved with the torn tail.
@@ -176,76 +185,90 @@ func newSegmentWriter(store *Store, shard int, path string) (*segmentWriter, err
 		return nil, err
 	}
 	return &segmentWriter{
-		store: store, shard: shard, path: path, f: f,
+		store: store, shard: shard, path: path, f: f, cols: store.takeSlab(),
 		bytes: uint64(len(segMagic)),
 	}, nil
 }
 
-// add buffers one record, flushing a block when the buffer fills.
-func (w *segmentWriter) add(rec flow.Record) error {
-	w.buf = append(w.buf, rec)
-	if len(w.buf) >= w.store.opts.BlockRecords {
+// add stages one record, flushing a block when the slab fills.
+//
+//bsvet:hotpath
+func (w *segmentWriter) add(r *flow.Record) error {
+	c := w.cols
+	c.AppendRecord(r)
+	if i := c.Len() - 1; i > 0 && !w.unsorted {
+		w.unsorted = c.StartSec[i] < c.StartSec[i-1] ||
+			c.StartSec[i] == c.StartSec[i-1] && c.StartNs[i] < c.StartNs[i-1]
+	}
+	if c.Len() >= w.store.opts.BlockRecords {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// flushBlock encodes and writes the buffered records as one block. On
-// any error — injected or real — the buffered records are counted as
-// dropped in the store accounting, never silently lost.
+// reset empties the staging slab for the next block.
+func (w *segmentWriter) reset() {
+	w.cols.Reset()
+	w.unsorted = false
+}
+
+// drop counts the staged rows as dropped in the store accounting —
+// never silently lost — and empties the slab, which stays usable.
+func (w *segmentWriter) drop() {
+	w.store.dropBuffered(uint64(w.cols.Len()))
+	w.reset()
+}
+
+// flushBlock encodes and writes the staged rows as one block. On any
+// error — injected or real — they are dropped, and accounted. The slab
+// is empty when flushBlock returns, whatever the outcome.
 func (w *segmentWriter) flushBlock() error {
-	if len(w.buf) == 0 {
+	c := w.cols
+	n := uint64(c.Len())
+	if n == 0 {
 		return nil
 	}
-	n := uint64(len(w.buf))
 	if w.broken {
-		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
+		w.drop()
 		return fmt.Errorf("flowstore: segment %s broken by earlier write error", w.path)
 	}
-	if err := w.store.opts.WriteFault.Check(fmt.Sprintf("block-write shard %d", w.shard)); err != nil {
-		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
-		return err
+	// Checked only when set: naming the op allocates.
+	if fp := w.store.opts.WriteFault; fp != nil {
+		if err := fp.Check(fmt.Sprintf("block-write shard %d", w.shard)); err != nil {
+			w.drop()
+			return err
+		}
 	}
-	sort.SliceStable(w.buf, func(i, j int) bool { return w.buf[i].Start.Before(w.buf[j].Start) })
-	ix := buildIndex(w.buf)
-	payload := encodeBlock(w.buf)
-
-	frame := make([]byte, 0, frameHeadLen+blockIndexLen+len(payload))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(blockIndexLen+len(payload)))
-	frame = frame[:frameHeadLen] // leave room for crc
-	frame = ix.marshal(frame)
-	frame = append(frame, payload...)
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[frameHeadLen:]))
-
+	enc := &w.store.enc
+	if w.unsorted {
+		c = enc.sortedCopy(c)
+	}
+	frame, ix := enc.encode(c)
 	if _, err := w.f.Write(frame); err != nil {
 		w.broken = true
-		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
+		w.drop()
 		return fmt.Errorf("flowstore: writing block: %w", err)
 	}
 	if w.blocks == 0 {
 		w.minSec, w.maxSec = ix.MinStartSec, ix.MaxStartSec
 	} else {
-		if ix.MinStartSec < w.minSec {
-			w.minSec = ix.MinStartSec
-		}
-		if ix.MaxStartSec > w.maxSec {
-			w.maxSec = ix.MaxStartSec
-		}
+		w.minSec, w.maxSec = min(w.minSec, ix.MinStartSec), max(w.maxSec, ix.MaxStartSec)
 	}
 	w.blocks++
 	w.records += n
 	w.bytes += uint64(len(frame))
-	w.buf = w.buf[:0]
+	w.reset()
 	w.store.noteBlockWritten(n, uint64(len(frame)))
 	return nil
 }
 
-// seal flushes, fsyncs, and closes the file.
+// seal flushes, returns the staging slab to the store, fsyncs, and
+// closes the file.
 func (w *segmentWriter) seal(sync bool) error {
-	if err := w.flushBlock(); err != nil {
+	err := w.flushBlock()
+	w.store.free = append(w.store.free, w.cols)
+	w.cols = nil
+	if err != nil {
 		w.f.Close()
 		return err
 	}
