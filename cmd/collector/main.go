@@ -188,6 +188,9 @@ func main() {
 	}
 	if *dashEvery > 0 {
 		dash := telemetry.NewDashboard(reg, os.Stderr, *dashEvery)
+		// Mean routed-slab size, next to service_partial_flushes_total:
+		// how far the hand-over policy lets slabs fill under this load.
+		dash.Ratio("pipe_routed_slab_mean_records", "pipe_records_routed_total", "pipe_batches_routed_total")
 		dash.Start()
 		defer dash.Stop()
 	}

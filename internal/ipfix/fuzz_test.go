@@ -1,6 +1,7 @@
 package ipfix
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -19,6 +20,54 @@ func FuzzDecode(f *testing.F) {
 		for _, r := range recs {
 			if r.SamplingRate == 0 {
 				t.Fatal("decoded record with zero sampling rate")
+			}
+		}
+	})
+}
+
+// frames cuts a fuzz input into messages: each is prefixed with its
+// length as a big-endian uint16, and a prefix running past the input
+// takes what is left.
+func frames(data []byte) [][]byte {
+	var out [][]byte
+	for len(data) >= 2 {
+		n := min(int(binary.BigEndian.Uint16(data)), len(data)-2)
+		out = append(out, data[2:2+n])
+		data = data[2+n:]
+	}
+	return out
+}
+
+func framed(msgs ...[]byte) []byte {
+	var out []byte
+	for _, m := range msgs {
+		out = binary.BigEndian.AppendUint16(out, uint16(len(m)))
+		out = append(out, m...)
+	}
+	return out
+}
+
+// FuzzDecodeStream is the stateful target: the input is a sequence of
+// messages fed to ONE decoder, so a template from one message is what a
+// later message's data sets are read with — the path FuzzDecode's
+// fresh-decoder-per-input cannot reach.
+func FuzzDecodeStream(f *testing.F) {
+	e := &Encoder{DomainID: 5}
+	withTpl, _ := e.Encode(sampleRecords(3), exportTime)
+	dataOnly, _ := e.Encode(sampleRecords(2), exportTime)
+	f.Add(framed(withTpl, dataOnly))
+	f.Add(framed(hostileMsg(templateSet(fieldSpec{ieSourceIPv4Address, 1})), hostileMsg(rawSet(256, 0x7f))))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDecoder()
+		for _, msg := range frames(data) {
+			recs, err := d.Decode(msg)
+			if err != nil {
+				continue
+			}
+			for _, r := range recs {
+				if r.SamplingRate == 0 {
+					t.Fatal("decoded record with zero sampling rate")
+				}
 			}
 		}
 	})

@@ -71,6 +71,36 @@ var flowTemplate = []fieldSpec{
 	{ieSamplingInterval, 4},
 }
 
+// variableLength is the template field length announcing a
+// variable-length information element (RFC 7011 §7), which this
+// decoder does not parse.
+const variableLength = 65535
+
+// legalLength reports whether a template may declare n bytes for
+// information element id. The data-set parser reads each known element
+// at the width its type implies, so the check runs once, at template
+// time: unsigned counters accept RFC 7011 §6.2 reduced-size encodings
+// (read through netutil.BEUint), addresses and timestamps only their exact
+// width. Elements the decoder does not read are skipped by length, so
+// any fixed length is acceptable.
+func legalLength(id, n uint16) bool {
+	switch id {
+	case ieSourceIPv4Address, ieDestIPv4Address:
+		return n == 4
+	case ieFlowStartMilliseconds, ieFlowEndMilliseconds:
+		return n == 8
+	case iePacketDeltaCount, ieOctetDeltaCount:
+		return 1 <= n && n <= 8
+	case ieBgpSourceAsNumber, ieBgpDestAsNumber, ieSamplingInterval:
+		return 1 <= n && n <= 4
+	case ieSourceTransportPort, ieDestTransportPort:
+		return 1 <= n && n <= 2
+	case ieProtocolIdentifier:
+		return n == 1
+	}
+	return n != variableLength
+}
+
 func flowRecordLen() int {
 	n := 0
 	for _, f := range flowTemplate {
@@ -228,6 +258,7 @@ type decoderMetrics struct {
 	duplicates     *telemetry.Counter
 	seqResets      *telemetry.Counter
 	unknownTplSets *telemetry.Counter
+	badTemplates   *telemetry.Counter
 }
 
 // Decoder parses IPFIX messages, keeping per-domain template state and
@@ -254,6 +285,7 @@ func NewDecoder() *Decoder {
 			duplicates:     telemetry.NewCounter(),
 			seqResets:      telemetry.NewCounter(),
 			unknownTplSets: telemetry.NewCounter(),
+			badTemplates:   telemetry.NewCounter(),
 		},
 	}
 }
@@ -268,6 +300,7 @@ func (d *Decoder) registerTelemetry(r *telemetry.Registry) {
 	r.MustRegister("ipfix_decoder_duplicate_messages_total", "messages with recently seen sequence numbers", d.m.duplicates)
 	r.MustRegister("ipfix_decoder_seq_resets_total", "sequence jumps treated as exporter restarts", d.m.seqResets)
 	r.MustRegister("ipfix_decoder_unknown_template_sets_total", "data sets skipped for want of a template", d.m.unknownTplSets)
+	r.MustRegister("ipfix_decoder_bad_templates_total", "templates refused: no fields, a variable-length field, or a length the element's type does not allow", d.m.badTemplates)
 }
 
 // DomainStats returns a snapshot of the per-observation-domain
@@ -410,6 +443,12 @@ func (d *Decoder) account(domain, seq uint32, n, unknownSets int) {
 	st.remember(seq)
 }
 
+// parseTemplatesLocked stores one template set. A refused template
+// fails the whole message (RFC 7011 §8: a malformed message is
+// discarded; its records show up as a sequence gap), and withdraws any
+// earlier definition of its id: the exporter has moved to a layout this
+// decoder will not read, so that id's data sets must count as
+// template-less rather than be decoded with the stale one.
 func (d *Decoder) parseTemplatesLocked(domain uint32, b []byte) error {
 	off := 0
 	for off+4 <= len(b) {
@@ -419,6 +458,7 @@ func (d *Decoder) parseTemplatesLocked(domain uint32, b []byte) error {
 		if off+count*4 > len(b) {
 			return ErrBadSet
 		}
+		key := uint64(domain)<<16 | uint64(tid)
 		fields := make([]fieldSpec, count)
 		for i := range fields {
 			fields[i] = fieldSpec{
@@ -427,11 +467,31 @@ func (d *Decoder) parseTemplatesLocked(domain uint32, b []byte) error {
 			}
 			off += 4
 		}
-		d.templates[uint64(domain)<<16|uint64(tid)] = fields
+		if err := checkTemplate(tid, fields); err != nil {
+			d.m.badTemplates.Inc()
+			delete(d.templates, key)
+			return err
+		}
+		d.templates[key] = fields
 	}
 	return nil
 }
 
+func checkTemplate(tid uint16, fields []fieldSpec) error {
+	if len(fields) == 0 {
+		return fmt.Errorf("%w: template %d has no fields", ErrBadSet, tid)
+	}
+	for _, f := range fields {
+		if !legalLength(f.ID, f.Length) {
+			return fmt.Errorf("%w: template %d declares %d bytes for element %d", ErrBadSet, tid, f.Length, f.ID)
+		}
+	}
+	return nil
+}
+
+// parseDataLocked reads one data set. Every slice below is as wide as
+// legalLength allowed when the template was stored, so the fixed-width
+// reads cannot run past it.
 func (d *Decoder) parseDataLocked(domain uint32, tid uint16, b []byte) ([]flow.Record, error) {
 	fields, ok := d.templates[uint64(domain)<<16|uint64(tid)]
 	if !ok {
@@ -456,25 +516,25 @@ func (d *Decoder) parseDataLocked(domain uint32, tid uint16, b []byte) ([]flow.R
 			case ieDestIPv4Address:
 				rec.Dst = netutil.Addr4(binary.BigEndian.Uint32(v))
 			case iePacketDeltaCount:
-				rec.Packets = binary.BigEndian.Uint64(v)
+				rec.Packets = netutil.BEUint(v)
 			case ieOctetDeltaCount:
-				rec.Bytes = binary.BigEndian.Uint64(v)
+				rec.Bytes = netutil.BEUint(v)
 			case ieFlowStartMilliseconds:
 				rec.Start = time.UnixMilli(int64(binary.BigEndian.Uint64(v))).UTC()
 			case ieFlowEndMilliseconds:
 				rec.End = time.UnixMilli(int64(binary.BigEndian.Uint64(v))).UTC()
 			case ieSourceTransportPort:
-				rec.SrcPort = binary.BigEndian.Uint16(v)
+				rec.SrcPort = uint16(netutil.BEUint(v))
 			case ieDestTransportPort:
-				rec.DstPort = binary.BigEndian.Uint16(v)
+				rec.DstPort = uint16(netutil.BEUint(v))
 			case ieProtocolIdentifier:
 				rec.Protocol = v[0]
 			case ieBgpSourceAsNumber:
-				rec.SrcAS = binary.BigEndian.Uint32(v)
+				rec.SrcAS = uint32(netutil.BEUint(v))
 			case ieBgpDestAsNumber:
-				rec.DstAS = binary.BigEndian.Uint32(v)
+				rec.DstAS = uint32(netutil.BEUint(v))
 			case ieSamplingInterval:
-				rec.SamplingRate = binary.BigEndian.Uint32(v)
+				rec.SamplingRate = uint32(netutil.BEUint(v))
 			}
 			fo += int(f.Length)
 		}

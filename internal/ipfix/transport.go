@@ -12,6 +12,7 @@ import (
 	"booterscope/internal/flow"
 	"booterscope/internal/netutil"
 	"booterscope/internal/telemetry"
+	"booterscope/internal/telemetry/eventlog"
 )
 
 // RetryPolicy bounds how hard an Exporter tries to deliver a message
@@ -236,6 +237,7 @@ type Collector struct {
 	shed         *telemetry.Counter
 	decodeErrors *telemetry.Counter
 	noTemplate   *telemetry.Counter
+	decodePanics *telemetry.Counter
 	records      *telemetry.Counter
 	// queueHigh is the ingest queue's depth high-watermark: how close
 	// the collector came to shedding since start.
@@ -268,6 +270,7 @@ func NewCollector(addr string) (*Collector, error) {
 		shed:         telemetry.NewCounter(),
 		decodeErrors: telemetry.NewCounter(),
 		noTemplate:   telemetry.NewCounter(),
+		decodePanics: telemetry.NewCounter(),
 		records:      telemetry.NewCounter(),
 		queueHigh:    telemetry.NewGauge(),
 	}, nil
@@ -282,6 +285,7 @@ func (c *Collector) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("ipfix_collector_shed_total", "datagrams dropped at the full ingest queue", c.shed)
 	r.MustRegister("ipfix_collector_decode_errors_total", "undecodable messages", c.decodeErrors)
 	r.MustRegister("ipfix_collector_no_template_total", "messages dropped for want of a template", c.noTemplate)
+	r.MustRegister("ipfix_collector_decode_panics_total", "datagrams that panicked the decoder (recovered and also counted as decode errors; the collector kept serving)", c.decodePanics)
 	r.MustRegister("ipfix_collector_records_total", "flow records handed to the run callback", c.records)
 	r.MustRegister("ipfix_collector_queue_depth_high_watermark", "peak ingest queue depth", c.queueHigh)
 	c.dec.registerTelemetry(r)
@@ -356,7 +360,7 @@ func (c *Collector) Run(handle func([]flow.Record)) error {
 	go func() {
 		defer close(workerDone)
 		for msg := range queue {
-			recs, err := c.dec.Decode(msg)
+			recs, err := c.decode(msg)
 			if err != nil {
 				if errors.Is(err, ErrNoTemplate) {
 					c.noTemplate.Inc()
@@ -399,6 +403,24 @@ func (c *Collector) Run(handle func([]flow.Record)) error {
 	close(queue)
 	<-workerDone
 	return runErr
+}
+
+// decode is the decoder behind a last-resort recover: should a datagram
+// get past template validation and panic the parser, it is counted,
+// recorded and reported as a decode error, and the daemon serves the
+// next one. Only the decoder is covered — a panic in the handler is a
+// pipeline bug and stays fatal.
+func (c *Collector) decode(msg []byte) (recs []flow.Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.decodePanics.Inc()
+			eventlog.Active().Emit("ipfix", "ipfix_decode_panic", 0,
+				eventlog.A("panic", fmt.Sprint(p)),
+				eventlog.AInt("datagram_bytes", int64(len(msg))))
+			recs, err = nil, fmt.Errorf("ipfix: decoder panicked: %v", p)
+		}
+	}()
+	return c.dec.Decode(msg)
 }
 
 // Close stops the collector.

@@ -349,6 +349,7 @@ type V9Collector struct {
 	templates    map[uint64][]templateField // (sourceID<<16|templateID) -> fields
 	optTemplates map[uint64]optTemplate
 	sampling     map[uint32]uint32 // sourceID -> advertised 1-in-N rate
+	badTemplates uint64
 }
 
 // NewV9Collector returns an empty collector.
@@ -368,6 +369,10 @@ func (c *V9Collector) SamplingRate(sourceID uint32) uint32 {
 	}
 	return 1
 }
+
+// BadTemplates reports how many templates were refused: no fields, or
+// a length the field's type does not allow.
+func (c *V9Collector) BadTemplates() uint64 { return c.badTemplates }
 
 // DecodeV9 parses one v9 packet, returning the flow records of all data
 // flowsets whose template is known. Template flowsets update collector
@@ -430,7 +435,9 @@ func (c *V9Collector) parseOptionsTemplates(sourceID uint32, b []byte) error {
 		scopeBytes := int(binary.BigEndian.Uint16(b[off+2:]))
 		optionBytes := int(binary.BigEndian.Uint16(b[off+4:]))
 		off += 6
-		if off+scopeBytes+optionBytes > len(b) {
+		// Scope and option specs are (type, length) pairs of 4 bytes;
+		// a ragged byte count would read a pair past the flowset.
+		if scopeBytes%4 != 0 || optionBytes%4 != 0 || off+scopeBytes+optionBytes > len(b) {
 			return errBadTemplate
 		}
 		ot := optTemplate{}
@@ -465,7 +472,7 @@ func (c *V9Collector) parseOptionsData(sourceID uint32, ot optTemplate, b []byte
 		for _, f := range ot.fields {
 			v := b[fo : fo+int(f.Length)]
 			if f.Type == fieldSamplingInterval {
-				if rate := uint32(beUint(v)); rate > 1 {
+				if rate := uint32(netutil.BEUint(v)); rate > 1 {
 					c.sampling[sourceID] = rate
 				}
 			}
@@ -475,6 +482,10 @@ func (c *V9Collector) parseOptionsData(sourceID uint32, ot optTemplate, b []byte
 	return nil
 }
 
+// parseTemplates stores one template flowset. A refused template fails
+// the packet and withdraws any earlier definition of its id, so that
+// id's data flowsets count as template-less rather than be decoded with
+// a layout the exporter has moved away from.
 func (c *V9Collector) parseTemplates(sourceID uint32, b []byte) error {
 	off := 0
 	for off+4 <= len(b) {
@@ -484,6 +495,7 @@ func (c *V9Collector) parseTemplates(sourceID uint32, b []byte) error {
 		if off+count*4 > len(b) {
 			return errBadTemplate
 		}
+		key := uint64(sourceID)<<16 | uint64(tid)
 		fields := make([]templateField, count)
 		for i := 0; i < count; i++ {
 			fields[i] = templateField{
@@ -492,11 +504,53 @@ func (c *V9Collector) parseTemplates(sourceID uint32, b []byte) error {
 			}
 			off += 4
 		}
-		c.templates[uint64(sourceID)<<16|uint64(tid)] = fields
+		if err := checkTemplate(tid, fields); err != nil {
+			c.badTemplates++
+			delete(c.templates, key)
+			return err
+		}
+		c.templates[key] = fields
 	}
 	return nil
 }
 
+func checkTemplate(tid uint16, fields []templateField) error {
+	if len(fields) == 0 {
+		return fmt.Errorf("%w: template %d has no fields", errBadTemplate, tid)
+	}
+	for _, f := range fields {
+		if !legalLength(f.Type, f.Length) {
+			return fmt.Errorf("%w: template %d declares %d bytes for field type %d", errBadTemplate, tid, f.Length, f.Type)
+		}
+	}
+	return nil
+}
+
+// legalLength reports whether a template may declare n bytes for field
+// type typ. parseData reads each known field at the width its type
+// implies, so the check runs once, at template time: counters, ports
+// and AS numbers go through netutil.BEUint at any width up to their own,
+// addresses and the sysUptime-relative timestamps only at exactly 4
+// bytes. Fields the collector does not read are skipped by length.
+func legalLength(typ, n uint16) bool {
+	switch typ {
+	case fieldIPv4Src, fieldIPv4Dst, fieldFirst, fieldLast:
+		return n == 4
+	case fieldInPkts, fieldInBytes:
+		return 1 <= n && n <= 8
+	case fieldSrcAS, fieldDstAS:
+		return 1 <= n && n <= 4
+	case fieldL4Src, fieldL4Dst:
+		return 1 <= n && n <= 2
+	case fieldProtocol:
+		return n == 1
+	}
+	return true
+}
+
+// parseData reads one data flowset. Every slice below is as wide as
+// legalLength allowed when the template was stored, so the fixed-width
+// reads cannot run past it.
 func (c *V9Collector) parseData(sourceID uint32, tid uint16, b []byte, ts time.Time, uptime32 uint32) ([]flow.Record, error) {
 	fields, ok := c.templates[uint64(sourceID)<<16|uint64(tid)]
 	if !ok {
@@ -521,38 +575,29 @@ func (c *V9Collector) parseData(sourceID uint32, tid uint16, b []byte, ts time.T
 			case fieldIPv4Dst:
 				rec.Dst = netutil.Addr4(binary.BigEndian.Uint32(v))
 			case fieldInPkts:
-				rec.Packets = beUint(v)
+				rec.Packets = netutil.BEUint(v)
 			case fieldInBytes:
-				rec.Bytes = beUint(v)
+				rec.Bytes = netutil.BEUint(v)
 			case fieldFirst:
 				rec.Start = uptimeTime(ts, uptime32, binary.BigEndian.Uint32(v))
 			case fieldLast:
 				rec.End = uptimeTime(ts, uptime32, binary.BigEndian.Uint32(v))
 			case fieldL4Src:
-				rec.SrcPort = binary.BigEndian.Uint16(v)
+				rec.SrcPort = uint16(netutil.BEUint(v))
 			case fieldL4Dst:
-				rec.DstPort = binary.BigEndian.Uint16(v)
+				rec.DstPort = uint16(netutil.BEUint(v))
 			case fieldProtocol:
 				rec.Protocol = v[0]
 			case fieldSrcAS:
-				rec.SrcAS = uint32(beUint(v))
+				rec.SrcAS = uint32(netutil.BEUint(v))
 			case fieldDstAS:
-				rec.DstAS = uint32(beUint(v))
+				rec.DstAS = uint32(netutil.BEUint(v))
 			}
 			fo += int(f.Length)
 		}
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-// beUint reads a big-endian unsigned integer of 1..8 bytes.
-func beUint(b []byte) uint64 {
-	var v uint64
-	for _, c := range b {
-		v = v<<8 | uint64(c)
-	}
-	return v
 }
 
 // Version sniffs the NetFlow version of an export packet.

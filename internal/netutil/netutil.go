@@ -9,12 +9,34 @@
 package netutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/netip"
 	"time"
 )
+
+// BEUint reads a big-endian unsigned integer of up to 8 bytes: a
+// flow-export counter, port or AS number, which a template may declare
+// at a reduced size (RFC 7011 §6.2). The full widths exporters
+// actually send are one fixed-width load; reading those byte by byte
+// cost ipfix BenchmarkDecode 11–17 %.
+func BEUint(b []byte) uint64 {
+	switch len(b) {
+	case 8:
+		return binary.BigEndian.Uint64(b)
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
+	}
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
 
 // Addr4 converts a 32-bit integer into an IPv4 netip.Addr.
 func Addr4(v uint32) netip.Addr {

@@ -237,3 +237,14 @@ func TestBackoffNoJitterAndDefaults(t *testing.T) {
 		}
 	}
 }
+
+func TestBEUint(t *testing.T) {
+	b := []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}
+	want := []uint64{0, 0x01, 0x0102, 0x010203, 0x01020304, 0x0102030405,
+		0x010203040506, 0x01020304050607, 0x0102030405060708}
+	for n, w := range want {
+		if got := BEUint(b[:n]); got != w {
+			t.Errorf("BEUint(%d bytes) = %#x, want %#x", n, got, w)
+		}
+	}
+}

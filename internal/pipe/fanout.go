@@ -30,10 +30,10 @@ type Advancer interface {
 
 // FanOut shards a record stream across worker stages by a per-record
 // hash key. It is itself a Stage: Process routes each record of the
-// incoming batch into a per-shard pending slab, flushing full slabs
-// onto that shard's bounded queue; Close flushes the remainder, joins
-// the workers, and then calls each shard's Close serially in index
-// order — the deterministic merge point.
+// incoming batch into a per-shard pending slab, handing a slab to its
+// shard's bounded queue at DefaultBatchSize (FlushIdle: sooner); Close
+// hands over the rest, joins the workers, and then calls each shard's
+// Close serially in index order — the deterministic merge point.
 //
 // The watermark/sequence sidecars (Batch.Marks, Batch.Seqs) are
 // stamped only when a mark filter is set (SetMarkFilter): they exist
@@ -238,7 +238,8 @@ func (f *FanOut) routeRows(recs []flow.Record) error {
 // bulk-appended with Columns.AppendIndexed — 17 tight per-column loops
 // per shard per batch instead of 17 slice appends per record. Pending
 // slabs flush after the batch, so they can briefly exceed
-// DefaultBatchSize; stages are batch-size agnostic by contract.
+// DefaultBatchSize; where a slab is cut cannot change a stage's result
+// (pinned by classify's TestShardedHandOverPointsCannotChangeResult).
 //
 //bsvet:hotpath
 func (f *FanOut) routeCols(c *flow.Columns) error {
@@ -342,6 +343,24 @@ func (f *FanOut) flush(s int) error {
 	}
 	f.chans[s] <- p
 	metricShardQueueHWM.SetMax(float64(len(f.chans[s])))
+	return nil
+}
+
+// FlushIdle hands every shard whose queue is empty (inline: every
+// shard) whatever its pending slab holds; one with work queued keeps
+// filling. Marks and Seqs were stamped at route time, so the cut changes
+// no result. The caller serializes it with Process, Barrier and Close.
+func (f *FanOut) FlushIdle() error {
+	if f.failed.Load() {
+		return f.err()
+	}
+	for s := range f.pending {
+		if f.inline || len(f.chans[s]) == 0 {
+			if err := f.flush(s); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 

@@ -42,9 +42,9 @@ import (
 	"booterscope/internal/flow"
 )
 
-// DefaultBatchSize is the record capacity new pooled batches start
-// with — large enough to amortize channel and pool operations, small
-// enough that a shard queue of a few batches bounds memory.
+// DefaultBatchSize is the record capacity of new pooled batches and the
+// cap at which FanOut hands a pending slab over unasked (FlushIdle hands
+// over less) — small enough that a few queued batches bound memory.
 const DefaultBatchSize = 4096
 
 // Batch is a reusable slab of flow records moving through the

@@ -333,6 +333,8 @@ func TestServiceMetricsRegistered(t *testing.T) {
 		"service_shed_sampled_records_total",
 		"service_shed_archive_records_total",
 		"service_drain_refused_records_total",
+		"service_archive_errors_total",
+		"service_partial_flushes_total",
 		"service_checkpoints_total",
 		"service_checkpoint_failures_total",
 		"service_checkpoint_bytes",

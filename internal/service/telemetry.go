@@ -7,10 +7,12 @@ import "booterscope/internal/telemetry"
 // attaches the same objects to the registry, so a scrape and Stats()
 // can never disagree (the repo-wide convention of DESIGN.md §6).
 type metrics struct {
-	records     *telemetry.Counter
-	sampledOut  *telemetry.Counter
-	archiveShed *telemetry.Counter
-	refused     *telemetry.Counter
+	records        *telemetry.Counter
+	sampledOut     *telemetry.Counter
+	archiveShed    *telemetry.Counter
+	refused        *telemetry.Counter
+	archiveErrors  *telemetry.Counter
+	partialFlushes *telemetry.Counter
 
 	checkpoints        *telemetry.Counter
 	checkpointFailures *telemetry.Counter
@@ -45,6 +47,8 @@ func newMetrics() *metrics {
 		sampledOut:          telemetry.NewCounter(),
 		archiveShed:         telemetry.NewCounter(),
 		refused:             telemetry.NewCounter(),
+		archiveErrors:       telemetry.NewCounter(),
+		partialFlushes:      telemetry.NewCounter(),
 		checkpoints:         telemetry.NewCounter(),
 		checkpointFailures:  telemetry.NewCounter(),
 		checkpointBytes:     telemetry.NewGauge(),
@@ -78,6 +82,8 @@ func (s *Service) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("service_shed_sampled_records_total", "records sampled out at ShedSample (rates stay unbiased via SamplingRate scaling)", m.sampledOut)
 	r.MustRegister("service_shed_archive_records_total", "records not archived at ShedArchive (classification still ran)", m.archiveShed)
 	r.MustRegister("service_drain_refused_records_total", "records refused after drain began", m.refused)
+	r.MustRegister("service_archive_errors_total", "ingest calls whose archive append failed (the batch was still classified)", m.archiveErrors)
+	r.MustRegister("service_partial_flushes_total", "partial-slab hand-overs to idle shards (at most one per millisecond)", m.partialFlushes)
 	r.MustRegister("service_checkpoints_total", "checkpoints published", m.checkpoints)
 	r.MustRegister("service_checkpoint_failures_total", "checkpoint attempts that failed (previous snapshot kept)", m.checkpointFailures)
 	r.MustRegister("service_checkpoint_bytes", "size of the last published checkpoint", m.checkpointBytes)

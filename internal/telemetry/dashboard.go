@@ -23,7 +23,13 @@ type Dashboard struct {
 	done chan struct{}
 	last map[string]uint64 // counter values at the previous render, for rates
 	prev time.Time
+	//bsvet:guards mu
+	ratios []ratio
 }
+
+// ratio is a derived dashboard line: one counter's value over
+// another's.
+type ratio struct{ name, num, den string }
 
 // NewDashboard returns a dashboard rendering reg to w every interval
 // (default 10 s). Call Start to begin and Stop to end.
@@ -32,6 +38,16 @@ func NewDashboard(reg *Registry, w io.Writer, interval time.Duration) *Dashboard
 		interval = 10 * time.Second
 	}
 	return &Dashboard{reg: reg, w: w, interval: interval, last: make(map[string]uint64)}
+}
+
+// Ratio adds a derived line to every frame: counter num divided by
+// counter den (registered names), printed after the vectors once den is
+// non-zero — a mean such as records per routed batch, which neither
+// counter shows alone.
+func (d *Dashboard) Ratio(name, num, den string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ratios = append(d.ratios, ratio{name, num, den})
 }
 
 // Start launches the periodic renderer.
@@ -76,8 +92,8 @@ func (d *Dashboard) Stop() {
 }
 
 // WriteOnce renders one dashboard frame: non-zero counters with
-// per-interval rates, gauges, histogram quantiles, and the latest span
-// per stage.
+// per-interval rates, gauges, histogram quantiles, labeled counters,
+// and the derived ratios.
 func (d *Dashboard) WriteOnce() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -138,6 +154,11 @@ func (d *Dashboard) WriteOnce() {
 			}
 			fmt.Fprintf(d.w, "  %-52s %12d\n",
 				fmt.Sprintf("%s{%s}", name, labelString(vec.Labels, v.LabelValues)), v.Value)
+		}
+	}
+	for _, r := range d.ratios {
+		if den := s.Counters[r.den]; den != 0 {
+			fmt.Fprintf(d.w, "  %-52s %12.1f\n", r.name, float64(s.Counters[r.num])/float64(den))
 		}
 	}
 }

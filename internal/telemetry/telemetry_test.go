@@ -304,16 +304,24 @@ func TestDashboardRendersFrame(t *testing.T) {
 	r.Gauge("demo_queue_depth", "").Set(3)
 	r.Histogram("demo_latency_seconds", "").Observe(0.02)
 	r.CounterVec("demo_faults_total", "", "kind").With("drop").Inc()
+	r.Counter("demo_batches_total", "").Add(2)
+	r.Counter("demo_idle_total", "")
 
 	var buf strings.Builder
 	d := NewDashboard(r, &buf, time.Hour)
+	d.Ratio("demo_batch_mean_records", "demo_records_total", "demo_batches_total")
+	d.Ratio("demo_never_shown", "demo_records_total", "demo_idle_total")
 	d.WriteOnce()
 	out := buf.String()
+	if strings.Contains(out, "demo_never_shown") {
+		t.Fatalf("dashboard printed a ratio over a zero counter:\n%s", out)
+	}
 	for _, want := range []string{
 		"demo_records_total", "7",
 		"demo_queue_depth",
 		"demo_latency_seconds", "p95=",
 		"demo_faults_total{kind=drop}",
+		"demo_batch_mean_records", "3.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard frame missing %q:\n%s", want, out)
