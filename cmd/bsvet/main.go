@@ -149,10 +149,6 @@ var telemetryConfig = analysis.TelemetryConfig{
 	// (exported ≥ collected ≥ classified).
 	AllowPrefixes: map[string][]string{
 		"booterscope/cmd/reproduce": {"funnel"},
-		// The service daemon pre-creates its detection-latency span
-		// histogram, which follows the tracer's pipeline_stage_* naming
-		// so Span.End resolves to the same object.
-		"booterscope/internal/service": {"pipeline_stage"},
 	},
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"booterscope/internal/classify"
 	"booterscope/internal/core"
-	"booterscope/internal/flow"
 	"booterscope/internal/ipfix"
 	"booterscope/internal/telemetry"
 	"booterscope/internal/trafficgen"
@@ -30,7 +29,6 @@ func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
 	exported := reg.Counter(funnelExported, "records encoded for export")
 	collected := reg.Counter(funnelCollected, "records decoded at the collector")
 	classified := reg.Counter(funnelClassified, "records passing the optimistic amplified-NTP filter")
-	tracer := reg.Tracer()
 
 	scenario := trafficgen.NewScenario(trafficgen.Config{
 		Start:    core.StudyStart,
@@ -39,11 +37,7 @@ func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
 		Seed:     seed,
 		Scale:    scale,
 	})
-	var records []flow.Record
-	_ = tracer.Do("generate", func() error {
-		records = scenario.Day(trafficgen.KindTier2, 0)
-		return nil
-	})
+	records := scenario.Day(trafficgen.KindTier2, 0)
 
 	enc := &ipfix.Encoder{DomainID: 64512, TemplateRefresh: 1}
 	dec := ipfix.NewDecoder()
@@ -56,27 +50,21 @@ func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
 		}
 		batch := records[i:end]
 
-		span := tracer.Start("export")
 		msg, err := enc.Encode(batch, ts)
-		span.End(err)
 		if err != nil {
 			log.Fatal(err)
 		}
 		exported.Add(uint64(len(batch)))
 
-		span = tracer.Start("collect")
 		recs, err := dec.Decode(msg)
-		span.End(err)
 		if err != nil {
 			log.Fatal(err)
 		}
 		collected.Add(uint64(len(recs)))
 
-		span = tracer.Start("classify")
 		for j := range recs {
 			monitor.Add(&recs[j])
 		}
-		span.End(nil)
 	}
 	classified.Add(monitor.Stats().Matched)
 

@@ -57,18 +57,3 @@ func TestFunnelDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestFunnelTracesStages(t *testing.T) {
-	s, _ := runFunnel(t)
-	for _, stage := range []string{"generate", "export", "collect", "classify"} {
-		name := "pipeline_stage_" + stage + "_seconds"
-		hs, ok := s.Histograms[name]
-		if !ok {
-			t.Errorf("missing span histogram %s", name)
-			continue
-		}
-		if hs.Count == 0 {
-			t.Errorf("%s recorded no spans", name)
-		}
-	}
-}

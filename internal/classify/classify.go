@@ -346,12 +346,29 @@ func (a *AttackCounter) Add(r *flow.Record) {
 	if !IsNTPFlow(r) || r.AvgPacketSize() <= a.cfg.SizeThreshold {
 		return
 	}
+	a.add(r.Dst.As16(), r.Src.As16(), r.Start.Unix(), r.ScaledBytes())
+}
+
+// AddCols is Add over row i of a columnar slab: the filter and every
+// input of the shared body come straight from the column vectors — the
+// counter's hot path never materializes a flow.Record.
+//
+//bsvet:hotpath
+func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
+	if !IsNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
+		return
+	}
+	a.add(c.DstAs16(i), c.SrcAs16(i), c.StartSec[i], c.ScaledBytes(i))
+}
+
+// add counts one record that passed the filter — the one aggregation
+// body behind both entry points.
+func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	// Truncate in unix-seconds arithmetic: equivalent to
 	// Start.UTC().Truncate(time.Minute) for the study's post-1970
 	// timestamps and far cheaper on the per-record path.
-	minute := r.Start.Unix()
-	minute -= minute % 60
-	key := minuteKey{dst: r.Dst.As16(), minute: minute}
+	minute := startSec - startSec%60
+	key := minuteKey{dst: dst, minute: minute}
 	w := key.dst[15] & (memoWays - 1)
 	agg := a.lastAggs[w]
 	if agg == nil || key != a.lastKeys[w] {
@@ -375,60 +392,8 @@ func (a *AttackCounter) Add(r *flow.Record) {
 	if agg.counted {
 		return
 	}
-	agg.bytes += r.ScaledBytes()
-	agg.addSource(r.Src.As16())
-
-	rate := float64(agg.bytes) * 8 / 60
-	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {
-		hour := minute - minute%3600
-		set, ok := a.hours[hour]
-		if !ok {
-			set = make(map[[16]byte]struct{})
-			a.hours[hour] = set
-		}
-		set[key.dst] = struct{}{}
-		agg.counted = true
-		// Frozen bins never read their source set again (Merge visits
-		// an empty set); dropping it here releases the per-minute
-		// spoofed-source sets — by far the counter's largest live
-		// memory — as soon as they stop mattering.
-		agg.dropSources()
-	}
-}
-
-// AddCols is Add over row i of a columnar slab: the filter, the minute
-// truncation, and both map keys come straight from the column vectors
-// — the counter's hot path never materializes a flow.Record.
-//
-//bsvet:hotpath
-func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
-	if !IsNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
-		return
-	}
-	minute := c.StartSec[i]
-	minute -= minute % 60
-	key := minuteKey{dst: c.DstAs16(i), minute: minute}
-	w := key.dst[15] & (memoWays - 1)
-	agg := a.lastAggs[w]
-	if agg == nil || key != a.lastKeys[w] {
-		var ok bool
-		agg, ok = a.minutes[key]
-		if !ok {
-			if len(a.arena) == 0 {
-				a.arena = make([]minuteAgg, 256)
-			}
-			agg = &a.arena[0]
-			a.arena = a.arena[1:]
-			a.minutes[key] = agg
-		}
-		a.lastKeys[w], a.lastAggs[w] = key, agg
-	}
-	// Frozen-bin fast path — see Add for why this is exact.
-	if agg.counted {
-		return
-	}
-	agg.bytes += c.ScaledBytes(i)
-	agg.addSource(c.SrcAs16(i))
+	agg.bytes += bytes
+	agg.addSource(src)
 
 	rate := float64(agg.bytes) * 8 / 60
 	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {

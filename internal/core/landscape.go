@@ -48,19 +48,6 @@ func (l *LandscapeStudy) source(k trafficgen.Kind) takedown.Source {
 	}
 }
 
-// runSharded drives src through par victim-hashed shard stages built
-// by mk — the core-side twin of the takedown package's pipeline driver.
-func runSharded(src takedown.Source, par int, mk func() pipe.Stage) error {
-	if par < 1 {
-		par = 1
-	}
-	stages := make([]pipe.Stage, par)
-	for i := range stages {
-		stages[i] = mk()
-	}
-	return pipe.RunShardedCols(pipe.Source(src), pipe.KeyDst, pipe.KeyDstCols, stages...)
-}
-
 // PacketSizeDistribution is the Figure 2(a) data: the NTP packet size
 // histogram at the IXP with its below-200-byte share.
 type PacketSizeDistribution struct {
@@ -129,7 +116,7 @@ func (s *histStage) Close() error {
 // of record order and shard count.
 func figure2aSource(src takedown.Source, par int) (*PacketSizeDistribution, error) {
 	h := stats.NewHistogram(0, 1500, 75) // 20-byte bins
-	err := runSharded(src, par, func() pipe.Stage { return newHistStage(h) })
+	err := takedown.RunSharded(src, par, func() pipe.Stage { return newHistStage(h) })
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +195,7 @@ func (s *classifyStage) Close() error {
 // order over the same record multiset yields identical results.
 func figure2bcSource(src takedown.Source, k trafficgen.Kind, par int) (*VantageVictims, error) {
 	c := classify.New(classify.Config{})
-	if err := runSharded(src, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
+	if err := takedown.RunSharded(src, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
 		return nil, err
 	}
 	victims := c.Victims()

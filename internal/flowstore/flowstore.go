@@ -288,7 +288,7 @@ func (s *Store) recover() error {
 				continue
 			}
 			path := filepath.Join(sw.dir, name)
-			scan, err := scanSegmentFile(path, true)
+			scan, err := scanSegmentFile(path)
 			if err != nil {
 				return fmt.Errorf("flowstore: recovering %s: %w", rel, err)
 			}

@@ -151,3 +151,53 @@ func TestHostileSealedSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryStopsAtFlippedBit is the CRC half of crash recovery
+// (TestCrashRecovery covers the short-file half): one flipped payload
+// bit in an unsealed segment's last block leaves every length intact,
+// so only the checksum can tell — recovery must adopt the blocks before
+// it and truncate from the damaged frame on.
+func TestRecoveryStopsAtFlippedBit(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Shards: 1, BlockRecords: 64, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(genFlows(rand.New(rand.NewSource(5)), testBase, 1, 64*6)); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: abandoned without Seal/Close, every full block already on disk.
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-00", "seg-*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments on disk = %v (%v), want one", segs, err)
+	}
+	blocks, err := InspectSegment(segs[0])
+	if err != nil || len(blocks) < 3 {
+		t.Fatalf("%d intact blocks (%v), want several", len(blocks), err)
+	}
+	last := blocks[len(blocks)-1]
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[last.Offset+int64(last.FrameBytes)-1] ^= 0x10
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, err := InspectSegment(segs[0]); err != nil || len(got) != len(blocks)-1 {
+		t.Fatalf("InspectSegment lists %d blocks (%v) after the flip, want %d", len(got), err, len(blocks)-1)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	rec := s2.Recovery()
+	if rec.TornSegments != 1 || rec.TruncatedBytes != int64(last.FrameBytes) {
+		t.Fatalf("recovery = %+v, want one torn segment truncated by the %d-byte frame", rec, last.FrameBytes)
+	}
+	if want := uint64(64 * (len(blocks) - 1)); rec.RecoveredRecords != want {
+		t.Fatalf("RecoveredRecords = %d, want %d", rec.RecoveredRecords, want)
+	}
+}

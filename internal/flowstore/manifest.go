@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"booterscope/internal/durable"
 )
 
 // manifestName is the manifest file at the store root.
@@ -48,7 +50,9 @@ type manifest struct {
 	Segments     []SegmentEntry    `json:"segments"`
 }
 
-// save writes the manifest atomically (tmp + rename + dir sync).
+// save publishes the manifest atomically (durable.Publish: temp file,
+// fsync, rename, directory fsync). No failpoint: the fsync/ENOSPC
+// injection seam is ROADMAP 1b's, and durable.Publish is where it goes.
 func (m *manifest) save(dir string) error {
 	sort.Slice(m.Segments, func(i, j int) bool {
 		a, b := m.Segments[i], m.Segments[j]
@@ -64,31 +68,9 @@ func (m *manifest) save(dir string) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(b, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("flowstore: writing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("flowstore: syncing %s: %w", dir, err)
+	path := filepath.Join(dir, manifestName)
+	if err := durable.Publish(path, path+".tmp", [][]byte{append(b, '\n')}, nil, "manifest"); err != nil {
+		return fmt.Errorf("flowstore: publishing %s: %w", path, err)
 	}
 	return nil
 }

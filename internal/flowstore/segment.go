@@ -5,22 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/netip"
 	"os"
 	"sync"
 	"time"
 
+	"booterscope/internal/durable"
 	"booterscope/internal/flow"
 )
 
 // Segment file layout:
 //
 //	magic (8 bytes "BSFSSEG1")
-//	block*:
-//	  u32 frameLen   — length of index+payload
-//	  u32 crc        — IEEE CRC32 over index+payload
+//	block* — one internal/durable frame each, holding:
 //	  index (84 bytes fixed):
 //	    u32 recordCount
 //	    i64 minStartSec, i64 maxStartSec   (unix seconds, inclusive)
@@ -303,58 +301,22 @@ type segScan struct {
 }
 
 // scanSegmentFile reads every frame, verifying CRCs, and stops at the
-// first torn or corrupt frame. verify toggles CRC checking (sealed
-// segments listed in the manifest skip it on the scan fast path; the
-// recovery path always verifies).
-func scanSegmentFile(path string, verify bool) (*segScan, error) {
-	f, err := os.Open(path)
+// first torn or corrupt frame.
+func scanSegmentFile(path string) (*segScan, error) {
+	r, err := openSegmentReaderPrefetch(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
-	}
-	s := &segScan{validLen: int64(len(segMagic))}
-	off := s.validLen
-	var head [frameHeadLen]byte
-	for off < size {
-		if size-off < frameHeadLen {
-			s.torn = true
-			break
-		}
-		if _, err := f.ReadAt(head[:], off); err != nil {
-			s.torn = true
-			break
-		}
-		frameLen := int64(binary.BigEndian.Uint32(head[0:4]))
-		if frameLen < blockIndexLen || off+frameHeadLen+frameLen > size {
-			s.torn = true
-			break
-		}
-		body := make([]byte, frameLen)
-		if _, err := f.ReadAt(body, off+frameHeadLen); err != nil {
-			s.torn = true
-			break
-		}
-		if verify && crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(head[4:8]) {
-			s.torn = true
-			break
-		}
+	defer r.close()
+	s := &segScan{validLen: int64(r.off)}
+	err = durable.Walk(r.data[r.off:], func(off int, body []byte) error {
 		ix, err := unmarshalIndex(body)
 		if err != nil {
-			s.torn = true
-			break
+			return err
 		}
 		s.blocks = append(s.blocks, BlockInfo{
-			Offset:     off,
-			FrameBytes: int(frameHeadLen + frameLen),
+			Offset:     int64(r.off + off),
+			FrameBytes: frameHeadLen + len(body),
 			Records:    int(ix.Records),
 			MinStart:   time.Unix(ix.MinStartSec, 0).UTC(),
 			MaxStart:   time.Unix(ix.MaxStartSec, 0).UTC(),
@@ -362,11 +324,12 @@ func scanSegmentFile(path string, verify bool) (*segScan, error) {
 			MaxDst:     netip.AddrFrom16(ix.MaxDst).Unmap(),
 		})
 		s.records += uint64(ix.Records)
-		off += frameHeadLen + frameLen
-		s.validLen = off
-	}
-	if s.torn {
-		s.tornBytes = size - s.validLen
+		s.validLen = int64(r.off + off + frameHeadLen + len(body))
+		return nil
+	})
+	if err != nil {
+		s.torn = true
+		s.tornBytes = int64(len(r.data)) - s.validLen
 	}
 	return s, nil
 }
@@ -375,7 +338,7 @@ func scanSegmentFile(path string, verify bool) (*segScan, error) {
 // every CRC. A torn tail is not an error: the returned blocks cover the
 // recoverable prefix only.
 func InspectSegment(path string) ([]BlockInfo, error) {
-	s, err := scanSegmentFile(path, true)
+	s, err := scanSegmentFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -444,20 +407,15 @@ func (r *segmentReader) nextBlockColumnar(q *Query, cb *ColumnBlock) (pruned boo
 	if r.off >= len(r.data) {
 		return false, io.EOF
 	}
-	rest := r.data[r.off:]
-	frameLen := -1 // a tail too short for a frame header is torn too
-	if len(rest) >= frameHeadLen {
-		frameLen = int(binary.BigEndian.Uint32(rest))
+	frame, _, _, err := durable.Next(r.data[r.off:])
+	var ix blockIndex
+	if err == nil {
+		ix, err = unmarshalIndex(frame) // a frame too short for its index is torn too
 	}
-	if frameLen < blockIndexLen || frameLen > len(rest)-frameHeadLen {
+	if err != nil {
 		return false, fmt.Errorf("flowstore: %w at offset %d (unrecovered segment?)", errTornFrame, r.off)
 	}
-	frame := rest[frameHeadLen : frameHeadLen+frameLen]
-	ix, err := unmarshalIndex(frame)
-	if err != nil {
-		return false, err
-	}
-	r.off += frameHeadLen + frameLen
+	r.off += frameHeadLen + len(frame)
 	if ix.prunable(q) {
 		cb.reset()
 		return true, nil

@@ -503,15 +503,10 @@ func (f *FanOut) SetColMarkFilter(pred func(*flow.Columns, int) bool) {
 	f.colMarkIf = pred
 }
 
-// RunSharded drives src through a fan-out over shards and returns the
-// first error. Equivalent to Run(src, NewFanOut(key, shards...)).
-func RunSharded(src Source, key func(*flow.Record) uint64, shards ...Stage) error {
-	return Run(src, NewFanOut(key, shards...))
-}
-
-// RunShardedCols is RunSharded with a columnar routing key alongside
-// the row key, so columnar batches from the source route without
-// materializing records. The two keys must agree row-for-row.
+// RunShardedCols drives src through a fan-out over shards and returns
+// the first error. The columnar routing key sits alongside the row
+// key, so columnar batches from the source route without materializing
+// records. The two keys must agree row-for-row.
 func RunShardedCols(src Source, key func(*flow.Record) uint64,
 	colKey func(*flow.Columns, int) uint64, shards ...Stage) error {
 	f := NewFanOut(key, shards...)

@@ -316,14 +316,3 @@ func KeyDstCols(c *flow.Columns, i int) uint64 {
 	h *= prime64
 	return h
 }
-
-// KeyFlow routes records by the full 5-tuple — for stages keyed on
-// flows rather than victims.
-func KeyFlow(r *flow.Record) uint64 {
-	h := fnv1aAddr(fnvOffset64, r.Src.As16())
-	h = fnv1aAddr(h, r.Dst.As16())
-	h ^= uint64(r.SrcPort)<<32 | uint64(r.DstPort)<<16 | uint64(r.Protocol)
-	const prime64 = 1099511628211
-	h *= prime64
-	return h
-}

@@ -217,9 +217,9 @@ func TestFanOutPropagatesStageErrorAndCancelsSource(t *testing.T) {
 			for i := range sts {
 				sts[i] = &collectStage{failAfter: 100}
 			}
-			err := RunSharded(src, KeyDst, sts...)
+			err := RunShardedCols(src, KeyDst, KeyDstCols, sts...)
 			if err == nil || err.Error() != "stage failed" {
-				t.Fatalf("RunSharded error = %v, want stage failed", err)
+				t.Fatalf("RunShardedCols error = %v, want stage failed", err)
 			}
 			if emitted > 1000 {
 				t.Fatalf("source emitted %d batches after stage failure — cancellation not propagated", emitted)
@@ -262,8 +262,8 @@ func TestFanOutLeanWithoutMarkFilter(t *testing.T) {
 	}
 	sts := []*collectStage{{}, {}, {}}
 	stages := []Stage{sts[0], sts[1], sts[2]}
-	if err := RunSharded(sliceSource(recs, 256), KeyDst, stages...); err != nil {
-		t.Fatalf("RunSharded: %v", err)
+	if err := RunShardedCols(sliceSource(recs, 256), KeyDst, KeyDstCols, stages...); err != nil {
+		t.Fatalf("RunShardedCols: %v", err)
 	}
 	total := 0
 	for s, st := range sts {

@@ -4,11 +4,11 @@ import "booterscope/internal/telemetry"
 
 // Multi-window burn-rate evaluation of the detection-latency SLO
 // (replacing the raw p99 check the shed ladder originally used). The
-// objective is "at most BudgetFraction of detections exceed
+// objective is "at most budgetFraction of detections exceed
 // TargetP99"; the burn rate is how many times faster than budget the
 // error budget is being consumed over a window. Alerting requires
 // BOTH a fast window (reacts quickly, noisy alone) and a slow window
-// (smooths transients) to burn above BurnThreshold — the standard
+// (smooths transients) to burn above burnThreshold — the standard
 // multi-window construction, which fires within minutes on a real
 // overload but stays quiet through a single slow batch.
 //
@@ -54,7 +54,7 @@ func (b *burnEvaluator) observe(count, bad uint64) (fast, slow float64, breach, 
 	b.n++
 	fast = b.burnOver(b.opts.FastWindow)
 	slow = b.burnOver(b.opts.SlowWindow)
-	breach = fast >= b.opts.BurnThreshold && slow >= b.opts.BurnThreshold
+	breach = fast >= burnThreshold && slow >= burnThreshold
 	edge = breach != b.breached
 	b.breached = breach
 	return fast, slow, breach, edge
@@ -74,7 +74,7 @@ func (b *burnEvaluator) burnOver(w int) float64 {
 		return 0
 	}
 	badFrac := float64(newest.bad-oldest.bad) / float64(count)
-	return badFrac / b.opts.BudgetFraction
+	return badFrac / budgetFraction
 }
 
 // badCount extracts the over-target observation count from a

@@ -57,10 +57,10 @@ func TestBurnEvaluatorFastWindowAloneDoesNotPage(t *testing.T) {
 	// the 14.4 threshold respectively.
 	count += 100
 	fast, slow, breach, _ := b.observe(count, 40)
-	if fast < b.opts.BurnThreshold {
-		t.Fatalf("fast burn = %v, want >= threshold %v (spike must register)", fast, b.opts.BurnThreshold)
+	if fast < burnThreshold {
+		t.Fatalf("fast burn = %v, want >= threshold %v (spike must register)", fast, burnThreshold)
 	}
-	if slow >= b.opts.BurnThreshold {
+	if slow >= burnThreshold {
 		t.Fatalf("slow burn = %v, want < threshold (spike must be smoothed)", slow)
 	}
 	if breach {
@@ -104,7 +104,7 @@ func TestBurnEvaluatorWindowForgets(t *testing.T) {
 
 func TestBurnDefaults(t *testing.T) {
 	o := SLOOptions{}.withDefaults()
-	if o.BudgetFraction != 0.01 || o.BurnThreshold != 14.4 || o.FastWindow != 5 || o.SlowWindow != 60 {
+	if o.FastWindow != 5 || o.SlowWindow != 60 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	// SlowWindow can never be shorter than FastWindow.

@@ -4,32 +4,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 
 	"booterscope/internal/chaos"
 	"booterscope/internal/classify"
+	"booterscope/internal/durable"
 )
 
-// Checkpoint file layout (the flowstore CRC-framing pattern applied to
-// monitor state):
+// Checkpoint file layout: magic (8 bytes "BSCKPT01"), then frames in
+// the internal/durable envelope whose payload's first byte is the
+// frame type:
 //
-//	magic (8 bytes "BSCKPT01")
-//	frame*:
-//	  u32 frameLen   — length of payload
-//	  u32 crc        — IEEE CRC32 over payload
-//	  payload        — first byte is the frame type:
-//	    1 header  — version, pipeline position (watermark, seq), store
-//	                durability watermark, eviction clock, classifier
-//	                config, monitor counters
-//	    2 bins    — a chunk of (victim, minute) bins with source sets
-//	    3 alerted — re-alert suppression markers
-//	    4 attacks — open attack lifecycle states (stable attack IDs)
-//	    255 trailer — end marker; a file without it is torn
+//	1 header  — version, pipeline position (watermark, seq), store
+//	            durability watermark, eviction clock, classifier
+//	            config, monitor counters
+//	2 bins    — a chunk of (victim, minute) bins with source sets
+//	3 alerted — re-alert suppression markers
+//	4 attacks — open attack lifecycle states (stable attack IDs)
+//	255 trailer — end marker; a file without it is torn
 //
-// Writes go to checkpoint.tmp and are published by atomic rename, so
+// Writes go to checkpoint.tmp and are published by durable.Publish, so
 // the visible checkpoint.bsck is always a complete snapshot: a crash
 // mid-write (every write runs through a chaos.Failpoint hook in tests)
 // leaves the previous checkpoint untouched. Load still verifies every
@@ -89,12 +85,6 @@ type Checkpoint struct {
 
 // CheckpointPath returns the checkpoint file location under dir.
 func CheckpointPath(dir string) string { return filepath.Join(dir, ckptFileName) }
-
-func appendFrame(dst []byte, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
 
 func encodeHeader(cp *Checkpoint) []byte {
 	s := cp.Monitor
@@ -265,19 +255,19 @@ func decodeAttacks(b []byte, snap *classify.MonitorSnapshot) error {
 // restore-equivalence test pins this).
 func EncodeCheckpoint(cp *Checkpoint) []byte {
 	out := append([]byte(nil), ckptMagic[:]...)
-	out = appendFrame(out, encodeHeader(cp))
+	out = durable.AppendFrame(out, encodeHeader(cp))
 	bins := cp.Monitor.Bins
 	for len(bins) > 0 {
 		n := len(bins)
 		if n > binsPerFrame {
 			n = binsPerFrame
 		}
-		out = appendFrame(out, encodeBins(bins[:n]))
+		out = durable.AppendFrame(out, encodeBins(bins[:n]))
 		bins = bins[n:]
 	}
-	out = appendFrame(out, encodeAlerted(cp.Monitor.Alerted))
-	out = appendFrame(out, encodeAttacks(cp.Monitor.Attacks))
-	return appendFrame(out, []byte{frameTrailer})
+	out = durable.AppendFrame(out, encodeAlerted(cp.Monitor.Alerted))
+	out = durable.AppendFrame(out, encodeAttacks(cp.Monitor.Attacks))
+	return durable.AppendFrame(out, []byte{frameTrailer})
 }
 
 // DecodeCheckpoint parses bytes produced by EncodeCheckpoint, verifying
@@ -288,51 +278,38 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
 	}
 	cp := &Checkpoint{Monitor: &classify.MonitorSnapshot{}}
-	off := len(ckptMagic)
 	sawHeader, sawTrailer := false, false
-	for off < len(b) {
+	err := durable.Walk(b[len(ckptMagic):], func(_ int, payload []byte) error {
 		if sawTrailer {
-			return nil, fmt.Errorf("%w: data after trailer", ErrCheckpointCorrupt)
+			return fmt.Errorf("%w: data after trailer", ErrCheckpointCorrupt)
 		}
-		if len(b)-off < 8 {
-			return nil, fmt.Errorf("%w: torn frame header at offset %d", ErrCheckpointCorrupt, off)
-		}
-		frameLen := int(binary.BigEndian.Uint32(b[off:]))
-		crc := binary.BigEndian.Uint32(b[off+4:])
-		if frameLen < 1 || len(b)-off-8 < frameLen {
-			return nil, fmt.Errorf("%w: torn frame at offset %d", ErrCheckpointCorrupt, off)
-		}
-		payload := b[off+8 : off+8+frameLen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCheckpointCorrupt, off)
+		if len(payload) == 0 {
+			return fmt.Errorf("%w: empty frame", ErrCheckpointCorrupt)
 		}
 		switch payload[0] {
 		case frameHeader:
 			if sawHeader {
-				return nil, fmt.Errorf("%w: duplicate header frame", ErrCheckpointCorrupt)
+				return fmt.Errorf("%w: duplicate header frame", ErrCheckpointCorrupt)
 			}
 			sawHeader = true
-			if err := decodeHeader(payload, cp); err != nil {
-				return nil, err
-			}
+			return decodeHeader(payload, cp)
 		case frameBins:
-			if err := decodeBins(payload, cp.Monitor); err != nil {
-				return nil, err
-			}
+			return decodeBins(payload, cp.Monitor)
 		case frameAlerted:
-			if err := decodeAlerted(payload, cp.Monitor); err != nil {
-				return nil, err
-			}
+			return decodeAlerted(payload, cp.Monitor)
 		case frameAttacks:
-			if err := decodeAttacks(payload, cp.Monitor); err != nil {
-				return nil, err
-			}
+			return decodeAttacks(payload, cp.Monitor)
 		case frameTrailer:
 			sawTrailer = true
-		default:
-			return nil, fmt.Errorf("%w: unknown frame type %d", ErrCheckpointCorrupt, payload[0])
+			return nil
 		}
-		off += 8 + frameLen
+		return fmt.Errorf("%w: unknown frame type %d", ErrCheckpointCorrupt, payload[0])
+	})
+	if err != nil {
+		if !errors.Is(err, ErrCheckpointCorrupt) { // durable.ErrTorn or ErrCRC
+			err = fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
+		}
+		return nil, err
 	}
 	if !sawHeader || !sawTrailer {
 		return nil, fmt.Errorf("%w: missing %s frame", ErrCheckpointCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
@@ -340,65 +317,21 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// SaveCheckpoint atomically publishes cp under dir: the framed bytes go
-// to a temp file (every write, the fsync, and the rename run through
-// the fault hook, so the chaos suite can kill the writer at each
-// offset), and only a complete, synced temp file is renamed over the
-// previous checkpoint. On any failure the previous checkpoint is left
-// intact and the temp file removed. Returns the checkpoint size.
+// SaveCheckpoint atomically publishes cp under dir through
+// durable.Publish, one write per frame; every write, the fsync and the
+// rename run through the fault hook ("checkpoint write|fsync|rename"),
+// so the chaos suite can kill the writer at each offset. On any failure
+// the previous checkpoint is left intact and the temp file removed.
+// Returns the checkpoint size.
 func SaveCheckpoint(dir string, cp *Checkpoint, fault *chaos.Failpoint) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("service: checkpoint dir: %w", err)
 	}
-	tmp := filepath.Join(dir, ckptTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("service: checkpoint temp file: %w", err)
-	}
 	enc := EncodeCheckpoint(cp)
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	// Write frame by frame so each frame is a distinct fault-injection
-	// point — the granularity a real crash tears files at.
-	for off := 0; off < len(enc); {
-		end := len(enc)
-		if off+8 <= len(enc) && off >= len(ckptMagic) {
-			end = off + 8 + int(binary.BigEndian.Uint32(enc[off:]))
-		} else if off == 0 {
-			end = len(ckptMagic)
-		}
-		if err := fault.Check("checkpoint write"); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(enc[off:end]); err != nil {
-			return fail(fmt.Errorf("service: writing checkpoint: %w", err))
-		}
-		off = end
-	}
-	if err := fault.Check("checkpoint fsync"); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("service: syncing checkpoint: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("service: closing checkpoint: %w", err))
-	}
-	if err := fault.Check("checkpoint rename"); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, CheckpointPath(dir)); err != nil {
-		os.Remove(tmp)
+	err := durable.Publish(CheckpointPath(dir), filepath.Join(dir, ckptTmpName),
+		durable.Frames(enc, len(ckptMagic)), fault, "checkpoint")
+	if err != nil {
 		return 0, fmt.Errorf("service: publishing checkpoint: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return int64(len(enc)), nil
 }

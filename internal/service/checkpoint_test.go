@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -169,6 +171,38 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("data after trailer", func(b []byte) []byte { return append(b, 0, 0, 0, 1, 0, 0, 0, 0, 7) })
 	corrupt("empty", func([]byte) []byte { return nil })
+}
+
+// TestCheckpointBytesFrozen freezes the bytes EncodeCheckpoint produces
+// (header, three bins frames, alerted, attacks, trailer). The digest was
+// computed at commit aaa50f7, the last one where this package framed its
+// own files, and is never regenerated: the shared envelope in
+// internal/durable must write what the private one wrote.
+func TestCheckpointBytesFrozen(t *testing.T) {
+	const golden = "92044a60533d330bc445fc3149290c5cdc6c06a36dc17de367c55ddd0f145e4c"
+	snap := &classify.MonitorSnapshot{
+		LatestUnix: 1543600000, LatestValid: true,
+		Stats: classify.MonitorStats{Records: 10, Matched: 7, Alerts: 2, RejectedRecords: 3, EvictedBins: 1, SourceOverflows: 4},
+	}
+	for i := 0; i < 600; i++ {
+		snap.Bins = append(snap.Bins, classify.BinSnapshot{
+			Victim:         [16]byte{0: byte(i >> 8), 1: byte(i)},
+			MinuteUnix:     int64(1543600000 + 60*i),
+			Bytes:          uint64(i) * 1000,
+			SourceOverflow: uint64(i % 7),
+			Sources:        [][16]byte{{2: byte(i)}, {3: byte(i)}},
+		})
+	}
+	snap.Alerted = []classify.AlertMarker{{Victim: [16]byte{9}, MinuteUnix: 1543600060}}
+	snap.Attacks = []classify.AttackSnapshot{{Victim: [16]byte{9}, ID: 77, OpenedUnix: 1543600060, LastUnix: 1543600120}}
+	enc := EncodeCheckpoint(&Checkpoint{
+		Watermark: 1543600123, Seq: 4242, StoreDurable: 999,
+		Config:  classify.Config{SizeThreshold: 200, MinRateBps: 50_000, MinSources: 3},
+		Monitor: snap,
+	})
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != golden {
+		t.Fatalf("checkpoint bytes changed: %d bytes, sha256 %s, want %s", len(enc), got, golden)
+	}
 }
 
 // TestCheckpointRestoreMatchesUninterrupted is the tentpole property:

@@ -131,9 +131,8 @@ type Service struct {
 	mit     *Mitigator
 	shed    *shedder
 	burn    *burnEvaluator
-	tracer  *telemetry.Tracer
 	detect  *telemetry.Histogram
-	now     func() time.Time // hand-over pacing clock; tests inject a fake
+	now     func() time.Time // detect-latency and hand-over pacing clock; tests inject a fake
 
 	mu sync.Mutex
 	//bsvet:guards mu
@@ -161,8 +160,8 @@ func New(opts Options) (*Service, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	s := &Service{opts: opts, reg: reg, m: newMetrics()}
-	s.now = time.Now //bsvet:allow determinism hand-over pacing measures host time; results are hand-over independent (TestShardedHandOverPointsCannotChangeResult)
+	s := &Service{opts: opts, reg: reg, m: newMetrics(), detect: telemetry.NewHistogram()}
+	s.now = time.Now //bsvet:allow determinism detect latency and hand-over pacing measure host time; results are hand-over independent (TestShardedHandOverPointsCannotChangeResult)
 	s.monitor = classify.NewShardedMonitor(opts.Classify, pipe.Parallelism(opts.Parallelism))
 	s.monitor.SetEvents(opts.Events)
 	s.mit = newMitigator(opts.Mitigation, s.m, s.eventsLog)
@@ -200,11 +199,6 @@ func New(opts Options) (*Service, error) {
 	if s.restore.Restored {
 		s.fan.Resume(s.restore.Watermark, s.restore.Seq)
 	}
-	s.tracer = reg.Tracer()
-	// Pre-create the span histogram so Evaluate can read it before the
-	// first ingest; Span.End resolves to this same object by name.
-	s.detect = reg.Histogram("pipeline_stage_service_detect_seconds",
-		"duration of pipeline stage service_detect")
 	s.RegisterTelemetry(reg)
 	return s, nil
 }
@@ -246,19 +240,19 @@ func (s *Service) Config() classify.Config {
 
 // Ingest feeds one decoded batch into the detection path: archive
 // append (unless shed), then classification through the fan-out (an
-// append error is returned after routing, never instead of it). The
-// service_detect span covers the call, so its histogram is the
+// append error is returned after routing, never instead of it).
+// service_detect_seconds times the whole call, so it is the
 // archive-and-route latency the SLO evaluates, shard-queue backpressure
-// included; a routed record's wait in its slab is outside the span and
+// included; a routed record's wait in its slab is outside it and
 // bounded by handOverLocked (per-attack attribution is ROADMAP 5c).
 func (s *Service) Ingest(recs []flow.Record) error {
-	sp := s.tracer.Start("service_detect")
-	err := s.ingest(recs)
-	sp.End(err)
+	start := s.now()
+	err := s.ingest(recs, start)
+	s.detect.ObserveDuration(s.now().Sub(start))
 	return err
 }
 
-func (s *Service) ingest(recs []flow.Record) error {
+func (s *Service) ingest(recs []flow.Record, start time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -310,15 +304,16 @@ func (s *Service) ingest(recs []flow.Record) error {
 	if err := s.fan.Process(&b); err != nil {
 		return err
 	}
-	return cmp.Or(s.handOverLocked(), archErr)
+	return cmp.Or(s.handOverLocked(start), archErr)
 }
 
 // handOverLocked gives idle shards their partial slabs, at most once
 // per partialFlushEvery (moderation: waking workers ten times as often
 // cost saturated throughput 9–25 %, DESIGN.md §11). No timer: a
-// trailing batch waits for the next Ingest, Checkpoint or Drain.
-func (s *Service) handOverLocked() error {
-	now := s.now()
+// trailing batch waits for the next Ingest, Checkpoint or Drain. now
+// is the Ingest call's entry time — the clock read the detect
+// histogram already paid for.
+func (s *Service) handOverLocked(now time.Time) error {
 	if now.Sub(s.lastPartial) < partialFlushEvery {
 		return nil
 	}
@@ -466,7 +461,7 @@ func (s *Service) ReplayFromStore() (uint64, error) {
 // feeds the shed ladder. Call it periodically (Serve does). The SLO
 // verdict is a multi-window burn-rate evaluation (see burn.go), not a
 // raw p99 comparison: both the fast and slow windows must burn the
-// error budget faster than BurnThreshold. Breach edges and ladder
+// error budget faster than burnThreshold. Breach edges and ladder
 // escalations are recorded as events and trigger incident dumps.
 func (s *Service) Evaluate() ShedLevel {
 	snap := s.detect.Snapshot()

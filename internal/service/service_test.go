@@ -351,13 +351,22 @@ func TestServiceMetricsRegistered(t *testing.T) {
 		"service_mitigation_withdrawn_total",
 		"service_mitigation_skipped_total",
 		"classify_monitor_records_total",
-		"pipeline_stage_service_detect_seconds",
+		"service_detect_seconds",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("scrape is missing %s", name)
 		}
 	}
-	if snap := reg.Snapshot(); snap.Counters["service_ingest_records_total"] != 500 {
+	snap := reg.Snapshot()
+	if snap.Counters["service_ingest_records_total"] != 500 {
 		t.Fatalf("scraped ingest counter = %d, want 500", snap.Counters["service_ingest_records_total"])
+	}
+	// One observation per Ingest call, refused ones included: feed made
+	// two (400 + 100 records), the post-drain call is the third.
+	if err := svc.Ingest(genStream(8, 1)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Ingest after Drain = %v, want ErrDraining", err)
+	}
+	if got := reg.Snapshot().Histograms["service_detect_seconds"].Count; got != 3 {
+		t.Fatalf("service_detect_seconds holds %d observations after 3 Ingest calls", got)
 	}
 }

@@ -44,25 +44,15 @@ func (l ShedLevel) String() string {
 // trigger thresholds.
 type SLOOptions struct {
 	// TargetP99 is the detection-latency SLO: the p99 of the
-	// service_detect span (flow arrival to detection-pipeline
-	// hand-off, including shard-queue backpressure) must stay under
-	// it. 0 selects 250ms.
+	// service_detect_seconds histogram (flow arrival to
+	// detection-pipeline hand-off, including shard-queue backpressure)
+	// must stay under it. 0 selects 250ms.
 	TargetP99 time.Duration
-	// BudgetFraction is the error budget: the fraction of detections
-	// allowed over TargetP99. 0 selects 0.01 (a 99% objective).
-	BudgetFraction float64
-	// BurnThreshold is the burn-rate multiple both windows must exceed
-	// to declare a breach. 0 selects 14.4 (the classic fast-page
-	// threshold: at that rate a 30-day budget is gone in ~2 days).
-	BurnThreshold float64
 	// FastWindow and SlowWindow are the burn windows in evaluation
 	// samples (5m/1h at the default 1-minute evaluation cadence).
 	// 0 selects 5 and 60 respectively.
 	FastWindow int
 	SlowWindow int
-	// QueueHighFrac escalates when the collector ingest queue is
-	// fuller than this fraction at evaluation time. 0 selects 0.8.
-	QueueHighFrac float64
 	// SampleN is the ShedSample sampling divisor (1-in-N). 0 selects 4.
 	SampleN int
 	// StepUpAfter is how many consecutive breached evaluations trigger
@@ -73,15 +63,23 @@ type SLOOptions struct {
 	StepDownAfter int
 }
 
+// The SLO's fixed points.
+const (
+	// budgetFraction is the error budget: the fraction of detections
+	// allowed over TargetP99 (a 99% objective).
+	budgetFraction = 0.01
+	// burnThreshold is the burn-rate multiple both windows must exceed
+	// to declare a breach (the classic fast-page threshold: at that
+	// rate a 30-day budget is gone in ~2 days).
+	burnThreshold = 14.4
+	// queueHighFrac escalates when the collector ingest queue is
+	// fuller than this fraction at evaluation time.
+	queueHighFrac = 0.8
+)
+
 func (o SLOOptions) withDefaults() SLOOptions {
 	if o.TargetP99 <= 0 {
 		o.TargetP99 = 250 * time.Millisecond
-	}
-	if o.BudgetFraction <= 0 {
-		o.BudgetFraction = 0.01
-	}
-	if o.BurnThreshold <= 0 {
-		o.BurnThreshold = 14.4
 	}
 	if o.FastWindow <= 0 {
 		o.FastWindow = 5
@@ -91,9 +89,6 @@ func (o SLOOptions) withDefaults() SLOOptions {
 	}
 	if o.SlowWindow < o.FastWindow {
 		o.SlowWindow = o.FastWindow
-	}
-	if o.QueueHighFrac <= 0 {
-		o.QueueHighFrac = 0.8
 	}
 	if o.SampleN <= 1 {
 		o.SampleN = 4
@@ -132,7 +127,7 @@ func (s *shedder) current() ShedLevel { return ShedLevel(s.level.Load()) }
 // the ladder up after StepUpAfter consecutive breaches; StepDownAfter
 // consecutive healthy evaluations step it back down.
 func (s *shedder) observe(sloBreach bool, queueFrac float64) ShedLevel {
-	breach := sloBreach || queueFrac > s.opts.QueueHighFrac
+	breach := sloBreach || queueFrac > queueHighFrac
 	lvl := s.current()
 	if breach {
 		s.m.sloBreaches.Inc()

@@ -84,6 +84,7 @@ func (s *Service) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("service_drain_refused_records_total", "records refused after drain began", m.refused)
 	r.MustRegister("service_archive_errors_total", "ingest calls whose archive append failed (the batch was still classified)", m.archiveErrors)
 	r.MustRegister("service_partial_flushes_total", "partial-slab hand-overs to idle shards (at most one per millisecond)", m.partialFlushes)
+	r.MustRegister("service_detect_seconds", "duration of one Ingest call: archive append and routing (the latency the SLO evaluates)", s.detect)
 	r.MustRegister("service_checkpoints_total", "checkpoints published", m.checkpoints)
 	r.MustRegister("service_checkpoint_failures_total", "checkpoint attempts that failed (previous snapshot kept)", m.checkpointFailures)
 	r.MustRegister("service_checkpoint_bytes", "size of the last published checkpoint", m.checkpointBytes)
@@ -93,7 +94,7 @@ func (s *Service) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("service_reloads_total", "threshold reloads applied (SIGHUP)", m.reloads)
 	r.MustRegister("service_drains_total", "graceful drains completed", m.drains)
 	r.MustRegister("service_slo_breaches_total", "overload evaluations that breached the latency or queue budget", m.sloBreaches)
-	r.MustRegister("service_slo_detect_p99_seconds", "p99 of the service_detect span at the last evaluation", m.sloP99)
+	r.MustRegister("service_slo_detect_p99_seconds", "p99 of service_detect_seconds at the last evaluation", m.sloP99)
 	r.MustRegister("service_slo_burn_rate_fast", "error-budget burn rate over the fast window at the last evaluation", m.burnFast)
 	r.MustRegister("service_slo_burn_rate_slow", "error-budget burn rate over the slow window at the last evaluation", m.burnSlow)
 	r.MustRegister("service_suppressed_records_total", "records matching an active FlowSpec rule (traffic a deployed filter would discard)", m.suppressedRecords)

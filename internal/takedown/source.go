@@ -3,7 +3,6 @@ package takedown
 import (
 	"time"
 
-	"booterscope/internal/flow"
 	"booterscope/internal/pipe"
 	"booterscope/internal/trafficgen"
 )
@@ -22,48 +21,6 @@ import (
 // propagated immediately — that is how early exit and cancellation
 // reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
-
-// Records adapts the batch stream to the per-record visitor form the
-// analyses used before the pipeline existed. Errors from fn cancel the
-// stream and are returned.
-func (s Source) Records(fn func(*flow.Record) error) error {
-	return s(func(b *pipe.Batch) error {
-		defer b.Release()
-		recs := b.Records()
-		for i := range recs {
-			if err := fn(&recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// FromRecords adapts a per-record stream function (the old Source
-// form) to the batch form, re-slabbing records into pooled batches.
-func FromRecords(stream func(fn func(*flow.Record) error) error) Source {
-	return func(emit func(*pipe.Batch) error) error {
-		b := pipe.NewBatch()
-		err := stream(func(rec *flow.Record) error {
-			b.Recs = append(b.Recs, *rec)
-			if b.Len() >= pipe.DefaultBatchSize {
-				full := b
-				b = pipe.NewBatch()
-				return emit(full)
-			}
-			return nil
-		})
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if b.Len() > 0 {
-			return emit(b)
-		}
-		b.Release()
-		return nil
-	}
-}
 
 // ScenarioSource streams one vantage point's records from the live
 // generator, one batch per day.

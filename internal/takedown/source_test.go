@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"booterscope/internal/flow"
 	"booterscope/internal/pipe"
 	"booterscope/internal/trafficgen"
 )
@@ -31,64 +30,5 @@ func TestScenarioSourceStopsOnEmitError(t *testing.T) {
 	}
 	if emits != 2 {
 		t.Fatalf("source emitted %d batches after emit cancelled on the 2nd", emits)
-	}
-}
-
-// TestFromRecordsStopsOnEmitError: the re-slabbing adapter must
-// propagate emit errors back into the underlying stream and release
-// the partial batch instead of leaking it.
-func TestFromRecordsStopsOnEmitError(t *testing.T) {
-	n := 3*pipe.DefaultBatchSize + 17
-	streamed := 0
-	stream := func(fn func(*flow.Record) error) error {
-		var r flow.Record
-		for i := 0; i < n; i++ {
-			streamed++
-			if err := fn(&r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	stop := errors.New("stop early")
-	emits := 0
-	err := FromRecords(stream)(func(b *pipe.Batch) error {
-		b.Release()
-		emits++
-		return stop
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("source error = %v, want %v", err, stop)
-	}
-	if emits != 1 {
-		t.Fatalf("adapter emitted %d batches after the first was rejected", emits)
-	}
-	if streamed != pipe.DefaultBatchSize {
-		t.Fatalf("underlying stream produced %d records after cancellation, want %d",
-			streamed, pipe.DefaultBatchSize)
-	}
-}
-
-// TestRecordsStopsOnVisitorError: the per-record compat shim must
-// cancel the batch stream when the visitor fails.
-func TestRecordsStopsOnVisitorError(t *testing.T) {
-	s := trafficgen.NewScenario(trafficgen.Config{Seed: 7, Days: 6})
-	src := ScenarioSource(s, trafficgen.KindTier1)
-
-	stop := errors.New("stop early")
-	seen := 0
-	err := src.Records(func(r *flow.Record) error {
-		seen++
-		if seen == 5 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("records error = %v, want %v", err, stop)
-	}
-	if seen != 5 {
-		t.Fatalf("visitor ran %d times after cancelling at 5", seen)
 	}
 }

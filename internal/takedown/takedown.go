@@ -66,9 +66,10 @@ func (p Figure4Panel) String() string {
 // ReflectorVectors are the amplification vectors analyzed in Figure 4.
 var ReflectorVectors = []amplify.Vector{amplify.Memcached, amplify.NTP, amplify.DNS}
 
-// runSharded drives src through par shard stages built by mk, routed
-// by victim hash.
-func runSharded(src Source, par int, mk func() pipe.Stage) error {
+// RunSharded drives src through par shard stages built by mk, routed
+// by victim hash — the pipeline driver of every sharded analysis here
+// and in core.
+func RunSharded(src Source, par int, mk func() pipe.Stage) error {
 	if par < 1 {
 		par = 1
 	}
@@ -185,7 +186,7 @@ func (c *counterStage) Close() error {
 // triggerSeries runs the trigger aggregation over src with par shards.
 func triggerSeries(src Source, w Window, par int) (map[amplify.Vector]*timeseries.Series, error) {
 	merged := newVectorSeries()
-	err := runSharded(src, par, func() pipe.Stage { return newTriggerStage(w, merged) })
+	err := RunSharded(src, par, func() pipe.Stage { return newTriggerStage(w, merged) })
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +273,7 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 // result is independent of record order and shard count.
 func Figure5Source(src Source, w Window, k trafficgen.Kind, par int) (*Figure5Result, error) {
 	counter := classify.NewAttackCounter(classify.Config{})
-	err := runSharded(src, par, func() pipe.Stage { return newCounterStage(counter) })
+	err := RunSharded(src, par, func() pipe.Stage { return newCounterStage(counter) })
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +350,7 @@ type Analysis struct {
 func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
 	series := newVectorSeries()
 	counter := classify.NewAttackCounter(classify.Config{})
-	err := runSharded(src, par, func() pipe.Stage {
+	err := RunSharded(src, par, func() pipe.Stage {
 		return pipe.MultiStage(newTriggerStage(w, series), newCounterStage(counter))
 	})
 	if err != nil {
@@ -432,7 +433,7 @@ func DirectionBreakdownSource(src Source, w Window, k trafficgen.Kind, v amplify
 		flow.Ingress: timeseries.NewDaily(),
 		flow.Egress:  timeseries.NewDaily(),
 	}
-	err := runSharded(src, par, func() pipe.Stage { return newDirectionStage(w, v, series) })
+	err := RunSharded(src, par, func() pipe.Stage { return newDirectionStage(w, v, series) })
 	if err != nil {
 		return nil, err
 	}

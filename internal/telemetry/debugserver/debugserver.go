@@ -1,11 +1,11 @@
 // Package debugserver is the shared live-debug surface of every
 // booterscope binary: pass -debug.addr (e.g. 127.0.0.1:6060) and the
 // process serves its telemetry registry as Prometheus text on /metrics,
-// as JSON on /metrics.json, recent pipeline spans on /spans, the
-// flight recorder's event ring on /events, reconstructed attack
-// timelines on /attacks and /attacks/{id}, and the full
-// net/http/pprof suite under /debug/pprof/. Without the flag nothing
-// is started, so the default remains zero overhead.
+// as JSON on /metrics.json, the flight recorder's event ring on
+// /events, reconstructed attack timelines on /attacks and
+// /attacks/{id}, and the full net/http/pprof suite under
+// /debug/pprof/. Without the flag nothing is started, so the default
+// remains zero overhead.
 package debugserver
 
 import (
@@ -26,20 +26,12 @@ import (
 	"booterscope/internal/telemetry/eventlog"
 )
 
-// spanRingFlag holds the -debug.spanring value; Start applies it to
-// the registry's tracer. Defaults to the tracer's built-in size so
-// binaries that never call AddrFlag are unaffected.
-var spanRingFlag = func() *int { n := telemetry.DefaultSpanRing; return &n }()
-
-// AddrFlag registers the conventional -debug.addr flag (plus the
-// -debug.spanring ring-size knob) on the default flag set and returns
-// the destination string. Every cmd binary calls this before
-// flag.Parse.
+// AddrFlag registers the conventional -debug.addr flag on the default
+// flag set and returns the destination string. Every cmd binary calls
+// this before flag.Parse.
 func AddrFlag() *string {
-	spanRingFlag = flag.Int("debug.spanring", telemetry.DefaultSpanRing,
-		"finished pipeline spans retained for /spans")
 	return flag.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /spans, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
 }
 
 // Server is a running debug HTTP server.
@@ -88,9 +80,6 @@ func HandlerWithExtra(reg *telemetry.Registry, draining *atomic.Bool, events *ev
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.PrometheusHandler())
 	mux.Handle("/metrics.json", reg.JSONHandler())
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, reg.Tracer().Recent())
-	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
 		evs := recorder().Snapshot()
 		if evs == nil {
@@ -149,7 +138,6 @@ func HandlerWithExtra(reg *telemetry.Registry, draining *atomic.Bool, events *ev
 		fmt.Fprint(w, "booterscope debug surface\n\n"+
 			"/metrics       Prometheus text format\n"+
 			"/metrics.json  snapshot as JSON\n"+
-			"/spans         recent pipeline spans\n"+
 			"/events        flight-recorder event ring\n"+
 			"/attacks       reconstructed attack timelines\n"+
 			"/attacks/{id}  one attack's lifecycle timeline\n"+
@@ -171,17 +159,6 @@ func Start(addr string, reg *telemetry.Registry) (*Server, error) {
 // StartWith is Start with subsystem endpoints mounted next to the
 // built-ins (see HandlerWithExtra).
 func StartWith(addr string, reg *telemetry.Registry, extra map[string]http.Handler) (*Server, error) {
-	// The ring-size knob and occupancy gauges apply even when no
-	// server is started: span retention is a process property, and the
-	// gauges surface in any scrape of the registry. Registration is
-	// duplicate-tolerant so repeated Start calls (tests) are safe.
-	reg.Tracer().SetRingSize(*spanRingFlag)
-	_ = reg.Register("pipeline_span_ring_spans",
-		"finished spans retained in the tracer ring",
-		func() float64 { return float64(reg.Tracer().Len()) })
-	_ = reg.Register("pipeline_span_ring_capacity",
-		"tracer span ring capacity (-debug.spanring)",
-		func() float64 { return float64(reg.Tracer().Cap()) })
 	if addr == "" {
 		return nil, nil
 	}

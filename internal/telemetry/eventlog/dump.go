@@ -1,38 +1,34 @@
 package eventlog
 
 import (
-	"booterscope/internal/chaos"
-
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
 	"time"
+
+	"booterscope/internal/chaos"
+	"booterscope/internal/durable"
 )
 
-// Incident dump file layout (the checkpoint CRC-framing pattern
-// applied to the event ring):
+// Incident dump file layout: magic (8 bytes "BSEVT001"), then frames
+// in the internal/durable envelope whose payload's first byte is the
+// frame type:
 //
-//	magic (8 bytes "BSEVT001")
-//	frame*:
-//	  u32 frameLen   — length of payload
-//	  u32 crc        — IEEE CRC32 over payload
-//	  payload        — first byte is the frame type:
-//	    1 header  — version, trigger reason, event count, dump wall time
-//	    2 events  — a chunk of encoded events
-//	    255 trailer — end marker; a file without it is torn
+//	1 header  — version, trigger reason, event count, dump wall time
+//	2 events  — a chunk of encoded events
+//	255 trailer — end marker; a file without it is torn
 //
-// Writes go to incident-<reason>.tmp and are published by atomic
-// rename over incident-<reason>.bsevt, so the visible dump for a
-// given trigger is always a complete snapshot: a crash mid-write
-// (every write runs through a chaos.Failpoint hook in the
-// incident-chaos gate) leaves the previous dump untouched or — when
-// none existed — no file at all, never a torn one. Load verifies
-// every CRC and requires the trailer, so filesystem-level damage is
-// reported as ErrDumpCorrupt rather than half-loaded.
+// Writes go to incident-<reason>.tmp and are published by
+// durable.Publish over incident-<reason>.bsevt, so the visible dump
+// for a given trigger is always a complete snapshot: a crash mid-write
+// (every write runs through a chaos.Failpoint hook in
+// TestDumpCrashAtEveryWriteOffset) leaves the previous dump untouched
+// or — when none existed — no file at all, never a torn one. Load
+// verifies every CRC and requires the trailer, so filesystem-level
+// damage is reported as ErrDumpCorrupt rather than half-loaded.
 
 var dumpMagic = [8]byte{'B', 'S', 'E', 'V', 'T', '0', '0', '1'}
 
@@ -151,7 +147,7 @@ func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 	hdr = appendString(hdr, reason)
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(wallNanos))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(events)))
-	out = appendFrame(out, hdr)
+	out = durable.AppendFrame(out, hdr)
 	for len(events) > 0 {
 		n := len(events)
 		if n > eventsPerFrame {
@@ -162,16 +158,10 @@ func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 		for i := 0; i < n; i++ {
 			chunk = encodeEvent(chunk, &events[i])
 		}
-		out = appendFrame(out, chunk)
+		out = durable.AppendFrame(out, chunk)
 		events = events[n:]
 	}
-	return appendFrame(out, []byte{dumpFrameTrailer})
-}
-
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return durable.AppendFrame(out, []byte{dumpFrameTrailer})
 }
 
 // DecodeDump parses bytes produced by EncodeDump, verifying magic,
@@ -181,67 +171,63 @@ func DecodeDump(b []byte) (*Dump, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrDumpCorrupt)
 	}
 	d := &Dump{}
-	off := len(dumpMagic)
 	sawHeader, sawTrailer := false, false
 	declared := -1
-	for off < len(b) {
+	err := durable.Walk(b[len(dumpMagic):], func(_ int, payload []byte) error {
 		if sawTrailer {
-			return nil, fmt.Errorf("%w: data after trailer", ErrDumpCorrupt)
+			return fmt.Errorf("%w: data after trailer", ErrDumpCorrupt)
 		}
-		if len(b)-off < 8 {
-			return nil, fmt.Errorf("%w: torn frame header at offset %d", ErrDumpCorrupt, off)
-		}
-		frameLen := int(binary.BigEndian.Uint32(b[off:]))
-		crc := binary.BigEndian.Uint32(b[off+4:])
-		if frameLen < 1 || len(b)-off-8 < frameLen {
-			return nil, fmt.Errorf("%w: torn frame at offset %d", ErrDumpCorrupt, off)
-		}
-		payload := b[off+8 : off+8+frameLen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrDumpCorrupt, off)
+		if len(payload) == 0 {
+			return fmt.Errorf("%w: empty frame", ErrDumpCorrupt)
 		}
 		switch payload[0] {
 		case dumpFrameHeader:
 			if sawHeader {
-				return nil, fmt.Errorf("%w: duplicate header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: duplicate header frame", ErrDumpCorrupt)
 			}
 			sawHeader = true
 			if len(payload) < 3 {
-				return nil, fmt.Errorf("%w: short header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: short header frame", ErrDumpCorrupt)
 			}
 			if v := binary.BigEndian.Uint16(payload[1:]); v != dumpVersion {
-				return nil, fmt.Errorf("%w: unsupported dump version %d", ErrDumpCorrupt, v)
+				return fmt.Errorf("%w: unsupported dump version %d", ErrDumpCorrupt, v)
 			}
 			reason, p, ok := readString(payload, 3)
 			if !ok || len(payload)-p != 12 {
-				return nil, fmt.Errorf("%w: malformed header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: malformed header frame", ErrDumpCorrupt)
 			}
 			d.Reason = reason
 			d.WallNanos = int64(binary.BigEndian.Uint64(payload[p:]))
 			declared = int(binary.BigEndian.Uint32(payload[p+8:]))
 		case dumpFrameEvents:
 			if len(payload) < 5 {
-				return nil, fmt.Errorf("%w: short events frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: short events frame", ErrDumpCorrupt)
 			}
 			n := int(binary.BigEndian.Uint32(payload[1:]))
 			p := 5
 			for i := 0; i < n; i++ {
 				ev, next, err := decodeEvent(payload, p)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				d.Events = append(d.Events, ev)
 				p = next
 			}
 			if p != len(payload) {
-				return nil, fmt.Errorf("%w: %d trailing bytes in events frame", ErrDumpCorrupt, len(payload)-p)
+				return fmt.Errorf("%w: %d trailing bytes in events frame", ErrDumpCorrupt, len(payload)-p)
 			}
 		case dumpFrameTrailer:
 			sawTrailer = true
 		default:
-			return nil, fmt.Errorf("%w: unknown frame type %d", ErrDumpCorrupt, payload[0])
+			return fmt.Errorf("%w: unknown frame type %d", ErrDumpCorrupt, payload[0])
 		}
-		off += 8 + frameLen
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, ErrDumpCorrupt) { // durable.ErrTorn or ErrCRC
+			err = fmt.Errorf("%w: %w", ErrDumpCorrupt, err)
+		}
+		return nil, err
 	}
 	if !sawHeader || !sawTrailer {
 		return nil, fmt.Errorf("%w: missing %s frame", ErrDumpCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
@@ -253,12 +239,11 @@ func DecodeDump(b []byte) (*Dump, error) {
 }
 
 // SaveDump atomically publishes events as the incident dump for
-// reason under dir: the framed bytes go to a temp file (every write,
-// the fsync, and the rename run through the fault hook, so the
-// incident-chaos gate can kill the writer at each offset), and only a
-// complete, synced temp file is renamed over the previous dump. On
-// any failure the previous dump is left intact and the temp file
-// removed. Returns the dump path and size.
+// reason under dir through durable.Publish, one write per frame; every
+// write, the fsync and the rename run through the fault hook
+// ("incident write|fsync|rename"), so the crash matrix can kill the
+// writer at each offset. On any failure the previous dump is left
+// intact and the temp file removed. Returns the dump path and size.
 func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.Failpoint) (string, int64, error) {
 	if !reasonRE.MatchString(reason) {
 		return "", 0, fmt.Errorf("eventlog: dump reason %q does not match %s", reason, reasonRE)
@@ -266,56 +251,12 @@ func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, fmt.Errorf("eventlog: incident dir: %w", err)
 	}
-	tmp := filepath.Join(dir, "incident-"+reason+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return "", 0, fmt.Errorf("eventlog: dump temp file: %w", err)
-	}
 	enc := EncodeDump(reason, wallNanos, events)
-	fail := func(err error) (string, int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return "", 0, err
-	}
-	// Write frame by frame so each frame is a distinct fault-injection
-	// point — the granularity a real crash tears files at.
-	for off := 0; off < len(enc); {
-		end := len(enc)
-		if off == 0 {
-			end = len(dumpMagic)
-		} else if off+8 <= len(enc) {
-			end = off + 8 + int(binary.BigEndian.Uint32(enc[off:]))
-		}
-		if err := fault.Check("incident write"); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(enc[off:end]); err != nil {
-			return fail(fmt.Errorf("eventlog: writing dump: %w", err))
-		}
-		off = end
-	}
-	if err := fault.Check("incident fsync"); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("eventlog: syncing dump: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("eventlog: closing dump: %w", err))
-	}
-	if err := fault.Check("incident rename"); err != nil {
-		os.Remove(tmp)
-		return "", 0, err
-	}
 	path := DumpPath(dir, reason)
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	err := durable.Publish(path, filepath.Join(dir, "incident-"+reason+".tmp"),
+		durable.Frames(enc, len(dumpMagic)), fault, "incident")
+	if err != nil {
 		return "", 0, fmt.Errorf("eventlog: publishing dump: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return path, int64(len(enc)), nil
 }

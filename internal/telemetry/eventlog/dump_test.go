@@ -1,7 +1,9 @@
 package eventlog
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -45,6 +47,18 @@ func TestDumpRoundTrip(t *testing.T) {
 		if n > 0 && !reflect.DeepEqual(d.Events, events) {
 			t.Fatalf("n=%d: events do not round-trip", n)
 		}
+	}
+}
+
+// TestDumpBytesFrozen freezes the bytes EncodeDump produces (header,
+// four event frames, trailer). The digest was computed at commit
+// aaa50f7, the last one where this package framed its own files, and is
+// never regenerated.
+func TestDumpBytesFrozen(t *testing.T) {
+	const golden = "f9b904f7625fdab0647e0126fff3b6dee54d9d1ff15555fe7ef91f0429872b6c"
+	enc := EncodeDump("slo_burn", 42, sampleEvents(3*eventsPerFrame+17))
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != golden {
+		t.Fatalf("dump bytes changed: %d bytes, sha256 %s, want %s", len(enc), got, golden)
 	}
 }
 

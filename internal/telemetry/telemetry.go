@@ -1,7 +1,6 @@
 // Package telemetry is booterscope's dependency-free metrics layer: a
 // registry of atomic counters, gauges, fixed-bucket histograms, and
-// labeled counter vectors with a bounded label cardinality, plus a
-// lightweight span tracer for pipeline stages (see span.go).
+// labeled counter vectors with a bounded label cardinality.
 //
 // The paper's analysis hinges on precise accounting at every pipeline
 // stage — flows exported → collected → classified → attributed — so
@@ -387,8 +386,6 @@ type Registry struct {
 	entries map[string]*entry
 	//bsvet:guards mu
 	order []string // registration order, for stable dashboards
-	//bsvet:guards mu
-	tracer *Tracer
 }
 
 // NewRegistry returns an empty registry.
@@ -546,11 +543,9 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Vectors    map[string]VecSnapshot       `json:"vectors"`
-	Spans      []SpanRecord                 `json:"spans,omitempty"`
 }
 
-// Snapshot captures every registered metric and, when a tracer is
-// attached, the recent pipeline spans.
+// Snapshot captures every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
@@ -563,7 +558,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range r.entries {
 		entries = append(entries, e)
 	}
-	tracer := r.tracer
 	r.mu.RUnlock()
 	for _, e := range entries {
 		switch {
@@ -578,9 +572,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case e.vec != nil:
 			s.Vectors[e.name] = e.vec.Snapshot()
 		}
-	}
-	if tracer != nil {
-		s.Spans = tracer.Recent()
 	}
 	return s
 }

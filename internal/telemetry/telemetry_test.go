@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -162,7 +161,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	g := r.Gauge("test_queue_depth_high_watermark", "")
 	h := r.Histogram("test_latency_seconds", "", 0.001, 0.01, 0.1, 1)
 	v := r.CounterVec("test_faults_total", "", "kind")
-	tr := r.Tracer()
 
 	stopSnap := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -197,10 +195,6 @@ func TestConcurrentUpdates(t *testing.T) {
 				g.SetMax(float64(id*perG + j))
 				h.Observe(float64(j%200) / 1000)
 				v.With(kind).Inc()
-				if j%500 == 0 {
-					sp := tr.Start("test_stage")
-					sp.End(nil)
-				}
 			}
 		}(i)
 	}
@@ -232,49 +226,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if vecSum != goroutines*perG {
 		t.Fatalf("vec sum = %d, want %d", vecSum, goroutines*perG)
-	}
-}
-
-func TestTracerSpans(t *testing.T) {
-	r := NewRegistry()
-	tr := r.Tracer()
-	sp := tr.Start("decode")
-	sp.End(nil)
-	if err := tr.Do("classify", func() error { return errors.New("boom") }); err == nil {
-		t.Fatal("Do should propagate the stage error")
-	}
-
-	recent := tr.Recent()
-	if len(recent) != 2 {
-		t.Fatalf("recent spans = %d, want 2", len(recent))
-	}
-	if recent[0].Stage != "decode" || recent[0].Err != "" {
-		t.Fatalf("span 0 = %+v", recent[0])
-	}
-	if recent[1].Stage != "classify" || recent[1].Err != "boom" {
-		t.Fatalf("span 1 = %+v", recent[1])
-	}
-
-	s := r.Snapshot()
-	if s.Histograms["pipeline_stage_decode_seconds"].Count != 1 {
-		t.Fatal("decode stage duration not recorded")
-	}
-	if s.Counters["pipeline_stage_classify_errors_total"] != 1 {
-		t.Fatal("classify stage error not counted")
-	}
-	if len(s.Spans) != 2 {
-		t.Fatalf("snapshot spans = %d, want 2", len(s.Spans))
-	}
-}
-
-func TestTracerRingWraps(t *testing.T) {
-	r := NewRegistry()
-	tr := r.Tracer()
-	for i := 0; i < DefaultSpanRing+10; i++ {
-		tr.Start("s").End(nil)
-	}
-	if got := len(tr.Recent()); got != DefaultSpanRing {
-		t.Fatalf("ring holds %d spans, want %d", got, DefaultSpanRing)
 	}
 }
 
