@@ -119,32 +119,35 @@ func (m *Monitor) openAttack(victim netip.Addr, minuteUnix int64) *attackState {
 			lastUnix:   minuteUnix,
 		}
 		m.attacks[victim] = st
+		m.attacksAt.add(minuteUnix, victim)
 		m.events().Emit("classify", "classify_attack_opened", st.id,
 			eventlog.A("victim", victim.String()),
 			eventlog.AInt("minute_unix", minuteUnix))
 	}
 	if minuteUnix > st.lastUnix {
 		st.lastUnix = minuteUnix
+		m.attacksAt.add(minuteUnix, victim)
 	}
 	return st
 }
 
 // evictAttacks closes attacks whose newest bin fell past the horizon.
-// Victims are emitted in sorted order so the event stream does not
-// leak map iteration order.
+// Every open attack is filed under its lastUnix, so the expired minutes
+// of the index name them all — along with attacks that have grown
+// since, which stay. Victims are emitted in sorted order so the event
+// stream does not leak map iteration order.
 func (m *Monitor) evictAttacks(horizonUnix int64) {
-	var victims []netip.Addr
-	for v, st := range m.attacks {
-		if st.lastUnix < horizonUnix {
-			victims = append(victims, v)
-		}
-	}
+	victims := m.attacksAt.expire(m.expired[:0], horizonUnix)
+	m.expired = victims
 	if len(victims) == 0 {
 		return
 	}
 	sortAddrs(victims)
 	for _, v := range victims {
-		st := m.attacks[v]
+		st, ok := m.attacks[v]
+		if !ok || st.lastUnix >= horizonUnix {
+			continue // filed under several expired minutes and closed already, or still live
+		}
 		delete(m.attacks, v)
 		if m.TrackAttackLog {
 			m.attackLog = append(m.attackLog, summarize(v, st))

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
@@ -132,12 +133,87 @@ type Monitor struct {
 	// bounded offline scans.
 	TrackAttackLog bool
 
-	minutes   map[minuteKey]*monAgg
-	alerted   map[netip.Addr]time.Time
+	minutes map[minuteKey]*monAgg
+	// alerted maps a victim to the unix minute of its last alert.
+	alerted   map[netip.Addr]int64
 	attacks   map[netip.Addr]*attackState
 	attackLog []AttackSummary
-	latest    time.Time
-	m         *monitorMetrics
+	// latest is the eviction clock: the unix second of the newest whole
+	// minute a watermark has reached, noClock before the first. Minutes,
+	// horizons and the clock are plain integers on the per-record path;
+	// a time.Time is built only for an Alert.
+	latest int64
+	// The by-minute indexes let eviction visit what expired instead of
+	// sweeping the tables on every minute advance: bins are filed under
+	// their minute, attacks under their newest bin's minute (again each
+	// time it advances), alert markers under the alert's minute. They
+	// are derived state — rebuilt by Restore, never checkpointed.
+	binsAt    minuteIndex[minuteKey]
+	attacksAt minuteIndex[netip.Addr]
+	alertedAt minuteIndex[netip.Addr]
+	// expired and expiredBins are eviction scratch.
+	expired     []netip.Addr
+	expiredBins []minuteKey
+	// detected caches the per-protocol detection counters, resolved
+	// from the shared vector on a protocol's first detection.
+	detected [len(reflectionLabels)]*telemetry.Counter
+	m        *monitorMetrics
+}
+
+// noClock is Monitor.latest before any matched record: below every
+// real minute, so the first watermark always advances it.
+const noClock = math.MinInt64
+
+// minuteIndex files keys under a unix minute. Nothing is ever unfiled:
+// a key whose owner has moved on (an attack that grew, a victim that
+// re-alerted) stays under its old minute until that minute expires,
+// and whoever expires it checks the key against its table.
+type minuteIndex[K any] map[int64][]K
+
+func (ix minuteIndex[K]) add(minute int64, k K) { ix[minute] = append(ix[minute], k) }
+
+// expire appends to dst every key filed under a minute before horizon
+// and forgets those minutes.
+//
+//bsvet:hotpath
+func (ix minuteIndex[K]) expire(dst []K, horizon int64) []K {
+	for minute, keys := range ix {
+		if minute < horizon {
+			dst = append(dst, keys...)
+			delete(ix, minute)
+		}
+	}
+	return dst
+}
+
+// floorMinute truncates unix seconds to the minute, rounding toward the
+// past on both sides of 1970 — time.Time.Truncate(time.Minute), in
+// integers.
+func floorMinute(unixSec int64) int64 {
+	into := unixSec % 60
+	if into < 0 {
+		into += 60
+	}
+	return unixSec - into
+}
+
+// ceilSeconds and floorSeconds round a duration to whole seconds, so
+// the whole-minute clock compares against Retention and ReAlertAfter
+// exactly as time.Time arithmetic did.
+func ceilSeconds(d time.Duration) int64 {
+	s := int64(d / time.Second)
+	if d%time.Second > 0 {
+		s++
+	}
+	return s
+}
+
+func floorSeconds(d time.Duration) int64 {
+	s := int64(d / time.Second)
+	if d%time.Second < 0 {
+		s--
+	}
+	return s
 }
 
 // monitorMetrics are the monitor's accounting counters as telemetry
@@ -188,8 +264,12 @@ func newMonitorWith(cfg Config, m *monitorMetrics) *Monitor {
 		MaxMinutes:       DefaultMaxMinutes,
 		MaxSourcesPerBin: DefaultMaxSourcesPerBin,
 		minutes:          make(map[minuteKey]*monAgg),
-		alerted:          make(map[netip.Addr]time.Time),
+		alerted:          make(map[netip.Addr]int64),
 		attacks:          make(map[netip.Addr]*attackState),
+		latest:           noClock,
+		binsAt:           make(minuteIndex[minuteKey]),
+		attacksAt:        make(minuteIndex[netip.Addr]),
+		alertedAt:        make(minuteIndex[netip.Addr]),
 		m:                m,
 	}
 }
@@ -207,47 +287,36 @@ func (m *Monitor) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("classify_monitor_active_minute_bins", "victim-table occupancy (live minute bins)", m.m.occupancy)
 }
 
-// reflectionProtocols maps well-known amplification source ports to
-// protocol labels for the per-protocol detection counter.
-var reflectionProtocols = map[uint16]string{
-	NTPPort: "ntp",
-	53:      "dns",
-	389:     "cldap",
-	11211:   "memcached",
-	1900:    "ssdp",
-	19:      "chargen",
-}
+// reflectionPorts are the well-known amplification source ports, and
+// reflectionLabels their protocol labels on the detection counter.
+var (
+	reflectionPorts  = [...]uint16{NTPPort, 53, 389, 11211, 1900, 19}
+	reflectionLabels = [...]string{"ntp", "dns", "cldap", "memcached", "ssdp", "chargen"}
+)
 
-// detectProtocol labels an amplification-shaped record (UDP from a
-// well-known reflection port with amplified payload sizes) or returns
-// "" for records that look benign.
-func (m *Monitor) detectProtocol(r *flow.Record) string {
-	if r.Protocol != packet.IPProtoUDP {
-		return ""
+// noteDetection counts an amplification-shaped record (UDP from a
+// well-known reflection port with amplified payload sizes) under its
+// protocol's label; records that look benign count nowhere.
+func (m *Monitor) noteDetection(proto uint8, srcPort uint16, packets, bytes uint64) {
+	if proto != packet.IPProtoUDP {
+		return
 	}
-	proto, ok := reflectionProtocols[r.SrcPort]
-	if !ok {
-		return ""
+	for i, port := range reflectionPorts {
+		if port != srcPort {
+			continue
+		}
+		var avgSize float64 // flow.Record.AvgPacketSize
+		if packets != 0 {
+			avgSize = float64(bytes) / float64(packets)
+		}
+		if avgSize > m.cfg.SizeThreshold {
+			if m.detected[i] == nil {
+				m.detected[i] = m.m.detections.With(reflectionLabels[i])
+			}
+			m.detected[i].Inc()
+		}
+		return
 	}
-	if r.AvgPacketSize() <= m.cfg.SizeThreshold {
-		return ""
-	}
-	return proto
-}
-
-// detectProtocolCols is detectProtocol over row i of a columnar slab.
-func (m *Monitor) detectProtocolCols(c *flow.Columns, i int) string {
-	if c.Proto[i] != packet.IPProtoUDP {
-		return ""
-	}
-	proto, ok := reflectionProtocols[c.SrcPort[i]]
-	if !ok {
-		return ""
-	}
-	if c.AvgPacketSize(i) <= m.cfg.SizeThreshold {
-		return ""
-	}
-	return proto
 }
 
 func (m *Monitor) maxMinutes() int {
@@ -275,8 +344,7 @@ func (m *Monitor) Add(r *flow.Record) *Alert {
 // beyond). The sharded monitor uses it to replay the global stream
 // clock on shards that only saw a subset of records.
 func (m *Monitor) AdvanceTo(unixSec int64) {
-	wm := time.Unix(unixSec, 0).UTC().Truncate(time.Minute)
-	if wm.After(m.latest) {
+	if wm := floorMinute(unixSec); wm > m.latest {
 		m.latest = wm
 		m.evict()
 	}
@@ -290,45 +358,43 @@ func (m *Monitor) AdvanceTo(unixSec int64) {
 // at exactly the points the serial monitor would have.
 func (m *Monitor) AddAt(r *flow.Record, watermarkUnix int64) *Alert {
 	m.m.records.Inc()
-	if proto := m.detectProtocol(r); proto != "" {
-		m.m.detections.With(proto).Inc()
-	}
+	m.noteDetection(r.Protocol, r.SrcPort, r.Packets, r.Bytes)
 	if !IsAmplifiedNTP(r, m.cfg) {
 		return nil
 	}
-	return m.addMatched(r, watermarkUnix)
+	return m.addMatched(r.Dst, r.Src, r.Start.Unix(), r.ScaledBytes(), watermarkUnix)
 }
 
 // AddColsAt is AddAt over row i of a columnar slab: the counting-path
 // filters (per-protocol detection and the optimistic amplified-NTP
-// gate) read the column vectors directly, so the overwhelming majority
-// of records — those the filter rejects — never materialize. Only
-// matched records are built into a flow.Record for the shared binning
-// and alerting logic.
+// gate) read the column vectors directly, and a matched row hands
+// addMatched its two addresses and two integers — no flow.Record is
+// built for any row.
+//
+//bsvet:hotpath
 func (m *Monitor) AddColsAt(c *flow.Columns, i int, watermarkUnix int64) *Alert {
 	m.m.records.Inc()
-	if proto := m.detectProtocolCols(c, i); proto != "" {
-		m.m.detections.With(proto).Inc()
-	}
+	m.noteDetection(c.Proto[i], c.SrcPort[i], c.Packets[i], c.Bytes[i])
 	if !IsAmplifiedNTPCols(c, i, m.cfg) {
 		return nil
 	}
-	r := c.Record(i)
-	return m.addMatched(&r, watermarkUnix)
+	return m.addMatched(c.Dst(i), c.Src(i), c.StartSec[i], c.ScaledBytes(i), watermarkUnix)
 }
 
 // addMatched is the shared tail of AddAt/AddColsAt for records that
-// passed the optimistic filter: clock advance, bin aggregation,
-// threshold check, and alert/re-alert bookkeeping.
-func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
+// passed the optimistic filter: clock advance, bin aggregation and the
+// threshold check.
+//
+//bsvet:hotpath
+func (m *Monitor) addMatched(dst, src netip.Addr, startSec int64, scaledBytes uint64, watermarkUnix int64) *Alert {
 	m.m.matched.Inc()
-	minute := r.Start.UTC().Truncate(time.Minute)
+	minute := floorMinute(startSec)
 	m.AdvanceTo(watermarkUnix)
 	// Open (or extend) the victim's attack after the clock advance so
 	// eviction of a previous attack is observed first — the same order
 	// the serial and sharded monitors both see.
-	st := m.openAttack(r.Dst, minute.Unix())
-	key := minuteKey{dst: r.Dst.As16(), minute: minute.Unix()}
+	st := m.openAttack(dst, minute)
+	key := minuteKey{dst: dst.As16(), minute: minute}
 	agg, ok := m.minutes[key]
 	if !ok {
 		if len(m.minutes) >= m.maxMinutes() {
@@ -342,10 +408,11 @@ func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
 		}
 		agg = &monAgg{sources: flow.NewSourceSet(m.maxSourcesPerBin())}
 		m.minutes[key] = agg
+		m.binsAt.add(minute, key)
 		m.m.occupancy.Add(1)
 	}
-	agg.bytes += r.ScaledBytes()
-	if !agg.sources.Add(r.Src) {
+	agg.bytes += scaledBytes
+	if !agg.sources.Add(src) {
 		m.m.overflows.Inc()
 	}
 
@@ -361,54 +428,68 @@ func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
 	if rate <= m.cfg.MinRateBps || agg.sources.Len() <= m.cfg.MinSources {
 		return nil
 	}
+	return m.onCrossing(st, agg, dst, minute, rate)
+}
+
+// onCrossing handles a record that left its bin over both thresholds:
+// the bin's first crossing is an event, and the victim's first alert —
+// or its first after ReAlertAfter — is returned. Off the per-record
+// path: events and alerts allocate.
+func (m *Monitor) onCrossing(st *attackState, agg *monAgg, dst netip.Addr, minute int64, rate float64) *Alert {
 	st.crossed = true
 	if !agg.crossed {
 		agg.crossed = true
 		m.events().Emit("classify", "classify_threshold_crossed", st.id,
-			eventlog.A("victim", r.Dst.String()),
-			eventlog.AInt("minute_unix", minute.Unix()),
+			eventlog.A("victim", dst.String()),
+			eventlog.AInt("minute_unix", minute),
 			eventlog.AFloat("gbps", rate/1e9),
 			eventlog.AInt("sources", int64(agg.sources.Len())))
 	}
-	if last, ok := m.alerted[r.Dst]; ok && minute.Sub(last) < m.ReAlertAfter {
+	if last, ok := m.alerted[dst]; ok && minute-last < ceilSeconds(m.ReAlertAfter) {
 		return nil
 	}
-	m.alerted[r.Dst] = minute
+	m.alerted[dst] = minute
+	m.alertedAt.add(minute, dst)
 	st.alerts++
 	m.m.alerts.Inc()
 	m.events().Emit("classify", "classify_alert_raised", st.id,
-		eventlog.A("victim", r.Dst.String()),
+		eventlog.A("victim", dst.String()),
 		eventlog.AFloat("gbps", rate/1e9),
 		eventlog.AInt("sources", int64(agg.sources.Len())),
 		eventlog.AUint("bytes", agg.bytes))
 	return &Alert{
 		ID:      st.id,
-		Victim:  r.Dst,
-		Minute:  minute,
+		Victim:  dst,
+		Minute:  time.Unix(minute, 0).UTC(),
 		Gbps:    rate / 1e9,
 		Sources: agg.sources.Len(),
 	}
 }
 
 // evict drops minute state beyond the retention horizon and stale alert
-// markers.
+// markers, visiting only the minutes that expired.
 func (m *Monitor) evict() {
-	horizon := m.latest.Add(-m.Retention).Unix()
-	var dropped int
-	for key := range m.minutes {
-		if key.minute < horizon {
-			delete(m.minutes, key)
-			m.m.evicted.Inc()
-			dropped++
-		}
+	if m.latest == noClock {
+		return
 	}
+	horizon := m.latest - ceilSeconds(m.Retention)
+	// Every live bin is filed exactly once, under its own minute, so
+	// every expired key is a live bin.
+	m.expiredBins = m.binsAt.expire(m.expiredBins[:0], horizon)
+	for _, key := range m.expiredBins {
+		delete(m.minutes, key)
+	}
+	dropped := len(m.expiredBins)
+	m.m.evicted.Add(uint64(dropped))
 	// Maintained additively (not Set(len)) so shards sharing one
 	// metrics struct sum to the total table occupancy.
 	m.m.occupancy.Add(-float64(dropped))
 	m.evictAttacks(horizon)
-	alertHorizon := m.latest.Add(-2 * m.ReAlertAfter)
-	for victim, last := range m.alerted {
-		if last.Before(alertHorizon) {
+	alertHorizon := m.latest - floorSeconds(2*m.ReAlertAfter)
+	m.expired = m.alertedAt.expire(m.expired[:0], alertHorizon)
+	for _, victim := range m.expired {
+		// A marker filed under an old minute may since have been renewed.
+		if last, ok := m.alerted[victim]; ok && last < alertHorizon {
 			delete(m.alerted, victim)
 		}
 	}

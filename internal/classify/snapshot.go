@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/netip"
 	"sort"
-	"time"
 
 	"booterscope/internal/flow"
 	"booterscope/internal/pipe"
@@ -65,8 +64,8 @@ type AttackSnapshot struct {
 // monitor is quiescent (no concurrent Add).
 func (m *Monitor) Snapshot() *MonitorSnapshot {
 	s := &MonitorSnapshot{Stats: m.Stats()}
-	if !m.latest.IsZero() {
-		s.LatestUnix, s.LatestValid = m.latest.Unix(), true
+	if m.latest != noClock {
+		s.LatestUnix, s.LatestValid = m.latest, true
 	}
 	s.Bins = make([]BinSnapshot, 0, len(m.minutes))
 	for key, agg := range m.minutes {
@@ -81,7 +80,7 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 	sortBins(s.Bins)
 	s.Alerted = make([]AlertMarker, 0, len(m.alerted))
 	for victim, last := range m.alerted {
-		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last.Unix()})
+		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last})
 	}
 	sortMarkers(s.Alerted)
 	s.Attacks = attackSnapshots(m.attacks)
@@ -140,26 +139,31 @@ func (m *Monitor) restoreBin(b *BinSnapshot) {
 	rate := float64(agg.bytes) * 8 / 60
 	agg.crossed = rate > m.cfg.MinRateBps && agg.sources.Len() > m.cfg.MinSources
 	m.minutes[key] = agg
+	m.binsAt.add(key.minute, key)
 	m.m.occupancy.Add(1)
 }
 
 func (m *Monitor) restoreMarker(a *AlertMarker) {
-	m.alerted[netip.AddrFrom16(a.Victim).Unmap()] = time.Unix(a.MinuteUnix, 0).UTC()
+	victim := netip.AddrFrom16(a.Victim).Unmap()
+	m.alerted[victim] = a.MinuteUnix
+	m.alertedAt.add(a.MinuteUnix, victim)
 }
 
 // restoreAttack reinstates one open attack without emitting an opened
 // event — the process that took the checkpoint already recorded it.
 func (m *Monitor) restoreAttack(a *AttackSnapshot) {
-	m.attacks[netip.AddrFrom16(a.Victim).Unmap()] = &attackState{
+	victim := netip.AddrFrom16(a.Victim).Unmap()
+	m.attacks[victim] = &attackState{
 		id:         a.ID,
 		openedUnix: a.OpenedUnix,
 		lastUnix:   a.LastUnix,
 	}
+	m.attacksAt.add(a.LastUnix, victim)
 }
 
 func (m *Monitor) restoreClock(s *MonitorSnapshot) {
 	if s.LatestValid {
-		m.latest = time.Unix(s.LatestUnix, 0).UTC().Truncate(time.Minute)
+		m.latest = floorMinute(s.LatestUnix)
 	}
 }
 
@@ -168,8 +172,11 @@ func (m *Monitor) restoreClock(s *MonitorSnapshot) {
 // restart instead of resetting to zero.
 func (m *Monitor) Restore(s *MonitorSnapshot) {
 	m.minutes = make(map[minuteKey]*monAgg, len(s.Bins))
-	m.alerted = make(map[netip.Addr]time.Time, len(s.Alerted))
+	m.alerted = make(map[netip.Addr]int64, len(s.Alerted))
 	m.attacks = make(map[netip.Addr]*attackState, len(s.Attacks))
+	m.binsAt = make(minuteIndex[minuteKey])
+	m.attacksAt = make(minuteIndex[netip.Addr])
+	m.alertedAt = make(minuteIndex[netip.Addr])
 	m.m.occupancy.Add(-m.m.occupancy.Value())
 	for i := range s.Bins {
 		m.restoreBin(&s.Bins[i])
@@ -209,10 +216,8 @@ func (s *ShardedMonitor) Snapshot() *MonitorSnapshot {
 	snap := &MonitorSnapshot{Stats: s.Stats()}
 	for _, sh := range s.shards {
 		m := sh.mon
-		if !m.latest.IsZero() {
-			if u := m.latest.Unix(); !snap.LatestValid || u > snap.LatestUnix {
-				snap.LatestUnix, snap.LatestValid = u, true
-			}
+		if u := m.latest; u != noClock && (!snap.LatestValid || u > snap.LatestUnix) {
+			snap.LatestUnix, snap.LatestValid = u, true
 		}
 		for key, agg := range m.minutes {
 			snap.Bins = append(snap.Bins, BinSnapshot{
@@ -224,7 +229,7 @@ func (s *ShardedMonitor) Snapshot() *MonitorSnapshot {
 			})
 		}
 		for victim, last := range m.alerted {
-			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last.Unix()})
+			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last})
 		}
 		for victim, st := range m.attacks {
 			snap.Attacks = append(snap.Attacks, AttackSnapshot{

@@ -15,7 +15,7 @@ type Options struct {
 	// MaxParallel bounds how many vantage archives are processed
 	// concurrently by the vantage-level fan-outs (Correlate's
 	// per-vantage classification runs). <= 0 means all at once.
-	// Scan needs no such bound: its per-vantage cursors stream lazily
+	// Scan needs no such bound: its per-vantage scans stream lazily
 	// under the merge's backpressure, so memory stays proportional to
 	// (vantages × shards × batch), not to archive size.
 	MaxParallel int
@@ -132,34 +132,36 @@ type FederatedStats struct {
 // then by the owning store's (shard, ingest-order) tie-break. fn
 // receives the vantage each record came from; its pointer is valid
 // only for the duration of the call. A non-nil error from fn — or the
-// first vantage scan failure — cancels every remaining cursor cleanly
+// first vantage scan failure — cancels every vantage's scan cleanly
 // and is returned alongside the stats gathered so far.
 func (c *Coordinator) Scan(q flowstore.Query, fn func(vantage string, r *flow.Record) error) (FederatedStats, error) {
 	metricScans.Inc()
-	// Each vantage cursor runs its own shard scanners, but their block
+	// Each vantage scan runs its own shard scanners, but their block
 	// decode buffers all come from flowstore's process-wide column-block
 	// pool, so N concurrent vantages recycle one working set instead of
 	// allocating N of them — that reuse is what closed the federated
 	// scan's overhead versus a sequential union (BENCH_9).
-	cursors := make([]*flowstore.Cursor, len(c.vantages))
-	streams := make([]flowstore.RecordStream, len(c.vantages))
+	q.Project = flowstore.AllColumns // fn is handed whole records
+	stores := make([]*flowstore.Store, len(c.vantages))
 	for i, vs := range c.vantages {
-		cursors[i] = vs.store.NewCursor(q)
-		streams[i] = cursors[i]
+		stores[i] = vs.store
 	}
 	var merged uint64
-	mergeErr := flowstore.MergeStreams(streams, func(i int, r *flow.Record) error {
-		merged++
-		return fn(c.vantages[i].v.Name, r)
+	var r flow.Record // one for the whole scan: fn may let its pointer escape
+	stats, mergeErr := flowstore.MergeScan(stores, q, func(i int, cols *flow.Columns, lo, hi int) error {
+		for row := lo; row < hi; row++ {
+			merged++
+			r = cols.Record(row)
+			if err := fn(c.vantages[i].v.Name, &r); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	fed := FederatedStats{PerVantage: make([]VantageScan, len(c.vantages))}
 	for i, vs := range c.vantages {
-		st, err := cursors[i].Close()
-		fed.PerVantage[i] = VantageScan{Name: vs.v.Name, Tier: vs.v.Tier, Stats: st}
-		fed.Total.Merge(st)
-		if err != nil && mergeErr == nil {
-			mergeErr = err
-		}
+		fed.PerVantage[i] = VantageScan{Name: vs.v.Name, Tier: vs.v.Tier, Stats: stats[i]}
+		fed.Total.Merge(stats[i])
 	}
 	metricScanRecords.Add(merged)
 	if mergeErr != nil {

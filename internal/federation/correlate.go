@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"booterscope/internal/classify"
-	"booterscope/internal/flow"
 	"booterscope/internal/flowstore"
 	"booterscope/internal/pipe"
 	"booterscope/internal/telemetry/eventlog"
@@ -115,7 +114,7 @@ func (c *Coordinator) Correlate(opts CorrelateOptions) (*CorrelationReport, erro
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			runs[i] = c.classifyVantage(i, opts)
+			runs[i] = c.classifyStream(opts, c.vantages[i].store.ScanOrdered)
 		}(i)
 	}
 	wg.Wait()
@@ -167,14 +166,20 @@ func maxParallel(n, vantages int) int {
 	return n
 }
 
-// correlateBatch is the batch size the ordered scan stream is cut
-// into for the classification pipeline.
-const correlateBatch = 1024
+// monitorColumns is what the sharded monitor and its fan-out read of a
+// record: both addresses (routing, bins, source sets), the source port
+// and protocol (the reflection filters), the counters (average packet
+// size, scaled bytes) and the start time (minute bins, the watermark,
+// the merge order). Destination ports, end times and AS numbers are
+// never decoded.
+const monitorColumns = flowstore.ColSrcAddr | flowstore.ColDstAddr | flowstore.ColSrcPort |
+	flowstore.ColProto | flowstore.ColCounters | flowstore.ColStart
 
-// classifyVantage runs one vantage's archive through a sharded
-// monitor with attack-log tracking. The monitors emit no lifecycle
-// events (vantage runs race each other; see CorrelateOptions.Events).
-func (c *Coordinator) classifyVantage(i int, opts CorrelateOptions) vantageRun {
+// classifyStream runs scan — one vantage store's ScanOrdered — through
+// a fresh sharded monitor with attack-log tracking. The monitors emit no
+// lifecycle events (vantage runs race each other; see
+// CorrelateOptions.Events).
+func (c *Coordinator) classifyStream(opts CorrelateOptions, scan func(flowstore.Query, func(*pipe.Batch) error) (flowstore.ScanStats, error)) vantageRun {
 	sm := classify.NewShardedMonitor(opts.Config, c.opts.Parallelism)
 	for _, m := range sm.Monitors() {
 		if opts.Retention > 0 {
@@ -189,34 +194,18 @@ func (c *Coordinator) classifyVantage(i int, opts CorrelateOptions) vantageRun {
 	// classify lifecycle events must not interleave into the shared
 	// recorder (SetEvents(nil) would fall back to it).
 	sm.SetEvents(eventlog.New(64))
-	st := c.vantages[i].store
-	var stats flowstore.ScanStats
 	// The monitor's watermark clock makes it order-sensitive, so feed
-	// it the deterministic time-ordered Scan stream — NOT ScanBatches,
-	// whose cross-shard batch interleaving is scheduler-dependent and
-	// would evict attack state differently run to run.
-	src := pipe.Source(func(emit func(*pipe.Batch) error) error {
-		b := pipe.NewBatch()
-		flush := func() error {
-			if len(b.Recs) == 0 {
-				return nil
-			}
-			err := emit(b)
-			b = pipe.NewBatch()
-			return err
-		}
-		s, err := st.Scan(opts.Query, func(r *flow.Record) error {
-			b.Recs = append(b.Recs, *r)
-			if len(b.Recs) >= correlateBatch {
-				return flush()
-			}
-			return nil
-		})
-		stats = s
-		if err != nil {
-			return err
-		}
-		return flush()
+	// it the deterministic time-ordered stream — ScanOrdered, NOT
+	// ScanBatches, whose cross-shard batch interleaving is
+	// scheduler-dependent and would evict attack state differently run
+	// to run. The batches stay columnar from the block decoder to the
+	// monitor's bins.
+	q := opts.Query
+	q.Project = monitorColumns
+	var stats flowstore.ScanStats
+	src := pipe.Source(func(emit func(*pipe.Batch) error) (err error) {
+		stats, err = scan(q, emit)
+		return err
 	})
 	if err := pipe.Run(src, sm.FanOut()); err != nil {
 		return vantageRun{err: err}

@@ -193,35 +193,85 @@ func (t *Table) Flush() []Record {
 // addresses are rejected and counted rather than grown. Streaming
 // aggregators use it so adversarial source churn (randomized spoofed
 // sources) degrades counting gracefully instead of exhausting memory.
+//
+// The first inlineSources addresses live in the set itself and are
+// searched linearly; only a set that outgrows them spills to a map. A
+// monitor bin is one of these per (victim, minute), and most hold a
+// handful of amplifiers: they allocate no map and never rehash.
 type SourceSet struct {
-	set      map[netip.Addr]struct{}
+	n        int // addresses in inline, while set is nil
+	inline   [inlineSources]netip.Addr
+	set      map[netip.Addr]struct{} // nil until the inline array is full
 	cap      int
 	overflow uint64
 }
 
+// inlineSources is how many addresses a SourceSet holds before it
+// allocates a map — a dozen, as classify's per-minute attack counter
+// keeps inline.
+const inlineSources = 12
+
 // NewSourceSet returns an empty set holding at most cap addresses
 // (cap <= 0 means unbounded).
 func NewSourceSet(cap int) *SourceSet {
-	return &SourceSet{set: make(map[netip.Addr]struct{}), cap: cap}
+	return &SourceSet{cap: cap}
 }
 
 // Add tracks a. It reports false when a is new but the set is at
 // capacity; the rejection is recorded in Overflow.
+//
+//bsvet:hotpath
 func (s *SourceSet) Add(a netip.Addr) bool {
-	if _, ok := s.set[a]; ok {
+	if s.contains(a) {
 		return true
 	}
-	if s.cap > 0 && len(s.set) >= s.cap {
+	if s.cap > 0 && s.Len() >= s.cap {
 		s.overflow++
 		metricSourceOverflows.Inc()
 		return false
 	}
-	s.set[a] = struct{}{}
+	s.insert(a)
 	return true
 }
 
+func (s *SourceSet) contains(a netip.Addr) bool {
+	if s.set != nil {
+		_, ok := s.set[a]
+		return ok
+	}
+	for i := range s.inline[:s.n] {
+		if s.inline[i] == a {
+			return true
+		}
+	}
+	return false
+}
+
+// insert adds a, which the set does not contain, spilling the inline
+// addresses to a map when there is no room for it among them.
+func (s *SourceSet) insert(a netip.Addr) {
+	if s.set == nil && s.n < inlineSources {
+		s.inline[s.n] = a
+		s.n++
+		return
+	}
+	if s.set == nil {
+		s.set = make(map[netip.Addr]struct{}, 2*inlineSources)
+		for _, in := range s.inline[:s.n] {
+			s.set[in] = struct{}{}
+		}
+		s.n = 0
+	}
+	s.set[a] = struct{}{}
+}
+
 // Len reports the number of tracked addresses.
-func (s *SourceSet) Len() int { return len(s.set) }
+func (s *SourceSet) Len() int {
+	if s.set != nil {
+		return len(s.set)
+	}
+	return s.n
+}
 
 // Overflow reports how many Add calls were rejected at capacity.
 func (s *SourceSet) Overflow() uint64 { return s.overflow }
@@ -230,7 +280,10 @@ func (s *SourceSet) Overflow() uint64 { return s.overflow }
 // deterministic serialization checkpointing needs. Addresses are
 // normalized through As16, matching the flowstore codec convention.
 func (s *SourceSet) Snapshot() [][16]byte {
-	out := make([][16]byte, 0, len(s.set))
+	out := make([][16]byte, 0, s.Len())
+	for _, a := range s.inline[:s.n] {
+		out = append(out, a.As16())
+	}
 	for a := range s.set {
 		out = append(out, a.As16())
 	}
@@ -241,11 +294,14 @@ func (s *SourceSet) Snapshot() [][16]byte {
 // RestoreSourceSet rebuilds a set from a Snapshot without touching the
 // overflow telemetry counter (the rejections were already counted by
 // the process that produced the snapshot). Addresses are restored via
-// Unmap, the same normalization the flowstore replay path applies.
+// Unmap, the same normalization the flowstore replay path applies, and
+// all of them, whatever cap says: a snapshot is not re-judged.
 func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
 	s := NewSourceSet(cap)
-	for _, a := range addrs {
-		s.set[netip.AddrFrom16(a).Unmap()] = struct{}{}
+	for _, b := range addrs {
+		if a := netip.AddrFrom16(b).Unmap(); !s.contains(a) {
+			s.insert(a)
+		}
 	}
 	s.overflow = overflow
 	return s

@@ -1,7 +1,12 @@
 package flow
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -279,5 +284,88 @@ func TestSourceSetCapAndOverflow(t *testing.T) {
 	}
 	if u.Len() != 100 || u.Overflow() != 0 {
 		t.Errorf("unbounded set len/overflow = %d/%d", u.Len(), u.Overflow())
+	}
+}
+
+// refSourceSet is SourceSet as it was before it kept its first
+// addresses inline: one map, a cap, an overflow count.
+type refSourceSet struct {
+	set      map[netip.Addr]struct{}
+	cap      int
+	overflow uint64
+}
+
+func (s *refSourceSet) add(a netip.Addr) bool {
+	if _, ok := s.set[a]; ok {
+		return true
+	}
+	if s.cap > 0 && len(s.set) >= s.cap {
+		s.overflow++
+		return false
+	}
+	s.set[a] = struct{}{}
+	return true
+}
+
+func (s *refSourceSet) snapshot() [][16]byte {
+	out := make([][16]byte, 0, len(s.set))
+	for a := range s.set {
+		out = append(out, a.As16())
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	return out
+}
+
+// TestSourceSetMatchesMapReference drives the inline-then-spilled set
+// and a plain map through the same Adds — repeats, IPv4-mapped twins of
+// tracked addresses, the invalid address — at caps below, at and above
+// the inline size and unbounded, comparing every return value, Len,
+// Overflow and Snapshot as the set crosses the spill boundary, and
+// again after a Snapshot/Restore round trip taken at every size.
+func TestSourceSetMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	addr := func() netip.Addr {
+		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(rng.Intn(40))})
+		switch rng.Intn(8) {
+		case 0:
+			return netip.AddrFrom16(a.As16()) // ::ffff:a — a different address, same As16
+		case 1:
+			return netip.Addr{}
+		}
+		return a
+	}
+	for _, limit := range []int{0, 1, inlineSources - 1, inlineSources, inlineSources + 1, 3 * inlineSources} {
+		got := NewSourceSet(limit)
+		want := &refSourceSet{set: map[netip.Addr]struct{}{}, cap: limit}
+		same := func(when string, got *SourceSet) {
+			t.Helper()
+			if got.Len() != len(want.set) || got.Overflow() != want.overflow || !reflect.DeepEqual(got.Snapshot(), want.snapshot()) {
+				t.Fatalf("cap %d, %s: len %d overflow %d snapshot %v; reference len %d overflow %d snapshot %v",
+					limit, when, got.Len(), got.Overflow(), got.Snapshot(), len(want.set), want.overflow, want.snapshot())
+			}
+		}
+		for i := 0; i < 400; i++ {
+			a := addr()
+			if g, w := got.Add(a), want.add(a); g != w {
+				t.Fatalf("cap %d, add %d (%v): Add = %v, reference %v", limit, i, a, g, w)
+			}
+			same(fmt.Sprintf("after add %d", i), got)
+
+			// A restored set holds what its snapshot lists: the As16 forms,
+			// unmapped. Feed both sides the same continuation.
+			back := RestoreSourceSet(limit, got.Snapshot(), got.Overflow())
+			refBack := &refSourceSet{set: map[netip.Addr]struct{}{}, cap: limit, overflow: want.overflow}
+			for _, b := range want.snapshot() {
+				refBack.set[netip.AddrFrom16(b).Unmap()] = struct{}{}
+			}
+			next := addr()
+			if g, w := back.Add(next), refBack.add(next); g != w || back.Len() != len(refBack.set) || back.Overflow() != refBack.overflow {
+				t.Fatalf("cap %d, restored at add %d, then %v: Add = %v len %d overflow %d; reference %v %d %d",
+					limit, i, next, g, back.Len(), back.Overflow(), w, len(refBack.set), refBack.overflow)
+			}
+		}
+		if limit == 0 && got.set == nil {
+			t.Fatal("the unbounded set never spilled: the boundary was not crossed")
+		}
 	}
 }

@@ -144,21 +144,27 @@ type blockEncoder struct {
 	sorted flow.Columns // that block, permuted
 }
 
-// sortedCopy returns c's rows in stable (start second, nanosecond)
-// order — the order the block format stores — as a permuted copy in
-// e's scratch. Writers call it only for blocks that arrived out of
-// order.
-func (e *blockEncoder) sortedCopy(c *flow.Columns) *flow.Columns {
-	e.perm = e.perm[:0]
+// startOrder returns, in perm's storage, the permutation that puts c's
+// rows in stable (start second, nanosecond) order — the order blocks
+// store and ordered scans deliver.
+func startOrder(c *flow.Columns, perm []int32) []int32 {
+	perm = perm[:0]
 	for i := range c.Flags {
-		e.perm = append(e.perm, int32(i))
+		perm = append(perm, int32(i))
 	}
-	slices.SortStableFunc(e.perm, func(a, b int32) int {
+	slices.SortStableFunc(perm, func(a, b int32) int {
 		if d := cmp.Compare(c.StartSec[a], c.StartSec[b]); d != 0 {
 			return d
 		}
 		return cmp.Compare(c.StartNs[a], c.StartNs[b])
 	})
+	return perm
+}
+
+// sortedCopy returns c's rows in start order as a permuted copy in e's
+// scratch. Writers call it only for blocks that arrived out of order.
+func (e *blockEncoder) sortedCopy(c *flow.Columns) *flow.Columns {
+	e.perm = startOrder(c, e.perm)
 	e.sorted.Reset()
 	e.sorted.AppendIndexed(c, e.perm)
 	return &e.sorted

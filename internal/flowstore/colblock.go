@@ -18,8 +18,9 @@ import (
 //
 // Lifecycle (ownership rules in DESIGN.md §14): obtain with
 // getColumnBlock, fill with segmentReader.nextBlockColumnar, filter
-// with applyQuery, copy survivors OUT with appendSelected or
-// materializeSelected, then Release. The decoded column slices belong
+// with applyQuery, copy survivors OUT with appendSelected (or swap the
+// whole Cols value for the consumer's when every row survives), then
+// Release. The decoded column slices belong
 // to the block — consumers must never retain a view into cb.Cols past
 // Release (the bsvet batchownership analyzer enforces this), which is
 // why survivors are compacted by copy into the consumer-owned
@@ -250,25 +251,25 @@ func (cb *ColumnBlock) decodeCol(i int) error {
 	case colBytesIdx:
 		err = cb.decodeValueCol(i, cb.Cols.Bytes[:n])
 	case colSrcPortIdx:
-		err = cb.decodeU16Col(i, cb.Cols.SrcPort[:n])
+		err = decodeNarrow(cb, i, cb.Cols.SrcPort[:n], math.MaxUint16, "port value")
 	case colDstPortIdx:
-		err = cb.decodeU16Col(i, cb.Cols.DstPort[:n])
+		err = decodeNarrow(cb, i, cb.Cols.DstPort[:n], math.MaxUint16, "port value")
 	case colProtoIdx:
 		err = cb.decodeProtoCol()
 	case colStartSecIdx:
 		err = cb.decodeStartSec()
 	case colStartNsIdx:
-		err = cb.decodeNsCol(i, cb.Cols.StartNs[:n])
+		err = decodeNarrow(cb, i, cb.Cols.StartNs[:n], 1e9-1, "nanosecond value")
 	case colEndSecIdx:
 		err = cb.decodeEndSec()
 	case colEndNsIdx:
-		err = cb.decodeNsCol(i, cb.Cols.EndNs[:n])
+		err = decodeNarrow(cb, i, cb.Cols.EndNs[:n], 1e9-1, "nanosecond value")
 	case colSrcASIdx:
-		err = cb.decodeU32Col(i, cb.Cols.SrcAS[:n])
+		err = decodeNarrow(cb, i, cb.Cols.SrcAS[:n], math.MaxUint32, "32-bit field")
 	case colDstASIdx:
-		err = cb.decodeU32Col(i, cb.Cols.DstAS[:n])
+		err = decodeNarrow(cb, i, cb.Cols.DstAS[:n], math.MaxUint32, "32-bit field")
 	case colSamplingIdx:
-		err = cb.decodeU32Col(i, cb.Cols.Sampling[:n])
+		err = decodeNarrow(cb, i, cb.Cols.Sampling[:n], math.MaxUint32, "32-bit field")
 	default:
 		err = fmt.Errorf("flowstore: decode of unknown column %d", i)
 	}
@@ -280,9 +281,9 @@ func (cb *ColumnBlock) decodeCol(i int) error {
 	return nil
 }
 
-// decodeU16Col widens a value column into uint16s, rejecting
-// out-of-range values.
-func (cb *ColumnBlock) decodeU16Col(i int, dst []uint16) error {
+// decodeNarrow widens value column i into dst, rejecting values past
+// limit (a port, a protocol, a 32-bit field, a nanosecond count).
+func decodeNarrow[T uint8 | uint16 | uint32](cb *ColumnBlock, i int, dst []T, limit uint64, what string) error {
 	sp := u64ScratchPool.Get().(*[]uint64)
 	defer u64ScratchPool.Put(sp)
 	*sp = u64Scratch(*sp, cb.count)
@@ -290,44 +291,10 @@ func (cb *ColumnBlock) decodeU16Col(i int, dst []uint16) error {
 		return err
 	}
 	for j, v := range *sp {
-		if v > math.MaxUint16 {
-			return fmt.Errorf("flowstore: port value out of range")
+		if v > limit {
+			return fmt.Errorf("flowstore: %s out of range", what)
 		}
-		dst[j] = uint16(v)
-	}
-	return nil
-}
-
-// decodeU32Col widens a value column into uint32s.
-func (cb *ColumnBlock) decodeU32Col(i int, dst []uint32) error {
-	sp := u64ScratchPool.Get().(*[]uint64)
-	defer u64ScratchPool.Put(sp)
-	*sp = u64Scratch(*sp, cb.count)
-	if err := cb.decodeValueCol(i, *sp); err != nil {
-		return err
-	}
-	for j, v := range *sp {
-		if v > math.MaxUint32 {
-			return fmt.Errorf("flowstore: 32-bit field out of range")
-		}
-		dst[j] = uint32(v)
-	}
-	return nil
-}
-
-// decodeNsCol widens a nanosecond column, rejecting values ≥ 1e9.
-func (cb *ColumnBlock) decodeNsCol(i int, dst []uint32) error {
-	sp := u64ScratchPool.Get().(*[]uint64)
-	defer u64ScratchPool.Put(sp)
-	*sp = u64Scratch(*sp, cb.count)
-	if err := cb.decodeValueCol(i, *sp); err != nil {
-		return err
-	}
-	for j, v := range *sp {
-		if v >= 1e9 {
-			return fmt.Errorf("flowstore: nanosecond value out of range")
-		}
-		dst[j] = uint32(v)
+		dst[j] = T(v)
 	}
 	return nil
 }
@@ -337,26 +304,14 @@ func (cb *ColumnBlock) decodeNsCol(i int, dst []uint32) error {
 // on its tag.
 func (cb *ColumnBlock) decodeProtoCol() error {
 	col := cb.pb.cols[colProtoIdx]
-	if cb.pb.encs[colProtoIdx] == encRaw {
-		if len(col) != cb.count {
-			return fmt.Errorf("flowstore: block byte-column length mismatch (%d flags, %d protos, want %d)",
-				cb.count, len(col), cb.count)
-		}
-		copy(cb.Cols.Proto, col)
-		return nil
+	if cb.pb.encs[colProtoIdx] != encRaw {
+		return decodeNarrow(cb, colProtoIdx, cb.Cols.Proto[:cb.count], math.MaxUint8, "protocol value")
 	}
-	sp := u64ScratchPool.Get().(*[]uint64)
-	defer u64ScratchPool.Put(sp)
-	*sp = u64Scratch(*sp, cb.count)
-	if err := cb.decodeValueCol(colProtoIdx, *sp); err != nil {
-		return err
+	if len(col) != cb.count {
+		return fmt.Errorf("flowstore: block byte-column length mismatch (%d flags, %d protos, want %d)",
+			cb.count, len(col), cb.count)
 	}
-	for j, v := range *sp {
-		if v > math.MaxUint8 {
-			return fmt.Errorf("flowstore: protocol value out of range")
-		}
-		cb.Cols.Proto[j] = uint8(v)
-	}
+	copy(cb.Cols.Proto, col)
 	return nil
 }
 
@@ -628,24 +583,4 @@ func (cb *ColumnBlock) appendSelected(dst *flow.Columns) {
 		dst.AppendRange(&cb.Cols, i, j)
 		i = j
 	}
-}
-
-// materializeSelected appends surviving rows to dst as records — the
-// sorted-scan path, which must hand ordered flow.Records to the k-way
-// merge.
-func (cb *ColumnBlock) materializeSelected(dst []flow.Record) []flow.Record {
-	if cb.selCount == 0 {
-		return dst
-	}
-	if need := len(dst) + cb.selCount; cap(dst) < need {
-		grown := make([]flow.Record, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
-	for i := 0; i < cb.count; i++ {
-		if cb.selected(i) {
-			dst = append(dst, cb.Cols.Record(i))
-		}
-	}
-	return dst
 }

@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -360,14 +361,39 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// segName formats a segment file name; parseSegName inverts it.
+// segName formats a segment file name; parseSegName inverts it. The
+// sequence number counts every seal a shard writer ever made and
+// outgrows its four-digit padding.
 func segName(partSec int64, seq int) string {
 	return fmt.Sprintf("seg-%d-%04d.fsg", partSec, seq)
 }
 
 func parseSegName(name string) (partSec int64, seq int) {
-	fmt.Sscanf(name, "seg-%d-%d.fsg", &partSec, &seq)
+	body := strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".fsg")
+	if i := strings.LastIndexByte(body, '-'); i > 0 {
+		partSec, _ = strconv.ParseInt(body[:i], 10, 64)
+		seq, _ = strconv.Atoi(body[i+1:])
+	}
 	return partSec, seq
+}
+
+// segmentBefore is the order of segments in the manifest and within a
+// shard's scan: shard, partition, then seal order — by sequence number,
+// not file-name string, which would put seg-…-10000 ahead of seg-…-9999
+// and flip the ingest order ordered scans leave equal timestamps in.
+func segmentBefore(a, b *SegmentEntry) bool {
+	if a.Shard != b.Shard {
+		return a.Shard < b.Shard
+	}
+	if a.PartitionSec != b.PartitionSec {
+		return a.PartitionSec < b.PartitionSec
+	}
+	_, as := parseSegName(a.File)
+	_, bs := parseSegName(b.File)
+	if as != bs {
+		return as < bs
+	}
+	return a.File < b.File
 }
 
 // Recovery reports what the Open-time crash recovery found.

@@ -54,16 +54,7 @@ type manifest struct {
 // fsync, rename, directory fsync). No failpoint: the fsync/ENOSPC
 // injection seam is ROADMAP 1b's, and durable.Publish is where it goes.
 func (m *manifest) save(dir string) error {
-	sort.Slice(m.Segments, func(i, j int) bool {
-		a, b := m.Segments[i], m.Segments[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		if a.PartitionSec != b.PartitionSec {
-			return a.PartitionSec < b.PartitionSec
-		}
-		return a.File < b.File
-	})
+	sort.Slice(m.Segments, func(i, j int) bool { return segmentBefore(&m.Segments[i], &m.Segments[j]) })
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

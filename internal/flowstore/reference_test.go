@@ -2,6 +2,7 @@ package flowstore
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -173,15 +174,7 @@ func refScan(t testing.TB, s *Store, q Query) []flow.Record {
 		shard int
 	}
 	segs := s.Segments()
-	sort.SliceStable(segs, func(a, b int) bool {
-		if segs[a].Shard != segs[b].Shard {
-			return segs[a].Shard < segs[b].Shard
-		}
-		if segs[a].PartitionSec != segs[b].PartitionSec {
-			return segs[a].PartitionSec < segs[b].PartitionSec
-		}
-		return segs[a].File < segs[b].File
-	})
+	sort.SliceStable(segs, func(a, b int) bool { return segmentBefore(&segs[a], &segs[b]) })
 	var all []tagged
 	for _, e := range segs {
 		path := filepath.Join(s.Dir(), fmt.Sprintf("shard-%02d", e.Shard), e.File)
@@ -566,4 +559,207 @@ func encodeBlockV1(records []flow.Record) []byte {
 		}
 	}
 	return out
+}
+
+// The reference ordered scan: the production path as it stood while the
+// ordered scan still built rows — every survivor of a (shard, partition)
+// materialized into records and stable-sorted by start time, the shard
+// streams funnelled through a container/heap merge that compares
+// time.Time. Moved here verbatim; Store.ScanOrdered, Store.Scan and
+// federation's Coordinator.Scan must reproduce its order exactly
+// (TestOrderedScanMatchesReference).
+
+// RecordStream is a pull-based stream of records in nondecreasing
+// start-time order — the seam MergeStreams funnels. Next returns the
+// next record, or false when the stream is exhausted or failed; the
+// returned pointer is valid only until the following Next call. After
+// Next returns false, Err distinguishes clean exhaustion (nil) from
+// failure. A stream's internal order must be deterministic for the
+// merged order to be.
+type RecordStream interface {
+	Next() (*flow.Record, bool)
+	Err() error
+}
+
+// mergeHeap orders stream heads by (Start, stream ordinal): the
+// ordinal is the stream's index at merge construction, so equal
+// timestamps resolve to a fixed stream priority and, within one
+// stream, to that stream's own deterministic order. For a single-store
+// Scan the ordinal is the shard index; for a federated merge it is the
+// vantage's position in the (name-sorted) manifest.
+type mergeHeap []*mergeItem
+
+type mergeItem struct {
+	rec    *flow.Record
+	stream RecordStream
+	ord    int
+}
+
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	if !h[i].rec.Start.Equal(h[j].rec.Start) {
+		return h[i].rec.Start.Before(h[j].rec.Start)
+	}
+	return h[i].ord < h[j].ord
+}
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeItem)) }
+func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// merger is the k-way merge that stood behind both MergeStreams and the
+// row Cursor:
+// ascending Start, ties broken by stream index, then by each stream's
+// own record order. A stream error ends the merge as soon as it is
+// observed — the first failure surfaces in err — and because every
+// stream's Err is read at the moment it runs dry, a clean end means no
+// stream failed.
+type merger struct {
+	streams []RecordStream
+	h       mergeHeap
+	started bool
+	err     error
+}
+
+// next steps past the head it returned last and reports the new head
+// (stream ordinal and record), or false at the end or on a stream
+// error. The first call primes the heap with every stream's first
+// record.
+func (m *merger) next() (*mergeItem, bool) {
+	switch {
+	case m.err != nil:
+		return nil, false
+	case !m.started:
+		m.started = true
+		m.h = make(mergeHeap, 0, len(m.streams))
+		for i, s := range m.streams {
+			if r, ok := s.Next(); ok {
+				m.h = append(m.h, &mergeItem{rec: r, stream: s, ord: i})
+			} else if m.err = s.Err(); m.err != nil {
+				return nil, false
+			}
+		}
+		heap.Init(&m.h)
+	case len(m.h) > 0:
+		it := m.h[0]
+		if r, ok := it.stream.Next(); ok {
+			it.rec = r
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h)
+			if m.err = it.stream.Err(); m.err != nil {
+				return nil, false
+			}
+		}
+	}
+	if len(m.h) == 0 {
+		return nil, false
+	}
+	return m.h[0], true
+}
+
+// refMerge (MergeStreams, until the ordered scan went columnar) funnels k time-ordered record streams into one
+// deterministic stream: ascending Start, ties broken by stream index,
+// then by each stream's own record order. fn receives the index of the
+// stream each record came from; a non-nil error from fn aborts the
+// merge and is returned. A stream error aborts the merge as soon as it
+// is observed — the first failure surfaces, remaining streams are left
+// for the caller to cancel/clean up (flowstore cursors do both in
+// Close).
+func refMerge(streams []RecordStream, fn func(i int, r *flow.Record) error) error {
+	m := merger{streams: streams}
+	for {
+		it, ok := m.next()
+		if !ok {
+			return m.err
+		}
+		if err := fn(it.ord, it.rec); err != nil {
+			return err
+		}
+	}
+}
+
+// materializeSelected appends surviving rows to dst as records — the
+// sorted-scan path, which must hand ordered flow.Records to the k-way
+// merge.
+func (cb *ColumnBlock) materializeSelected(dst []flow.Record) []flow.Record {
+	if cb.selCount == 0 {
+		return dst
+	}
+	if need := len(dst) + cb.selCount; cap(dst) < need {
+		grown := make([]flow.Record, len(dst), need)
+		copy(grown, dst)
+		dst = grown
+	}
+	for i := 0; i < cb.count; i++ {
+		if cb.selected(i) {
+			dst = append(dst, cb.Cols.Record(i))
+		}
+	}
+	return dst
+}
+
+// refShardRows is the old sorted scanShard for one shard, run to
+// completion: per partition, every block's survivors materialized in
+// segment-then-block order and stable-sorted by start time.
+func refShardRows(t testing.TB, s *Store, shard int, q Query) []flow.Record {
+	t.Helper()
+	var segs []SegmentEntry
+	for _, e := range s.Segments() {
+		if e.Shard == shard {
+			segs = append(segs, e)
+		}
+	}
+	sort.SliceStable(segs, func(a, b int) bool { return segmentBefore(&segs[a], &segs[b]) })
+	pred := compilePredicate(&q)
+	cb := getColumnBlock()
+	defer cb.Release()
+	var out []flow.Record
+	for i := 0; i < len(segs); {
+		j := i + 1
+		for j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec {
+			j++
+		}
+		var part []flow.Record
+		for _, e := range segs[i:j] {
+			r, err := openSegmentReaderPrefetch(filepath.Join(s.Dir(), fmt.Sprintf("shard-%02d", shard), e.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, err := r.nextBlockColumnar(&Query{}, cb) // no pruning: the predicate decides
+				if err != nil {
+					break
+				}
+				if err := cb.applyQuery(&pred); err != nil {
+					t.Fatal(err)
+				}
+				if err := cb.decodeSet(AllColumns); err != nil {
+					t.Fatal(err)
+				}
+				part = cb.materializeSelected(part)
+			}
+			r.close()
+		}
+		sort.SliceStable(part, func(a, b int) bool { return part[a].Start.Before(part[b].Start) })
+		out = append(out, part...)
+		i = j
+	}
+	return out
+}
+
+// refOrderedScan is the reference for the ordered scan of one store:
+// refMerge over the shards' reference streams.
+func refOrderedScan(t testing.TB, s *Store, q Query) (recs []flow.Record) {
+	t.Helper()
+	var streams []RecordStream
+	for shard := 0; shard < s.opts.Shards; shard++ {
+		streams = append(streams, &sliceStream{recs: refShardRows(t, s, shard, q), failAt: -1})
+	}
+	if err := refMerge(streams, func(_ int, r *flow.Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

@@ -1,17 +1,16 @@
 package flowstore
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"booterscope/internal/flow"
 	"booterscope/internal/pipe"
 )
 
@@ -37,13 +36,14 @@ type Query struct {
 	// Protocols, when non-empty, matches any of the given IP protocols.
 	Protocols []uint8
 	// Project, when non-zero, names the column groups the caller will
-	// read from delivered columnar batches; ScanBatches then skips
-	// decoding every other column (predicate columns are always
-	// decoded). Projected-out columns in delivered batches hold
+	// read from delivered columnar batches; ScanBatches and ScanOrdered
+	// then skip decoding every other column (predicate columns are
+	// always decoded, and so is ColStart on an ordered scan: it is the
+	// merge key). Projected-out columns in delivered batches hold
 	// unspecified values, so a projecting caller must consume batches
 	// columnar — materializing records from a projected batch yields
-	// garbage in the omitted fields. The sorted Scan path ignores
-	// Project and always produces full records. Zero means all columns.
+	// garbage in the omitted fields. Scan hands out whole records and
+	// therefore always decodes everything. Zero means all columns.
 	Project ColumnSet
 }
 
@@ -154,172 +154,11 @@ func (s ScanStats) ColumnsDecodedFraction() float64 {
 
 // shardBatch is one batch of matching records from a shard scanner. The
 // slab lives in a pooled pipe.Batch: scanners recycle slabs through the
-// pool instead of allocating one per partition, so a steady-state scan
+// pool instead of allocating one per block, so a steady-state scan
 // stops feeding the garbage collector.
 type shardBatch struct {
 	batch *pipe.Batch
 	err   error
-}
-
-// shardCursor pulls batches from one shard's scan goroutine. It
-// implements RecordStream: within a shard, partitions are disjoint in
-// start time and each partition's survivors are sorted stably, so the
-// stream is nondecreasing in Start with ties left in ingest order.
-type shardCursor struct {
-	ch  <-chan shardBatch
-	cur *pipe.Batch
-	pos int
-	err error
-}
-
-// Next advances to the next record, pulling batches as needed. A
-// returned record pointer is valid only until the next call: exhausted
-// slabs go back to the pool.
-func (c *shardCursor) Next() (*flow.Record, bool) {
-	for c.cur == nil || c.pos >= len(c.cur.Recs) {
-		if c.cur != nil {
-			c.cur.Release()
-			c.cur = nil
-		}
-		b, ok := <-c.ch
-		if !ok {
-			return nil, false
-		}
-		if b.err != nil {
-			c.err = b.err
-			return nil, false
-		}
-		c.cur, c.pos = b.batch, 0
-	}
-	r := &c.cur.Recs[c.pos]
-	c.pos++
-	return r, true
-}
-
-// Err reports the error that ended the stream, if any.
-func (c *shardCursor) Err() error { return c.err }
-
-// drain releases the cursor's current slab and any batches still
-// queued on its channel — the cancellation path's cleanup, keeping
-// every pooled slab accounted for.
-func (c *shardCursor) drain() {
-	if c.cur != nil {
-		c.cur.Release()
-		c.cur = nil
-	}
-	for b := range c.ch {
-		if b.batch != nil {
-			b.batch.Release()
-		}
-	}
-}
-
-// RecordStream is a pull-based stream of records in nondecreasing
-// start-time order — the seam MergeStreams funnels. Next returns the
-// next record, or false when the stream is exhausted or failed; the
-// returned pointer is valid only until the following Next call. After
-// Next returns false, Err distinguishes clean exhaustion (nil) from
-// failure. A stream's internal order must be deterministic for the
-// merged order to be.
-type RecordStream interface {
-	Next() (*flow.Record, bool)
-	Err() error
-}
-
-// mergeHeap orders stream heads by (Start, stream ordinal): the
-// ordinal is the stream's index at merge construction, so equal
-// timestamps resolve to a fixed stream priority and, within one
-// stream, to that stream's own deterministic order. For a single-store
-// Scan the ordinal is the shard index; for a federated merge it is the
-// vantage's position in the (name-sorted) manifest.
-type mergeHeap []*mergeItem
-
-type mergeItem struct {
-	rec    *flow.Record
-	stream RecordStream
-	ord    int
-}
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if !h[i].rec.Start.Equal(h[j].rec.Start) {
-		return h[i].rec.Start.Before(h[j].rec.Start)
-	}
-	return h[i].ord < h[j].ord
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// merger is the k-way merge behind both MergeStreams and Cursor:
-// ascending Start, ties broken by stream index, then by each stream's
-// own record order. A stream error ends the merge as soon as it is
-// observed — the first failure surfaces in err — and because every
-// stream's Err is read at the moment it runs dry, a clean end means no
-// stream failed.
-type merger struct {
-	streams []RecordStream
-	h       mergeHeap
-	started bool
-	err     error
-}
-
-// next steps past the head it returned last and reports the new head
-// (stream ordinal and record), or false at the end or on a stream
-// error. The first call primes the heap with every stream's first
-// record.
-func (m *merger) next() (*mergeItem, bool) {
-	switch {
-	case m.err != nil:
-		return nil, false
-	case !m.started:
-		m.started = true
-		m.h = make(mergeHeap, 0, len(m.streams))
-		for i, s := range m.streams {
-			if r, ok := s.Next(); ok {
-				m.h = append(m.h, &mergeItem{rec: r, stream: s, ord: i})
-			} else if m.err = s.Err(); m.err != nil {
-				return nil, false
-			}
-		}
-		heap.Init(&m.h)
-	case len(m.h) > 0:
-		it := m.h[0]
-		if r, ok := it.stream.Next(); ok {
-			it.rec = r
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
-			if m.err = it.stream.Err(); m.err != nil {
-				return nil, false
-			}
-		}
-	}
-	if len(m.h) == 0 {
-		return nil, false
-	}
-	return m.h[0], true
-}
-
-// MergeStreams funnels k time-ordered record streams into one
-// deterministic stream: ascending Start, ties broken by stream index,
-// then by each stream's own record order. fn receives the index of the
-// stream each record came from; a non-nil error from fn aborts the
-// merge and is returned. A stream error aborts the merge as soon as it
-// is observed — the first failure surfaces, remaining streams are left
-// for the caller to cancel/clean up (flowstore cursors do both in
-// Close).
-func MergeStreams(streams []RecordStream, fn func(i int, r *flow.Record) error) error {
-	m := merger{streams: streams}
-	for {
-		it, ok := m.next()
-		if !ok {
-			return m.err
-		}
-		if err := fn(it.ord, it.rec); err != nil {
-			return err
-		}
-	}
 }
 
 // scanRun is one launched scan: a scanner goroutine per shard feeding
@@ -330,18 +169,18 @@ type scanRun struct {
 	stats   ScanStats // plan-time pruning; finish adds the scanners' share
 	statsCh chan ScanStats
 	done    chan struct{}
-	// outs holds one channel per shard for a sorted scan (the merge
+	// outs holds one channel per shard for an ordered scan (the merge
 	// needs each shard's stream apart) and a single shared channel
 	// otherwise. Each is closed once every scanner sending on it exits.
 	outs []chan shardBatch
 }
 
 // launch snapshots the manifest and starts the shard scanners for q.
-func (s *Store) launch(q Query, sorted bool) *scanRun {
+func (s *Store) launch(q Query, ordered bool) *scanRun {
 	begin := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
 	shards, dir, byShard, stats := s.planScan(q)
 	nOut := 1
-	if sorted {
+	if ordered {
 		nOut = shards
 	}
 	run := &scanRun{
@@ -362,7 +201,7 @@ func (s *Store) launch(q Query, sorted bool) *scanRun {
 		senders[o].Add(1)
 		go func(out chan<- shardBatch) {
 			defer senders[o].Done()
-			scanShard(dir, shard, byShard[shard], q, out, run.statsCh, run.done, sorted)
+			scanShard(dir, shard, byShard[shard], q, out, run.statsCh, run.done, ordered)
 		}(run.outs[o])
 	}
 	for o, out := range run.outs {
@@ -374,110 +213,22 @@ func (s *Store) launch(q Query, sorted bool) *scanRun {
 	return run
 }
 
-// finish collects every scanner's accounting. The caller must have
-// closed done or be past draining outs, so the scanners do exit.
-func (run *scanRun) finish() ScanStats {
+// stop cancels whatever the scanners have left to do, collects their
+// accounting, and returns every slab still queued to the pool.
+func (run *scanRun) stop() ScanStats {
+	close(run.done)
 	for i := 0; i < cap(run.statsCh); i++ { // one report per shard
 		run.stats.Merge(<-run.statsCh)
 	}
+	for _, out := range run.outs {
+		for b := range out { // closed once its scanners have exited
+			if b.batch != nil {
+				b.batch.Release()
+			}
+		}
+	}
 	metricScanSeconds.ObserveDuration(time.Since(run.begin)) //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
 	return run.stats
-}
-
-// Cursor is a pull-based ordered scan over one store: parallel shard
-// scanners behind a k-way merge, exposed as a RecordStream so callers
-// can interleave several stores' scans (the federation coordinator
-// merges one Cursor per vantage archive). Records arrive in ascending
-// start time, ties broken by shard index then ingest order. The pointer
-// returned by Next is valid only until the following call. Close
-// cancels any remaining work, reclaims every pooled slab, and returns
-// the scan's accounting; it must always be called, even after
-// exhaustion.
-type Cursor struct {
-	run     *scanRun
-	cursors []*shardCursor // the merge's streams, kept typed for drain
-	merge   merger
-	closed  bool
-}
-
-// NewCursor starts an ordered scan of q and returns its cursor. The
-// shard scanners run concurrently from this call on; Close stops them.
-func (s *Store) NewCursor(q Query) *Cursor {
-	// Partition-ordered segment lists give each shard stream global
-	// time order: partitions are disjoint in start time, and records
-	// within a partition are sorted after decoding.
-	c := &Cursor{run: s.launch(q, true)}
-	for _, out := range c.run.outs {
-		sc := &shardCursor{ch: out}
-		c.cursors = append(c.cursors, sc)
-		c.merge.streams = append(c.merge.streams, sc)
-	}
-	return c
-}
-
-// Next returns the next record in merged order. It returns false on
-// exhaustion or on the first shard error — check Err (or Close's
-// returned error) to distinguish.
-func (c *Cursor) Next() (*flow.Record, bool) {
-	if c.closed {
-		return nil, false
-	}
-	it, ok := c.merge.next()
-	if !ok {
-		return nil, false
-	}
-	return it.rec, true
-}
-
-// Err reports the first shard error the cursor observed (nil while
-// records are still flowing or after clean exhaustion).
-func (c *Cursor) Err() error { return c.merge.err }
-
-// Close cancels the scan, reclaims every outstanding pooled slab, and
-// returns the accounting plus the error that ended the merge, if one
-// did. Idempotent.
-func (c *Cursor) Close() (ScanStats, error) {
-	if !c.closed {
-		c.closed = true
-		close(c.run.done)
-		c.run.finish()
-		for _, sc := range c.cursors {
-			sc.drain()
-		}
-	}
-	return c.run.stats, c.merge.err
-}
-
-// Scan streams every sealed record matching q to fn in ascending start
-// time (ties broken by shard index, then ingest order — fully
-// deterministic). Per-shard scanners decode and filter blocks in
-// parallel; the sparse indexes prune non-matching segments and blocks
-// without decoding them. A non-nil error from fn aborts the scan and is
-// returned; a shard error cancels the remaining shards and surfaces.
-// The record pointer is valid only for the duration of the call —
-// slabs are pooled and recycled; copy the record to keep it. Only
-// sealed segments are visible: writers call Seal (or Close) to
-// publish.
-func (s *Store) Scan(q Query, fn func(*flow.Record) error) (ScanStats, error) {
-	c := s.NewCursor(q)
-	var fnErr error
-	for {
-		r, ok := c.Next()
-		if !ok {
-			break
-		}
-		if err := fn(r); err != nil {
-			// Cancel: stop the shard scanners instead of decoding the
-			// rest of the archive into a discarded drain.
-			fnErr = err
-			break
-		}
-	}
-	stats, err := c.Close()
-	if fnErr != nil {
-		return stats, fnErr
-	}
-	return stats, err
 }
 
 // planScan snapshots the manifest under the lock, prunes whole
@@ -499,212 +250,275 @@ func (s *Store) planScan(q Query) (shards int, dir string, byShard map[int][]Seg
 	}
 	dir = s.dir
 	s.mu.Unlock()
-	for shard := range byShard {
-		segs := byShard[shard]
-		sort.Slice(segs, func(i, j int) bool {
-			if segs[i].PartitionSec != segs[j].PartitionSec {
-				return segs[i].PartitionSec < segs[j].PartitionSec
-			}
-			return segs[i].File < segs[j].File
-		})
+	for _, segs := range byShard {
+		sort.Slice(segs, func(i, j int) bool { return segmentBefore(&segs[i], &segs[j]) })
 	}
 	return shards, dir, byShard, stats
 }
 
 // ScanBatches streams every sealed record matching q to emit as pooled
-// columnar batches, without the k-way time-ordered funnel Scan pays
-// for: shard scanners feed a shared channel and batches arrive in
+// columnar batches, without the k-way time-ordered funnel ScanOrdered
+// pays for: shard scanners feed a shared channel and batches arrive in
 // whatever order decoding finishes, unsorted. Use it to drive a pipe
-// fan-out (order-insensitive or watermark-driven stages); use Scan when
-// the consumer needs global time order. Ownership of each batch passes
-// to emit; an error from emit cancels the scan and is returned.
+// fan-out over order-insensitive stages; use ScanOrdered when the
+// consumer needs global time order. Ownership of each batch passes to
+// emit; an error from emit cancels the scan and is returned.
 func (s *Store) ScanBatches(q Query, emit func(*pipe.Batch) error) (ScanStats, error) {
 	run := s.launch(q, false)
-	var firstErr error
+	var err error
 	for b := range run.outs[0] {
-		switch {
-		case firstErr != nil:
-			// Draining: done is closed, scanners exit promptly. Queued
-			// slabs still go back to the pool.
-			if b.batch != nil {
-				b.batch.Release()
-			}
-		case b.err != nil:
-			firstErr = b.err
-			close(run.done)
-		default:
-			if firstErr = emit(b.batch); firstErr != nil {
-				close(run.done)
-			}
+		if err = b.err; err == nil {
+			err = emit(b.batch)
+		}
+		if err != nil {
+			break
 		}
 	}
-	return run.finish(), firstErr
+	return run.stop(), err
 }
 
-// scanShard streams one shard's matching records, partition by
+// errScanCancelled ends a shard scanner whose consumer went away.
+var errScanCancelled = errors.New("flowstore: scan cancelled")
+
+// errIndexBelowRows fails an ordered scan that sent rows on a sparse
+// index's promise and then found the block holding earlier ones.
+var errIndexBelowRows = errors.New("flowstore: block holds start times before its index minimum (corrupt sparse index?)")
+
+// shardScanner streams one shard's matching records, partition by
 // partition. Each block is parsed into a pooled ColumnBlock, the
-// compiled query predicate runs against only the columns it references,
-// and survivors are copied out column-wise — filtered-out rows are
-// never materialized, and blocks with no survivors never decode their
-// remaining columns. Unsorted scans emit columnar batches
-// (pipe.Batch.Cols); with sorted set (the ordered Scan path) survivors
-// are materialized into records for the k-way merge, which needs whole
-// flow.Records anyway, and each partition's are sorted by start time.
-// A close of done cancels the scan: pending sends abort and no further
-// segments are decoded. The caller owns out; stats are always sent.
-func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted bool) {
-	var stats ScanStats
-	defer func() {
-		statsCh <- stats
-	}()
-	send := func(b shardBatch) bool {
+// compiled predicate runs against only the columns it references, and
+// survivors move column-wise into the pending slab: filtered-out rows
+// are never materialized, a block with no survivors never decodes its
+// other columns, one that survives whole is handed over by swapping
+// slice headers, and no flow.Record is built in either mode.
+//
+// Unordered, the slab goes out once it passes pipe.DefaultBatchSize and
+// at each partition's end. Ordered, a partition's rows go out in stable
+// (start second, nanosecond) order — ties in segment, block, row order —
+// but only what must be held is: after each block the scanner sends
+// every pending row that starts before the earliest second the
+// partition's unread blocks can hold (their sparse indexes and the later
+// segments' manifest ranges say), sorting only if a row arrived out of
+// order. Time-sorted ingest streams block by block, holding a block plus
+// the rows of its last second; overlapping blocks hold the overlap (up
+// to twice it, see flushBelow), at worst the partition.
+type shardScanner struct {
+	q       *Query
+	pred    colPredicate
+	proj    ColumnSet
+	ordered bool
+	out     chan<- shardBatch
+	done    <-chan struct{}
+	stats   ScanStats
+	cb      *ColumnBlock
+	slab    *pipe.Batch // pending survivors
+
+	// Ordered only. unsorted: a pending row starts before its
+	// predecessor. floor: rows below it are sent; a later one there means
+	// an index lied. later[b]: the earliest second anything after block
+	// b of the open segment may hold, in the rest of its partition.
+	unsorted bool
+	floor    int64
+	later    []int64
+	perm     []int32 // sort scratch
+}
+
+// scanShard runs one shard's scanner to the end, a failure, or a close
+// of done. The caller owns out; stats are always sent.
+func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, ordered bool) {
+	sc := shardScanner{q: &q, pred: compilePredicate(&q), proj: q.Project, ordered: ordered, out: out, done: done}
+	// Survivors decode the caller's projection (everything when unset)
+	// and, ordered, the sort key; applyQuery decodes the predicate's.
+	if sc.proj == 0 {
+		sc.proj = AllColumns
+	} else if ordered {
+		sc.proj |= ColStart
+	}
+	// One pooled block per scanner, recycled across the shard's blocks
+	// and, through the shared pool, across scans and vantage stores.
+	sc.cb, sc.slab = getColumnBlock(), pipe.NewColsBatch()
+	err := sc.run(filepath.Join(dir, fmt.Sprintf("shard-%02d", shard)), segs)
+	sc.slab.Release()
+	sc.cb.Release()
+	if err != nil && err != errScanCancelled {
 		select {
-		case out <- b:
-			return true
+		case out <- shardBatch{err: err}:
 		case <-done:
-			return false
 		}
 	}
-	pred := compilePredicate(&q)
-	// The survivor decode set: the caller's projection (everything when
-	// unset), ignored on the sorted path, which materializes full
-	// records. Predicate columns decode separately in applyQuery.
-	proj := q.Project
-	if proj == 0 || sorted {
-		proj = AllColumns
+	statsCh <- sc.stats
+}
+
+// flush sends the pending slab, if it holds anything, and starts a
+// fresh one.
+func (sc *shardScanner) flush() error {
+	matched := uint64(sc.slab.Cols.Len())
+	if matched == 0 {
+		return nil
 	}
-	// One pooled block per scanner, recycled across every block,
-	// segment, and partition of the shard — and, through the shared
-	// pool, across scans and vantage stores.
-	cb := getColumnBlock()
-	defer cb.Release()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shard))
-	for i := 0; i < len(segs); {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		j := i + 1
-		for j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec {
-			j++
-		}
-		var slab *pipe.Batch
-		if sorted {
-			slab = pipe.NewBatch()
-		} else {
-			slab = pipe.NewColsBatch()
-		}
-		// part accumulates sorted-mode survivors; it aliases the
-		// sorted slab's Recs and is meaningless in unsorted mode
-		// (where slabs are columnar and re-made at each flush).
-		part := slab.Recs
-		fail := func(r *segmentReader, err error) {
-			if r != nil {
-				r.close()
-			}
-			if sorted {
-				slab.Recs = part
-			}
-			slab.Release()
-			send(shardBatch{err: err})
-		}
-		// flushSlab emits the pending columnar slab and starts a fresh
-		// one; false means the scan was cancelled.
-		flushSlab := func() bool {
-			matched := slab.Cols.Len()
-			if matched == 0 {
-				return true
-			}
-			stats.RecordsMatched += uint64(matched)
-			metricRecordsMatched.Add(uint64(matched))
-			if !send(shardBatch{batch: slab}) {
-				slab.Release()
-				return false
-			}
-			slab = pipe.NewColsBatch()
-			return true
-		}
-		for _, e := range segs[i:j] {
-			stats.SegmentsScanned++
-			r, err := openSegmentReaderPrefetch(filepath.Join(shardDir, e.File))
-			if err != nil {
-				fail(nil, err)
-				return
-			}
-			for {
-				pruned, err := r.nextBlockColumnar(&q, cb)
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					fail(r, err)
-					return
-				}
-				if pruned {
-					stats.BlocksPruned++
-					metricBlocksPruned.Inc()
-					continue
-				}
-				stats.BlocksScanned++
-				stats.RecordsScanned += uint64(cb.count)
-				stats.ColumnsTotal += nCols
-				metricBlocksScanned.Inc()
-				metricRecordsScanned.Add(uint64(cb.count))
-				if err := cb.applyQuery(&pred); err != nil {
-					fail(r, err)
-					return
-				}
-				if cb.selCount > 0 {
-					if err := cb.decodeSet(proj); err != nil {
-						fail(r, err)
-						return
-					}
-					switch {
-					case sorted:
-						part = cb.materializeSelected(part)
-					case cb.selCount == cb.count:
-						// Every row survived: ship the decoded columns
-						// whole (flushing any partial slab first) and
-						// adopt the fresh slab's buffers — a swap of
-						// slice headers instead of a 17-column copy.
-						if !flushSlab() {
-							r.close()
-							return
-						}
-						cb.Cols, *slab.Cols = *slab.Cols, cb.Cols
-					default:
-						cb.appendSelected(slab.Cols)
-					}
-				}
-				stats.ColumnsDecoded += uint64(cb.decodedCount)
-				if !sorted && slab.Cols.Len() >= pipe.DefaultBatchSize {
-					if !flushSlab() {
-						r.close()
-						return
-					}
-				}
-			}
-			r.close()
-		}
-		if sorted {
-			slab.Recs = part
-		}
-		if slab.Len() > 0 {
-			if sorted {
-				// Stable: equal timestamps keep ingest order, the
-				// tertiary key of the deterministic merge order.
-				sort.SliceStable(part, func(a, b int) bool { return part[a].Start.Before(part[b].Start) })
-			}
-			stats.RecordsMatched += uint64(slab.Len())
-			metricRecordsMatched.Add(uint64(slab.Len()))
-			if !send(shardBatch{batch: slab}) {
-				slab.Release()
-				return
-			}
-		} else {
-			slab.Release()
-		}
-		i = j
+	sc.stats.RecordsMatched += matched
+	metricRecordsMatched.Add(matched)
+	select {
+	case sc.out <- shardBatch{batch: sc.slab}:
+		sc.slab = pipe.NewColsBatch()
+		return nil
+	case <-sc.done:
+		return errScanCancelled
 	}
+}
+
+func (sc *shardScanner) run(shardDir string, segs []SegmentEntry) error {
+	for i, j := 0, 0; i < len(segs); i = j {
+		for j = i + 1; j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec; j++ {
+		}
+		sc.floor = math.MinInt64
+		for k := i; k < j; k++ {
+			select {
+			case <-sc.done:
+				return errScanCancelled
+			default:
+			}
+			after := int64(math.MaxInt64) // the partition's later segments start no earlier
+			for _, e := range segs[k+1 : j] {
+				after = min(after, e.MinStartSec)
+			}
+			if err := sc.scanSegment(filepath.Join(shardDir, segs[k].File), after); err != nil {
+				return err
+			}
+		}
+		// Partitions are disjoint in start time: nothing later sorts
+		// before what is pending.
+		if err := sc.flushFirst(sc.slab.Cols.Len()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanSegment decodes one segment's blocks into the pending slab; after
+// is the earliest second a later segment of its partition may hold.
+func (sc *shardScanner) scanSegment(path string, after int64) error {
+	sc.stats.SegmentsScanned++
+	r, err := openSegmentReaderPrefetch(path)
+	if err != nil {
+		return err
+	}
+	defer r.close()
+	if sc.ordered {
+		sc.later = r.laterMinStarts(sc.later[:0], after)
+	}
+	cb := sc.cb
+	for blk := 0; ; blk++ {
+		pruned, err := r.nextBlockColumnar(sc.q, cb)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if pruned {
+			sc.stats.BlocksPruned++
+			metricBlocksPruned.Inc()
+			continue
+		}
+		sc.stats.BlocksScanned++
+		sc.stats.RecordsScanned += uint64(cb.count)
+		sc.stats.ColumnsTotal += nCols
+		metricBlocksScanned.Inc()
+		metricRecordsScanned.Add(uint64(cb.count))
+		if err := cb.applyQuery(&sc.pred); err != nil {
+			return err
+		}
+		if cb.selCount > 0 {
+			if err := cb.decodeSet(sc.proj); err != nil {
+				return err
+			}
+		}
+		sc.stats.ColumnsDecoded += uint64(cb.decodedCount)
+		if err := sc.take(blk); err != nil {
+			return err
+		}
+	}
+}
+
+// take moves the decoded block's survivors into the pending slab and
+// sends what the mode lets go.
+func (sc *shardScanner) take(blk int) error {
+	cb, from := sc.cb, sc.slab.Cols.Len()
+	switch {
+	case cb.selCount == 0:
+	case cb.selCount == cb.count && (from == 0 || !sc.ordered):
+		// Every row survived: ship the decoded columns whole (unordered,
+		// behind the partial slab) — a swap of slice headers with the
+		// fresh slab instead of a 17-column copy.
+		if err := sc.flush(); err != nil {
+			return err
+		}
+		from = 0
+		cb.Cols, *sc.slab.Cols = *sc.slab.Cols, cb.Cols
+	default:
+		cb.appendSelected(sc.slab.Cols)
+	}
+	if sc.ordered {
+		return sc.flushBelow(from, sc.later[blk])
+	}
+	if sc.slab.Cols.Len() >= pipe.DefaultBatchSize {
+		return sc.flush()
+	}
+	return nil
+}
+
+// flushBelow sends every pending row that starts before second bound —
+// nothing still unread can sort ahead of those — and keeps the rest
+// pending; to stay linear when blocks overlap heavily it waits until at
+// least half the pending rows can go. On the way it inspects the rows
+// from index from on, the ones the last block added: one that starts
+// before its predecessor marks the slab unsorted, and one below the
+// floor fails the scan.
+//
+//bsvet:hotpath
+func (sc *shardScanner) flushBelow(from int, bound int64) error {
+	sec, ns := sc.slab.Cols.StartSec, sc.slab.Cols.StartNs
+	below := 0
+	for i, s := range sec {
+		if s < bound {
+			below++
+		}
+		if i < from {
+			continue
+		}
+		if s < sc.floor {
+			return errIndexBelowRows
+		}
+		sc.unsorted = sc.unsorted || i > 0 && (s < sec[i-1] || s == sec[i-1] && ns[i] < ns[i-1])
+	}
+	if below == 0 || 2*below < len(sec) {
+		return nil
+	}
+	sc.floor = bound
+	return sc.flushFirst(below)
+}
+
+// flushFirst sends the first n pending rows — of the stable start
+// order, if the slab is not in it yet — and keeps the rest pending.
+func (sc *shardScanner) flushFirst(n int) error {
+	if sc.unsorted {
+		sc.perm = startOrder(sc.slab.Cols, sc.perm)
+		sorted := pipe.NewColsBatch()
+		sorted.Cols.AppendIndexed(sc.slab.Cols, sc.perm)
+		sc.slab.Release()
+		sc.slab, sc.unsorted = sorted, false
+	}
+	rest := pipe.NewColsBatch()
+	if c := sc.slab.Cols; n < c.Len() {
+		rest.Cols.AppendRange(c, n, c.Len())
+		c.Resize(n)
+	}
+	if err := sc.flush(); err != nil {
+		rest.Release()
+		return err
+	}
+	sc.slab.Release() // flush's fresh slab
+	sc.slab = rest
+	return nil
 }

@@ -3,11 +3,14 @@ package flowstore
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"booterscope/internal/flow"
+	"booterscope/internal/pipe"
+	"booterscope/internal/telemetry"
 )
 
 // tieRecord builds a record whose key varies with n (spreading records
@@ -87,8 +90,61 @@ func TestScanTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesScan pins the pull-based Cursor to the callback
-// Scan: same records, same order, same accounting.
+// TestSegmentOrderIsBySequence: a shard writer's sequence number counts
+// every seal it ever made (the daemon seals at each checkpoint) and
+// outgrows the name's four-digit padding, after which file names no
+// longer sort in seal order. Manifest and scan must still put a
+// partition's segments in the order they were written — it is the order
+// equal timestamps come back in.
+func TestSegmentOrderIsBySequence(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{Shards: 1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.shards[0].segSeq = 9998
+	ts := time.Date(2018, 4, 6, 0, 0, 0, 0, time.UTC)
+	for n := 0; n < 4; n++ {
+		if err := st.Append([]flow.Record{tieRecord(n, ts)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var files []string
+	for _, e := range st.Segments() {
+		files = append(files, e.File)
+	}
+	part := ts.Unix()
+	want := []string{segName(part, 9998), segName(part, 9999), segName(part, 10000), segName(part, 10001)}
+	if !slices.Equal(files, want) {
+		t.Fatalf("manifest order %v, want %v", files, want)
+	}
+	var order []uint64
+	if _, err := st.Scan(Query{}, func(r *flow.Record) error {
+		order = append(order, r.Packets)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("equal timestamps scanned in order %v, want ingest order 1 2 3 4", order)
+	}
+}
+
+// batchesInFlight reads pipe's pooled-batch gauge: every ordered-scan
+// slab is one, so a scan that returns it to its starting value leaked
+// none.
+func batchesInFlight() func() float64 {
+	reg := telemetry.NewRegistry()
+	pipe.RegisterTelemetry(reg)
+	return reg.Gauge("pipe_batches_in_flight", "").Value
+}
+
+// TestCursorMatchesScan pins the three views of the ordered scan to
+// each other — MergeScan's runs, ScanOrdered's batches and Scan's
+// records: same rows, same order, same accounting.
 func TestCursorMatchesScan(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{Shards: 4, NoSync: true})
 	if err != nil {
@@ -111,7 +167,7 @@ func TestCursorMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var fromScan []flow.Record
+	var fromScan, fromRuns, fromBatches []flow.Record
 	scanStats, err := st.Scan(Query{}, func(r *flow.Record) error {
 		fromScan = append(fromScan, *r)
 		return nil
@@ -119,38 +175,41 @@ func TestCursorMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cur := st.NewCursor(Query{})
-	var fromCursor []flow.Record
-	for {
-		r, ok := cur.Next()
-		if !ok {
-			break
+	runStats, err := MergeScan([]*Store{st}, Query{}, func(_ int, cols *flow.Columns, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			fromRuns = append(fromRuns, cols.Record(i))
 		}
-		fromCursor = append(fromCursor, *r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	curStats, err := cur.Close()
+	batchStats, err := st.ScanOrdered(Query{}, func(b *pipe.Batch) error {
+		fromBatches = b.Cols.MaterializeAppend(fromBatches)
+		b.Release()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(fromScan) != len(fromCursor) {
-		t.Fatalf("cursor returned %d records, scan %d", len(fromCursor), len(fromScan))
+	if len(fromScan) != len(recs) || len(fromRuns) != len(recs) || len(fromBatches) != len(recs) {
+		t.Fatalf("scan %d, runs %d, batches %d records; appended %d", len(fromScan), len(fromRuns), len(fromBatches), len(recs))
 	}
 	for i := range fromScan {
-		if !recordEqual(&fromScan[i], &fromCursor[i]) {
-			t.Fatalf("record %d differs between Scan and Cursor", i)
+		if !recordEqual(&fromScan[i], &fromRuns[i]) || !recordEqual(&fromScan[i], &fromBatches[i]) {
+			t.Fatalf("record %d differs between Scan, MergeScan and ScanOrdered", i)
 		}
 	}
-	if scanStats != curStats {
-		t.Fatalf("stats differ: scan %+v cursor %+v", scanStats, curStats)
+	if scanStats != runStats[0] || scanStats != batchStats {
+		t.Fatalf("stats differ: scan %+v runs %+v batches %+v", scanStats, runStats[0], batchStats)
 	}
 }
 
-// TestCursorCloseEarly releases every pooled slab even when the caller
-// abandons the scan after a few records.
+// TestCursorCloseEarly: a caller that abandons an ordered scan after a
+// few runs gets its error back and every pooled slab is reclaimed.
 func TestCursorCloseEarly(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{Shards: 4, NoSync: true})
+	st, err := Open(t.TempDir(), Options{Shards: 4, BlockRecords: 64, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +217,7 @@ func TestCursorCloseEarly(t *testing.T) {
 	base := time.Date(2018, 4, 3, 0, 0, 0, 0, time.UTC)
 	var recs []flow.Record
 	for i := 0; i < 2000; i++ {
-		recs = append(recs, tieRecord(i, base.Add(time.Duration(i)*time.Millisecond)))
+		recs = append(recs, tieRecord(i, base.Add(time.Duration(i)*time.Second)))
 	}
 	if err := st.Append(recs); err != nil {
 		t.Fatal(err)
@@ -167,23 +226,33 @@ func TestCursorCloseEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cur := st.NewCursor(Query{})
-	for i := 0; i < 3; i++ {
-		if _, ok := cur.Next(); !ok {
-			t.Fatal("cursor exhausted too early")
+	inFlight := batchesInFlight()
+	before := inFlight()
+	enough := errors.New("enough")
+	runs, held := 0, 0.0
+	stats, err := MergeScan([]*Store{st}, Query{}, func(int, *flow.Columns, int, int) error {
+		if runs++; runs == 3 {
+			held = inFlight() - before
+			return enough
 		}
+		return nil
+	})
+	if err != enough || runs != 3 {
+		t.Fatalf("abandoned after %d runs: err = %v, want the caller's", runs, err)
 	}
-	if _, err := cur.Close(); err != nil {
-		t.Fatal(err)
+	if held == 0 {
+		t.Fatal("an open ordered scan holds no pooled slab: the leak check below checks nothing")
 	}
-	// Idempotent.
-	if _, err := cur.Close(); err != nil {
-		t.Fatal(err)
+	if after := inFlight(); after != before {
+		t.Fatalf("pipe_batches_in_flight %v -> %v: an abandoned scan leaked pooled slabs", before, after)
+	}
+	if stats[0].RecordsScanned == 0 || stats[0].RecordsScanned >= uint64(len(recs)) {
+		t.Fatalf("abandoned scan decoded %d of %d records", stats[0].RecordsScanned, len(recs))
 	}
 }
 
-// sliceStream adapts a record slice (already time-ordered) to
-// RecordStream, with an optional terminal error.
+// sliceStream adapts a record slice (already time-ordered) to the
+// reference merge's RecordStream, with an optional terminal error.
 type sliceStream struct {
 	recs []flow.Record
 	pos  int
@@ -207,40 +276,71 @@ func (s *sliceStream) Next() (*flow.Record, bool) {
 
 func (s *sliceStream) Err() error { return s.err }
 
-// TestMergeStreamsTieBreak pins MergeStreams' deterministic order:
-// ascending Start, ties broken by stream index, then stream order.
+var errStreamFailed = errors.New("stream failed")
+
+// slabStream is sliceStream for the production merge: the records a
+// shard scanner would send, queued as column slabs of slabRows rows (the
+// last one short) and followed — when failAt >= 0, after that many
+// records — by a failure.
+func slabStream(recs []flow.Record, slabRows, failAt int) *shardStream {
+	if failAt >= 0 {
+		recs = recs[:failAt]
+	}
+	ch := make(chan shardBatch, len(recs)+1) // every slab and the failure fit: filled before the merge starts
+	for len(recs) > 0 {
+		b := pipe.NewColsBatch()
+		for _, r := range recs[:min(slabRows, len(recs))] {
+			b.Cols.AppendRecord(&r)
+		}
+		recs = recs[b.Len():]
+		ch <- shardBatch{batch: b}
+	}
+	if failAt >= 0 {
+		ch <- shardBatch{err: errStreamFailed}
+	}
+	close(ch)
+	return &shardStream{ch: ch}
+}
+
+// mergeRows runs the production merge to its end and returns the
+// Packets field (tieRecord's n+1) and the stream of every row.
+func mergeRows(streams ...*shardStream) (order []uint64, sources []int, err error) {
+	m := merge{streams: streams}
+	m.prime()
+	for {
+		src, cols, lo, hi, ok := m.next()
+		if !ok {
+			for _, s := range streams {
+				s.release()
+			}
+			return order, sources, m.err
+		}
+		for i := lo; i < hi; i++ {
+			order, sources = append(order, cols.Packets[i]), append(sources, src)
+		}
+	}
+}
+
+// TestMergeStreamsTieBreak pins the merge's deterministic order:
+// ascending Start, ties broken by stream index, then stream order —
+// whatever the slab boundaries.
 func TestMergeStreamsTieBreak(t *testing.T) {
 	base := time.Date(2018, 4, 4, 0, 0, 0, 0, time.UTC)
 	mk := func(n int, ts time.Time) flow.Record { return tieRecord(n, ts) }
-	a := &sliceStream{failAt: -1, recs: []flow.Record{
-		mk(0, base), mk(1, base), mk(2, base.Add(time.Second)),
-	}}
-	b := &sliceStream{failAt: -1, recs: []flow.Record{
-		mk(10, base), mk(11, base.Add(time.Second)), mk(12, base.Add(2*time.Second)),
-	}}
-	c := &sliceStream{failAt: -1, recs: []flow.Record{
-		mk(20, base),
-	}}
+	a := []flow.Record{mk(0, base), mk(1, base), mk(2, base.Add(time.Second))}
+	b := []flow.Record{mk(10, base), mk(11, base.Add(time.Second)), mk(12, base.Add(2*time.Second))}
+	c := []flow.Record{mk(20, base)}
 
-	var order []uint64 // Packets field identifies records (n+1)
-	var sources []int
-	err := MergeStreams([]RecordStream{a, b, c}, func(i int, r *flow.Record) error {
-		order = append(order, r.Packets)
-		sources = append(sources, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantOrder := []uint64{1, 2, 11, 21, 3, 12, 13}
 	wantSources := []int{0, 0, 1, 2, 0, 1, 1}
-	if len(order) != len(wantOrder) {
-		t.Fatalf("merged %d records, want %d", len(order), len(wantOrder))
-	}
-	for i := range order {
-		if order[i] != wantOrder[i] || sources[i] != wantSources[i] {
-			t.Fatalf("position %d: got (rec %d, stream %d), want (rec %d, stream %d)",
-				i, order[i], sources[i], wantOrder[i], wantSources[i])
+	for slabRows := 1; slabRows <= 3; slabRows++ {
+		order, sources, err := mergeRows(slabStream(a, slabRows, -1), slabStream(b, slabRows, -1), slabStream(c, slabRows, -1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(order, wantOrder) || !slices.Equal(sources, wantSources) {
+			t.Fatalf("slabs of %d: got records %v from streams %v, want %v from %v",
+				slabRows, order, sources, wantOrder, wantSources)
 		}
 	}
 }
@@ -250,24 +350,16 @@ func TestMergeStreamsTieBreak(t *testing.T) {
 // after the failure is observed.
 func TestMergeStreamsError(t *testing.T) {
 	base := time.Date(2018, 4, 5, 0, 0, 0, 0, time.UTC)
-	ok := &sliceStream{failAt: -1, recs: []flow.Record{
-		tieRecord(0, base), tieRecord(1, base.Add(time.Hour)),
-	}}
-	bad := &sliceStream{failAt: 1, recs: []flow.Record{
-		tieRecord(10, base.Add(time.Minute)), tieRecord(11, base.Add(2*time.Minute)),
-	}}
-	var n int
-	err := MergeStreams([]RecordStream{ok, bad}, func(int, *flow.Record) error {
-		n++
-		return nil
-	})
-	if err == nil {
-		t.Fatal("merge over a failing stream returned nil error")
+	ok := slabStream([]flow.Record{tieRecord(0, base), tieRecord(1, base.Add(time.Hour))}, 2, -1)
+	bad := slabStream([]flow.Record{tieRecord(10, base.Add(time.Minute)), tieRecord(11, base.Add(2*time.Minute))}, 1, 1)
+	order, _, err := mergeRows(ok, bad)
+	if err != errStreamFailed {
+		t.Fatalf("merge over a failing stream returned %v, want the stream's error", err)
 	}
 	// Records delivered before the failure: stream 0's base record and
 	// stream 1's first record. Stream 0's base+1h record sorts after
 	// the failure point and must not arrive.
-	if n != 2 {
-		t.Fatalf("delivered %d records before surfacing the error, want 2", n)
+	if len(order) != 2 {
+		t.Fatalf("delivered %d records before surfacing the error, want 2", len(order))
 	}
 }

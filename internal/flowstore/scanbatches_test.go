@@ -82,13 +82,16 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 
 // TestScanCancellation is the satellite bugfix test: an error from the
 // visitor must abort the scan early — the shard scanners stop decoding
-// instead of draining the whole archive — and surface the error.
+// instead of draining the whole archive — surface the error, and leave
+// no pooled slab behind. Both ordered entry points.
 func TestScanCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	recs := genFlows(rng, testBase, 8, 16_000)
 	s := buildTestStore(t, recs, 3)
+	inFlight := batchesInFlight()
 
 	stop := errors.New("stop early")
+	before := inFlight()
 	seen := 0
 	stats, err := s.Scan(Query{}, func(r *flow.Record) error {
 		seen++
@@ -105,6 +108,25 @@ func TestScanCancellation(t *testing.T) {
 	}
 	if stats.RecordsScanned >= uint64(len(recs)) {
 		t.Fatalf("cancelled scan still decoded all %d records — early abort not propagated", len(recs))
+	}
+
+	batches := 0
+	stats, err = s.ScanOrdered(Query{}, func(b *pipe.Batch) error {
+		b.Release()
+		batches++
+		return stop
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("ordered scan error = %v, want %v", err, stop)
+	}
+	if batches != 1 {
+		t.Fatalf("emit ran %d times after cancelling on the first batch", batches)
+	}
+	if stats.RecordsScanned >= uint64(len(recs)) {
+		t.Fatalf("cancelled ordered scan still decoded all %d records", len(recs))
+	}
+	if after := inFlight(); after != before {
+		t.Fatalf("pipe_batches_in_flight %v -> %v: cancelled scans leaked pooled slabs", before, after)
 	}
 }
 

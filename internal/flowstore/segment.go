@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"os"
 	"sync"
@@ -396,6 +397,28 @@ func openSegmentReaderPrefetch(path string) (*segmentReader, error) {
 func (r *segmentReader) close() {
 	*r.bufp = r.data[:0]
 	segBufPool.Put(r.bufp)
+}
+
+// laterMinStarts appends, for each block from the reader's position on,
+// the earliest start second anything after it may hold: later blocks by
+// their sparse indexes, what follows the segment by after. A torn frame
+// leaves the blocks before it no promise (math.MinInt64);
+// nextBlockColumnar reports it when the scan gets there.
+func (r *segmentReader) laterMinStarts(dst []int64, after int64) []int64 {
+	base := len(dst)
+	for off := r.off; off < len(r.data); {
+		frame, _, _, err := durable.Next(r.data[off:])
+		if err != nil || len(frame) < blockIndexLen {
+			after = math.MinInt64
+			break
+		}
+		dst = append(dst, int64(binary.BigEndian.Uint64(frame[4:]))) // blockIndex.MinStartSec
+		off += frameHeadLen + len(frame)
+	}
+	for i := len(dst) - 1; i >= base; i-- {
+		dst[i], after = after, min(after, dst[i])
+	}
+	return dst
 }
 
 // nextBlockColumnar parses the next frame's index and, unless the

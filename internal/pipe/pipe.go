@@ -42,9 +42,9 @@ import (
 	"booterscope/internal/flow"
 )
 
-// DefaultBatchSize is the record capacity of new pooled batches and the
-// cap at which FanOut hands a pending slab over unasked (FlushIdle hands
-// over less) — small enough that a few queued batches bound memory.
+// DefaultBatchSize is the row count at which FanOut hands a pending slab
+// over unasked (FlushIdle hands over less) and scans cut their batches —
+// small enough that a few queued batches bound memory.
 const DefaultBatchSize = 4096
 
 // Batch is a reusable slab of flow records moving through the
@@ -75,11 +75,10 @@ type Batch struct {
 	Seqs []uint64
 }
 
-var batchPool = sync.Pool{
-	New: func() any {
-		return &Batch{Recs: make([]flow.Record, 0, DefaultBatchSize)}
-	},
-}
+// batchPool recycles batches with whatever row capacity their last use
+// grew; a new one has none, so a columnar batch never carries half a
+// megabyte of unused records.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // colsPool recycles columnar slabs independently of batches, so row
 // batches never carry 17 unused column arrays.

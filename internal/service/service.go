@@ -426,32 +426,24 @@ func (s *Service) ReplayFromStore() (uint64, error) {
 		return 0, ErrDraining
 	}
 	skip := s.restore.StoreDurable
-	var seen, replayed uint64
-	recs := make([]flow.Record, 0, pipe.DefaultBatchSize)
-	flush := func() error {
-		if len(recs) == 0 {
+	var replayed uint64
+	_, err := s.opts.Store.ScanOrdered(flowstore.Query{}, func(b *pipe.Batch) error {
+		defer b.Release()
+		n := uint64(b.Len())
+		if skip >= n {
+			skip -= n
 			return nil
 		}
-		b := pipe.Batch{Recs: recs}
-		err := s.fan.Process(&b)
-		recs = recs[:0]
-		return err
-	}
-	_, err := s.opts.Store.Scan(flowstore.Query{}, func(r *flow.Record) error {
-		seen++
-		if seen <= skip {
-			return nil
+		if skip > 0 {
+			// The checkpoint falls inside this batch: replay its tail.
+			tail := pipe.NewColsBatch()
+			defer tail.Release()
+			tail.Cols.AppendRange(b.Cols, int(skip), int(n))
+			b, n, skip = tail, n-skip, 0
 		}
-		recs = append(recs, *r)
-		replayed++
-		if len(recs) >= pipe.DefaultBatchSize {
-			return flush()
-		}
-		return nil
+		replayed += n
+		return s.fan.Process(b)
 	})
-	if err == nil {
-		err = flush()
-	}
 	s.m.replayed.Add(replayed)
 	s.restore.Replayed += replayed
 	return replayed, err
