@@ -38,10 +38,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"os/signal"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -62,44 +64,74 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("collector: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// lockedWriter serializes writes: alert lines print from the shard
+// workers while the main goroutine prints accounting.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
+// run is the collector with its arguments and output streams passed
+// in, so a test can drive it in process; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("collector", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen      = flag.String("listen", "127.0.0.1:4739", "UDP listen address (4739 is the IPFIX port)")
-		demo        = flag.Bool("demo", false, "feed a day of synthetic traffic through the socket and exit")
-		seed        = flag.Uint64("seed", 1, "demo traffic seed")
-		scale       = flag.Float64("scale", 0.3, "demo traffic scale")
-		loss        = flag.Float64("loss", 0, "demo fault injection: datagram drop rate through chaos.Proxy")
-		reorder     = flag.Float64("reorder", 0, "demo fault injection: datagram reorder rate")
-		chaosSeed   = flag.Uint64("chaosseed", 7, "fault injection seed")
-		dashEvery   = flag.Duration("dashboard", 0, "print a telemetry dashboard to stderr at this interval (0 disables)")
-		storeDir    = flag.String("store.dir", "", "persist decoded flow records into a flowstore archive at this directory")
-		par         = flag.Int("parallelism", 0, "detection pipeline shard count: 0 = NumCPU, 1 = serial (alerts identical)")
-		ckptDir     = flag.String("checkpoint.dir", "", "checkpoint monitor state into this directory (enables restore-on-start)")
-		ckptEvery   = flag.Duration("checkpoint.every", time.Minute, "checkpoint interval (with -checkpoint.dir)")
-		evalEvery   = flag.Duration("slo.every", 5*time.Second, "overload/SLO evaluation interval")
-		sloP99      = flag.Duration("slo.p99", 0, "detection-latency p99 objective (0: 250ms default)")
-		mitigate    = flag.Bool("mitigate", false, "announce BGP FlowSpec discard rules on sustained attacks")
-		thresholds  = flag.String("thresholds", "", "JSON file with classifier thresholds; re-read on SIGHUP (empty: paper defaults)")
-		incidentDir = flag.String("incident.dir", "", "dump the flight-recorder event ring here when an incident trigger fires (SLO burn breach, shed escalation, drain, checkpoint failure)")
-		ringSize    = flag.Int("incident.ring", eventlog.DefaultRingSize, "flight-recorder event ring capacity")
+		listen      = fs.String("listen", "127.0.0.1:4739", "UDP listen address (4739 is the IPFIX port)")
+		demo        = fs.Bool("demo", false, "feed a day of synthetic traffic through the socket and exit")
+		seed        = fs.Uint64("seed", 1, "demo traffic seed")
+		scale       = fs.Float64("scale", 0.3, "demo traffic scale")
+		loss        = fs.Float64("loss", 0, "demo fault injection: datagram drop rate through chaos.Proxy")
+		reorder     = fs.Float64("reorder", 0, "demo fault injection: datagram reorder rate")
+		chaosSeed   = fs.Uint64("chaosseed", 7, "fault injection seed")
+		dashEvery   = fs.Duration("dashboard", 0, "print a telemetry dashboard to stderr at this interval (0 disables)")
+		storeDir    = fs.String("store.dir", "", "persist decoded flow records into a flowstore archive at this directory")
+		par         = fs.Int("parallelism", 0, "detection pipeline shard count: 0 = NumCPU, 1 = serial (alerts identical)")
+		ckptDir     = fs.String("checkpoint.dir", "", "checkpoint monitor state into this directory (enables restore-on-start)")
+		ckptEvery   = fs.Duration("checkpoint.every", time.Minute, "checkpoint interval (with -checkpoint.dir)")
+		evalEvery   = fs.Duration("slo.every", 5*time.Second, "overload/SLO evaluation interval")
+		sloP99      = fs.Duration("slo.p99", 0, "detection-latency p99 objective (0: 250ms default)")
+		mitigate    = fs.Bool("mitigate", false, "announce BGP FlowSpec discard rules on sustained attacks")
+		thresholds  = fs.String("thresholds", "", "JSON file with classifier thresholds; re-read on SIGHUP (empty: paper defaults)")
+		incidentDir = fs.String("incident.dir", "", "dump the flight-recorder event ring here when an incident trigger fires (SLO burn breach, shed escalation, drain, checkpoint failure)")
+		ringSize    = fs.Int("incident.ring", eventlog.DefaultRingSize, "flight-recorder event ring capacity")
 	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its smoke test.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	stdout = &lockedWriter{w: stdout}
+	logger := log.New(stderr, "collector: ", 0)
 
 	cfg, err := loadThresholds(*thresholds)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 
 	col, err := ipfix.NewCollector(*listen)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	defer col.Close()
-	fmt.Printf("listening for IPFIX on %s\n", col.Addr())
+	fmt.Fprintf(stdout, "listening for IPFIX on %s\n", col.Addr())
 
-	reg := telemetry.Default()
+	// A registry per run, not the process-wide one: run may be called
+	// more than once in a process (its smoke test does).
+	reg := telemetry.NewRegistry()
 	col.RegisterTelemetry(reg)
 	pipe.RegisterTelemetry(reg)
 
@@ -111,9 +143,10 @@ func main() {
 	events.RegisterTelemetry(reg)
 	if *incidentDir != "" {
 		if err := os.MkdirAll(*incidentDir, 0o755); err != nil {
-			log.Fatal(err)
+			logger.Print(err)
+			return 1
 		}
-		fmt.Printf("incident dumps to %s\n", *incidentDir)
+		fmt.Fprintf(stdout, "incident dumps to %s\n", *incidentDir)
 	}
 
 	var store *flowstore.Store
@@ -123,13 +156,14 @@ func main() {
 			Meta: map[string]string{"study": "collector", "listen": *listen},
 		})
 		if err != nil {
-			log.Fatal(err)
+			logger.Print(err)
+			return 1
 		}
 		if r := store.Recovery(); r.RecoveredSegments > 0 || r.TornSegments > 0 {
-			fmt.Printf("store recovery: %d segments adopted (%d records), %d torn tails truncated (%d bytes)\n",
+			fmt.Fprintf(stdout, "store recovery: %d segments adopted (%d records), %d torn tails truncated (%d bytes)\n",
 				r.RecoveredSegments, r.RecoveredRecords, r.TornSegments, r.TruncatedBytes)
 		}
-		fmt.Printf("archiving decoded records to %s\n", *storeDir)
+		fmt.Fprintf(stdout, "archiving decoded records to %s\n", *storeDir)
 	}
 
 	// The detection daemon: sharded monitor behind the fan-out, with
@@ -142,12 +176,12 @@ func main() {
 		Store:         store,
 		OnAlert: func(a classify.Alert) {
 			alerts.Add(1)
-			fmt.Println(a)
+			fmt.Fprintln(stdout, a)
 		},
 		Mitigation: service.MitigationOptions{
 			Enabled:  *mitigate,
-			Announce: func(r bgp.FlowSpecRule) { fmt.Printf("mitigate: announce %s\n", r) },
-			Withdraw: func(r bgp.FlowSpecRule) { fmt.Printf("mitigate: withdraw %s\n", r) },
+			Announce: func(r bgp.FlowSpecRule) { fmt.Fprintf(stdout, "mitigate: announce %s\n", r) },
+			Withdraw: func(r bgp.FlowSpecRule) { fmt.Fprintf(stdout, "mitigate: withdraw %s\n", r) },
 		},
 		SLO:         service.SLOOptions{TargetP99: *sloP99},
 		QueueDepth:  col.QueueDepth,
@@ -156,35 +190,38 @@ func main() {
 		IncidentDir: *incidentDir,
 	})
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	if rr := svc.Restore(); rr.Corrupt {
-		log.Print("checkpoint corrupt: cold start (archive replay rebuilds state)")
+		logger.Print("checkpoint corrupt: cold start (archive replay rebuilds state)")
 	} else if rr.Restored {
 		wm := "none"
 		if rr.Watermark != math.MinInt64 {
 			wm = time.Unix(rr.Watermark, 0).UTC().Format(time.RFC3339)
 		}
-		fmt.Printf("restored checkpoint: watermark %s, seq %d, %d archive records covered\n",
+		fmt.Fprintf(stdout, "restored checkpoint: watermark %s, seq %d, %d archive records covered\n",
 			wm, rr.Seq, rr.StoreDurable)
 	}
 	if store != nil && *ckptDir != "" {
 		n, err := svc.ReplayFromStore()
 		if err != nil {
-			log.Fatalf("archive replay: %v", err)
+			logger.Printf("archive replay: %v", err)
+			return 1
 		}
 		if n > 0 {
-			fmt.Printf("replayed %d archive records past the checkpoint watermark\n", n)
+			fmt.Fprintf(stdout, "replayed %d archive records past the checkpoint watermark\n", n)
 		}
 	}
 
 	srv, err := debugserver.Start(*debugAddr, reg)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(stdout, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 	if *dashEvery > 0 {
 		dash := telemetry.NewDashboard(reg, os.Stderr, *dashEvery)
@@ -205,11 +242,11 @@ func main() {
 			// shards; the fan-out copies records into per-shard slabs, so
 			// the decoder may reuse recs as soon as it returns.
 			if err := svc.Ingest(recs); err != nil && !errors.Is(err, service.ErrDraining) {
-				log.Printf("detection pipeline: %v", err)
+				logger.Printf("detection pipeline: %v", err)
 			}
 		})
 		if err != nil {
-			log.Print(err)
+			logger.Print(err)
 		}
 	}()
 
@@ -222,7 +259,7 @@ func main() {
 	// to draining, the socket closes, shard queues flush, the final
 	// checkpoint publishes, mitigations are withdrawn.
 	shutdown := func(reason string) {
-		fmt.Printf("draining (%s)\n", reason)
+		fmt.Fprintf(stdout, "draining (%s)\n", reason)
 		if srv != nil {
 			srv.SetDraining(true) // probes fail before the socket closes
 		}
@@ -231,21 +268,21 @@ func main() {
 		<-done
 		rep, err := svc.Drain()
 		if err != nil {
-			log.Printf("drain: %v", err)
+			logger.Printf("drain: %v", err)
 		}
 		if rep != nil {
 			if rep.Checkpointed {
-				fmt.Printf("final checkpoint published to %s\n", *ckptDir)
+				fmt.Fprintf(stdout, "final checkpoint published to %s\n", *ckptDir)
 			}
 			if len(rep.Withdrawn) > 0 {
-				fmt.Printf("withdrew %d mitigation rules\n", len(rep.Withdrawn))
+				fmt.Fprintf(stdout, "withdrew %d mitigation rules\n", len(rep.Withdrawn))
 			}
 			s := rep.Service
-			fmt.Printf("service: %d ingested, %d sampled out, %d archive-shed, %d refused, %d checkpoints (%d failed), %d replayed, %d reloads, %d SLO breaches\n",
+			fmt.Fprintf(stdout, "service: %d ingested, %d sampled out, %d archive-shed, %d refused, %d checkpoints (%d failed), %d replayed, %d reloads, %d SLO breaches\n",
 				s.IngestedRecords, s.SampledOutRecords, s.ArchiveShedRecords, s.RefusedRecords,
 				s.Checkpoints, s.CheckpointFailures, s.ReplayedRecords, s.Reloads, s.SLOBreaches)
 		}
-		fmt.Printf("drained: %d records collected, %d alerts raised\n",
+		fmt.Fprintf(stdout, "drained: %d records collected, %d alerts raised\n",
 			records.Load(), alerts.Load())
 		if srv != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -266,17 +303,18 @@ func main() {
 				IPFIXAware:  true,
 			})
 			if err != nil {
-				log.Fatal(err)
+				logger.Print(err)
+				return 1
 			}
 			proxy.RegisterTelemetry(reg)
 			exportAddr = proxy.Addr().String()
-			fmt.Printf("demo traffic passes chaos proxy %s (loss %.1f%%, reorder %.1f%%)\n",
+			fmt.Fprintf(stdout, "demo traffic passes chaos proxy %s (loss %.1f%%, reorder %.1f%%)\n",
 				proxy.Addr(), *loss*100, *reorder*100)
 		}
 		// An aborted demo still drains and reports below: the partial
 		// accounting is exactly what a degraded run needs to show.
-		if err := runDemo(exportAddr, *seed, *scale, reg); err != nil {
-			log.Printf("demo aborted: %v", err)
+		if err := runDemo(stdout, exportAddr, *seed, *scale, reg); err != nil {
+			logger.Printf("demo aborted: %v", err)
 			exitCode = 1
 		}
 		if proxy != nil {
@@ -286,48 +324,47 @@ func main() {
 		shutdown("demo complete")
 		if proxy != nil {
 			l := proxy.Ledger()
-			fmt.Printf("chaos ledger: %d received, %d forwarded, %d dropped, %d reordered, %d records dropped\n",
+			fmt.Fprintf(stdout, "chaos ledger: %d received, %d forwarded, %d dropped, %d reordered, %d records dropped\n",
 				l.Received, l.Forwarded, l.TotalDropped(), l.Reordered, l.TotalDroppedRecords())
 			proxy.Close()
 			if lost := col.Stats().LostRecords(); exitCode == 0 && lost != l.TotalDroppedRecords() {
-				log.Printf("accounting mismatch: collector lost %d records, chaos ledger dropped %d",
+				logger.Printf("accounting mismatch: collector lost %d records, chaos ledger dropped %d",
 					lost, l.TotalDroppedRecords())
 				exitCode = 1
 			}
 		}
-		report(col, svc)
-		closeStore(store, *storeDir)
-		if exitCode != 0 {
-			os.Exit(exitCode)
-		}
-		return
+		report(stdout, col, svc)
+		closeStore(stdout, logger, store, *storeDir)
+		return exitCode
 	}
 
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, os.Interrupt, syscall.SIGTERM)
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(term)
+	defer signal.Stop(hup)
 	for {
 		select {
 		case s := <-term:
 			shutdown(s.String())
-			report(col, svc)
-			closeStore(store, *storeDir)
-			return
+			report(stdout, col, svc)
+			closeStore(stdout, logger, store, *storeDir)
+			return 0
 		case <-hup:
 			// Threshold reload in-process: the UDP socket, monitor state,
 			// and pipeline position all survive.
 			next, err := loadThresholds(*thresholds)
 			if err != nil {
-				log.Printf("reload: %v (keeping active thresholds)", err)
+				logger.Printf("reload: %v (keeping active thresholds)", err)
 				continue
 			}
 			if err := svc.Reload(next); err != nil {
-				log.Printf("reload: %v", err)
+				logger.Printf("reload: %v", err)
 				continue
 			}
 			c := svc.Config()
-			fmt.Printf("reloaded thresholds: size %.0fB, rate %.0f bps, sources %d\n",
+			fmt.Fprintf(stdout, "reloaded thresholds: size %.0fB, rate %.0f bps, sources %d\n",
 				c.SizeThreshold, c.MinRateBps, c.MinSources)
 		}
 	}
@@ -365,15 +402,15 @@ func loadThresholds(path string) (classify.Config, error) {
 // closeStore seals the archive (if one was requested) and prints its
 // final ledger — the accounting a replay consumer checks against the
 // collector's own loss report.
-func closeStore(store *flowstore.Store, dir string) {
+func closeStore(out io.Writer, logger *log.Logger, store *flowstore.Store, dir string) {
 	if store == nil {
 		return
 	}
 	if err := store.Close(); err != nil {
-		log.Printf("sealing store: %v", err)
+		logger.Printf("sealing store: %v", err)
 	}
 	s := store.Stats()
-	fmt.Printf("store %s: %d records appended, %d durable, %d dropped, %d segments, %d bytes\n",
+	fmt.Fprintf(out, "store %s: %d records appended, %d durable, %d dropped, %d segments, %d bytes\n",
 		dir, s.RecordsAppended, s.RecordsDurable, s.RecordsDropped, s.SegmentsSealed, s.BytesWritten)
 }
 
@@ -405,25 +442,25 @@ func waitQuiescent(records *atomic.Int64) {
 }
 
 // report prints the collector and daemon accounting snapshots.
-func report(col *ipfix.Collector, svc *service.Service) {
+func report(out io.Writer, col *ipfix.Collector, svc *service.Service) {
 	s := col.Stats()
-	fmt.Printf("collector: %s\n", col.Health())
-	fmt.Printf("  %d messages, %d bytes, %d records, %d shed, %d decode errors, %d without template\n",
+	fmt.Fprintf(out, "collector: %s\n", col.Health())
+	fmt.Fprintf(out, "  %d messages, %d bytes, %d records, %d shed, %d decode errors, %d without template\n",
 		s.Messages, s.Bytes, s.Records, s.Shed, s.DecodeErrors, s.NoTemplate)
 	for id, ds := range s.Domains {
-		fmt.Printf("  domain %d: %d msgs, %d records, %d lost (gap %d, late %d), %d dup, %d resets, %d unknown-template sets\n",
+		fmt.Fprintf(out, "  domain %d: %d msgs, %d records, %d lost (gap %d, late %d), %d dup, %d resets, %d unknown-template sets\n",
 			id, ds.Messages, ds.Records, ds.LostRecords(), ds.SeqGapRecords,
 			ds.SeqLateRecords, ds.DuplicateMessages, ds.SeqResets, ds.UnknownTemplateSets)
 	}
 	h := svc.Health()
-	fmt.Printf("monitor: %s\n", h.Monitor)
+	fmt.Fprintf(out, "monitor: %s\n", h.Monitor)
 	if h.Shed != service.ShedNone || h.ActiveRules > 0 {
-		fmt.Printf("service: shed level %s, %d active mitigations\n", h.Shed, h.ActiveRules)
+		fmt.Fprintf(out, "service: shed level %s, %d active mitigations\n", h.Shed, h.ActiveRules)
 	}
 }
 
 // runDemo exports one synthetic day of tier-2 traffic to the collector.
-func runDemo(addr string, seed uint64, scale float64, reg *telemetry.Registry) error {
+func runDemo(out io.Writer, addr string, seed uint64, scale float64, reg *telemetry.Registry) error {
 	scenario := trafficgen.NewScenario(trafficgen.Config{
 		Start:    core.StudyStart,
 		Days:     1,
@@ -453,6 +490,6 @@ func runDemo(addr string, seed uint64, scale float64, reg *telemetry.Registry) e
 			time.Sleep(time.Millisecond) // pace: UDP has no flow control
 		}
 	}
-	fmt.Printf("demo exporter sent %d records\n", len(records))
+	fmt.Fprintf(out, "demo exporter sent %d records\n", len(records))
 	return nil
 }

@@ -224,6 +224,16 @@ func TestHotPathGolden(t *testing.T) {
 		Func:   "Budgeted",
 		Value:  "new(int)",
 		Reason: "seeded budget entry: the golden test pins that budgeted escapes stay silent",
+	}, {
+		Pkg:    testdataPath("hotpath"),
+		Func:   "Sum",
+		Value:  "make([]int, n)",
+		Reason: "seeded stale entry: Sum allocates nothing, so the entry is reported at Sum",
+	}, {
+		Pkg:    testdataPath("hotpath"),
+		Func:   "Gone",
+		Value:  "new(int)",
+		Reason: "seeded stale entry for a function that does not exist, reported at the package clause",
 	}}}))
 	runGolden(t, suite, "hotpath")
 }

@@ -118,33 +118,57 @@ type escape struct {
 // Check implements Analyzer.
 func (h *HotPath) Check(pkg *Pkg) []Diagnostic {
 	funcs, out := h.collectHotFuncs(pkg)
-	if len(funcs) == 0 {
-		return out
-	}
-	escapes, err := escapesOf(pkg)
-	if err != nil {
-		out = append(out, Diagnostic{
-			Pos:     pkg.Fset.Position(funcs[0].pos.Pos()),
-			Rule:    h.Name(),
-			Message: fmt.Sprintf("escape analysis of %s failed: %v", pkg.Path, err),
-		})
-		return out
-	}
 	used := make(map[int]int) // budget entry index -> positions consumed
-	for _, esc := range escapes {
-		fn := enclosing(funcs, esc)
-		if fn == nil {
+	if len(funcs) > 0 {
+		escapes, err := escapesOf(pkg)
+		if err != nil {
+			return append(out, Diagnostic{
+				Pos:     pkg.Fset.Position(funcs[0].pos.Pos()),
+				Rule:    h.Name(),
+				Message: fmt.Sprintf("escape analysis of %s failed: %v", pkg.Path, err),
+			})
+		}
+		for _, esc := range escapes {
+			fn := enclosing(funcs, esc)
+			if fn == nil {
+				continue
+			}
+			if h.budgeted(pkg, fn, esc, used) {
+				continue
+			}
+			out = append(out, Diagnostic{
+				Pos:  positionIn(pkg, esc),
+				Rule: h.Name(),
+				Message: fmt.Sprintf("%s escapes to heap inside //bsvet:hotpath function %s; keep the hot path allocation-free or add a justified entry to the hotpath budget",
+					esc.value, fn.name),
+			})
+		}
+	}
+	return append(out, h.stale(pkg, funcs, used)...)
+}
+
+// stale reports this package's budget entries that covered no escape:
+// an allowance left behind when its allocation moved or went away
+// would silently pre-approve the next one.
+func (h *HotPath) stale(pkg *Pkg, funcs []hotFunc, used map[int]int) []Diagnostic {
+	if h.Budget == nil || len(pkg.Files) == 0 {
+		return nil
+	}
+	var out []Diagnostic
+	for i, entry := range h.Budget.Entries {
+		if entry.Pkg != pkg.Path || used[i] > 0 {
 			continue
 		}
-		if h.budgeted(pkg, fn, esc, used) {
-			continue
+		pos := pkg.Files[0].Name.Pos()
+		for _, fn := range funcs {
+			if fn.name == entry.Func {
+				pos = fn.pos.Pos()
+				break
+			}
 		}
-		out = append(out, Diagnostic{
-			Pos:  positionIn(pkg, esc),
-			Rule: h.Name(),
-			Message: fmt.Sprintf("%s escapes to heap inside //bsvet:hotpath function %s; keep the hot path allocation-free or add a justified entry to the hotpath budget",
-				esc.value, fn.name),
-		})
+		out = append(out, diag(pkg, pos, h.Name(),
+			"hotpath budget entry %s %q matches no escape in a //bsvet:hotpath function; delete or retarget it",
+			entry.Func, entry.Value))
 	}
 	return out
 }

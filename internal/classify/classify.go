@@ -363,6 +363,8 @@ func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 
 // add counts one record that passed the filter — the one aggregation
 // body behind both entry points.
+//
+//bsvet:hotpath
 func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	// Truncate in unix-seconds arithmetic: equivalent to
 	// Start.UTC().Truncate(time.Minute) for the study's post-1970

@@ -165,7 +165,7 @@ func TestCollectorSurvivesDecodePanic(t *testing.T) {
 	}
 	defer col.Close()
 	col.dec.mu.Lock()
-	col.dec.templates[9<<16|256] = []fieldSpec{{ieSourceIPv4Address, 1}}
+	col.dec.templates[9<<16|256] = template{fields: []fieldSpec{{ieSourceIPv4Address, 1}}, recLen: 1}
 	col.dec.mu.Unlock()
 
 	delivered := make(chan int, 4)

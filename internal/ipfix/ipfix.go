@@ -60,6 +60,14 @@ type fieldSpec struct {
 	Length uint16
 }
 
+// template is one stored data layout: its fields and the record length
+// they sum to, computed once when the template set is parsed rather
+// than for every data set that uses it.
+type template struct {
+	fields []fieldSpec
+	recLen int
+}
+
 // flowTemplate is the information element layout booterscope exports.
 var flowTemplate = []fieldSpec{
 	{ieSourceIPv4Address, 4}, {ieDestIPv4Address, 4},
@@ -266,7 +274,7 @@ type decoderMetrics struct {
 type Decoder struct {
 	mu sync.Mutex
 	//bsvet:guards mu
-	templates map[uint64][]fieldSpec
+	templates map[uint64]template
 	//bsvet:guards mu
 	domains map[uint32]*domainState
 	m       decoderMetrics
@@ -275,7 +283,7 @@ type Decoder struct {
 // NewDecoder returns an empty decoder.
 func NewDecoder() *Decoder {
 	return &Decoder{
-		templates: make(map[uint64][]fieldSpec),
+		templates: make(map[uint64]template),
 		domains:   make(map[uint32]*domainState),
 		m: decoderMetrics{
 			messages:       telemetry.NewCounter(),
@@ -324,7 +332,8 @@ func (d *Decoder) domainLocked(id uint32) *domainState {
 	return st
 }
 
-// Decode parses one IPFIX message and returns its flow records.
+// Decode parses one IPFIX message and returns its flow records in
+// fresh memory the caller may keep.
 //
 // Data sets referencing templates the decoder has not seen are skipped
 // and counted in the domain's DomainStats rather than dropped silently;
@@ -333,15 +342,25 @@ func (d *Decoder) domainLocked(id uint32) *domainState {
 // (uint32 wraparound-safe) and gaps, late arrivals, duplicates, and
 // restarts are accounted.
 func (d *Decoder) Decode(b []byte) ([]flow.Record, error) {
+	return d.appendDecode(nil, b)
+}
+
+// appendDecode is Decode appending the message's records to dst. On
+// any error the rows appended for this message are cut off again, so a
+// slab reused across messages never carries a malformed datagram's
+// partial rows; the returned slice keeps whatever capacity was grown.
+//
+//bsvet:hotpath
+func (d *Decoder) appendDecode(dst []flow.Record, b []byte) ([]flow.Record, error) {
 	if len(b) < headerLen {
-		return nil, ErrTruncated
+		return dst, ErrTruncated
 	}
 	if binary.BigEndian.Uint16(b) != VersionIPFIX {
-		return nil, ErrBadVersion
+		return dst, ErrBadVersion
 	}
 	msgLen := int(binary.BigEndian.Uint16(b[2:]))
 	if msgLen < headerLen || msgLen > len(b) {
-		return nil, ErrTruncated
+		return dst, ErrTruncated
 	}
 	seq := binary.BigEndian.Uint32(b[8:])
 	domain := binary.BigEndian.Uint32(b[12:])
@@ -349,41 +368,42 @@ func (d *Decoder) Decode(b []byte) ([]flow.Record, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	var out []flow.Record
+	base := len(dst)
 	templateSets, unknownSets := 0, 0
 	off := headerLen
 	for off+setHeaderLen <= msgLen {
 		setID := binary.BigEndian.Uint16(b[off:])
 		setLen := int(binary.BigEndian.Uint16(b[off+2:]))
 		if setLen < setHeaderLen || off+setLen > msgLen {
-			return nil, ErrBadSet
+			return dst[:base], ErrBadSet
 		}
 		content := b[off+setHeaderLen : off+setLen]
 		switch {
 		case setID == templateSetID:
 			if err := d.parseTemplatesLocked(domain, content); err != nil {
-				return nil, err
+				return dst[:base], err
 			}
 			templateSets++
 		case setID >= minDataSetID:
-			recs, err := d.parseDataLocked(domain, setID, content)
+			var err error
+			dst, err = d.parseDataLocked(dst, domain, setID, content)
 			if errors.Is(err, ErrNoTemplate) {
 				unknownSets++
 				break
 			}
 			if err != nil {
-				return nil, err
+				return dst[:base], err
 			}
-			out = append(out, recs...)
 		}
 		off += setLen
 	}
 
-	d.account(domain, seq, len(out), unknownSets)
-	if unknownSets > 0 && len(out) == 0 && templateSets == 0 {
-		return nil, ErrNoTemplate
+	n := len(dst) - base
+	d.account(domain, seq, n, unknownSets)
+	if unknownSets > 0 && n == 0 && templateSets == 0 {
+		return dst, ErrNoTemplate
 	}
-	return out, nil
+	return dst, nil
 }
 
 // account updates the domain's sequence and drop accounting for one
@@ -459,20 +479,21 @@ func (d *Decoder) parseTemplatesLocked(domain uint32, b []byte) error {
 			return ErrBadSet
 		}
 		key := uint64(domain)<<16 | uint64(tid)
-		fields := make([]fieldSpec, count)
-		for i := range fields {
-			fields[i] = fieldSpec{
+		t := template{fields: make([]fieldSpec, count)}
+		for i := range t.fields {
+			t.fields[i] = fieldSpec{
 				ID:     binary.BigEndian.Uint16(b[off:]),
 				Length: binary.BigEndian.Uint16(b[off+2:]),
 			}
+			t.recLen += int(t.fields[i].Length)
 			off += 4
 		}
-		if err := checkTemplate(tid, fields); err != nil {
+		if err := checkTemplate(tid, t.fields); err != nil {
 			d.m.badTemplates.Inc()
 			delete(d.templates, key)
 			return err
 		}
-		d.templates[key] = fields
+		d.templates[key] = t
 	}
 	return nil
 }
@@ -489,26 +510,38 @@ func checkTemplate(tid uint16, fields []fieldSpec) error {
 	return nil
 }
 
-// parseDataLocked reads one data set. Every slice below is as wide as
-// legalLength allowed when the template was stored, so the fixed-width
-// reads cannot run past it.
-func (d *Decoder) parseDataLocked(domain uint32, tid uint16, b []byte) ([]flow.Record, error) {
-	fields, ok := d.templates[uint64(domain)<<16|uint64(tid)]
+// parseDataLocked appends one data set's records to dst, growing it
+// once for the whole set. Every slice below is as wide as legalLength
+// allowed when the template was stored, so the fixed-width reads cannot
+// run past it.
+//
+//bsvet:hotpath
+func (d *Decoder) parseDataLocked(dst []flow.Record, domain uint32, tid uint16, b []byte) ([]flow.Record, error) {
+	t, ok := d.templates[uint64(domain)<<16|uint64(tid)]
 	if !ok {
-		return nil, ErrNoTemplate
+		return dst, ErrNoTemplate
 	}
-	recLen := 0
-	for _, f := range fields {
-		recLen += int(f.Length)
+	if t.recLen == 0 {
+		return dst, ErrBadSet
 	}
-	if recLen == 0 {
-		return nil, ErrBadSet
+	n := len(b) / t.recLen
+	if cap(dst)-len(dst) < n {
+		// slices.Grow written out: its negative-count panic string
+		// would be a second escape here, and under -race its
+		// append-of-make is two allocations. Doubling keeps a stream of
+		// ever-larger messages from copying the slab quadratically; a
+		// reused slab grows only up to the largest message seen.
+		grown := make([]flow.Record, len(dst), max(len(dst)+n, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
 	}
-	var out []flow.Record
-	for off := 0; off+recLen <= len(b); off += recLen {
-		var rec flow.Record
-		fo := off
-		for _, f := range fields {
+	first := len(dst)
+	dst = dst[:first+n]
+	for k := range n {
+		rec := &dst[first+k]
+		*rec = flow.Record{}
+		fo := k * t.recLen
+		for _, f := range t.fields {
 			v := b[fo : fo+int(f.Length)]
 			switch f.ID {
 			case ieSourceIPv4Address:
@@ -541,7 +574,6 @@ func (d *Decoder) parseDataLocked(domain uint32, tid uint16, b []byte) ([]flow.R
 		if rec.SamplingRate == 0 {
 			rec.SamplingRate = 1
 		}
-		out = append(out, rec)
 	}
-	return out, nil
+	return dst, nil
 }

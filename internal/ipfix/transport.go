@@ -324,6 +324,7 @@ func (c *Collector) Health() Health {
 // socket: batches decoded after the swap go to the new handler. This
 // is the reload path — a daemon re-wiring its pipeline on SIGHUP keeps
 // its UDP listener (and loses no datagrams to a close/reopen window).
+// The new handler borrows its records on the terms Run states.
 func (c *Collector) SetHandler(handle func([]flow.Record)) {
 	c.handler.Store(&handle)
 }
@@ -346,6 +347,10 @@ func (c *Collector) QueueDepth() (depth, capacity int) {
 // locking of its own; swap it live with SetHandler). Undecodable
 // messages, unknown-template drops, shed datagrams, and sequence gaps
 // are all accounted in Stats; the queue is drained before Run returns.
+//
+// The batch is lent, not given: the worker decodes every message into
+// the same slab, so recs is valid only until handle returns. A handler
+// that keeps records past that must copy them.
 func (c *Collector) Run(handle func([]flow.Record)) error {
 	c.SetHandler(handle)
 	qsize := c.QueueSize
@@ -356,23 +361,12 @@ func (c *Collector) Run(handle func([]flow.Record)) error {
 	c.mu.Lock()
 	c.queue = queue
 	c.mu.Unlock()
+	w := &decodeWorker{c: c, free: make(chan []byte, qsize)}
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)
 		for msg := range queue {
-			recs, err := c.decode(msg)
-			if err != nil {
-				if errors.Is(err, ErrNoTemplate) {
-					c.noTemplate.Inc()
-				} else {
-					c.decodeErrors.Inc()
-				}
-				continue
-			}
-			if len(recs) > 0 {
-				c.records.Add(uint64(len(recs)))
-				(*c.handler.Load())(recs)
-			}
+			w.handle(msg)
 		}
 	}()
 
@@ -391,13 +385,14 @@ func (c *Collector) Run(handle func([]flow.Record)) error {
 		}
 		c.messages.Inc()
 		c.bytes.Add(uint64(n))
-		msg := make([]byte, n)
+		msg := w.buffer(n)
 		copy(msg, buf[:n])
 		select {
 		case queue <- msg:
 			c.queueHigh.SetMax(float64(len(queue)))
 		default:
 			c.shed.Inc() // load-shed: never block the socket reader
+			w.recycle(msg)
 		}
 	}
 	close(queue)
@@ -405,22 +400,80 @@ func (c *Collector) Run(handle func([]flow.Record)) error {
 	return runErr
 }
 
+// decodeWorker is the state Run's decode goroutine keeps across
+// messages: the slab every message decodes into and the handler
+// borrows, and the free list of datagram buffers shared with the socket
+// reader. The list is as deep as the ingest queue, so the buffer of
+// every queued datagram has room to come back; the reader allocates
+// when it is empty, so it never waits on the worker.
+type decodeWorker struct {
+	c    *Collector
+	recs []flow.Record
+	free chan []byte
+}
+
+// buffer returns an n-byte datagram buffer, recycled when the free list
+// has one large enough.
+func (w *decodeWorker) buffer(n int) []byte {
+	select {
+	case b := <-w.free:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// recycle offers a datagram buffer back to the free list, dropping it
+// when the list is full.
+func (w *decodeWorker) recycle(b []byte) {
+	select {
+	case w.free <- b:
+	default:
+	}
+}
+
+// handle decodes one queued datagram into the worker's slab, returns the
+// datagram's buffer (no record points into it), and lends the records
+// to the handler.
+//
+//bsvet:hotpath
+func (w *decodeWorker) handle(msg []byte) {
+	c := w.c
+	recs, err := c.decode(w.recs[:0], msg)
+	w.recycle(msg)
+	w.recs = recs
+	if err != nil {
+		if errors.Is(err, ErrNoTemplate) {
+			c.noTemplate.Inc()
+		} else {
+			c.decodeErrors.Inc()
+		}
+		return
+	}
+	if len(recs) > 0 {
+		c.records.Add(uint64(len(recs)))
+		(*c.handler.Load())(recs)
+	}
+}
+
 // decode is the decoder behind a last-resort recover: should a datagram
 // get past template validation and panic the parser, it is counted,
 // recorded and reported as a decode error, and the daemon serves the
 // next one. Only the decoder is covered — a panic in the handler is a
-// pipeline bug and stays fatal.
-func (c *Collector) decode(msg []byte) (recs []flow.Record, err error) {
+// pipeline bug and stays fatal. Records are appended to dst.
+func (c *Collector) decode(dst []flow.Record, msg []byte) (recs []flow.Record, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			c.decodePanics.Inc()
 			eventlog.Active().Emit("ipfix", "ipfix_decode_panic", 0,
 				eventlog.A("panic", fmt.Sprint(p)),
 				eventlog.AInt("datagram_bytes", int64(len(msg))))
-			recs, err = nil, fmt.Errorf("ipfix: decoder panicked: %v", p)
+			recs, err = dst, fmt.Errorf("ipfix: decoder panicked: %v", p)
 		}
 	}()
-	return c.dec.Decode(msg)
+	return c.dec.appendDecode(dst, msg)
 }
 
 // Close stops the collector.

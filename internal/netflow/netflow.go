@@ -343,10 +343,17 @@ type optTemplate struct {
 	fields   []templateField
 }
 
+// template is a stored v9 data layout: its fields and the record length
+// they sum to, computed once when the template flowset is parsed.
+type template struct {
+	fields []templateField
+	recLen int
+}
+
 // V9Collector decodes NetFlow v9 packets, tracking templates and
 // sampling options per source ID as RFC 3954 requires.
 type V9Collector struct {
-	templates    map[uint64][]templateField // (sourceID<<16|templateID) -> fields
+	templates    map[uint64]template // (sourceID<<16|templateID) -> layout
 	optTemplates map[uint64]optTemplate
 	sampling     map[uint32]uint32 // sourceID -> advertised 1-in-N rate
 	badTemplates uint64
@@ -355,7 +362,7 @@ type V9Collector struct {
 // NewV9Collector returns an empty collector.
 func NewV9Collector() *V9Collector {
 	return &V9Collector{
-		templates:    make(map[uint64][]templateField),
+		templates:    make(map[uint64]template),
 		optTemplates: make(map[uint64]optTemplate),
 		sampling:     make(map[uint32]uint32),
 	}
@@ -413,11 +420,11 @@ func (c *V9Collector) DecodeV9(b []byte) ([]flow.Record, error) {
 				}
 				break
 			}
-			recs, err := c.parseData(sourceID, setID, content, ts, uptime32)
+			var err error
+			out, err = c.parseData(out, sourceID, setID, content, ts, uptime32)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, recs...)
 		}
 		off += setLen
 	}
@@ -496,20 +503,21 @@ func (c *V9Collector) parseTemplates(sourceID uint32, b []byte) error {
 			return errBadTemplate
 		}
 		key := uint64(sourceID)<<16 | uint64(tid)
-		fields := make([]templateField, count)
-		for i := 0; i < count; i++ {
-			fields[i] = templateField{
+		t := template{fields: make([]templateField, count)}
+		for i := range t.fields {
+			t.fields[i] = templateField{
 				Type:   binary.BigEndian.Uint16(b[off:]),
 				Length: binary.BigEndian.Uint16(b[off+2:]),
 			}
+			t.recLen += int(t.fields[i].Length)
 			off += 4
 		}
-		if err := checkTemplate(tid, fields); err != nil {
+		if err := checkTemplate(tid, t.fields); err != nil {
 			c.badTemplates++
 			delete(c.templates, key)
 			return err
 		}
-		c.templates[key] = fields
+		c.templates[key] = t
 	}
 	return nil
 }
@@ -548,26 +556,33 @@ func legalLength(typ, n uint16) bool {
 	return true
 }
 
-// parseData reads one data flowset. Every slice below is as wide as
-// legalLength allowed when the template was stored, so the fixed-width
-// reads cannot run past it.
-func (c *V9Collector) parseData(sourceID uint32, tid uint16, b []byte, ts time.Time, uptime32 uint32) ([]flow.Record, error) {
-	fields, ok := c.templates[uint64(sourceID)<<16|uint64(tid)]
+// parseData appends one data flowset's records to dst, growing it once
+// for the whole flowset. Every slice below is as wide as legalLength
+// allowed when the template was stored, so the fixed-width reads cannot
+// run past it.
+func (c *V9Collector) parseData(dst []flow.Record, sourceID uint32, tid uint16, b []byte, ts time.Time, uptime32 uint32) ([]flow.Record, error) {
+	t, ok := c.templates[uint64(sourceID)<<16|uint64(tid)]
 	if !ok {
-		return nil, ErrNoTemplate
+		return dst, ErrNoTemplate
 	}
-	recLen := 0
-	for _, f := range fields {
-		recLen += int(f.Length)
+	if t.recLen == 0 {
+		return dst, errBadTemplate
 	}
-	if recLen == 0 {
-		return nil, errBadTemplate
+	n := len(b) / t.recLen
+	if cap(dst)-len(dst) < n {
+		// Grown as ipfix's parseDataLocked grows its slab.
+		grown := make([]flow.Record, len(dst), max(len(dst)+n, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
 	}
-	var out []flow.Record
-	for off := 0; off+recLen <= len(b); off += recLen {
-		rec := flow.Record{SamplingRate: c.SamplingRate(sourceID)}
-		fo := off
-		for _, f := range fields {
+	first := len(dst)
+	dst = dst[:first+n]
+	rate := c.SamplingRate(sourceID)
+	for k := range n {
+		rec := &dst[first+k]
+		*rec = flow.Record{SamplingRate: rate}
+		fo := k * t.recLen
+		for _, f := range t.fields {
 			v := b[fo : fo+int(f.Length)]
 			switch f.Type {
 			case fieldIPv4Src:
@@ -595,9 +610,8 @@ func (c *V9Collector) parseData(sourceID uint32, tid uint16, b []byte, ts time.T
 			}
 			fo += int(f.Length)
 		}
-		out = append(out, rec)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Version sniffs the NetFlow version of an export packet.

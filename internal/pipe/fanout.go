@@ -13,10 +13,17 @@ import (
 
 // shardQueueDepth bounds each shard channel in batches. A routing
 // producer that outruns a shard blocks on that shard's queue — this
-// is the pipeline's backpressure: memory is capped at
-// shards × depth × batch size records, and a slow stage slows the
-// source instead of ballooning the heap.
-const shardQueueDepth = 4
+// is the pipeline's backpressure: a slow stage slows the source
+// instead of ballooning the heap. Per shard at most depth + 2 slabs
+// exist (queued, the one the worker holds, the pending one), so
+// memory is capped at shards × (depth + 2) × batch size records.
+//
+// Two, not more: the live collector's sender window bounds its socket
+// queue, but nothing else bounds what a fast decoder parks here, and at
+// four slabs the CPU a faster decoder saved came back as hand-off to
+// alert tail latency. One slab cost the replay workloads throughput.
+// DESIGN.md §9 has the measurements.
+const shardQueueDepth = 2
 
 // Advancer is the optional stage extension for watermark-driven state
 // (the sharded classify.Monitor): after the last record has been
@@ -323,9 +330,9 @@ func (f *FanOut) flush(s int) error {
 	if p.Len() == 0 {
 		return nil
 	}
-	f.pending[s] = NewBatch()
 	metricBatchesRouted.Inc()
 	if f.inline {
+		f.pending[s] = NewBatch()
 		start := time.Now() //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
 		err := f.shards[s].Process(p)
 		metricStageLatency.ObserveDuration(time.Since(start)) //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
@@ -338,10 +345,12 @@ func (f *FanOut) flush(s int) error {
 		return nil
 	}
 	if f.failed.Load() {
-		p.Release()
-		return f.err()
+		return f.err() // Close releases the pending slab
 	}
+	// The fresh slab is taken only once the send is through, so a
+	// router blocked on a full queue holds no extra slab.
 	f.chans[s] <- p
+	f.pending[s] = NewBatch()
 	metricShardQueueHWM.SetMax(float64(len(f.chans[s])))
 	return nil
 }
