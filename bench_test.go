@@ -157,7 +157,7 @@ func BenchmarkFigure2cVictimCDFs(b *testing.B) {
 	var below10Sources, above1Gbps float64
 	for i := 0; i < b.N; i++ {
 		study := core.NewLandscapeStudy(core.Options{Seed: benchSeed, Scale: 0.5, Days: 30})
-		v := study.Figure2bc(trafficgen.KindTier2)
+		v := study.AllVantages()[2] // tier-2
 		below10Sources = v.SourcesCDF.At(10)
 		above1Gbps = 1 - v.RateCDF.At(1)
 	}
@@ -531,7 +531,7 @@ func BenchmarkFlowstoreScan(b *testing.B) {
 		recs := scenario.Day(trafficgen.KindIXP, d)
 		if d == queryDay {
 			for i := range recs {
-				if classify.IsNTPFlow(&recs[i]) {
+				if recs[i].Protocol == packet.IPProtoUDP && recs[i].SrcPort == classify.NTPPort {
 					victim = recs[i].Dst
 					break
 				}

@@ -3,7 +3,7 @@
 // standard vet format (file:line:col: rule: message), exiting nonzero
 // when anything is found. `make analyze` wires it into `make check`.
 //
-// Six analyzers run:
+// Seven analyzers run:
 //
 //   - determinism: no wall-clock reads (time.Now/Since/Until), no
 //     process-global math/rand draws, and no map-iteration feeding
@@ -31,6 +31,11 @@
 //     allocation-free per the compiler's own escape analysis
 //     (-gcflags=-m=2), modulo the justified entries in
 //     analysis/hotpath_budget.json.
+//   - deadcode: on a whole-module load, exported identifiers in
+//     internal/ that no non-test code outside their package uses, and
+//     unexported ones nothing uses. cmd/, examples/ and bench/ count as
+//     callers. The same load reports any package path the lists below
+//     name that the module no longer contains.
 //
 // Usage: bsvet [-hotpath.budget file] [-timings] [packages]
 // (packages default to ./...)
@@ -172,7 +177,7 @@ func main() {
 	}
 
 	// One loader for the whole run: the go list resolution and the
-	// type-check of each package are shared by all six analyzers.
+	// type-check of each package are shared by all seven analyzers.
 	pkgs, err := analysis.NewLoader().Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bsvet: %v\n", err)
@@ -185,6 +190,7 @@ func main() {
 		analysis.NewLockDiscipline(),
 		analysis.NewGoroutineLifecycle(lifecyclePackages...),
 		analysis.NewHotPath(budget),
+		analysis.NewDeadcode(),
 	)
 	diags := suite.Run(pkgs)
 	for _, d := range diags {

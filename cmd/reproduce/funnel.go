@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"booterscope/internal/classify"
 	"booterscope/internal/core"
@@ -25,7 +24,7 @@ const (
 // straight to the decoder, no UDP, so nothing can be lost in transit —
 // and checks the telemetry funnel: exported ≥ collected ≥ classified,
 // with the first two exactly equal on the lossless path.
-func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
+func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) error {
 	exported := reg.Counter(funnelExported, "records encoded for export")
 	collected := reg.Counter(funnelCollected, "records decoded at the collector")
 	classified := reg.Counter(funnelClassified, "records passing the optimistic amplified-NTP filter")
@@ -52,13 +51,13 @@ func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
 
 		msg, err := enc.Encode(batch, ts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		exported.Add(uint64(len(batch)))
 
 		recs, err := dec.Decode(msg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		collected.Add(uint64(len(recs)))
 
@@ -69,10 +68,11 @@ func (h *harness) funnel(seed uint64, scale float64, reg *telemetry.Registry) {
 	classified.Add(monitor.Stats().Matched)
 
 	points := reg.Snapshot().Funnel(funnelExported, funnelCollected, funnelClassified)
-	fmt.Printf("telemetry funnel: exported=%d collected=%d classified=%d\n",
+	fmt.Fprintf(h.stdout, "telemetry funnel: exported=%d collected=%d classified=%d\n",
 		points[0].Count, points[1].Count, points[2].Count)
 	h.add("Funnel", "telemetry funnel is monotonic and lossless in process",
 		telemetry.Monotonic(points) && points[0].Count > 0 && points[0].Count == points[1].Count,
 		"exported %d >= collected %d >= classified %d",
 		points[0].Count, points[1].Count, points[2].Count)
+	return nil
 }

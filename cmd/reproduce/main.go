@@ -6,9 +6,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/netip"
 	"os"
 	"time"
@@ -39,6 +40,8 @@ type harness struct {
 	// par is the pipeline shard count for the record analyses (0 =
 	// NumCPU); results are identical at any setting.
 	par int
+	// stdout receives the progress lines printed before the table.
+	stdout io.Writer
 }
 
 func (h *harness) add(id, claim string, ok bool, format string, args ...any) {
@@ -46,39 +49,72 @@ func (h *harness) add(id, claim string, ok bool, format string, args ...any) {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("reproduce: ")
-	var (
-		seed  = flag.Uint64("seed", 1, "random seed")
-		scale = flag.Float64("scale", 0.3, "traffic scale for landscape/takedown studies")
-		par   = flag.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
-	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	reg := telemetry.Default()
+// errClaimsFailed marks a run that completed but reproduced fewer than
+// all claims; the table already says which.
+var errClaimsFailed = errors.New("claims failed")
+
+// run is the whole command: it parses args, runs every study and
+// prints the claim table to stdout. It returns the exit code — 0 when
+// every claim reproduces, 1 when one fails or a study errors, 2 on a
+// bad flag — so tests can run it in process, more than once.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed  = fs.Uint64("seed", 1, "random seed")
+		scale = fs.Float64("scale", 0.3, "traffic scale for landscape/takedown studies")
+		par   = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
+	)
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its golden test.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := reproduce(*seed, *scale, *par, *debugAddr, stdout); err != nil {
+		if !errors.Is(err, errClaimsFailed) {
+			fmt.Fprintf(stderr, "reproduce: %v\n", err)
+		}
+		return 1
+	}
+	return 0
+}
+
+// reproduce runs the studies and prints the claim table.
+func reproduce(seed uint64, scale float64, par int, debugAddr string, stdout io.Writer) error {
+	reg := telemetry.NewRegistry()
 	flow.RegisterTelemetry(reg)
 	bgp.RegisterTelemetry(reg)
 	ixp.RegisterTelemetry(reg)
 	booter.RegisterTelemetry(reg)
-	srv, err := debugserver.Start(*debugAddr, reg)
+	srv, err := debugserver.Start(debugAddr, reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(stdout, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 
-	h := harness{par: *par}
-	h.selfAttack(*seed)
-	h.landscape(*seed, *scale)
-	h.takedown(*seed, *scale)
-	h.domains(*seed)
-	h.extensions(*seed)
-	h.funnel(*seed, *scale, reg)
+	h := harness{par: par, stdout: stdout}
+	for _, study := range []func() error{
+		func() error { return h.selfAttack(seed) },
+		func() error { return h.landscape(seed, scale) },
+		func() error { return h.takedown(seed, scale) },
+		func() error { return h.domains(seed) },
+		func() error { return h.extensions(seed) },
+		func() error { return h.funnel(seed, scale, reg) },
+	} {
+		if err := study(); err != nil {
+			return err
+		}
+	}
 
-	fmt.Printf("%-8s %-6s %-58s %s\n", "exp", "result", "claim", "measured")
+	fmt.Fprintf(stdout, "%-8s %-6s %-58s %s\n", "exp", "result", "claim", "measured")
 	failed := 0
 	for _, c := range h.checks {
 		result := "PASS"
@@ -86,18 +122,19 @@ func main() {
 			result = "FAIL"
 			failed++
 		}
-		fmt.Printf("%-8s %-6s %-58s %s\n", c.id, result, c.claim, c.got)
+		fmt.Fprintf(stdout, "%-8s %-6s %-58s %s\n", c.id, result, c.claim, c.got)
 	}
-	fmt.Printf("\n%d/%d claims reproduced\n", len(h.checks)-failed, len(h.checks))
+	fmt.Fprintf(stdout, "\n%d/%d claims reproduced\n", len(h.checks)-failed, len(h.checks))
 	if failed > 0 {
-		os.Exit(1)
+		return errClaimsFailed
 	}
+	return nil
 }
 
 // extensions checks the future-work models against the paper's
 // conclusions: the economy explains why victims saw no relief, and
 // surgical mitigation beats blackholing.
-func (h *harness) extensions(seed uint64) {
+func (h *harness) extensions(seed uint64) error {
 	market := economy.NewMarket(economy.Config{
 		Start:    core.TakedownDate.AddDate(0, 0, -48),
 		Days:     90,
@@ -106,7 +143,7 @@ func (h *harness) extensions(seed uint64) {
 	})
 	impact, err := economy.Impact(market.Run(), core.TakedownDate, 14)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h.add("Econ", "seized booters lose most revenue, attack demand barely moves",
 		impact.SeizedRevenueRatio() < 0.6 && impact.DemandRatio() > 0.7,
@@ -115,7 +152,7 @@ func (h *harness) extensions(seed uint64) {
 
 	study, err := core.NewSelfAttackStudy(core.Options{Seed: seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	victim := study.Obs.NextTargetIP()
 	if err := study.Obs.Fabric.AnnounceFlowSpec(bgp.FlowSpecRule{
@@ -124,29 +161,30 @@ func (h *harness) extensions(seed uint64) {
 		SrcPort:      123,
 		MinPacketLen: 200,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	atk, err := study.Engine.Launch(booter.Order{
 		Service: study.Catalog[1], Vector: amplify.NTP, Tier: booter.VIP,
 		Target: victim, Duration: 30 * time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep, err := study.Obs.RunAttack(atk, core.SelfAttackStart, observatory.CaptureOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h.add("Mitig", "FlowSpec filters the attack without blackholing the victim",
 		rep.PeakMbps() < 100 && rep.PeakFilteredMbps() > 10000,
 		"%.0f Mbps reached, %.1f Gbps filtered at the edges",
 		rep.PeakMbps(), rep.PeakFilteredMbps()/1000)
+	return nil
 }
 
-func (h *harness) selfAttack(seed uint64) {
+func (h *harness) selfAttack(seed uint64) error {
 	study, err := core.NewSelfAttackStudy(core.Options{Seed: seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	rows := study.Table1()
@@ -161,7 +199,7 @@ func (h *harness) selfAttack(seed uint64) {
 
 	results, err := study.RunNonVIPAttacks(60 * time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var peak float64
 	var cldapRefl, cldapPeers, ntpPeers int
@@ -198,7 +236,7 @@ func (h *harness) selfAttack(seed uint64) {
 
 	vip, err := study.RunVIPAttacks()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	offered := vip[0].Report.PeakOfferedMbps()
 	h.add("Fig1b", "VIP NTP generates ~20 Gbps (~25% of advertised 80)",
@@ -208,7 +246,7 @@ func (h *harness) selfAttack(seed uint64) {
 
 	overlap, err := study.RunReflectorOverlap()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h.add("Fig1c", "same-day attacks reuse the identical reflector set",
 		overlap.Matrix[0][1] == 1, "overlap %.2f", overlap.Matrix[0][1])
@@ -216,9 +254,10 @@ func (h *harness) selfAttack(seed uint64) {
 		overlap.Matrix[4][5] < 0.1, "overlap %.2f", overlap.Matrix[4][5])
 	h.add("Fig1c", "moderate churn over two weeks (~30%)",
 		overlap.Matrix[0][4] > 0.3 && overlap.Matrix[0][4] < 0.95, "overlap %.2f", overlap.Matrix[0][4])
+	return nil
 }
 
-func (h *harness) landscape(seed uint64, scale float64) {
+func (h *harness) landscape(seed uint64, scale float64) error {
 	study := core.NewLandscapeStudy(core.Options{Seed: seed, Scale: scale, Days: 30, Parallelism: h.par})
 
 	dist := study.Figure2a()
@@ -250,13 +289,14 @@ func (h *harness) landscape(seed uint64, scale float64) {
 		fs.ReductionBoth() > 0.6 && fs.ReductionBoth() < 0.95,
 		"-%.0f%% (rate only -%.0f%%, sources only -%.0f%%)",
 		fs.ReductionBoth()*100, fs.ReductionRate()*100, fs.ReductionSources()*100)
+	return nil
 }
 
-func (h *harness) takedown(seed uint64, scale float64) {
+func (h *harness) takedown(seed uint64, scale float64) error {
 	study := core.NewTakedownStudy(core.Options{Seed: seed, Scale: scale, Parallelism: h.par})
 	panels, err := study.Figure4(trafficgen.KindTier2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	red := map[amplify.Vector]float64{}
 	sig := map[amplify.Vector]bool{}
@@ -273,7 +313,7 @@ func (h *harness) takedown(seed uint64, scale float64) {
 
 	ixpPanels, err := study.Figure4(trafficgen.KindIXP)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var ixpMemSig, ixpDNSSig bool
 	for _, p := range ixpPanels {
@@ -289,7 +329,7 @@ func (h *harness) takedown(seed uint64, scale float64) {
 
 	fig5, err := study.Figure5(trafficgen.KindIXP)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h.add("Fig5", "no significant reduction in systems attacked",
 		!fig5.Metrics.WT30.Significant && !fig5.Metrics.WT40.Significant,
@@ -299,7 +339,7 @@ func (h *harness) takedown(seed uint64, scale float64) {
 	// re-test.
 	rob, err := takedown.Figure4Robustness(study.Scenario, trafficgen.KindTier2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	agree := 0
 	for _, r := range rob {
@@ -310,9 +350,10 @@ func (h *harness) takedown(seed uint64, scale float64) {
 	h.add("S5.2", "Welch verdicts agree with the Mann-Whitney rank test",
 		agree == len(rob), "%d/%d panels agree", agree, len(rob))
 	_ = takedown.FBITakedown
+	return nil
 }
 
-func (h *harness) domains(seed uint64) {
+func (h *harness) domains(seed uint64) error {
 	study := core.NewDomainStudy(core.Options{Seed: seed})
 	booters := study.IdentifiedBooters()
 	h.add("Fig3", "58 booter domains identified by keyword search",
@@ -356,4 +397,5 @@ func (h *harness) domains(seed uint64) {
 	}
 	h.add("S5.1", "content verification finds the re-emerged booter",
 		successorVerified, "%d booters verified by content", len(verified))
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"testing"
 
 	"booterscope/internal/telemetry"
@@ -19,8 +20,10 @@ const (
 func runFunnel(t *testing.T) (telemetry.Snapshot, harness) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	var h harness
-	h.funnel(goldenSeed, goldenScale, reg)
+	h := harness{stdout: io.Discard}
+	if err := h.funnel(goldenSeed, goldenScale, reg); err != nil {
+		t.Fatal(err)
+	}
 	return reg.Snapshot(), h
 }
 

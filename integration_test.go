@@ -228,7 +228,7 @@ func TestSelfAttackCaptureReplay(t *testing.T) {
 		if rec.Dst != target {
 			t.Fatalf("captured flow toward %v, not the target", rec.Dst)
 		}
-		if classify.IsAmplifiedNTP(&rec, classify.Config{}) {
+		if rec.Protocol == packet.IPProtoUDP && rec.SrcPort == classify.NTPPort && rec.AvgPacketSize() > classify.OptimisticSizeThreshold {
 			amplified++
 		}
 	}

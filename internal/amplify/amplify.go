@@ -90,31 +90,19 @@ type Protocol interface {
 func ForVector(v Vector) (Protocol, error) {
 	switch v {
 	case NTP:
-		return NTPMonlist{}, nil
+		return ntpMonlist{}, nil
 	case DNS:
-		return DNSAny{Domain: "example.com"}, nil
+		return dnsAny{Domain: "example.com"}, nil
 	case CLDAP:
-		return CLDAPSearch{}, nil
+		return cldapSearch{}, nil
 	case Memcached:
-		return MemcachedStats{}, nil
+		return memcachedStats{}, nil
 	case SSDP:
-		return SSDPSearch{}, nil
+		return ssdpSearch{}, nil
 	case Chargen:
-		return ChargenAny{}, nil
+		return chargenAny{}, nil
 	default:
 		return nil, fmt.Errorf("amplify: unknown vector %v", v)
-	}
-}
-
-// All returns every implemented protocol.
-func All() []Protocol {
-	return []Protocol{
-		NTPMonlist{},
-		DNSAny{Domain: "example.com"},
-		CLDAPSearch{},
-		MemcachedStats{},
-		SSDPSearch{},
-		ChargenAny{},
 	}
 }
 
@@ -122,13 +110,12 @@ func All() []Protocol {
 // protocol needs its responses to hit specific IP total lengths.
 const ipUDPOverhead = 28
 
-// NTPMonlist is the NTP mode-7 MON_GETLIST_1 amplification vector, the
+// ntpMonlist is the NTP mode-7 MON_GETLIST_1 amplification vector, the
 // most reliable booter attack observed in the study.
-type NTPMonlist struct{}
+type ntpMonlist struct{}
 
 // NTP mode-7 constants.
 const (
-	ntpMode7          = 7
 	ntpImplXNTPD      = 3
 	ntpReqMonGetList1 = 42
 	ntpMonlistEntry   = 72 // bytes per monitor list entry
@@ -139,10 +126,10 @@ const (
 var MonlistResponseIPLens = []int{486, 490}
 
 // Vector implements Protocol.
-func (NTPMonlist) Vector() Vector { return NTP }
+func (ntpMonlist) Vector() Vector { return NTP }
 
 // BuildRequest returns an 8-byte mode-7 MON_GETLIST_1 request.
-func (NTPMonlist) BuildRequest(_ *netutil.Rand) []byte {
+func (ntpMonlist) BuildRequest(_ *netutil.Rand) []byte {
 	// LI=0, version=2, mode=7 | auth/sequence | implementation | request
 	// code, then 4 zero bytes (err/nitems/mbz/size).
 	return []byte{0x17, 0x00, ntpImplXNTPD, ntpReqMonGetList1, 0, 0, 0, 0}
@@ -151,7 +138,7 @@ func (NTPMonlist) BuildRequest(_ *netutil.Rand) []byte {
 // BuildResponses returns a burst of monlist response datagrams. A full
 // monlist answer spans up to 100 packets of 6 entries each; booter-driven
 // reflectors typically return 10–100 packets per request.
-func (n NTPMonlist) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
+func (n ntpMonlist) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 	packets := 10 + r.IntN(91) // 10..100
 	out := make([][]byte, packets)
 	for i := range out {
@@ -162,7 +149,7 @@ func (n NTPMonlist) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 
 // responsePacket builds one mode-7 response datagram whose IP total length
 // is one of MonlistResponseIPLens.
-func (NTPMonlist) responsePacket(r *netutil.Rand, seq, total int) []byte {
+func (ntpMonlist) responsePacket(r *netutil.Rand, seq, total int) []byte {
 	ipLen := MonlistResponseIPLens[r.IntN(len(MonlistResponseIPLens))]
 	payloadLen := ipLen - ipUDPOverhead
 	b := make([]byte, payloadLen)
@@ -187,14 +174,14 @@ func (NTPMonlist) responsePacket(r *netutil.Rand, seq, total int) []byte {
 
 // AmplificationFactor implements Protocol. Rossow (NDSS 2014) reports
 // 556.9 for monlist-enabled servers.
-func (NTPMonlist) AmplificationFactor() float64 { return 556.9 }
+func (ntpMonlist) AmplificationFactor() float64 { return 556.9 }
 
-// MemcachedStats is the memcached UDP "stats" amplification vector.
+// memcachedStats is the memcached UDP "stats" amplification vector.
 // Memcached has the largest known amplification factor (up to ~50 000×).
-type MemcachedStats struct{}
+type memcachedStats struct{}
 
 // Vector implements Protocol.
-func (MemcachedStats) Vector() Vector { return Memcached }
+func (memcachedStats) Vector() Vector { return Memcached }
 
 // memcachedFrame prepends the 8-byte memcached UDP frame header.
 func memcachedFrame(reqID, seq, total uint16, body []byte) []byte {
@@ -204,13 +191,13 @@ func memcachedFrame(reqID, seq, total uint16, body []byte) []byte {
 }
 
 // BuildRequest returns a framed "stats\r\n" command.
-func (MemcachedStats) BuildRequest(r *netutil.Rand) []byte {
+func (memcachedStats) BuildRequest(r *netutil.Rand) []byte {
 	return memcachedFrame(uint16(r.Uint64()), 0, 1, []byte("stats\r\n"))
 }
 
 // BuildResponses returns the multi-datagram stats dump. Each datagram
 // carries up to 1400 bytes of STAT lines.
-func (MemcachedStats) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
+func (memcachedStats) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 	reqID := uint16(0)
 	if len(request) >= 2 {
 		reqID = uint16(request[0])<<8 | uint16(request[1])
@@ -241,21 +228,21 @@ func (MemcachedStats) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 }
 
 // AmplificationFactor implements Protocol.
-func (MemcachedStats) AmplificationFactor() float64 { return 10000 }
+func (memcachedStats) AmplificationFactor() float64 { return 10000 }
 
-// SSDPSearch is the SSDP M-SEARCH amplification vector.
-type SSDPSearch struct{}
+// ssdpSearch is the SSDP M-SEARCH amplification vector.
+type ssdpSearch struct{}
 
 // Vector implements Protocol.
-func (SSDPSearch) Vector() Vector { return SSDP }
+func (ssdpSearch) Vector() Vector { return SSDP }
 
 // BuildRequest returns an M-SEARCH ssdp:all discovery request.
-func (SSDPSearch) BuildRequest(_ *netutil.Rand) []byte {
+func (ssdpSearch) BuildRequest(_ *netutil.Rand) []byte {
 	return []byte("M-SEARCH * HTTP/1.1\r\nHOST: 239.255.255.250:1900\r\nMAN: \"ssdp:discover\"\r\nMX: 1\r\nST: ssdp:all\r\n\r\n")
 }
 
 // BuildResponses returns one HTTP-style 200 OK per advertised service.
-func (SSDPSearch) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
+func (ssdpSearch) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 	services := 4 + r.IntN(12)
 	out := make([][]byte, services)
 	for i := range out {
@@ -267,20 +254,20 @@ func (SSDPSearch) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 }
 
 // AmplificationFactor implements Protocol.
-func (SSDPSearch) AmplificationFactor() float64 { return 30.8 }
+func (ssdpSearch) AmplificationFactor() float64 { return 30.8 }
 
-// ChargenAny is the chargen (RFC 864) amplification vector: any datagram
+// chargenAny is the chargen (RFC 864) amplification vector: any datagram
 // elicits a 0–512 byte character stream.
-type ChargenAny struct{}
+type chargenAny struct{}
 
 // Vector implements Protocol.
-func (ChargenAny) Vector() Vector { return Chargen }
+func (chargenAny) Vector() Vector { return Chargen }
 
 // BuildRequest returns a single arbitrary byte.
-func (ChargenAny) BuildRequest(_ *netutil.Rand) []byte { return []byte{0x01} }
+func (chargenAny) BuildRequest(_ *netutil.Rand) []byte { return []byte{0x01} }
 
 // BuildResponses returns one datagram of printable ASCII.
-func (ChargenAny) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
+func (chargenAny) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 	n := 200 + r.IntN(313) // 200..512
 	b := make([]byte, n)
 	for i := range b {
@@ -290,4 +277,4 @@ func (ChargenAny) BuildResponses(r *netutil.Rand, _ []byte) [][]byte {
 }
 
 // AmplificationFactor implements Protocol.
-func (ChargenAny) AmplificationFactor() float64 { return 358.8 }
+func (chargenAny) AmplificationFactor() float64 { return 358.8 }

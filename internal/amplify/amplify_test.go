@@ -53,7 +53,7 @@ func TestForVector(t *testing.T) {
 
 func TestAllProtocolsAmplify(t *testing.T) {
 	r := netutil.NewRand(1)
-	for _, p := range All() {
+	for _, p := range allProtocols() {
 		req := p.BuildRequest(r)
 		if len(req) == 0 {
 			t.Errorf("%v: empty request", p.Vector())
@@ -76,7 +76,7 @@ func TestAllProtocolsAmplify(t *testing.T) {
 }
 
 func TestNTPMonlistRequestFormat(t *testing.T) {
-	req := NTPMonlist{}.BuildRequest(netutil.NewRand(2))
+	req := ntpMonlist{}.BuildRequest(netutil.NewRand(2))
 	if len(req) != 8 {
 		t.Fatalf("monlist request = %d bytes, want 8", len(req))
 	}
@@ -90,7 +90,7 @@ func TestNTPMonlistRequestFormat(t *testing.T) {
 
 func TestNTPMonlistResponseSizes(t *testing.T) {
 	r := netutil.NewRand(3)
-	p := NTPMonlist{}
+	p := ntpMonlist{}
 	req := p.BuildRequest(r)
 	seen := map[int]bool{}
 	for trial := 0; trial < 20; trial++ {
@@ -109,7 +109,7 @@ func TestNTPMonlistResponseSizes(t *testing.T) {
 
 func TestNTPMonlistResponseCount(t *testing.T) {
 	r := netutil.NewRand(4)
-	p := NTPMonlist{}
+	p := ntpMonlist{}
 	for trial := 0; trial < 50; trial++ {
 		n := len(p.BuildResponses(r, nil))
 		if n < 10 || n > 100 {
@@ -120,7 +120,7 @@ func TestNTPMonlistResponseCount(t *testing.T) {
 
 func TestNTPMonlistMoreBit(t *testing.T) {
 	r := netutil.NewRand(5)
-	resps := NTPMonlist{}.BuildResponses(r, nil)
+	resps := ntpMonlist{}.BuildResponses(r, nil)
 	for i, resp := range resps {
 		more := resp[0]&0x10 != 0
 		if i < len(resps)-1 && !more {
@@ -136,18 +136,18 @@ func TestNTPMonlistMoreBit(t *testing.T) {
 }
 
 func TestDNSEncodeDecodeRoundTrip(t *testing.T) {
-	m := &DNSMessage{
+	m := &dnsMessage{
 		ID:       0xbeef,
 		Flags:    dnsFlagQR | dnsFlagRA,
 		HasQd:    true,
-		Question: DNSQuestion{Name: "example.com", Type: dnsTypeANY, Class: dnsClassIN},
-		Answers: []DNSRecord{
+		Question: dnsQuestion{Name: "example.com", Type: dnsTypeANY, Class: dnsClassIN},
+		Answers: []dnsRecord{
 			{Name: "example.com", Type: dnsTypeA, Class: dnsClassIN, TTL: 300, Data: []byte{192, 0, 2, 1}},
 			{Name: "example.com", Type: dnsTypeTXT, Class: dnsClassIN, TTL: 60, Data: []byte("x")},
 		},
 		EDNSSize: 4096,
 	}
-	got, err := DecodeDNS(m.Encode())
+	got, err := decodeDNS(m.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestDNSEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDNSNameCompressionPointer(t *testing.T) {
 	// A name that points back at offset 12 (the question name).
-	m := &DNSMessage{
+	m := &dnsMessage{
 		ID: 1, HasQd: true,
-		Question: DNSQuestion{Name: "a.bc", Type: dnsTypeA, Class: dnsClassIN},
+		Question: dnsQuestion{Name: "a.bc", Type: dnsTypeA, Class: dnsClassIN},
 	}
-	raw := m.Encode()
+	raw := m.encode()
 	name, _, err := parseDNSName(raw, 12)
 	if err != nil || name != "a.bc" {
 		t.Fatalf("parse question name: %q, %v", name, err)
@@ -191,26 +191,26 @@ func TestDNSNameCompressionPointer(t *testing.T) {
 }
 
 func TestDNSDecodeTruncated(t *testing.T) {
-	if _, err := DecodeDNS([]byte{1, 2, 3}); err == nil {
+	if _, err := decodeDNS([]byte{1, 2, 3}); err == nil {
 		t.Error("expected error on short message")
 	}
-	m := &DNSMessage{ID: 5, HasQd: true, Question: DNSQuestion{Name: "x.y", Type: 1, Class: 1}}
-	raw := m.Encode()
-	if _, err := DecodeDNS(raw[:len(raw)-3]); err == nil {
+	m := &dnsMessage{ID: 5, HasQd: true, Question: dnsQuestion{Name: "x.y", Type: 1, Class: 1}}
+	raw := m.encode()
+	if _, err := decodeDNS(raw[:len(raw)-3]); err == nil {
 		t.Error("expected error on truncated question")
 	}
 }
 
 func TestDNSAnyResponseEchoesRequestID(t *testing.T) {
 	r := netutil.NewRand(6)
-	d := DNSAny{Domain: "victim-zone.net"}
+	d := dnsAny{Domain: "victim-zone.net"}
 	req := d.BuildRequest(r)
-	reqMsg, err := DecodeDNS(req)
+	reqMsg, err := decodeDNS(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resps := d.BuildResponses(r, req)
-	respMsg, err := DecodeDNS(resps[0])
+	respMsg, err := decodeDNS(resps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,11 @@ func TestDNSAnyResponseEchoesRequestID(t *testing.T) {
 
 func TestCLDAPRequestRoundTrip(t *testing.T) {
 	r := netutil.NewRand(7)
-	req := CLDAPSearch{}.BuildRequest(r)
+	req := cldapSearch{}.BuildRequest(r)
 	if len(req) > 80 {
 		t.Errorf("CLDAP request = %d bytes, should be small", len(req))
 	}
-	info, err := DecodeCLDAPRequest(req)
+	info, err := decodeCLDAPRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCLDAPRequestRoundTrip(t *testing.T) {
 
 func TestCLDAPResponsesParseable(t *testing.T) {
 	r := netutil.NewRand(8)
-	p := CLDAPSearch{}
+	p := cldapSearch{}
 	req := p.BuildRequest(r)
 	resps := p.BuildResponses(r, req)
 	if len(resps) != 2 {
@@ -287,7 +287,7 @@ func TestBERLengthForms(t *testing.T) {
 
 func TestMemcachedFrameHeader(t *testing.T) {
 	r := netutil.NewRand(9)
-	p := MemcachedStats{}
+	p := memcachedStats{}
 	req := p.BuildRequest(r)
 	if string(req[8:]) != "stats\r\n" {
 		t.Errorf("request body = %q", req[8:])
@@ -315,7 +315,7 @@ func TestMemcachedFrameHeader(t *testing.T) {
 
 func TestMemcachedMassiveAmplification(t *testing.T) {
 	r := netutil.NewRand(10)
-	p := MemcachedStats{}
+	p := memcachedStats{}
 	req := p.BuildRequest(r)
 	total := 0
 	for _, resp := range p.BuildResponses(r, req) {
@@ -328,7 +328,7 @@ func TestMemcachedMassiveAmplification(t *testing.T) {
 
 func TestSSDPResponsesAreHTTP(t *testing.T) {
 	r := netutil.NewRand(11)
-	p := SSDPSearch{}
+	p := ssdpSearch{}
 	req := p.BuildRequest(r)
 	if !strings.HasPrefix(string(req), "M-SEARCH * HTTP/1.1") {
 		t.Errorf("request = %q", req[:20])
@@ -342,7 +342,7 @@ func TestSSDPResponsesAreHTTP(t *testing.T) {
 
 func TestChargenResponseBounds(t *testing.T) {
 	r := netutil.NewRand(12)
-	p := ChargenAny{}
+	p := chargenAny{}
 	for i := 0; i < 100; i++ {
 		resps := p.BuildResponses(r, p.BuildRequest(r))
 		if len(resps) != 1 {
@@ -360,7 +360,7 @@ func TestChargenResponseBounds(t *testing.T) {
 }
 
 func TestDeterministicResponses(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range allProtocols() {
 		a, b := netutil.NewRand(77), netutil.NewRand(77)
 		ra := p.BuildResponses(a, p.BuildRequest(a))
 		rb := p.BuildResponses(b, p.BuildRequest(b))
@@ -377,7 +377,7 @@ func TestDeterministicResponses(t *testing.T) {
 
 func BenchmarkNTPMonlistResponses(b *testing.B) {
 	r := netutil.NewRand(1)
-	p := NTPMonlist{}
+	p := ntpMonlist{}
 	req := p.BuildRequest(r)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -387,10 +387,22 @@ func BenchmarkNTPMonlistResponses(b *testing.B) {
 
 func BenchmarkDNSEncode(b *testing.B) {
 	r := netutil.NewRand(1)
-	d := DNSAny{Domain: "example.com"}
+	d := dnsAny{Domain: "example.com"}
 	req := d.BuildRequest(r)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = d.BuildResponses(r, req)
+	}
+}
+
+// allProtocols returns every implemented protocol.
+func allProtocols() []Protocol {
+	return []Protocol{
+		ntpMonlist{},
+		dnsAny{Domain: "example.com"},
+		cldapSearch{},
+		memcachedStats{},
+		ssdpSearch{},
+		chargenAny{},
 	}
 }

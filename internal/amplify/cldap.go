@@ -6,7 +6,7 @@ import (
 	"booterscope/internal/netutil"
 )
 
-// CLDAPSearch is the connectionless LDAP (CLDAP, RFC 3352) amplification
+// cldapSearch is the connectionless LDAP (CLDAP, RFC 3352) amplification
 // vector. A small rootDSE searchRequest elicits a searchResEntry carrying
 // the directory's advertised attributes — several kilobytes from Active
 // Directory servers.
@@ -14,7 +14,7 @@ import (
 // The LDAP messages are encoded with a minimal BER (definite-length)
 // subset: SEQUENCE, OCTET STRING, INTEGER, ENUMERATED, and the
 // LDAP-specific application tags.
-type CLDAPSearch struct{}
+type cldapSearch struct{}
 
 // BER universal tags and LDAP application tags used here.
 const (
@@ -88,15 +88,15 @@ func parseTLV(b []byte, off int) (tag byte, valStart, valEnd, next int, err erro
 
 var errCLDAPTruncated = errors.New("amplify: truncated CLDAP message")
 
-// CLDAPRequestInfo summarizes a decoded CLDAP searchRequest.
-type CLDAPRequestInfo struct {
+// cldapRequestInfo summarizes a decoded CLDAP searchRequest.
+type cldapRequestInfo struct {
 	MessageID int
 	BaseDN    string
 	Attribute string // the "present" filter attribute, e.g. objectClass
 }
 
-// DecodeCLDAPRequest parses the searchRequest this package emits.
-func DecodeCLDAPRequest(b []byte) (*CLDAPRequestInfo, error) {
+// decodeCLDAPRequest parses the searchRequest this package emits.
+func decodeCLDAPRequest(b []byte) (*cldapRequestInfo, error) {
 	tag, vs, ve, _, err := parseTLV(b, 0)
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func DecodeCLDAPRequest(b []byte) (*CLDAPRequestInfo, error) {
 	if err != nil || tag != berInteger {
 		return nil, errCLDAPTruncated
 	}
-	info := &CLDAPRequestInfo{}
+	info := &cldapRequestInfo{}
 	for i := ivs; i < ive; i++ {
 		info.MessageID = info.MessageID<<8 | int(b[i])
 	}
@@ -140,11 +140,11 @@ func DecodeCLDAPRequest(b []byte) (*CLDAPRequestInfo, error) {
 }
 
 // Vector implements Protocol.
-func (CLDAPSearch) Vector() Vector { return CLDAP }
+func (cldapSearch) Vector() Vector { return CLDAP }
 
 // BuildRequest returns a rootDSE searchRequest with a "(objectClass=*)"
 // present filter — the canonical CLDAP probe (~52 bytes).
-func (CLDAPSearch) BuildRequest(r *netutil.Rand) []byte {
+func (cldapSearch) BuildRequest(r *netutil.Rand) []byte {
 	var req []byte
 	req = berTLV(req, berOctetString, nil) // baseObject: rootDSE
 	req = berInt(req, berEnumerated, 0)    // scope: baseObject
@@ -163,9 +163,9 @@ func (CLDAPSearch) BuildRequest(r *netutil.Rand) []byte {
 
 // BuildResponses returns a searchResEntry stuffed with directory
 // attributes followed by a searchResDone, as Active Directory emits.
-func (CLDAPSearch) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
+func (cldapSearch) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 	msgID := 1
-	if info, err := DecodeCLDAPRequest(request); err == nil {
+	if info, err := decodeCLDAPRequest(request); err == nil {
 		msgID = info.MessageID
 	}
 	var attrs []byte
@@ -207,4 +207,4 @@ func (CLDAPSearch) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 }
 
 // AmplificationFactor implements Protocol.
-func (CLDAPSearch) AmplificationFactor() float64 { return 56.9 }
+func (cldapSearch) AmplificationFactor() float64 { return 56.9 }

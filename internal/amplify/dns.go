@@ -21,27 +21,27 @@ const (
 	dnsEDNSSize        = 4096
 )
 
-// DNSMessage is a decoded DNS message (the subset amplification needs:
+// dnsMessage is a decoded DNS message (the subset amplification needs:
 // one question plus answer records, no compression pointers emitted).
-type DNSMessage struct {
+type dnsMessage struct {
 	ID        uint16
 	Flags     uint16
-	Question  DNSQuestion
-	Answers   []DNSRecord
+	Question  dnsQuestion
+	Answers   []dnsRecord
 	HasQd     bool
 	EDNSSize  uint16 // 0 when no OPT record present
 	rawLength int
 }
 
-// DNSQuestion is a DNS question entry.
-type DNSQuestion struct {
+// dnsQuestion is a DNS question entry.
+type dnsQuestion struct {
 	Name  string
 	Type  uint16
 	Class uint16
 }
 
-// DNSRecord is a DNS resource record.
-type DNSRecord struct {
+// dnsRecord is a DNS resource record.
+type dnsRecord struct {
 	Name  string
 	Type  uint16
 	Class uint16
@@ -110,8 +110,8 @@ func parseDNSName(b []byte, off int) (string, int, error) {
 	return "", 0, errDNSBadName
 }
 
-// Encode serializes the message to wire format.
-func (m *DNSMessage) Encode() []byte {
+// encode serializes the message to wire format.
+func (m *dnsMessage) encode() []byte {
 	b := make([]byte, 0, 512)
 	b = binary.BigEndian.AppendUint16(b, m.ID)
 	b = binary.BigEndian.AppendUint16(b, m.Flags)
@@ -152,12 +152,12 @@ func (m *DNSMessage) Encode() []byte {
 	return b
 }
 
-// DecodeDNS parses a wire-format DNS message.
-func DecodeDNS(b []byte) (*DNSMessage, error) {
+// decodeDNS parses a wire-format DNS message.
+func decodeDNS(b []byte) (*dnsMessage, error) {
 	if len(b) < 12 {
 		return nil, errDNSTruncated
 	}
-	m := &DNSMessage{
+	m := &dnsMessage{
 		ID:        binary.BigEndian.Uint16(b[0:]),
 		Flags:     binary.BigEndian.Uint16(b[2:]),
 		rawLength: len(b),
@@ -175,7 +175,7 @@ func DecodeDNS(b []byte) (*DNSMessage, error) {
 			return nil, errDNSTruncated
 		}
 		m.HasQd = true
-		m.Question = DNSQuestion{
+		m.Question = dnsQuestion{
 			Name:  name,
 			Type:  binary.BigEndian.Uint16(b[next:]),
 			Class: binary.BigEndian.Uint16(b[next+2:]),
@@ -190,7 +190,7 @@ func DecodeDNS(b []byte) (*DNSMessage, error) {
 		if next+10 > len(b) {
 			return nil, errDNSTruncated
 		}
-		rr := DNSRecord{
+		rr := dnsRecord{
 			Name:  name,
 			Type:  binary.BigEndian.Uint16(b[next:]),
 			Class: binary.BigEndian.Uint16(b[next+2:]),
@@ -210,48 +210,48 @@ func DecodeDNS(b []byte) (*DNSMessage, error) {
 	return m, nil
 }
 
-// DNSAny is the "ANY query against an open resolver" amplification
+// dnsAny is the "ANY query against an open resolver" amplification
 // vector. Domain is the zone queried; booters use zones provisioned with
 // large TXT records for maximum gain.
-type DNSAny struct {
+type dnsAny struct {
 	Domain string
 }
 
 // Vector implements Protocol.
-func (DNSAny) Vector() Vector { return DNS }
+func (dnsAny) Vector() Vector { return DNS }
 
 // BuildRequest returns an EDNS0 ANY query for the configured domain.
-func (d DNSAny) BuildRequest(r *netutil.Rand) []byte {
-	m := &DNSMessage{
+func (d dnsAny) BuildRequest(r *netutil.Rand) []byte {
+	m := &dnsMessage{
 		ID:       uint16(r.Uint64()),
 		Flags:    dnsFlagRD,
 		HasQd:    true,
-		Question: DNSQuestion{Name: d.Domain, Type: dnsTypeANY, Class: dnsClassIN},
+		Question: dnsQuestion{Name: d.Domain, Type: dnsTypeANY, Class: dnsClassIN},
 		EDNSSize: dnsEDNSSize,
 	}
-	return m.Encode()
+	return m.encode()
 }
 
 // BuildResponses returns the resolver's answer: a large response packed
 // with TXT and A records, split into EDNS-sized datagrams.
-func (d DNSAny) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
+func (d dnsAny) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 	id := uint16(r.Uint64())
 	name := d.Domain
-	if req, err := DecodeDNS(request); err == nil {
+	if req, err := decodeDNS(request); err == nil {
 		id = req.ID
 		if req.HasQd && req.Question.Name != "" {
 			name = req.Question.Name
 		}
 	}
-	m := &DNSMessage{
+	m := &dnsMessage{
 		ID:       id,
 		Flags:    dnsFlagQR | dnsFlagRD | dnsFlagRA,
 		HasQd:    true,
-		Question: DNSQuestion{Name: name, Type: dnsTypeANY, Class: dnsClassIN},
+		Question: dnsQuestion{Name: name, Type: dnsTypeANY, Class: dnsClassIN},
 	}
 	// A handful of A records plus bulky TXT records.
 	for i := 0; i < 4; i++ {
-		m.Answers = append(m.Answers, DNSRecord{
+		m.Answers = append(m.Answers, dnsRecord{
 			Name: name, Type: dnsTypeA, Class: dnsClassIN, TTL: 3600,
 			Data: []byte{198, 51, 100, byte(r.IntN(256))},
 		})
@@ -263,11 +263,11 @@ func (d DNSAny) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 		for j := 1; j < len(txt); j++ {
 			txt[j] = byte('a' + r.IntN(26))
 		}
-		m.Answers = append(m.Answers, DNSRecord{
+		m.Answers = append(m.Answers, dnsRecord{
 			Name: name, Type: dnsTypeTXT, Class: dnsClassIN, TTL: 3600, Data: txt,
 		})
 	}
-	encoded := m.Encode()
+	encoded := m.encode()
 	// Resolvers answer within the advertised EDNS buffer; split if larger.
 	if len(encoded) <= dnsEDNSSize {
 		return [][]byte{encoded}
@@ -285,7 +285,7 @@ func (d DNSAny) BuildResponses(r *netutil.Rand, request []byte) [][]byte {
 }
 
 // AmplificationFactor implements Protocol.
-func (DNSAny) AmplificationFactor() float64 { return 54.6 }
+func (dnsAny) AmplificationFactor() float64 { return 54.6 }
 
 // String describes the vector with its query domain.
-func (d DNSAny) String() string { return fmt.Sprintf("DNS ANY %s", d.Domain) }
+func (d dnsAny) String() string { return fmt.Sprintf("DNS ANY %s", d.Domain) }

@@ -8,7 +8,7 @@ import (
 
 func FuzzDecodeDNS(f *testing.F) {
 	r := netutil.NewRand(1)
-	d := DNSAny{Domain: "example.com"}
+	d := dnsAny{Domain: "example.com"}
 	f.Add(d.BuildRequest(r))
 	f.Add(d.BuildResponses(r, d.BuildRequest(r))[0])
 	f.Add([]byte{})
@@ -16,14 +16,14 @@ func FuzzDecodeDNS(f *testing.F) {
 	// A message with a compression pointer loop.
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 12, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeDNS(data)
+		m, err := decodeDNS(data)
 		if err != nil {
 			return
 		}
 		// Decoded messages re-encode without panicking, and the
 		// re-encoded form decodes to the same header.
-		re := m.Encode()
-		m2, err := DecodeDNS(re)
+		re := m.encode()
+		m2, err := decodeDNS(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -35,11 +35,11 @@ func FuzzDecodeDNS(f *testing.F) {
 
 func FuzzDecodeCLDAPRequest(f *testing.F) {
 	r := netutil.NewRand(1)
-	f.Add(CLDAPSearch{}.BuildRequest(r))
+	f.Add(cldapSearch{}.BuildRequest(r))
 	f.Add([]byte{})
 	f.Add([]byte{0x30, 0x84})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		info, err := DecodeCLDAPRequest(data)
+		info, err := decodeCLDAPRequest(data)
 		if err != nil {
 			return
 		}

@@ -11,10 +11,10 @@
 //
 // The suite is stdlib-only (go/parser + go/types, with dependency
 // export data located via `go list -export`), so go.mod stays free of
-// module dependencies. Six analyzers ship today: determinism,
-// batchownership, telemetry, lockdiscipline, goroutinelifecycle, and
-// hotpath — see their files for the exact rules, and DESIGN.md §10/§15
-// for the catalogue.
+// module dependencies. Seven analyzers ship today: determinism,
+// batchownership, telemetry, lockdiscipline, goroutinelifecycle,
+// hotpath, and the whole-program deadcode — see their files for the
+// exact rules, and DESIGN.md §10/§15 for the catalogue.
 //
 // # Allow directives
 //
@@ -36,6 +36,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -61,6 +62,23 @@ type Analyzer interface {
 	// Check returns the analyzer's findings for pkg, unsuppressed;
 	// the suite applies allow directives afterwards.
 	Check(pkg *Pkg) []Diagnostic
+}
+
+// programAnalyzer is an Analyzer whose findings in one package depend
+// on every loaded package. Suite.Run hands it the whole load before
+// any Check.
+type programAnalyzer interface {
+	Analyzer
+	// prepare sees every loaded package; whole reports that they are
+	// the entire main module.
+	prepare(pkgs []*Pkg, whole bool)
+}
+
+// scopedAnalyzer is an Analyzer configured with package import paths.
+type scopedAnalyzer interface {
+	Analyzer
+	// scope lists every import path its configuration names.
+	scope() []string
 }
 
 // Suite runs a set of analyzers over loaded packages and applies the
@@ -107,6 +125,27 @@ func (s *Suite) Run(pkgs []*Pkg) []Diagnostic {
 		}
 	}
 	var out []Diagnostic
+	// The go list call behind wholeModule is paid only by suites with a
+	// whole-program rule or a package-scoped configuration to check.
+	whole := false
+	for _, a := range s.Analyzers {
+		_, program := a.(programAnalyzer)
+		sa, scoped := a.(scopedAnalyzer)
+		if program || scoped && len(sa.scope()) > 0 {
+			whole = wholeModule(pkgs)
+			break
+		}
+	}
+	for i, a := range s.Analyzers {
+		if pa, ok := a.(programAnalyzer); ok {
+			start := time.Now()
+			pa.prepare(pkgs, whole)
+			s.timings[i].Elapsed += time.Since(start)
+		}
+	}
+	if whole {
+		out = append(out, staleScopes(pkgs, s.Analyzers)...)
+	}
 	for _, pkg := range pkgs {
 		if len(pkg.Errs) > 0 {
 			out = append(out, pkg.Errs...)
@@ -139,6 +178,60 @@ func (s *Suite) Run(pkgs []*Pkg) []Diagnostic {
 		return out[i].Rule < out[j].Rule
 	})
 	return out
+}
+
+// staleScopes reports every import path an analyzer's configuration
+// names that the loaded module does not contain — a deleted or renamed
+// package whose entry would otherwise linger, silently checking
+// nothing. The diagnostic sits on the string literal that spells the
+// path, when a loaded file has one, so it points at the line to
+// delete; otherwise on the first package's directory.
+func staleScopes(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		have[p.Path] = true
+	}
+	var out []Diagnostic
+	for _, a := range analyzers {
+		sa, ok := a.(scopedAnalyzer)
+		if !ok {
+			continue
+		}
+		seen := make(map[string]bool)
+		for _, path := range sa.scope() {
+			if have[path] || seen[path] {
+				continue
+			}
+			seen[path] = true
+			out = append(out, Diagnostic{
+				Pos:     literalPosition(pkgs, path),
+				Rule:    a.Name(),
+				Message: fmt.Sprintf("configuration names package %q, which the module does not contain; remove the entry", path),
+			})
+		}
+	}
+	return out
+}
+
+// literalPosition finds the first string literal spelling s in the
+// loaded sources, falling back to the first package's directory.
+func literalPosition(pkgs []*Pkg, s string) token.Position {
+	quoted := strconv.Quote(s)
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			var found token.Pos
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && lit.Value == quoted {
+					found = lit.Pos()
+				}
+				return found == token.NoPos
+			})
+			if found != token.NoPos {
+				return p.Fset.Position(found)
+			}
+		}
+	}
+	return token.Position{Filename: pkgs[0].Dir}
 }
 
 // Timings reports the per-analyzer wall time and surviving-finding

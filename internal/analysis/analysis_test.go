@@ -95,7 +95,7 @@ func parseWants(t *testing.T, dir string) []*expectation {
 // loadTestdata loads one testdata package through the real loader.
 func loadTestdata(t *testing.T, name string) *Pkg {
 	t.Helper()
-	pkgs, err := Load("", "./testdata/"+name)
+	pkgs, err := NewLoader().Load("", "./testdata/"+name)
 	if err != nil {
 		t.Fatalf("loading testdata/%s: %v", name, err)
 	}
@@ -114,11 +114,38 @@ func runGolden(t *testing.T, suite *Suite, name string) {
 	if len(pkg.Errs) > 0 {
 		t.Fatalf("testdata/%s failed to load: %v", name, pkg.Errs[0])
 	}
-	wants := parseWants(t, pkg.Dir)
-	for _, d := range suite.Run([]*Pkg{pkg}) {
+	checkGolden(t, suite, []*Pkg{pkg})
+}
+
+// runGoldenModule is runGolden for a testdata directory holding a
+// module of its own, loaded whole — the only load on which the
+// whole-program rules report.
+func runGoldenModule(t *testing.T, suite *Suite, name string) {
+	t.Helper()
+	pkgs, err := NewLoader().Load(filepath.Join("testdata", name), "./...")
+	if err != nil {
+		t.Fatalf("loading testdata/%s: %v", name, err)
+	}
+	for _, pkg := range pkgs {
+		if len(pkg.Errs) > 0 {
+			t.Fatalf("testdata/%s failed to load: %v", name, pkg.Errs[0])
+		}
+	}
+	checkGolden(t, suite, pkgs)
+}
+
+// checkGolden matches a suite run over pkgs against the `// want`
+// expectations in their directories.
+func checkGolden(t *testing.T, suite *Suite, pkgs []*Pkg) {
+	t.Helper()
+	var wants []*expectation
+	for _, pkg := range pkgs {
+		wants = append(wants, parseWants(t, pkg.Dir)...)
+	}
+	for _, d := range suite.Run(pkgs) {
 		matched := false
 		for _, w := range wants {
-			if w.matched || w.line != d.Pos.Line || filepath.Base(w.file) != filepath.Base(d.Pos.Filename) {
+			if w.matched || w.line != d.Pos.Line || w.file != d.Pos.Filename {
 				continue
 			}
 			if w.pattern.MatchString(d.Message) {
@@ -219,7 +246,7 @@ func TestGoroutineLifecycleScoped(t *testing.T) {
 }
 
 func TestHotPathGolden(t *testing.T) {
-	suite := NewSuite(NewHotPath(&Budget{Entries: []BudgetEntry{{
+	suite := NewSuite(NewHotPath(&Budget{Entries: []budgetEntry{{
 		Pkg:    testdataPath("hotpath"),
 		Func:   "Budgeted",
 		Value:  "new(int)",
@@ -268,7 +295,7 @@ func Decode(vals []uint64) int {
 	if err := os.WriteFile(filepath.Join(dir, "hotinject.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load("", "./"+dir)
+	pkgs, err := NewLoader().Load("", "./"+dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +314,93 @@ func Decode(vals []uint64) int {
 	if !strings.Contains(d.Message, "Decode") {
 		t.Errorf("diagnostic does not name the hotpath function: %s", d)
 	}
+}
+
+func TestDeadcodeGolden(t *testing.T) {
+	runGoldenModule(t, NewSuite(NewDeadcode()), "deadcode")
+}
+
+// TestDeadcodeSilentOnPartialLoad pins the whole-program guard: a load
+// that is not the whole module reports nothing, because a caller
+// outside the load would read as dead code — not for this repository's
+// stats package, and not for the golden's own dead code.
+func TestDeadcodeSilentOnPartialLoad(t *testing.T) {
+	stats, err := NewLoader().Load("", "../../internal/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := NewLoader().Load(filepath.Join("testdata", "deadcode"), "./internal/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkgs := range [][]*Pkg{stats, lib} {
+		for _, d := range NewSuite(NewDeadcode()).Run(pkgs) {
+			if d.Rule == "deadcode" {
+				t.Errorf("partial load of %s reported: %s", pkgs[0].Path, d)
+			}
+		}
+	}
+}
+
+// TestDeadcodeInjectedUnused is the end-to-end contract in the
+// TestHotPathInjectedEscape pattern: an exported function nothing
+// calls, written into a generated module, is reported at its line.
+func TestDeadcodeInjectedUnused(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module inject\n\ngo 1.24\n",
+		"main.go": `package main
+
+import "inject/internal/gen"
+
+func main() { gen.Used() }
+`,
+		"internal/gen/gen.go": `// Package gen is generated by TestDeadcodeInjectedUnused.
+package gen
+
+// Used is called by main.
+func Used() {}
+
+// Injected is the unused function the rule must find.
+func Injected() {}
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := NewLoader().Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := NewSuite(NewDeadcode()).Run(pkgs)
+	if len(diags) != 1 {
+		t.Fatalf("injected unused function produced %d diagnostics, want 1: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if !strings.HasSuffix(d.Pos.Filename, "gen.go") || d.Pos.Line != 8 {
+		t.Errorf("diagnostic not positioned at the injected function (gen.go:8): %s", d)
+	}
+	if d.Rule != "deadcode" || !strings.Contains(d.Message, "gen.Injected is used by no non-test code") {
+		t.Errorf("diagnostic does not name the injected function: %s", d)
+	}
+}
+
+// TestStaleScopeGolden pins the configuration check: on a whole-module
+// load, a package path an analyzer is configured with but the module
+// does not contain is reported, once per analyzer, at the string
+// literal that spells it.
+func TestStaleScopeGolden(t *testing.T) {
+	gone := "staleconf/internal/gone"
+	runGoldenModule(t, NewSuite(
+		NewDeterminism("staleconf/cmd/vet", gone),
+		NewGoroutineLifecycle(gone),
+	), "staleconf")
 }
 
 // TestLoadBudgetRejectsBadEntries pins the budget-file contract: a
@@ -327,7 +441,7 @@ func TestZeroPackagesIsError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("no Go files here\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load("", "./"+dir+"/...")
+	_, err := NewLoader().Load("", "./"+dir+"/...")
 	if err == nil {
 		t.Fatal("zero-match pattern loaded without error")
 	}
@@ -335,7 +449,7 @@ func TestZeroPackagesIsError(t *testing.T) {
 		t.Errorf("zero-match error does not say so: %v", err)
 	}
 
-	pkgs, err := Load("", "./testdata/nonexistent/...")
+	pkgs, err := NewLoader().Load("", "./testdata/nonexistent/...")
 	if err != nil {
 		return // also acceptable: the harder failure
 	}
@@ -423,7 +537,7 @@ func TestBrokenPackageReportsError(t *testing.T) {
 // over a package known to be clean, as a smoke test that the loader
 // handles real dependency graphs (telemetry, pipe, flow) end to end.
 func TestCleanTreeStaysClean(t *testing.T) {
-	pkgs, err := Load("", "../../internal/stats")
+	pkgs, err := NewLoader().Load("", "../../internal/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +545,7 @@ func TestCleanTreeStaysClean(t *testing.T) {
 		NewDeterminism("booterscope/internal/stats"),
 		NewBatchOwnership(),
 		NewTelemetry(TelemetryConfig{}),
+		NewDeadcode(),
 	)
 	if diags := suite.Run(pkgs); len(diags) != 0 {
 		for _, d := range diags {

@@ -38,7 +38,7 @@ func trackedKind(t types.Type) string {
 // BatchOwnership flags any use of a pipe.Batch value after it has been
 // handed off within the same statement block. A released batch returns
 // to a sync.Pool and its backing arrays are recycled by the next
-// NewBatch anywhere in the process — so a use-after-hand-off is silent
+// pool Get anywhere in the process — so a use-after-hand-off is silent
 // data corruption the race detector cannot reliably catch (the memory
 // is still live, just owned by someone else). DESIGN.md §9 states the
 // contract in prose; this analyzer makes it mechanical.
@@ -58,7 +58,7 @@ func trackedKind(t types.Type) string {
 // if-arm does not poison code after the if statement (both arms would
 // have to be tracked), and `defer b.Release()` never consumes — the
 // deferred call runs at function exit, after every use. Reassigning
-// the variable (b = pipe.NewBatch()) starts a fresh ownership.
+// the variable (b = pipe.Wrap(recs)) starts a fresh ownership.
 //
 // flowstore.ColumnBlock shares the contract (DESIGN.md §14): the same
 // use-after-Release rule applies, and additionally no function taking

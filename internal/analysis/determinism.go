@@ -56,6 +56,9 @@ func NewDeterminism(paths ...string) *Determinism {
 // Name implements Analyzer.
 func (*Determinism) Name() string { return "determinism" }
 
+// scope implements scopedAnalyzer.
+func (d *Determinism) scope() []string { return sortedSet(d.paths) }
+
 // clockFuncs are the time-package functions that read, or wait on,
 // the host clock.
 var clockFuncs = map[string]bool{

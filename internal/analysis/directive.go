@@ -88,7 +88,7 @@ func collectDirectives(pkg *Pkg, rules map[string]bool) (allowSet, []Diagnostic)
 		rule := fields[0]
 		if !rules[rule] {
 			errs = append(errs, Diagnostic{Pos: pos, Rule: "directive",
-				Message: "bsvet:allow names unknown rule " + strconv.Quote(rule) + " (known: " + strings.Join(sortedRules(rules), ", ") + ")"})
+				Message: "bsvet:allow names unknown rule " + strconv.Quote(rule) + " (known: " + strings.Join(sortedSet(rules), ", ") + ")"})
 			return
 		}
 		if len(fields) < 2 {
@@ -150,11 +150,11 @@ func collectDirectives(pkg *Pkg, rules map[string]bool) (allowSet, []Diagnostic)
 	return allowed, errs
 }
 
-// sortedRules lists the known rule names in sorted order for error
-// messages.
-func sortedRules(rules map[string]bool) []string {
-	out := make([]string, 0, len(rules))
-	for r := range rules {
+// sortedSet lists a set's members (rule names, import paths) in
+// sorted order.
+func sortedSet(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for r := range set {
 		out = append(out, r)
 	}
 	sort.Strings(out)

@@ -49,6 +49,9 @@ func NewGoroutineLifecycle(paths ...string) *GoroutineLifecycle {
 // Name implements Analyzer.
 func (*GoroutineLifecycle) Name() string { return "goroutinelifecycle" }
 
+// scope implements scopedAnalyzer.
+func (g *GoroutineLifecycle) scope() []string { return sortedSet(g.Packages) }
+
 // Check implements Analyzer.
 func (g *GoroutineLifecycle) Check(pkg *Pkg) []Diagnostic {
 	if g.Packages != nil && !g.Packages[pkg.Path] {

@@ -65,11 +65,11 @@ type Budget struct {
 	// annotated function, the escaping value as the compiler prints it,
 	// and why the escape is acceptable; Count bounds how many distinct
 	// source positions of that value may escape (0 means 1).
-	Entries []BudgetEntry `json:"entries"`
+	Entries []budgetEntry `json:"entries"`
 }
 
-// BudgetEntry is one justified escape.
-type BudgetEntry struct {
+// budgetEntry is one justified escape.
+type budgetEntry struct {
 	Pkg    string `json:"pkg"`
 	Func   string `json:"func"`
 	Value  string `json:"value"`

@@ -24,6 +24,9 @@ type Pkg struct {
 	Name string
 	// Dir is the package directory on disk.
 	Dir string
+	// Module is the path of the main module the package belongs to,
+	// "" for a package outside it.
+	Module string
 	// Fset positions every file in Files.
 	Fset *token.FileSet
 	// Files are the parsed non-test source files, with comments.
@@ -47,7 +50,11 @@ type listPkg struct {
 	Standard   bool
 	Export     string
 	DepOnly    bool
-	Error      *struct {
+	Module     *struct {
+		Path string
+		Main bool
+	}
+	Error *struct {
 		Pos string
 		Err string
 	}
@@ -114,7 +121,7 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Pkg, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-e", "-json=ImportPath,Name,Dir,GoFiles,Standard,Export,DepOnly,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-e", "-json=ImportPath,Name,Dir,GoFiles,Standard,Export,DepOnly,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -158,16 +165,12 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Pkg, error) {
 	return pkgs, nil
 }
 
-// Load is the one-shot form: a fresh Loader resolving patterns once.
-// Callers issuing repeated loads (the bsvet driver, the golden-test
-// suite) should hold a Loader instead and share its caches.
-func Load(dir string, patterns ...string) ([]*Pkg, error) {
-	return NewLoader().Load(dir, patterns...)
-}
-
 // loadOne parses and type-checks a single listed package.
 func loadOne(fset *token.FileSet, imp types.Importer, t *listPkg) *Pkg {
 	pkg := &Pkg{Path: t.ImportPath, Name: t.Name, Dir: t.Dir, Fset: fset}
+	if t.Module != nil && t.Module.Main {
+		pkg.Module = t.Module.Path
+	}
 	if t.Error != nil && len(t.GoFiles) == 0 {
 		// Nothing to parse (pattern matched no package, build
 		// constraints excluded everything, …): surface go list's error.
@@ -251,6 +254,36 @@ func loadOne(fset *token.FileSet, imp types.Importer, t *listPkg) *Pkg {
 	pkg.Types = tpkg
 	pkg.Info = info
 	return pkg
+}
+
+// wholeModule reports whether pkgs are every package of one main
+// module, asking the go toolchain which packages that module holds.
+// Whole-program rules (deadcode, stale configuration) report only then:
+// on a partial load a missing caller would read as dead code.
+func wholeModule(pkgs []*Pkg) bool {
+	if len(pkgs) == 0 || pkgs[0].Module == "" {
+		return false
+	}
+	mod := pkgs[0].Module
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		if p.Module != mod {
+			return false
+		}
+		have[p.Path] = true
+	}
+	cmd := exec.Command("go", "list", "-e", "-f", "{{.ImportPath}}", mod+"/...")
+	cmd.Dir = pkgs[0].Dir
+	out, err := cmd.Output()
+	if err != nil {
+		return false
+	}
+	for _, path := range strings.Fields(string(out)) {
+		if !have[path] {
+			return false
+		}
+	}
+	return true
 }
 
 // parseErrDiag converts a parser error (possibly a scanner.ErrorList)

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/types"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -95,6 +96,19 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 // Name implements Analyzer.
 func (*Telemetry) Name() string { return "telemetry" }
 
+// scope implements scopedAnalyzer: every path any part of the
+// configuration names.
+func (t *Telemetry) scope() []string {
+	paths := append(append([]string(nil), t.cfg.ExemptPaths...), t.cfg.RequiredPaths...)
+	for _, m := range []map[string][]string{t.cfg.RequiredMetrics, t.cfg.AllowPrefixes} {
+		for p := range m {
+			paths = append(paths, p)
+		}
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // Check implements Analyzer.
 func (t *Telemetry) Check(pkg *Pkg) []Diagnostic {
 	var out []Diagnostic
@@ -147,11 +161,13 @@ func (t *Telemetry) checkRegistration(pkg *Pkg) []Diagnostic {
 }
 
 // hasRegisterTelemetry reports whether the package declares a
-// RegisterTelemetry function or method.
+// RegisterTelemetry function or method — or registerTelemetry, when
+// only the package's own constructor wires it (the deadcode rule
+// unexports what no other package calls).
 func hasRegisterTelemetry(pkg *Pkg) bool {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "RegisterTelemetry" {
+			if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "RegisterTelemetry" || fd.Name.Name == "registerTelemetry") {
 				return true
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // UseAfterRelease is the canonical bug: the slab may already be
 // recycled by a concurrent NewBatch when Len reads it.
 func UseAfterRelease() int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	b.Release()
 	return b.Len() // want "batch b used after Release"
 }
@@ -19,21 +19,21 @@ func UseAfterRelease() int {
 // DoubleRelease corrupts the pool: the second Release re-inserts a
 // slab someone else may have checked out.
 func DoubleRelease() {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	b.Release()
 	b.Release() // want "batch b used after Release"
 }
 
 // UseAfterSend races the receiving goroutine.
 func UseAfterSend(ch chan *pipe.Batch) int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	ch <- b
 	return b.Len() // want "batch b used after channel send"
 }
 
 // UseAfterPut is the raw pool form of UseAfterRelease.
 func UseAfterPut(pool *sync.Pool) int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	pool.Put(b)
 	return b.Len() // want "batch b used after Pool.Put"
 }
@@ -41,7 +41,7 @@ func UseAfterPut(pool *sync.Pool) int {
 // UseAfterEmit violates the Source contract: ownership of an emitted
 // batch passes to the callback.
 func UseAfterEmit(emit func(*pipe.Batch) error) error {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	if err := emit(b); err != nil {
 		return err
 	}
@@ -52,7 +52,7 @@ func UseAfterEmit(emit func(*pipe.Batch) error) error {
 // NestedPoison: a consume in the enclosing block flags uses inside
 // later nested blocks.
 func NestedPoison(cond bool) int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	b.Release()
 	if cond {
 		return b.Len() // want "batch b used after Release"
@@ -63,7 +63,7 @@ func NestedPoison(cond bool) int {
 // DeferRelease is the idiomatic cleanup: the deferred call runs after
 // every use, so nothing here is flagged.
 func DeferRelease() int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	defer b.Release()
 	return b.Len()
 }
@@ -71,9 +71,9 @@ func DeferRelease() int {
 // Reassigned starts a fresh ownership: the second slab is unrelated to
 // the released one.
 func Reassigned() int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	b.Release()
-	b = pipe.NewBatch()
+	b = pipe.Wrap(nil)
 	n := b.Len()
 	b.Release()
 	return n
@@ -83,7 +83,7 @@ func Reassigned() int {
 // the batch on the other path, so the analyzer (branch-local by
 // design) stays quiet.
 func BranchLocal(cond bool) {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	if cond {
 		b.Release()
 		return
@@ -94,7 +94,7 @@ func BranchLocal(cond bool) {
 // ProcessKeepsOwnership: declared functions and methods do not consume
 // — pipe.Stage.Process documents that the caller retains ownership.
 func ProcessKeepsOwnership(st pipe.Stage) error {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	defer b.Release()
 	if err := st.Process(b); err != nil {
 		return err
@@ -105,7 +105,7 @@ func ProcessKeepsOwnership(st pipe.Stage) error {
 
 // AllowedUse shows the escape hatch for a reviewed exception.
 func AllowedUse() int {
-	b := pipe.NewBatch()
+	b := pipe.Wrap(nil)
 	b.Release()
 	return b.Len() //bsvet:allow batchownership testdata exercises the directive on an ownership finding
 }

@@ -7,7 +7,7 @@
 // prefix, so subnet structure — which the DDoS analyses group on —
 // survives anonymization. Truncate implements the simpler
 // zero-the-host-bits policy some operators use.
-package anon
+package anon //bsvet:allow deadcode no production caller; kept for its 12 Crypto-PAn tests (deletion deferred, ROADMAP 8(iv))
 
 import (
 	"crypto/aes"

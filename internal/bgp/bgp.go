@@ -7,7 +7,6 @@
 package bgp
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -22,19 +21,19 @@ import (
 // their edge.
 const BlackholeCommunity uint32 = 65535<<16 | 666
 
-// RouteSource classifies how a route was learned; it drives local
+// routeSource classifies how a route was learned; it drives local
 // preference defaults (customer > peering > transit).
-type RouteSource uint8
+type routeSource uint8
 
 // Route sources in decreasing default preference.
 const (
-	SourceCustomer RouteSource = iota
+	SourceCustomer routeSource = iota
 	SourcePeering
 	SourceTransit
 )
 
 // String returns the source name.
-func (s RouteSource) String() string {
+func (s routeSource) String() string {
 	switch s {
 	case SourceCustomer:
 		return "customer"
@@ -47,9 +46,9 @@ func (s RouteSource) String() string {
 	}
 }
 
-// DefaultLocalPref returns the conventional local preference for a
+// defaultLocalPref returns the conventional local preference for a
 // source.
-func (s RouteSource) DefaultLocalPref() int {
+func (s routeSource) defaultLocalPref() int {
 	switch s {
 	case SourceCustomer:
 		return 200
@@ -60,8 +59,8 @@ func (s RouteSource) DefaultLocalPref() int {
 	}
 }
 
-// Route is one BGP path toward a prefix.
-type Route struct {
+// route is one BGP path toward a prefix.
+type route struct {
 	Prefix    netip.Prefix
 	NextHopAS uint32
 	// Path is the AS path, origin last.
@@ -69,13 +68,15 @@ type Route struct {
 	// LocalPref breaks ties first (higher wins); 0 means "derive from
 	// Source".
 	LocalPref int
-	Source    RouteSource
+	Source    routeSource
 	// Communities carries BGP communities (e.g. BlackholeCommunity).
 	Communities []uint32
 }
 
 // HasCommunity reports whether the route carries a community.
-func (r Route) HasCommunity(c uint32) bool {
+//
+//bsvet:allow deadcode oracle: TestBlackholeLifecycle checks the blackhole community the route server redistributes
+func (r route) HasCommunity(c uint32) bool {
 	for _, have := range r.Communities {
 		if have == c {
 			return true
@@ -84,16 +85,18 @@ func (r Route) HasCommunity(c uint32) bool {
 	return false
 }
 
-// EffectiveLocalPref resolves the local preference.
-func (r Route) EffectiveLocalPref() int {
+// effectiveLocalPref resolves the local preference.
+func (r route) effectiveLocalPref() int {
 	if r.LocalPref != 0 {
 		return r.LocalPref
 	}
-	return r.Source.DefaultLocalPref()
+	return r.Source.defaultLocalPref()
 }
 
 // OriginAS returns the last AS on the path (0 for an empty path).
-func (r Route) OriginAS() uint32 {
+//
+//bsvet:allow deadcode no production caller; kept for TestOriginAS (deletion deferred, ROADMAP 8(iv))
+func (r route) OriginAS() uint32 {
 	if len(r.Path) == 0 {
 		return 0
 	}
@@ -103,8 +106,8 @@ func (r Route) OriginAS() uint32 {
 // better reports whether a is preferred over b by BGP decision order:
 // local preference, AS-path length, then lowest next-hop ASN as a
 // deterministic tiebreak.
-func better(a, b Route) bool {
-	if la, lb := a.EffectiveLocalPref(), b.EffectiveLocalPref(); la != lb {
+func better(a, b route) bool {
+	if la, lb := a.effectiveLocalPref(), b.effectiveLocalPref(); la != lb {
 		return la > lb
 	}
 	if len(a.Path) != len(b.Path) {
@@ -117,16 +120,16 @@ func better(a, b Route) bool {
 // for concurrent use.
 type RIB struct {
 	mu     sync.RWMutex
-	routes map[netip.Prefix][]Route
+	routes map[netip.Prefix][]route
 }
 
 // NewRIB returns an empty RIB.
 func NewRIB() *RIB {
-	return &RIB{routes: make(map[netip.Prefix][]Route)}
+	return &RIB{routes: make(map[netip.Prefix][]route)}
 }
 
-// Insert adds or replaces the route from (prefix, nexthop AS).
-func (rib *RIB) Insert(r Route) {
+// insert adds or replaces the route from (prefix, nexthop AS).
+func (rib *RIB) insert(r route) {
 	rib.mu.Lock()
 	defer rib.mu.Unlock()
 	metricRouteInserts.Inc()
@@ -140,9 +143,9 @@ func (rib *RIB) Insert(r Route) {
 	rib.routes[r.Prefix] = append(list, r)
 }
 
-// Withdraw removes the route to prefix learned from nexthop AS. It
+// withdraw removes the route to prefix learned from nexthop AS. It
 // reports whether a route was removed.
-func (rib *RIB) Withdraw(prefix netip.Prefix, nextHopAS uint32) bool {
+func (rib *RIB) withdraw(prefix netip.Prefix, nextHopAS uint32) bool {
 	rib.mu.Lock()
 	defer rib.mu.Unlock()
 	list := rib.routes[prefix]
@@ -163,6 +166,8 @@ func (rib *RIB) Withdraw(prefix netip.Prefix, nextHopAS uint32) bool {
 
 // WithdrawAllFrom removes every route learned from nexthop AS,
 // returning how many were removed. Used when a session flaps.
+//
+//bsvet:allow deadcode no production caller; kept for TestWithdrawAllFrom (deletion deferred, ROADMAP 8(iv))
 func (rib *RIB) WithdrawAllFrom(nextHopAS uint32) int {
 	rib.mu.Lock()
 	defer rib.mu.Unlock()
@@ -188,10 +193,12 @@ func (rib *RIB) WithdrawAllFrom(nextHopAS uint32) int {
 
 // Lookup returns the best route for addr by longest prefix match, or
 // false if no route covers it.
-func (rib *RIB) Lookup(addr netip.Addr) (Route, bool) {
+//
+//bsvet:allow deadcode oracle: TestRIBBestPathSelection and TestConnectAndAnnounce read the RIB the route server fills
+func (rib *RIB) Lookup(addr netip.Addr) (route, bool) {
 	rib.mu.RLock()
 	defer rib.mu.RUnlock()
-	var best Route
+	var best route
 	bestBits := -1
 	found := false
 	for prefix, list := range rib.routes {
@@ -209,10 +216,12 @@ func (rib *RIB) Lookup(addr netip.Addr) (Route, bool) {
 }
 
 // Routes returns all routes for a prefix, best first.
-func (rib *RIB) Routes(prefix netip.Prefix) []Route {
+//
+//bsvet:allow deadcode oracle: TestRIBInsertReplaces and TestRoutesSorted read the per-prefix routes the RIB keeps
+func (rib *RIB) Routes(prefix netip.Prefix) []route {
 	rib.mu.RLock()
 	defer rib.mu.RUnlock()
-	list := append([]Route(nil), rib.routes[prefix]...)
+	list := append([]route(nil), rib.routes[prefix]...)
 	sort.Slice(list, func(i, j int) bool { return better(list[i], list[j]) })
 	return list
 }
@@ -224,7 +233,7 @@ func (rib *RIB) Len() int {
 	return len(rib.routes)
 }
 
-func bestOf(list []Route) Route {
+func bestOf(list []route) route {
 	metricBestPathRecomps.Inc()
 	best := list[0]
 	for _, r := range list[1:] {
@@ -251,9 +260,6 @@ func (s SessionState) String() string {
 	}
 	return "idle"
 }
-
-// ErrNotEstablished reports announcements over a down session.
-var ErrNotEstablished = errors.New("bgp: session not established")
 
 // Session is one eBGP session. Saturating the underlying link starves
 // keepalives; after HoldTime seconds of sustained saturation the session
@@ -397,7 +403,7 @@ type RouteServer struct {
 	mu      sync.Mutex
 	members map[uint32]*RIB
 	// announcements maps announcing member -> its announced routes.
-	announcements map[uint32][]Route
+	announcements map[uint32][]route
 }
 
 // NewRouteServer returns a route server with the given (display-only)
@@ -406,7 +412,7 @@ func NewRouteServer(asn uint32) *RouteServer {
 	return &RouteServer{
 		ASN:           asn,
 		members:       make(map[uint32]*RIB),
-		announcements: make(map[uint32][]Route),
+		announcements: make(map[uint32][]route),
 	}
 }
 
@@ -421,12 +427,14 @@ func (rs *RouteServer) Join(asn uint32, rib *RIB) {
 			continue
 		}
 		for _, r := range routes {
-			rib.Insert(r)
+			rib.insert(r)
 		}
 	}
 }
 
 // Members returns the member ASNs in ascending order.
+//
+//bsvet:allow deadcode oracle: TestRouteServerMembers and TestConnectAndAnnounce check session setup
 func (rs *RouteServer) Members() []uint32 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -453,7 +461,7 @@ func (rs *RouteServer) AnnounceWithCommunities(fromAS uint32, prefix netip.Prefi
 	if _, ok := rs.members[fromAS]; !ok {
 		return fmt.Errorf("bgp: AS%d is not a route server member", fromAS)
 	}
-	route := Route{
+	route := route{
 		Prefix:      prefix,
 		NextHopAS:   fromAS,
 		Path:        []uint32{fromAS},
@@ -465,7 +473,7 @@ func (rs *RouteServer) AnnounceWithCommunities(fromAS uint32, prefix netip.Prefi
 		if asn == fromAS {
 			continue
 		}
-		rib.Insert(route)
+		rib.insert(route)
 	}
 	return nil
 }
@@ -486,6 +494,6 @@ func (rs *RouteServer) Withdraw(fromAS uint32, prefix netip.Prefix) {
 		if asn == fromAS {
 			continue
 		}
-		rib.Withdraw(prefix, fromAS)
+		rib.withdraw(prefix, fromAS)
 	}
 }

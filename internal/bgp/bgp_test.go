@@ -12,10 +12,10 @@ var (
 )
 
 func TestRouteSourcePrefs(t *testing.T) {
-	if SourceCustomer.DefaultLocalPref() <= SourcePeering.DefaultLocalPref() {
+	if SourceCustomer.defaultLocalPref() <= SourcePeering.defaultLocalPref() {
 		t.Error("customer must beat peering")
 	}
-	if SourcePeering.DefaultLocalPref() <= SourceTransit.DefaultLocalPref() {
+	if SourcePeering.defaultLocalPref() <= SourceTransit.defaultLocalPref() {
 		t.Error("peering must beat transit")
 	}
 	if SourcePeering.String() != "peering" || SourceTransit.String() != "transit" || SourceCustomer.String() != "customer" {
@@ -24,30 +24,30 @@ func TestRouteSourcePrefs(t *testing.T) {
 }
 
 func TestEffectiveLocalPref(t *testing.T) {
-	r := Route{Source: SourcePeering}
-	if r.EffectiveLocalPref() != 150 {
-		t.Errorf("derived pref = %d", r.EffectiveLocalPref())
+	r := route{Source: SourcePeering}
+	if r.effectiveLocalPref() != 150 {
+		t.Errorf("derived pref = %d", r.effectiveLocalPref())
 	}
 	r.LocalPref = 999
-	if r.EffectiveLocalPref() != 999 {
-		t.Errorf("explicit pref = %d", r.EffectiveLocalPref())
+	if r.effectiveLocalPref() != 999 {
+		t.Errorf("explicit pref = %d", r.effectiveLocalPref())
 	}
 }
 
 func TestOriginAS(t *testing.T) {
-	r := Route{Path: []uint32{100, 200, 300}}
+	r := route{Path: []uint32{100, 200, 300}}
 	if r.OriginAS() != 300 {
 		t.Errorf("origin = %d", r.OriginAS())
 	}
-	if (Route{}).OriginAS() != 0 {
+	if (route{}).OriginAS() != 0 {
 		t.Error("empty path origin should be 0")
 	}
 }
 
 func TestRIBBestPathSelection(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 65000}, Source: SourceTransit})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 200, Path: []uint32{200, 65000}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 65000}, Source: SourceTransit})
+	rib.insert(route{Prefix: p24, NextHopAS: 200, Path: []uint32{200, 65000}, Source: SourcePeering})
 	r, ok := rib.Lookup(netip.MustParseAddr("203.0.113.50"))
 	if !ok {
 		t.Fatal("no route")
@@ -59,8 +59,8 @@ func TestRIBBestPathSelection(t *testing.T) {
 
 func TestRIBShorterPathWins(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 300, 65000}, Source: SourcePeering})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 200, Path: []uint32{200, 65000}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 300, 65000}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 200, Path: []uint32{200, 65000}, Source: SourcePeering})
 	r, _ := rib.Lookup(netip.MustParseAddr("203.0.113.1"))
 	if r.NextHopAS != 200 {
 		t.Errorf("best nexthop = %d, want shorter path via 200", r.NextHopAS)
@@ -69,8 +69,8 @@ func TestRIBShorterPathWins(t *testing.T) {
 
 func TestRIBTiebreakLowestASN(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 300, Path: []uint32{300}, Source: SourcePeering})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 300, Path: []uint32{300}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
 	r, _ := rib.Lookup(netip.MustParseAddr("203.0.113.1"))
 	if r.NextHopAS != 100 {
 		t.Errorf("tiebreak nexthop = %d", r.NextHopAS)
@@ -79,9 +79,9 @@ func TestRIBTiebreakLowestASN(t *testing.T) {
 
 func TestRIBLongestPrefixMatch(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p0, NextHopAS: 1, Path: []uint32{1}, Source: SourceTransit})
-	rib.Insert(Route{Prefix: p16, NextHopAS: 2, Path: []uint32{2}, Source: SourceTransit})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 3, Path: []uint32{3}, Source: SourceTransit})
+	rib.insert(route{Prefix: p0, NextHopAS: 1, Path: []uint32{1}, Source: SourceTransit})
+	rib.insert(route{Prefix: p16, NextHopAS: 2, Path: []uint32{2}, Source: SourceTransit})
+	rib.insert(route{Prefix: p24, NextHopAS: 3, Path: []uint32{3}, Source: SourceTransit})
 	r, _ := rib.Lookup(netip.MustParseAddr("203.0.113.9"))
 	if r.NextHopAS != 3 {
 		t.Errorf("lookup in /24 = AS%d", r.NextHopAS)
@@ -98,7 +98,7 @@ func TestRIBLongestPrefixMatch(t *testing.T) {
 
 func TestRIBNoRoute(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 3, Path: []uint32{3}})
+	rib.insert(route{Prefix: p24, NextHopAS: 3, Path: []uint32{3}})
 	if _, ok := rib.Lookup(netip.MustParseAddr("8.8.8.8")); ok {
 		t.Error("lookup outside coverage should fail")
 	}
@@ -106,8 +106,8 @@ func TestRIBNoRoute(t *testing.T) {
 
 func TestRIBInsertReplaces(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 1, 2}, Source: SourcePeering})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 1, 2}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
 	routes := rib.Routes(p24)
 	if len(routes) != 1 {
 		t.Fatalf("routes = %d, want replacement not duplicate", len(routes))
@@ -119,19 +119,19 @@ func TestRIBInsertReplaces(t *testing.T) {
 
 func TestRIBWithdraw(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 200, Path: []uint32{200}, Source: SourceTransit})
-	if !rib.Withdraw(p24, 100) {
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 200, Path: []uint32{200}, Source: SourceTransit})
+	if !rib.withdraw(p24, 100) {
 		t.Fatal("withdraw failed")
 	}
 	r, ok := rib.Lookup(netip.MustParseAddr("203.0.113.1"))
 	if !ok || r.NextHopAS != 200 {
 		t.Errorf("after withdraw: %+v ok=%t", r, ok)
 	}
-	if rib.Withdraw(p24, 100) {
+	if rib.withdraw(p24, 100) {
 		t.Error("double withdraw should report false")
 	}
-	rib.Withdraw(p24, 200)
+	rib.withdraw(p24, 200)
 	if rib.Len() != 0 {
 		t.Errorf("rib len = %d", rib.Len())
 	}
@@ -139,9 +139,9 @@ func TestRIBWithdraw(t *testing.T) {
 
 func TestWithdrawAllFrom(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}})
-	rib.Insert(Route{Prefix: p16, NextHopAS: 100, Path: []uint32{100}})
-	rib.Insert(Route{Prefix: p16, NextHopAS: 200, Path: []uint32{200}})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}})
+	rib.insert(route{Prefix: p16, NextHopAS: 100, Path: []uint32{100}})
+	rib.insert(route{Prefix: p16, NextHopAS: 200, Path: []uint32{200}})
 	if n := rib.WithdrawAllFrom(100); n != 2 {
 		t.Errorf("withdrew %d routes", n)
 	}
@@ -155,9 +155,9 @@ func TestWithdrawAllFrom(t *testing.T) {
 
 func TestRoutesSorted(t *testing.T) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourceTransit})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 200, Path: []uint32{200}, Source: SourcePeering})
-	rib.Insert(Route{Prefix: p24, NextHopAS: 300, Path: []uint32{300}, Source: SourceCustomer})
+	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}, Source: SourceTransit})
+	rib.insert(route{Prefix: p24, NextHopAS: 200, Path: []uint32{200}, Source: SourcePeering})
+	rib.insert(route{Prefix: p24, NextHopAS: 300, Path: []uint32{300}, Source: SourceCustomer})
 	routes := rib.Routes(p24)
 	if len(routes) != 3 {
 		t.Fatalf("routes = %d", len(routes))
@@ -332,10 +332,10 @@ func TestRouteServerMembers(t *testing.T) {
 
 func BenchmarkRIBLookup(b *testing.B) {
 	rib := NewRIB()
-	rib.Insert(Route{Prefix: p0, NextHopAS: 1, Path: []uint32{1}, Source: SourceTransit})
+	rib.insert(route{Prefix: p0, NextHopAS: 1, Path: []uint32{1}, Source: SourceTransit})
 	for i := 0; i < 500; i++ {
 		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(i >> 4), byte(i << 4), 0, 0}), 16)
-		rib.Insert(Route{Prefix: prefix, NextHopAS: uint32(i + 2), Path: []uint32{uint32(i + 2)}, Source: SourcePeering})
+		rib.insert(route{Prefix: prefix, NextHopAS: uint32(i + 2), Path: []uint32{uint32(i + 2)}, Source: SourcePeering})
 	}
 	addr := netip.MustParseAddr("203.0.113.9")
 	b.ReportAllocs()

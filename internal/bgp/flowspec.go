@@ -44,8 +44,8 @@ type FlowSpecRule struct {
 
 // FlowSpec errors.
 var (
-	ErrFlowSpecNoDst = errors.New("bgp: flowspec rule requires a destination prefix")
-	ErrFlowSpecWire  = errors.New("bgp: malformed flowspec NLRI")
+	errFlowSpecNoDst = errors.New("bgp: flowspec rule requires a destination prefix")
+	errFlowSpecWire  = errors.New("bgp: malformed flowspec NLRI")
 )
 
 // Matches reports whether a packet's attributes hit the rule.
@@ -84,7 +84,7 @@ func (r FlowSpecRule) String() string {
 // type/value components).
 func (r FlowSpecRule) Encode() ([]byte, error) {
 	if !r.Dst.IsValid() || !r.Dst.Addr().Is4() {
-		return nil, ErrFlowSpecNoDst
+		return nil, errFlowSpecNoDst
 	}
 	var body []byte
 	// Component 1: destination prefix (type, prefix length, prefix
@@ -112,7 +112,7 @@ func (r FlowSpecRule) Encode() ([]byte, error) {
 		body = binary.BigEndian.AppendUint32(body, uint32(r.MinPacketLen))
 	}
 	if len(body) > 0xff {
-		return nil, ErrFlowSpecWire
+		return nil, errFlowSpecWire
 	}
 	return append([]byte{byte(len(body))}, body...), nil
 }
@@ -121,11 +121,11 @@ func (r FlowSpecRule) Encode() ([]byte, error) {
 func DecodeFlowSpec(b []byte) (FlowSpecRule, error) {
 	var r FlowSpecRule
 	if len(b) < 1 {
-		return r, ErrFlowSpecWire
+		return r, errFlowSpecWire
 	}
 	n := int(b[0])
 	if len(b) < 1+n {
-		return r, ErrFlowSpecWire
+		return r, errFlowSpecWire
 	}
 	body := b[1 : 1+n]
 	off := 0
@@ -133,12 +133,12 @@ func DecodeFlowSpec(b []byte) (FlowSpecRule, error) {
 		switch body[off] {
 		case fsTypeDstPrefix:
 			if off+2 > len(body) {
-				return r, ErrFlowSpecWire
+				return r, errFlowSpecWire
 			}
 			bits := int(body[off+1])
 			nBytes := (bits + 7) / 8
 			if bits > 32 || off+2+nBytes > len(body) {
-				return r, ErrFlowSpecWire
+				return r, errFlowSpecWire
 			}
 			var addr [4]byte
 			copy(addr[:], body[off+2:off+2+nBytes])
@@ -146,40 +146,40 @@ func DecodeFlowSpec(b []byte) (FlowSpecRule, error) {
 			off += 2 + nBytes
 		case fsTypeProtocol:
 			if off+3 > len(body) {
-				return r, ErrFlowSpecWire
+				return r, errFlowSpecWire
 			}
 			r.Protocol = body[off+2]
 			off += 3
 		case fsTypeSrcPort:
 			if off+2 > len(body) {
-				return r, ErrFlowSpecWire
+				return r, errFlowSpecWire
 			}
 			op := body[off+1]
 			if op&0x10 != 0 { // 2-byte value
 				if off+4 > len(body) {
-					return r, ErrFlowSpecWire
+					return r, errFlowSpecWire
 				}
 				r.SrcPort = binary.BigEndian.Uint16(body[off+2:])
 				off += 4
 			} else {
 				if off+3 > len(body) {
-					return r, ErrFlowSpecWire
+					return r, errFlowSpecWire
 				}
 				r.SrcPort = uint16(body[off+2])
 				off += 3
 			}
 		case fsTypePacketLen:
 			if off+6 > len(body) {
-				return r, ErrFlowSpecWire
+				return r, errFlowSpecWire
 			}
 			r.MinPacketLen = int(binary.BigEndian.Uint32(body[off+2:]))
 			off += 6
 		default:
-			return r, fmt.Errorf("%w: component type %d", ErrFlowSpecWire, body[off])
+			return r, fmt.Errorf("%w: component type %d", errFlowSpecWire, body[off])
 		}
 	}
 	if !r.Dst.IsValid() {
-		return r, ErrFlowSpecNoDst
+		return r, errFlowSpecNoDst
 	}
 	return r, nil
 }

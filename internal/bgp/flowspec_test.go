@@ -63,7 +63,7 @@ func TestFlowSpecEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestFlowSpecEncodeValidation(t *testing.T) {
-	if _, err := (FlowSpecRule{}).Encode(); err != ErrFlowSpecNoDst {
+	if _, err := (FlowSpecRule{}).Encode(); err != errFlowSpecNoDst {
 		t.Errorf("err = %v", err)
 	}
 	if _, err := (FlowSpecRule{Dst: netip.MustParsePrefix("2001:db8::/32")}).Encode(); err == nil {

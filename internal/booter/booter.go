@@ -40,8 +40,8 @@ func (t Tier) String() string {
 	return "non-VIP"
 }
 
-// Capability describes what one booter achieves with one protocol.
-type Capability struct {
+// capability describes what one booter achieves with one protocol.
+type capability struct {
 	// MeanMbps and PeakMbps bound the sustained attack rate.
 	MeanMbps float64
 	PeakMbps float64
@@ -70,7 +70,7 @@ type Service struct {
 	// HasVIP reports whether a premium tier is offered.
 	HasVIP bool
 	// Capabilities maps each supported attack vector to its strength.
-	Capabilities map[amplify.Vector]Capability
+	Capabilities map[amplify.Vector]capability
 }
 
 // Vectors lists the service's supported attack vectors in a stable
@@ -87,6 +87,8 @@ func (s *Service) Vectors() []amplify.Vector {
 }
 
 // Supports reports whether the service offers the vector.
+//
+//bsvet:allow deadcode oracle: TestCatalogMatchesTable1 checks the catalogue against Table 1
 func (s *Service) Supports(v amplify.Vector) bool {
 	_, ok := s.Capabilities[v]
 	return ok
@@ -104,7 +106,7 @@ func Catalog() []*Service {
 			PriceNonVIP:  8.00,
 			PriceVIP:     250.00,
 			HasVIP:       true,
-			Capabilities: map[amplify.Vector]Capability{
+			Capabilities: map[amplify.Vector]capability{
 				amplify.NTP:       {MeanMbps: 2500, PeakMbps: 7078, Reflectors: 400},
 				amplify.DNS:       {MeanMbps: 600, PeakMbps: 1200, Reflectors: 250},
 				amplify.CLDAP:     {MeanMbps: 800, PeakMbps: 1500, Reflectors: 900},
@@ -118,7 +120,7 @@ func Catalog() []*Service {
 			PriceNonVIP: 19.83,
 			PriceVIP:    178.84,
 			HasVIP:      true,
-			Capabilities: map[amplify.Vector]Capability{
+			Capabilities: map[amplify.Vector]capability{
 				amplify.NTP:       {MeanMbps: 2000, PeakMbps: 5500, VIPPeakMbps: 20000, Reflectors: 350},
 				amplify.DNS:       {MeanMbps: 500, PeakMbps: 1000, Reflectors: 300},
 				amplify.CLDAP:     {MeanMbps: 1200, PeakMbps: 2200, Reflectors: 3519},
@@ -131,7 +133,7 @@ func Catalog() []*Service {
 			PriceNonVIP: 14.00,
 			PriceVIP:    89.00,
 			HasVIP:      true,
-			Capabilities: map[amplify.Vector]Capability{
+			Capabilities: map[amplify.Vector]capability{
 				amplify.NTP: {MeanMbps: 1500, PeakMbps: 2400, Reflectors: 300},
 				amplify.DNS: {MeanMbps: 400, PeakMbps: 900, Reflectors: 200},
 			},
@@ -142,7 +144,7 @@ func Catalog() []*Service {
 			PriceNonVIP: 19.99,
 			PriceVIP:    149.99,
 			HasVIP:      true,
-			Capabilities: map[amplify.Vector]Capability{
+			Capabilities: map[amplify.Vector]capability{
 				amplify.NTP: {MeanMbps: 700, PeakMbps: 1300, Reflectors: 150},
 				amplify.DNS: {MeanMbps: 300, PeakMbps: 700, Reflectors: 120},
 			},
@@ -171,9 +173,9 @@ type Order struct {
 
 // Ordering errors.
 var (
-	ErrUnsupportedVector = errors.New("booter: service does not offer this vector")
-	ErrNoVIP             = errors.New("booter: service has no VIP tier")
-	ErrBadDuration       = errors.New("booter: duration must be positive")
+	errUnsupportedVector = errors.New("booter: service does not offer this vector")
+	errNoVIP             = errors.New("booter: service has no VIP tier")
+	errBadDuration       = errors.New("booter: duration must be positive")
 )
 
 // Engine executes attacks. It owns one reflector working set per
@@ -201,7 +203,7 @@ func NewEngine(pools map[amplify.Vector]*reflector.Pool, seed uint64) *Engine {
 func (e *Engine) WorkingSet(svc *Service, vector amplify.Vector) (*reflector.WorkingSet, error) {
 	cap, ok := svc.Capabilities[vector]
 	if !ok {
-		return nil, ErrUnsupportedVector
+		return nil, errUnsupportedVector
 	}
 	key := svc.Name + "/" + vector.String()
 	if ws, ok := e.sets[key]; ok {
@@ -251,6 +253,8 @@ type SecondEmission struct {
 }
 
 // ReflectorCount is the number of active reflectors this second.
+//
+//bsvet:allow deadcode oracle: TestNonVIPNTPAttackEnvelope counts the reflectors an attack second uses
 func (s *SecondEmission) ReflectorCount() int {
 	n := 0
 	for _, c := range s.ReflectorsByAS {
@@ -277,18 +281,18 @@ type Attack struct {
 func (e *Engine) Launch(order Order) (*Attack, error) {
 	cap, ok := order.Service.Capabilities[order.Vector]
 	if !ok {
-		return nil, ErrUnsupportedVector
+		return nil, errUnsupportedVector
 	}
 	if order.Tier == VIP {
 		if !order.Service.HasVIP {
-			return nil, ErrNoVIP
+			return nil, errNoVIP
 		}
 		if cap.VIPPeakMbps == 0 {
-			return nil, fmt.Errorf("%w for %v", ErrUnsupportedVector, order.Vector)
+			return nil, fmt.Errorf("%w for %v", errUnsupportedVector, order.Vector)
 		}
 	}
 	if order.Duration <= 0 {
-		return nil, ErrBadDuration
+		return nil, errBadDuration
 	}
 	ws, err := e.WorkingSet(order.Service, order.Vector)
 	if err != nil {
@@ -429,9 +433,9 @@ func (s *Service) Seize() {
 	s.SeizedByFBI = true
 }
 
-// ActiveDomain returns the domain currently serving customers: the
+// activeDomain returns the domain currently serving customers: the
 // backup after a seizure (if any), else the primary.
-func (s *Service) ActiveDomain() string {
+func (s *Service) activeDomain() string {
 	if s.SeizedByFBI && s.BackupDomain != "" {
 		return s.BackupDomain
 	}

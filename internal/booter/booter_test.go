@@ -92,10 +92,10 @@ func TestTierString(t *testing.T) {
 func TestLaunchValidation(t *testing.T) {
 	e := NewEngine(testPools(), 7)
 	c, _ := ServiceByName("C")
-	if _, err := e.Launch(Order{Service: c, Vector: amplify.Memcached, Duration: time.Minute, Target: victim}); err != ErrUnsupportedVector {
+	if _, err := e.Launch(Order{Service: c, Vector: amplify.Memcached, Duration: time.Minute, Target: victim}); err != errUnsupportedVector {
 		t.Errorf("unsupported vector err = %v", err)
 	}
-	if _, err := e.Launch(Order{Service: c, Vector: amplify.NTP, Duration: 0, Target: victim}); err != ErrBadDuration {
+	if _, err := e.Launch(Order{Service: c, Vector: amplify.NTP, Duration: 0, Target: victim}); err != errBadDuration {
 		t.Errorf("zero duration err = %v", err)
 	}
 	// C offers a VIP price but no VIP-rated vector capability.
@@ -286,16 +286,16 @@ func TestSeizureAndDomainLifecycle(t *testing.T) {
 	// pre-takedown and replay.
 	a4.SeizedByFBI = false
 	b.SeizedByFBI = false
-	if a4.ActiveDomain() != "booter-a.com" {
-		t.Errorf("A domain = %q", a4.ActiveDomain())
+	if a4.activeDomain() != "booter-a.com" {
+		t.Errorf("A domain = %q", a4.activeDomain())
 	}
 	a4.Seize()
 	b.Seize()
-	if a4.ActiveDomain() != "booter-a-reloaded.net" {
-		t.Errorf("A post-seizure domain = %q; backup should activate", a4.ActiveDomain())
+	if a4.activeDomain() != "booter-a-reloaded.net" {
+		t.Errorf("A post-seizure domain = %q; backup should activate", a4.activeDomain())
 	}
-	if b.ActiveDomain() != "" {
-		t.Errorf("B post-seizure domain = %q; B had no backup", b.ActiveDomain())
+	if b.activeDomain() != "" {
+		t.Errorf("B post-seizure domain = %q; B had no backup", b.activeDomain())
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 
 // Panel errors.
 var (
-	ErrConcurrentLimit = errors.New("booter: concurrent attack limit reached")
-	ErrSeizedService   = errors.New("booter: service seized, panel unreachable")
+	errConcurrentLimit = errors.New("booter: concurrent attack limit reached")
+	errSeizedService   = errors.New("booter: service seized, panel unreachable")
 )
 
 // Concurrent attack slots by tier — booter panels advertise
 // "concurrents" as a plan feature.
 const (
-	ConcurrentsNonVIP = 1
-	ConcurrentsVIP    = 3
+	concurrentsNonVIP = 1
+	concurrentsVIP    = 3
 )
 
 // HistoryEntry is one attack as the panel's backend logs it — the rows
@@ -33,10 +33,10 @@ type HistoryEntry struct {
 	Time     time.Time
 }
 
-// Panel is a booter's customer-facing attack panel: it enforces the
+// panel is a booter's customer-facing attack panel: it enforces the
 // plan's concurrent-attack limits, refuses orders while the service is
 // seized, and keeps the backend attack log.
-type Panel struct {
+type panel struct {
 	Service *Service
 	engine  *Engine
 
@@ -45,12 +45,14 @@ type Panel struct {
 }
 
 // NewPanel opens a panel for one service on an engine.
-func NewPanel(svc *Service, engine *Engine) *Panel {
-	return &Panel{Service: svc, engine: engine}
+//
+//bsvet:allow deadcode the booter panel has no production caller; kept for TestPanelHistory and the other panel tests (deletion deferred, ROADMAP 8(iv))
+func NewPanel(svc *Service, engine *Engine) *panel {
+	return &panel{Service: svc, engine: engine}
 }
 
 // activeAt counts attacks still running at time t for a tier.
-func (p *Panel) activeAt(t time.Time) int {
+func (p *panel) activeAt(t time.Time) int {
 	n := 0
 	for _, end := range p.running {
 		if end.After(t) {
@@ -63,16 +65,18 @@ func (p *Panel) activeAt(t time.Time) int {
 // slots returns the tier's concurrent limit.
 func slots(tier Tier) int {
 	if tier == VIP {
-		return ConcurrentsVIP
+		return concurrentsVIP
 	}
-	return ConcurrentsNonVIP
+	return concurrentsNonVIP
 }
 
 // Launch places an order at time t, enforcing the panel's rules, and
 // returns the running attack.
-func (p *Panel) Launch(userID int, order Order, t time.Time) (*Attack, error) {
-	if p.Service.ActiveDomain() == "" {
-		return nil, ErrSeizedService
+//
+//bsvet:allow deadcode the booter panel has no production caller; kept for TestPanelConcurrentLimitNonVIP and the other panel tests (deletion deferred, ROADMAP 8(iv))
+func (p *panel) Launch(userID int, order Order, t time.Time) (*Attack, error) {
+	if p.Service.activeDomain() == "" {
+		return nil, errSeizedService
 	}
 	if order.Service == nil {
 		order.Service = p.Service
@@ -81,7 +85,7 @@ func (p *Panel) Launch(userID int, order Order, t time.Time) (*Attack, error) {
 		return nil, fmt.Errorf("booter: order for %s on %s's panel", order.Service.Name, p.Service.Name)
 	}
 	if p.activeAt(t) >= slots(order.Tier) {
-		return nil, ErrConcurrentLimit
+		return nil, errConcurrentLimit
 	}
 	atk, err := p.engine.Launch(order)
 	if err != nil {
@@ -101,7 +105,7 @@ func (p *Panel) Launch(userID int, order Order, t time.Time) (*Attack, error) {
 }
 
 // compact drops finished slots.
-func (p *Panel) compact(t time.Time) {
+func (p *panel) compact(t time.Time) {
 	kept := p.running[:0]
 	for _, end := range p.running {
 		if end.After(t) {
@@ -112,4 +116,6 @@ func (p *Panel) compact(t time.Time) {
 }
 
 // History returns the backend attack log.
-func (p *Panel) History() []HistoryEntry { return p.history }
+//
+//bsvet:allow deadcode the booter panel has no production caller; kept for TestPanelHistory (deletion deferred, ROADMAP 8(iv))
+func (p *panel) History() []HistoryEntry { return p.history }

@@ -10,7 +10,7 @@ import (
 
 var panelT0 = time.Date(2018, 7, 1, 12, 0, 0, 0, time.UTC)
 
-func testPanel(t *testing.T, name string) *Panel {
+func testPanel(t *testing.T, name string) *panel {
 	t.Helper()
 	svc, err := ServiceByName(name)
 	if err != nil {
@@ -35,7 +35,7 @@ func TestPanelConcurrentLimitNonVIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second concurrent non-VIP attack: refused.
-	if _, err := p.Launch(1, order(NonVIP, "198.51.100.2", time.Minute), panelT0.Add(10*time.Second)); err != ErrConcurrentLimit {
+	if _, err := p.Launch(1, order(NonVIP, "198.51.100.2", time.Minute), panelT0.Add(10*time.Second)); err != errConcurrentLimit {
 		t.Errorf("err = %v, want ErrConcurrentLimit", err)
 	}
 	// After the first finishes, a new one launches.
@@ -46,20 +46,20 @@ func TestPanelConcurrentLimitNonVIP(t *testing.T) {
 
 func TestPanelVIPHasMoreSlots(t *testing.T) {
 	p := testPanel(t, "B")
-	for i := 0; i < ConcurrentsVIP; i++ {
+	for i := 0; i < concurrentsVIP; i++ {
 		if _, err := p.Launch(2, order(VIP, "198.51.100.10", time.Minute), panelT0); err != nil {
 			t.Fatalf("VIP slot %d: %v", i, err)
 		}
 	}
-	if _, err := p.Launch(2, order(VIP, "198.51.100.11", time.Minute), panelT0); err != ErrConcurrentLimit {
-		t.Errorf("err = %v, want ErrConcurrentLimit at slot %d", err, ConcurrentsVIP)
+	if _, err := p.Launch(2, order(VIP, "198.51.100.11", time.Minute), panelT0); err != errConcurrentLimit {
+		t.Errorf("err = %v, want ErrConcurrentLimit at slot %d", err, concurrentsVIP)
 	}
 }
 
 func TestPanelRefusesWhenSeized(t *testing.T) {
 	p := testPanel(t, "B")
 	p.Service.Seize() // B has no backup domain: panel gone
-	if _, err := p.Launch(1, order(NonVIP, "198.51.100.1", time.Minute), panelT0); err != ErrSeizedService {
+	if _, err := p.Launch(1, order(NonVIP, "198.51.100.1", time.Minute), panelT0); err != errSeizedService {
 		t.Errorf("err = %v, want ErrSeizedService", err)
 	}
 }

@@ -30,18 +30,18 @@ type User struct {
 	Country    string
 }
 
-// PaymentMethod is how a subscription was paid.
-type PaymentMethod uint8
+// paymentMethod is how a subscription was paid.
+type paymentMethod uint8
 
 // Payment methods seen in leaked databases.
 const (
-	PayPal PaymentMethod = iota
+	PayPal paymentMethod = iota
 	Bitcoin
 	GiftCard
 )
 
 // String returns the method name.
-func (m PaymentMethod) String() string {
+func (m paymentMethod) String() string {
 	switch m {
 	case PayPal:
 		return "paypal"
@@ -55,7 +55,9 @@ func (m PaymentMethod) String() string {
 }
 
 // parsePaymentMethod inverts String.
-func parsePaymentMethod(s string) (PaymentMethod, error) {
+//
+//bsvet:allow deadcode no production caller; kept for TestPaymentMethodStrings (deletion deferred, ROADMAP 8(iv))
+func parsePaymentMethod(s string) (paymentMethod, error) {
 	switch s {
 	case "paypal":
 		return PayPal, nil
@@ -68,12 +70,12 @@ func parsePaymentMethod(s string) (PaymentMethod, error) {
 	}
 }
 
-// Payment is one subscription purchase.
-type Payment struct {
+// payment is one subscription purchase.
+type payment struct {
 	ID     int
 	UserID int
 	Amount float64
-	Method PaymentMethod
+	Method paymentMethod
 	Time   time.Time
 }
 
@@ -91,7 +93,7 @@ type AttackLog struct {
 type Database struct {
 	Booter   string
 	Users    []User
-	Payments []Payment
+	Payments []payment
 	Attacks  []AttackLog
 }
 
@@ -152,7 +154,7 @@ func Generate(svc *booter.Service, cfg GenerateConfig) *Database {
 			case u < 0.32:
 				method = GiftCard
 			}
-			db.Payments = append(db.Payments, Payment{
+			db.Payments = append(db.Payments, payment{
 				ID:     paymentID,
 				UserID: id,
 				Amount: amount,
@@ -215,8 +217,8 @@ func (db *Database) TopTargets(n int) []TargetCount {
 	return out
 }
 
-// AttacksPerUser returns each user's attack count, heaviest first.
-func (db *Database) AttacksPerUser() []int {
+// attacksPerUser returns each user's attack count, heaviest first.
+func (db *Database) attacksPerUser() []int {
 	counts := make(map[int]int)
 	for _, a := range db.Attacks {
 		counts[a.UserID]++
@@ -233,7 +235,7 @@ func (db *Database) AttacksPerUser() []int {
 // fraction of attacking users — the leak studies' "a few power users
 // dominate" observation.
 func (db *Database) PowerUserShare(topFrac float64) float64 {
-	counts := db.AttacksPerUser()
+	counts := db.attacksPerUser()
 	if len(counts) == 0 {
 		return 0
 	}
@@ -255,8 +257,10 @@ func (db *Database) PowerUserShare(topFrac float64) float64 {
 }
 
 // RevenueByMethod sums payments per method.
-func (db *Database) RevenueByMethod() map[PaymentMethod]float64 {
-	out := make(map[PaymentMethod]float64)
+//
+//bsvet:allow deadcode no production caller; kept for TestRevenue (deletion deferred, ROADMAP 8(iv))
+func (db *Database) RevenueByMethod() map[paymentMethod]float64 {
+	out := make(map[paymentMethod]float64)
 	for _, p := range db.Payments {
 		out[p.Method] += p.Amount
 	}
@@ -273,6 +277,8 @@ func (db *Database) TotalRevenue() float64 {
 }
 
 // VectorUsage counts attacks per vector.
+//
+//bsvet:allow deadcode no production caller; kept for TestVectorUsage (deletion deferred, ROADMAP 8(iv))
 func (db *Database) VectorUsage() map[amplify.Vector]int {
 	out := make(map[amplify.Vector]int)
 	for _, a := range db.Attacks {
@@ -283,6 +289,8 @@ func (db *Database) VectorUsage() map[amplify.Vector]int {
 
 // VictimOverlap returns how many victims two leaks share — the
 // cross-booter victimization studied by Noroozian et al.
+//
+//bsvet:allow deadcode no production caller; kept for TestVictimOverlap (deletion deferred, ROADMAP 8(iv))
 func VictimOverlap(a, b *Database) int {
 	inA := make(map[netip.Addr]bool)
 	for _, atk := range a.Attacks {
@@ -300,6 +308,8 @@ func VictimOverlap(a, b *Database) int {
 }
 
 // WriteCSV dumps the attack log table in the column layout leaks use.
+//
+//bsvet:allow deadcode no production caller; kept for TestCSVRoundTrip (deletion deferred, ROADMAP 8(iv))
 func (db *Database) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"id", "user_id", "target", "vector", "duration_s", "time"}); err != nil {
@@ -323,6 +333,8 @@ func (db *Database) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses an attack log table written by WriteCSV.
+//
+//bsvet:allow deadcode no production caller; kept for TestCSVRoundTrip and TestReadCSVErrors (deletion deferred, ROADMAP 8(iv))
 func ReadCSV(r io.Reader) ([]AttackLog, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -389,6 +401,8 @@ func parseVector(s string) (amplify.Vector, error) {
 // FromHistory builds a leak database from a panel's backend attack log
 // — what investigators obtain when they seize the service's
 // infrastructure rather than just its domain.
+//
+//bsvet:allow deadcode no production caller; kept for TestFromHistory (deletion deferred, ROADMAP 8(iv))
 func FromHistory(booterName string, history []booter.HistoryEntry) *Database {
 	db := &Database{Booter: booterName}
 	users := make(map[int]bool)

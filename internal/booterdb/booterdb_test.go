@@ -183,7 +183,7 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestPaymentMethodStrings(t *testing.T) {
-	for _, m := range []PaymentMethod{PayPal, Bitcoin, GiftCard} {
+	for _, m := range []paymentMethod{PayPal, Bitcoin, GiftCard} {
 		back, err := parsePaymentMethod(m.String())
 		if err != nil || back != m {
 			t.Errorf("round trip %v failed: %v", m, err)

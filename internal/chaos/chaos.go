@@ -15,18 +15,18 @@ package chaos
 
 import "encoding/binary"
 
-// Blackout is a half-open range [FromPacket, ToPacket) of received
+// blackout is a half-open range [FromPacket, ToPacket) of received
 // datagram indexes (counting from 0) dropped entirely — the shape of an
 // exporter restart or a routed-around outage. Expressing outages in
 // packet indexes rather than wall-clock seconds keeps runs
 // deterministic regardless of machine speed.
-type Blackout struct {
+type blackout struct {
 	FromPacket int
 	ToPacket   int
 }
 
 // contains reports whether datagram index i falls in the blackout.
-func (b Blackout) contains(i int) bool { return i >= b.FromPacket && i < b.ToPacket }
+func (b blackout) contains(i int) bool { return i >= b.FromPacket && i < b.ToPacket }
 
 // Plan describes the fault schedule a Proxy applies. The zero value
 // forwards everything untouched. All rates are per-datagram
@@ -46,7 +46,7 @@ type Plan struct {
 	// forwarding.
 	CorruptRate float64
 	// Blackouts lists whole outage windows in datagram indexes.
-	Blackouts []Blackout
+	Blackouts []blackout
 	// IPFIXAware enables record-level drop attribution: the proxy
 	// reads each IPFIX header's sequence number and observation domain
 	// and, from the sequence delta to the following message, credits

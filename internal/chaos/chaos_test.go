@@ -187,7 +187,7 @@ func TestProxyDropsAreSeededAndAccounted(t *testing.T) {
 func TestProxyBlackout(t *testing.T) {
 	s := newSink(t)
 	p := startProxy(t, s.conn.LocalAddr().String(),
-		Plan{Seed: 1, Blackouts: []Blackout{{FromPacket: 10, ToPacket: 25}}})
+		Plan{Seed: 1, Blackouts: []blackout{{FromPacket: 10, ToPacket: 25}}})
 	sendIndexed(t, p.Addr().String(), 50)
 	got := indexes(s.wait(t, 35))
 	if len(got) != 35 {

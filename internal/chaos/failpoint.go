@@ -9,6 +9,8 @@ import (
 // ErrInjected is the error a Failpoint returns at a triggered
 // operation. Callers distinguish injected faults from real I/O errors
 // with errors.Is.
+//
+//bsvet:allow deadcode oracle: TestCrashRecovery and TestDumpCrashAtEveryWriteOffset tell injected faults from real ones with it
 var ErrInjected = errors.New("chaos: injected fault")
 
 // Failpoint is a deterministic fault hook for non-network components
@@ -33,6 +35,8 @@ type Failpoint struct {
 
 // NewFailpoint returns a failpoint that fails exactly the given
 // operation indexes (counting operations from 0).
+//
+//bsvet:allow deadcode test seam: TestCheckpointCrashAtEveryWriteOffset and TestCrashRecovery inject faults into the production write paths with it
 func NewFailpoint(failAt ...uint64) *Failpoint {
 	f := &Failpoint{failAt: make(map[uint64]struct{}, len(failAt))}
 	for _, i := range failAt {
@@ -44,6 +48,8 @@ func NewFailpoint(failAt ...uint64) *Failpoint {
 // FailFrom returns a failpoint that fails every operation from index
 // on — once it fires, the component is "dead" and every later write
 // fails too, like a crashed process.
+//
+//bsvet:allow deadcode test seam: TestArchiveErrorDoesNotCostDetection and TestCrashRecovery inject faults into the production write paths with it
 func FailFrom(index uint64) *Failpoint {
 	return &Failpoint{failFrom: index + 1}
 }
@@ -73,6 +79,8 @@ func (f *Failpoint) Check(op string) error {
 }
 
 // Ops reports how many operations have been checked.
+//
+//bsvet:allow deadcode oracle: TestCheckpointCrashAtEveryWriteOffset and TestCrashRecovery size their fault sweeps with it
 func (f *Failpoint) Ops() uint64 {
 	if f == nil {
 		return 0
@@ -83,6 +91,8 @@ func (f *Failpoint) Ops() uint64 {
 }
 
 // Injected reports how many faults the failpoint has injected.
+//
+//bsvet:allow deadcode oracle: TestFailpointExactIndexes and TestFailpointFailFrom check the fault schedule the crash matrices rely on
 func (f *Failpoint) Injected() uint64 {
 	if f == nil {
 		return 0

@@ -9,7 +9,7 @@ import (
 	"booterscope/internal/telemetry/eventlog"
 )
 
-// AttackID derives the stable identifier of one attack: the FNV-1a
+// attackID derives the stable identifier of one attack: the FNV-1a
 // hash of the victim address and the unix minute of its first
 // suspicious bin. The ID is a pure function of stream content, so it
 // is identical across shard counts (victim-hash routing puts each
@@ -18,7 +18,7 @@ import (
 // attack was open" decision — match the serial monitor exactly) and
 // across a checkpoint restart (open attacks are persisted in the
 // monitor snapshot, so a restored daemon keeps the same IDs).
-func AttackID(victim [16]byte, firstMinuteUnix int64) uint64 {
+func attackID(victim [16]byte, firstMinuteUnix int64) uint64 {
 	h := fnv.New64a()
 	h.Write(victim[:])
 	var buf [8]byte
@@ -63,7 +63,7 @@ type attackState struct {
 // (victim, time-overlap) to surface cross-vantage disagreement —
 // "seen at the IXP, missing at the tier-1 ISP".
 type AttackSummary struct {
-	// ID is the stable lifecycle identifier (AttackID of victim and
+	// ID is the stable lifecycle identifier (attackID of victim and
 	// first minute). Vantages that first see the attack in different
 	// minutes derive different IDs; joins go by victim and interval.
 	ID     uint64
@@ -114,7 +114,7 @@ func (m *Monitor) openAttack(victim netip.Addr, minuteUnix int64) *attackState {
 	st, ok := m.attacks[victim]
 	if !ok {
 		st = &attackState{
-			id:         AttackID(victim.As16(), minuteUnix),
+			id:         attackID(victim.As16(), minuteUnix),
 			openedUnix: minuteUnix,
 			lastUnix:   minuteUnix,
 		}
@@ -166,6 +166,8 @@ func (m *Monitor) evictAttacks(horizonUnix int64) {
 // shard, so a sharded run's per-shard logs concatenate and re-sort
 // into the identical list a serial monitor produces
 // (ShardedMonitor.AttackLog does exactly that).
+//
+//bsvet:allow deadcode oracle: TestMonitorRunFrozen and TestShardedAttackLogMatchesSerial read the serial monitor's attack log
 func (m *Monitor) AttackLog() []AttackSummary {
 	if !m.TrackAttackLog {
 		return nil

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"booterscope/internal/flow"
 	"fmt"
 	"reflect"
 	"testing"
@@ -115,8 +116,7 @@ func TestShardedAttackLogMatchesSerial(t *testing.T) {
 					if end > len(recs) {
 						end = len(recs)
 					}
-					b := pipe.NewBatch()
-					b.Recs = append(b.Recs, recs[off:end]...)
+					b := pipe.Wrap(append([]flow.Record(nil), recs[off:end]...))
 					if err := emit(b); err != nil {
 						return err
 					}

@@ -22,10 +22,10 @@ const (
 	// OptimisticSizeThreshold separates benign NTP (< 200 bytes) from
 	// amplification payloads.
 	OptimisticSizeThreshold = 200.0
-	// ConservativeMinRateBps is filter rule (a): > 1 Gbps peak.
-	ConservativeMinRateBps = 1e9
-	// ConservativeMinSources is filter rule (b): > 10 amplifiers.
-	ConservativeMinSources = 10
+	// conservativeMinRateBps is filter rule (a): > 1 Gbps peak.
+	conservativeMinRateBps = 1e9
+	// conservativeMinSources is filter rule (b): > 10 amplifiers.
+	conservativeMinSources = 10
 )
 
 // Config allows sweeping the thresholds (the ablation benches vary
@@ -42,39 +42,39 @@ func (c Config) withDefaults() Config {
 		c.SizeThreshold = OptimisticSizeThreshold
 	}
 	if c.MinRateBps == 0 {
-		c.MinRateBps = ConservativeMinRateBps
+		c.MinRateBps = conservativeMinRateBps
 	}
 	if c.MinSources == 0 {
-		c.MinSources = ConservativeMinSources
+		c.MinSources = conservativeMinSources
 	}
 	return c
 }
 
-// IsNTPFlow reports whether a record is NTP traffic from a reflector to
+// isNTPFlow reports whether a record is NTP traffic from a reflector to
 // a destination (source port 123/UDP).
-func IsNTPFlow(r *flow.Record) bool {
+func isNTPFlow(r *flow.Record) bool {
 	return r.Protocol == packet.IPProtoUDP && r.SrcPort == NTPPort
 }
 
-// IsAmplifiedNTP applies the optimistic classification: NTP flows whose
+// isAmplifiedNTP applies the optimistic classification: NTP flows whose
 // average packet size exceeds the threshold.
-func IsAmplifiedNTP(r *flow.Record, cfg Config) bool {
+func isAmplifiedNTP(r *flow.Record, cfg Config) bool {
 	cfg = cfg.withDefaults()
-	return IsNTPFlow(r) && r.AvgPacketSize() > cfg.SizeThreshold
+	return isNTPFlow(r) && r.AvgPacketSize() > cfg.SizeThreshold
 }
 
-// IsNTPFlowCols is IsNTPFlow evaluated against row i of a columnar
+// isNTPFlowCols is isNTPFlow evaluated against row i of a columnar
 // slab — no record is materialized.
-func IsNTPFlowCols(c *flow.Columns, i int) bool {
+func isNTPFlowCols(c *flow.Columns, i int) bool {
 	return c.Proto[i] == packet.IPProtoUDP && c.SrcPort[i] == NTPPort
 }
 
-// IsAmplifiedNTPCols is IsAmplifiedNTP over a columnar slab. It agrees
+// isAmplifiedNTPCols is isAmplifiedNTP over a columnar slab. It agrees
 // with the row predicate for every record (the columnar golden tests
 // pin this row-for-row).
-func IsAmplifiedNTPCols(c *flow.Columns, i int, cfg Config) bool {
+func isAmplifiedNTPCols(c *flow.Columns, i int, cfg Config) bool {
 	cfg = cfg.withDefaults()
-	return IsNTPFlowCols(c, i) && c.AvgPacketSize(i) > cfg.SizeThreshold
+	return isNTPFlowCols(c, i) && c.AvgPacketSize(i) > cfg.SizeThreshold
 }
 
 // Classifier accumulates flow records and produces the study's victim
@@ -92,7 +92,7 @@ func New(cfg Config) *Classifier {
 // Add feeds one record; non-NTP or non-amplified records are ignored.
 // It reports whether the record was accepted.
 func (c *Classifier) Add(r *flow.Record) bool {
-	if !IsAmplifiedNTP(r, c.cfg) {
+	if !isAmplifiedNTP(r, c.cfg) {
 		return false
 	}
 	c.perDest.Add(r)
@@ -106,7 +106,7 @@ func (c *Classifier) Add(r *flow.Record) bool {
 //bsvet:hotpath
 func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	// c.cfg is already defaulted (New), so apply the predicate directly.
-	if !IsNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
+	if !isNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
 		return false
 	}
 	r := cols.Record(i)
@@ -262,10 +262,10 @@ type minuteKey struct {
 
 // smallSources is the inline source-set capacity of a minute bin: one
 // past the (default) conservative threshold, so a bin can prove
-// "> ConservativeMinSources distinct amplifiers" without ever
+// "> conservativeMinSources distinct amplifiers" without ever
 // allocating a map. Only bins that overflow it — or runs with a larger
 // configured MinSources — spill to a real map.
-const smallSources = ConservativeMinSources + 1
+const smallSources = conservativeMinSources + 1
 
 type minuteAgg struct {
 	bytes uint64
@@ -342,8 +342,8 @@ func NewAttackCounter(cfg Config) *AttackCounter {
 func (a *AttackCounter) Add(r *flow.Record) {
 	// a.cfg is already defaulted (NewAttackCounter), so apply the
 	// amplified-NTP predicate directly instead of re-deriving defaults
-	// per record through IsAmplifiedNTP.
-	if !IsNTPFlow(r) || r.AvgPacketSize() <= a.cfg.SizeThreshold {
+	// per record through isAmplifiedNTP.
+	if !isNTPFlow(r) || r.AvgPacketSize() <= a.cfg.SizeThreshold {
 		return
 	}
 	a.add(r.Dst.As16(), r.Src.As16(), r.Start.Unix(), r.ScaledBytes())
@@ -355,7 +355,7 @@ func (a *AttackCounter) Add(r *flow.Record) {
 //
 //bsvet:hotpath
 func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
-	if !IsNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
+	if !isNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
 		return
 	}
 	a.add(c.DstAs16(i), c.SrcAs16(i), c.StartSec[i], c.ScaledBytes(i))

@@ -31,16 +31,16 @@ func ntpRec(src, dst string, pktSize int, pkts uint64, start time.Time) flow.Rec
 
 func TestIsNTPFlow(t *testing.T) {
 	r := ntpRec("1.1.1.1", "2.2.2.2", 486, 10, t0)
-	if !IsNTPFlow(&r) {
+	if !isNTPFlow(&r) {
 		t.Error("NTP flow not recognized")
 	}
 	r.SrcPort = 53
-	if IsNTPFlow(&r) {
+	if isNTPFlow(&r) {
 		t.Error("DNS flow recognized as NTP")
 	}
 	r.SrcPort = 123
-	r.Protocol = packet.IPProtoTCP
-	if IsNTPFlow(&r) {
+	r.Protocol = 6 // TCP
+	if isNTPFlow(&r) {
 		t.Error("TCP flow recognized as NTP")
 	}
 }
@@ -48,19 +48,19 @@ func TestIsNTPFlow(t *testing.T) {
 func TestOptimisticClassification(t *testing.T) {
 	amplified := ntpRec("1.1.1.1", "2.2.2.2", 486, 10, t0)
 	benign := ntpRec("1.1.1.1", "2.2.2.2", 76, 10, t0)
-	if !IsAmplifiedNTP(&amplified, Config{}) {
+	if !isAmplifiedNTP(&amplified, Config{}) {
 		t.Error("486-byte packets should classify as amplified")
 	}
-	if IsAmplifiedNTP(&benign, Config{}) {
+	if isAmplifiedNTP(&benign, Config{}) {
 		t.Error("76-byte packets should not classify")
 	}
 	// Exactly at the threshold is NOT amplified (strictly larger).
 	edge := ntpRec("1.1.1.1", "2.2.2.2", 200, 10, t0)
-	if IsAmplifiedNTP(&edge, Config{}) {
+	if isAmplifiedNTP(&edge, Config{}) {
 		t.Error("200-byte packets are not strictly above the threshold")
 	}
 	// Custom threshold.
-	if !IsAmplifiedNTP(&benign, Config{SizeThreshold: 50}) {
+	if !isAmplifiedNTP(&benign, Config{SizeThreshold: 50}) {
 		t.Error("custom threshold ignored")
 	}
 }

@@ -60,14 +60,14 @@ func runHandOver(t *testing.T, cfg Config, tune func(*Monitor), shards int, recs
 	}
 	f := sm.FanOut()
 	process := func(part []flow.Record, cols bool) {
-		b := pipe.NewBatch()
+		var b *pipe.Batch
 		if cols {
-			c := b.EnsureCols()
+			b = pipe.NewColsBatch()
 			for i := range part {
-				c.AppendRecord(&part[i])
+				b.Cols.AppendRecord(&part[i])
 			}
 		} else {
-			b.Recs = append(b.Recs, part...)
+			b = pipe.Wrap(append([]flow.Record(nil), part...))
 		}
 		err := f.Process(b)
 		b.Release()

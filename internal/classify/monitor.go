@@ -15,7 +15,7 @@ import (
 // Alert reports a victim newly crossing the conservative attack
 // thresholds — the event a live collector raises to operators.
 type Alert struct {
-	// ID is the attack's stable lifecycle identifier (see AttackID):
+	// ID is the attack's stable lifecycle identifier (see attackID):
 	// every flight-recorder event of the same attack — from the first
 	// suspicious bin through FlowSpec announcement and withdrawal —
 	// carries it, so downstream consumers can join alerts to traces.
@@ -37,10 +37,10 @@ func (a Alert) String() string {
 
 // Capacity defaults for the monitor's bounded state.
 const (
-	// DefaultMaxMinutes caps tracked (victim, minute) bins.
-	DefaultMaxMinutes = 1 << 17
-	// DefaultMaxSourcesPerBin caps each bin's distinct-source set.
-	DefaultMaxSourcesPerBin = 1 << 16
+	// defaultMaxMinutes caps tracked (victim, minute) bins.
+	defaultMaxMinutes = 1 << 17
+	// defaultMaxSourcesPerBin caps each bin's distinct-source set.
+	defaultMaxSourcesPerBin = 1 << 16
 )
 
 // MonitorStats is a snapshot of the monitor's ingest and capacity
@@ -115,11 +115,11 @@ type Monitor struct {
 	// long (default 30 minutes).
 	ReAlertAfter time.Duration
 	// MaxMinutes caps tracked (victim, minute) bins; at the cap, new
-	// bins are refused and counted (default DefaultMaxMinutes; <= 0
+	// bins are refused and counted (default defaultMaxMinutes; <= 0
 	// selects the default).
 	MaxMinutes int
 	// MaxSourcesPerBin caps each bin's distinct-source set (default
-	// DefaultMaxSourcesPerBin; <= 0 selects the default).
+	// defaultMaxSourcesPerBin; <= 0 selects the default).
 	MaxSourcesPerBin int
 	// Events, when set, receives attack lifecycle events; nil falls
 	// back to the process-wide recorder (eventlog.Active), which may
@@ -261,8 +261,8 @@ func newMonitorWith(cfg Config, m *monitorMetrics) *Monitor {
 		cfg:              cfg.withDefaults(),
 		Retention:        10 * time.Minute,
 		ReAlertAfter:     30 * time.Minute,
-		MaxMinutes:       DefaultMaxMinutes,
-		MaxSourcesPerBin: DefaultMaxSourcesPerBin,
+		MaxMinutes:       defaultMaxMinutes,
+		MaxSourcesPerBin: defaultMaxSourcesPerBin,
 		minutes:          make(map[minuteKey]*monAgg),
 		alerted:          make(map[netip.Addr]int64),
 		attacks:          make(map[netip.Addr]*attackState),
@@ -276,6 +276,8 @@ func newMonitorWith(cfg Config, m *monitorMetrics) *Monitor {
 
 // RegisterTelemetry attaches the monitor's accounting to r under the
 // classify_monitor_* names.
+//
+//bsvet:allow deadcode oracle: TestMonitorRunFrozen registers the serial monitor's counters with it
 func (m *Monitor) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("classify_monitor_records_total", "records fed to Add", m.m.records)
 	r.MustRegister("classify_monitor_matched_total", "records passing the optimistic amplified-NTP filter", m.m.matched)
@@ -321,14 +323,14 @@ func (m *Monitor) noteDetection(proto uint8, srcPort uint16, packets, bytes uint
 
 func (m *Monitor) maxMinutes() int {
 	if m.MaxMinutes <= 0 {
-		return DefaultMaxMinutes
+		return defaultMaxMinutes
 	}
 	return m.MaxMinutes
 }
 
 func (m *Monitor) maxSourcesPerBin() int {
 	if m.MaxSourcesPerBin <= 0 {
-		return DefaultMaxSourcesPerBin
+		return defaultMaxSourcesPerBin
 	}
 	return m.MaxSourcesPerBin
 }
@@ -336,7 +338,7 @@ func (m *Monitor) maxSourcesPerBin() int {
 // Add consumes one record and returns an alert if its victim just
 // crossed the thresholds (nil otherwise).
 func (m *Monitor) Add(r *flow.Record) *Alert {
-	return m.AddAt(r, r.Start.Unix())
+	return m.addAt(r, r.Start.Unix())
 }
 
 // AdvanceTo moves the eviction clock to the minute containing unixSec
@@ -350,38 +352,38 @@ func (m *Monitor) AdvanceTo(unixSec int64) {
 	}
 }
 
-// AddAt consumes one record with an explicit clock: watermarkUnix is
+// addAt consumes one record with an explicit clock: watermarkUnix is
 // the maximum start time (unix seconds) over every filter-matched
 // record the whole stream has produced so far. In serial use the
 // record is its own watermark (Add); a sharded run stamps the global
 // prefix-max instead, which makes each shard advance, evict, and prune
 // at exactly the points the serial monitor would have.
-func (m *Monitor) AddAt(r *flow.Record, watermarkUnix int64) *Alert {
+func (m *Monitor) addAt(r *flow.Record, watermarkUnix int64) *Alert {
 	m.m.records.Inc()
 	m.noteDetection(r.Protocol, r.SrcPort, r.Packets, r.Bytes)
-	if !IsAmplifiedNTP(r, m.cfg) {
+	if !isAmplifiedNTP(r, m.cfg) {
 		return nil
 	}
 	return m.addMatched(r.Dst, r.Src, r.Start.Unix(), r.ScaledBytes(), watermarkUnix)
 }
 
-// AddColsAt is AddAt over row i of a columnar slab: the counting-path
+// addColsAt is addAt over row i of a columnar slab: the counting-path
 // filters (per-protocol detection and the optimistic amplified-NTP
 // gate) read the column vectors directly, and a matched row hands
 // addMatched its two addresses and two integers — no flow.Record is
 // built for any row.
 //
 //bsvet:hotpath
-func (m *Monitor) AddColsAt(c *flow.Columns, i int, watermarkUnix int64) *Alert {
+func (m *Monitor) addColsAt(c *flow.Columns, i int, watermarkUnix int64) *Alert {
 	m.m.records.Inc()
 	m.noteDetection(c.Proto[i], c.SrcPort[i], c.Packets[i], c.Bytes[i])
-	if !IsAmplifiedNTPCols(c, i, m.cfg) {
+	if !isAmplifiedNTPCols(c, i, m.cfg) {
 		return nil
 	}
 	return m.addMatched(c.Dst(i), c.Src(i), c.StartSec[i], c.ScaledBytes(i), watermarkUnix)
 }
 
-// addMatched is the shared tail of AddAt/AddColsAt for records that
+// addMatched is the shared tail of addAt/addColsAt for records that
 // passed the optimistic filter: clock advance, bin aggregation and the
 // threshold check.
 //
@@ -509,6 +511,8 @@ func (m *Monitor) Stats() MonitorStats {
 }
 
 // Health condenses the monitor's state into an operational verdict.
+//
+//bsvet:allow deadcode oracle: TestMonitorRunFrozen freezes the serial monitor's health
 func (m *Monitor) Health() MonitorHealth {
 	return MonitorHealth{
 		ActiveMinutes:   len(m.minutes),
@@ -521,4 +525,6 @@ func (m *Monitor) Health() MonitorHealth {
 
 // ActiveMinutes reports the tracked minute-bin count (for memory
 // monitoring).
+//
+//bsvet:allow deadcode oracle: TestMonitorEviction and TestShardedMonitorMatchesSerial read the bin table size
 func (m *Monitor) ActiveMinutes() int { return len(m.minutes) }

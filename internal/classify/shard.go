@@ -94,8 +94,8 @@ func (s *ShardedMonitor) Monitors() []*Monitor {
 	return out
 }
 
-// Stages returns the shard stages in index order, for pipe.NewFanOut.
-func (s *ShardedMonitor) Stages() []pipe.Stage {
+// stages returns the shard stages in index order, for pipe.NewFanOut.
+func (s *ShardedMonitor) stages() []pipe.Stage {
 	out := make([]pipe.Stage, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = sh
@@ -110,23 +110,23 @@ func (s *ShardedMonitor) Stages() []pipe.Stage {
 // SetConfig reload (run under the fan-out barrier, which serializes
 // with routing) changes the filter too.
 func (s *ShardedMonitor) MarkFilter() func(*flow.Record) bool {
-	return func(r *flow.Record) bool { return IsAmplifiedNTP(r, s.cfg) }
+	return func(r *flow.Record) bool { return isAmplifiedNTP(r, s.cfg) }
 }
 
-// ColMarkFilter is MarkFilter evaluated directly against a columnar
+// colMarkFilter is MarkFilter evaluated directly against a columnar
 // slab — the columnar routing path's watermark predicate.
-func (s *ShardedMonitor) ColMarkFilter() func(*flow.Columns, int) bool {
-	return func(c *flow.Columns, i int) bool { return IsAmplifiedNTPCols(c, i, s.cfg) }
+func (s *ShardedMonitor) colMarkFilter() func(*flow.Columns, int) bool {
+	return func(c *flow.Columns, i int) bool { return isAmplifiedNTPCols(c, i, s.cfg) }
 }
 
 // FanOut builds the fan-out stage that drives this monitor: victim
 // hash routing, the monitor's watermark filter, one worker per shard.
 // Columnar batches route and stamp column-wise end to end.
 func (s *ShardedMonitor) FanOut() *pipe.FanOut {
-	f := pipe.NewFanOut(pipe.KeyDst, s.Stages()...)
+	f := pipe.NewFanOut(pipe.KeyDst, s.stages()...)
 	f.SetMarkFilter(s.MarkFilter())
 	f.SetColKey(pipe.KeyDstCols)
-	f.SetColMarkFilter(s.ColMarkFilter())
+	f.SetColMarkFilter(s.colMarkFilter())
 	return f
 }
 
@@ -210,7 +210,7 @@ func (s *monitorShard) Process(b *pipe.Batch) error {
 			if i < len(b.Marks) {
 				mark = b.Marks[i]
 			}
-			s.emit(s.mon.AddColsAt(c, i, mark), b, i)
+			s.emit(s.mon.addColsAt(c, i, mark), b, i)
 		}
 		return nil
 	}
@@ -219,7 +219,7 @@ func (s *monitorShard) Process(b *pipe.Batch) error {
 		if i < len(b.Marks) {
 			mark = b.Marks[i]
 		}
-		s.emit(s.mon.AddAt(&b.Recs[i], mark), b, i)
+		s.emit(s.mon.addAt(&b.Recs[i], mark), b, i)
 	}
 	return nil
 }

@@ -105,8 +105,7 @@ func TestShardedMonitorMatchesSerial(t *testing.T) {
 						if end > len(recs) {
 							end = len(recs)
 						}
-						b := pipe.NewBatch()
-						b.Recs = append(b.Recs, recs[off:end]...)
+						b := pipe.Wrap(append([]flow.Record(nil), recs[off:end]...))
 						if err := emit(b); err != nil {
 							return err
 						}

@@ -62,6 +62,8 @@ type AttackSnapshot struct {
 
 // Snapshot captures the monitor's state. The caller must ensure the
 // monitor is quiescent (no concurrent Add).
+//
+//bsvet:allow deadcode oracle: TestMonitorSnapshotRoundTrip and TestShardedSnapshotRestoreAcrossShardCounts use the serial monitor as reference
 func (m *Monitor) Snapshot() *MonitorSnapshot {
 	s := &MonitorSnapshot{Stats: m.Stats()}
 	if m.latest != noClock {
@@ -170,6 +172,8 @@ func (m *Monitor) restoreClock(s *MonitorSnapshot) {
 // Restore loads a snapshot into an empty monitor, replacing any state.
 // Counters resume from the snapshot's values, so accounting survives a
 // restart instead of resetting to zero.
+//
+//bsvet:allow deadcode oracle: TestMonitorSnapshotRoundTrip and TestShardedSnapshotRestoreAcrossShardCounts use the serial monitor as reference
 func (m *Monitor) Restore(s *MonitorSnapshot) {
 	m.minutes = make(map[minuteKey]*monAgg, len(s.Bins))
 	m.alerted = make(map[netip.Addr]int64, len(s.Alerted))
@@ -202,9 +206,9 @@ func restoreStats(m *monitorMetrics, s MonitorStats) {
 	m.overflows.Add(s.SourceOverflows)
 }
 
-// SetConfig replaces the monitor's classification thresholds — the
+// setConfig replaces the monitor's classification thresholds — the
 // SIGHUP reload path. The caller must ensure the monitor is quiescent.
-func (m *Monitor) SetConfig(cfg Config) { m.cfg = cfg.withDefaults() }
+func (m *Monitor) setConfig(cfg Config) { m.cfg = cfg.withDefaults() }
 
 // Snapshot folds every shard's state into one flat snapshot. Call only
 // while the driving fan-out is quiescent (inside FanOut.Barrier, or
@@ -292,7 +296,7 @@ func (s *ShardedMonitor) Restore(snap *MonitorSnapshot) {
 func (s *ShardedMonitor) SetConfig(cfg Config) {
 	s.cfg = cfg.withDefaults()
 	for _, sh := range s.shards {
-		sh.mon.SetConfig(cfg)
+		sh.mon.setConfig(cfg)
 	}
 }
 

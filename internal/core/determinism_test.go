@@ -37,7 +37,7 @@ func TestStudiesDeterministic(t *testing.T) {
 
 	runLandscape := func() (int, float64) {
 		l := NewLandscapeStudy(Options{Seed: seed, Scale: 0.2, Days: 7})
-		v := l.Figure2bc(trafficgen.KindTier2)
+		v := l.figure2bc(trafficgen.KindTier2)
 		return len(v.Victims), v.MaxGbps()
 	}
 	v1, g1 := runLandscape()
@@ -75,8 +75,8 @@ func TestStudiesDeterministic(t *testing.T) {
 // TestStudySeedsIndependent verifies different seeds explore different
 // realizations (no accidental seed pinning).
 func TestStudySeedsIndependent(t *testing.T) {
-	a := NewLandscapeStudy(Options{Seed: 1, Scale: 0.2, Days: 7}).Figure2bc(trafficgen.KindTier2)
-	b := NewLandscapeStudy(Options{Seed: 2, Scale: 0.2, Days: 7}).Figure2bc(trafficgen.KindTier2)
+	a := NewLandscapeStudy(Options{Seed: 1, Scale: 0.2, Days: 7}).figure2bc(trafficgen.KindTier2)
+	b := NewLandscapeStudy(Options{Seed: 2, Scale: 0.2, Days: 7}).figure2bc(trafficgen.KindTier2)
 	if len(a.Victims) == len(b.Victims) && a.MaxGbps() == b.MaxGbps() {
 		t.Error("different seeds produced identical landscapes")
 	}

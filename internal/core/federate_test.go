@@ -96,12 +96,13 @@ func TestFederatedMatchesMerged(t *testing.T) {
 
 	// Identical record sequences must classify identically.
 	classifyStream := func(recs []flow.Record) []classify.AttackSummary {
-		m := classify.NewMonitor(classify.Config{})
-		m.TrackAttackLog = true
+		sm := classify.NewShardedMonitor(classify.Config{}, 1)
+		sm.SetTrackAttackLog(true)
+		m := sm.Monitors()[0]
 		for i := range recs {
 			m.Add(&recs[i])
 		}
-		return m.AttackLog()
+		return sm.AttackLog()
 	}
 	fedLog := classifyStream(fedRecs)
 	unionLog := classifyStream(unionRecs)

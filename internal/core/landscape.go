@@ -149,8 +149,8 @@ func (v *VantageVictims) MaxGbps() float64 {
 	return max
 }
 
-// Figure2bc classifies NTP amplification victims at one vantage point.
-func (l *LandscapeStudy) Figure2bc(k trafficgen.Kind) *VantageVictims {
+// figure2bc classifies NTP amplification victims at one vantage point.
+func (l *LandscapeStudy) figure2bc(k trafficgen.Kind) *VantageVictims {
 	// The live source never errors.
 	v, _ := figure2bcSource(l.source(k), k, l.opts.Parallelism)
 	return v
@@ -219,7 +219,7 @@ func (l *LandscapeStudy) AllVantages() []*VantageVictims {
 	kinds := []trafficgen.Kind{trafficgen.KindIXP, trafficgen.KindTier1, trafficgen.KindTier2}
 	out := make([]*VantageVictims, len(kinds))
 	for i, k := range kinds {
-		out[i] = l.Figure2bc(k)
+		out[i] = l.figure2bc(k)
 	}
 	return out
 }

@@ -88,7 +88,7 @@ func TestLandscapeParallelismGolden(t *testing.T) {
 	}
 	serial := mk(1)
 	wantDist := serial.Figure2a()
-	wantVictims := serial.Figure2bc(trafficgen.KindTier2)
+	wantVictims := serial.figure2bc(trafficgen.KindTier2)
 	if wantDist.Histogram.Total() == 0 || len(wantVictims.Victims) == 0 {
 		t.Fatal("serial reference is degenerate")
 	}
@@ -97,7 +97,7 @@ func TestLandscapeParallelismGolden(t *testing.T) {
 		if got := l.Figure2a(); !reflect.DeepEqual(wantDist, got) {
 			t.Errorf("figure2a par=%d diverges from serial", par)
 		}
-		if got := l.Figure2bc(trafficgen.KindTier2); !reflect.DeepEqual(wantVictims, got) {
+		if got := l.figure2bc(trafficgen.KindTier2); !reflect.DeepEqual(wantVictims, got) {
 			t.Errorf("figure2bc par=%d diverges from serial", par)
 		}
 	}

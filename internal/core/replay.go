@@ -203,6 +203,8 @@ func triggerPorts() []uint16 {
 // the archive. The scan is pruned to UDP trigger-port records — the
 // aggregation applies the identical exact filter, so pruning cannot
 // change the result.
+//
+//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with the live study
 func (r *ReplayStudy) Figure4(k trafficgen.Kind) ([]takedown.Figure4Panel, error) {
 	src, err := r.source(k, flowstore.Query{
 		Protocols: []uint8{packet.IPProtoUDP},
@@ -292,6 +294,8 @@ func (r *ReplayStudy) Figure2a() (*PacketSizeDistribution, error) {
 // Figure2bc classifies NTP amplification victims at one vantage point
 // from the archive. The classifier only accepts UDP records, so the
 // scan prunes non-UDP blocks without changing the result.
+//
+//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with the live study
 func (r *ReplayStudy) Figure2bc(k trafficgen.Kind) (*VantageVictims, error) {
 	src, err := r.source(k, flowstore.Query{Protocols: []uint8{packet.IPProtoUDP}})
 	if err != nil {

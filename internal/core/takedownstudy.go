@@ -66,6 +66,8 @@ func (t *TakedownStudy) Figure5(k trafficgen.Kind) (*takedown.Figure5Result, err
 
 // Analyze computes Figure 4, Figure 5, and the robustness ablation for
 // one vantage point in a single pipeline pass over its records.
+//
+//bsvet:allow deadcode oracle: TestParallelismGolden pins the one-pass analysis at every shard count
 func (t *TakedownStudy) Analyze(k trafficgen.Kind) (*takedown.Analysis, error) {
 	return takedown.Analyze(t.source(k), t.window(), k, t.opts.Parallelism)
 }

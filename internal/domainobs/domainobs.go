@@ -24,15 +24,15 @@ import (
 	"booterscope/internal/stats"
 )
 
-// BooterKeywords are the substrings used to identify booter websites in
+// booterKeywords are the substrings used to identify booter websites in
 // zone snapshots.
-var BooterKeywords = []string{"booter", "stresser", "ddos"}
+var booterKeywords = []string{"booter", "stresser", "ddos"}
 
-// MatchesKeywords reports whether a domain name matches the booter
+// matchesKeywords reports whether a domain name matches the booter
 // keyword search.
-func MatchesKeywords(domain string) bool {
+func matchesKeywords(domain string) bool {
 	d := strings.ToLower(domain)
-	for _, kw := range BooterKeywords {
+	for _, kw := range booterKeywords {
 		if strings.Contains(d, kw) {
 			return true
 		}
@@ -59,8 +59,8 @@ type Domain struct {
 	SuccessorOf string
 }
 
-// ActiveAt reports whether the site serves content on a day.
-func (d *Domain) ActiveAt(t time.Time) bool {
+// activeAt reports whether the site serves content on a day.
+func (d *Domain) activeAt(t time.Time) bool {
 	if d.Activated.IsZero() || t.Before(d.Activated) {
 		return false
 	}
@@ -180,6 +180,8 @@ func NewObservatory(cfg Config) *Observatory {
 }
 
 // Domains returns the full universe (ground truth, for tests).
+//
+//bsvet:allow deadcode oracle: TestUniverseShape and TestSeizedDomainsWereActiveBeforeTakedown check the observatory against its ground truth
 func (o *Observatory) Domains() []Domain { return o.domains }
 
 // ZoneSnapshot lists the domains present in the zones at time t
@@ -206,7 +208,7 @@ func (o *Observatory) IdentifyBooters(snapshot []string) []string {
 	}
 	var out []string
 	for _, name := range snapshot {
-		if !MatchesKeywords(name) {
+		if !matchesKeywords(name) {
 			continue
 		}
 		if d, ok := byName[name]; ok && d.Booter {
@@ -221,24 +223,24 @@ func (o *Observatory) IdentifyBooters(snapshot []string) []string {
 func (o *Observatory) KeywordHits(snapshot []string) []string {
 	var out []string
 	for _, name := range snapshot {
-		if MatchesKeywords(name) {
+		if matchesKeywords(name) {
 			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// AlexaRank returns the domain's Alexa rank on a day, and whether it is
+// alexaRank returns the domain's Alexa rank on a day, and whether it is
 // in the Top 1M. Active sites fluctuate around their base rank; seized
 // sites fall out, except for occasional press-coverage re-entries.
-func (o *Observatory) AlexaRank(name string, day time.Time) (int, bool) {
+func (o *Observatory) alexaRank(name string, day time.Time) (int, bool) {
 	for i := range o.domains {
 		d := &o.domains[i]
 		if d.Name != name {
 			continue
 		}
 		dr := netutil.NewRand(o.cfg.Seed).Fork(fmt.Sprintf("alexa-%s-%d", name, day.Unix()/86400))
-		if d.ActiveAt(day) {
+		if d.activeAt(day) {
 			rank := int(float64(d.BaseRank) * (0.7 + 0.6*dr.Float64()))
 			if rank < 1 {
 				rank = 1
@@ -281,7 +283,7 @@ func (o *Observatory) Figure3() []MonthlyRank {
 			}
 			var ranks []float64
 			for day := month; day.Before(next); day = day.AddDate(0, 0, 1) {
-				if r, ok := o.AlexaRank(d.Name, day); ok {
+				if r, ok := o.alexaRank(d.Name, day); ok {
 					ranks = append(ranks, float64(r))
 				}
 			}

@@ -29,7 +29,7 @@ func TestMatchesKeywords(t *testing.T) {
 		{"stress.net", false},
 	}
 	for _, c := range cases {
-		if got := MatchesKeywords(c.domain); got != c.want {
+		if got := matchesKeywords(c.domain); got != c.want {
 			t.Errorf("MatchesKeywords(%q) = %t", c.domain, got)
 		}
 	}
@@ -66,10 +66,10 @@ func TestSeizedDomainsWereActiveBeforeTakedown(t *testing.T) {
 		if d.Seized.IsZero() {
 			continue
 		}
-		if !d.ActiveAt(takedown.AddDate(0, 0, -30)) {
+		if !d.activeAt(takedown.AddDate(0, 0, -30)) {
 			t.Errorf("seized domain %s not active a month before takedown", d.Name)
 		}
-		if d.ActiveAt(takedown.AddDate(0, 0, 1)) {
+		if d.activeAt(takedown.AddDate(0, 0, 1)) {
 			t.Errorf("seized domain %s still active after takedown", d.Name)
 		}
 	}
@@ -115,7 +115,7 @@ func TestIdentifyBooters(t *testing.T) {
 		t.Errorf("keyword hits %d <= verified %d; expected benign keyword collisions", len(hits), len(verified))
 	}
 	for _, name := range verified {
-		if !MatchesKeywords(name) {
+		if !matchesKeywords(name) {
 			t.Errorf("verified domain %q does not match keywords", name)
 		}
 	}
@@ -131,20 +131,20 @@ func TestAlexaRankLifecycle(t *testing.T) {
 		}
 	}
 	// Active before takedown: ranked.
-	if _, ok := o.AlexaRank(seizedDomain.Name, takedown.AddDate(0, 0, -10)); !ok {
+	if _, ok := o.alexaRank(seizedDomain.Name, takedown.AddDate(0, 0, -10)); !ok {
 		t.Error("seized domain unranked before takedown")
 	}
 	// After: mostly unranked (occasional press re-entries allowed).
 	ranked := 0
 	for d := 1; d <= 30; d++ {
-		if _, ok := o.AlexaRank(seizedDomain.Name, takedown.AddDate(0, 0, d)); ok {
+		if _, ok := o.alexaRank(seizedDomain.Name, takedown.AddDate(0, 0, d)); ok {
 			ranked++
 		}
 	}
 	if ranked > 10 {
 		t.Errorf("seized domain ranked on %d/30 post-takedown days", ranked)
 	}
-	if _, ok := o.AlexaRank("no-such-domain.example", takedown); ok {
+	if _, ok := o.alexaRank("no-such-domain.example", takedown); ok {
 		t.Error("unknown domain ranked")
 	}
 }
@@ -167,14 +167,14 @@ func TestSuccessorDomainTimeline(t *testing.T) {
 	if successor.Registered.After(takedown.AddDate(0, -6, 0)) {
 		t.Errorf("successor registered %v, want months before takedown", successor.Registered)
 	}
-	if successor.ActiveAt(takedown) {
+	if successor.activeAt(takedown) {
 		t.Error("successor active before takedown (should be parked)")
 	}
 	wantActive := takedown.AddDate(0, 0, 3)
-	if !successor.ActiveAt(wantActive) {
+	if !successor.activeAt(wantActive) {
 		t.Errorf("successor not active at %v", wantActive)
 	}
-	if _, ok := o.AlexaRank(successor.Name, wantActive); !ok {
+	if _, ok := o.alexaRank(successor.Name, wantActive); !ok {
 		t.Error("successor not in Top 1M after activation")
 	}
 	// NewDomainsAfter discovers it.
@@ -202,7 +202,7 @@ func TestFigure3(t *testing.T) {
 		if row.MedianRank <= 0 {
 			t.Fatalf("row with non-positive rank: %+v", row)
 		}
-		if !MatchesKeywords(row.Domain) {
+		if !matchesKeywords(row.Domain) {
 			t.Fatalf("non-booter row: %+v", row)
 		}
 		months[row.Month]++
@@ -264,7 +264,7 @@ func TestBenignKeywordCollisionsExist(t *testing.T) {
 	o := testObservatory()
 	collisions := 0
 	for _, d := range o.Domains() {
-		if !d.Booter && MatchesKeywords(d.Name) {
+		if !d.Booter && matchesKeywords(d.Name) {
 			collisions++
 		}
 	}

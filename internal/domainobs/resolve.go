@@ -11,18 +11,18 @@ import (
 
 // Well-known infrastructure addresses in the synthetic control plane.
 var (
-	// SeizureBannerAddr is where the FBI points seized domains: a single
+	// seizureBannerAddr is where the FBI points seized domains: a single
 	// banner host — which makes the mass seizure detectable as a sudden
 	// cluster of domains resolving to one address.
-	SeizureBannerAddr = netip.MustParseAddr("198.51.100.66")
-	// ParkingAddr hosts registered-but-inactive domains (booter A's
+	seizureBannerAddr = netip.MustParseAddr("198.51.100.66")
+	// parkingAddr hosts registered-but-inactive domains (booter A's
 	// fallback sat here until the takedown).
-	ParkingAddr = netip.MustParseAddr("198.51.100.99")
+	parkingAddr = netip.MustParseAddr("198.51.100.99")
 )
 
-// ResolveA performs the weekly DNS resolution of one domain at time t:
+// resolveA performs the weekly DNS resolution of one domain at time t:
 // the A record it would have returned.
-func (o *Observatory) ResolveA(name string, t time.Time) (netip.Addr, bool) {
+func (o *Observatory) resolveA(name string, t time.Time) (netip.Addr, bool) {
 	for i := range o.domains {
 		d := &o.domains[i]
 		if d.Name != name {
@@ -32,10 +32,10 @@ func (o *Observatory) ResolveA(name string, t time.Time) (netip.Addr, bool) {
 			return netip.Addr{}, false
 		}
 		if !d.Seized.IsZero() && !t.Before(d.Seized) {
-			return SeizureBannerAddr, true
+			return seizureBannerAddr, true
 		}
 		if d.Activated.IsZero() || t.Before(d.Activated) {
-			return ParkingAddr, true
+			return parkingAddr, true
 		}
 		// Stable per-domain hosting address.
 		h := netutil.NewRand(o.cfg.Seed).Fork("host-" + name)
@@ -49,7 +49,7 @@ func (o *Observatory) ResolveA(name string, t time.Time) (netip.Addr, bool) {
 func (o *Observatory) BannerCluster(t time.Time) []string {
 	var out []string
 	for i := range o.domains {
-		if addr, ok := o.ResolveA(o.domains[i].Name, t); ok && addr == SeizureBannerAddr {
+		if addr, ok := o.resolveA(o.domains[i].Name, t); ok && addr == seizureBannerAddr {
 			out = append(out, o.domains[i].Name)
 		}
 	}
@@ -62,7 +62,7 @@ func (o *Observatory) siteKindFor(d *Domain) webobs.SiteKind {
 	if d.Booter {
 		return webobs.SiteBooter
 	}
-	if MatchesKeywords(d.Name) {
+	if matchesKeywords(d.Name) {
 		// Benign keyword collisions in this universe are protection
 		// vendors.
 		return webobs.SiteProtection
@@ -70,16 +70,16 @@ func (o *Observatory) siteKindFor(d *Domain) webobs.SiteKind {
 	return webobs.SiteBenign
 }
 
-// SnapshotHTML renders the page a crawler would fetch from the domain
+// snapshotHTML renders the page a crawler would fetch from the domain
 // at time t ("" when the site serves nothing: unregistered, parked, or
 // seized).
-func (o *Observatory) SnapshotHTML(name string, t time.Time) string {
+func (o *Observatory) snapshotHTML(name string, t time.Time) string {
 	for i := range o.domains {
 		d := &o.domains[i]
 		if d.Name != name {
 			continue
 		}
-		if !d.ActiveAt(t) {
+		if !d.activeAt(t) {
 			return ""
 		}
 		return webobs.RenderSite(o.siteKindFor(d), name, o.cfg.Seed)
@@ -94,7 +94,7 @@ func (o *Observatory) SnapshotHTML(name string, t time.Time) string {
 func (o *Observatory) VerifyByContent(candidates []string, t time.Time) []string {
 	var out []string
 	for _, name := range candidates {
-		html := o.SnapshotHTML(name, t)
+		html := o.snapshotHTML(name, t)
 		if html == "" {
 			continue
 		}

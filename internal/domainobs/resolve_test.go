@@ -11,34 +11,34 @@ func TestResolveALifecycle(t *testing.T) {
 		if !d.Seized.IsZero() && seized.Name == "" {
 			seized = d
 		}
-		if d.Booter && d.Seized.IsZero() && d.ActiveAt(takedown) && active.Name == "" {
+		if d.Booter && d.Seized.IsZero() && d.activeAt(takedown) && active.Name == "" {
 			active = d
 		}
 	}
 	// Before registration: NXDOMAIN.
-	if _, ok := o.ResolveA(seized.Name, seized.Registered.AddDate(0, 0, -1)); ok {
+	if _, ok := o.resolveA(seized.Name, seized.Registered.AddDate(0, 0, -1)); ok {
 		t.Error("resolved before registration")
 	}
 	// Active before the takedown: a hosting address, stable across
 	// queries.
-	a1, ok1 := o.ResolveA(seized.Name, takedown.AddDate(0, 0, -5))
-	a2, ok2 := o.ResolveA(seized.Name, takedown.AddDate(0, 0, -3))
+	a1, ok1 := o.resolveA(seized.Name, takedown.AddDate(0, 0, -5))
+	a2, ok2 := o.resolveA(seized.Name, takedown.AddDate(0, 0, -3))
 	if !ok1 || !ok2 || a1 != a2 {
 		t.Errorf("hosting address unstable: %v/%v", a1, a2)
 	}
-	if a1 == SeizureBannerAddr || a1 == ParkingAddr {
+	if a1 == seizureBannerAddr || a1 == parkingAddr {
 		t.Errorf("active domain resolves to infrastructure address %v", a1)
 	}
 	// After the seizure: the banner.
-	after, ok := o.ResolveA(seized.Name, takedown.AddDate(0, 0, 1))
-	if !ok || after != SeizureBannerAddr {
+	after, ok := o.resolveA(seized.Name, takedown.AddDate(0, 0, 1))
+	if !ok || after != seizureBannerAddr {
 		t.Errorf("post-seizure A = %v ok=%t", after, ok)
 	}
 	// Unseized booters keep their hosting address.
-	if addr, ok := o.ResolveA(active.Name, takedown.AddDate(0, 0, 1)); !ok || addr == SeizureBannerAddr {
+	if addr, ok := o.resolveA(active.Name, takedown.AddDate(0, 0, 1)); !ok || addr == seizureBannerAddr {
 		t.Errorf("unseized domain = %v", addr)
 	}
-	if _, ok := o.ResolveA("never-registered.example", takedown); ok {
+	if _, ok := o.resolveA("never-registered.example", takedown); ok {
 		t.Error("unknown domain resolved")
 	}
 }
@@ -52,12 +52,12 @@ func TestSuccessorParkedThenLive(t *testing.T) {
 		}
 	}
 	// Parked between registration (June) and activation (takedown+3).
-	addr, ok := o.ResolveA(successor.Name, takedown.AddDate(0, -2, 0))
-	if !ok || addr != ParkingAddr {
+	addr, ok := o.resolveA(successor.Name, takedown.AddDate(0, -2, 0))
+	if !ok || addr != parkingAddr {
 		t.Errorf("parked fallback = %v ok=%t", addr, ok)
 	}
-	addr, ok = o.ResolveA(successor.Name, takedown.AddDate(0, 0, 4))
-	if !ok || addr == ParkingAddr || addr == SeizureBannerAddr {
+	addr, ok = o.resolveA(successor.Name, takedown.AddDate(0, 0, 4))
+	if !ok || addr == parkingAddr || addr == seizureBannerAddr {
 		t.Errorf("live fallback = %v ok=%t", addr, ok)
 	}
 }
@@ -72,7 +72,7 @@ func TestBannerClusterDetectsMassSeizure(t *testing.T) {
 		t.Errorf("banner cluster after takedown = %d, want the 15 seized domains", len(after))
 	}
 	for _, name := range after {
-		if !MatchesKeywords(name) {
+		if !matchesKeywords(name) {
 			t.Errorf("non-booter %q in the banner cluster", name)
 		}
 	}
@@ -85,17 +85,17 @@ func TestSnapshotHTML(t *testing.T) {
 		if !d.Seized.IsZero() && seized.Name == "" {
 			seized = d
 		}
-		if d.Booter && d.Seized.IsZero() && d.ActiveAt(takedown) && activeBooter.Name == "" {
+		if d.Booter && d.Seized.IsZero() && d.activeAt(takedown) && activeBooter.Name == "" {
 			activeBooter = d
 		}
 	}
-	if html := o.SnapshotHTML(activeBooter.Name, takedown); html == "" {
+	if html := o.snapshotHTML(activeBooter.Name, takedown); html == "" {
 		t.Error("active booter serves no content")
 	}
-	if html := o.SnapshotHTML(seized.Name, takedown.AddDate(0, 0, 1)); html != "" {
+	if html := o.snapshotHTML(seized.Name, takedown.AddDate(0, 0, 1)); html != "" {
 		t.Error("seized domain still serves content")
 	}
-	if html := o.SnapshotHTML("never-registered.example", takedown); html != "" {
+	if html := o.snapshotHTML("never-registered.example", takedown); html != "" {
 		t.Error("unknown domain serves content")
 	}
 }
@@ -111,7 +111,7 @@ func TestVerifyByContentMatchesGroundTruth(t *testing.T) {
 	// `when`.
 	truth := make(map[string]bool)
 	for _, d := range o.Domains() {
-		if d.Booter && d.ActiveAt(when) && !d.Registered.After(when) {
+		if d.Booter && d.activeAt(when) && !d.Registered.After(when) {
 			truth[d.Name] = true
 		}
 	}

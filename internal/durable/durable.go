@@ -30,11 +30,11 @@ import (
 const headLen = 8
 
 var (
-	// ErrTorn marks a frame whose head or declared payload runs past
+	// errTorn marks a frame whose head or declared payload runs past
 	// the end of the input.
-	ErrTorn = errors.New("durable: torn frame")
-	// ErrCRC marks a complete frame whose payload fails its checksum.
-	ErrCRC = errors.New("durable: frame CRC mismatch")
+	errTorn = errors.New("durable: torn frame")
+	// errCRC marks a complete frame whose payload fails its checksum.
+	errCRC = errors.New("durable: frame CRC mismatch")
 )
 
 // AppendFrame appends payload to dst in the envelope.
@@ -46,36 +46,36 @@ func AppendFrame(dst, payload []byte) []byte {
 
 // Next parses the frame at the start of b without verifying it: the
 // payload (a view into b), its stored CRC word, and what follows the
-// frame. A b too short for the head or the declared payload is ErrTorn.
+// frame. A b too short for the head or the declared payload is errTorn.
 func Next(b []byte) (payload []byte, crc uint32, rest []byte, err error) {
 	if len(b) < headLen {
-		return nil, 0, nil, ErrTorn
+		return nil, 0, nil, errTorn
 	}
 	n := uint64(binary.BigEndian.Uint32(b))
 	if n > uint64(len(b)-headLen) {
-		return nil, 0, nil, ErrTorn
+		return nil, 0, nil, errTorn
 	}
 	end := headLen + int(n)
 	return b[headLen:end], binary.BigEndian.Uint32(b[4:]), b[end:], nil
 }
 
-// Check verifies a payload against its stored CRC word.
-func Check(payload []byte, crc uint32) error {
+// check verifies a payload against its stored CRC word.
+func check(payload []byte, crc uint32) error {
 	if crc32.ChecksumIEEE(payload) != crc {
-		return ErrCRC
+		return errCRC
 	}
 	return nil
 }
 
 // Walk calls fn with every frame of b in order — off is the frame's
 // offset in b — after verifying its CRC. It stops at the first torn or
-// corrupt frame (ErrTorn or ErrCRC, wrapped with the offset) or the
+// corrupt frame (errTorn or errCRC, wrapped with the offset) or the
 // first error fn returns (unchanged).
 func Walk(b []byte, fn func(off int, payload []byte) error) error {
 	for off := 0; off < len(b); {
 		payload, crc, _, err := Next(b[off:])
 		if err == nil {
-			err = Check(payload, crc)
+			err = check(payload, crc)
 		}
 		if err != nil {
 			return fmt.Errorf("%w at offset %d", err, off)

@@ -25,7 +25,7 @@ func FuzzWalk(f *testing.F) {
 			if headLen+len(payload)+len(rest) != len(b) {
 				t.Fatalf("Next: %d head + %d payload + %d rest != %d input", headLen, len(payload), len(rest), len(b))
 			}
-		} else if !errors.Is(err, ErrTorn) {
+		} else if !errors.Is(err, errTorn) {
 			t.Fatalf("Next: %v, want ErrTorn", err)
 		}
 		end := 0
@@ -39,7 +39,7 @@ func FuzzWalk(f *testing.F) {
 			end = off + headLen + len(payload)
 			return nil
 		})
-		if err != nil && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCRC) {
+		if err != nil && !errors.Is(err, errTorn) && !errors.Is(err, errCRC) {
 			t.Fatalf("Walk: %v, want ErrTorn or ErrCRC", err)
 		}
 		if err == nil && end != len(b) {
@@ -81,7 +81,7 @@ func FuzzWalk(f *testing.F) {
 			bit := int(h % uint((len(enc)-5)*8))
 			enc[5+bit/8] ^= 1 << (bit % 8)
 			err := Walk(enc[5:], func(int, []byte) error { return nil })
-			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCRC) {
+			if !errors.Is(err, errTorn) && !errors.Is(err, errCRC) {
 				t.Fatalf("bit %d flipped: Walk = %v, want ErrTorn or ErrCRC", bit, err)
 			}
 		}

@@ -22,8 +22,8 @@ import (
 	"booterscope/internal/netutil"
 )
 
-// Subscriber is one booter customer.
-type Subscriber struct {
+// subscriber is one booter customer.
+type subscriber struct {
 	ID      int
 	Joined  time.Time
 	Service string // current booter (by name)
@@ -35,8 +35,8 @@ type Subscriber struct {
 	AttacksPerDay float64
 }
 
-// Active reports whether the subscriber is in the market on a day.
-func (s *Subscriber) Active(day time.Time) bool {
+// active reports whether the subscriber is in the market on a day.
+func (s *subscriber) active(day time.Time) bool {
 	if day.Before(s.Joined) {
 		return false
 	}
@@ -111,6 +111,8 @@ type DayStats struct {
 }
 
 // TotalSubscribers sums the per-service counts.
+//
+//bsvet:allow deadcode oracle: TestMarketDeterministic and TestMarketGrowsBeforeTakedown sum the market with it
 func (d *DayStats) TotalSubscribers() int {
 	total := 0
 	for _, n := range d.SubscribersByService {
@@ -121,6 +123,8 @@ func (d *DayStats) TotalSubscribers() int {
 
 // TotalRevenue sums the per-service revenue. Summation follows sorted
 // service names so the floating-point total is reproducible.
+//
+//bsvet:allow deadcode oracle: TestMarketDeterministic sums the market with it
 func (d *DayStats) TotalRevenue() float64 {
 	names := make([]string, 0, len(d.RevenueByService))
 	for name := range d.RevenueByService {
@@ -138,7 +142,7 @@ func (d *DayStats) TotalRevenue() float64 {
 type Market struct {
 	cfg      Config
 	services []*booter.Service
-	subs     []*Subscriber
+	subs     []*subscriber
 	rand     *netutil.Rand
 	// reemergence maps a seized booter name to the day its successor
 	// domain came up (booter A: takedown + 3 days).
@@ -168,7 +172,7 @@ func NewMarket(cfg Config) *Market {
 
 // newSubscriber draws a subscriber with a popularity-weighted booter
 // choice (A and B are the popular, later-seized services).
-func (m *Market) newSubscriber(id int, joined time.Time) *Subscriber {
+func (m *Market) newSubscriber(id int, joined time.Time) *subscriber {
 	weights := []float64{0.35, 0.30, 0.20, 0.15} // A, B, C, D
 	u := m.rand.Float64()
 	idx := 0
@@ -178,7 +182,7 @@ func (m *Market) newSubscriber(id int, joined time.Time) *Subscriber {
 			break
 		}
 	}
-	return &Subscriber{
+	return &subscriber{
 		ID:            id,
 		Joined:        joined,
 		Service:       m.services[idx].Name,
@@ -224,7 +228,7 @@ func (m *Market) Run() []DayStats {
 			nextID++
 		}
 		for _, s := range m.subs {
-			if s.Active(day) && m.rand.Float64() < m.cfg.DailyChurn {
+			if s.active(day) && m.rand.Float64() < m.cfg.DailyChurn {
 				s.Quit = day
 			}
 		}
@@ -256,7 +260,7 @@ func (m *Market) applyTakedown(day time.Time) {
 		}
 	}
 	for _, s := range m.subs {
-		if !s.Active(day) {
+		if !s.active(day) {
 			continue
 		}
 		svc, wasSeized := seized[s.Service]
@@ -310,7 +314,7 @@ func (m *Market) snapshot(day time.Time) DayStats {
 		stats.RevenueByService[svc.Name] = 0
 	}
 	for _, s := range m.subs {
-		if !s.Active(day) {
+		if !s.active(day) {
 			continue
 		}
 		svc := m.service(s.Service)
@@ -350,8 +354,8 @@ func (t TakedownImpact) SeizedRevenueRatio() float64 {
 	return t.SeizedRevenueAfter / t.SeizedRevenueBefore
 }
 
-// SurvivorRevenueRatio is after/before for the surviving services.
-func (t TakedownImpact) SurvivorRevenueRatio() float64 {
+// survivorRevenueRatio is after/before for the surviving services.
+func (t TakedownImpact) survivorRevenueRatio() float64 {
 	if t.SurvivorRevenueBefore == 0 {
 		return 0
 	}
@@ -369,7 +373,7 @@ func (t TakedownImpact) DemandRatio() float64 {
 // String summarizes the impact.
 func (t TakedownImpact) String() string {
 	return fmt.Sprintf("seized revenue %.0f%%, survivor revenue %.0f%%, attack demand %.0f%% of pre-takedown",
-		t.SeizedRevenueRatio()*100, t.SurvivorRevenueRatio()*100, t.DemandRatio()*100)
+		t.SeizedRevenueRatio()*100, t.survivorRevenueRatio()*100, t.DemandRatio()*100)
 }
 
 // Impact computes the before/after comparison from a finished run. The
@@ -429,7 +433,7 @@ func (m *Market) MigrationMatrix(day time.Time) []struct {
 } {
 	counts := make(map[string]int)
 	for _, s := range m.subs {
-		if s.Active(day) {
+		if s.active(day) {
 			counts[s.Service]++
 		}
 	}

@@ -54,7 +54,7 @@ func TestSeizedRevenueCollapses(t *testing.T) {
 		t.Errorf("seized revenue ratio = %.2f, want a large partial collapse", r)
 	}
 	// Survivors gain from migrating subscribers.
-	if r := impact.SurvivorRevenueRatio(); r < 1.05 {
+	if r := impact.survivorRevenueRatio(); r < 1.05 {
 		t.Errorf("survivor revenue ratio = %.2f, want growth from migration", r)
 	}
 }
@@ -173,14 +173,14 @@ func TestMigrationMatrix(t *testing.T) {
 }
 
 func TestSubscriberActive(t *testing.T) {
-	s := Subscriber{Joined: mktStart, Quit: mktStart.AddDate(0, 0, 10)}
-	if s.Active(mktStart.AddDate(0, 0, -1)) {
+	s := subscriber{Joined: mktStart, Quit: mktStart.AddDate(0, 0, 10)}
+	if s.active(mktStart.AddDate(0, 0, -1)) {
 		t.Error("active before join")
 	}
-	if !s.Active(mktStart.AddDate(0, 0, 5)) {
+	if !s.active(mktStart.AddDate(0, 0, 5)) {
 		t.Error("inactive while subscribed")
 	}
-	if s.Active(mktStart.AddDate(0, 0, 10)) {
+	if s.active(mktStart.AddDate(0, 0, 10)) {
 		t.Error("active after quit")
 	}
 }

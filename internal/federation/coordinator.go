@@ -174,9 +174,9 @@ func (c *Coordinator) Scan(q flowstore.Query, fn func(vantage string, r *flow.Re
 	return fed, mergeErr
 }
 
-// LastStats returns the most recent federated scan's stats (zero
+// lastStats returns the most recent federated scan's stats (zero
 // value and false before any scan) — the /vantages view.
-func (c *Coordinator) LastStats() (FederatedStats, bool) {
+func (c *Coordinator) lastStats() (FederatedStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.last, c.hasLast
@@ -209,7 +209,7 @@ func (c *Coordinator) VantagesHandler() http.Handler {
 			}
 			v.Vantages = append(v.Vantages, st)
 		}
-		if last, ok := c.LastStats(); ok {
+		if last, ok := c.lastStats(); ok {
 			v.LastScan = &last
 		}
 		w.Header().Set("Content-Type", "application/json")

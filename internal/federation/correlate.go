@@ -33,8 +33,8 @@ type CorrelateOptions struct {
 	Events *eventlog.Log
 }
 
-// VantageObservation is one vantage's view of a correlated attack.
-type VantageObservation struct {
+// vantageObservation is one vantage's view of a correlated attack.
+type vantageObservation struct {
 	Vantage string                 `json:"vantage"`
 	Tier    string                 `json:"tier"`
 	Summary classify.AttackSummary `json:"summary"`
@@ -62,7 +62,7 @@ type CorrelatedAttack struct {
 	PerVantageRate map[string]float64 `json:"per_vantage_rate"`
 	// Observations holds each observing vantage's full summary, in
 	// federation order.
-	Observations []VantageObservation `json:"observations"`
+	Observations []vantageObservation `json:"observations"`
 	// Disagreement marks the headline shape: crossed somewhere,
 	// missing somewhere else.
 	Disagreement bool `json:"disagreement"`
@@ -345,7 +345,7 @@ func (c *Coordinator) emitCluster(report *CorrelationReport, victim netip.Addr, 
 		return cluster[i].sum.FirstMinuteUnix < cluster[j].sum.FirstMinuteUnix
 	})
 	for _, o := range cluster {
-		a.Observations = append(a.Observations, VantageObservation{
+		a.Observations = append(a.Observations, vantageObservation{
 			Vantage: c.vantages[o.vantage].v.Name,
 			Tier:    c.vantages[o.vantage].v.Tier,
 			Summary: o.sum,

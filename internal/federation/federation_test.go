@@ -418,8 +418,8 @@ func TestCorrelateSeenAndMissing(t *testing.T) {
 	for _, e := range ev.Snapshot() {
 		if e.Kind == "federation_attack_joined" {
 			joined++
-			if e.Attr("victim") == "203.0.113.20" && e.Attr("missing_at") != "tier1" {
-				t.Fatalf("join event missing_at = %q", e.Attr("missing_at"))
+			if eventAttr(e, "victim") == "203.0.113.20" && eventAttr(e, "missing_at") != "tier1" {
+				t.Fatalf("join event missing_at = %q", eventAttr(e, "missing_at"))
 			}
 		}
 	}
@@ -504,4 +504,14 @@ func TestVantagesHandler(t *testing.T) {
 	if got.LastScan == nil || got.LastScan.Total.RecordsMatched != 1 {
 		t.Fatalf("last scan missing or wrong: %+v", got.LastScan)
 	}
+}
+
+// eventAttr returns the value of an event attribute, "" when absent.
+func eventAttr(e eventlog.Event, key string) string {
+	for _, a := range e.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
 }

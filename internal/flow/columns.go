@@ -57,9 +57,9 @@ func AddrHalves(a netip.Addr) (hi, lo uint64) {
 	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
 }
 
-// AddrFromHalves reconstructs an address from its halves and flag bits
+// addrFromHalves reconstructs an address from its halves and flag bits
 // — the exact inverse of AddrHalves under the flag convention.
-func AddrFromHalves(hi, lo uint64, valid, is4 bool) netip.Addr {
+func addrFromHalves(hi, lo uint64, valid, is4 bool) netip.Addr {
 	if !valid {
 		return netip.Addr{}
 	}
@@ -245,13 +245,13 @@ func appendIndexed[T any](dst, src []T, idx []int32) []T {
 // Src materializes row i's source address.
 func (c *Columns) Src(i int) netip.Addr {
 	f := c.Flags[i]
-	return AddrFromHalves(c.SrcHi[i], c.SrcLo[i], f&FlagSrcValid != 0, f&FlagSrcIs4 != 0)
+	return addrFromHalves(c.SrcHi[i], c.SrcLo[i], f&FlagSrcValid != 0, f&FlagSrcIs4 != 0)
 }
 
 // Dst materializes row i's destination address.
 func (c *Columns) Dst(i int) netip.Addr {
 	f := c.Flags[i]
-	return AddrFromHalves(c.DstHi[i], c.DstLo[i], f&FlagDstValid != 0, f&FlagDstIs4 != 0)
+	return addrFromHalves(c.DstHi[i], c.DstLo[i], f&FlagDstValid != 0, f&FlagDstIs4 != 0)
 }
 
 // SrcAs16 returns row i's source in 16-byte form without constructing

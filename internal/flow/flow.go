@@ -42,6 +42,8 @@ type Key struct {
 }
 
 // Reverse returns the key with endpoints swapped.
+//
+//bsvet:allow deadcode no production caller; kept for TestKeyReverse (deletion deferred, ROADMAP 8(iv))
 func (k Key) Reverse() Key {
 	return Key{Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort, Protocol: k.Protocol}
 }
@@ -96,11 +98,10 @@ func (r *Record) AvgPacketSize() float64 {
 	return float64(r.Bytes) / float64(r.Packets)
 }
 
-// Duration returns End-Start.
-func (r *Record) Duration() time.Duration { return r.End.Sub(r.Start) }
-
 // FromPacket derives a single-packet flow record from a decoded packet.
 // The byte counter uses the IP total length (on-the-wire size).
+//
+//bsvet:allow deadcode oracle: TestSelfAttackCaptureReplay rebuilds flows from the observatory's pcap capture with it
 func FromPacket(d *packet.Decoded, ts time.Time) Record {
 	rec := Record{
 		Key: Key{
@@ -123,10 +124,10 @@ func FromPacket(d *packet.Decoded, ts time.Time) Record {
 	return rec
 }
 
-// Table aggregates packets into flow records keyed on the 5-tuple, the
+// table aggregates packets into flow records keyed on the 5-tuple, the
 // way a router's flow cache does. The zero value is not usable; construct
 // with NewTable.
-type Table struct {
+type table struct {
 	flows map[Key]*Record
 	// ActiveTimeout flushes long-lived flows; IdleTimeout flushes quiet
 	// ones. Both default to the common router settings when zero.
@@ -136,26 +137,28 @@ type Table struct {
 
 // Default router flow-cache timeouts.
 const (
-	DefaultActiveTimeout = 60 * time.Second
-	DefaultIdleTimeout   = 15 * time.Second
+	defaultActiveTimeout = 60 * time.Second
+	defaultIdleTimeout   = 15 * time.Second
 )
 
 // NewTable returns an empty flow table with default timeouts.
-func NewTable() *Table {
-	return &Table{
+//
+//bsvet:allow deadcode oracle: TestSelfAttackCaptureReplay rebuilds flows from the observatory's pcap capture with it
+func NewTable() *table {
+	return &table{
 		flows:         make(map[Key]*Record),
-		ActiveTimeout: DefaultActiveTimeout,
-		IdleTimeout:   DefaultIdleTimeout,
+		ActiveTimeout: defaultActiveTimeout,
+		IdleTimeout:   defaultIdleTimeout,
 	}
 }
 
 // Len reports the number of active flows.
-func (t *Table) Len() int { return len(t.flows) }
+func (t *table) Len() int { return len(t.flows) }
 
 // Add merges one observation into the table. Expired flows keyed the same
 // are flushed and returned before the new observation starts a fresh
 // record.
-func (t *Table) Add(rec Record) *Record {
+func (t *table) Add(rec Record) *Record {
 	metricObservations.Inc()
 	var flushed *Record
 	if cur, ok := t.flows[rec.Key]; ok {
@@ -179,7 +182,7 @@ func (t *Table) Add(rec Record) *Record {
 }
 
 // Flush empties the table, returning all active records.
-func (t *Table) Flush() []Record {
+func (t *table) Flush() []Record {
 	out := make([]Record, 0, len(t.flows))
 	for _, r := range t.flows {
 		out = append(out, *r)
@@ -307,10 +310,10 @@ func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
 	return s
 }
 
-// MinuteBin aggregates flow records about a single destination within one
+// minuteBin aggregates flow records about a single destination within one
 // minute: the core unit of the paper's victim analysis (max Gbps per
 // minute, unique sources per minute).
-type MinuteBin struct {
+type minuteBin struct {
 	Minute  time.Time
 	Bytes   uint64
 	Packets uint64
@@ -318,16 +321,16 @@ type MinuteBin struct {
 }
 
 // Rate returns the bin's traffic rate in bits per second.
-func (b *MinuteBin) Rate() float64 { return float64(b.Bytes) * 8 / 60 }
+func (b *minuteBin) Rate() float64 { return float64(b.Bytes) * 8 / 60 }
 
 // PerDestMinutes indexes minute bins by destination address.
 type PerDestMinutes struct {
-	bins map[netip.Addr]map[int64]*MinuteBin
+	bins map[netip.Addr]map[int64]*minuteBin
 }
 
 // NewPerDestMinutes returns an empty per-destination aggregator.
 func NewPerDestMinutes() *PerDestMinutes {
-	return &PerDestMinutes{bins: make(map[netip.Addr]map[int64]*MinuteBin)}
+	return &PerDestMinutes{bins: make(map[netip.Addr]map[int64]*minuteBin)}
 }
 
 // Add merges a record into its destination's minute bin. Sampled counters
@@ -336,13 +339,13 @@ func (p *PerDestMinutes) Add(rec *Record) {
 	minute := rec.Start.Truncate(time.Minute)
 	m, ok := p.bins[rec.Dst]
 	if !ok {
-		m = make(map[int64]*MinuteBin)
+		m = make(map[int64]*minuteBin)
 		p.bins[rec.Dst] = m
 	}
 	key := minute.Unix()
 	bin, ok := m[key]
 	if !ok {
-		bin = &MinuteBin{Minute: minute, Sources: make(map[netip.Addr]struct{})}
+		bin = &minuteBin{Minute: minute, Sources: make(map[netip.Addr]struct{})}
 		m[key] = bin
 	}
 	bin.Bytes += rec.ScaledBytes()

@@ -96,7 +96,7 @@ func TestFromPacket(t *testing.T) {
 
 func TestFromPacketTCP(t *testing.T) {
 	pkt := packet.Build(
-		&packet.IPv4{TTL: 64, Protocol: packet.IPProtoTCP, Src: addr("10.0.0.1"), Dst: addr("192.0.2.5")},
+		&packet.IPv4{TTL: 64, Protocol: 6, Src: addr("10.0.0.1"), Dst: addr("192.0.2.5")},
 		&packet.TCP{SrcPort: 80, DstPort: 50000},
 	)
 	d, err := packet.DecodeIPv4(pkt)
@@ -104,7 +104,7 @@ func TestFromPacketTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := FromPacket(d, t0)
-	if r.SrcPort != 80 || r.DstPort != 50000 || r.Protocol != packet.IPProtoTCP {
+	if r.SrcPort != 80 || r.DstPort != 50000 || r.Protocol != 6 {
 		t.Errorf("record = %+v", r.Key)
 	}
 }

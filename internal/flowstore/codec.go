@@ -40,11 +40,8 @@ import (
 // Per-record flag bits (column 0) — canonical values live in the flow
 // package so columnar consumers share them.
 const (
-	flagSrcIs4   = flow.FlagSrcIs4
 	flagDstIs4   = flow.FlagDstIs4
-	flagSrcValid = flow.FlagSrcValid
 	flagDstValid = flow.FlagDstValid
-	flagEgress   = flow.FlagEgress
 )
 
 // Column positions in a block payload.
@@ -173,7 +170,7 @@ func (e *blockEncoder) sortedCopy(c *flow.Columns) *flow.Columns {
 // encode builds the frame of one block — length, CRC, sparse index,
 // v2 payload (0x00 marker, format version, column count, then per
 // column an encoding tag and length-prefixed bytes) — from columns
-// already in start-time order. ColumnBlock.load plus its column
+// already in start-time order. columnBlock.load plus its column
 // decoders are the payload's exact inverse. The frame aliases e's
 // scratch and is valid until the next call.
 //

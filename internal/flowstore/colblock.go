@@ -25,6 +25,8 @@ import (
 // Release (the bsvet batchownership analyzer enforces this), which is
 // why survivors are compacted by copy into the consumer-owned
 // flow.Columns rather than handed out as sub-slices.
+//
+//bsvet:allow deadcode oracle: TestBatchOwnershipGolden checks the batchownership rule's release discipline on this type
 type ColumnBlock struct {
 	// pb holds per-column byte views into the loaded payload.
 	pb    parsedBlock
@@ -54,6 +56,8 @@ func getColumnBlock() *ColumnBlock {
 
 // Release resets the block (keeping buffer capacity) and returns it to
 // the pool. The block must not be used afterwards.
+//
+//bsvet:allow deadcode oracle: TestBatchOwnershipGolden checks the batchownership rule's release discipline on this method
 func (cb *ColumnBlock) Release() {
 	cb.reset()
 	colBlockPool.Put(cb)

@@ -288,7 +288,10 @@ func scanKeys(t *testing.T, s *Store, q Query) (ordered, batches []string) {
 	}
 	if _, err := s.ScanBatches(q, func(b *pipe.Batch) error {
 		defer b.Release()
-		rs := b.Records()
+		rs := b.Recs
+		if b.Cols != nil {
+			rs = b.Cols.MaterializeAppend(nil)
+		}
 		for i := range rs {
 			batches = append(batches, recordKey(&rs[i]))
 		}

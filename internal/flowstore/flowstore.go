@@ -42,8 +42,8 @@ import (
 // Defaults.
 const (
 	DefaultShards       = 4
-	DefaultBlockRecords = 4096
-	DefaultPartition    = 24 * time.Hour
+	defaultBlockRecords = 4096
+	defaultPartition    = 24 * time.Hour
 )
 
 // Options configure a store at creation. Opening an existing store
@@ -79,10 +79,10 @@ func (o Options) withDefaults() Options {
 		o.Shards = DefaultShards
 	}
 	if o.BlockRecords <= 0 {
-		o.BlockRecords = DefaultBlockRecords
+		o.BlockRecords = defaultBlockRecords
 	}
 	if o.Partition <= 0 {
-		o.Partition = DefaultPartition
+		o.Partition = defaultPartition
 	}
 	return o
 }
@@ -415,6 +415,8 @@ func (s *Store) Meta() map[string]string {
 }
 
 // Dir returns the store's root directory.
+//
+//bsvet:allow deadcode oracle: TestCrashRecovery and TestHostileSealedSegment locate the segment files with it
 func (s *Store) Dir() string { return s.dir }
 
 // partitionOf truncates a record start time to its partition.

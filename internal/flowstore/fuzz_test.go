@@ -10,7 +10,7 @@ import (
 
 // FuzzDecodeBlock is the differential fuzz target for the block reader:
 // for any payload — valid, truncated, or corrupted — both the scan's
-// ColumnBlock decoder and the test-only reference decoder must return
+// columnBlock decoder and the test-only reference decoder must return
 // an error or succeed, never panic, and never allocate past the
 // declared record count. The two must also agree: a payload one
 // accepts, the other accepts with bit-identical records; a payload one

@@ -143,8 +143,8 @@ func refDecodeBlock(payload []byte, count int) ([]flow.Record, error) {
 		}
 		recs[j] = flow.Record{
 			Key: flow.Key{
-				Src:      flow.AddrFromHalves(c[colSrcHiIdx][j], c[colSrcLoIdx][j], f&flagSrcValid != 0, f&flagSrcIs4 != 0),
-				Dst:      flow.AddrFromHalves(c[colDstHiIdx][j], c[colDstLoIdx][j], f&flagDstValid != 0, f&flagDstIs4 != 0),
+				Src:      refAddrFromHalves(c[colSrcHiIdx][j], c[colSrcLoIdx][j], f&flagSrcValid != 0, f&flagSrcIs4 != 0),
+				Dst:      refAddrFromHalves(c[colDstHiIdx][j], c[colDstLoIdx][j], f&flagDstValid != 0, f&flagDstIs4 != 0),
 				SrcPort:  uint16(c[colSrcPortIdx][j]),
 				DstPort:  uint16(c[colDstPortIdx][j]),
 				Protocol: uint8(c[colProtoIdx][j]),
@@ -441,7 +441,7 @@ var dictableColumns = [nCols]bool{
 
 // refEncodeBlock encodes records into a v2 column payload: 0x00 marker,
 // format version, column count, then per-column encoding tags and
-// length-prefixed bytes. ColumnBlock.load plus its column decoders are
+// length-prefixed bytes. columnBlock.load plus its column decoders are
 // the exact inverse.
 func refEncodeBlock(records []flow.Record) []byte {
 	var bv blockValues
@@ -763,3 +763,27 @@ func refOrderedScan(t testing.TB, s *Store, q Query) (recs []flow.Record) {
 	}
 	return recs
 }
+
+// refAddrFromHalves reconstructs an address from its halves and flag
+// bits — the exact inverse of flow.AddrHalves under the flag convention.
+func refAddrFromHalves(hi, lo uint64, valid, is4 bool) netip.Addr {
+	if !valid {
+		return netip.Addr{}
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[0:8], hi)
+	binary.BigEndian.PutUint64(b[8:16], lo)
+	a := netip.AddrFrom16(b)
+	if is4 {
+		return a.Unmap()
+	}
+	return a
+}
+
+// The flag bits only the reference codec reads; the production codec
+// filters on the destination bits alone.
+const (
+	flagSrcIs4   = flow.FlagSrcIs4
+	flagSrcValid = flow.FlagSrcValid
+	flagEgress   = flow.FlagEgress
+)

@@ -54,9 +54,6 @@ type Query struct {
 type ColumnSet uint32
 
 const (
-	// ColFlags is the per-record flag byte (address validity/family
-	// and direction bits).
-	ColFlags ColumnSet = 1 << colFlagsIdx
 	// ColSrcAddr and ColDstAddr cover one endpoint address each.
 	ColSrcAddr ColumnSet = 1<<colSrcHiIdx | 1<<colSrcLoIdx | 1<<colFlagsIdx
 	ColDstAddr ColumnSet = 1<<colDstHiIdx | 1<<colDstLoIdx | 1<<colFlagsIdx
@@ -75,8 +72,10 @@ const (
 	ColStartSec ColumnSet = 1 << colStartSecIdx
 	ColStart    ColumnSet = 1<<colStartSecIdx | 1<<colStartNsIdx
 	// ColEnd covers full-precision end times.
+	//bsvet:allow deadcode oracle: TestCorrelateReadsOnlyWhatItProjects corrupts these columns to prove Correlate never reads them
 	ColEnd ColumnSet = 1<<colEndSecIdx | 1<<colEndNsIdx | 1<<colStartSecIdx
 	// ColAS covers both AS-number columns.
+	//bsvet:allow deadcode oracle: TestCorrelateReadsOnlyWhatItProjects corrupts these columns to prove Correlate never reads them
 	ColAS ColumnSet = 1<<colSrcASIdx | 1<<colDstASIdx
 	// AllColumns selects everything (the Project zero-value behavior).
 	AllColumns ColumnSet = 1<<nCols - 1
@@ -133,6 +132,8 @@ func (s *ScanStats) Merge(o ScanStats) {
 }
 
 // PruneFraction is the share of visited blocks the indexes skipped.
+//
+//bsvet:allow deadcode oracle: TestScanPruning and TestScanStatsColumnsDecoded check index pruning with it
 func (s ScanStats) PruneFraction() float64 {
 	total := s.BlocksScanned + s.BlocksPruned
 	if total == 0 {
@@ -285,7 +286,7 @@ var errScanCancelled = errors.New("flowstore: scan cancelled")
 var errIndexBelowRows = errors.New("flowstore: block holds start times before its index minimum (corrupt sparse index?)")
 
 // shardScanner streams one shard's matching records, partition by
-// partition. Each block is parsed into a pooled ColumnBlock, the
+// partition. Each block is parsed into a pooled columnBlock, the
 // compiled predicate runs against only the columns it references, and
 // survivors move column-wise into the pending slab: filtered-out rows
 // are never materialized, a block with no survivors never decodes its

@@ -54,8 +54,12 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 	gotStats, err := s.ScanBatches(q, func(b *pipe.Batch) error {
 		defer b.Release()
 		batches++
-		for i := range b.Records() {
-			got[recordKey(&b.Records()[i])]++
+		rs := b.Recs
+		if b.Cols != nil {
+			rs = b.Cols.MaterializeAppend(nil)
+		}
+		for i := range rs {
+			got[recordKey(&rs[i])]++
 		}
 		return nil
 	})

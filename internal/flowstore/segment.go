@@ -280,9 +280,9 @@ func (w *segmentWriter) seal(sync bool) error {
 	return w.f.Close()
 }
 
-// BlockInfo describes one block of a segment file — the inspection view
+// blockInfo describes one block of a segment file — the inspection view
 // tests and tooling use to account for torn tails exactly.
-type BlockInfo struct {
+type blockInfo struct {
 	Offset     int64
 	FrameBytes int
 	Records    int
@@ -294,7 +294,7 @@ type BlockInfo struct {
 
 // segScan is the result of scanning a segment file frame by frame.
 type segScan struct {
-	blocks    []BlockInfo
+	blocks    []blockInfo
 	records   uint64
 	validLen  int64 // file offset after the last valid frame
 	torn      bool  // a torn/corrupt frame (or trailing garbage) was found
@@ -315,7 +315,7 @@ func scanSegmentFile(path string) (*segScan, error) {
 		if err != nil {
 			return err
 		}
-		s.blocks = append(s.blocks, BlockInfo{
+		s.blocks = append(s.blocks, blockInfo{
 			Offset:     int64(r.off + off),
 			FrameBytes: frameHeadLen + len(body),
 			Records:    int(ix.Records),
@@ -338,7 +338,9 @@ func scanSegmentFile(path string) (*segScan, error) {
 // InspectSegment lists the valid blocks of a segment file, verifying
 // every CRC. A torn tail is not an error: the returned blocks cover the
 // recoverable prefix only.
-func InspectSegment(path string) ([]BlockInfo, error) {
+//
+//bsvet:allow deadcode oracle: TestCrashRecovery and TestRecoveryStopsAtFlippedBit verify recovered segments with it
+func InspectSegment(path string) ([]blockInfo, error) {
 	s, err := scanSegmentFile(path)
 	if err != nil {
 		return nil, err

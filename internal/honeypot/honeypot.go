@@ -26,8 +26,8 @@ import (
 	"booterscope/internal/reflector"
 )
 
-// Event is one logged amplification trigger.
-type Event struct {
+// event is one logged amplification trigger.
+type event struct {
 	// Time the request arrived.
 	Time time.Time
 	// Sensor is the honeypot that logged it.
@@ -44,8 +44,8 @@ type Event struct {
 	Responded bool
 }
 
-// Sensor is one emulated reflector.
-type Sensor struct {
+// sensor is one emulated reflector.
+type sensor struct {
 	Addr   netip.Addr
 	Vector amplify.Vector
 	// RateLimit caps responses per victim per minute; AmpPot-style
@@ -53,7 +53,7 @@ type Sensor struct {
 	// attacks. Default 5.
 	RateLimit int
 
-	events []Event
+	events []event
 	minute map[minuteVictim]int
 }
 
@@ -62,9 +62,9 @@ type minuteVictim struct {
 	victim netip.Addr
 }
 
-// NewSensor returns a sensor for one protocol.
-func NewSensor(addr netip.Addr, vector amplify.Vector) *Sensor {
-	return &Sensor{
+// newSensor returns a sensor for one protocol.
+func newSensor(addr netip.Addr, vector amplify.Vector) *sensor {
+	return &sensor{
 		Addr:      addr,
 		Vector:    vector,
 		RateLimit: 5,
@@ -72,13 +72,13 @@ func NewSensor(addr netip.Addr, vector amplify.Vector) *Sensor {
 	}
 }
 
-// HandleTrigger logs one spoofed request and reports whether the sensor
+// handleTrigger logs one spoofed request and reports whether the sensor
 // responds (subject to the per-victim rate limit).
-func (s *Sensor) HandleTrigger(ts time.Time, victim netip.Addr, fingerprint string) bool {
+func (s *sensor) handleTrigger(ts time.Time, victim netip.Addr, fingerprint string) bool {
 	key := minuteVictim{minute: ts.Truncate(time.Minute).Unix(), victim: victim}
 	s.minute[key]++
 	responded := s.minute[key] <= s.RateLimit
-	s.events = append(s.events, Event{
+	s.events = append(s.events, event{
 		Time:        ts,
 		Sensor:      s.Addr,
 		Victim:      victim,
@@ -90,11 +90,13 @@ func (s *Sensor) HandleTrigger(ts time.Time, victim netip.Addr, fingerprint stri
 }
 
 // Events returns the sensor's log.
-func (s *Sensor) Events() []Event { return s.events }
+//
+//bsvet:allow deadcode oracle: TestSensorRateLimit reads the sensor log
+func (s *sensor) Events() []event { return s.events }
 
 // Deployment is a fleet of sensors planted in the reflector universe.
 type Deployment struct {
-	sensors map[netip.Addr]*Sensor
+	sensors map[netip.Addr]*sensor
 	rand    *netutil.Rand
 }
 
@@ -103,12 +105,12 @@ type Deployment struct {
 // working sets like any other amplifier).
 func NewDeployment(pool *reflector.Pool, count int, seed uint64) *Deployment {
 	d := &Deployment{
-		sensors: make(map[netip.Addr]*Sensor),
+		sensors: make(map[netip.Addr]*sensor),
 		rand:    netutil.NewRand(seed).Fork("honeypot"),
 	}
 	ws := reflector.NewWorkingSet(pool, "honeypot-placement", count, seed)
 	for _, ref := range ws.Current() {
-		d.sensors[ref.Addr] = NewSensor(ref.Addr, pool.Vector())
+		d.sensors[ref.Addr] = newSensor(ref.Addr, pool.Vector())
 	}
 	return d
 }
@@ -116,18 +118,12 @@ func NewDeployment(pool *reflector.Pool, count int, seed uint64) *Deployment {
 // Size reports the number of sensors.
 func (d *Deployment) Size() int { return len(d.sensors) }
 
-// Sensor returns the sensor at addr, if any.
-func (d *Deployment) Sensor(addr netip.Addr) (*Sensor, bool) {
-	s, ok := d.sensors[addr]
-	return s, ok
-}
-
 // ObserveAttack records the triggers a launched attack sends to any
 // sensors inside its reflector set. Booters spray each reflector with
 // triggers for the attack duration; the sensor slice of that spray is
 // logged with the booter tool's fingerprint.
 func (d *Deployment) ObserveAttack(atk *booter.Attack, start time.Time) int {
-	fingerprint := Fingerprint(atk.Order.Service.Name, atk.Order.Vector)
+	fingerprint := fingerprint(atk.Order.Service.Name, atk.Order.Vector)
 	hits := 0
 	for _, ref := range atk.Reflectors {
 		sensor, ok := d.sensors[ref.Addr]
@@ -137,17 +133,17 @@ func (d *Deployment) ObserveAttack(atk *booter.Attack, start time.Time) int {
 		hits++
 		// A trigger burst every few seconds for the attack duration.
 		for sec := 0; sec < atk.Seconds(); sec += 2 + d.rand.IntN(4) {
-			sensor.HandleTrigger(start.Add(time.Duration(sec)*time.Second), atk.Order.Target, fingerprint)
+			sensor.handleTrigger(start.Add(time.Duration(sec)*time.Second), atk.Order.Target, fingerprint)
 		}
 	}
 	return hits
 }
 
-// Fingerprint derives the request-payload pattern of a booter's tool
+// fingerprint derives the request-payload pattern of a booter's tool
 // for one vector. Real tools differ in padding bytes, sequence
 // handling, and query construction; the derived tag models that
 // stable-but-distinct behaviour.
-func Fingerprint(booterName string, vector amplify.Vector) string {
+func fingerprint(booterName string, vector amplify.Vector) string {
 	return fmt.Sprintf("%v/pad-%02x", vector, booterName[0])
 }
 
@@ -173,7 +169,7 @@ const clusterGap = 5 * time.Minute
 // Events for one victim with gaps below clusterGap belong to one
 // attack.
 func (d *Deployment) Reconstruct() []Observation {
-	var all []Event
+	var all []event
 	for _, s := range d.sensors {
 		all = append(all, s.events...)
 	}
@@ -249,15 +245,15 @@ func NewAttributor() *Attributor {
 	return &Attributor{byFingerprint: make(map[string]string)}
 }
 
-// Train registers that a fingerprint belongs to a booter (learned by
+// train registers that a fingerprint belongs to a booter (learned by
 // watching a self-attack traverse the sensors).
-func (a *Attributor) Train(fingerprint, booterName string) {
+func (a *Attributor) train(fingerprint, booterName string) {
 	a.byFingerprint[fingerprint] = booterName
 }
 
 // TrainFromSelfAttack learns the fingerprint of a launched self-attack.
 func (a *Attributor) TrainFromSelfAttack(atk *booter.Attack) {
-	a.Train(Fingerprint(atk.Order.Service.Name, atk.Order.Vector), atk.Order.Service.Name)
+	a.train(fingerprint(atk.Order.Service.Name, atk.Order.Vector), atk.Order.Service.Name)
 }
 
 // Attribute names the booter behind an observation, or "" when the

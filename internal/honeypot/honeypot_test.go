@@ -23,11 +23,11 @@ func testSetup(t testing.TB) (*Deployment, *booter.Engine, *reflector.Pool) {
 }
 
 func TestSensorRateLimit(t *testing.T) {
-	s := NewSensor(netip.MustParseAddr("192.0.2.1"), amplify.NTP)
+	s := newSensor(netip.MustParseAddr("192.0.2.1"), amplify.NTP)
 	victim := netip.MustParseAddr("203.0.113.9")
 	responded := 0
 	for i := 0; i < 20; i++ {
-		if s.HandleTrigger(hpStart.Add(time.Duration(i)*time.Second), victim, "fp") {
+		if s.handleTrigger(hpStart.Add(time.Duration(i)*time.Second), victim, "fp") {
 			responded++
 		}
 	}
@@ -38,11 +38,11 @@ func TestSensorRateLimit(t *testing.T) {
 		t.Errorf("events = %d, want all 20 logged", len(s.Events()))
 	}
 	// A new minute resets the budget.
-	if !s.HandleTrigger(hpStart.Add(2*time.Minute), victim, "fp") {
+	if !s.handleTrigger(hpStart.Add(2*time.Minute), victim, "fp") {
 		t.Error("rate limit should reset per minute")
 	}
 	// A different victim has its own budget.
-	if !s.HandleTrigger(hpStart, netip.MustParseAddr("203.0.113.10"), "fp") {
+	if !s.handleTrigger(hpStart, netip.MustParseAddr("203.0.113.10"), "fp") {
 		t.Error("per-victim limit leaked across victims")
 	}
 }
@@ -205,10 +205,10 @@ func TestAttribution(t *testing.T) {
 }
 
 func TestFingerprintStableAndDistinct(t *testing.T) {
-	a1 := Fingerprint("A", amplify.NTP)
-	a2 := Fingerprint("A", amplify.NTP)
-	b := Fingerprint("B", amplify.NTP)
-	aDNS := Fingerprint("A", amplify.DNS)
+	a1 := fingerprint("A", amplify.NTP)
+	a2 := fingerprint("A", amplify.NTP)
+	b := fingerprint("B", amplify.NTP)
+	aDNS := fingerprint("A", amplify.DNS)
 	if a1 != a2 {
 		t.Error("fingerprint not stable")
 	}

@@ -31,7 +31,7 @@ func TestSeqGapAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.DomainStats()[5]
+	st := d.domainStats()[5]
 	if st.Messages != 2 || st.Records != 7 {
 		t.Errorf("messages/records = %d/%d, want 2/7", st.Messages, st.Records)
 	}
@@ -65,7 +65,7 @@ func TestSeqGapAcrossWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.DomainStats()[5]
+	st := d.domainStats()[5]
 	if st.SeqGapRecords != 5 {
 		t.Errorf("gap records across 2^32 = %d, want 5", st.SeqGapRecords)
 	}
@@ -87,7 +87,7 @@ func TestSeqLateAndDuplicateAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.DomainStats()[5]
+	st := d.domainStats()[5]
 	if st.SeqGapRecords != 2 {
 		t.Errorf("gap records = %d, want 2 (B jumped over)", st.SeqGapRecords)
 	}
@@ -116,7 +116,7 @@ func TestSeqResetOnExporterRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.DomainStats()[5]
+	st := d.domainStats()[5]
 	if st.SeqResets != 1 {
 		t.Errorf("resets = %d, want 1", st.SeqResets)
 	}
@@ -131,10 +131,10 @@ func TestUnknownTemplateCounted(t *testing.T) {
 	dataOnly := encodeN(t, e, 2)
 
 	d := NewDecoder()
-	if _, err := d.Decode(dataOnly); err != ErrNoTemplate {
+	if _, err := d.Decode(dataOnly); err != errNoTemplate {
 		t.Fatalf("err = %v, want ErrNoTemplate", err)
 	}
-	st := d.DomainStats()[9]
+	st := d.domainStats()[9]
 	if st.UnknownTemplateSets != 1 || st.UnknownTemplateMessages != 1 {
 		t.Errorf("unknown-template sets/messages = %d/%d, want 1/1",
 			st.UnknownTemplateSets, st.UnknownTemplateMessages)

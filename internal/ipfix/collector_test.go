@@ -57,7 +57,7 @@ func TestCollectorMatchesDecoder(t *testing.T) {
 		d2,
 		d2, // duplicate
 		message(5, 9, data(d3), rawSet(999, 1, 2, 3, 4)),         // one unknown-template set beside good data
-		message(5, 14, data(d4), []byte{0x01, 0x90, 0xff, 0xff}), // a set running past the message: ErrBadSet
+		message(5, 14, data(d4), []byte{0x01, 0x90, 0xff, 0xff}), // a set running past the message: errBadSet
 		d5,
 	}
 
@@ -67,7 +67,7 @@ func TestCollectorMatchesDecoder(t *testing.T) {
 	for i, msg := range stream {
 		recs, err := ref.Decode(msg)
 		switch {
-		case errors.Is(err, ErrNoTemplate):
+		case errors.Is(err, errNoTemplate):
 			wantNoTpl++
 		case err != nil:
 			wantErrs++
@@ -123,7 +123,7 @@ func TestCollectorMatchesDecoder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("collector lent %d batches that differ from per-message Decode's %d", len(got), len(want))
 	}
-	if gotDom, wantDom := s.Domains, ref.DomainStats(); !reflect.DeepEqual(gotDom, wantDom) {
+	if gotDom, wantDom := s.Domains, ref.domainStats(); !reflect.DeepEqual(gotDom, wantDom) {
 		t.Fatalf("collector domain stats %+v, want %+v", gotDom, wantDom)
 	}
 }
@@ -168,7 +168,7 @@ func TestDecodeAllocations(t *testing.T) {
 	}
 	defer col.Close()
 	delivered := 0
-	col.SetHandler(func(recs []flow.Record) { delivered += len(recs) })
+	col.setHandler(func(recs []flow.Record) { delivered += len(recs) })
 	// The reader's half (a buffer off the free list) and the worker's.
 	w := &decodeWorker{c: col, free: make(chan []byte, 1)}
 	if got := feed(func(m []byte) {

@@ -16,7 +16,7 @@ func hostileMsg(sets ...[]byte) []byte {
 	for _, s := range sets {
 		n += len(s)
 	}
-	msg := binary.BigEndian.AppendUint16(nil, VersionIPFIX)
+	msg := binary.BigEndian.AppendUint16(nil, versionIPFIX)
 	msg = binary.BigEndian.AppendUint16(msg, uint16(n))
 	msg = append(msg, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9)
 	for _, s := range sets {
@@ -72,7 +72,7 @@ func TestTemplateLengthsValidated(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDecoder()
 			_, err := d.Decode(hostileMsg(tc.tpl, rawSet(256, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
-			if !errors.Is(err, ErrBadSet) {
+			if !errors.Is(err, errBadSet) {
 				t.Fatalf("Decode = %v, want a refusal wrapping ErrBadSet", err)
 			}
 			if got := d.m.badTemplates.Value(); got != 1 {
@@ -80,7 +80,7 @@ func TestTemplateLengthsValidated(t *testing.T) {
 			}
 			// The refused template was not stored: its data sets have no
 			// template to be read with.
-			if _, err := d.Decode(hostileMsg(rawSet(256, 1, 2, 3, 4))); !errors.Is(err, ErrNoTemplate) {
+			if _, err := d.Decode(hostileMsg(rawSet(256, 1, 2, 3, 4))); !errors.Is(err, errNoTemplate) {
 				t.Fatalf("data set after a refused template: %v, want ErrNoTemplate", err)
 			}
 		})
@@ -102,10 +102,10 @@ func TestRefusedRedefinitionWithdrawsTemplate(t *testing.T) {
 		t.Fatalf("Decode with the good template = %d records, %v", len(recs), err)
 	}
 	bad := hostileMsg(templateSet(fieldSpec{ieDestIPv4Address, 4}, fieldSpec{ieFlowStartMilliseconds, 4}))
-	if _, err := d.Decode(bad); !errors.Is(err, ErrBadSet) {
+	if _, err := d.Decode(bad); !errors.Is(err, errBadSet) {
 		t.Fatalf("redefinition = %v, want a refusal", err)
 	}
-	if recs, err := d.Decode(data); !errors.Is(err, ErrNoTemplate) {
+	if recs, err := d.Decode(data); !errors.Is(err, errNoTemplate) {
 		t.Fatalf("data set after a refused redefinition = %d records, %v; want ErrNoTemplate", len(recs), err)
 	}
 	if _, err := d.Decode(good); err != nil {

@@ -79,7 +79,7 @@ func TestMessageLengthField(t *testing.T) {
 	if gotLen != len(msg) {
 		t.Errorf("length field = %d, actual %d", gotLen, len(msg))
 	}
-	if v := int(msg[0])<<8 | int(msg[1]); v != VersionIPFIX {
+	if v := int(msg[0])<<8 | int(msg[1]); v != versionIPFIX {
 		t.Errorf("version = %d", v)
 	}
 }
@@ -117,7 +117,7 @@ func TestDecodeWithoutTemplate(t *testing.T) {
 	_, _ = e.Encode(sampleRecords(1), exportTime) // message 0 has template
 	dataOnly, _ := e.Encode(sampleRecords(1), exportTime)
 	d := NewDecoder()
-	if _, err := d.Decode(dataOnly); err != ErrNoTemplate {
+	if _, err := d.Decode(dataOnly); err != errNoTemplate {
 		t.Errorf("err = %v, want ErrNoTemplate", err)
 	}
 }
@@ -132,31 +132,31 @@ func TestTemplatesScopedByDomain(t *testing.T) {
 	}
 	_, _ = eB.Encode(sampleRecords(1), exportTime)
 	dataB, _ := eB.Encode(sampleRecords(1), exportTime)
-	if _, err := d.Decode(dataB); err != ErrNoTemplate {
+	if _, err := d.Decode(dataB); err != errNoTemplate {
 		t.Errorf("cross-domain decode err = %v", err)
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
 	d := NewDecoder()
-	if _, err := d.Decode([]byte{0, 10}); err != ErrTruncated {
+	if _, err := d.Decode([]byte{0, 10}); err != errTruncated {
 		t.Errorf("short err = %v", err)
 	}
 	e := &Encoder{DomainID: 1}
 	msg, _ := e.Encode(sampleRecords(1), exportTime)
 	bad := append([]byte(nil), msg...)
 	bad[0], bad[1] = 0, 9 // NetFlow v9, not IPFIX
-	if _, err := d.Decode(bad); err != ErrBadVersion {
+	if _, err := d.Decode(bad); err != errBadVersion {
 		t.Errorf("version err = %v", err)
 	}
 	short := append([]byte(nil), msg...)
 	short[2], short[3] = 0xff, 0xff // length exceeds buffer
-	if _, err := d.Decode(short); err != ErrTruncated {
+	if _, err := d.Decode(short); err != errTruncated {
 		t.Errorf("length err = %v", err)
 	}
 	corrupt := append([]byte(nil), msg...)
 	corrupt[headerLen+2], corrupt[headerLen+3] = 0, 1 // set length < 4
-	if _, err := d.Decode(corrupt); err != ErrBadSet {
+	if _, err := d.Decode(corrupt); err != errBadSet {
 		t.Errorf("set err = %v", err)
 	}
 }

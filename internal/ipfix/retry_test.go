@@ -41,8 +41,8 @@ func (c *flakyConn) SetWriteDeadline(time.Time) error { return nil }
 // sleeps and a seeded backoff.
 func retryExporter(failN, maxAttempts int, seed uint64) (*Exporter, *flakyConn, *[]time.Duration) {
 	fc := &flakyConn{failN: failN}
-	e := NewExporterConn(fc, 1)
-	e.SetRetry(RetryPolicy{
+	e := newExporterConn(fc, 1)
+	e.SetRetry(retryPolicy{
 		MaxAttempts: maxAttempts,
 		Backoff: netutil.Backoff{
 			Base: 10 * time.Millisecond,
@@ -124,7 +124,7 @@ func TestExporterExhaustsAttempts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := d.DomainStats()[1]; st.SeqGapRecords != 4 || st.LostRecords() != 4 {
+	if st := d.domainStats()[1]; st.SeqGapRecords != 4 || st.LostRecords() != 4 {
 		t.Errorf("gap/lost = %d/%d, want 4/4 for the abandoned message", st.SeqGapRecords, st.LostRecords())
 	}
 }
@@ -132,9 +132,9 @@ func TestExporterExhaustsAttempts(t *testing.T) {
 func TestExporterRedialsAndResendsTemplate(t *testing.T) {
 	bad := &flakyConn{failN: 1000}
 	good := &flakyConn{}
-	e := NewExporterConn(bad, 1)
+	e := newExporterConn(bad, 1)
 	e.dial = func() (net.Conn, error) { return good, nil }
-	e.SetRetry(RetryPolicy{MaxAttempts: 2, Backoff: netutil.Backoff{Base: time.Microsecond, Max: time.Microsecond}})
+	e.SetRetry(retryPolicy{MaxAttempts: 2, Backoff: netutil.Backoff{Base: time.Microsecond, Max: time.Microsecond}})
 	e.sleep = func(time.Duration) {}
 
 	// Message 0 (with template) dies on the bad conn, then the redial
@@ -163,7 +163,7 @@ func TestExporterRedialsAndResendsTemplate(t *testing.T) {
 
 func TestExporterResendTemplateOnDemand(t *testing.T) {
 	fc := &flakyConn{}
-	e := NewExporterConn(fc, 1)
+	e := newExporterConn(fc, 1)
 	for i := 0; i < 3; i++ {
 		if err := e.Export(sampleRecords(1), exportTime); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestExporterResendTemplateOnDemand(t *testing.T) {
 	}
 	// Messages 1 and 2 are data-only (inside the refresh cycle).
 	d2 := NewDecoder()
-	if _, err := d2.Decode(fc.sent[1]); err != ErrNoTemplate {
+	if _, err := d2.Decode(fc.sent[1]); err != errNoTemplate {
 		t.Fatalf("mid-cycle message err = %v, want ErrNoTemplate", err)
 	}
 }

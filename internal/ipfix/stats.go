@@ -93,8 +93,8 @@ func (h Health) String() string {
 		h.LostRecords, h.Shed, h.DecodeErrors)
 }
 
-// ExporterStats is a snapshot of an Exporter's delivery accounting.
-type ExporterStats struct {
+// exporterStats is a snapshot of an Exporter's delivery accounting.
+type exporterStats struct {
 	// Messages and Records count successful sends.
 	Messages uint64
 	Records  uint64

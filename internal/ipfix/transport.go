@@ -15,9 +15,9 @@ import (
 	"booterscope/internal/telemetry/eventlog"
 )
 
-// RetryPolicy bounds how hard an Exporter tries to deliver a message
+// retryPolicy bounds how hard an Exporter tries to deliver a message
 // before giving up.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// MaxAttempts is the total number of send attempts per message
 	// (default 4).
 	MaxAttempts int
@@ -26,7 +26,7 @@ type RetryPolicy struct {
 	Backoff netutil.Backoff
 }
 
-func (p RetryPolicy) attempts() int {
+func (p retryPolicy) attempts() int {
 	if p.MaxAttempts <= 0 {
 		return 4
 	}
@@ -34,7 +34,7 @@ func (p RetryPolicy) attempts() int {
 }
 
 // exporterMetrics are the exporter's delivery counters. They are plain
-// telemetry atomics owned by the instance; ExporterStats is a thin view
+// telemetry atomics owned by the instance; exporterStats is a thin view
 // over them, and RegisterTelemetry attaches the same objects to a
 // registry so a scrape and Stats() can never disagree.
 type exporterMetrics struct {
@@ -72,7 +72,7 @@ type Exporter struct {
 	dial func() (net.Conn, error)
 	//bsvet:guards mu
 	enc   Encoder
-	retry RetryPolicy
+	retry retryPolicy
 	sleep func(time.Duration)
 	m     exporterMetrics
 }
@@ -84,15 +84,15 @@ func NewExporter(addr string, domainID uint32) (*Exporter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipfix: dialing collector: %w", err)
 	}
-	e := NewExporterConn(conn, domainID)
+	e := newExporterConn(conn, domainID)
 	e.dial = dial
 	return e, nil
 }
 
-// NewExporterConn wraps an existing connection (an alternative
+// newExporterConn wraps an existing connection (an alternative
 // transport, or a fake conn under test). Without a dialer the exporter
 // retries sends but cannot re-dial.
-func NewExporterConn(conn net.Conn, domainID uint32) *Exporter {
+func newExporterConn(conn net.Conn, domainID uint32) *Exporter {
 	return &Exporter{
 		conn:  conn,
 		enc:   Encoder{DomainID: domainID},
@@ -115,7 +115,9 @@ func (e *Exporter) RegisterTelemetry(r *telemetry.Registry) {
 }
 
 // SetRetry replaces the exporter's retry policy.
-func (e *Exporter) SetRetry(p RetryPolicy) {
+//
+//bsvet:allow deadcode test seam: TestExporterRedialsAndResendsTemplate shortens the retry policy with it
+func (e *Exporter) SetRetry(p retryPolicy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.retry = p
@@ -133,16 +135,20 @@ func (e *Exporter) SetTemplateRefresh(n int) {
 
 // ResendTemplate forces the next message to carry the template set —
 // on-demand retransmission for a collector known to be missing it.
+//
+//bsvet:allow deadcode no production caller; kept for TestExporterResendTemplateOnDemand (deletion deferred, ROADMAP 8(iv))
 func (e *Exporter) ResendTemplate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.enc.ForceTemplate()
+	e.enc.forceTemplate = true
 }
 
 // Stats returns a snapshot of the exporter's delivery accounting — a
 // view over the same telemetry counters RegisterTelemetry exposes.
-func (e *Exporter) Stats() ExporterStats {
-	return ExporterStats{
+//
+//bsvet:allow deadcode oracle: TestCollectorMatchesDecoder and the root chaos test read the exporter's delivery accounting
+func (e *Exporter) Stats() exporterStats {
+	return exporterStats{
 		Messages: e.m.messages.Value(),
 		Records:  e.m.records.Value(),
 		Retries:  e.m.retries.Value(),
@@ -187,7 +193,7 @@ func (e *Exporter) Export(records []flow.Record, exportTime time.Time) error {
 	e.m.failures.Inc()
 	// The lost message may have carried the template; re-send it with
 	// the next message so the collector is never stranded undecodable.
-	e.enc.ForceTemplate()
+	e.enc.forceTemplate = true
 	return fmt.Errorf("ipfix: sending message (%d attempts): %w", attempts, lastErr)
 }
 
@@ -205,7 +211,7 @@ func (e *Exporter) redialLocked() {
 	e.conn.Close()
 	e.conn = nc
 	e.m.redials.Inc()
-	e.enc.ForceTemplate()
+	e.enc.forceTemplate = true
 }
 
 // Close releases the exporter's socket.
@@ -215,9 +221,9 @@ func (e *Exporter) Close() error {
 	return e.conn.Close()
 }
 
-// DefaultQueueSize is the default bound of the collector's ingest
+// defaultQueueSize is the default bound of the collector's ingest
 // queue.
-const DefaultQueueSize = 1024
+const defaultQueueSize = 1024
 
 // Collector receives IPFIX messages over UDP and hands decoded records
 // to a callback. A bounded ingest queue decouples the socket reader
@@ -229,7 +235,7 @@ type Collector struct {
 	dec  *Decoder
 
 	// QueueSize bounds the ingest queue between the socket reader and
-	// the decode worker (default DefaultQueueSize). Set before Run.
+	// the decode worker (default defaultQueueSize). Set before Run.
 	QueueSize int
 
 	messages     *telemetry.Counter
@@ -304,7 +310,7 @@ func (c *Collector) Stats() CollectorStats {
 		DecodeErrors: c.decodeErrors.Value(),
 		NoTemplate:   c.noTemplate.Value(),
 		Records:      c.records.Value(),
-		Domains:      c.dec.DomainStats(),
+		Domains:      c.dec.domainStats(),
 	}
 }
 
@@ -320,12 +326,12 @@ func (c *Collector) Health() Health {
 	return h
 }
 
-// SetHandler replaces the decoded-batch callback without touching the
+// setHandler replaces the decoded-batch callback without touching the
 // socket: batches decoded after the swap go to the new handler. This
 // is the reload path — a daemon re-wiring its pipeline on SIGHUP keeps
 // its UDP listener (and loses no datagrams to a close/reopen window).
 // The new handler borrows its records on the terms Run states.
-func (c *Collector) SetHandler(handle func([]flow.Record)) {
+func (c *Collector) setHandler(handle func([]flow.Record)) {
 	c.handler.Store(&handle)
 }
 
@@ -352,10 +358,10 @@ func (c *Collector) QueueDepth() (depth, capacity int) {
 // the same slab, so recs is valid only until handle returns. A handler
 // that keeps records past that must copy them.
 func (c *Collector) Run(handle func([]flow.Record)) error {
-	c.SetHandler(handle)
+	c.setHandler(handle)
 	qsize := c.QueueSize
 	if qsize <= 0 {
-		qsize = DefaultQueueSize
+		qsize = defaultQueueSize
 	}
 	queue := make(chan []byte, qsize)
 	c.mu.Lock()
@@ -445,7 +451,7 @@ func (w *decodeWorker) handle(msg []byte) {
 	w.recycle(msg)
 	w.recs = recs
 	if err != nil {
-		if errors.Is(err, ErrNoTemplate) {
+		if errors.Is(err, errNoTemplate) {
 			c.noTemplate.Inc()
 		} else {
 			c.decodeErrors.Inc()

@@ -23,14 +23,12 @@ import (
 	"booterscope/internal/flow"
 	"booterscope/internal/netutil"
 	"booterscope/internal/packet"
-	"booterscope/internal/sampling"
-	"booterscope/internal/sflow"
 )
 
 // Errors returned by the fabric.
 var (
-	ErrNotConnected = errors.New("ixp: measurement AS not connected")
-	ErrUnknownAS    = errors.New("ixp: unknown member AS")
+	errNotConnected = errors.New("ixp: measurement AS not connected")
+	errUnknownAS    = errors.New("ixp: unknown member AS")
 )
 
 // Member is one network connected to the IXP peering LAN.
@@ -116,13 +114,17 @@ func (f *Fabric) AddMember(asn uint32, capacity netutil.Bitrate, prefersOwnTrans
 }
 
 // Members returns the member count.
+//
+//bsvet:allow deadcode oracle: TestConnectAndAnnounce and TestRouteServerMembers check fabric setup
 func (f *Fabric) Members() int { return len(f.members) }
 
 // Member returns a member by ASN.
+//
+//bsvet:allow deadcode oracle: TestBlackholeLifecycle and TestConnectAndAnnounce read a member's RIB
 func (f *Fabric) Member(asn uint32) (*Member, error) {
 	m, ok := f.members[asn]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownAS, asn)
+		return nil, fmt.Errorf("%w: %d", errUnknownAS, asn)
 	}
 	return m, nil
 }
@@ -163,7 +165,7 @@ func (f *Fabric) ConnectMeasurementAS(asn uint32, prefix netip.Prefix, capacity 
 // runaway self-attacks.
 func (f *Fabric) AnnounceBlackhole(addr netip.Addr) error {
 	if f.meas == nil {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	if !f.meas.prefix.Contains(addr) {
 		return fmt.Errorf("ixp: %v is outside the measurement prefix %v", addr, f.meas.prefix)
@@ -179,7 +181,7 @@ func (f *Fabric) AnnounceBlackhole(addr netip.Addr) error {
 // WithdrawBlackhole removes the RTBH announcement for addr.
 func (f *Fabric) WithdrawBlackhole(addr netip.Addr) error {
 	if f.meas == nil {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	f.rs.Withdraw(f.meas.asn, netip.PrefixFrom(addr, 32))
 	delete(f.meas.blackholed, addr)
@@ -198,7 +200,7 @@ func (f *Fabric) IsBlackholed(addr netip.Addr) bool {
 // the victim reachable.
 func (f *Fabric) AnnounceFlowSpec(rule bgp.FlowSpecRule) error {
 	if f.meas == nil {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	if !rule.Dst.IsValid() || !f.meas.prefix.Overlaps(rule.Dst) {
 		return fmt.Errorf("ixp: flowspec rule %v outside the measurement prefix %v", rule.Dst, f.meas.prefix)
@@ -218,9 +220,11 @@ func (f *Fabric) AnnounceFlowSpec(rule bgp.FlowSpecRule) error {
 }
 
 // WithdrawFlowSpec removes all rules covering dst.
+//
+//bsvet:allow deadcode no production caller; kept for TestFlowSpecFiltersAttackOnly and TestFlowSpecValidation (deletion deferred, ROADMAP 8(iv))
 func (f *Fabric) WithdrawFlowSpec(dst netip.Prefix) error {
 	if f.meas == nil {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	kept := f.meas.flowspec[:0]
 	for _, r := range f.meas.flowspec {
@@ -233,6 +237,8 @@ func (f *Fabric) WithdrawFlowSpec(dst netip.Prefix) error {
 }
 
 // FlowSpecRules reports the number of active rules.
+//
+//bsvet:allow deadcode oracle: TestFlowSpecFiltersAttackOnly and TestFlowSpecValidation count the installed rules
 func (f *Fabric) FlowSpecRules() int {
 	if f.meas == nil {
 		return 0
@@ -252,9 +258,11 @@ func (f *Fabric) flowSpecDiscards(dst netip.Addr, src SourceTraffic) bool {
 }
 
 // MeasurementASN returns the connected measurement AS number.
+//
+//bsvet:allow deadcode oracle: TestConnectAndAnnounce and TestNotConnectedErrors check the measurement AS connection
 func (f *Fabric) MeasurementASN() (uint32, error) {
 	if f.meas == nil {
-		return 0, ErrNotConnected
+		return 0, errNotConnected
 	}
 	return f.meas.asn, nil
 }
@@ -264,7 +272,7 @@ func (f *Fabric) MeasurementASN() (uint32, error) {
 // the global table; only IXP peers can then deliver traffic.
 func (f *Fabric) SetTransit(enabled bool) error {
 	if f.meas == nil {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	f.meas.transitOn = enabled
 	if enabled {
@@ -275,16 +283,18 @@ func (f *Fabric) SetTransit(enabled bool) error {
 	return nil
 }
 
-// TransitUp reports whether the transit path is currently usable: the
+// transitUp reports whether the transit path is currently usable: the
 // operator has it enabled and the BGP session is established.
-func (f *Fabric) TransitUp() bool {
+func (f *Fabric) transitUp() bool {
 	return f.meas != nil && f.meas.transitOn && f.meas.transit.State() == bgp.StateEstablished
 }
 
 // TransitFlaps reports how many times the transit session flapped.
+//
+//bsvet:allow deadcode oracle: TestSaturationFlapsTransit counts the flaps saturation causes
 func (f *Fabric) TransitFlaps() (int, error) {
 	if f.meas == nil {
-		return 0, ErrNotConnected
+		return 0, errNotConnected
 	}
 	return f.meas.transit.Flaps(), nil
 }
@@ -350,23 +360,17 @@ func (h *Handover) DeliveredBytes() uint64 {
 // PeerCount reports how many member ASes handed over traffic.
 func (h *Handover) PeerCount() int { return len(h.ViaPeeringBytes) }
 
-// Deliver routes one second of traffic from the given sources to the
-// measurement AS without a specific destination address (FlowSpec rules
-// do not apply). Saturation above the flap threshold tears the transit
-// session down for subsequent seconds (it re-establishes once offered
-// load recedes), mirroring the interrupted VIP NTP attack.
-func (f *Fabric) Deliver(sources []SourceTraffic) (*Handover, error) {
-	return f.DeliverTo(netip.Addr{}, sources)
-}
-
 // DeliverTo routes one second of traffic toward dst. FlowSpec rules
 // covering dst discard matching traffic at the neighbors' edges before
-// it reaches the measurement port.
+// it reaches the measurement port; the zero dst matches no rule.
+// Saturation above the flap threshold tears the transit session down
+// for subsequent seconds (it re-establishes once offered load
+// recedes), mirroring the interrupted VIP NTP attack.
 func (f *Fabric) DeliverTo(dst netip.Addr, sources []SourceTraffic) (*Handover, error) {
 	if f.meas == nil {
-		return nil, ErrNotConnected
+		return nil, errNotConnected
 	}
-	transitUp := f.TransitUp()
+	transitUp := f.transitUp()
 	h := &Handover{
 		ViaPeeringBytes:   make(map[uint32]uint64),
 		ViaPeeringPackets: make(map[uint32]uint64),
@@ -480,68 +484,5 @@ func (f *Fabric) PlatformExport(h *Handover, dst netip.Addr, dstPort uint16, ts 
 		})
 	}
 	metricExportRecords.Add(uint64(len(out)))
-	return out
-}
-
-// Sampler returns a packet sampler matching the platform's rate, for
-// components that sample raw packet streams.
-func (f *Fabric) Sampler() (sampling.Sampler, error) {
-	return sampling.NewSystematic(f.cfg.PlatformSamplingRate)
-}
-
-// PlatformExportSFlow renders the peering-LAN share of a handover as
-// sFlow samples: representative raw headers per handing-over member,
-// with the sample pool reflecting the member's packet count. IXPs that
-// run sFlow instead of IPFIX export this view.
-func (f *Fabric) PlatformExportSFlow(h *Handover, dst netip.Addr, srcPort uint16) []sflow.Sample {
-	if f.meas == nil {
-		return nil
-	}
-	rate := f.cfg.PlatformSamplingRate
-	asns := make([]uint32, 0, len(h.ViaPeeringBytes))
-	for asn := range h.ViaPeeringBytes {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	var out []sflow.Sample
-	for _, asn := range asns {
-		pkts := h.ViaPeeringPackets[asn]
-		if pkts == 0 {
-			continue
-		}
-		sampled := pkts / uint64(rate)
-		if f.rand.Uint64N(uint64(rate)) < pkts%uint64(rate) {
-			sampled++
-		}
-		if sampled == 0 {
-			continue
-		}
-		avgSize := int(h.ViaPeeringBytes[asn] / pkts)
-		if avgSize < 28 {
-			avgSize = 28
-		}
-		hdr := packet.Build(
-			&packet.IPv4{
-				TTL:      60,
-				Protocol: packet.IPProtoUDP,
-				Src:      netutil.Addr4(asn<<8 | 1),
-				Dst:      dst,
-			},
-			&packet.UDP{SrcPort: srcPort, DstPort: 40000},
-			packet.Payload(make([]byte, avgSize-28)),
-		)
-		if len(hdr) > sflow.MaxHeaderBytes {
-			hdr = hdr[:sflow.MaxHeaderBytes]
-		}
-		for i := uint64(0); i < sampled; i++ {
-			out = append(out, sflow.Sample{
-				SamplingRate: rate,
-				SamplePool:   uint32(pkts),
-				FrameLength:  uint32(avgSize),
-				Header:       hdr,
-			})
-		}
-	}
-	metricExportSamples.Add(uint64(len(out)))
 	return out
 }

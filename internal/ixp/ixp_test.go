@@ -7,8 +7,6 @@ import (
 
 	"booterscope/internal/bgp"
 	"booterscope/internal/netutil"
-	"booterscope/internal/packet"
-	"booterscope/internal/sflow"
 )
 
 const (
@@ -47,7 +45,7 @@ func TestConnectAndAnnounce(t *testing.T) {
 	if !ok || r.NextHopAS != measASN {
 		t.Errorf("member route = %+v ok=%t", r, ok)
 	}
-	if !f.TransitUp() {
+	if !f.transitUp() {
 		t.Error("transit should start up")
 	}
 	if _, err := f.Member(9999); err == nil {
@@ -57,16 +55,16 @@ func TestConnectAndAnnounce(t *testing.T) {
 
 func TestNotConnectedErrors(t *testing.T) {
 	f := New(Config{})
-	if _, err := f.MeasurementASN(); err != ErrNotConnected {
+	if _, err := f.MeasurementASN(); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
-	if err := f.SetTransit(false); err != ErrNotConnected {
+	if err := f.SetTransit(false); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := f.Deliver(nil); err != ErrNotConnected {
+	if _, err := f.DeliverTo(netip.Addr{}, nil); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := f.TransitFlaps(); err != ErrNotConnected {
+	if _, err := f.TransitFlaps(); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -82,7 +80,7 @@ func TestHandoverSplitTransitEnabled(t *testing.T) {
 		SourceTraffic{AS: 7000, Bytes: 50_000_000, Packets: 100000},
 		SourceTraffic{AS: 7001, Bytes: 50_000_000, Packets: 100000},
 	)
-	h, err := f.Deliver(sources)
+	h, err := f.DeliverTo(netip.Addr{}, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestHandoverNoTransit(t *testing.T) {
 		sources = append(sources, SourceTraffic{AS: uint32(1000 + i), Bytes: 10_000_000, Packets: 20000})
 	}
 	sources = append(sources, SourceTraffic{AS: 7000, Bytes: 100_000_000, Packets: 200000})
-	h, err := f.Deliver(sources)
+	h, err := f.DeliverTo(netip.Addr{}, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +147,7 @@ func TestNoTransitIncreasesPeersDecreasesVolume(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			sources = append(sources, SourceTraffic{AS: uint32(7000 + i), Bytes: 5_000_000, Packets: 10000})
 		}
-		h, err := f.Deliver(sources)
+		h, err := f.DeliverTo(netip.Addr{}, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +178,7 @@ func TestSaturationFlapsTransit(t *testing.T) {
 	big := []SourceTraffic{{AS: 7000, Bytes: 2_500_000_000, Packets: 5_000_000}}
 	// The session survives the first HoldTime-1 saturated seconds.
 	for i := 0; i < 2; i++ {
-		h, err := f.Deliver(big)
+		h, err := f.DeliverTo(netip.Addr{}, big)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,28 +192,28 @@ func TestSaturationFlapsTransit(t *testing.T) {
 			t.Errorf("second %d: flapped before hold timer expiry", i)
 		}
 	}
-	h, err := f.Deliver(big)
+	h, err := f.DeliverTo(netip.Addr{}, big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.TransitFlapped {
 		t.Error("transit session should flap after sustained saturation")
 	}
-	if f.TransitUp() {
+	if f.transitUp() {
 		t.Error("transit should be down after flap")
 	}
 	// Transit down: non-member traffic unreachable, utilization recedes.
-	h2, err := f.Deliver(big)
+	h2, err := f.DeliverTo(netip.Addr{}, big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h2.ViaTransitBytes != 0 || h2.UnreachableBytes == 0 {
 		t.Errorf("post-flap handover: transit=%d unreachable=%d", h2.ViaTransitBytes, h2.UnreachableBytes)
 	}
-	if _, err := f.Deliver(big); err != nil { // second calm tick: reconnect
+	if _, err := f.DeliverTo(netip.Addr{}, big); err != nil { // second calm tick: reconnect
 		t.Fatal(err)
 	}
-	if !f.TransitUp() {
+	if !f.transitUp() {
 		t.Error("transit should re-establish after the reconnect time")
 	}
 	flaps, _ := f.TransitFlaps()
@@ -226,7 +224,7 @@ func TestSaturationFlapsTransit(t *testing.T) {
 
 func TestDeliverWithinCapacityNoDrops(t *testing.T) {
 	f := newFabric(t)
-	h, err := f.Deliver([]SourceTraffic{{AS: 7000, Bytes: 100_000_000, Packets: 200000}})
+	h, err := f.DeliverTo(netip.Addr{}, []SourceTraffic{{AS: 7000, Bytes: 100_000_000, Packets: 200000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +243,7 @@ func TestPlatformExportSamplesPeeringOnly(t *testing.T) {
 		sources = append(sources, SourceTraffic{AS: uint32(1000 + i), Bytes: 48_600_000, Packets: 100_000})
 	}
 	sources = append(sources, SourceTraffic{AS: 7000, Bytes: 486_000_000, Packets: 1_000_000})
-	h, err := f.Deliver(sources)
+	h, err := f.DeliverTo(netip.Addr{}, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +280,7 @@ func TestPlatformExportSamplesPeeringOnly(t *testing.T) {
 func TestPlatformExportDeterministic(t *testing.T) {
 	build := func() int {
 		f := newFabric(t)
-		h, err := f.Deliver([]SourceTraffic{{AS: 1001, Bytes: 4860, Packets: 10}})
+		h, err := f.DeliverTo(netip.Addr{}, []SourceTraffic{{AS: 1001, Bytes: 4860, Packets: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,17 +288,6 @@ func TestPlatformExportDeterministic(t *testing.T) {
 	}
 	if build() != build() {
 		t.Error("platform export not deterministic")
-	}
-}
-
-func TestSampler(t *testing.T) {
-	f := newFabric(t)
-	s, err := f.Sampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rate() != 100 {
-		t.Errorf("rate = %d", s.Rate())
 	}
 }
 
@@ -318,7 +305,7 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Deliver(sources); err != nil {
+		if _, err := f.DeliverTo(netip.Addr{}, sources); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,10 +357,10 @@ func TestBlackholeValidation(t *testing.T) {
 		t.Error("blackholing an address outside the prefix should fail")
 	}
 	unconnected := New(Config{})
-	if err := unconnected.AnnounceBlackhole(netip.MustParseAddr("203.0.113.1")); err != ErrNotConnected {
+	if err := unconnected.AnnounceBlackhole(netip.MustParseAddr("203.0.113.1")); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
-	if err := unconnected.WithdrawBlackhole(netip.MustParseAddr("203.0.113.1")); err != ErrNotConnected {
+	if err := unconnected.WithdrawBlackhole(netip.MustParseAddr("203.0.113.1")); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -455,10 +442,10 @@ func TestFlowSpecValidation(t *testing.T) {
 		t.Error("rule outside the measurement prefix accepted")
 	}
 	unconnected := New(Config{})
-	if err := unconnected.AnnounceFlowSpec(bgp.FlowSpecRule{}); err != ErrNotConnected {
+	if err := unconnected.AnnounceFlowSpec(bgp.FlowSpecRule{}); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
-	if err := unconnected.WithdrawFlowSpec(netip.MustParsePrefix("203.0.113.0/32")); err != ErrNotConnected {
+	if err := unconnected.WithdrawFlowSpec(netip.MustParsePrefix("203.0.113.0/32")); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
 	if unconnected.FlowSpecRules() != 0 {
@@ -474,7 +461,7 @@ func TestDeliverWithoutDstIgnoresFlowSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	attack := SourceTraffic{AS: 7000, Bytes: 1000, Packets: 2, SrcPort: 123, PacketSize: 488}
-	h, err := f.Deliver([]SourceTraffic{attack})
+	h, err := f.DeliverTo(netip.Addr{}, []SourceTraffic{attack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +479,7 @@ func TestMemberPortCapacityClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The small member offers 2 Gbps worth of bytes in one second.
-	h, err := f.Deliver([]SourceTraffic{
+	h, err := f.DeliverTo(netip.Addr{}, []SourceTraffic{
 		{AS: 1000, Bytes: 250_000_000, Packets: 500_000},
 		{AS: 1001, Bytes: 250_000_000, Packets: 500_000},
 	})
@@ -515,60 +502,5 @@ func TestMemberPortCapacityClamp(t *testing.T) {
 	// Packets scale proportionally.
 	if got := h.ViaPeeringPackets[1000]; got >= 500_000 || got == 0 {
 		t.Errorf("small member packets = %d", got)
-	}
-}
-
-func TestPlatformExportSFlow(t *testing.T) {
-	f := newFabric(t)
-	var sources []SourceTraffic
-	for i := 0; i < 10; i++ {
-		sources = append(sources, SourceTraffic{AS: uint32(1000 + i), Bytes: 48_800_000, Packets: 100_000})
-	}
-	h, err := f.Deliver(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := netip.MustParseAddr("203.0.113.7")
-	samples := f.PlatformExportSFlow(h, victim, 123)
-	if len(samples) == 0 {
-		t.Fatal("no sFlow samples")
-	}
-	for i, s := range samples {
-		if s.SamplingRate != 100 {
-			t.Fatalf("sample %d rate = %d", i, s.SamplingRate)
-		}
-		// Headers decode back to the attack 5-tuple.
-		d, err := packet.DecodeIPv4(s.Header)
-		if err != nil {
-			t.Fatalf("sample %d header: %v", i, err)
-		}
-		if d.UDP == nil || d.UDP.SrcPort != 123 || d.IPv4.Dst != victim {
-			t.Fatalf("sample %d decoded %+v", i, d.IPv4)
-		}
-		if s.FrameLength != 488 {
-			t.Fatalf("sample %d frame length = %d, want avg 488", i, s.FrameLength)
-		}
-	}
-	// The scaled estimate approximates the true peering packet count
-	// (the 5 odd members x 100k).
-	var scaled uint64
-	for _, s := range samples {
-		scaled += uint64(s.SamplingRate)
-	}
-	if scaled < 300_000 || scaled > 700_000 {
-		t.Errorf("scaled packets = %d, want ~500k", scaled)
-	}
-	// And the samples survive the sFlow wire format.
-	exp := &sflow.Exporter{Agent: netip.MustParseAddr("10.99.0.1")}
-	dgram, err := exp.Encode(samples, time.Unix(1545220800, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := sflow.Decode(dgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec.DecodedPackets()) != len(samples) {
-		t.Errorf("decoded %d of %d samples", len(dec.DecodedPackets()), len(samples))
 	}
 }

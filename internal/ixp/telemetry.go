@@ -13,7 +13,6 @@ var (
 	metricFlowSpecBytes    = telemetry.NewCounter()
 	metricTransitFlaps     = telemetry.NewCounter()
 	metricExportRecords    = telemetry.NewCounter()
-	metricExportSamples    = telemetry.NewCounter()
 )
 
 // RegisterTelemetry attaches the package's aggregate fabric accounting
@@ -26,5 +25,4 @@ func RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("ixp_flowspec_filtered_bytes_total", "traffic discarded at the neighbors' edges by FlowSpec rules", metricFlowSpecBytes)
 	r.MustRegister("ixp_transit_session_flaps_total", "transit BGP sessions flapped by saturation", metricTransitFlaps)
 	r.MustRegister("ixp_platform_export_records_total", "sampled IPFIX-view flow records emitted by the platform", metricExportRecords)
-	r.MustRegister("ixp_platform_export_sflow_samples_total", "sFlow samples emitted by the platform", metricExportSamples)
 }

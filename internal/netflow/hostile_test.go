@@ -27,7 +27,7 @@ func TestV9TemplateLengthsValidated(t *testing.T) {
 				t.Fatalf("BadTemplates = %d, want 1", c.BadTemplates())
 			}
 			// The refused template was not stored.
-			if _, err := c.DecodeV9(v9Packet(v9Set(256, 1, 2, 3, 4))); !errors.Is(err, ErrNoTemplate) {
+			if _, err := c.DecodeV9(v9Packet(v9Set(256, 1, 2, 3, 4))); !errors.Is(err, errNoTemplate) {
 				t.Fatalf("data flowset after a refused template: %v, want ErrNoTemplate", err)
 			}
 		})
@@ -52,7 +52,7 @@ func TestV9RefusedRedefinitionWithdrawsTemplate(t *testing.T) {
 	if _, err := c.DecodeV9(bad); !errors.Is(err, errBadTemplate) {
 		t.Fatalf("redefinition = %v, want a refusal", err)
 	}
-	if recs, err := c.DecodeV9(data); !errors.Is(err, ErrNoTemplate) {
+	if recs, err := c.DecodeV9(data); !errors.Is(err, errNoTemplate) {
 		t.Fatalf("data flowset after a refused redefinition = %d records, %v; want ErrNoTemplate", len(recs), err)
 	}
 	if _, err := c.DecodeV9(good); err != nil {

@@ -29,11 +29,11 @@ const (
 
 // Codec errors.
 var (
-	ErrBadVersion  = errors.New("netflow: unsupported version")
-	ErrTruncated   = errors.New("netflow: truncated packet")
-	ErrTooMany     = errors.New("netflow: too many records for one packet")
-	ErrNoTemplate  = errors.New("netflow: data flowset without known template")
-	ErrNotSampled  = errors.New("netflow: invalid sampling configuration")
+	errBadVersion  = errors.New("netflow: unsupported version")
+	errTruncated   = errors.New("netflow: truncated packet")
+	errTooMany     = errors.New("netflow: too many records for one packet")
+	errNoTemplate  = errors.New("netflow: data flowset without known template")
+	errNotSampled  = errors.New("netflow: invalid sampling configuration")
 	errBadFlowset  = errors.New("netflow: malformed flowset")
 	errBadTemplate = errors.New("netflow: malformed template")
 )
@@ -53,7 +53,7 @@ type V5Exporter struct {
 // now stamps the packet header.
 func (e *V5Exporter) EncodeV5(records []flow.Record, now time.Time) ([]byte, error) {
 	if len(records) == 0 || len(records) > MaxV5Records {
-		return nil, ErrTooMany
+		return nil, errTooMany
 	}
 	uptime := uint32(now.Sub(e.BootTime) / time.Millisecond)
 	b := make([]byte, 0, v5HeaderLen+len(records)*v5RecordLen)
@@ -69,7 +69,7 @@ func (e *V5Exporter) EncodeV5(records []flow.Record, now time.Time) ([]byte, err
 	sampling := uint16(0)
 	if e.SamplingRate > 1 {
 		if e.SamplingRate > 0x3fff {
-			return nil, ErrNotSampled
+			return nil, errNotSampled
 		}
 		sampling = 1<<14 | uint16(e.SamplingRate)
 	}
@@ -115,8 +115,8 @@ func uptimeTime(ts time.Time, uptime32, flow32 uint32) time.Time {
 	return ts.Add(time.Duration(int32(flow32-uptime32)) * time.Millisecond)
 }
 
-// V5Packet is a decoded NetFlow v5 export packet.
-type V5Packet struct {
+// v5Packet is a decoded NetFlow v5 export packet.
+type v5Packet struct {
 	SysUptime    time.Duration
 	Timestamp    time.Time
 	Sequence     uint32
@@ -126,20 +126,22 @@ type V5Packet struct {
 
 // DecodeV5 parses a v5 export packet. Flow timestamps are reconstructed
 // from the header's uptime/clock pair.
-func DecodeV5(b []byte) (*V5Packet, error) {
+//
+//bsvet:allow deadcode oracle: TestV5RoundTrip and TestScenarioThroughNetFlowToClassifier decode what the V5 exporter cmd/flowgen runs writes
+func DecodeV5(b []byte) (*v5Packet, error) {
 	if len(b) < v5HeaderLen {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	if binary.BigEndian.Uint16(b) != 5 {
-		return nil, ErrBadVersion
+		return nil, errBadVersion
 	}
 	count := int(binary.BigEndian.Uint16(b[2:]))
 	if len(b) < v5HeaderLen+count*v5RecordLen {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	uptime32 := binary.BigEndian.Uint32(b[4:])
 	ts := time.Unix(int64(binary.BigEndian.Uint32(b[8:])), int64(binary.BigEndian.Uint32(b[12:]))).UTC()
-	p := &V5Packet{
+	p := &v5Packet{
 		SysUptime:    time.Duration(uptime32) * time.Millisecond,
 		Timestamp:    ts,
 		Sequence:     binary.BigEndian.Uint32(b[16:]),
@@ -239,7 +241,7 @@ type V9Exporter struct {
 // EncodeV9 builds one v9 export packet carrying all given records.
 func (e *V9Exporter) EncodeV9(records []flow.Record, now time.Time) ([]byte, error) {
 	if len(records) == 0 {
-		return nil, ErrTooMany
+		return nil, errTooMany
 	}
 	refresh := e.TemplateRefresh
 	if refresh <= 0 {
@@ -350,9 +352,9 @@ type template struct {
 	recLen int
 }
 
-// V9Collector decodes NetFlow v9 packets, tracking templates and
+// v9Collector decodes NetFlow v9 packets, tracking templates and
 // sampling options per source ID as RFC 3954 requires.
-type V9Collector struct {
+type v9Collector struct {
 	templates    map[uint64]template // (sourceID<<16|templateID) -> layout
 	optTemplates map[uint64]optTemplate
 	sampling     map[uint32]uint32 // sourceID -> advertised 1-in-N rate
@@ -360,17 +362,19 @@ type V9Collector struct {
 }
 
 // NewV9Collector returns an empty collector.
-func NewV9Collector() *V9Collector {
-	return &V9Collector{
+//
+//bsvet:allow deadcode oracle: TestV9RoundTrip and TestScenarioThroughNetFlowToClassifier decode what the V9 exporter cmd/flowgen runs writes
+func NewV9Collector() *v9Collector {
+	return &v9Collector{
 		templates:    make(map[uint64]template),
 		optTemplates: make(map[uint64]optTemplate),
 		sampling:     make(map[uint32]uint32),
 	}
 }
 
-// SamplingRate reports the advertised sampling rate of a source (1 when
+// samplingRate reports the advertised sampling rate of a source (1 when
 // none was announced).
-func (c *V9Collector) SamplingRate(sourceID uint32) uint32 {
+func (c *v9Collector) samplingRate(sourceID uint32) uint32 {
 	if r, ok := c.sampling[sourceID]; ok && r > 1 {
 		return r
 	}
@@ -379,17 +383,21 @@ func (c *V9Collector) SamplingRate(sourceID uint32) uint32 {
 
 // BadTemplates reports how many templates were refused: no fields, or
 // a length the field's type does not allow.
-func (c *V9Collector) BadTemplates() uint64 { return c.badTemplates }
+//
+//bsvet:allow deadcode oracle: TestV9TemplateLengthsValidated checks the oracle decoder refuses bad templates
+func (c *v9Collector) BadTemplates() uint64 { return c.badTemplates }
 
 // DecodeV9 parses one v9 packet, returning the flow records of all data
 // flowsets whose template is known. Template flowsets update collector
-// state. Records referencing unknown templates yield ErrNoTemplate.
-func (c *V9Collector) DecodeV9(b []byte) ([]flow.Record, error) {
+// state. Records referencing unknown templates yield errNoTemplate.
+//
+//bsvet:allow deadcode oracle: TestV9RoundTrip and TestScenarioThroughNetFlowToClassifier decode what the V9 exporter cmd/flowgen runs writes
+func (c *v9Collector) DecodeV9(b []byte) ([]flow.Record, error) {
 	if len(b) < v9HeaderLen {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	if binary.BigEndian.Uint16(b) != 9 {
-		return nil, ErrBadVersion
+		return nil, errBadVersion
 	}
 	uptime32 := binary.BigEndian.Uint32(b[4:])
 	ts := time.Unix(int64(binary.BigEndian.Uint32(b[8:])), 0).UTC()
@@ -432,7 +440,7 @@ func (c *V9Collector) DecodeV9(b []byte) ([]flow.Record, error) {
 }
 
 // parseOptionsTemplates consumes an options template flowset.
-func (c *V9Collector) parseOptionsTemplates(sourceID uint32, b []byte) error {
+func (c *v9Collector) parseOptionsTemplates(sourceID uint32, b []byte) error {
 	off := 0
 	for off+6 <= len(b) {
 		tid := binary.BigEndian.Uint16(b[off:])
@@ -466,7 +474,7 @@ func (c *V9Collector) parseOptionsTemplates(sourceID uint32, b []byte) error {
 
 // parseOptionsData extracts sampling configuration from options data
 // records.
-func (c *V9Collector) parseOptionsData(sourceID uint32, ot optTemplate, b []byte) error {
+func (c *v9Collector) parseOptionsData(sourceID uint32, ot optTemplate, b []byte) error {
 	recLen := ot.scopeLen
 	for _, f := range ot.fields {
 		recLen += int(f.Length)
@@ -493,7 +501,7 @@ func (c *V9Collector) parseOptionsData(sourceID uint32, ot optTemplate, b []byte
 // the packet and withdraws any earlier definition of its id, so that
 // id's data flowsets count as template-less rather than be decoded with
 // a layout the exporter has moved away from.
-func (c *V9Collector) parseTemplates(sourceID uint32, b []byte) error {
+func (c *v9Collector) parseTemplates(sourceID uint32, b []byte) error {
 	off := 0
 	for off+4 <= len(b) {
 		tid := binary.BigEndian.Uint16(b[off:])
@@ -560,10 +568,10 @@ func legalLength(typ, n uint16) bool {
 // for the whole flowset. Every slice below is as wide as legalLength
 // allowed when the template was stored, so the fixed-width reads cannot
 // run past it.
-func (c *V9Collector) parseData(dst []flow.Record, sourceID uint32, tid uint16, b []byte, ts time.Time, uptime32 uint32) ([]flow.Record, error) {
+func (c *v9Collector) parseData(dst []flow.Record, sourceID uint32, tid uint16, b []byte, ts time.Time, uptime32 uint32) ([]flow.Record, error) {
 	t, ok := c.templates[uint64(sourceID)<<16|uint64(tid)]
 	if !ok {
-		return dst, ErrNoTemplate
+		return dst, errNoTemplate
 	}
 	if t.recLen == 0 {
 		return dst, errBadTemplate
@@ -577,7 +585,7 @@ func (c *V9Collector) parseData(dst []flow.Record, sourceID uint32, tid uint16, 
 	}
 	first := len(dst)
 	dst = dst[:first+n]
-	rate := c.SamplingRate(sourceID)
+	rate := c.samplingRate(sourceID)
 	for k := range n {
 		rec := &dst[first+k]
 		*rec = flow.Record{SamplingRate: rate}
@@ -615,15 +623,17 @@ func (c *V9Collector) parseData(dst []flow.Record, sourceID uint32, tid uint16, 
 }
 
 // Version sniffs the NetFlow version of an export packet.
+//
+//bsvet:allow deadcode oracle: TestV5RoundTrip and TestV9RoundTrip check the version the exporters write
 func Version(b []byte) (int, error) {
 	if len(b) < 2 {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	v := int(binary.BigEndian.Uint16(b))
 	switch v {
 	case 5, 9:
 		return v, nil
 	default:
-		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return 0, fmt.Errorf("%w: %d", errBadVersion, v)
 	}
 }

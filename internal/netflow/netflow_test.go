@@ -99,7 +99,7 @@ func TestV5Sampling(t *testing.T) {
 
 func TestV5SamplingTooLarge(t *testing.T) {
 	e := &V5Exporter{BootTime: boot, SamplingRate: 0x4000}
-	if _, err := e.EncodeV5(sampleRecords(1), now); err != ErrNotSampled {
+	if _, err := e.EncodeV5(sampleRecords(1), now); err != errNotSampled {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -117,10 +117,10 @@ func TestV5SequenceAdvances(t *testing.T) {
 
 func TestV5RecordLimits(t *testing.T) {
 	e := &V5Exporter{BootTime: boot}
-	if _, err := e.EncodeV5(nil, now); err != ErrTooMany {
+	if _, err := e.EncodeV5(nil, now); err != errTooMany {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := e.EncodeV5(sampleRecords(31), now); err != ErrTooMany {
+	if _, err := e.EncodeV5(sampleRecords(31), now); err != errTooMany {
 		t.Errorf("31 records err = %v", err)
 	}
 	if _, err := e.EncodeV5(sampleRecords(30), now); err != nil {
@@ -143,17 +143,17 @@ func TestV5CounterClamp(t *testing.T) {
 }
 
 func TestV5DecodeErrors(t *testing.T) {
-	if _, err := DecodeV5([]byte{0, 5}); err != ErrTruncated {
+	if _, err := DecodeV5([]byte{0, 5}); err != errTruncated {
 		t.Errorf("short err = %v", err)
 	}
 	e := &V5Exporter{BootTime: boot}
 	pkt, _ := e.EncodeV5(sampleRecords(2), now)
 	pkt[1] = 9 // corrupt version
-	if _, err := DecodeV5(pkt); err != ErrBadVersion {
+	if _, err := DecodeV5(pkt); err != errBadVersion {
 		t.Errorf("version err = %v", err)
 	}
 	pkt[1] = 5
-	if _, err := DecodeV5(pkt[:v5HeaderLen+10]); err != ErrTruncated {
+	if _, err := DecodeV5(pkt[:v5HeaderLen+10]); err != errTruncated {
 		t.Errorf("truncated records err = %v", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestV9RequiresTemplate(t *testing.T) {
 		t.Errorf("data-only packet (%d) not smaller than template packet (%d)", len(second), len(first))
 	}
 	fresh := NewV9Collector()
-	if _, err := fresh.DecodeV9(second); err != ErrNoTemplate {
+	if _, err := fresh.DecodeV9(second); err != errNoTemplate {
 		t.Errorf("decode without template err = %v", err)
 	}
 	if _, err := fresh.DecodeV9(first); err != nil {
@@ -237,7 +237,7 @@ func TestV9TemplatesPerSourceID(t *testing.T) {
 	// Source B's template was never seen; its data must not decode via A's.
 	_, _ = eB.EncodeV9(recs, now) // consume template emission
 	pktB, _ := eB.EncodeV9(recs, now)
-	if _, err := c.DecodeV9(pktB); err != ErrNoTemplate {
+	if _, err := c.DecodeV9(pktB); err != errNoTemplate {
 		t.Errorf("cross-source decode err = %v", err)
 	}
 }
@@ -280,7 +280,7 @@ func TestV9MalformedFlowset(t *testing.T) {
 }
 
 func TestVersionSniff(t *testing.T) {
-	if _, err := Version([]byte{0}); err != ErrTruncated {
+	if _, err := Version([]byte{0}); err != errTruncated {
 		t.Errorf("short err = %v", err)
 	}
 	if _, err := Version([]byte{0, 7}); err == nil {
@@ -330,8 +330,8 @@ func TestV9SamplingOptions(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	if c.SamplingRate(7) != 1000 {
-		t.Errorf("collector sampling rate = %d", c.SamplingRate(7))
+	if c.samplingRate(7) != 1000 {
+		t.Errorf("collector sampling rate = %d", c.samplingRate(7))
 	}
 	for i, r := range recs {
 		if r.SamplingRate != 1000 {
@@ -370,8 +370,8 @@ func TestV9SamplingScopedBySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SamplingRate(1) != 500 || c.SamplingRate(2) != 1 {
-		t.Errorf("rates = %d/%d", c.SamplingRate(1), c.SamplingRate(2))
+	if c.samplingRate(1) != 500 || c.samplingRate(2) != 1 {
+		t.Errorf("rates = %d/%d", c.samplingRate(1), c.samplingRate(2))
 	}
 	if recs[0].SamplingRate != 1 {
 		t.Errorf("unsampled source's record got rate %d", recs[0].SamplingRate)

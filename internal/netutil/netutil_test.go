@@ -152,11 +152,11 @@ func TestBitrateString(t *testing.T) {
 		rate Bitrate
 		want string
 	}{
-		{500 * Bps, "500 bps"},
-		{1500 * Bps, "1.50 Kbps"},
-		{2 * Mbps, "2.00 Mbps"},
+		{500 * bps, "500 bps"},
+		{1500 * bps, "1.50 Kbps"},
+		{2 * mbps, "2.00 Mbps"},
 		{7.078 * Gbps, "7.08 Gbps"},
-		{1.7 * Tbps, "1.70 Tbps"},
+		{1.7 * tbps, "1.70 Tbps"},
 	}
 	for _, c := range cases {
 		if got := c.rate.String(); got != c.want {
@@ -176,7 +176,7 @@ func TestRateFromBytes(t *testing.T) {
 }
 
 func TestBitrateConversions(t *testing.T) {
-	r := 2500 * Mbps
+	r := 2500 * mbps
 	if got := r.Gbps(); got != 2.5 {
 		t.Errorf("Gbps() = %v", got)
 	}

@@ -11,9 +11,9 @@ import (
 
 // Fragmentation errors.
 var (
-	ErrFragmentMTU  = errors.New("packet: MTU too small to fragment")
-	ErrDontFragment = errors.New("packet: DF set on packet larger than MTU")
-	ErrFragOverlap  = errors.New("packet: overlapping fragments")
+	errFragmentMTU  = errors.New("packet: MTU too small to fragment")
+	errDontFragment = errors.New("packet: DF set on packet larger than MTU")
+	errFragOverlap  = errors.New("packet: overlapping fragments")
 )
 
 // Fragment splits a serialized IPv4 packet into fragments that fit the
@@ -27,18 +27,18 @@ func Fragment(pkt []byte, mtu int) ([][]byte, error) {
 		return [][]byte{pkt}, nil
 	}
 	if len(pkt) < 20 || pkt[0]>>4 != 4 {
-		return nil, ErrNotIPv4
+		return nil, errNotIPv4
 	}
 	ihl := int(pkt[0]&0x0f) * 4
 	if ihl < 20 || ihl > len(pkt) {
-		return nil, ErrBadIHL
+		return nil, errBadIHL
 	}
 	if mtu < ihl+8 {
-		return nil, ErrFragmentMTU
+		return nil, errFragmentMTU
 	}
 	flags := pkt[6] >> 5
-	if flags&IPv4DontFragment != 0 {
-		return nil, ErrDontFragment
+	if flags&iPv4DontFragment != 0 {
+		return nil, errDontFragment
 	}
 	payload := pkt[ihl:]
 	// Payload bytes per fragment, multiple of 8.
@@ -56,15 +56,15 @@ func Fragment(pkt []byte, mtu int) ([][]byte, error) {
 		copy(frag, pkt[:ihl])
 		copy(frag[ihl:], payload[off:end])
 		binary.BigEndian.PutUint16(frag[2:], uint16(len(frag)))
-		fragFlags := flags &^ IPv4MoreFragments
+		fragFlags := flags &^ iPv4MoreFragments
 		if !last {
-			fragFlags |= IPv4MoreFragments
+			fragFlags |= iPv4MoreFragments
 		}
 		fragOff := uint16(off / 8)
 		binary.BigEndian.PutUint16(frag[6:], uint16(fragFlags)<<13|fragOff&0x1fff)
 		// Recompute the header checksum.
 		binary.BigEndian.PutUint16(frag[10:], 0)
-		binary.BigEndian.PutUint16(frag[10:], Checksum(frag[:ihl]))
+		binary.BigEndian.PutUint16(frag[10:], checksum(frag[:ihl]))
 		out = append(out, frag)
 	}
 	return out, nil
@@ -90,10 +90,10 @@ type fragPart struct {
 	data []byte
 }
 
-// Reassembler reconstructs fragmented IPv4 datagrams. It is the
+// reassembler reconstructs fragmented IPv4 datagrams. It is the
 // receiving-side counterpart of Fragment, with timeout-based eviction
 // like a real stack.
-type Reassembler struct {
+type reassembler struct {
 	// Timeout evicts incomplete datagrams (default 30 s, the classic
 	// reassembly timer).
 	Timeout time.Duration
@@ -102,26 +102,30 @@ type Reassembler struct {
 }
 
 // NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler {
-	return &Reassembler{Timeout: 30 * time.Second, pending: make(map[fragKey]*fragState)}
+//
+//bsvet:allow deadcode oracle: TestFragmentRoundTrip and TestCLDAPCaptureFragmentsAndReassembles reassemble what Fragment splits
+func NewReassembler() *reassembler {
+	return &reassembler{Timeout: 30 * time.Second, pending: make(map[fragKey]*fragState)}
 }
 
 // Pending reports how many datagrams await completion.
-func (ra *Reassembler) Pending() int { return len(ra.pending) }
+//
+//bsvet:allow deadcode oracle: TestFragmentRoundTrip checks reassembly completes
+func (ra *reassembler) Pending() int { return len(ra.pending) }
 
 // Add consumes one packet at time now. Unfragmented packets return
 // immediately; fragments return the reassembled datagram once complete,
 // or nil while parts are missing.
-func (ra *Reassembler) Add(pkt []byte, now time.Time) ([]byte, error) {
+func (ra *reassembler) Add(pkt []byte, now time.Time) ([]byte, error) {
 	if len(pkt) < 20 || pkt[0]>>4 != 4 {
-		return nil, ErrNotIPv4
+		return nil, errNotIPv4
 	}
 	ihl := int(pkt[0]&0x0f) * 4
 	if ihl < 20 || ihl > len(pkt) {
-		return nil, ErrBadIHL
+		return nil, errBadIHL
 	}
 	flagsOff := binary.BigEndian.Uint16(pkt[6:])
-	more := flagsOff>>13&uint16(IPv4MoreFragments) != 0
+	more := flagsOff>>13&uint16(iPv4MoreFragments) != 0
 	off := int(flagsOff&0x1fff) * 8
 	if !more && off == 0 {
 		return pkt, nil // not fragmented
@@ -166,7 +170,7 @@ func (ra *Reassembler) Add(pkt []byte, now time.Time) ([]byte, error) {
 	binary.BigEndian.PutUint16(out[2:], uint16(len(out)))
 	binary.BigEndian.PutUint16(out[6:], 0)
 	binary.BigEndian.PutUint16(out[10:], 0)
-	binary.BigEndian.PutUint16(out[10:], Checksum(out[:len(st.header)]))
+	binary.BigEndian.PutUint16(out[10:], checksum(out[:len(st.header)]))
 	return out, nil
 }
 
@@ -188,10 +192,10 @@ func (st *fragState) assembled() ([]byte, error) {
 		if p.off < covered && end > covered {
 			// Real stacks tolerate exact duplicates; anything else is
 			// hostile (teardrop-style).
-			return nil, fmt.Errorf("%w: fragment at %d overlaps %d", ErrFragOverlap, p.off, covered)
+			return nil, fmt.Errorf("%w: fragment at %d overlaps %d", errFragOverlap, p.off, covered)
 		}
 		if end > st.total {
-			return nil, fmt.Errorf("%w: fragment beyond total length", ErrFragOverlap)
+			return nil, fmt.Errorf("%w: fragment beyond total length", errFragOverlap)
 		}
 		copy(buf[p.off:], p.data)
 		if end > covered {
@@ -205,7 +209,7 @@ func (st *fragState) assembled() ([]byte, error) {
 }
 
 // evict drops incomplete datagrams past the timeout.
-func (ra *Reassembler) evict(now time.Time) {
+func (ra *reassembler) evict(now time.Time) {
 	timeout := ra.Timeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second

@@ -36,10 +36,10 @@ func TestFragmentRoundTrip(t *testing.T) {
 			t.Fatalf("fragment %d = %d bytes > MTU", i, len(f))
 		}
 		// Every fragment has a valid header checksum.
-		if _, err := DecodeIPv4(f); err != nil && err != ErrTruncated {
+		if _, err := DecodeIPv4(f); err != nil && err != errTruncated {
 			// Non-first fragments fail transport parsing but must not
 			// fail header validation.
-			if err == ErrBadChecksum || err == ErrNotIPv4 || err == ErrBadIHL {
+			if err == errBadChecksum || err == errNotIPv4 || err == errBadIHL {
 				t.Fatalf("fragment %d header invalid: %v", i, err)
 			}
 		}
@@ -122,18 +122,18 @@ func TestFragmentSmallPacketPassthrough(t *testing.T) {
 func TestFragmentHonorsDF(t *testing.T) {
 	payload := make([]byte, 2000)
 	pkt := Build(
-		&IPv4{TTL: 60, Protocol: IPProtoUDP, Flags: IPv4DontFragment, Src: mustAddr("192.0.2.1"), Dst: mustAddr("203.0.113.9")},
+		&IPv4{TTL: 60, Protocol: IPProtoUDP, Flags: iPv4DontFragment, Src: mustAddr("192.0.2.1"), Dst: mustAddr("203.0.113.9")},
 		&UDP{SrcPort: 53, DstPort: 40000},
 		Payload(payload),
 	)
-	if _, err := Fragment(pkt, 1500); err != ErrDontFragment {
+	if _, err := Fragment(pkt, 1500); err != errDontFragment {
 		t.Errorf("err = %v, want ErrDontFragment", err)
 	}
 }
 
 func TestFragmentTinyMTU(t *testing.T) {
 	pkt := bigUDP(t, 2000)
-	if _, err := Fragment(pkt, 24); err != ErrFragmentMTU {
+	if _, err := Fragment(pkt, 24); err != errFragmentMTU {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestReassemblerRejectsOverlap(t *testing.T) {
 	flagsOff = flagsOff&^0x1fff | (off - 1)
 	evil[6], evil[7] = byte(flagsOff>>8), byte(flagsOff)
 	evil[10], evil[11] = 0, 0
-	cs := Checksum(evil[:20])
+	cs := checksum(evil[:20])
 	evil[10], evil[11] = byte(cs>>8), byte(cs)
 	if _, err := ra.Add(evil, fragT0); err == nil {
 		t.Error("overlapping fragment accepted")

@@ -12,8 +12,8 @@ func FuzzDecodeIPv4(f *testing.F) {
 		Payload(make([]byte, 458)),
 	))
 	f.Add(Build(
-		&IPv4{TTL: 55, Protocol: IPProtoTCP, Src: netip.MustParseAddr("198.51.100.7"), Dst: netip.MustParseAddr("203.0.113.2")},
-		&TCP{SrcPort: 443, DstPort: 51000, Flags: TCPSyn},
+		&IPv4{TTL: 55, Protocol: ipProtoTCP, Src: netip.MustParseAddr("198.51.100.7"), Dst: netip.MustParseAddr("203.0.113.2")},
+		&TCP{SrcPort: 443, DstPort: 51000, Flags: tcpSyn},
 	))
 	f.Add([]byte{})
 	f.Add([]byte{0x45})
@@ -37,7 +37,7 @@ func FuzzDecodeIPv4(f *testing.F) {
 
 func FuzzDecodeEthernet(f *testing.F) {
 	f.Add(Build(
-		&Ethernet{EtherType: EtherTypeIPv4},
+		&ethernet{EtherType: etherTypeIPv4},
 		&IPv4{TTL: 64, Protocol: IPProtoUDP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("192.0.2.9")},
 		&UDP{SrcPort: 123, DstPort: 40000},
 	))

@@ -16,12 +16,12 @@ import (
 	"net/netip"
 )
 
-// LayerType identifies a decoded protocol layer.
-type LayerType uint8
+// layerType identifies a decoded protocol layer.
+type layerType uint8
 
 // Known layer types.
 const (
-	LayerTypeEthernet LayerType = iota + 1
+	LayerTypeEthernet layerType = iota + 1
 	LayerTypeIPv4
 	LayerTypeUDP
 	LayerTypeTCP
@@ -29,7 +29,7 @@ const (
 )
 
 // String returns the layer type name.
-func (t LayerType) String() string {
+func (t layerType) String() string {
 	switch t {
 	case LayerTypeEthernet:
 		return "Ethernet"
@@ -48,8 +48,8 @@ func (t LayerType) String() string {
 
 // Layer is a protocol layer that can report its type and serialize itself.
 type Layer interface {
-	// LayerType reports which protocol this layer represents.
-	LayerType() LayerType
+	// layerType reports which protocol this layer represents.
+	LayerType() layerType
 	// SerializeTo appends the wire representation of the layer to b and
 	// returns the extended slice. payloadLen is the total length of all
 	// layers that follow, which length/checksum fields may need.
@@ -60,35 +60,34 @@ type Layer interface {
 
 // Common protocol numbers and EtherTypes.
 const (
-	EtherTypeIPv4 uint16 = 0x0800
+	etherTypeIPv4 uint16 = 0x0800
 
-	IPProtoICMP uint8 = 1
-	IPProtoTCP  uint8 = 6
-	IPProtoUDP  uint8 = 17
+	ipProtoTCP uint8 = 6
+	IPProtoUDP uint8 = 17
 )
 
-// MAC is a 48-bit Ethernet hardware address.
-type MAC [6]byte
+// mac is a 48-bit Ethernet hardware address.
+type mac [6]byte
 
 // String formats the MAC in colon-separated hex.
-func (m MAC) String() string {
+func (m mac) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// Ethernet is an Ethernet II frame header.
-type Ethernet struct {
-	Dst       MAC
-	Src       MAC
+// ethernet is an Ethernet II frame header.
+type ethernet struct {
+	Dst       mac
+	Src       mac
 	EtherType uint16
 }
 
 // LayerType implements Layer.
-func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
+func (e *ethernet) LayerType() layerType { return LayerTypeEthernet }
 
-func (e *Ethernet) headerLen() int { return 14 }
+func (e *ethernet) headerLen() int { return 14 }
 
 // SerializeTo implements Layer.
-func (e *Ethernet) SerializeTo(b []byte, _ int) []byte {
+func (e *ethernet) SerializeTo(b []byte, _ int) []byte {
 	b = append(b, e.Dst[:]...)
 	b = append(b, e.Src[:]...)
 	return binary.BigEndian.AppendUint16(b, e.EtherType)
@@ -110,12 +109,12 @@ type IPv4 struct {
 
 // IPv4 flag bits.
 const (
-	IPv4DontFragment  uint8 = 0b010
-	IPv4MoreFragments uint8 = 0b001
+	iPv4DontFragment  uint8 = 0b010
+	iPv4MoreFragments uint8 = 0b001
 )
 
 // LayerType implements Layer.
-func (ip *IPv4) LayerType() LayerType { return LayerTypeIPv4 }
+func (ip *IPv4) LayerType() layerType { return LayerTypeIPv4 }
 
 func (ip *IPv4) headerLen() int { return 20 + len(ip.Options) }
 
@@ -133,7 +132,7 @@ func (ip *IPv4) SerializeTo(b []byte, payloadLen int) []byte {
 	b = append(b, src[:]...)
 	b = append(b, dst[:]...)
 	b = append(b, ip.Options...)
-	cs := Checksum(b[start : start+hl])
+	cs := checksum(b[start : start+hl])
 	binary.BigEndian.PutUint16(b[start+10:], cs)
 	return b
 }
@@ -147,7 +146,7 @@ type UDP struct {
 }
 
 // LayerType implements Layer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
+func (u *UDP) LayerType() layerType { return LayerTypeUDP }
 
 func (u *UDP) headerLen() int { return 8 }
 
@@ -169,17 +168,8 @@ type TCP struct {
 	Window  uint16
 }
 
-// TCP flag bits.
-const (
-	TCPFin uint8 = 0x01
-	TCPSyn uint8 = 0x02
-	TCPRst uint8 = 0x04
-	TCPPsh uint8 = 0x08
-	TCPAck uint8 = 0x10
-)
-
 // LayerType implements Layer.
-func (t *TCP) LayerType() LayerType { return LayerTypeTCP }
+func (t *TCP) LayerType() layerType { return LayerTypeTCP }
 
 func (t *TCP) headerLen() int { return 20 }
 
@@ -198,7 +188,7 @@ func (t *TCP) SerializeTo(b []byte, _ int) []byte {
 type Payload []byte
 
 // LayerType implements Layer.
-func (p Payload) LayerType() LayerType { return LayerTypePayload }
+func (p Payload) LayerType() layerType { return LayerTypePayload }
 
 func (p Payload) headerLen() int { return len(p) }
 
@@ -222,8 +212,8 @@ func Build(layers ...Layer) []byte {
 	return b
 }
 
-// Checksum computes the Internet checksum (RFC 1071) over b.
-func Checksum(b []byte) uint16 {
+// checksum computes the Internet checksum (RFC 1071) over b.
+func checksum(b []byte) uint16 {
 	var sum uint32
 	for len(b) >= 2 {
 		sum += uint32(binary.BigEndian.Uint16(b))
@@ -241,7 +231,7 @@ func Checksum(b []byte) uint16 {
 // Decoded is the result of parsing a packet: the layers present and the
 // application payload.
 type Decoded struct {
-	Ethernet *Ethernet
+	Ethernet *ethernet
 	IPv4     *IPv4
 	UDP      *UDP
 	TCP      *TCP
@@ -253,22 +243,24 @@ type Decoded struct {
 
 // Decoding errors.
 var (
-	ErrTruncated   = errors.New("packet: truncated")
-	ErrNotIPv4     = errors.New("packet: not an IPv4 packet")
-	ErrBadIHL      = errors.New("packet: bad IPv4 header length")
-	ErrBadChecksum = errors.New("packet: bad IPv4 header checksum")
+	errTruncated   = errors.New("packet: truncated")
+	errNotIPv4     = errors.New("packet: not an IPv4 packet")
+	errBadIHL      = errors.New("packet: bad IPv4 header length")
+	errBadChecksum = errors.New("packet: bad IPv4 header checksum")
 )
 
 // DecodeEthernet parses an Ethernet frame and everything it carries.
+//
+//bsvet:allow deadcode oracle: TestDecodeNonIPv4EtherType and FuzzDecodeEthernet read the Ethernet framing the pcap capture writes
 func DecodeEthernet(b []byte) (*Decoded, error) {
 	if len(b) < 14 {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
-	eth := &Ethernet{EtherType: binary.BigEndian.Uint16(b[12:14])}
+	eth := &ethernet{EtherType: binary.BigEndian.Uint16(b[12:14])}
 	copy(eth.Dst[:], b[0:6])
 	copy(eth.Src[:], b[6:12])
-	if eth.EtherType != EtherTypeIPv4 {
-		return nil, ErrNotIPv4
+	if eth.EtherType != etherTypeIPv4 {
+		return nil, errNotIPv4
 	}
 	d, err := DecodeIPv4(b[14:])
 	if err != nil {
@@ -282,17 +274,17 @@ func DecodeEthernet(b []byte) (*Decoded, error) {
 // checksum is verified.
 func DecodeIPv4(b []byte) (*Decoded, error) {
 	if len(b) < 20 {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrNotIPv4
+		return nil, errNotIPv4
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < 20 || ihl > len(b) {
-		return nil, ErrBadIHL
+		return nil, errBadIHL
 	}
-	if Checksum(b[:ihl]) != 0 {
-		return nil, ErrBadChecksum
+	if checksum(b[:ihl]) != 0 {
+		return nil, errBadChecksum
 	}
 	ip := &IPv4{
 		TOS:      b[1],
@@ -317,20 +309,20 @@ func DecodeIPv4(b []byte) (*Decoded, error) {
 	switch ip.Protocol {
 	case IPProtoUDP:
 		if len(rest) < 8 {
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		d.UDP = &UDP{
 			SrcPort: binary.BigEndian.Uint16(rest[0:2]),
 			DstPort: binary.BigEndian.Uint16(rest[2:4]),
 		}
 		d.Payload = rest[8:]
-	case IPProtoTCP:
+	case ipProtoTCP:
 		if len(rest) < 20 {
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		dataOff := int(rest[12]>>4) * 4
 		if dataOff < 20 || dataOff > len(rest) {
-			return nil, ErrBadIHL
+			return nil, errBadIHL
 		}
 		d.TCP = &TCP{
 			SrcPort: binary.BigEndian.Uint16(rest[0:2]),

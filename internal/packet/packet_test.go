@@ -12,8 +12,8 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 func TestBuildDecodeUDPRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 100)
 	pkt := Build(
-		&Ethernet{Dst: MAC{1, 2, 3, 4, 5, 6}, Src: MAC{6, 5, 4, 3, 2, 1}, EtherType: EtherTypeIPv4},
-		&IPv4{TTL: 64, Protocol: IPProtoUDP, Src: mustAddr("10.0.0.1"), Dst: mustAddr("192.0.2.9"), Flags: IPv4DontFragment},
+		&ethernet{Dst: mac{1, 2, 3, 4, 5, 6}, Src: mac{6, 5, 4, 3, 2, 1}, EtherType: etherTypeIPv4},
+		&IPv4{TTL: 64, Protocol: IPProtoUDP, Src: mustAddr("10.0.0.1"), Dst: mustAddr("192.0.2.9"), Flags: iPv4DontFragment},
 		&UDP{SrcPort: 123, DstPort: 40000},
 		Payload(payload),
 	)
@@ -24,13 +24,13 @@ func TestBuildDecodeUDPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Ethernet.Src != (MAC{6, 5, 4, 3, 2, 1}) {
+	if d.Ethernet.Src != (mac{6, 5, 4, 3, 2, 1}) {
 		t.Errorf("eth src = %v", d.Ethernet.Src)
 	}
 	if d.IPv4.Src != mustAddr("10.0.0.1") || d.IPv4.Dst != mustAddr("192.0.2.9") {
 		t.Errorf("ip addrs = %v -> %v", d.IPv4.Src, d.IPv4.Dst)
 	}
-	if d.IPv4.Flags != IPv4DontFragment {
+	if d.IPv4.Flags != iPv4DontFragment {
 		t.Errorf("flags = %#b", d.IPv4.Flags)
 	}
 	if d.UDP.SrcPort != 123 || d.UDP.DstPort != 40000 {
@@ -46,8 +46,8 @@ func TestBuildDecodeUDPRoundTrip(t *testing.T) {
 
 func TestBuildDecodeTCPRoundTrip(t *testing.T) {
 	pkt := Build(
-		&IPv4{TTL: 55, Protocol: IPProtoTCP, Src: mustAddr("198.51.100.7"), Dst: mustAddr("203.0.113.2")},
-		&TCP{SrcPort: 443, DstPort: 51000, Seq: 0xdeadbeef, Ack: 42, Flags: TCPSyn | TCPAck, Window: 65535},
+		&IPv4{TTL: 55, Protocol: ipProtoTCP, Src: mustAddr("198.51.100.7"), Dst: mustAddr("203.0.113.2")},
+		&TCP{SrcPort: 443, DstPort: 51000, Seq: 0xdeadbeef, Ack: 42, Flags: tcpSyn | tcpAck, Window: 65535},
 		Payload("hello"),
 	)
 	d, err := DecodeIPv4(pkt)
@@ -60,7 +60,7 @@ func TestBuildDecodeTCPRoundTrip(t *testing.T) {
 	if d.TCP.Seq != 0xdeadbeef || d.TCP.Ack != 42 {
 		t.Errorf("seq/ack = %x/%d", d.TCP.Seq, d.TCP.Ack)
 	}
-	if d.TCP.Flags != TCPSyn|TCPAck {
+	if d.TCP.Flags != tcpSyn|tcpAck {
 		t.Errorf("flags = %#x", d.TCP.Flags)
 	}
 	if string(d.Payload) != "hello" {
@@ -89,7 +89,7 @@ func TestChecksumValidation(t *testing.T) {
 		&UDP{SrcPort: 5, DstPort: 6},
 	)
 	pkt[8] ^= 0xff // corrupt TTL without fixing checksum
-	if _, err := DecodeIPv4(pkt); err != ErrBadChecksum {
+	if _, err := DecodeIPv4(pkt); err != errBadChecksum {
 		t.Errorf("err = %v, want ErrBadChecksum", err)
 	}
 }
@@ -97,15 +97,15 @@ func TestChecksumValidation(t *testing.T) {
 func TestChecksumRFC1071Example(t *testing.T) {
 	// Classic example from RFC 1071 §3.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := Checksum(data); got != ^uint16(0xddf2) {
+	if got := checksum(data); got != ^uint16(0xddf2) {
 		t.Errorf("checksum = %#x, want %#x", got, ^uint16(0xddf2))
 	}
 }
 
 func TestChecksumOddLength(t *testing.T) {
 	// An odd final byte is padded with zero on the right.
-	even := Checksum([]byte{0x12, 0x34, 0x56, 0x00})
-	odd := Checksum([]byte{0x12, 0x34, 0x56})
+	even := checksum([]byte{0x12, 0x34, 0x56, 0x00})
+	odd := checksum([]byte{0x12, 0x34, 0x56})
 	if even != odd {
 		t.Errorf("odd-length checksum %#x != padded %#x", odd, even)
 	}
@@ -113,21 +113,21 @@ func TestChecksumOddLength(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	for _, n := range []int{0, 5, 13} {
-		if _, err := DecodeEthernet(make([]byte, n)); err != ErrTruncated {
+		if _, err := DecodeEthernet(make([]byte, n)); err != errTruncated {
 			t.Errorf("DecodeEthernet(%d bytes) err = %v", n, err)
 		}
 	}
-	if _, err := DecodeIPv4(make([]byte, 10)); err != ErrTruncated {
+	if _, err := DecodeIPv4(make([]byte, 10)); err != errTruncated {
 		t.Errorf("short IPv4 err = %v", err)
 	}
 }
 
 func TestDecodeNonIPv4EtherType(t *testing.T) {
 	pkt := Build(
-		&Ethernet{EtherType: 0x86dd}, // IPv6
+		&ethernet{EtherType: 0x86dd}, // IPv6
 		Payload(make([]byte, 40)),
 	)
-	if _, err := DecodeEthernet(pkt); err != ErrNotIPv4 {
+	if _, err := DecodeEthernet(pkt); err != errNotIPv4 {
 		t.Errorf("err = %v, want ErrNotIPv4", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestDecodeNonIPv4EtherType(t *testing.T) {
 func TestDecodeBadVersion(t *testing.T) {
 	b := make([]byte, 20)
 	b[0] = 6 << 4
-	if _, err := DecodeIPv4(b); err != ErrNotIPv4 {
+	if _, err := DecodeIPv4(b); err != errNotIPv4 {
 		t.Errorf("err = %v, want ErrNotIPv4", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestDecodeBadIHL(t *testing.T) {
 		&UDP{SrcPort: 5, DstPort: 6},
 	)
 	pkt[0] = 4<<4 | 4 // IHL of 16 bytes: below minimum
-	if _, err := DecodeIPv4(pkt); err != ErrBadIHL {
+	if _, err := DecodeIPv4(pkt); err != errBadIHL {
 		t.Errorf("err = %v, want ErrBadIHL", err)
 	}
 }
@@ -179,13 +179,13 @@ func TestLayerTypeStrings(t *testing.T) {
 	if LayerTypeIPv4.String() != "IPv4" || LayerTypeUDP.String() != "UDP" {
 		t.Error("unexpected layer type names")
 	}
-	if LayerType(99).String() != "LayerType(99)" {
-		t.Errorf("unknown layer type = %q", LayerType(99).String())
+	if layerType(99).String() != "LayerType(99)" {
+		t.Errorf("unknown layer type = %q", layerType(99).String())
 	}
 }
 
 func TestMACString(t *testing.T) {
-	m := MAC{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}
+	m := mac{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}
 	if got := m.String(); got != "de:ad:be:ef:00:01" {
 		t.Errorf("MAC.String() = %q", got)
 	}
@@ -227,3 +227,9 @@ func BenchmarkDecodeIPv4(b *testing.B) {
 		}
 	}
 }
+
+// TCP flag bits the round-trip tests set.
+const (
+	tcpSyn uint8 = 0x02
+	tcpAck uint8 = 0x10
+)

@@ -123,7 +123,7 @@ func TestLittleEndianRead(t *testing.T) {
 
 func TestBadMagic(t *testing.T) {
 	junk := bytes.Repeat([]byte{0x55}, fileHeaderLen)
-	if _, err := NewReader(bytes.NewReader(junk)); err != ErrBadMagic {
+	if _, err := NewReader(bytes.NewReader(junk)); err != errBadMagic {
 		t.Errorf("err = %v, want ErrBadMagic", err)
 	}
 }

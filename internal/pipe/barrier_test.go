@@ -46,7 +46,7 @@ func TestBarrierQuiescesAllShards(t *testing.T) {
 	routed := 0
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 500; i++ {
-			rb := NewBatch()
+			rb := newBatch()
 			rb.Recs = append(rb.Recs, testRec(routed, t0.Add(time.Duration(routed)*time.Second)))
 			routed++
 			if err := f.Process(rb); err != nil {
@@ -89,7 +89,7 @@ func TestBarrierPropagatesCallbackError(t *testing.T) {
 	if err := f.Barrier(func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Barrier error = %v, want %v", err, boom)
 	}
-	b := NewBatch()
+	b := newBatch()
 	b.Recs = append(b.Recs, testRec(1, t0))
 	if err := f.Process(b); err != nil {
 		t.Fatalf("Process after failed barrier: %v", err)
@@ -115,7 +115,7 @@ func TestResumeRestoresPipelinePosition(t *testing.T) {
 	if got := f.Seq(); got != 42 {
 		t.Fatalf("Seq after Resume = %d, want 42", got)
 	}
-	b := NewBatch()
+	b := newBatch()
 	// A record older than the resumed watermark must not lower it; a
 	// newer one advances it as usual.
 	b.Recs = append(b.Recs, testRec(0, t0.Add(-time.Hour)))

@@ -52,7 +52,7 @@ func TestColsBatchLazyMaterialization(t *testing.T) {
 	if len(b.Recs) != 0 {
 		t.Fatalf("columnar batch pre-materialized %d records", len(b.Recs))
 	}
-	got := b.Records()
+	got := b.records()
 	if len(got) != len(recs) {
 		t.Fatalf("Records materialized %d, want %d", len(got), len(recs))
 	}
@@ -62,11 +62,11 @@ func TestColsBatchLazyMaterialization(t *testing.T) {
 		}
 	}
 	// Second call must return the cache, not re-materialize.
-	if &got[0] != &b.Records()[0] {
+	if &got[0] != &b.records()[0] {
 		t.Fatal("Records re-materialized instead of returning the cache")
 	}
 	b.Release()
-	nb := NewBatch()
+	nb := newBatch()
 	defer nb.Release()
 	if nb.Cols != nil && nb.Cols.Len() != 0 {
 		t.Fatal("pooled batch came back with live columns")
@@ -203,7 +203,7 @@ func TestFanOutMixedShapes(t *testing.T) {
 					b.Cols.AppendRecord(&recs[i])
 				}
 			} else {
-				b = NewBatch()
+				b = newBatch()
 				b.Recs = append(b.Recs, recs[off:end]...)
 			}
 			if err := emit(b); err != nil {

@@ -25,13 +25,13 @@ import (
 // DESIGN.md §9 has the measurements.
 const shardQueueDepth = 2
 
-// Advancer is the optional stage extension for watermark-driven state
+// advancer is the optional stage extension for watermark-driven state
 // (the sharded classify.Monitor): after the last record has been
 // processed and workers have drained, FanOut.Close calls AdvanceTo
 // with the final global watermark on every shard that implements it,
 // so shards whose own records stopped early still observe the stream's
 // end-of-input clock before Close folds their state.
-type Advancer interface {
+type advancer interface {
 	AdvanceTo(unixSec int64)
 }
 
@@ -111,7 +111,7 @@ func NewFanOut(key func(*flow.Record) uint64, shards ...Stage) *FanOut {
 		barrierToken: &Batch{},
 	}
 	for i := range f.pending {
-		f.pending[i] = NewBatch()
+		f.pending[i] = newBatch()
 	}
 	if !f.inline {
 		f.chans = make([]chan *Batch, len(shards))
@@ -191,7 +191,7 @@ func (f *FanOut) Process(b *Batch) error {
 	if b.Cols != nil && f.colKey != nil && (!stamp || f.colMarkIf != nil) {
 		return f.routeCols(b.Cols)
 	}
-	return f.routeRows(b.Records())
+	return f.routeRows(b.records())
 }
 
 // routeRows is the row routing loop. Pending slabs keep whatever shape
@@ -305,7 +305,7 @@ func (f *FanOut) routeCols(c *flow.Columns) error {
 				p.Recs = append(p.Recs, c.Record(int(i)))
 			}
 		} else {
-			p.EnsureCols().AppendIndexed(c, rows)
+			p.ensureCols().AppendIndexed(c, rows)
 		}
 		if stamp {
 			for _, i := range rows {
@@ -332,7 +332,7 @@ func (f *FanOut) flush(s int) error {
 	}
 	metricBatchesRouted.Inc()
 	if f.inline {
-		f.pending[s] = NewBatch()
+		f.pending[s] = newBatch()
 		start := time.Now() //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
 		err := f.shards[s].Process(p)
 		metricStageLatency.ObserveDuration(time.Since(start)) //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
@@ -350,7 +350,7 @@ func (f *FanOut) flush(s int) error {
 	// The fresh slab is taken only once the send is through, so a
 	// router blocked on a full queue holds no extra slab.
 	f.chans[s] <- p
-	f.pending[s] = NewBatch()
+	f.pending[s] = newBatch()
 	metricShardQueueHWM.SetMax(float64(len(f.chans[s])))
 	return nil
 }
@@ -399,7 +399,7 @@ func (f *FanOut) Close() error {
 	err := f.err()
 	if f.watermark != math.MinInt64 && err == nil {
 		for _, st := range f.shards {
-			if a, ok := st.(Advancer); ok {
+			if a, ok := st.(advancer); ok {
 				a.AdvanceTo(f.watermark)
 			}
 		}

@@ -37,7 +37,7 @@ func (g *gatedStage) Close() error { return nil }
 // route feeds n records bound for shard through Process in one batch.
 func route(t *testing.T, f *FanOut, shard, n int) {
 	t.Helper()
-	b := NewBatch()
+	b := newBatch()
 	for i := 0; i < n; i++ {
 		r := testRec(i, t0)
 		r.SrcPort = uint16(shard)
@@ -217,7 +217,7 @@ func TestFanOutFlushIdleLeavesPositionAlone(t *testing.T) {
 	if f.Seq() != 7 || f.Watermark() != 1000 {
 		t.Fatalf("position after Resume = (%d, %d), want (1000, 7)", f.Watermark(), f.Seq())
 	}
-	rb := NewBatch()
+	rb := newBatch()
 	for i := 0; i < 50; i++ {
 		rb.Recs = append(rb.Recs, testRec(i, time.Unix(2000+int64(i), 0)))
 	}

@@ -84,8 +84,8 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // batches never carry 17 unused column arrays.
 var colsPool = sync.Pool{New: func() any { return new(flow.Columns) }}
 
-// NewBatch returns an empty row batch from the pool.
-func NewBatch() *Batch {
+// newBatch returns an empty row batch from the pool.
+func newBatch() *Batch {
 	b := batchPool.Get().(*Batch)
 	metricBatchesInFlight.Add(1)
 	return b
@@ -95,14 +95,14 @@ func NewBatch() *Batch {
 // attached (and recycled on Release), Recs stays empty until a
 // consumer demands records.
 func NewColsBatch() *Batch {
-	b := NewBatch()
+	b := newBatch()
 	b.Cols = colsPool.Get().(*flow.Columns)
 	return b
 }
 
-// EnsureCols attaches (or returns) the batch's columnar slab —
+// ensureCols attaches (or returns) the batch's columnar slab —
 // producers appending column-wise call this once per batch.
-func (b *Batch) EnsureCols() *flow.Columns {
+func (b *Batch) ensureCols() *flow.Columns {
 	if b.Cols == nil {
 		b.Cols = colsPool.Get().(*flow.Columns)
 	}
@@ -127,12 +127,12 @@ func (b *Batch) Len() int {
 	return len(b.Recs)
 }
 
-// Records returns the batch's records in row form, materializing them
+// records returns the batch's records in row form, materializing them
 // from the columnar slab on first call (cached for the batch's
 // lifetime). Stages that need whole flow.Records call this; stages
 // ported to read b.Cols directly skip the copy entirely — that skip is
 // the lazy-materialization win of the columnar hot path.
-func (b *Batch) Records() []flow.Record {
+func (b *Batch) records() []flow.Record {
 	if b.Cols != nil && len(b.Recs) == 0 && b.Cols.Len() > 0 {
 		b.Recs = b.Cols.MaterializeAppend(b.Recs)
 	}
@@ -154,20 +154,6 @@ func (b *Batch) Release() {
 	b.Seqs = b.Seqs[:0]
 	metricBatchesInFlight.Add(-1)
 	batchPool.Put(b)
-}
-
-// appendRec appends one record with its sidecars.
-func (b *Batch) appendRec(r *flow.Record, mark int64, seq uint64) {
-	b.Recs = append(b.Recs, *r)
-	b.Marks = append(b.Marks, mark)
-	b.Seqs = append(b.Seqs, seq)
-}
-
-// appendColRec appends row i of c column-wise with its sidecars.
-func (b *Batch) appendColRec(c *flow.Columns, i int, mark int64, seq uint64) {
-	b.EnsureCols().AppendFrom(c, i)
-	b.Marks = append(b.Marks, mark)
-	b.Seqs = append(b.Seqs, seq)
 }
 
 // Stage consumes batches serially: Process is never called
@@ -262,7 +248,7 @@ func (m multiStage) Close() error {
 // is watermark-driven.
 func (m multiStage) AdvanceTo(unixSec int64) {
 	for _, st := range m {
-		if a, ok := st.(Advancer); ok {
+		if a, ok := st.(advancer); ok {
 			a.AdvanceTo(unixSec)
 		}
 	}

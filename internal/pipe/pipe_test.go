@@ -39,7 +39,7 @@ func sliceSource(recs []flow.Record, batchLen int) Source {
 			if end > len(recs) {
 				end = len(recs)
 			}
-			b := NewBatch()
+			b := newBatch()
 			b.Recs = append(b.Recs, recs[off:end]...)
 			if err := emit(b); err != nil {
 				return err
@@ -64,7 +64,7 @@ type collectStage struct {
 func (c *collectStage) Process(b *Batch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs := b.Records() // materializes columnar batches
+	recs := b.records() // materializes columnar batches
 	for i := range recs {
 		if c.failAfter > 0 && c.seen >= c.failAfter {
 			return errors.New("stage failed")
@@ -199,7 +199,7 @@ func TestFanOutPropagatesStageErrorAndCancelsSource(t *testing.T) {
 			emitted := 0
 			src := Source(func(emit func(*Batch) error) error {
 				for i := 0; ; i++ {
-					b := NewBatch()
+					b := newBatch()
 					for j := 0; j < DefaultBatchSize; j++ {
 						r := testRec(i*DefaultBatchSize+j, t0)
 						b.Recs = append(b.Recs, r)
@@ -278,12 +278,12 @@ func TestFanOutLeanWithoutMarkFilter(t *testing.T) {
 }
 
 func TestBatchPoolReuse(t *testing.T) {
-	b := NewBatch()
+	b := newBatch()
 	b.Recs = append(b.Recs, testRec(1, t0))
 	b.Marks = append(b.Marks, 42)
 	b.Seqs = append(b.Seqs, 7)
 	b.Release()
-	nb := NewBatch()
+	nb := newBatch()
 	if nb.Len() != 0 || len(nb.Marks) != 0 || len(nb.Seqs) != 0 {
 		t.Fatalf("pooled batch not reset: %d recs, %d marks, %d seqs", nb.Len(), len(nb.Marks), len(nb.Seqs))
 	}

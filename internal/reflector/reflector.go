@@ -198,6 +198,8 @@ func pow1m(x, days float64) float64 {
 }
 
 // Overlap returns the Jaccard index of two reflector sets: |A∩B|/|A∪B|.
+//
+//bsvet:allow deadcode oracle: the booter tests TestSameDayAttacksShareReflectors and TestChurnAndSwap measure reflector reuse with it
 func Overlap(a, b []Reflector) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -251,6 +253,8 @@ func UniqueAddrs(sets [][]Reflector) int {
 
 // UniqueASes counts distinct origin ASes in a set (the paper's "peer
 // ASes handing over traffic" dimension).
+//
+//bsvet:allow deadcode oracle: TestCLDAPUsesManyMoreReflectors counts the reflector ASes an attack uses
 func UniqueASes(set []Reflector) int {
 	seen := make(map[uint32]bool)
 	for _, r := range set {

@@ -3,7 +3,7 @@
 // deployed on IXP platforms, and uniform random sampling. Scale-up
 // estimators invert the sampling to recover traffic totals, which is how
 // the paper reports Gbps figures from sampled IPFIX data.
-package sampling
+package sampling //bsvet:allow deadcode no production caller since the fabric's Sampler went; kept for its 9 tests (deletion deferred, ROADMAP 8(iv))
 
 import (
 	"errors"
@@ -12,8 +12,8 @@ import (
 	"booterscope/internal/netutil"
 )
 
-// ErrBadRate reports an invalid sampling configuration.
-var ErrBadRate = errors.New("sampling: rate must be >= 1")
+// errBadRate reports an invalid sampling configuration.
+var errBadRate = errors.New("sampling: rate must be >= 1")
 
 // Sampler decides, packet by packet, whether an observation is kept.
 type Sampler interface {
@@ -34,7 +34,7 @@ type Systematic struct {
 // NewSystematic returns a 1-in-n systematic sampler.
 func NewSystematic(n uint32) (*Systematic, error) {
 	if n < 1 {
-		return nil, ErrBadRate
+		return nil, errBadRate
 	}
 	return &Systematic{n: n}, nil
 }
@@ -52,23 +52,23 @@ func (s *Systematic) Sample() bool {
 // Rate implements Sampler.
 func (s *Systematic) Rate() uint32 { return s.n }
 
-// Random is uniform probabilistic sampling: each packet is selected
+// random is uniform probabilistic sampling: each packet is selected
 // independently with probability 1/N.
-type Random struct {
+type random struct {
 	n uint32
 	r *netutil.Rand
 }
 
 // NewRandom returns a probabilistic 1-in-n sampler driven by r.
-func NewRandom(n uint32, r *netutil.Rand) (*Random, error) {
+func NewRandom(n uint32, r *netutil.Rand) (*random, error) {
 	if n < 1 {
-		return nil, ErrBadRate
+		return nil, errBadRate
 	}
-	return &Random{n: n, r: r}, nil
+	return &random{n: n, r: r}, nil
 }
 
 // Sample implements Sampler.
-func (s *Random) Sample() bool {
+func (s *random) Sample() bool {
 	if s.n == 1 {
 		return true
 	}
@@ -76,53 +76,53 @@ func (s *Random) Sample() bool {
 }
 
 // Rate implements Sampler.
-func (s *Random) Rate() uint32 { return s.n }
+func (s *random) Rate() uint32 { return s.n }
 
-// ScaleUp inverts sampling: given a sampled count and the rate, it
+// scaleUp inverts sampling: given a sampled count and the rate, it
 // returns the unbiased estimate of the original count.
-func ScaleUp(sampled uint64, rate uint32) uint64 {
+func scaleUp(sampled uint64, rate uint32) uint64 {
 	if rate <= 1 {
 		return sampled
 	}
 	return sampled * uint64(rate)
 }
 
-// Estimator accumulates sampled packet/byte observations and produces
+// estimator accumulates sampled packet/byte observations and produces
 // scaled totals together with the standard error of the packet estimate
 // (binomial model), so analyses can reason about sampling noise.
-type Estimator struct {
+type estimator struct {
 	rate    uint32
 	packets uint64
 	bytes   uint64
 }
 
 // NewEstimator returns an estimator for a 1-in-rate sampled stream.
-func NewEstimator(rate uint32) (*Estimator, error) {
+func NewEstimator(rate uint32) (*estimator, error) {
 	if rate < 1 {
-		return nil, ErrBadRate
+		return nil, errBadRate
 	}
-	return &Estimator{rate: rate}, nil
+	return &estimator{rate: rate}, nil
 }
 
 // Observe records one sampled packet of the given size.
-func (e *Estimator) Observe(bytes uint64) {
+func (e *estimator) Observe(bytes uint64) {
 	e.packets++
 	e.bytes += bytes
 }
 
 // Packets returns the scaled packet count estimate.
-func (e *Estimator) Packets() uint64 { return ScaleUp(e.packets, e.rate) }
+func (e *estimator) Packets() uint64 { return scaleUp(e.packets, e.rate) }
 
 // Bytes returns the scaled byte count estimate.
-func (e *Estimator) Bytes() uint64 { return ScaleUp(e.bytes, e.rate) }
+func (e *estimator) Bytes() uint64 { return scaleUp(e.bytes, e.rate) }
 
 // SampledPackets returns the raw (unscaled) number of samples.
-func (e *Estimator) SampledPackets() uint64 { return e.packets }
+func (e *estimator) SampledPackets() uint64 { return e.packets }
 
 // StdErrPackets returns the standard error of the packet estimate under
 // the independent-sampling model: N * sqrt(k) where k is the number of
 // samples, divided out per the estimator variance k*N*(N-1).
-func (e *Estimator) StdErrPackets() float64 {
+func (e *estimator) StdErrPackets() float64 {
 	if e.rate <= 1 {
 		return 0
 	}

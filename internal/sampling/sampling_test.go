@@ -78,25 +78,25 @@ func TestRandomRateOne(t *testing.T) {
 }
 
 func TestBadRates(t *testing.T) {
-	if _, err := NewSystematic(0); err != ErrBadRate {
+	if _, err := NewSystematic(0); err != errBadRate {
 		t.Errorf("systematic err = %v", err)
 	}
-	if _, err := NewRandom(0, netutil.NewRand(1)); err != ErrBadRate {
+	if _, err := NewRandom(0, netutil.NewRand(1)); err != errBadRate {
 		t.Errorf("random err = %v", err)
 	}
-	if _, err := NewEstimator(0); err != ErrBadRate {
+	if _, err := NewEstimator(0); err != errBadRate {
 		t.Errorf("estimator err = %v", err)
 	}
 }
 
 func TestScaleUp(t *testing.T) {
-	if got := ScaleUp(7, 10000); got != 70000 {
+	if got := scaleUp(7, 10000); got != 70000 {
 		t.Errorf("ScaleUp = %d", got)
 	}
-	if got := ScaleUp(7, 1); got != 7 {
+	if got := scaleUp(7, 1); got != 7 {
 		t.Errorf("unsampled ScaleUp = %d", got)
 	}
-	if got := ScaleUp(7, 0); got != 7 {
+	if got := scaleUp(7, 0); got != 7 {
 		t.Errorf("zero-rate ScaleUp = %d", got)
 	}
 }

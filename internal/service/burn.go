@@ -14,7 +14,7 @@ import "booterscope/internal/telemetry"
 //
 // Windows are counted in evaluation samples, not wall time, so the
 // evaluator is deterministic under test: at the default 1-minute
-// Serve cadence the defaults (5/60) correspond to 5m/1h windows. At
+// Serve cadence fastWindow and slowWindow (5/60) are 5m/1h windows. At
 // startup, windows shorter than the configured span use whatever
 // history exists — a daemon overloaded from its first minutes still
 // breaches.
@@ -30,8 +30,7 @@ type burnSample struct {
 // burn rates. It is driven from the single evaluation goroutine (the
 // same contract as the shed ladder) and needs no locking.
 type burnEvaluator struct {
-	opts SLOOptions
-	// ring holds the last SlowWindow+1 cumulative samples; samples
+	// ring holds the last slowWindow+1 cumulative samples; samples
 	// before process start read as zero, which is exact (the histogram
 	// started empty).
 	ring []burnSample
@@ -40,9 +39,8 @@ type burnEvaluator struct {
 	breached bool
 }
 
-func newBurnEvaluator(opts SLOOptions) *burnEvaluator {
-	o := opts.withDefaults()
-	return &burnEvaluator{opts: o, ring: make([]burnSample, o.SlowWindow+1)}
+func newBurnEvaluator() *burnEvaluator {
+	return &burnEvaluator{ring: make([]burnSample, slowWindow+1)}
 }
 
 // observe folds one cumulative reading and returns the two window
@@ -52,8 +50,8 @@ func newBurnEvaluator(opts SLOOptions) *burnEvaluator {
 func (b *burnEvaluator) observe(count, bad uint64) (fast, slow float64, breach, edge bool) {
 	b.ring[b.n%len(b.ring)] = burnSample{count: count, bad: bad}
 	b.n++
-	fast = b.burnOver(b.opts.FastWindow)
-	slow = b.burnOver(b.opts.SlowWindow)
+	fast = b.burnOver(fastWindow)
+	slow = b.burnOver(slowWindow)
 	breach = fast >= burnThreshold && slow >= burnThreshold
 	edge = breach != b.breached
 	b.breached = breach

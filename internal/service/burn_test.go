@@ -7,12 +7,8 @@ import (
 	"booterscope/internal/telemetry"
 )
 
-// burnOpts gives tiny windows so tests exercise the window arithmetic
-// without sixty evaluations per case.
-var burnOpts = SLOOptions{FastWindow: 2, SlowWindow: 4}
-
 func TestBurnEvaluatorQuietStreamNeverBreaches(t *testing.T) {
-	b := newBurnEvaluator(burnOpts)
+	b := newBurnEvaluator()
 	for i := uint64(1); i <= 20; i++ {
 		// 1000 observations per step, none over target.
 		fast, slow, breach, edge := b.observe(i*1000, 0)
@@ -24,7 +20,7 @@ func TestBurnEvaluatorQuietStreamNeverBreaches(t *testing.T) {
 }
 
 func TestBurnEvaluatorBreachesOnSustainedBurn(t *testing.T) {
-	b := newBurnEvaluator(burnOpts)
+	b := newBurnEvaluator()
 	// Every observation over target: badFrac 1, burn 1/0.01 = 100 in
 	// both windows from the very first sample (startup windows use the
 	// zero baseline, which is exact — the histogram began empty).
@@ -43,20 +39,20 @@ func TestBurnEvaluatorBreachesOnSustainedBurn(t *testing.T) {
 }
 
 func TestBurnEvaluatorFastWindowAloneDoesNotPage(t *testing.T) {
-	b := newBurnEvaluator(burnOpts)
+	b := newBurnEvaluator()
 	// A long clean history, then a short spike: the fast window burns
 	// hot but the slow window still averages it away — the multi-window
 	// construction's whole point.
 	var count uint64
-	for i := 0; i < 10; i++ {
+	for i := 0; i < slowWindow+10; i++ {
 		count += 100
 		b.observe(count, 0)
 	}
-	// 40 bad in one step: the 2-sample fast window sees 40/200 (burn
-	// 20), the 4-sample slow window 40/400 (burn 10) — over and under
-	// the 14.4 threshold respectively.
+	// 100 bad in one step: the 5-sample fast window sees 100/500 (burn
+	// 20), the 60-sample slow window 100/6000 (burn 1.7) — over and
+	// under the 14.4 threshold respectively.
 	count += 100
-	fast, slow, breach, _ := b.observe(count, 40)
+	fast, slow, breach, _ := b.observe(count, 100)
 	if fast < burnThreshold {
 		t.Fatalf("fast burn = %v, want >= threshold %v (spike must register)", fast, burnThreshold)
 	}
@@ -69,7 +65,7 @@ func TestBurnEvaluatorFastWindowAloneDoesNotPage(t *testing.T) {
 }
 
 func TestBurnEvaluatorRecoveryEdge(t *testing.T) {
-	b := newBurnEvaluator(burnOpts)
+	b := newBurnEvaluator()
 	b.observe(100, 100) // breach
 	// Clean traffic pushes both windows under threshold once the bad
 	// samples age out of them.
@@ -89,12 +85,12 @@ func TestBurnEvaluatorRecoveryEdge(t *testing.T) {
 }
 
 func TestBurnEvaluatorWindowForgets(t *testing.T) {
-	b := newBurnEvaluator(burnOpts)
+	b := newBurnEvaluator()
 	b.observe(100, 100)
-	// Five clean steps — beyond SlowWindow — must drop both burns to 0:
-	// the old bad sample is outside every window.
+	// slowWindow+1 clean steps must drop both burns to 0: the old bad
+	// sample is outside every window.
 	var fast, slow float64
-	for i := uint64(1); i <= 5; i++ {
+	for i := uint64(1); i <= slowWindow+1; i++ {
 		fast, slow, _, _ = b.observe(100+i*100, 100)
 	}
 	if fast != 0 || slow != 0 {
@@ -103,14 +99,15 @@ func TestBurnEvaluatorWindowForgets(t *testing.T) {
 }
 
 func TestBurnDefaults(t *testing.T) {
-	o := SLOOptions{}.withDefaults()
-	if o.FastWindow != 5 || o.SlowWindow != 60 {
+	if o := (SLOOptions{}).withDefaults(); o.TargetP99 != 250*time.Millisecond {
 		t.Fatalf("defaults = %+v", o)
 	}
-	// SlowWindow can never be shorter than FastWindow.
-	o = SLOOptions{FastWindow: 10, SlowWindow: 3}.withDefaults()
-	if o.SlowWindow < o.FastWindow {
-		t.Fatalf("SlowWindow %d < FastWindow %d after defaults", o.SlowWindow, o.FastWindow)
+	if fastWindow != 5 || slowWindow != 60 {
+		t.Fatalf("windows = %d/%d, want 5/60 (5m/1h at the 1-minute cadence)", fastWindow, slowWindow)
+	}
+	// The slow window can never be shorter than the fast one.
+	if slowWindow < fastWindow {
+		t.Fatalf("slowWindow %d < fastWindow %d", slowWindow, fastWindow)
 	}
 }
 
@@ -144,14 +141,14 @@ func TestEvaluateExportsBurnGauges(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		svc.detect.ObserveDuration(time.Second)
 	}
-	svc.Evaluate()
+	svc.evaluate()
 	if v := svc.m.burnFast.Value(); v < 14.4 {
 		t.Fatalf("burnFast gauge = %v, want >= 14.4", v)
 	}
 	if v := svc.m.burnSlow.Value(); v < 14.4 {
 		t.Fatalf("burnSlow gauge = %v, want >= 14.4", v)
 	}
-	if svc.Stats().SLOBreaches != 1 {
-		t.Fatalf("SLOBreaches = %d, want 1", svc.Stats().SLOBreaches)
+	if svc.stats().SLOBreaches != 1 {
+		t.Fatalf("SLOBreaches = %d, want 1", svc.stats().SLOBreaches)
 	}
 }

@@ -56,15 +56,17 @@ const (
 	binsPerFrame = 256
 )
 
-// ErrCheckpointCorrupt marks a checkpoint file that fails CRC or
+// errCheckpointCorrupt marks a checkpoint file that fails CRC or
 // framing validation — the daemon treats it as absent and replays from
 // the flow archive instead.
-var ErrCheckpointCorrupt = errors.New("service: corrupt checkpoint")
+var errCheckpointCorrupt = errors.New("service: corrupt checkpoint")
 
 // Checkpoint is the complete persisted state of the detection daemon:
 // the monitor snapshot plus the pipeline position (the fan-out's
 // watermark and global sequence) and the archive durability watermark
 // the restart replays from.
+//
+//bsvet:allow deadcode oracle: TestCheckpointBytesFrozen and TestMonitorCheckpointFrozen build checkpoints with it
 type Checkpoint struct {
 	// Watermark is the fan-out's eviction-clock watermark
 	// (math.MinInt64 when no matched record has been routed).
@@ -83,8 +85,8 @@ type Checkpoint struct {
 	Monitor *classify.MonitorSnapshot
 }
 
-// CheckpointPath returns the checkpoint file location under dir.
-func CheckpointPath(dir string) string { return filepath.Join(dir, ckptFileName) }
+// checkpointPath returns the checkpoint file location under dir.
+func checkpointPath(dir string) string { return filepath.Join(dir, ckptFileName) }
 
 func encodeHeader(cp *Checkpoint) []byte {
 	s := cp.Monitor
@@ -115,10 +117,10 @@ const headerLen = 1 + 2 + 8*4 + 1 + 8*3 + 8*6
 
 func decodeHeader(b []byte, cp *Checkpoint) error {
 	if len(b) != headerLen {
-		return fmt.Errorf("%w: header frame is %d bytes, want %d", ErrCheckpointCorrupt, len(b), headerLen)
+		return fmt.Errorf("%w: header frame is %d bytes, want %d", errCheckpointCorrupt, len(b), headerLen)
 	}
 	if v := binary.BigEndian.Uint16(b[1:]); v != ckptVersion {
-		return fmt.Errorf("%w: unsupported checkpoint version %d", ErrCheckpointCorrupt, v)
+		return fmt.Errorf("%w: unsupported checkpoint version %d", errCheckpointCorrupt, v)
 	}
 	s := cp.Monitor
 	cp.Watermark = int64(binary.BigEndian.Uint64(b[3:]))
@@ -157,13 +159,13 @@ func encodeBins(bins []classify.BinSnapshot) []byte {
 
 func decodeBins(b []byte, snap *classify.MonitorSnapshot) error {
 	if len(b) < 5 {
-		return fmt.Errorf("%w: short bins frame", ErrCheckpointCorrupt)
+		return fmt.Errorf("%w: short bins frame", errCheckpointCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(b[1:]))
 	off := 5
 	for i := 0; i < n; i++ {
 		if len(b)-off < 16+8+8+8+4 {
-			return fmt.Errorf("%w: truncated bin %d", ErrCheckpointCorrupt, i)
+			return fmt.Errorf("%w: truncated bin %d", errCheckpointCorrupt, i)
 		}
 		var bin classify.BinSnapshot
 		copy(bin.Victim[:], b[off:])
@@ -173,7 +175,7 @@ func decodeBins(b []byte, snap *classify.MonitorSnapshot) error {
 		nsrc := int(binary.BigEndian.Uint32(b[off+40:]))
 		off += 44
 		if nsrc < 0 || len(b)-off < nsrc*16 {
-			return fmt.Errorf("%w: truncated source set of bin %d", ErrCheckpointCorrupt, i)
+			return fmt.Errorf("%w: truncated source set of bin %d", errCheckpointCorrupt, i)
 		}
 		bin.Sources = make([][16]byte, nsrc)
 		for j := 0; j < nsrc; j++ {
@@ -183,7 +185,7 @@ func decodeBins(b []byte, snap *classify.MonitorSnapshot) error {
 		snap.Bins = append(snap.Bins, bin)
 	}
 	if off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes in bins frame", ErrCheckpointCorrupt, len(b)-off)
+		return fmt.Errorf("%w: %d trailing bytes in bins frame", errCheckpointCorrupt, len(b)-off)
 	}
 	return nil
 }
@@ -200,11 +202,11 @@ func encodeAlerted(ms []classify.AlertMarker) []byte {
 
 func decodeAlerted(b []byte, snap *classify.MonitorSnapshot) error {
 	if len(b) < 5 {
-		return fmt.Errorf("%w: short alerted frame", ErrCheckpointCorrupt)
+		return fmt.Errorf("%w: short alerted frame", errCheckpointCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(b[1:]))
 	if len(b) != 5+n*24 {
-		return fmt.Errorf("%w: alerted frame is %d bytes, want %d", ErrCheckpointCorrupt, len(b), 5+n*24)
+		return fmt.Errorf("%w: alerted frame is %d bytes, want %d", errCheckpointCorrupt, len(b), 5+n*24)
 	}
 	off := 5
 	for i := 0; i < n; i++ {
@@ -231,11 +233,11 @@ func encodeAttacks(as []classify.AttackSnapshot) []byte {
 
 func decodeAttacks(b []byte, snap *classify.MonitorSnapshot) error {
 	if len(b) < 5 {
-		return fmt.Errorf("%w: short attacks frame", ErrCheckpointCorrupt)
+		return fmt.Errorf("%w: short attacks frame", errCheckpointCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(b[1:]))
 	if len(b) != 5+n*40 {
-		return fmt.Errorf("%w: attacks frame is %d bytes, want %d", ErrCheckpointCorrupt, len(b), 5+n*40)
+		return fmt.Errorf("%w: attacks frame is %d bytes, want %d", errCheckpointCorrupt, len(b), 5+n*40)
 	}
 	off := 5
 	for i := 0; i < n; i++ {
@@ -253,6 +255,8 @@ func decodeAttacks(b []byte, snap *classify.MonitorSnapshot) error {
 // EncodeCheckpoint serializes cp into the framed on-disk form. The
 // encoding is deterministic: equal states produce identical bytes (the
 // restore-equivalence test pins this).
+//
+//bsvet:allow deadcode oracle: TestCheckpointBytesFrozen and TestMonitorCheckpointFrozen encode with it
 func EncodeCheckpoint(cp *Checkpoint) []byte {
 	out := append([]byte(nil), ckptMagic[:]...)
 	out = durable.AppendFrame(out, encodeHeader(cp))
@@ -270,26 +274,26 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	return durable.AppendFrame(out, []byte{frameTrailer})
 }
 
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, verifying
+// decodeCheckpoint parses bytes produced by encodeCheckpoint, verifying
 // magic, every frame CRC, and the trailer. Any damage — a torn tail, a
-// flipped bit, a missing trailer — yields ErrCheckpointCorrupt.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+// flipped bit, a missing trailer — yields errCheckpointCorrupt.
+func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) < len(ckptMagic) || [8]byte(b[:8]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", errCheckpointCorrupt)
 	}
 	cp := &Checkpoint{Monitor: &classify.MonitorSnapshot{}}
 	sawHeader, sawTrailer := false, false
 	err := durable.Walk(b[len(ckptMagic):], func(_ int, payload []byte) error {
 		if sawTrailer {
-			return fmt.Errorf("%w: data after trailer", ErrCheckpointCorrupt)
+			return fmt.Errorf("%w: data after trailer", errCheckpointCorrupt)
 		}
 		if len(payload) == 0 {
-			return fmt.Errorf("%w: empty frame", ErrCheckpointCorrupt)
+			return fmt.Errorf("%w: empty frame", errCheckpointCorrupt)
 		}
 		switch payload[0] {
 		case frameHeader:
 			if sawHeader {
-				return fmt.Errorf("%w: duplicate header frame", ErrCheckpointCorrupt)
+				return fmt.Errorf("%w: duplicate header frame", errCheckpointCorrupt)
 			}
 			sawHeader = true
 			return decodeHeader(payload, cp)
@@ -303,32 +307,32 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 			sawTrailer = true
 			return nil
 		}
-		return fmt.Errorf("%w: unknown frame type %d", ErrCheckpointCorrupt, payload[0])
+		return fmt.Errorf("%w: unknown frame type %d", errCheckpointCorrupt, payload[0])
 	})
 	if err != nil {
-		if !errors.Is(err, ErrCheckpointCorrupt) { // durable.ErrTorn or ErrCRC
-			err = fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
+		if !errors.Is(err, errCheckpointCorrupt) { // durable's torn-frame or CRC error
+			err = fmt.Errorf("%w: %w", errCheckpointCorrupt, err)
 		}
 		return nil, err
 	}
 	if !sawHeader || !sawTrailer {
-		return nil, fmt.Errorf("%w: missing %s frame", ErrCheckpointCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
+		return nil, fmt.Errorf("%w: missing %s frame", errCheckpointCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
 	}
 	return cp, nil
 }
 
-// SaveCheckpoint atomically publishes cp under dir through
+// saveCheckpoint atomically publishes cp under dir through
 // durable.Publish, one write per frame; every write, the fsync and the
 // rename run through the fault hook ("checkpoint write|fsync|rename"),
 // so the chaos suite can kill the writer at each offset. On any failure
 // the previous checkpoint is left intact and the temp file removed.
 // Returns the checkpoint size.
-func SaveCheckpoint(dir string, cp *Checkpoint, fault *chaos.Failpoint) (int64, error) {
+func saveCheckpoint(dir string, cp *Checkpoint, fault *chaos.Failpoint) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("service: checkpoint dir: %w", err)
 	}
 	enc := EncodeCheckpoint(cp)
-	err := durable.Publish(CheckpointPath(dir), filepath.Join(dir, ckptTmpName),
+	err := durable.Publish(checkpointPath(dir), filepath.Join(dir, ckptTmpName),
 		durable.Frames(enc, len(ckptMagic)), fault, "checkpoint")
 	if err != nil {
 		return 0, fmt.Errorf("service: publishing checkpoint: %w", err)
@@ -336,17 +340,17 @@ func SaveCheckpoint(dir string, cp *Checkpoint, fault *chaos.Failpoint) (int64, 
 	return int64(len(enc)), nil
 }
 
-// LoadCheckpoint reads the checkpoint under dir. A missing file is not
+// loadCheckpoint reads the checkpoint under dir. A missing file is not
 // an error — (nil, nil) means cold start. A present but damaged file
-// returns ErrCheckpointCorrupt; the caller falls back to a cold start
+// returns errCheckpointCorrupt; the caller falls back to a cold start
 // with archive replay from record zero.
-func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	b, err := os.ReadFile(CheckpointPath(dir))
+func loadCheckpoint(dir string) (*Checkpoint, error) {
+	b, err := os.ReadFile(checkpointPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("service: reading checkpoint: %w", err)
 	}
-	return DecodeCheckpoint(b)
+	return decodeCheckpoint(b)
 }

@@ -98,7 +98,7 @@ func feed(t *testing.T, s *Service, recs []flow.Record) {
 
 func mustCheckpoint(t *testing.T, s *Service) {
 	t.Helper()
-	if n, err := s.Checkpoint(); err != nil || n == 0 {
+	if n, err := s.checkpoint(); err != nil || n == 0 {
 		t.Fatalf("Checkpoint = %d, %v", n, err)
 	}
 }
@@ -120,7 +120,7 @@ func quiesceAlerts(t *testing.T, s *Service) []classify.Alert {
 
 func readCheckpoint(t *testing.T, dir string) []byte {
 	t.Helper()
-	b, err := os.ReadFile(CheckpointPath(dir))
+	b, err := os.ReadFile(checkpointPath(dir))
 	if err != nil {
 		t.Fatalf("reading checkpoint: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, EncodeCheckpoint(cp)) {
 		t.Fatal("encoding is not deterministic")
 	}
-	got, err := DecodeCheckpoint(enc)
+	got, err := decodeCheckpoint(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeCheckpoint(mutate(append([]byte(nil), enc...))); err == nil {
+			if _, err := decodeCheckpoint(mutate(append([]byte(nil), enc...))); err == nil {
 				t.Fatalf("%s: decoded without error", name)
 			}
 		})
@@ -173,7 +173,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	corrupt("empty", func([]byte) []byte { return nil })
 }
 
-// TestCheckpointBytesFrozen freezes the bytes EncodeCheckpoint produces
+// TestCheckpointBytesFrozen freezes the bytes encodeCheckpoint produces
 // (header, three bins frames, alerted, attacks, trailer). The digest was
 // computed at commit aaa50f7, the last one where this package framed its
 // own files, and is never regenerated: the shared envelope in
@@ -251,15 +251,15 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	// the published snapshot untouched.
 	published := readCheckpoint(t, dirB)
 	svcB.opts.WriteFault = chaos.FailFrom(2)
-	if _, err := svcB.Checkpoint(); err == nil {
+	if _, err := svcB.checkpoint(); err == nil {
 		t.Fatal("checkpoint under write faults succeeded")
 	}
 	svcB.opts.WriteFault = nil
 	if got := readCheckpoint(t, dirB); !bytes.Equal(got, published) {
 		t.Fatal("failed checkpoint attempt perturbed the published snapshot")
 	}
-	if svcB.Stats().CheckpointFailures != 1 {
-		t.Fatalf("checkpoint failures = %d, want 1", svcB.Stats().CheckpointFailures)
+	if svcB.stats().CheckpointFailures != 1 {
+		t.Fatalf("checkpoint failures = %d, want 1", svcB.stats().CheckpointFailures)
 	}
 
 	feed(t, svcB, recs[p1:p2])
@@ -365,7 +365,7 @@ func TestCheckpointCrashAtEveryWriteOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc.opts.WriteFault = chaos.FailFrom(uint64(off))
-		if _, err := svc.Checkpoint(); err == nil {
+		if _, err := svc.checkpoint(); err == nil {
 			t.Fatalf("offset %d: checkpoint survived its injected crash", off)
 		}
 		// The simulated kill: svc is abandoned. The published file must
@@ -425,7 +425,7 @@ func TestCorruptCheckpointFallsBackToColdStartWithReplay(t *testing.T) {
 	refStats := svc.MonitorStats()
 	// Abandon svc; tear the checkpoint's tail.
 	b := readCheckpoint(t, dir)
-	if err := os.WriteFile(CheckpointPath(dir), b[:len(b)-7], 0o644); err != nil {
+	if err := os.WriteFile(checkpointPath(dir), b[:len(b)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -434,8 +434,8 @@ func TestCorruptCheckpointFallsBackToColdStartWithReplay(t *testing.T) {
 	if rr.Restored || !rr.Corrupt {
 		t.Fatalf("restore report = %+v, want corrupt cold start", rr)
 	}
-	if svc2.Stats().Checkpoints != 0 || svc2.Stats().Restores != 0 {
-		t.Fatalf("stats = %+v", svc2.Stats())
+	if svc2.stats().Checkpoints != 0 || svc2.stats().Restores != 0 {
+		t.Fatalf("stats = %+v", svc2.stats())
 	}
 	replayed, err := svc2.ReplayFromStore()
 	if err != nil {

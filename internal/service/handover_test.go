@@ -231,7 +231,7 @@ func TestHandOverPolicyCannotChangeCheckpoints(t *testing.T) {
 			if !bytes.Equal(readCheckpoint(t, dirB), finalA) {
 				t.Fatal("final checkpoint differs from the default run's")
 			}
-			st := svcC.Stats()
+			st := svcC.stats()
 			if svcC.m.partialFlushes.Value() == 0 || st.IngestedRecords == 0 {
 				t.Fatal("no partial hand-over happened — property not exercised")
 			}
@@ -288,7 +288,7 @@ func TestArchiveErrorDoesNotCostDetection(t *testing.T) {
 				t.Fatalf("%d Ingest calls reported the archive error, service_archive_errors_total = %d",
 					failed, svc.m.archiveErrors.Value())
 			}
-			if got := svc.Stats().IngestedRecords; got != uint64(len(recs)) {
+			if got := svc.stats().IngestedRecords; got != uint64(len(recs)) {
 				t.Fatalf("service counted %d ingested records, want %d", got, len(recs))
 			}
 			ss := st.Stats()

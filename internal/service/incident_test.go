@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -48,9 +48,9 @@ func TestIncidentDumpReconstructsLifecycle(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		svc.detect.ObserveDuration(time.Second)
 	}
-	svc.Evaluate()
+	svc.evaluate()
 
-	d, err := eventlog.LoadDump(eventlog.DumpPath(incDir, "slo_burn"))
+	d, err := eventlog.LoadDump(filepath.Join(incDir, "incident-slo_burn.bsevt"))
 	if err != nil {
 		t.Fatalf("loading slo_burn dump: %v", err)
 	}
@@ -90,9 +90,15 @@ func TestIncidentDumpReconstructsLifecycle(t *testing.T) {
 	}
 
 	// The live debug surface over the same ring must agree exactly.
-	srv := httptest.NewServer(debugserver.HandlerWith(reg, nil, ring))
+	prev := eventlog.Active()
+	eventlog.SetActive(ring)
+	defer eventlog.SetActive(prev)
+	srv, err := debugserver.Start("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
-	resp, err := http.Get(fmt.Sprintf("%s/attacks/%d", srv.URL, id))
+	resp, err := http.Get(fmt.Sprintf("http://%s/attacks/%d", srv.Addr(), id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestIncidentDumpReconstructsLifecycle(t *testing.T) {
 
 	// /attacks lists the same attack; /events serves the ring.
 	for _, ep := range []string{"/attacks", "/events"} {
-		r2, err := http.Get(srv.URL + ep)
+		r2, err := http.Get("http://" + srv.Addr() + ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +131,7 @@ func TestIncidentDumpReconstructsLifecycle(t *testing.T) {
 	if _, err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	dd, err := eventlog.LoadDump(eventlog.DumpPath(incDir, "drain"))
+	dd, err := eventlog.LoadDump(filepath.Join(incDir, "incident-drain.bsevt"))
 	if err != nil {
 		t.Fatalf("loading drain dump: %v", err)
 	}
@@ -155,7 +161,7 @@ func TestCheckpointFailureDumpsIncident(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = os.Chmod(ckptDir, 0o755) }()
-	if _, err := svc.Checkpoint(); err == nil {
+	if _, err := svc.checkpoint(); err == nil {
 		_ = os.Chmod(ckptDir, 0o755)
 		if err := os.RemoveAll(ckptDir); err != nil {
 			t.Fatal(err)
@@ -163,12 +169,12 @@ func TestCheckpointFailureDumpsIncident(t *testing.T) {
 		if err := os.WriteFile(ckptDir, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.Checkpoint(); err == nil {
+		if _, err := svc.checkpoint(); err == nil {
 			t.Skip("cannot make checkpoint fail in this environment")
 		}
 	}
 
-	d, err := eventlog.LoadDump(eventlog.DumpPath(incDir, "checkpoint_failure"))
+	d, err := eventlog.LoadDump(filepath.Join(incDir, "incident-checkpoint_failure.bsevt"))
 	if err != nil {
 		t.Fatalf("no checkpoint_failure dump: %v", err)
 	}

@@ -53,9 +53,9 @@ type suppressedTotals struct {
 	bytes   uint64
 }
 
-// Mitigator tracks per-victim alert counts and the active FlowSpec
+// mitigator tracks per-victim alert counts and the active FlowSpec
 // rules. Alerts arrive concurrently from shard workers.
-type Mitigator struct {
+type mitigator struct {
 	mu   sync.Mutex
 	opts MitigationOptions
 	//bsvet:guards mu
@@ -76,8 +76,8 @@ type Mitigator struct {
 	events func() *eventlog.Log
 }
 
-func newMitigator(opts MitigationOptions, m *metrics, events func() *eventlog.Log) *Mitigator {
-	return &Mitigator{
+func newMitigator(opts MitigationOptions, m *metrics, events func() *eventlog.Log) *mitigator {
+	return &mitigator{
 		opts:       opts.withDefaults(),
 		counts:     make(map[netip.Addr]int),
 		rules:      make(map[netip.Addr]bgp.FlowSpecRule),
@@ -88,9 +88,9 @@ func newMitigator(opts MitigationOptions, m *metrics, events func() *eventlog.Lo
 	}
 }
 
-// OnAlert feeds one detection into the loop, announcing a rule once
+// onAlert feeds one detection into the loop, announcing a rule once
 // the victim's alert count reaches SustainAlerts.
-func (mt *Mitigator) OnAlert(a classify.Alert) {
+func (mt *mitigator) onAlert(a classify.Alert) {
 	if !mt.opts.Enabled {
 		return
 	}
@@ -139,7 +139,7 @@ func (mt *Mitigator) OnAlert(a classify.Alert) {
 // suppressed attack volume and emits one cumulative suppression event
 // per touched victim. Called on the ingest path; with no active rules
 // it costs a single atomic load.
-func (mt *Mitigator) observeSuppressed(recs []flow.Record) {
+func (mt *mitigator) observeSuppressed(recs []flow.Record) {
 	if mt.active.Load() == 0 {
 		return
 	}
@@ -196,7 +196,7 @@ func containsAddr(addrs []netip.Addr, v netip.Addr) bool {
 
 // sortedVictimsLocked returns the active-rule victims in byte order, so
 // withdrawal and listing never leak map iteration order into output.
-func (mt *Mitigator) sortedVictimsLocked() []netip.Addr {
+func (mt *mitigator) sortedVictimsLocked() []netip.Addr {
 	out := make([]netip.Addr, 0, len(mt.rules))
 	for v := range mt.rules {
 		out = append(out, v)
@@ -208,8 +208,8 @@ func (mt *Mitigator) sortedVictimsLocked() []netip.Addr {
 	return out
 }
 
-// ActiveRules lists the announced rules in deterministic victim order.
-func (mt *Mitigator) ActiveRules() []bgp.FlowSpecRule {
+// activeRules lists the announced rules in deterministic victim order.
+func (mt *mitigator) activeRules() []bgp.FlowSpecRule {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	victims := mt.sortedVictimsLocked()
@@ -220,9 +220,9 @@ func (mt *Mitigator) ActiveRules() []bgp.FlowSpecRule {
 	return out
 }
 
-// WithdrawAll retracts every active rule (the drain path) and returns
+// withdrawAll retracts every active rule (the drain path) and returns
 // the withdrawn rules in deterministic victim order.
-func (mt *Mitigator) WithdrawAll() []bgp.FlowSpecRule {
+func (mt *mitigator) withdrawAll() []bgp.FlowSpecRule {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	victims := mt.sortedVictimsLocked()

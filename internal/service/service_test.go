@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"strings"
@@ -33,11 +34,11 @@ func TestDrainRefusesRecordsAndIsIdempotent(t *testing.T) {
 		t.Fatalf("drain report accounting = %+v / %+v", rep.Service, rep.Monitor)
 	}
 	// The final checkpoint is complete and valid on disk.
-	b, err := os.ReadFile(CheckpointPath(dir))
+	b, err := os.ReadFile(checkpointPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCheckpoint(b); err != nil {
+	if _, err := decodeCheckpoint(b); err != nil {
 		t.Fatalf("final checkpoint does not decode: %v", err)
 	}
 
@@ -45,7 +46,7 @@ func TestDrainRefusesRecordsAndIsIdempotent(t *testing.T) {
 	if err := svc.Ingest(recs[3_000:]); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Ingest after drain = %v, want ErrDraining", err)
 	}
-	if got := svc.Stats().RefusedRecords; got != 1_000 {
+	if got := svc.stats().RefusedRecords; got != 1_000 {
 		t.Fatalf("refused records = %d, want 1000", got)
 	}
 	if err := svc.Reload(testCfg); !errors.Is(err, ErrDraining) {
@@ -85,8 +86,8 @@ func TestReloadSwapsThresholdsAndPersists(t *testing.T) {
 	if got := svc.Config(); got.MinRateBps != testCfg.MinRateBps || got.MinSources != testCfg.MinSources {
 		t.Fatalf("active config after reload = %+v", got)
 	}
-	if svc.Stats().Reloads != 1 {
-		t.Fatalf("reloads = %d, want 1", svc.Stats().Reloads)
+	if svc.stats().Reloads != 1 {
+		t.Fatalf("reloads = %d, want 1", svc.stats().Reloads)
 	}
 	feed(t, svc, recs[half:])
 	if got := quiesceAlerts(t, svc); len(got) == 0 {
@@ -106,25 +107,18 @@ func TestReloadSwapsThresholdsAndPersists(t *testing.T) {
 }
 
 func TestShedLadderHysteresis(t *testing.T) {
-	sh := newShedder(SLOOptions{
-		TargetP99: 100 * time.Millisecond, StepUpAfter: 2, StepDownAfter: 2,
-	}, newMetrics())
+	sh := newShedder(SLOOptions{TargetP99: 100 * time.Millisecond}, newMetrics())
 	// The burn evaluator now decides SLO breaches; the ladder takes a
 	// boolean verdict per evaluation.
 	slow, fast := true, false
 
-	if got := sh.observe(slow, 0); got != ShedNone {
-		t.Fatalf("one breach escalated to %v", got)
-	}
+	// stepUpAfter is 1: every breach escalates one rung.
 	if got := sh.observe(slow, 0); got != ShedSample {
-		t.Fatalf("second consecutive breach = %v, want ShedSample", got)
+		t.Fatalf("first breach = %v, want ShedSample", got)
 	}
-	// A healthy sample resets the breach streak.
+	// A single healthy sample does not de-escalate (stepDownAfter is 3).
 	if got := sh.observe(fast, 0); got != ShedSample {
 		t.Fatalf("single healthy sample de-escalated to %v", got)
-	}
-	if got := sh.observe(slow, 0); got != ShedSample {
-		t.Fatalf("breach streak did not reset: %v", got)
 	}
 	if got := sh.observe(slow, 0); got != ShedArchive {
 		t.Fatalf("escalation = %v, want ShedArchive", got)
@@ -135,16 +129,25 @@ func TestShedLadderHysteresis(t *testing.T) {
 			t.Fatalf("ladder escalated past ShedArchive: %v", got)
 		}
 	}
+	// A breach resets the healthy streak: two healthy samples, a breach
+	// and two more healthy samples do not step down.
+	sh.observe(fast, 0)
+	sh.observe(fast, 0)
+	sh.observe(slow, 0)
+	sh.observe(fast, 0)
+	if got := sh.observe(fast, 0); got != ShedArchive {
+		t.Fatalf("healthy streak did not reset: %v", got)
+	}
 	// Queue pressure alone is a breach too.
-	sh2 := newShedder(SLOOptions{StepUpAfter: 1}, newMetrics())
+	sh2 := newShedder(SLOOptions{}, newMetrics())
 	if got := sh2.observe(false, 0.95); got != ShedSample {
 		t.Fatalf("queue breach = %v, want ShedSample", got)
 	}
-	// Recovery walks down one rung per StepDownAfter healthy streak.
-	sh.observe(fast, 0)
+	// Recovery walks down one rung per stepDownAfter healthy streak.
 	if got := sh.observe(fast, 0); got != ShedSample {
 		t.Fatalf("recovery = %v, want ShedSample", got)
 	}
+	sh.observe(fast, 0)
 	sh.observe(fast, 0)
 	if got := sh.observe(fast, 0); got != ShedNone {
 		t.Fatalf("recovery = %v, want ShedNone", got)
@@ -161,14 +164,14 @@ func TestIngestUnderShedLevels(t *testing.T) {
 		recs[i].SamplingRate = 1
 	}
 	dir, storeDir := t.TempDir(), t.TempDir()
-	svc := openService(t, dir, storeDir, testCfg, Options{SLO: SLOOptions{SampleN: 4}})
+	svc := openService(t, dir, storeDir, testCfg, Options{})
 
 	svc.shed.level.Store(int32(ShedSample))
 	if err := svc.Ingest(recs[:400]); err != nil {
 		t.Fatal(err)
 	}
 	quiesceAlerts(t, svc) // wait out the shard queues before reading stats
-	st := svc.Stats()
+	st := svc.stats()
 	if st.SampledOutRecords != 300 || st.IngestedRecords != 100 {
 		t.Fatalf("ShedSample accounting = %+v, want 300 sampled out / 100 kept", st)
 	}
@@ -184,7 +187,7 @@ func TestIngestUnderShedLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesceAlerts(t, svc)
-	st = svc.Stats()
+	st = svc.stats()
 	if st.ArchiveShedRecords != 100 || st.SampledOutRecords != 600 {
 		t.Fatalf("ShedArchive accounting = %+v", st)
 	}
@@ -219,31 +222,33 @@ func TestEvaluateWalksLadderFromQueuePressure(t *testing.T) {
 	depth := 0
 	svc := openService(t, t.TempDir(), "", testCfg, Options{
 		QueueDepth: func() (int, int) { return depth, 100 },
-		SLO:        SLOOptions{TargetP99: time.Second, StepUpAfter: 1, StepDownAfter: 2},
+		SLO:        SLOOptions{TargetP99: time.Second},
 	})
-	if got := svc.Evaluate(); got != ShedNone {
+	if got := svc.evaluate(); got != ShedNone {
 		t.Fatalf("idle evaluation = %v", got)
 	}
 	depth = 90 // past the 0.8 high-watermark
-	if got := svc.Evaluate(); got != ShedSample {
+	if got := svc.evaluate(); got != ShedSample {
 		t.Fatalf("overload evaluation = %v, want ShedSample", got)
 	}
-	if got := svc.Evaluate(); got != ShedArchive {
+	if got := svc.evaluate(); got != ShedArchive {
 		t.Fatalf("sustained overload = %v, want ShedArchive", got)
 	}
 	if got := svc.Health().Shed; got != ShedArchive {
 		t.Fatalf("health shed level = %v", got)
 	}
-	if got := svc.Stats().SLOBreaches; got != 2 {
+	if got := svc.stats().SLOBreaches; got != 2 {
 		t.Fatalf("SLO breaches = %d, want 2", got)
 	}
 	depth = 0
-	svc.Evaluate()
-	if got := svc.Evaluate(); got != ShedSample {
+	svc.evaluate()
+	svc.evaluate()
+	if got := svc.evaluate(); got != ShedSample {
 		t.Fatalf("recovery = %v, want ShedSample", got)
 	}
-	svc.Evaluate()
-	if got := svc.Evaluate(); got != ShedNone {
+	svc.evaluate()
+	svc.evaluate()
+	if got := svc.evaluate(); got != ShedNone {
 		t.Fatalf("recovery = %v, want ShedNone", got)
 	}
 }
@@ -269,7 +274,7 @@ func TestMitigationAnnounceAndWithdraw(t *testing.T) {
 	if len(active) == 0 {
 		t.Fatal("no mitigations announced under attack traffic")
 	}
-	st := svc.Stats()
+	st := svc.stats()
 	if uint64(len(active)) != st.MitigationAnnounced || uint64(len(announced)) != st.MitigationAnnounced {
 		t.Fatalf("announce accounting: %d active, %d callback, stats %+v", len(active), len(announced), st)
 	}
@@ -295,7 +300,7 @@ func TestMitigationAnnounceAndWithdraw(t *testing.T) {
 	if got := len(svc.ActiveRules()); got != 0 {
 		t.Fatalf("%d rules still active after drain", got)
 	}
-	if st := svc.Stats(); st.MitigationWithdrawn != uint64(len(active)) {
+	if st := svc.stats(); st.MitigationWithdrawn != uint64(len(active)) {
 		t.Fatalf("withdraw accounting = %+v", st)
 	}
 }
@@ -303,8 +308,8 @@ func TestMitigationAnnounceAndWithdraw(t *testing.T) {
 func TestMitigationSkipsNonIPv4Victims(t *testing.T) {
 	m := newMetrics()
 	mit := newMitigator(MitigationOptions{Enabled: true, SustainAlerts: 1}, m, func() *eventlog.Log { return nil })
-	mit.OnAlert(classify.Alert{Victim: netip.MustParseAddr("2001:db8::1")})
-	if got := len(mit.ActiveRules()); got != 0 {
+	mit.onAlert(classify.Alert{Victim: netip.MustParseAddr("2001:db8::1")})
+	if got := len(mit.activeRules()); got != 0 {
 		t.Fatalf("%d rules announced for an IPv6 victim", got)
 	}
 	if got := m.mitigationSkipped.Value(); got != 1 {
@@ -323,11 +328,9 @@ func TestServiceMetricsRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	rec := httptest.NewRecorder()
+	reg.PrometheusHandler().ServeHTTP(rec, nil)
+	out := rec.Body.String()
 	for _, name := range []string{
 		"service_ingest_records_total",
 		"service_shed_sampled_records_total",

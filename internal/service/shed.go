@@ -16,7 +16,7 @@ type ShedLevel int32
 const (
 	// ShedNone is full fidelity: every record archived and classified.
 	ShedNone ShedLevel = iota
-	// ShedSample widens sampling: 1-in-SampleN records enter the
+	// ShedSample widens sampling: 1-in-sampleN records enter the
 	// pipeline with SamplingRate scaled by N, so rate estimates stay
 	// unbiased while per-record cost drops N-fold. Source counts are
 	// thinned — a declared, accounted degradation.
@@ -40,27 +40,13 @@ func (l ShedLevel) String() string {
 	return fmt.Sprintf("level%d", int32(l))
 }
 
-// SLOOptions declares the detection-latency objective and the ladder's
-// trigger thresholds.
+// SLOOptions declares the detection-latency objective.
 type SLOOptions struct {
 	// TargetP99 is the detection-latency SLO: the p99 of the
 	// service_detect_seconds histogram (flow arrival to
 	// detection-pipeline hand-off, including shard-queue backpressure)
 	// must stay under it. 0 selects 250ms.
 	TargetP99 time.Duration
-	// FastWindow and SlowWindow are the burn windows in evaluation
-	// samples (5m/1h at the default 1-minute evaluation cadence).
-	// 0 selects 5 and 60 respectively.
-	FastWindow int
-	SlowWindow int
-	// SampleN is the ShedSample sampling divisor (1-in-N). 0 selects 4.
-	SampleN int
-	// StepUpAfter is how many consecutive breached evaluations trigger
-	// an escalation (0 selects 1 — escalate immediately).
-	StepUpAfter int
-	// StepDownAfter is how many consecutive healthy evaluations walk
-	// the ladder back one rung (0 selects 3 — recover conservatively).
-	StepDownAfter int
 }
 
 // The SLO's fixed points.
@@ -75,29 +61,23 @@ const (
 	// queueHighFrac escalates when the collector ingest queue is
 	// fuller than this fraction at evaluation time.
 	queueHighFrac = 0.8
+	// fastWindow and slowWindow are the burn windows in evaluation
+	// samples (5m/1h at the default 1-minute evaluation cadence).
+	fastWindow = 5
+	slowWindow = 60
+	// sampleN is the ShedSample sampling divisor (1-in-N).
+	sampleN = 4
+	// stepUpAfter is how many consecutive breached evaluations trigger
+	// an escalation (1: escalate immediately).
+	stepUpAfter = 1
+	// stepDownAfter is how many consecutive healthy evaluations walk
+	// the ladder back one rung (recover conservatively).
+	stepDownAfter = 3
 )
 
 func (o SLOOptions) withDefaults() SLOOptions {
 	if o.TargetP99 <= 0 {
 		o.TargetP99 = 250 * time.Millisecond
-	}
-	if o.FastWindow <= 0 {
-		o.FastWindow = 5
-	}
-	if o.SlowWindow <= 0 {
-		o.SlowWindow = 60
-	}
-	if o.SlowWindow < o.FastWindow {
-		o.SlowWindow = o.FastWindow
-	}
-	if o.SampleN <= 1 {
-		o.SampleN = 4
-	}
-	if o.StepUpAfter <= 0 {
-		o.StepUpAfter = 1
-	}
-	if o.StepDownAfter <= 0 {
-		o.StepDownAfter = 3
 	}
 	return o
 }
@@ -124,7 +104,7 @@ func (s *shedder) current() ShedLevel { return ShedLevel(s.level.Load()) }
 // returns the (possibly changed) level. A breach of either budget —
 // the multi-window burn rate over the latency SLO (sloBreach, from
 // the burn evaluator) or the collector queue high-watermark — steps
-// the ladder up after StepUpAfter consecutive breaches; StepDownAfter
+// the ladder up after stepUpAfter consecutive breaches; stepDownAfter
 // consecutive healthy evaluations step it back down.
 func (s *shedder) observe(sloBreach bool, queueFrac float64) ShedLevel {
 	breach := sloBreach || queueFrac > queueHighFrac
@@ -133,25 +113,24 @@ func (s *shedder) observe(sloBreach bool, queueFrac float64) ShedLevel {
 		s.m.sloBreaches.Inc()
 		s.healthy = 0
 		s.breached++
-		if s.breached >= s.opts.StepUpAfter && lvl < ShedArchive {
-			lvl = s.step(lvl, lvl+1, "up")
+		if s.breached >= stepUpAfter && lvl < ShedArchive {
+			lvl = s.step(lvl+1, "up")
 			s.breached = 0
 		}
 		return lvl
 	}
 	s.breached = 0
 	s.healthy++
-	if s.healthy >= s.opts.StepDownAfter && lvl > ShedNone {
-		lvl = s.step(lvl, lvl-1, "down")
+	if s.healthy >= stepDownAfter && lvl > ShedNone {
+		lvl = s.step(lvl-1, "down")
 		s.healthy = 0
 	}
 	return lvl
 }
 
-func (s *shedder) step(from, to ShedLevel, dir string) ShedLevel {
+func (s *shedder) step(to ShedLevel, dir string) ShedLevel {
 	s.level.Store(int32(to))
 	s.m.shedLevel.Set(float64(to))
 	s.m.shedTransitions.With(to.String(), dir).Inc()
-	_ = from
 	return to
 }

@@ -72,11 +72,11 @@ func newMetrics() *metrics {
 	}
 }
 
-// RegisterTelemetry attaches the daemon's accounting to r under the
+// registerTelemetry attaches the daemon's accounting to r under the
 // service_* names (plus the embedded monitor's classify_monitor_*
 // names). New calls it on the configured registry; call it manually
 // only when mirroring the service onto a second registry.
-func (s *Service) RegisterTelemetry(r *telemetry.Registry) {
+func (s *Service) registerTelemetry(r *telemetry.Registry) {
 	m := s.m
 	r.MustRegister("service_ingest_records_total", "records accepted into the detection path", m.records)
 	r.MustRegister("service_shed_sampled_records_total", "records sampled out at ShedSample (rates stay unbiased via SamplingRate scaling)", m.sampledOut)
@@ -128,8 +128,8 @@ type ServiceStats struct {
 	MitigationSkipped   uint64
 }
 
-// Stats returns the daemon's accounting snapshot.
-func (s *Service) Stats() ServiceStats {
+// stats returns the daemon's accounting snapshot.
+func (s *Service) stats() ServiceStats {
 	return ServiceStats{
 		IngestedRecords:     s.m.records.Value(),
 		SampledOutRecords:   s.m.sampledOut.Value(),

@@ -4,7 +4,7 @@
 // sFlow ships sampled raw packet headers; the booterscope pipeline
 // decodes them with the packet codec and rebuilds flows, exercising the
 // full capture path a production sFlow collector uses.
-package sflow
+package sflow //bsvet:allow deadcode no production caller since PlatformExportSFlow went; kept for its 11 tests (deletion deferred, ROADMAP 8(iv))
 
 import (
 	"encoding/binary"

@@ -146,7 +146,7 @@ func TestDecodedPacketsAndRate(t *testing.T) {
 	}
 	// 1000 packets x 490 B over 1 s = 3.92 Mbps.
 	rate := Bitrate(decoded, time.Second)
-	if rate < 3.9*netutil.Mbps || rate > 3.95*netutil.Mbps {
+	if rate < 3.9*netutil.Gbps/1000 || rate > 3.95*netutil.Gbps/1000 {
 		t.Errorf("estimated rate = %v", rate)
 	}
 }

@@ -31,7 +31,7 @@ func (m MannWhitneyResult) Significant(alpha float64) bool { return m.P < alpha 
 func MannWhitneyOneTailed(before, after []float64) (MannWhitneyResult, error) {
 	n1, n2 := len(before), len(after)
 	if n1 < 2 || n2 < 2 {
-		return MannWhitneyResult{}, ErrInsufficientData
+		return MannWhitneyResult{}, errInsufficientData
 	}
 	type obs struct {
 		v     float64

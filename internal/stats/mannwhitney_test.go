@@ -132,7 +132,7 @@ func TestMannWhitneyTies(t *testing.T) {
 }
 
 func TestMannWhitneyErrors(t *testing.T) {
-	if _, err := MannWhitneyOneTailed([]float64{1}, []float64{1, 2}); err != ErrInsufficientData {
+	if _, err := MannWhitneyOneTailed([]float64{1}, []float64{1, 2}); err != errInsufficientData {
 		t.Errorf("err = %v", err)
 	}
 }

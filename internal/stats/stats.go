@@ -14,11 +14,11 @@ import (
 	"sort"
 )
 
-// ErrInsufficientData reports a computation that needs more samples.
-var ErrInsufficientData = errors.New("stats: insufficient data")
+// errInsufficientData reports a computation that needs more samples.
+var errInsufficientData = errors.New("stats: insufficient data")
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs (0 for an empty slice).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -29,14 +29,14 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (0 with fewer than
+// variance returns the unbiased sample variance of xs (0 with fewer than
 // two samples).
-func Variance(xs []float64) float64 {
+func variance(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var ss float64
 	for _, x := range xs {
 		d := x - m
@@ -45,12 +45,9 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Quantile returns the q-th quantile (0..1) of xs using linear
+// quantile returns the q-th quantile (0..1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
+func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -72,7 +69,7 @@ func Quantile(xs []float64, q float64) float64 {
 }
 
 // Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
+func Median(xs []float64) float64 { return quantile(xs, 0.5) }
 
 // lnBeta returns ln(B(a, b)).
 func lnBeta(a, b float64) float64 {
@@ -82,10 +79,10 @@ func lnBeta(a, b float64) float64 {
 	return la + lb - lab
 }
 
-// RegIncBeta computes the regularized incomplete beta function
+// regIncBeta computes the regularized incomplete beta function
 // I_x(a, b) using the continued fraction expansion (Numerical Recipes
 // §6.4, modified Lentz method).
-func RegIncBeta(a, b, x float64) float64 {
+func regIncBeta(a, b, x float64) float64 {
 	switch {
 	case x <= 0:
 		return 0
@@ -150,9 +147,9 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// StudentTCDF returns P(T <= t) for a Student-t distribution with df
+// studentTCDF returns P(T <= t) for a Student-t distribution with df
 // degrees of freedom.
-func StudentTCDF(t, df float64) float64 {
+func studentTCDF(t, df float64) float64 {
 	if df <= 0 {
 		return math.NaN()
 	}
@@ -160,7 +157,7 @@ func StudentTCDF(t, df float64) float64 {
 		return 0.5
 	}
 	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
+	p := 0.5 * regIncBeta(df/2, 0.5, x)
 	if t > 0 {
 		return 1 - p
 	}
@@ -202,10 +199,10 @@ func (w WelchResult) ReductionRatio() float64 {
 // takedown". Both samples need at least two observations.
 func WelchOneTailed(before, after []float64) (WelchResult, error) {
 	if len(before) < 2 || len(after) < 2 {
-		return WelchResult{}, ErrInsufficientData
+		return WelchResult{}, errInsufficientData
 	}
-	m1, m2 := Mean(before), Mean(after)
-	v1, v2 := Variance(before), Variance(after)
+	m1, m2 := mean(before), mean(after)
+	v1, v2 := variance(before), variance(after)
 	n1, n2 := float64(len(before)), float64(len(after))
 	se2 := v1/n1 + v2/n2
 	res := WelchResult{MeanBefore: m1, MeanAfter: m2}
@@ -226,7 +223,7 @@ func WelchOneTailed(before, after []float64) (WelchResult, error) {
 	den := (v1/n1)*(v1/n1)/(n1-1) + (v2/n2)*(v2/n2)/(n2-1)
 	res.DF = num / den
 	// One-tailed: P(T >= t) under H0.
-	res.P = 1 - StudentTCDF(res.T, res.DF)
+	res.P = 1 - studentTCDF(res.T, res.DF)
 	return res, nil
 }
 
@@ -257,20 +254,6 @@ func (e *ECDF) At(x float64) float64 {
 
 // Len reports the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Points returns (x, P(X <= x)) pairs suitable for plotting, one per
-// distinct sample value.
-func (e *ECDF) Points() (xs, ps []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
-}
 
 // Histogram bins values into equal-width buckets over [Min, Max).
 type Histogram struct {
@@ -309,6 +292,8 @@ func (h *Histogram) Add(x float64) {
 }
 
 // Total reports the number of observations, including out-of-range ones.
+//
+//bsvet:allow deadcode oracle: TestHistogram and TestLandscapeFigure2a check the sample count
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Merge folds other into h. Both histograms must share the same range
@@ -338,18 +323,6 @@ func (h *Histogram) PDF() []float64 {
 	}
 	for i, c := range h.Counts {
 		out[i] = float64(c) / float64(in)
-	}
-	return out
-}
-
-// CDF returns the cumulative fraction at each bin's upper edge.
-func (h *Histogram) CDF() []float64 {
-	pdf := h.PDF()
-	out := make([]float64, len(pdf))
-	var cum float64
-	for i, p := range pdf {
-		cum += p
-		out[i] = cum
 	}
 	return out
 }

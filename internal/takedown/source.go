@@ -52,26 +52,26 @@ func WindowOf(cfg trafficgen.Config) Window {
 	return Window{Start: cfg.Start, Days: cfg.Days, Takedown: cfg.Takedown}
 }
 
-// DayTime maps a record start time onto its window day. Trigger records
+// dayTime maps a record start time onto its window day. Trigger records
 // never cross midnight, so this reproduces the generator's day binning
 // exactly when replaying from an archive.
-func (w Window) DayTime(t time.Time) time.Time {
+func (w Window) dayTime(t time.Time) time.Time {
 	const day = 24 * time.Hour
 	return w.Start.Add(t.Sub(w.Start) / day * day)
 }
 
-// DayTimeSec is DayTime from whole seconds only. For records at or
+// dayTimeSec is DayTime from whole seconds only. For records at or
 // after the (whole-second) window start, sub-second precision cannot
 // move the day bin — the distance to the next day boundary is always a
 // whole number of seconds — so columnar consumers can bin on the start
 // seconds column and skip decoding nanoseconds.
-func (w Window) DayTimeSec(sec int64) time.Time {
+func (w Window) dayTimeSec(sec int64) time.Time {
 	const day = 24 * time.Hour
 	return w.Start.Add(time.Unix(sec, 0).Sub(w.Start) / day * day)
 }
 
-// DayTimes enumerates the window's day grid.
-func (w Window) DayTimes() []time.Time {
+// dayTimes enumerates the window's day grid.
+func (w Window) dayTimes() []time.Time {
 	out := make([]time.Time, w.Days)
 	for i := range out {
 		out[i] = w.Start.Add(time.Duration(i) * 24 * time.Hour)

@@ -123,7 +123,7 @@ func (t *triggerStage) Process(b *pipe.Batch) error {
 			}
 			for j, p := range t.ports {
 				if c.DstPort[i] == p {
-					t.byPort[j].Add(t.w.DayTimeSec(c.StartSec[i]), float64(c.ScaledPackets(i)))
+					t.byPort[j].Add(t.w.dayTimeSec(c.StartSec[i]), float64(c.ScaledPackets(i)))
 					break
 				}
 			}
@@ -137,7 +137,7 @@ func (t *triggerStage) Process(b *pipe.Batch) error {
 		}
 		for j, p := range t.ports {
 			if rec.DstPort == p {
-				t.byPort[j].Add(t.w.DayTime(rec.Start), float64(rec.ScaledPackets()))
+				t.byPort[j].Add(t.w.dayTime(rec.Start), float64(rec.ScaledPackets()))
 				break
 			}
 		}
@@ -214,6 +214,8 @@ func panelsFromSeries(series map[amplify.Vector]*timeseries.Series, w Window, k 
 
 // Figure4 computes the to-reflector traffic analysis for one vantage
 // point of a scenario.
+//
+//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
 func Figure4(s *trafficgen.Scenario, k trafficgen.Kind) ([]Figure4Panel, error) {
 	return Figure4Source(ScenarioSource(s, k), WindowOf(s.Config()), k, 1)
 }
@@ -239,13 +241,6 @@ type Figure5Result struct {
 	Metrics timeseries.TakedownMetrics
 }
 
-// Figure5 counts systems under NTP DDoS attack (conservative filter)
-// per hour across the scenario and tests for a reduction at the
-// takedown.
-func Figure5(s *trafficgen.Scenario, k trafficgen.Kind) (*Figure5Result, error) {
-	return Figure5Source(ScenarioSource(s, k), WindowOf(s.Config()), k, 1)
-}
-
 // figure5FromCounter finishes the Figure 5 analysis from the merged
 // attack counter.
 func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.Kind) (*Figure5Result, error) {
@@ -253,7 +248,7 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 
 	daily := timeseries.NewDaily()
 	// Pre-fill every window day so attack-free days count as zero.
-	for _, dayTime := range w.DayTimes() {
+	for _, dayTime := range w.dayTimes() {
 		daily.Add(dayTime, 0)
 	}
 	for _, hp := range hourly {
@@ -265,6 +260,15 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 		return nil, fmt.Errorf("takedown: %s: %w", label, err)
 	}
 	return &Figure5Result{Vantage: k, Hourly: hourly, Metrics: metrics}, nil
+}
+
+// Figure5 counts systems under NTP DDoS attack (conservative filter)
+// per hour across the scenario and tests for a reduction at the
+// takedown.
+//
+//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
+func Figure5(s *trafficgen.Scenario, k trafficgen.Kind) (*Figure5Result, error) {
+	return Figure5Source(ScenarioSource(s, k), WindowOf(s.Config()), k, 1)
 }
 
 // Figure5Source computes the systems-under-attack analysis from any
@@ -297,7 +301,7 @@ func (r Robustness) Agrees() bool { return r.WelchSig == r.RankSig }
 // Figure4Robustness runs both tests over the ±30-day window for each
 // reflector vector.
 func Figure4Robustness(s *trafficgen.Scenario, k trafficgen.Kind) ([]Robustness, error) {
-	return Figure4RobustnessSource(ScenarioSource(s, k), WindowOf(s.Config()), 1)
+	return figure4RobustnessSource(ScenarioSource(s, k), WindowOf(s.Config()), 1)
 }
 
 // robustnessFromSeries finishes the test comparison from the merged
@@ -323,9 +327,9 @@ func robustnessFromSeries(series map[amplify.Vector]*timeseries.Series, w Window
 	return out, nil
 }
 
-// Figure4RobustnessSource runs the parametric/non-parametric comparison
+// figure4RobustnessSource runs the parametric/non-parametric comparison
 // from any record stream, sharded par ways.
-func Figure4RobustnessSource(src Source, w Window, par int) ([]Robustness, error) {
+func figure4RobustnessSource(src Source, w Window, par int) ([]Robustness, error) {
 	series, err := triggerSeries(src, w, par)
 	if err != nil {
 		return nil, err
@@ -371,14 +375,6 @@ func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error
 	return &Analysis{Figure4: fig4, Figure5: fig5, Robustness: rob}, nil
 }
 
-// DirectionBreakdown computes Figure 4-style metrics separately for
-// ingress and egress trigger traffic (the paper scanned all
-// port/direction combinations; the tier-2 ISP contributes both
-// directions).
-func DirectionBreakdown(s *trafficgen.Scenario, k trafficgen.Kind, v amplify.Vector) (map[flow.Direction]timeseries.TakedownMetrics, error) {
-	return DirectionBreakdownSource(ScenarioSource(s, k), WindowOf(s.Config()), k, v, 1)
-}
-
 // directionStage accumulates one shard's per-direction daily sums for
 // a single vector.
 type directionStage struct {
@@ -404,7 +400,7 @@ func (d *directionStage) Process(b *pipe.Batch) error {
 		port := d.v.Port()
 		for i, n := 0, c.Len(); i < n; i++ {
 			if c.Proto[i] == packet.IPProtoUDP && c.DstPort[i] == port {
-				d.series[c.Direction(i)].Add(d.w.DayTime(c.Start(i)), float64(c.ScaledPackets(i)))
+				d.series[c.Direction(i)].Add(d.w.dayTime(c.Start(i)), float64(c.ScaledPackets(i)))
 			}
 		}
 		return nil
@@ -412,7 +408,7 @@ func (d *directionStage) Process(b *pipe.Batch) error {
 	for i := range b.Recs {
 		rec := &b.Recs[i]
 		if rec.Protocol == packet.IPProtoUDP && rec.DstPort == d.v.Port() {
-			d.series[rec.Direction].Add(d.w.DayTime(rec.Start), float64(rec.ScaledPackets()))
+			d.series[rec.Direction].Add(d.w.dayTime(rec.Start), float64(rec.ScaledPackets()))
 		}
 	}
 	return nil
@@ -426,9 +422,11 @@ func (d *directionStage) Close() error {
 	return nil
 }
 
-// DirectionBreakdownSource computes the per-direction metrics from any
+// directionBreakdownSource computes the per-direction metrics from any
 // record stream, sharded par ways.
-func DirectionBreakdownSource(src Source, w Window, k trafficgen.Kind, v amplify.Vector, par int) (map[flow.Direction]timeseries.TakedownMetrics, error) {
+//
+//bsvet:allow deadcode no production caller; kept for TestDirectionBreakdownTier2 and TestDirectionBreakdownTier1IngressOnly (deletion deferred, ROADMAP 8(iv))
+func directionBreakdownSource(src Source, w Window, k trafficgen.Kind, v amplify.Vector, par int) (map[flow.Direction]timeseries.TakedownMetrics, error) {
 	series := map[flow.Direction]*timeseries.Series{
 		flow.Ingress: timeseries.NewDaily(),
 		flow.Egress:  timeseries.NewDaily(),

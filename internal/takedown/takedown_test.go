@@ -7,6 +7,7 @@ import (
 
 	"booterscope/internal/amplify"
 	"booterscope/internal/flow"
+	"booterscope/internal/timeseries"
 	"booterscope/internal/trafficgen"
 )
 
@@ -133,7 +134,7 @@ func TestFigure4PanelString(t *testing.T) {
 }
 
 func TestDirectionBreakdownTier2(t *testing.T) {
-	m, err := DirectionBreakdown(testScenario(0.3), trafficgen.KindTier2, amplify.NTP)
+	m, err := directionBreakdown(testScenario(0.3), trafficgen.KindTier2, amplify.NTP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestDirectionBreakdownTier2(t *testing.T) {
 }
 
 func TestDirectionBreakdownTier1IngressOnly(t *testing.T) {
-	m, err := DirectionBreakdown(testScenario(0.3), trafficgen.KindTier1, amplify.NTP)
+	m, err := directionBreakdown(testScenario(0.3), trafficgen.KindTier1, amplify.NTP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,4 +235,10 @@ func TestRobustnessNullScenarioAgrees(t *testing.T) {
 			t.Errorf("%v: rank test fired on the null scenario (p=%v)", r.Vector, r.RankP)
 		}
 	}
+}
+
+// directionBreakdown is Figure4 for the per-direction breakdown: the
+// serial, unsourced reference.
+func directionBreakdown(s *trafficgen.Scenario, k trafficgen.Kind, v amplify.Vector) (map[flow.Direction]timeseries.TakedownMetrics, error) {
+	return directionBreakdownSource(ScenarioSource(s, k), WindowOf(s.Config()), k, v, 1)
 }

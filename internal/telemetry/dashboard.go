@@ -72,7 +72,7 @@ func (d *Dashboard) run(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			d.WriteOnce()
+			d.writeOnce()
 		}
 	}
 }
@@ -88,13 +88,13 @@ func (d *Dashboard) Stop() {
 	}
 	close(stop)
 	<-done
-	d.WriteOnce()
+	d.writeOnce()
 }
 
-// WriteOnce renders one dashboard frame: non-zero counters with
+// writeOnce renders one dashboard frame: non-zero counters with
 // per-interval rates, gauges, histogram quantiles, labeled counters,
 // and the derived ratios.
-func (d *Dashboard) WriteOnce() {
+func (d *Dashboard) writeOnce() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := time.Now()

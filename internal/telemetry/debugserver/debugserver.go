@@ -41,36 +41,17 @@ type Server struct {
 	draining *atomic.Bool
 }
 
-// Handler builds the debug mux over reg — exposed separately so tests
-// can drive it without a socket. draining, when non-nil, flips
+// handler builds the debug mux over reg. draining, when non-nil, flips
 // /healthz to 503 "draining" — load balancers stop sending probes to
 // an instance that is shutting down before its sockets actually close.
-// The event endpoints read the process-wide flight recorder; use
-// HandlerWith to serve an explicit one.
-func Handler(reg *telemetry.Registry, draining *atomic.Bool) http.Handler {
-	return HandlerWith(reg, draining, nil)
-}
-
-// HandlerWith is Handler with an explicit flight recorder for the
-// /events and /attacks endpoints. A nil recorder falls back to
-// eventlog.Active() per request, so a recorder installed after the
-// server starts is still served.
-func HandlerWith(reg *telemetry.Registry, draining *atomic.Bool, events *eventlog.Log) http.Handler {
-	return HandlerWithExtra(reg, draining, events, nil)
-}
-
-// HandlerWithExtra is HandlerWith plus subsystem-owned endpoints
-// mounted on the same mux — the seam binaries use to expose views the
-// debug server cannot build itself, like the federation coordinator's
-// /vantages. Extra paths are mounted in sorted order and listed on
-// the index page; a path colliding with a built-in panics (mux rules).
-func HandlerWithExtra(reg *telemetry.Registry, draining *atomic.Bool, events *eventlog.Log, extra map[string]http.Handler) http.Handler {
-	recorder := func() *eventlog.Log {
-		if events != nil {
-			return events
-		}
-		return eventlog.Active()
-	}
+// The event endpoints read eventlog.Active() per request, so a
+// recorder installed after the server starts is still served. extra
+// mounts subsystem-owned endpoints on the same mux — the seam binaries
+// use to expose views the debug server cannot build itself, like the
+// federation coordinator's /vantages. Extra paths are mounted in
+// sorted order and listed on the index page; a path colliding with a
+// built-in panics (mux rules).
+func handler(reg *telemetry.Registry, draining *atomic.Bool, extra map[string]http.Handler) http.Handler {
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -81,14 +62,14 @@ func HandlerWithExtra(reg *telemetry.Registry, draining *atomic.Bool, events *ev
 	mux.Handle("/metrics", reg.PrometheusHandler())
 	mux.Handle("/metrics.json", reg.JSONHandler())
 	mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
-		evs := recorder().Snapshot()
+		evs := eventlog.Active().Snapshot()
 		if evs == nil {
 			evs = []eventlog.Event{}
 		}
 		writeJSON(w, evs)
 	})
 	mux.HandleFunc("/attacks", func(w http.ResponseWriter, _ *http.Request) {
-		tls := eventlog.BuildTimelines(recorder().Snapshot())
+		tls := eventlog.BuildTimelines(eventlog.Active().Snapshot())
 		if tls == nil {
 			tls = []eventlog.Timeline{}
 		}
@@ -101,7 +82,7 @@ func HandlerWithExtra(reg *telemetry.Registry, draining *atomic.Bool, events *ev
 			http.Error(w, "bad attack id", http.StatusBadRequest)
 			return
 		}
-		tl := eventlog.TimelineFor(recorder().Snapshot(), id)
+		tl := eventlog.TimelineFor(eventlog.Active().Snapshot(), id)
 		if tl == nil {
 			http.NotFound(w, r)
 			return
@@ -157,7 +138,7 @@ func Start(addr string, reg *telemetry.Registry) (*Server, error) {
 }
 
 // StartWith is Start with subsystem endpoints mounted next to the
-// built-ins (see HandlerWithExtra).
+// built-ins (see handler).
 func StartWith(addr string, reg *telemetry.Registry, extra map[string]http.Handler) (*Server, error) {
 	if addr == "" {
 		return nil, nil
@@ -171,7 +152,7 @@ func StartWith(addr string, reg *telemetry.Registry, extra map[string]http.Handl
 		ln:       ln,
 		draining: draining,
 		srv: &http.Server{
-			Handler:           HandlerWithExtra(reg, draining, nil, extra),
+			Handler:           handler(reg, draining, extra),
 			ReadHeaderTimeout: 5 * time.Second,
 		},
 	}

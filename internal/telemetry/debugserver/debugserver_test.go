@@ -33,7 +33,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 }
 
 func TestHandlerSurfaces(t *testing.T) {
-	h := Handler(newTestRegistry(), nil)
+	h := handler(newTestRegistry(), nil, nil)
 
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "ipfix_collector_messages_total 3") {

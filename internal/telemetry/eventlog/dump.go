@@ -28,7 +28,7 @@ import (
 // TestDumpCrashAtEveryWriteOffset) leaves the previous dump untouched
 // or — when none existed — no file at all, never a torn one. Load
 // verifies every CRC and requires the trailer, so filesystem-level
-// damage is reported as ErrDumpCorrupt rather than half-loaded.
+// damage is reported as errDumpCorrupt rather than half-loaded.
 
 var dumpMagic = [8]byte{'B', 'S', 'E', 'V', 'T', '0', '0', '1'}
 
@@ -44,9 +44,9 @@ const (
 	eventsPerFrame = 128
 )
 
-// ErrDumpCorrupt marks an incident dump failing CRC or framing
+// errDumpCorrupt marks an incident dump failing CRC or framing
 // validation.
-var ErrDumpCorrupt = errors.New("eventlog: corrupt incident dump")
+var errDumpCorrupt = errors.New("eventlog: corrupt incident dump")
 
 // Dump is a decoded incident dump.
 type Dump struct {
@@ -63,11 +63,11 @@ type Dump struct {
 // reason is embedded in the dump filename.
 var reasonRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-// DumpPath returns the incident dump location for a trigger reason
+// dumpPath returns the incident dump location for a trigger reason
 // under dir. The name is fixed per reason — a re-fire of the same
 // trigger atomically replaces its previous dump — so a directory
 // holds at most one dump per trigger kind, newest wins.
-func DumpPath(dir, reason string) string {
+func dumpPath(dir, reason string) string {
 	return filepath.Join(dir, "incident-"+reason+".bsevt")
 }
 
@@ -106,7 +106,7 @@ func encodeEvent(dst []byte, ev *Event) []byte {
 func decodeEvent(b []byte, off int) (Event, int, error) {
 	var ev Event
 	if len(b)-off < 32 {
-		return ev, 0, fmt.Errorf("%w: truncated event", ErrDumpCorrupt)
+		return ev, 0, fmt.Errorf("%w: truncated event", errDumpCorrupt)
 	}
 	ev.Seq = binary.BigEndian.Uint64(b[off:])
 	ev.WallNanos = int64(binary.BigEndian.Uint64(b[off+8:]))
@@ -115,23 +115,23 @@ func decodeEvent(b []byte, off int) (Event, int, error) {
 	off += 32
 	var ok bool
 	if ev.Component, off, ok = readString(b, off); !ok {
-		return ev, 0, fmt.Errorf("%w: truncated event component", ErrDumpCorrupt)
+		return ev, 0, fmt.Errorf("%w: truncated event component", errDumpCorrupt)
 	}
 	if ev.Kind, off, ok = readString(b, off); !ok {
-		return ev, 0, fmt.Errorf("%w: truncated event kind", ErrDumpCorrupt)
+		return ev, 0, fmt.Errorf("%w: truncated event kind", errDumpCorrupt)
 	}
 	if len(b)-off < 2 {
-		return ev, 0, fmt.Errorf("%w: truncated event attrs", ErrDumpCorrupt)
+		return ev, 0, fmt.Errorf("%w: truncated event attrs", errDumpCorrupt)
 	}
 	nattrs := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	for i := 0; i < nattrs; i++ {
 		var a Attr
 		if a.Key, off, ok = readString(b, off); !ok {
-			return ev, 0, fmt.Errorf("%w: truncated attr key", ErrDumpCorrupt)
+			return ev, 0, fmt.Errorf("%w: truncated attr key", errDumpCorrupt)
 		}
 		if a.Value, off, ok = readString(b, off); !ok {
-			return ev, 0, fmt.Errorf("%w: truncated attr value", ErrDumpCorrupt)
+			return ev, 0, fmt.Errorf("%w: truncated attr value", errDumpCorrupt)
 		}
 		ev.Attrs = append(ev.Attrs, a)
 	}
@@ -140,6 +140,8 @@ func decodeEvent(b []byte, off int) (Event, int, error) {
 
 // EncodeDump serializes a dump into the framed on-disk form. The
 // encoding is deterministic: equal inputs produce identical bytes.
+//
+//bsvet:allow deadcode oracle: TestDumpBytesFrozen freezes its bytes
 func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 	out := append([]byte(nil), dumpMagic[:]...)
 	hdr := []byte{dumpFrameHeader}
@@ -164,44 +166,44 @@ func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 	return durable.AppendFrame(out, []byte{dumpFrameTrailer})
 }
 
-// DecodeDump parses bytes produced by EncodeDump, verifying magic,
-// every frame CRC, and the trailer. Any damage yields ErrDumpCorrupt.
-func DecodeDump(b []byte) (*Dump, error) {
+// decodeDump parses bytes produced by encodeDump, verifying magic,
+// every frame CRC, and the trailer. Any damage yields errDumpCorrupt.
+func decodeDump(b []byte) (*Dump, error) {
 	if len(b) < len(dumpMagic) || [8]byte(b[:8]) != dumpMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrDumpCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", errDumpCorrupt)
 	}
 	d := &Dump{}
 	sawHeader, sawTrailer := false, false
 	declared := -1
 	err := durable.Walk(b[len(dumpMagic):], func(_ int, payload []byte) error {
 		if sawTrailer {
-			return fmt.Errorf("%w: data after trailer", ErrDumpCorrupt)
+			return fmt.Errorf("%w: data after trailer", errDumpCorrupt)
 		}
 		if len(payload) == 0 {
-			return fmt.Errorf("%w: empty frame", ErrDumpCorrupt)
+			return fmt.Errorf("%w: empty frame", errDumpCorrupt)
 		}
 		switch payload[0] {
 		case dumpFrameHeader:
 			if sawHeader {
-				return fmt.Errorf("%w: duplicate header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: duplicate header frame", errDumpCorrupt)
 			}
 			sawHeader = true
 			if len(payload) < 3 {
-				return fmt.Errorf("%w: short header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: short header frame", errDumpCorrupt)
 			}
 			if v := binary.BigEndian.Uint16(payload[1:]); v != dumpVersion {
-				return fmt.Errorf("%w: unsupported dump version %d", ErrDumpCorrupt, v)
+				return fmt.Errorf("%w: unsupported dump version %d", errDumpCorrupt, v)
 			}
 			reason, p, ok := readString(payload, 3)
 			if !ok || len(payload)-p != 12 {
-				return fmt.Errorf("%w: malformed header frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: malformed header frame", errDumpCorrupt)
 			}
 			d.Reason = reason
 			d.WallNanos = int64(binary.BigEndian.Uint64(payload[p:]))
 			declared = int(binary.BigEndian.Uint32(payload[p+8:]))
 		case dumpFrameEvents:
 			if len(payload) < 5 {
-				return fmt.Errorf("%w: short events frame", ErrDumpCorrupt)
+				return fmt.Errorf("%w: short events frame", errDumpCorrupt)
 			}
 			n := int(binary.BigEndian.Uint32(payload[1:]))
 			p := 5
@@ -214,37 +216,37 @@ func DecodeDump(b []byte) (*Dump, error) {
 				p = next
 			}
 			if p != len(payload) {
-				return fmt.Errorf("%w: %d trailing bytes in events frame", ErrDumpCorrupt, len(payload)-p)
+				return fmt.Errorf("%w: %d trailing bytes in events frame", errDumpCorrupt, len(payload)-p)
 			}
 		case dumpFrameTrailer:
 			sawTrailer = true
 		default:
-			return fmt.Errorf("%w: unknown frame type %d", ErrDumpCorrupt, payload[0])
+			return fmt.Errorf("%w: unknown frame type %d", errDumpCorrupt, payload[0])
 		}
 		return nil
 	})
 	if err != nil {
-		if !errors.Is(err, ErrDumpCorrupt) { // durable.ErrTorn or ErrCRC
-			err = fmt.Errorf("%w: %w", ErrDumpCorrupt, err)
+		if !errors.Is(err, errDumpCorrupt) { // durable's torn-frame or CRC error
+			err = fmt.Errorf("%w: %w", errDumpCorrupt, err)
 		}
 		return nil, err
 	}
 	if !sawHeader || !sawTrailer {
-		return nil, fmt.Errorf("%w: missing %s frame", ErrDumpCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
+		return nil, fmt.Errorf("%w: missing %s frame", errDumpCorrupt, map[bool]string{true: "trailer", false: "header"}[sawHeader])
 	}
 	if declared != len(d.Events) {
-		return nil, fmt.Errorf("%w: header declares %d events, found %d", ErrDumpCorrupt, declared, len(d.Events))
+		return nil, fmt.Errorf("%w: header declares %d events, found %d", errDumpCorrupt, declared, len(d.Events))
 	}
 	return d, nil
 }
 
-// SaveDump atomically publishes events as the incident dump for
+// saveDump atomically publishes events as the incident dump for
 // reason under dir through durable.Publish, one write per frame; every
 // write, the fsync and the rename run through the fault hook
 // ("incident write|fsync|rename"), so the crash matrix can kill the
 // writer at each offset. On any failure the previous dump is left
 // intact and the temp file removed. Returns the dump path and size.
-func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.Failpoint) (string, int64, error) {
+func saveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.Failpoint) (string, int64, error) {
 	if !reasonRE.MatchString(reason) {
 		return "", 0, fmt.Errorf("eventlog: dump reason %q does not match %s", reason, reasonRE)
 	}
@@ -252,7 +254,7 @@ func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.
 		return "", 0, fmt.Errorf("eventlog: incident dir: %w", err)
 	}
 	enc := EncodeDump(reason, wallNanos, events)
-	path := DumpPath(dir, reason)
+	path := dumpPath(dir, reason)
 	err := durable.Publish(path, filepath.Join(dir, "incident-"+reason+".tmp"),
 		durable.Frames(enc, len(dumpMagic)), fault, "incident")
 	if err != nil {
@@ -267,7 +269,7 @@ func LoadDump(path string) (*Dump, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: reading dump: %w", err)
 	}
-	return DecodeDump(b)
+	return decodeDump(b)
 }
 
 // DumpTo snapshots the ring and atomically publishes it as the
@@ -277,7 +279,7 @@ func (l *Log) DumpTo(dir, reason string, fault *chaos.Failpoint) (string, int64,
 	if l == nil {
 		return "", 0, nil
 	}
-	path, n, err := SaveDump(dir, reason, time.Now().UnixNano(), l.Snapshot(), fault)
+	path, n, err := saveDump(dir, reason, time.Now().UnixNano(), l.Snapshot(), fault)
 	if err != nil {
 		l.m.dumpFailures.Inc()
 		return "", 0, err

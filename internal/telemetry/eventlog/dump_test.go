@@ -34,7 +34,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, eventsPerFrame, eventsPerFrame + 1, 3*eventsPerFrame + 17} {
 		events := sampleEvents(n)
 		enc := EncodeDump("slo_burn", 42, events)
-		d, err := DecodeDump(enc)
+		d, err := decodeDump(enc)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
@@ -50,7 +50,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpBytesFrozen freezes the bytes EncodeDump produces (header,
+// TestDumpBytesFrozen freezes the bytes encodeDump produces (header,
 // four event frames, trailer). The digest was computed at commit
 // aaa50f7, the last one where this package framed its own files, and is
 // never regenerated.
@@ -72,7 +72,7 @@ func TestDecodeDumpRejectsDamage(t *testing.T) {
 		"flipped bit": flipBit(enc, len(enc)/2),
 	}
 	for name, b := range cases {
-		if _, err := DecodeDump(b); !errors.Is(err, ErrDumpCorrupt) {
+		if _, err := decodeDump(b); !errors.Is(err, errDumpCorrupt) {
 			t.Errorf("%s: err = %v, want ErrDumpCorrupt", name, err)
 		}
 	}
@@ -87,11 +87,11 @@ func flipBit(b []byte, i int) []byte {
 func TestSaveLoadDump(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(200)
-	path, n, err := SaveDump(dir, "shed_escalation", 7, events, nil)
+	path, n, err := saveDump(dir, "shed_escalation", 7, events, nil)
 	if err != nil {
 		t.Fatalf("SaveDump: %v", err)
 	}
-	if path != DumpPath(dir, "shed_escalation") {
+	if path != dumpPath(dir, "shed_escalation") {
 		t.Fatalf("path = %q", path)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != n {
@@ -108,7 +108,7 @@ func TestSaveLoadDump(t *testing.T) {
 
 func TestSaveDumpRejectsBadReason(t *testing.T) {
 	for _, r := range []string{"", "Bad", "has space", "../evil"} {
-		if _, _, err := SaveDump(t.TempDir(), r, 0, nil, nil); err == nil {
+		if _, _, err := saveDump(t.TempDir(), r, 0, nil, nil); err == nil {
 			t.Errorf("reason %q accepted", r)
 		}
 	}
@@ -147,7 +147,7 @@ func TestDumpCrashAtEveryWriteOffset(t *testing.T) {
 
 	// Probe run: count the fault-checked operations of a full dump.
 	probe := chaos.NewFailpoint()
-	if _, _, err := SaveDump(t.TempDir(), "slo_burn", 1, eventsB, probe); err != nil {
+	if _, _, err := saveDump(t.TempDir(), "slo_burn", 1, eventsB, probe); err != nil {
 		t.Fatalf("probe dump: %v", err)
 	}
 	ops := probe.Ops()
@@ -159,22 +159,22 @@ func TestDumpCrashAtEveryWriteOffset(t *testing.T) {
 		dir := t.TempDir()
 
 		// Crash with no previous dump: no file may appear.
-		if _, _, err := SaveDump(dir, "slo_burn", 1, eventsB, chaos.FailFrom(off)); !errors.Is(err, chaos.ErrInjected) {
+		if _, _, err := saveDump(dir, "slo_burn", 1, eventsB, chaos.FailFrom(off)); !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("off %d: first dump err = %v, want injected fault", off, err)
 		}
-		if _, err := os.Stat(DumpPath(dir, "slo_burn")); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(dumpPath(dir, "slo_burn")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("off %d: torn or partial dump visible after crash with no previous dump", off)
 		}
 
 		// Publish a complete dump, then crash a re-dump at the offset:
 		// the previous dump must survive intact.
-		if _, _, err := SaveDump(dir, "slo_burn", 1, eventsA, nil); err != nil {
+		if _, _, err := saveDump(dir, "slo_burn", 1, eventsA, nil); err != nil {
 			t.Fatalf("off %d: baseline dump: %v", off, err)
 		}
-		if _, _, err := SaveDump(dir, "slo_burn", 2, eventsB, chaos.FailFrom(off)); !errors.Is(err, chaos.ErrInjected) {
+		if _, _, err := saveDump(dir, "slo_burn", 2, eventsB, chaos.FailFrom(off)); !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("off %d: re-dump err = %v, want injected fault", off, err)
 		}
-		d, err := LoadDump(DumpPath(dir, "slo_burn"))
+		d, err := LoadDump(dumpPath(dir, "slo_burn"))
 		if err != nil {
 			t.Fatalf("off %d: previous dump damaged: %v", off, err)
 		}
@@ -185,13 +185,13 @@ func TestDumpCrashAtEveryWriteOffset(t *testing.T) {
 
 	// Past the last offset the re-dump must succeed and replace.
 	dir := t.TempDir()
-	if _, _, err := SaveDump(dir, "slo_burn", 1, eventsA, nil); err != nil {
+	if _, _, err := saveDump(dir, "slo_burn", 1, eventsA, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SaveDump(dir, "slo_burn", 2, eventsB, chaos.FailFrom(ops)); err != nil {
+	if _, _, err := saveDump(dir, "slo_burn", 2, eventsB, chaos.FailFrom(ops)); err != nil {
 		t.Fatalf("dump with fault beyond last op: %v", err)
 	}
-	d, err := LoadDump(DumpPath(dir, "slo_burn"))
+	d, err := LoadDump(dumpPath(dir, "slo_burn"))
 	if err != nil || d.WallNanos != 2 || len(d.Events) != len(eventsB) {
 		t.Fatalf("replacement dump wrong: %v %+v", err, d)
 	}

@@ -82,8 +82,8 @@ type Event struct {
 	Attrs    []Attr `json:"attrs,omitempty"`
 }
 
-// Attr returns the value of the named attribute ("" when absent).
-func (e *Event) Attr(key string) string {
+// attr returns the value of the named attribute ("" when absent).
+func (e *Event) attr(key string) string {
 	for _, a := range e.Attrs {
 		if a.Key == key {
 			return a.Value
@@ -203,6 +203,8 @@ func (l *Log) Len() int {
 }
 
 // Cap reports the ring capacity.
+//
+//bsvet:allow deadcode oracle: TestMonitorRunFrozen checks the ring did not wrap
 func (l *Log) Cap() int {
 	if l == nil {
 		return 0
@@ -212,6 +214,8 @@ func (l *Log) Cap() int {
 
 // Emitted reports how many events have ever been emitted (including
 // ones the ring has since overwritten).
+//
+//bsvet:allow deadcode oracle: TestMonitorRunFrozen checks the ring did not wrap
 func (l *Log) Emitted() uint64 {
 	if l == nil {
 		return 0
@@ -219,9 +223,9 @@ func (l *Log) Emitted() uint64 {
 	return l.seq.Load()
 }
 
-// Overwritten reports how many events the ring has dropped by
+// overwritten reports how many events the ring has dropped by
 // wrapping.
-func (l *Log) Overwritten() uint64 {
+func (l *Log) overwritten() uint64 {
 	if l == nil {
 		return 0
 	}
@@ -238,7 +242,7 @@ func (l *Log) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("eventlog_events_total", "events emitted into the flight recorder by component", l.m.emitted)
 	r.MustRegister("eventlog_ring_events", "events currently retained in the ring", func() float64 { return float64(l.Len()) })
 	r.MustRegister("eventlog_ring_capacity", "event capacity of the ring", func() float64 { return float64(l.Cap()) })
-	r.MustRegister("eventlog_ring_overwritten_events", "events dropped by ring wrap-around", func() float64 { return float64(l.Overwritten()) })
+	r.MustRegister("eventlog_ring_overwritten_events", "events dropped by ring wrap-around", func() float64 { return float64(l.overwritten()) })
 	r.MustRegister("eventlog_dumps_total", "incident dumps published", l.m.dumps)
 	r.MustRegister("eventlog_dump_failures_total", "incident dump attempts that failed (previous dump kept)", l.m.dumpFailures)
 	r.MustRegister("eventlog_dump_bytes", "size of the last published incident dump", l.m.dumpBytes)

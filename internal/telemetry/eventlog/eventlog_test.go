@@ -14,7 +14,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	if got := l.Snapshot(); got != nil {
 		t.Fatalf("nil log Snapshot = %v, want nil", got)
 	}
-	if l.Len() != 0 || l.Cap() != 0 || l.Emitted() != 0 || l.Overwritten() != 0 {
+	if l.Len() != 0 || l.Cap() != 0 || l.Emitted() != 0 || l.overwritten() != 0 {
 		t.Fatal("nil log reports non-zero sizes")
 	}
 	if _, _, err := l.DumpTo(t.TempDir(), "noop", nil); err != nil {
@@ -38,8 +38,8 @@ func TestEmitAndSnapshotOrder(t *testing.T) {
 		if ev.Component != "test" || ev.Kind != "test_event" {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
-		if ev.Attr("i") != fmt.Sprint(i) {
-			t.Fatalf("event %d attr i = %q", i, ev.Attr("i"))
+		if ev.attr("i") != fmt.Sprint(i) {
+			t.Fatalf("event %d attr i = %q", i, ev.attr("i"))
 		}
 		if i > 0 && ev.MonoNanos < evs[i-1].MonoNanos {
 			t.Fatalf("monotonic time went backwards at event %d", i)
@@ -64,8 +64,8 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 			t.Fatalf("event %d has seq %d, want %d (newest 8)", i, ev.Seq, want)
 		}
 	}
-	if l.Overwritten() != 12 {
-		t.Fatalf("Overwritten = %d, want 12", l.Overwritten())
+	if l.overwritten() != 12 {
+		t.Fatalf("Overwritten = %d, want 12", l.overwritten())
 	}
 	if l.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", l.Len())

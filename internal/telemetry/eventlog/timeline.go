@@ -10,13 +10,13 @@ import (
 // naming contract; the timeline builder matches on the suffix so it
 // needs no import of — and no coupling to — the emitting packages.
 const (
-	SuffixAttackOpened     = "_attack_opened"
-	SuffixThresholdCrossed = "_threshold_crossed"
-	SuffixAlertRaised      = "_alert_raised"
-	SuffixAttackEvicted    = "_attack_evicted"
-	SuffixAnnounced        = "_flowspec_announced"
-	SuffixWithdrawn        = "_flowspec_withdrawn"
-	SuffixSuppression      = "_suppression_observed"
+	suffixAttackOpened     = "_attack_opened"
+	suffixThresholdCrossed = "_threshold_crossed"
+	suffixAlertRaised      = "_alert_raised"
+	suffixAttackEvicted    = "_attack_evicted"
+	suffixAnnounced        = "_flowspec_announced"
+	suffixWithdrawn        = "_flowspec_withdrawn"
+	suffixSuppression      = "_suppression_observed"
 )
 
 // Timeline is one attack's reconstructed lifecycle — the paper-style
@@ -90,38 +90,38 @@ func BuildTimelines(events []Event) []Timeline {
 		}
 		tl.Events = append(tl.Events, *ev)
 		if tl.Victim == "" {
-			tl.Victim = ev.Attr("victim")
+			tl.Victim = ev.attr("victim")
 		}
 		switch {
-		case hasSuffix(ev.Kind, SuffixAttackOpened):
+		case hasSuffix(ev.Kind, suffixAttackOpened):
 			if tl.OpenedMonoNanos == 0 {
 				tl.OpenedMonoNanos = ev.MonoNanos
 				tl.OpenedWallNanos = ev.WallNanos
 			}
-		case hasSuffix(ev.Kind, SuffixThresholdCrossed):
+		case hasSuffix(ev.Kind, suffixThresholdCrossed):
 			if tl.ThresholdMonoNanos == 0 {
 				tl.ThresholdMonoNanos = ev.MonoNanos
 			}
-		case hasSuffix(ev.Kind, SuffixAlertRaised):
+		case hasSuffix(ev.Kind, suffixAlertRaised):
 			if tl.AlertMonoNanos == 0 {
 				tl.AlertMonoNanos = ev.MonoNanos
-				tl.AlertGbps, _ = strconv.ParseFloat(ev.Attr("gbps"), 64)
-				tl.AlertSources, _ = strconv.ParseInt(ev.Attr("sources"), 10, 64)
-				tl.AlertBytes, _ = strconv.ParseUint(ev.Attr("bytes"), 10, 64)
+				tl.AlertGbps, _ = strconv.ParseFloat(ev.attr("gbps"), 64)
+				tl.AlertSources, _ = strconv.ParseInt(ev.attr("sources"), 10, 64)
+				tl.AlertBytes, _ = strconv.ParseUint(ev.attr("bytes"), 10, 64)
 			}
-		case hasSuffix(ev.Kind, SuffixAnnounced):
+		case hasSuffix(ev.Kind, suffixAnnounced):
 			if tl.AnnouncedMonoNanos == 0 {
 				tl.AnnouncedMonoNanos = ev.MonoNanos
 			}
-		case hasSuffix(ev.Kind, SuffixWithdrawn):
+		case hasSuffix(ev.Kind, suffixWithdrawn):
 			tl.WithdrawnMonoNanos = ev.MonoNanos
-		case hasSuffix(ev.Kind, SuffixAttackEvicted):
+		case hasSuffix(ev.Kind, suffixAttackEvicted):
 			tl.EvictedMonoNanos = ev.MonoNanos
-		case hasSuffix(ev.Kind, SuffixSuppression):
+		case hasSuffix(ev.Kind, suffixSuppression):
 			// Suppression events carry cumulative totals; the latest wins.
 			tl.SuppressionMonoNanos = ev.MonoNanos
-			tl.SuppressedRecords, _ = strconv.ParseUint(ev.Attr("records"), 10, 64)
-			tl.SuppressedBytes, _ = strconv.ParseUint(ev.Attr("bytes"), 10, 64)
+			tl.SuppressedRecords, _ = strconv.ParseUint(ev.attr("records"), 10, 64)
+			tl.SuppressedBytes, _ = strconv.ParseUint(ev.attr("bytes"), 10, 64)
 		}
 	}
 

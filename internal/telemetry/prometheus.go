@@ -10,9 +10,9 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders every registered metric in the Prometheus
+// writePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4), metrics sorted by name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	for _, name := range r.names() {
 		e := r.lookup(name)
 		if e == nil {
@@ -78,7 +78,7 @@ func writeHistogram(w io.Writer, name, help string, s HistogramSnapshot) error {
 	return err
 }
 
-func writeVec(w io.Writer, name, help string, s VecSnapshot) error {
+func writeVec(w io.Writer, name, help string, s vecSnapshot) error {
 	if err := writeHeader(w, name, help, "counter"); err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func escapeLabel(s string) string {
 func (r *Registry) PrometheusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }
 

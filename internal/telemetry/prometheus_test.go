@@ -26,12 +26,12 @@ func TestPrometheusOutputParses(t *testing.T) {
 	vec := r.CounterVec("chaos_proxy_faults_total", "faults by kind", "kind")
 	vec.With("drop").Add(3)
 	vec.With("re\"order\nx").Inc() // exercises label escaping
-	if err := r.Register("classify_monitor_active_minute_bins", "occupancy", func() float64 { return 4 }); err != nil {
+	if err := r.register("classify_monitor_active_minute_bins", "occupancy", func() float64 { return 4 }); err != nil {
 		t.Fatal(err)
 	}
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -136,7 +136,7 @@ func TestPrometheusHelpAndTypeLines(t *testing.T) {
 	vec.With("classify").Add(2)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
@@ -201,7 +201,7 @@ func TestPrometheusVecOverflowFoldsToOther(t *testing.T) {
 	vec.With("bgp").Inc()    // also folds, into the same child
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -109,7 +109,7 @@ func TestRegistryGetOrCreateAndSnapshot(t *testing.T) {
 	r.Gauge("ipfix_collector_queue_depth", "").Set(12)
 	r.Histogram("ipfix_exporter_backoff_seconds", "").Observe(0.03)
 	r.CounterVec("chaos_proxy_faults_total", "", "kind").With("drop").Add(3)
-	if err := r.Register("flow_table_active", "", func() float64 { return 99 }); err != nil {
+	if err := r.register("flow_table_active", "", func() float64 { return 99 }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,16 +133,16 @@ func TestRegistryGetOrCreateAndSnapshot(t *testing.T) {
 
 func TestRegistryRejectsBadNamesAndDuplicates(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register("Bad-Name", "", NewCounter()); err == nil {
+	if err := r.register("Bad-Name", "", NewCounter()); err == nil {
 		t.Fatal("want error for non-snake-case name")
 	}
-	if err := r.Register("ok_name_total", "", NewCounter()); err != nil {
+	if err := r.register("ok_name_total", "", NewCounter()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("ok_name_total", "", NewCounter()); err == nil {
+	if err := r.register("ok_name_total", "", NewCounter()); err == nil {
 		t.Fatal("want error for duplicate registration")
 	}
-	if err := r.Register("weird_kind", "", struct{}{}); err == nil {
+	if err := r.register("weird_kind", "", struct{}{}); err == nil {
 		t.Fatal("want error for unregisterable kind")
 	}
 }
@@ -262,7 +262,7 @@ func TestDashboardRendersFrame(t *testing.T) {
 	d := NewDashboard(r, &buf, time.Hour)
 	d.Ratio("demo_batch_mean_records", "demo_records_total", "demo_batches_total")
 	d.Ratio("demo_never_shown", "demo_records_total", "demo_idle_total")
-	d.WriteOnce()
+	d.writeOnce()
 	out := buf.String()
 	if strings.Contains(out, "demo_never_shown") {
 		t.Fatalf("dashboard printed a ratio over a zero counter:\n%s", out)

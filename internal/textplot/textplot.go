@@ -69,9 +69,9 @@ func Downsample(values []float64, width int) []float64 {
 	return out
 }
 
-// Bar renders one horizontal bar of the given fractional fill (0..1)
+// bar renders one horizontal bar of the given fractional fill (0..1)
 // over width cells.
-func Bar(frac float64, width int) string {
+func bar(frac float64, width int) string {
 	if width <= 0 {
 		return ""
 	}
@@ -124,7 +124,7 @@ func (b *BarChart) Render() string {
 		if max > 0 {
 			frac = r.value / max
 		}
-		fmt.Fprintf(&sb, "%-*s %s %.4g\n", labelWidth, r.label, Bar(frac, width), r.value)
+		fmt.Fprintf(&sb, "%-*s %s %.4g\n", labelWidth, r.label, bar(frac, width), r.value)
 	}
 	return sb.String()
 }
@@ -183,7 +183,7 @@ func (c CDF) Render() string {
 		if math.IsNaN(p) {
 			p = 0
 		}
-		fmt.Fprintf(&sb, "%s <= %-8g %s %5.1f%%\n", c.Label, x, Bar(p, width), p*100)
+		fmt.Fprintf(&sb, "%s <= %-8g %s %5.1f%%\n", c.Label, x, bar(p, width), p*100)
 	}
 	return sb.String()
 }
@@ -223,7 +223,7 @@ func (h Histogram) Render() string {
 		if max > 0 {
 			frac = f / max
 		}
-		fmt.Fprintf(&sb, "%6.0f B %s %5.1f%%\n", h.Centers[i], Bar(frac, width), f*100)
+		fmt.Fprintf(&sb, "%6.0f B %s %5.1f%%\n", h.Centers[i], bar(frac, width), f*100)
 	}
 	return sb.String()
 }

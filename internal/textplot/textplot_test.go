@@ -55,16 +55,16 @@ func TestDownsample(t *testing.T) {
 }
 
 func TestBar(t *testing.T) {
-	if got := Bar(0.5, 10); got != "█████·····" {
+	if got := bar(0.5, 10); got != "█████·····" {
 		t.Errorf("bar = %q", got)
 	}
-	if got := Bar(-1, 4); got != "····" {
+	if got := bar(-1, 4); got != "····" {
 		t.Errorf("negative bar = %q", got)
 	}
-	if got := Bar(2, 4); got != "████" {
+	if got := bar(2, 4); got != "████" {
 		t.Errorf("overflow bar = %q", got)
 	}
-	if Bar(0.5, 0) != "" {
+	if bar(0.5, 0) != "" {
 		t.Error("zero-width bar should be empty")
 	}
 }

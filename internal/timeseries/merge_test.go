@@ -36,5 +36,5 @@ func TestSeriesMergeRejectsBinSizeMismatch(t *testing.T) {
 			t.Fatal("merging hourly into daily did not panic")
 		}
 	}()
-	NewDaily().Merge(NewHourly())
+	NewDaily().Merge(newSeries(time.Hour))
 }

@@ -13,29 +13,23 @@ import (
 	"booterscope/internal/stats"
 )
 
-// ErrEmptyWindow reports a window that contains no days.
-var ErrEmptyWindow = errors.New("timeseries: empty window")
+// errEmptyWindow reports a window that contains no days.
+var errEmptyWindow = errors.New("timeseries: empty window")
 
 // Series accumulates a value per time bin. The zero value is unusable;
-// construct with NewSeries.
+// construct with newSeries.
 type Series struct {
 	binSize time.Duration
 	bins    map[int64]float64
 }
 
 // NewDaily returns a series binned by UTC day.
-func NewDaily() *Series { return NewSeries(24 * time.Hour) }
+func NewDaily() *Series { return newSeries(24 * time.Hour) }
 
-// NewHourly returns a series binned by hour.
-func NewHourly() *Series { return NewSeries(time.Hour) }
-
-// NewSeries returns a series with the given bin size.
-func NewSeries(binSize time.Duration) *Series {
+// newSeries returns a series with the given bin size.
+func newSeries(binSize time.Duration) *Series {
 	return &Series{binSize: binSize, bins: make(map[int64]float64)}
 }
-
-// BinSize reports the series' bin width.
-func (s *Series) BinSize() time.Duration { return s.binSize }
 
 // Add accumulates v into the bin containing ts.
 func (s *Series) Add(ts time.Time, v float64) {
@@ -43,6 +37,8 @@ func (s *Series) Add(ts time.Time, v float64) {
 }
 
 // At returns the value of the bin containing ts (0 if empty).
+//
+//bsvet:allow deadcode oracle: TestHourlySeries and TestLandscapeFigure2bc read single bins
 func (s *Series) At(ts time.Time) float64 {
 	return s.bins[ts.UTC().Truncate(s.binSize).Unix()]
 }
@@ -92,9 +88,9 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// Window returns the bin values in [from, to) in chronological order,
+// window returns the bin values in [from, to) in chronological order,
 // including zero bins.
-func (s *Series) Window(from, to time.Time) []float64 {
+func (s *Series) window(from, to time.Time) []float64 {
 	fromBin := from.UTC().Truncate(s.binSize).Unix()
 	toBin := to.UTC().Truncate(s.binSize).Unix()
 	step := int64(s.binSize / time.Second)
@@ -143,14 +139,14 @@ const Alpha = 0.05
 // day.
 func AnalyzeEvent(s *Series, event time.Time, windowDays int) (EventAnalysis, error) {
 	if windowDays <= 0 {
-		return EventAnalysis{}, ErrEmptyWindow
+		return EventAnalysis{}, errEmptyWindow
 	}
 	day := event.UTC().Truncate(s.binSize)
 	window := s.binSize * time.Duration(windowDays)
-	before := s.Window(day.Add(-window), day)
-	after := s.Window(day, day.Add(window))
+	before := s.window(day.Add(-window), day)
+	after := s.window(day, day.Add(window))
 	if len(before) < 2 || len(after) < 2 {
-		return EventAnalysis{}, ErrEmptyWindow
+		return EventAnalysis{}, errEmptyWindow
 	}
 	welch, err := stats.WelchOneTailed(before, after)
 	if err != nil {
@@ -170,14 +166,14 @@ func AnalyzeEvent(s *Series, event time.Time, windowDays int) (EventAnalysis, er
 // conclusions that only hold under the t-test would be fragile.
 func AnalyzeEventRank(s *Series, event time.Time, windowDays int) (stats.MannWhitneyResult, error) {
 	if windowDays <= 0 {
-		return stats.MannWhitneyResult{}, ErrEmptyWindow
+		return stats.MannWhitneyResult{}, errEmptyWindow
 	}
 	day := event.UTC().Truncate(s.binSize)
 	window := s.binSize * time.Duration(windowDays)
-	before := s.Window(day.Add(-window), day)
-	after := s.Window(day, day.Add(window))
+	before := s.window(day.Add(-window), day)
+	after := s.window(day, day.Add(window))
 	if len(before) < 2 || len(after) < 2 {
-		return stats.MannWhitneyResult{}, ErrEmptyWindow
+		return stats.MannWhitneyResult{}, errEmptyWindow
 	}
 	return stats.MannWhitneyOneTailed(before, after)
 }

@@ -27,8 +27,8 @@ func TestSeriesBinning(t *testing.T) {
 	if s.Sum() != 22 {
 		t.Errorf("sum = %v", s.Sum())
 	}
-	if s.BinSize() != 24*time.Hour {
-		t.Errorf("bin size = %v", s.BinSize())
+	if s.binSize != 24*time.Hour {
+		t.Errorf("bin size = %v", s.binSize)
 	}
 }
 
@@ -66,19 +66,19 @@ func TestWindow(t *testing.T) {
 	for d := 0; d < 10; d++ {
 		s.Add(takedown.AddDate(0, 0, d), float64(d))
 	}
-	w := s.Window(takedown.AddDate(0, 0, 2), takedown.AddDate(0, 0, 5))
+	w := s.window(takedown.AddDate(0, 0, 2), takedown.AddDate(0, 0, 5))
 	if len(w) != 3 || w[0] != 2 || w[2] != 4 {
 		t.Errorf("window = %v", w)
 	}
 	// Windows include empty bins as zero.
-	w = s.Window(takedown.AddDate(0, 0, -2), takedown)
+	w = s.window(takedown.AddDate(0, 0, -2), takedown)
 	if len(w) != 2 || w[0] != 0 || w[1] != 0 {
 		t.Errorf("empty-prefix window = %v", w)
 	}
 }
 
 func TestHourlySeries(t *testing.T) {
-	s := NewHourly()
+	s := newSeries(time.Hour)
 	base := time.Date(2018, 12, 19, 14, 0, 0, 0, time.UTC)
 	s.Add(base.Add(10*time.Minute), 3)
 	s.Add(base.Add(50*time.Minute), 4)
@@ -166,10 +166,10 @@ func TestAnalyzeEventWindowPlacement(t *testing.T) {
 
 func TestAnalyzeEventErrors(t *testing.T) {
 	s := NewDaily()
-	if _, err := AnalyzeEvent(s, takedown, 0); err != ErrEmptyWindow {
+	if _, err := AnalyzeEvent(s, takedown, 0); err != errEmptyWindow {
 		t.Errorf("zero window err = %v", err)
 	}
-	if _, err := AnalyzeEvent(s, takedown, 1); err != ErrEmptyWindow {
+	if _, err := AnalyzeEvent(s, takedown, 1); err != errEmptyWindow {
 		t.Errorf("1-day window err = %v", err)
 	}
 }

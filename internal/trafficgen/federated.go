@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
 	"time"
 
 	"booterscope/internal/flow"
@@ -111,16 +110,6 @@ func (v FederatedView) Observe(recs []flow.Record) []flow.Record {
 		}
 		out = append(out, rec)
 	}
-	return out
-}
-
-// SortViews orders views by name — the canonical federation order:
-// vantage manifests sort by name, and the byte-identity proof between
-// a federated scan and a union-archive scan relies on writing the
-// union in this same order.
-func SortViews(views []FederatedView) []FederatedView {
-	out := append([]FederatedView(nil), views...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

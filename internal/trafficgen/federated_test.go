@@ -2,12 +2,13 @@ package trafficgen
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
 func fedViews() []FederatedView {
-	return SortViews([]FederatedView{
+	return sortViews([]FederatedView{
 		{Name: "tier2", Tier: "tier-2 isp", Visibility: 0.35, SamplingRate: 1},
 		{Name: "ixp", Tier: "ixp", Visibility: 0.98, SamplingRate: 100},
 		{Name: "tier1", Tier: "tier-1 isp", Visibility: 0.55, SamplingRate: 1},
@@ -126,4 +127,14 @@ func TestFederatedSamplingUnbiased(t *testing.T) {
 			t.Fatalf("view %s: scaled bytes / truth bytes = %.3f, want ~1 (unbiased sampling)", v.Name, ratio)
 		}
 	}
+}
+
+// sortViews orders views by name — the canonical federation order:
+// vantage manifests sort by name, and the byte-identity proof between
+// a federated scan and a union-archive scan relies on writing the
+// union in this same order.
+func sortViews(views []FederatedView) []FederatedView {
+	out := append([]FederatedView(nil), views...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

@@ -192,6 +192,8 @@ func RenderSite(kind SiteKind, domain string, seed uint64) string {
 
 // Handler serves a rendered site (plus a /login endpoint for booter
 // panels) — plug into httptest or a real server.
+//
+//bsvet:allow deadcode no production caller; kept for TestBooterLoginEndpoint and the crawl tests (deletion deferred, ROADMAP 8(iv))
 func Handler(kind SiteKind, domain string, seed uint64) http.Handler {
 	mux := http.NewServeMux()
 	html := RenderSite(kind, domain, seed)
@@ -219,6 +221,8 @@ type Snapshot struct {
 // Crawl fetches url with the client and captures body + TLS leaf
 // certificate. The domain labels the snapshot (the study keyed
 // snapshots by zone domain, not by fetch URL).
+//
+//bsvet:allow deadcode no production caller; kept for TestCrawlOverRealTLS and TestCrawlError (deletion deferred, ROADMAP 8(iv))
 func Crawl(client *http.Client, url, domain string, now time.Time) (*Snapshot, error) {
 	resp, err := client.Get(url)
 	if err != nil {
@@ -263,8 +267,8 @@ var contentTerms = []struct {
 	{"soc", -1.0},
 }
 
-// ContentScore rates HTML on the booter vocabulary scale.
-func ContentScore(html string) float64 {
+// contentScore rates HTML on the booter vocabulary scale.
+func contentScore(html string) float64 {
 	lower := strings.ToLower(html)
 	var score float64
 	for _, t := range contentTerms {
@@ -275,12 +279,12 @@ func ContentScore(html string) float64 {
 	return score
 }
 
-// ContentThreshold is the classification cut: pages scoring above it
+// contentThreshold is the classification cut: pages scoring above it
 // are booter panels.
-const ContentThreshold = 5.0
+const contentThreshold = 5.0
 
 // IsBooterContent applies the content classifier.
-func IsBooterContent(html string) bool { return ContentScore(html) > ContentThreshold }
+func IsBooterContent(html string) bool { return contentScore(html) > contentThreshold }
 
 // CertStats aggregates certificate profiles across snapshots, the ref
 // [32] analysis: issuer distribution and self-signed share.

@@ -68,17 +68,17 @@ func TestRenderSiteKinds(t *testing.T) {
 func TestContentClassifier(t *testing.T) {
 	booterHTML := RenderSite(SiteBooter, "quantum-booter-1.com", 1)
 	if !IsBooterContent(booterHTML) {
-		t.Errorf("booter panel scored %.1f, below threshold", ContentScore(booterHTML))
+		t.Errorf("booter panel scored %.1f, below threshold", contentScore(booterHTML))
 	}
 	benignHTML := RenderSite(SiteBenign, "site-0001.com", 1)
 	if IsBooterContent(benignHTML) {
-		t.Errorf("benign page scored %.1f, above threshold", ContentScore(benignHTML))
+		t.Errorf("benign page scored %.1f, above threshold", contentScore(benignHTML))
 	}
 	// The hard case: a DDoS-protection vendor shares vocabulary but the
 	// defensive terms pull it below the cut.
 	protHTML := RenderSite(SiteProtection, "anti-ddos-protect-0.com", 1)
 	if IsBooterContent(protHTML) {
-		t.Errorf("protection vendor scored %.1f, above threshold", ContentScore(protHTML))
+		t.Errorf("protection vendor scored %.1f, above threshold", contentScore(protHTML))
 	}
 }
 
@@ -216,6 +216,6 @@ func BenchmarkContentScore(b *testing.B) {
 	html := RenderSite(SiteBooter, "quantum-booter-1.com", 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ContentScore(html)
+		_ = contentScore(html)
 	}
 }
