@@ -5,6 +5,9 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
+
+	"booterscope/internal/flow"
+	"booterscope/internal/flowstore"
 )
 
 // demoRun runs the collector's -demo mode in process and returns its
@@ -43,7 +46,10 @@ func counts(t *testing.T, out, re string) []uint64 {
 // monitor. Every record the demo sends is collected, the alert count
 // does not depend on the shard count, and under injected loss the chaos
 // ledger agrees with the collector's own loss accounting (the binary
-// exits 1 when it does not).
+// exits 1 when it does not). With -store.dir every collected record goes
+// through the archive tee and its shard flushers to disk: the printed
+// store ledger matches the drained count, and a reopened store scans
+// exactly those records.
 func TestRunDemoSmoke(t *testing.T) {
 	var alerts []uint64
 	for _, par := range []string{"1", "2"} {
@@ -75,5 +81,28 @@ func TestRunDemoSmoke(t *testing.T) {
 	// short of sent; the ledger and the collector must still agree.
 	if dropped == 0 || lost != dropped || collected >= sent {
 		t.Fatalf("under loss: %d sent, %d collected, ledger dropped %d, collector lost %d", sent, collected, dropped, lost)
+	}
+
+	dir := t.TempDir()
+	code, out = demoRun(t, "-parallelism", "2", "-store.dir", dir)
+	if code != 0 {
+		t.Fatalf("-store.dir exited %d:\n%s", code, out)
+	}
+	collected = counts(t, out, `drained: (\d+) records collected`)[0]
+	ledger := counts(t, out, `store .*: (\d+) records appended, (\d+) durable, (\d+) dropped`)
+	if collected == 0 || ledger[0] != collected || ledger[1] != collected || ledger[2] != 0 {
+		t.Fatalf("store ledger %v (appended, durable, dropped) for %d records collected", ledger, collected)
+	}
+	st, err := flowstore.Open(dir, flowstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var scanned uint64
+	if _, err := st.Scan(flowstore.Query{}, func(*flow.Record) error { scanned++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if scanned != collected {
+		t.Fatalf("reopened store scans %d records, collector archived %d", scanned, collected)
 	}
 }

@@ -9,11 +9,13 @@
 // through N shard writers (hash of the flow key) into append-only
 // segment files — one segment per (shard, time partition) — encoded
 // column by column with delta + varint compression and CRC-checked
-// block framing. Sealing a segment fsyncs it and records it in an
-// atomically updated manifest; a crash mid-segment leaves an unsealed
-// file that the next Open re-scans, truncating the torn tail and
-// adopting every intact block, with the damage reported — never
-// silent (see RecoveryReport and the store accounting in Stats).
+// block framing. Append only routes and stages records; a flusher
+// goroutine per shard writes them (flusher.go). Sealing a segment fsyncs it
+// and records it in an atomically updated manifest; a crash
+// mid-segment leaves an unsealed file that the next Open re-scans,
+// truncating the torn tail and adopting every intact block, with the
+// damage reported — never silent (see RecoveryReport and the store
+// accounting in Stats).
 //
 // Reads go through Scan: per-block sparse indexes (start-time range,
 // destination address range, protocol bitmap) prune non-matching
@@ -66,7 +68,9 @@ type Options struct {
 	// WriteFault, when set, is consulted before every block write —
 	// the chaos hook crash-recovery tests use to kill a writer
 	// mid-segment. Records of a failed write are dropped and counted
-	// in Stats().RecordsDropped, never silently lost.
+	// in Stats().RecordsDropped, never silently lost. The ops are
+	// "block-write shard N" and, when NoSync is false, "segment-fsync
+	// shard N"; flusher.go says where and in what order each is checked.
 	WriteFault *chaos.Failpoint
 	// Meta is arbitrary user metadata stored in the manifest at
 	// creation (e.g. generator seed, scale, vantage point) so replay
@@ -89,14 +93,16 @@ func (o Options) withDefaults() Options {
 
 // Stats is the store's exact ingest accounting. The invariant
 // Appended == Durable + Buffered + Dropped holds at every quiescent
-// point; chaos tests assert it through crashes and injected faults.
+// point — every Stats call is one (see Store); chaos tests assert it
+// through crashes and injected faults.
 type Stats struct {
 	// RecordsAppended counts records handed to Append.
 	RecordsAppended uint64
 	// RecordsDurable counts records in fully written (CRC-framed)
 	// blocks.
 	RecordsDurable uint64
-	// RecordsBuffered counts records waiting in open block buffers.
+	// RecordsBuffered counts records staged in open segments' blocks,
+	// not yet handed to a flusher.
 	RecordsBuffered uint64
 	// RecordsDropped counts records lost to write errors or injected
 	// faults — accounted, not silent.
@@ -122,6 +128,13 @@ type RecoveryReport struct {
 
 // Store is a flow archive rooted at one directory. A Store is safe for
 // one writer goroutine plus any number of concurrent Scan calls.
+//
+// Append stages records; each shard's flusher goroutine writes them
+// (flusher.go). Stats, Segments, Seal and Close are the quiescent
+// points: each first waits until every flusher has finished what it was
+// handed, so the ledger is exact there and the manifest Seal and Close
+// save lists only fsynced segments. Scans see the segments sealed up to
+// the last quiescent point.
 type Store struct {
 	dir  string
 	opts Options
@@ -129,29 +142,31 @@ type Store struct {
 	mu     sync.Mutex
 	man    *manifest
 	shards []*shardWriter
-	stats  Stats
-	rec    RecoveryReport
-	closed bool
-	// enc is the write path's one block encoder and free its staging
-	// slabs not currently held by an open segment; both live as long as
-	// the store, so steady-state ingest reuses memory instead of
-	// allocating per block or per segment.
-	enc  blockEncoder
-	free []*flow.Columns
+	// sealing lists the segments handed to flushers for sealing, in seal
+	// order; the next quiescent point moves the ones that sealed into man.
+	sealing []*segmentWriter
+	rec     RecoveryReport
+	closed  bool
+	// flushers counts the running flusher goroutines Close joins.
+	flushers sync.WaitGroup
+
+	// acct guards the ledger, the bytes-on-disk figure and the first
+	// flusher error not yet returned, all of which the flushers update
+	// as they write. It is never held across I/O, so a telemetry scrape
+	// never waits on a write or an fsync.
+	acct sync.Mutex
+	//bsvet:guards acct
+	stats Stats
+	// onDisk is the bytes of the manifest's segments plus those written
+	// to open ones so far — the flowstore_bytes_on_disk share of s.
+	//bsvet:guards acct
+	onDisk uint64
+	//bsvet:guards acct
+	flushErr error
 }
 
-// takeSlab hands a new segment writer an empty staging slab, reusing
-// one a sealed segment returned when there is one.
-func (s *Store) takeSlab() *flow.Columns {
-	if n := len(s.free); n > 0 {
-		c := s.free[n-1]
-		s.free = s.free[:n-1]
-		return c
-	}
-	return new(flow.Columns)
-}
-
-// shardWriter routes one shard's records into per-partition segments.
+// shardWriter routes one shard's records into per-partition segments
+// and owns the shard's flusher (flusher.go).
 type shardWriter struct {
 	id       int
 	dir      string
@@ -159,6 +174,15 @@ type shardWriter struct {
 	segSeq   int
 	maxPart  int64
 	havePart bool
+
+	// jobs carries blocks and seals to the flusher in hand-off order;
+	// free carries emptied staging slabs back; pending counts jobs handed
+	// but not finished. primed records that the shard's slab budget has
+	// been allocated, at its first full block.
+	jobs    chan flushJob
+	free    chan *flow.Columns
+	pending sync.WaitGroup
+	primed  bool
 }
 
 // sortedParts lists the shard's open partitions in ascending order, so
@@ -261,6 +285,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
+	}
+	var onDisk uint64
+	for _, e := range s.man.Segments {
+		onDisk += e.Bytes
+	}
+	s.acct.Lock()
+	s.onDisk = onDisk
+	s.acct.Unlock()
+	for _, sw := range s.shards {
+		sw.jobs = make(chan flushJob, flushQueue)
+		// Room for the slab budget twice over: a shard that briefly had
+		// many partitions open keeps a few of their slabs, the collector
+		// gets the rest.
+		sw.free = make(chan *flow.Columns, 2*shardSlabs)
+		s.flushers.Add(1)
+		go s.flush(sw)
 	}
 	registerOpen(s)
 	return s, nil
@@ -436,10 +476,14 @@ func mod(a, b int64) int64 {
 	return m
 }
 
-// Append routes a batch of records into the shard writers. Partial
-// failures (an injected fault or write error on one shard) do not
-// abort the batch: the failed block's records are counted dropped and
-// the first error is returned after the batch completes.
+// Append routes a batch of records into the shard writers and stages
+// them in their open segments; full blocks go to the shards' flushers.
+// Append waits only when a shard's flusher has all its slabs in flight.
+// Partial failures do not abort the batch: a block an injected fault
+// refuses has its records counted dropped, and the first error is
+// returned after the batch completes. A real write or fsync error on a
+// flusher is returned by the next Append, Seal or Close; the records of
+// a block that failed to write are counted dropped.
 func (s *Store) Append(records []flow.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -447,7 +491,6 @@ func (s *Store) Append(records []flow.Record) error {
 		return fmt.Errorf("flowstore: store is closed")
 	}
 	start := time.Now() //bsvet:allow determinism ingest latency telemetry measures host time, not simulated time
-	s.stats.RecordsAppended += uint64(len(records))
 	metricIngestRecords.Add(uint64(len(records)))
 	var firstErr error
 	for i := range records {
@@ -455,17 +498,24 @@ func (s *Store) Append(records []flow.Record) error {
 		sw := s.shards[shardOf(r, s.opts.Shards)]
 		w, err := s.segmentFor(sw, s.partitionOf(r.Start))
 		if err != nil {
-			s.stats.RecordsDropped++
-			metricDroppedRecords.Inc()
+			s.dropRecords(1)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if err := w.add(r); err != nil && firstErr == nil {
-			firstErr = err
+		if w.add(r, s.opts.BlockRecords) {
+			if err := s.handOff(w, false); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
+	s.acct.Lock()
+	s.stats.RecordsAppended += uint64(len(records))
+	if firstErr == nil {
+		firstErr, s.flushErr = s.flushErr, nil
+	}
+	s.acct.Unlock()
 	metricIngestSeconds.ObserveDuration(time.Since(start)) //bsvet:allow determinism ingest latency telemetry measures host time, not simulated time
 	return firstErr
 }
@@ -484,7 +534,7 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 		psec := int64(s.opts.Partition / time.Second)
 		for _, p := range sw.sortedParts() {
 			if p <= part-2*psec {
-				if err := s.sealSegment(sw, p, sw.open[p]); err != nil {
+				if err := s.sealSegment(sw, p); err != nil {
 					return nil, err
 				}
 			}
@@ -492,47 +542,33 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 	}
 	path := filepath.Join(sw.dir, segName(part, sw.segSeq))
 	sw.segSeq++
-	w, err := newSegmentWriter(s, sw.id, path)
+	w, err := newSegmentWriter(sw, path, part, s.opts.BlockRecords)
 	if err != nil {
 		return nil, err
 	}
+	s.acct.Lock()
+	s.onDisk += w.bytes
+	s.acct.Unlock()
 	sw.open[part] = w
 	return w, nil
 }
 
-// sealSegment seals one open segment and records it in the manifest
-// (in memory; the manifest is saved by Seal/Close).
-func (s *Store) sealSegment(sw *shardWriter, part int64, w *segmentWriter) error {
+// sealSegment hands one open segment to its flusher for sealing; the
+// next quiescent point records it in the manifest (in memory; the
+// manifest is saved by Seal/Close).
+func (s *Store) sealSegment(sw *shardWriter, part int64) error {
+	w := sw.open[part]
 	delete(sw.open, part)
-	if err := w.seal(!s.opts.NoSync); err != nil {
-		return err
-	}
-	if w.blocks == 0 {
-		return os.Remove(w.path)
-	}
-	s.man.Segments = append(s.man.Segments, SegmentEntry{
-		Shard:        sw.id,
-		File:         filepath.Base(w.path),
-		PartitionSec: part,
-		Records:      w.records,
-		Blocks:       w.blocks,
-		Bytes:        w.bytes,
-		MinStartSec:  w.minSec,
-		MaxStartSec:  w.maxSec,
-	})
-	s.stats.SegmentsSealed++
-	metricSegmentsSealed.Inc()
-	eventlog.Active().Emit("flowstore", "flowstore_segment_sealed", 0,
-		eventlog.AInt("shard", int64(sw.id)),
-		eventlog.A("file", filepath.Base(w.path)),
-		eventlog.AUint("records", w.records),
-		eventlog.AUint("bytes", w.bytes))
-	return nil
+	return s.handOff(w, true)
 }
 
-// Seal flushes every buffered block, seals every open segment, and
-// saves the manifest. The store remains open for further appends
-// (which start new segments) and scans.
+// Seal flushes every buffered block, seals every open segment, waits
+// for the flushers, and saves the manifest. The store remains open for
+// further appends (which start new segments) and scans. It returns the
+// first error among a block an injected fault refused, a write or fsync
+// error a flusher met since the last Append, Seal or Close, and the
+// manifest save; a segment that failed to seal stays out of the
+// manifest, its written blocks left for the next Open to recover.
 func (s *Store) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -543,18 +579,24 @@ func (s *Store) sealLocked() error {
 	var firstErr error
 	for _, sw := range s.shards {
 		for _, p := range sw.sortedParts() {
-			if err := s.sealSegment(sw, p, sw.open[p]); err != nil && firstErr == nil {
+			if err := s.sealSegment(sw, p); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
+	s.quiesceLocked()
+	s.acct.Lock()
+	if firstErr == nil {
+		firstErr, s.flushErr = s.flushErr, nil
+	}
+	s.acct.Unlock()
 	if err := s.man.save(s.dir); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
 }
 
-// Close seals and closes the store.
+// Close seals the store, stops its flushers, and closes it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -562,16 +604,24 @@ func (s *Store) Close() error {
 		return nil
 	}
 	err := s.sealLocked()
+	for _, sw := range s.shards {
+		close(sw.jobs)
+	}
+	s.flushers.Wait()
 	s.closed = true
 	unregisterOpen(s)
 	return err
 }
 
-// Stats returns the ingest accounting snapshot.
+// Stats returns the ingest accounting, exact once the flushers have
+// finished everything handed to them — which Stats waits for.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.quiesceLocked()
+	s.acct.Lock()
 	st := s.stats
+	s.acct.Unlock()
 	st.RecordsBuffered = 0
 	for _, sw := range s.shards {
 		for _, w := range sw.open {
@@ -581,27 +631,24 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Segments returns the manifest's segment entries (sealed + recovered).
+// Segments returns the manifest's segment entries (sealed + recovered),
+// after waiting for the flushers to finish the seals handed to them.
+// Until Seal or Close saves the manifest, which sorts it, segments
+// sealed since the last save follow in the order they were sealed.
 func (s *Store) Segments() []SegmentEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.quiesceLocked()
 	out := make([]SegmentEntry, len(s.man.Segments))
 	copy(out, s.man.Segments)
 	return out
 }
 
-// noteBlockWritten updates accounting after a successful block write.
-// Called with s.mu held (the writer path runs under Append/Seal).
-func (s *Store) noteBlockWritten(records, bytes uint64) {
-	s.stats.RecordsDurable += records
-	s.stats.BlocksWritten++
-	s.stats.BytesWritten += bytes
-	metricBlocksWritten.Inc()
-	metricBytesWritten.Add(bytes)
-}
-
-// dropBuffered accounts records lost to a failed block write.
-func (s *Store) dropBuffered(n uint64) {
+// dropRecords counts n records lost to a refused or failed block
+// write, or to a segment that could not be opened.
+func (s *Store) dropRecords(n uint64) {
+	s.acct.Lock()
 	s.stats.RecordsDropped += n
+	s.acct.Unlock()
 	metricDroppedRecords.Add(n)
 }

@@ -166,6 +166,7 @@ func TestRecoveryStopsAtFlippedBit(t *testing.T) {
 	if err := s.Append(genFlows(rand.New(rand.NewSource(5)), testBase, 1, 64*6)); err != nil {
 		t.Fatal(err)
 	}
+	s.Stats() // a quiescent point: the flusher has written every full block
 	// Crash: abandoned without Seal/Close, every full block already on disk.
 	segs, err := filepath.Glob(filepath.Join(dir, "shard-00", "seg-*"))
 	if err != nil || len(segs) != 1 {

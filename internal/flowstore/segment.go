@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -149,32 +150,39 @@ func (ix *blockIndex) prunable(q *Query) bool {
 	return false
 }
 
-// segmentWriter appends blocks to one segment file.
+// segmentWriter is one open segment file. Its caller half — the
+// staging slab — belongs to Append and Seal under Store.mu; the file and
+// the counts of what is written belong to the shard's flusher once the
+// writer exists, and the caller reads them only at a quiescent point.
 type segmentWriter struct {
-	store *Store
-	shard int
-	path  string
-	f     *os.File
+	sw   *shardWriter
+	path string
+	part int64 // partition start sec
 	// cols stages the open block: each record is transposed into it once,
-	// at add, and the block is encoded from it. The slab comes from the
-	// store's free list and goes back on seal.
+	// at add, and the flusher encodes the block from it.
 	cols *flow.Columns
 	// unsorted records that some staged row starts before its
 	// predecessor; only such blocks pay for the sort.
 	unsorted bool
-	records  uint64 // durable records (in fully written blocks)
-	blocks   uint64
-	bytes    uint64
-	minSec   int64
-	maxSec   int64
+
+	f       *os.File
+	records uint64 // durable records (in fully written blocks)
+	blocks  uint64
+	bytes   uint64
+	minSec  int64
+	maxSec  int64
 	// broken marks a writer whose file may hold a partial frame after a
 	// real write error; further blocks are dropped (and accounted)
-	// rather than interleaved with the torn tail.
+	// rather than interleaved with the torn tail, and the segment is
+	// never sealed: the next Open truncates the tear and adopts the rest.
 	broken bool
+	// sealed marks a segment fsynced, closed and ready for the manifest.
+	sealed bool
 }
 
-// newSegmentWriter creates the file and writes the magic.
-func newSegmentWriter(store *Store, shard int, path string) (*segmentWriter, error) {
+// newSegmentWriter creates the file, writes the magic, and takes a
+// staging slab.
+func newSegmentWriter(sw *shardWriter, path string, part int64, blockRecords int) (*segmentWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
@@ -184,100 +192,36 @@ func newSegmentWriter(store *Store, shard int, path string) (*segmentWriter, err
 		return nil, err
 	}
 	return &segmentWriter{
-		store: store, shard: shard, path: path, f: f, cols: store.takeSlab(),
+		sw: sw, path: path, part: part, f: f, cols: sw.takeSlab(blockRecords),
 		bytes: uint64(len(segMagic)),
 	}, nil
 }
 
-// add stages one record, flushing a block when the slab fills.
+// add stages one record and reports whether the block is full.
 //
 //bsvet:hotpath
-func (w *segmentWriter) add(r *flow.Record) error {
+func (w *segmentWriter) add(r *flow.Record, blockRecords int) bool {
 	c := w.cols
 	c.AppendRecord(r)
 	if i := c.Len() - 1; i > 0 && !w.unsorted {
 		w.unsorted = c.StartSec[i] < c.StartSec[i-1] ||
 			c.StartSec[i] == c.StartSec[i-1] && c.StartNs[i] < c.StartNs[i-1]
 	}
-	if c.Len() >= w.store.opts.BlockRecords {
-		return w.flushBlock()
-	}
-	return nil
+	return c.Len() >= blockRecords
 }
 
-// reset empties the staging slab for the next block.
-func (w *segmentWriter) reset() {
-	w.cols.Reset()
-	w.unsorted = false
-}
-
-// drop counts the staged rows as dropped in the store accounting —
-// never silently lost — and empties the slab, which stays usable.
-func (w *segmentWriter) drop() {
-	w.store.dropBuffered(uint64(w.cols.Len()))
-	w.reset()
-}
-
-// flushBlock encodes and writes the staged rows as one block. On any
-// error — injected or real — they are dropped, and accounted. The slab
-// is empty when flushBlock returns, whatever the outcome.
-func (w *segmentWriter) flushBlock() error {
-	c := w.cols
-	n := uint64(c.Len())
-	if n == 0 {
-		return nil
+// entry is the manifest entry of a sealed segment.
+func (w *segmentWriter) entry() SegmentEntry {
+	return SegmentEntry{
+		Shard:        w.sw.id,
+		File:         filepath.Base(w.path),
+		PartitionSec: w.part,
+		Records:      w.records,
+		Blocks:       w.blocks,
+		Bytes:        w.bytes,
+		MinStartSec:  w.minSec,
+		MaxStartSec:  w.maxSec,
 	}
-	if w.broken {
-		w.drop()
-		return fmt.Errorf("flowstore: segment %s broken by earlier write error", w.path)
-	}
-	// Checked only when set: naming the op allocates.
-	if fp := w.store.opts.WriteFault; fp != nil {
-		if err := fp.Check(fmt.Sprintf("block-write shard %d", w.shard)); err != nil {
-			w.drop()
-			return err
-		}
-	}
-	enc := &w.store.enc
-	if w.unsorted {
-		c = enc.sortedCopy(c)
-	}
-	frame, ix := enc.encode(c)
-	if _, err := w.f.Write(frame); err != nil {
-		w.broken = true
-		w.drop()
-		return fmt.Errorf("flowstore: writing block: %w", err)
-	}
-	if w.blocks == 0 {
-		w.minSec, w.maxSec = ix.MinStartSec, ix.MaxStartSec
-	} else {
-		w.minSec, w.maxSec = min(w.minSec, ix.MinStartSec), max(w.maxSec, ix.MaxStartSec)
-	}
-	w.blocks++
-	w.records += n
-	w.bytes += uint64(len(frame))
-	w.reset()
-	w.store.noteBlockWritten(n, uint64(len(frame)))
-	return nil
-}
-
-// seal flushes, returns the staging slab to the store, fsyncs, and
-// closes the file.
-func (w *segmentWriter) seal(sync bool) error {
-	err := w.flushBlock()
-	w.store.free = append(w.store.free, w.cols)
-	w.cols = nil
-	if err != nil {
-		w.f.Close()
-		return err
-	}
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			w.f.Close()
-			return fmt.Errorf("flowstore: fsync %s: %w", w.path, err)
-		}
-	}
-	return w.f.Close()
 }
 
 // blockInfo describes one block of a segment file — the inspection view

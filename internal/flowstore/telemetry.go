@@ -46,7 +46,9 @@ func unregisterOpen(s *Store) {
 	openMu.Unlock()
 }
 
-// bytesOnDisk sums the sealed+written bytes of every open store.
+// bytesOnDisk sums the sealed+written bytes of every open store. It
+// takes only each store's accounting lock, which no write or fsync is
+// ever made under, so a scrape never waits on the disk.
 func bytesOnDisk() float64 {
 	openMu.Lock()
 	stores := make([]*Store, 0, len(openStores))
@@ -56,16 +58,9 @@ func bytesOnDisk() float64 {
 	openMu.Unlock()
 	var total uint64
 	for _, s := range stores {
-		s.mu.Lock()
-		for _, e := range s.man.Segments {
-			total += e.Bytes
-		}
-		for _, sw := range s.shards {
-			for _, w := range sw.open {
-				total += w.bytes
-			}
-		}
-		s.mu.Unlock()
+		s.acct.Lock()
+		total += s.onDisk
+		s.acct.Unlock()
 	}
 	return float64(total)
 }
