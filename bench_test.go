@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each benchmark regenerates the experiment's data and
-// reports the headline quantities with b.ReportMetric so `go test
-// -bench=.` prints the reproduced numbers next to the timings.
+// calls out. Each benchmark regenerates the experiment's data — the
+// traffic figures replay a flowstore archive generated before the timer
+// starts — and reports the headline quantities with b.ReportMetric so
+// `go test -bench=.` prints the reproduced numbers next to the timings.
 package booterscope_test
 
 import (
@@ -117,13 +118,31 @@ func BenchmarkFigure1cReflectorOverlap(b *testing.B) {
 	b.ReportMetric(total, "unique_reflectors")  // paper: 868
 }
 
+// benchReplay generates the scenario opts describes for the given
+// vantages into a temporary archive and opens it, then resets the
+// timer: the figure benchmarks time the replay, not the generation.
+func benchReplay(b *testing.B, opts core.Options, kinds ...trafficgen.Kind) *core.ReplayStudy {
+	b.Helper()
+	study, err := core.GenerateReplay(opts, kinds...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { study.Close() })
+	b.ResetTimer()
+	return study
+}
+
 // BenchmarkFigure2aNTPPacketSizes regenerates Figure 2(a): the bimodal
 // NTP packet size distribution at the IXP.
 func BenchmarkFigure2aNTPPacketSizes(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.5, Days: 30}, trafficgen.KindIXP)
 	var below200 float64
 	for i := 0; i < b.N; i++ {
-		study := core.NewLandscapeStudy(core.Options{Seed: benchSeed, Scale: 0.5, Days: 30})
-		below200 = study.Figure2a().FractionBelow200
+		dist, err := study.Figure2a()
+		if err != nil {
+			b.Fatal(err)
+		}
+		below200 = dist.FractionBelow200
 	}
 	b.ReportMetric(below200*100, "pct_below_200B") // paper: 54
 }
@@ -131,10 +150,14 @@ func BenchmarkFigure2aNTPPacketSizes(b *testing.B) {
 // BenchmarkFigure2bVictimScatter regenerates Figure 2(b): per-victim
 // traffic peaks and amplifier counts at the three vantage points.
 func BenchmarkFigure2bVictimScatter(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.5, Days: 30})
 	var ixpVictims, maxGbps, maxSources float64
 	for i := 0; i < b.N; i++ {
-		study := core.NewLandscapeStudy(core.Options{Seed: benchSeed, Scale: 0.5, Days: 30})
-		for _, v := range study.AllVantages() {
+		all, err := study.AllVantages()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range all {
 			if v.Vantage == trafficgen.KindIXP {
 				ixpVictims = float64(len(v.Victims))
 				maxGbps = v.MaxGbps()
@@ -154,10 +177,13 @@ func BenchmarkFigure2bVictimScatter(b *testing.B) {
 // BenchmarkFigure2cVictimCDFs regenerates Figure 2(c): the CDFs of max
 // sources and max Gbps per destination.
 func BenchmarkFigure2cVictimCDFs(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.5, Days: 30}, trafficgen.KindTier2)
 	var below10Sources, above1Gbps float64
 	for i := 0; i < b.N; i++ {
-		study := core.NewLandscapeStudy(core.Options{Seed: benchSeed, Scale: 0.5, Days: 30})
-		v := study.AllVantages()[2] // tier-2
+		v, err := study.Figure2bc(trafficgen.KindTier2)
+		if err != nil {
+			b.Fatal(err)
+		}
 		below10Sources = v.SourcesCDF.At(10)
 		above1Gbps = 1 - v.RateCDF.At(1)
 	}
@@ -182,9 +208,9 @@ func BenchmarkFigure3AlexaRanks(b *testing.B) {
 // toward memcached/NTP/DNS reflectors with Welch tests, tier-2
 // perspective.
 func BenchmarkFigure4ReflectorTraffic(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.3}, trafficgen.KindTier2)
 	var redMem, redNTP, redDNS float64
 	for i := 0; i < b.N; i++ {
-		study := core.NewTakedownStudy(core.Options{Seed: benchSeed, Scale: 0.3})
 		panels, err := study.Figure4(trafficgen.KindTier2)
 		if err != nil {
 			b.Fatal(err)
@@ -208,9 +234,9 @@ func BenchmarkFigure4ReflectorTraffic(b *testing.B) {
 // BenchmarkFigure5AttackCounts regenerates Figure 5: systems under NTP
 // attack per hour, with the (absent) takedown effect.
 func BenchmarkFigure5AttackCounts(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.3}, trafficgen.KindIXP)
 	var significant, hours float64
 	for i := 0; i < b.N; i++ {
-		study := core.NewTakedownStudy(core.Options{Seed: benchSeed, Scale: 0.3})
 		res, err := study.Figure5(trafficgen.KindIXP)
 		if err != nil {
 			b.Fatal(err)
@@ -344,12 +370,14 @@ func BenchmarkAblationTransitHandover(b *testing.B) {
 }
 
 // BenchmarkTakedownFullPipeline measures the complete Section 5
-// analysis end to end at all three vantage points.
+// analysis at all three vantage points, replayed from their archive.
 func BenchmarkTakedownFullPipeline(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.2})
 	for i := 0; i < b.N; i++ {
-		study := core.NewTakedownStudy(core.Options{Seed: benchSeed, Scale: 0.2})
-		if _, err := study.Figure4All(); err != nil {
-			b.Fatal(err)
+		for _, k := range study.Kinds() {
+			if _, err := study.Figure4(k); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if _, err := study.Figure5(trafficgen.KindIXP); err != nil {
 			b.Fatal(err)

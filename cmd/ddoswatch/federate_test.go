@@ -1,8 +1,8 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -94,21 +94,9 @@ func TestRunFederationSmoke(t *testing.T) {
 		t.Fatalf("fixture: %d records merged, %d attacks, %d disagreements", merged, len(report.Attacks), report.Disagreements)
 	}
 
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	printed := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		printed <- b
-	}()
-	runErr := runFederation(manifest, true, 2, "")
-	os.Stdout = stdout
-	w.Close()
-	out := string(<-printed)
+	var printed bytes.Buffer
+	runErr := runFederation(&printed, manifest, true, 2, "")
+	out := printed.String()
 	if runErr != nil {
 		t.Fatalf("runFederation: %v\n%s", runErr, out)
 	}

@@ -3,9 +3,11 @@
 // the NTP amplification classifier and prints the data behind Figures
 // 2(a), 2(b), and 2(c).
 //
-// With -store.dir it replays a flowstore archive written by flowgen
-// -out instead of regenerating the traffic — same results, since the
-// classifier is order-insensitive and the archive codec is lossless.
+// By default it generates the -seed/-scale/-days scenario into a
+// temporary flowstore archive, replays it and removes it on exit. With
+// -store.dir it replays an archive written by flowgen -out instead —
+// same results, since the classifier is order-insensitive and the
+// archive codec is lossless; -store.dir adds a "replaying" header line.
 //
 // With -incident it instead reads a flight-recorder dump written by
 // the collector daemon (-incident.dir) and reconstructs each attack's
@@ -21,9 +23,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"booterscope/internal/core"
@@ -38,105 +42,120 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ddoswatch: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in,
+// so a test can drive it in process; it returns the exit code: 0 on
+// success, 1 when a mode fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ddoswatch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed      = flag.Uint64("seed", 1, "random seed")
-		scale     = flag.Float64("scale", 0.5, "traffic scale factor")
-		days      = flag.Int("days", 30, "days of traffic to analyze")
-		storeDir  = flag.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
-		par       = flag.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
-		incident  = flag.String("incident", "", "read a collector incident dump (.bsevt) and print attack timelines instead of running the landscape analysis")
-		federate  = flag.String("federate", "", "open a federation manifest (vantages.json) and query the multi-vantage plane instead of running the landscape analysis")
-		correlate = flag.Bool("correlate", false, "with -federate: join attacks across vantages and report seen-at/missing-at disagreement")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		scale     = fs.Float64("scale", 0.5, "traffic scale factor")
+		days      = fs.Int("days", 30, "days of traffic to analyze")
+		storeDir  = fs.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
+		par       = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
+		incident  = fs.String("incident", "", "read a collector incident dump (.bsevt) and print attack timelines instead of running the landscape analysis")
+		federate  = fs.String("federate", "", "open a federation manifest (vantages.json) and query the multi-vantage plane instead of running the landscape analysis")
+		correlate = fs.Bool("correlate", false, "with -federate: join attacks across vantages and report seen-at/missing-at disagreement")
 	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
-
-	if *incident != "" {
-		if err := readIncident(*incident); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *federate != "" {
-		if err := runFederation(*federate, *correlate, *par, *debugAddr); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *correlate {
-		log.Fatal("-correlate requires -federate")
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its smoke tests.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	reg := telemetry.Default()
+	var err error
+	switch {
+	case *incident != "":
+		err = readIncident(stdout, *incident)
+	case *federate != "":
+		err = runFederation(stdout, *federate, *correlate, *par, *debugAddr)
+	case *correlate:
+		err = errors.New("-correlate requires -federate")
+	default:
+		opts := core.Options{Seed: *seed, Scale: *scale, Days: *days, Parallelism: *par}
+		err = landscape(stdout, opts, *storeDir, *debugAddr)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "ddoswatch: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// landscape opens the archive (storeDir, or one generated from opts),
+// computes Figures 2(a)-(c) from it and prints them.
+func landscape(out io.Writer, opts core.Options, storeDir, debugAddr string) error {
+	reg := telemetry.NewRegistry()
 	flow.RegisterTelemetry(reg)
 	flowstore.RegisterTelemetry(reg)
 	pipe.RegisterTelemetry(reg)
-	srv, err := debugserver.Start(*debugAddr, reg)
+	srv, err := debugserver.Start(debugAddr, reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(out, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 
-	var (
-		dist     *core.PacketSizeDistribution
-		vantages []*core.VantageVictims
-	)
-	if *storeDir != "" {
-		replay, err := core.OpenReplay(*storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer replay.Close()
-		replay.Parallelism = *par
-		fmt.Printf("replaying %d-day archive %s\n", replay.Window().Days, *storeDir)
-		if replay.Store(trafficgen.KindIXP) != nil {
-			if dist, err = replay.Figure2a(); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			fmt.Println("archive has no IXP store; skipping Figure 2(a)")
-		}
-		if vantages, err = replay.AllVantages(); err != nil {
-			log.Fatal(err)
-		}
+	var replay *core.ReplayStudy
+	if storeDir != "" {
+		replay, err = core.OpenReplay(storeDir)
 	} else {
-		study := core.NewLandscapeStudy(core.Options{Seed: *seed, Scale: *scale, Days: *days, Parallelism: *par})
-		dist = study.Figure2a()
-		vantages = study.AllVantages()
+		replay, err = core.GenerateReplay(opts)
 	}
-
-	if dist != nil {
-		fig2a(dist)
+	if err != nil {
+		return err
 	}
-	fig2bc(vantages)
+	defer replay.Close()
+	replay.Parallelism = opts.Parallelism
+	if storeDir != "" {
+		fmt.Fprintf(out, "replaying %d-day archive %s\n", replay.Window().Days, storeDir)
+	}
+	if replay.Store(trafficgen.KindIXP) != nil {
+		dist, err := replay.Figure2a()
+		if err != nil {
+			return err
+		}
+		fig2a(out, dist)
+	} else {
+		fmt.Fprintln(out, "archive has no IXP store; skipping Figure 2(a)")
+	}
+	vantages, err := replay.AllVantages()
+	if err != nil {
+		return err
+	}
+	fig2bc(out, vantages)
+	return nil
 }
 
 // readIncident loads one flight-recorder dump and prints the attack
 // lifecycle timelines it contains — the offline counterpart of the
 // collector's live /attacks endpoint.
-func readIncident(path string) error {
+func readIncident(out io.Writer, path string) error {
 	d, err := eventlog.LoadDump(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("incident dump %s\n", path)
-	fmt.Printf("  trigger: %s at %s\n", d.Reason,
+	fmt.Fprintf(out, "incident dump %s\n", path)
+	fmt.Fprintf(out, "  trigger: %s at %s\n", d.Reason,
 		time.Unix(0, d.WallNanos).UTC().Format(time.RFC3339Nano))
-	fmt.Printf("  %d events in ring\n", len(d.Events))
+	fmt.Fprintf(out, "  %d events in ring\n", len(d.Events))
 	tls := eventlog.BuildTimelines(d.Events)
 	if len(tls) == 0 {
-		fmt.Println("  no attack lifecycles recorded")
+		fmt.Fprintln(out, "  no attack lifecycles recorded")
 		return nil
 	}
 	for _, tl := range tls {
-		fmt.Printf("\nattack %d  victim %s\n", tl.AttackID, tl.Victim)
+		fmt.Fprintf(out, "\nattack %d  victim %s\n", tl.AttackID, tl.Victim)
 		if tl.OpenedWallNanos != 0 {
-			fmt.Printf("  opened    %s\n",
+			fmt.Fprintf(out, "  opened    %s\n",
 				time.Unix(0, tl.OpenedWallNanos).UTC().Format(time.RFC3339Nano))
 		}
 		transitions := []struct {
@@ -152,61 +171,61 @@ func readIncident(path string) error {
 		}
 		for _, tr := range transitions {
 			if tr.mono != 0 {
-				fmt.Printf("  %-20s +%.3fs\n", tr.name,
+				fmt.Fprintf(out, "  %-20s +%.3fs\n", tr.name,
 					float64(tr.mono-tl.OpenedMonoNanos)/1e9)
 			}
 		}
 		if tl.DetectionLatencySeconds > 0 {
-			fmt.Printf("  detection latency: %.3fs\n", tl.DetectionLatencySeconds)
+			fmt.Fprintf(out, "  detection latency: %.3fs\n", tl.DetectionLatencySeconds)
 		}
 		if tl.TimeToMitigateSeconds > 0 {
-			fmt.Printf("  time to mitigate:  %.3fs\n", tl.TimeToMitigateSeconds)
+			fmt.Fprintf(out, "  time to mitigate:  %.3fs\n", tl.TimeToMitigateSeconds)
 		}
 		if tl.AlertGbps > 0 {
-			fmt.Printf("  alert: %.2f Gbps from %d sources\n", tl.AlertGbps, tl.AlertSources)
+			fmt.Fprintf(out, "  alert: %.2f Gbps from %d sources\n", tl.AlertGbps, tl.AlertSources)
 		}
 		if tl.SuppressedRecords > 0 {
-			fmt.Printf("  suppressed: %d records, %d bytes (ratio %.3f)\n",
+			fmt.Fprintf(out, "  suppressed: %d records, %d bytes (ratio %.3f)\n",
 				tl.SuppressedRecords, tl.SuppressedBytes, tl.SuppressionRatio)
 		}
-		fmt.Printf("  %d events in trace\n", len(tl.Events))
+		fmt.Fprintf(out, "  %d events in trace\n", len(tl.Events))
 	}
 	return nil
 }
 
-func fig2a(dist *core.PacketSizeDistribution) {
-	fmt.Println("== Figure 2(a): CDF/PDF of NTP packet sizes at the IXP ==")
-	fmt.Printf("fraction of NTP packets below 200 bytes: %.1f%% (paper: 54%%)\n", dist.FractionBelow200*100)
+func fig2a(out io.Writer, dist *core.PacketSizeDistribution) {
+	fmt.Fprintln(out, "== Figure 2(a): CDF/PDF of NTP packet sizes at the IXP ==")
+	fmt.Fprintf(out, "fraction of NTP packets below 200 bytes: %.1f%% (paper: 54%%)\n", dist.FractionBelow200*100)
 	pdf := dist.Histogram.PDF()
 	centers := make([]float64, len(pdf))
 	for i := range pdf {
 		centers[i] = dist.Histogram.BinCenter(i)
 	}
-	fmt.Print(textplot.Histogram{Centers: centers, Fractions: pdf}.Render())
-	fmt.Println()
+	fmt.Fprint(out, textplot.Histogram{Centers: centers, Fractions: pdf}.Render())
+	fmt.Fprintln(out)
 }
 
-func fig2bc(vantages []*core.VantageVictims) {
-	fmt.Println("== Figures 2(b)/(c): NTP amplification victims per vantage point ==")
+func fig2bc(out io.Writer, vantages []*core.VantageVictims) {
+	fmt.Fprintln(out, "== Figures 2(b)/(c): NTP amplification victims per vantage point ==")
 	for _, v := range vantages {
-		fmt.Printf("\n-- %v --\n", v.Vantage)
-		fmt.Printf("destinations receiving amplified NTP: %d\n", len(v.Victims))
-		fmt.Printf("max observed per-victim rate: %.1f Gbps\n", v.MaxGbps())
-		fmt.Printf("conservative filter: %d victims (-%.1f%%); rate rule alone -%.1f%%, sources rule alone -%.1f%%\n",
+		fmt.Fprintf(out, "\n-- %v --\n", v.Vantage)
+		fmt.Fprintf(out, "destinations receiving amplified NTP: %d\n", len(v.Victims))
+		fmt.Fprintf(out, "max observed per-victim rate: %.1f Gbps\n", v.MaxGbps())
+		fmt.Fprintf(out, "conservative filter: %d victims (-%.1f%%); rate rule alone -%.1f%%, sources rule alone -%.1f%%\n",
 			v.Filter.Conservative, v.Filter.ReductionBoth()*100,
 			v.Filter.ReductionRate()*100, v.Filter.ReductionSources()*100)
 
-		fmt.Println("CDF of max sources per destination:")
-		fmt.Print(textplot.CDF{At: v.SourcesCDF.At, Xs: []float64{1, 5, 10, 100, 1000}, Label: "  srcs"}.Render())
-		fmt.Println("CDF of max Gbps per destination:")
-		fmt.Print(textplot.CDF{At: v.RateCDF.At, Xs: []float64{0.01, 0.1, 1, 10, 100}, Label: "  Gbps"}.Render())
+		fmt.Fprintln(out, "CDF of max sources per destination:")
+		fmt.Fprint(out, textplot.CDF{At: v.SourcesCDF.At, Xs: []float64{1, 5, 10, 100, 1000}, Label: "  srcs"}.Render())
+		fmt.Fprintln(out, "CDF of max Gbps per destination:")
+		fmt.Fprint(out, textplot.CDF{At: v.RateCDF.At, Xs: []float64{0.01, 0.1, 1, 10, 100}, Label: "  Gbps"}.Render())
 
-		fmt.Println("top victims (Figure 2(b) upper tail):")
+		fmt.Fprintln(out, "top victims (Figure 2(b) upper tail):")
 		for i, vic := range v.Victims {
 			if i >= 5 {
 				break
 			}
-			fmt.Printf("  %-18s %8.1f Gbps  %6d max srcs  %6d total srcs\n",
+			fmt.Fprintf(out, "  %-18s %8.1f Gbps  %6d max srcs  %6d total srcs\n",
 				vic.Addr, vic.MaxGbps, vic.MaxSources, vic.TotalSources)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"booterscope/internal/flow"
 	"booterscope/internal/ixp"
 	"booterscope/internal/observatory"
-	"booterscope/internal/takedown"
 	"booterscope/internal/telemetry"
 	"booterscope/internal/telemetry/debugserver"
 	"booterscope/internal/trafficgen"
@@ -257,15 +256,28 @@ func (h *harness) selfAttack(seed uint64) error {
 	return nil
 }
 
+// landscape replays its own 30-day archive of all three vantages: IXP
+// records that spill past day 29's midnight rule out a time-bounded
+// query on the takedown archive (DESIGN §8).
 func (h *harness) landscape(seed uint64, scale float64) error {
-	study := core.NewLandscapeStudy(core.Options{Seed: seed, Scale: scale, Days: 30, Parallelism: h.par})
+	study, err := core.GenerateReplay(core.Options{Seed: seed, Scale: scale, Days: 30, Parallelism: h.par})
+	if err != nil {
+		return err
+	}
+	defer study.Close()
 
-	dist := study.Figure2a()
+	dist, err := study.Figure2a()
+	if err != nil {
+		return err
+	}
 	h.add("Fig2a", "NTP packet sizes bimodal around the 200 B threshold",
 		dist.FractionBelow200 > 0.05 && dist.FractionBelow200 < 0.95,
 		"%.0f%% below 200 B (paper: 54%%)", dist.FractionBelow200*100)
 
-	all := study.AllVantages()
+	all, err := study.AllVantages()
+	if err != nil {
+		return err
+	}
 	byKind := map[trafficgen.Kind]int{}
 	var maxGbps float64
 	for _, v := range all {
@@ -292,8 +304,14 @@ func (h *harness) landscape(seed uint64, scale float64) error {
 	return nil
 }
 
+// takedown replays a 122-day archive of the IXP and tier-2 vantages.
 func (h *harness) takedown(seed uint64, scale float64) error {
-	study := core.NewTakedownStudy(core.Options{Seed: seed, Scale: scale, Parallelism: h.par})
+	study, err := core.GenerateReplay(core.Options{Seed: seed, Scale: scale, Parallelism: h.par},
+		trafficgen.KindIXP, trafficgen.KindTier2)
+	if err != nil {
+		return err
+	}
+	defer study.Close()
 	panels, err := study.Figure4(trafficgen.KindTier2)
 	if err != nil {
 		return err
@@ -337,7 +355,7 @@ func (h *harness) takedown(seed uint64, scale float64) error {
 
 	// Robustness ablation: the Welch verdicts survive a non-parametric
 	// re-test.
-	rob, err := takedown.Figure4Robustness(study.Scenario, trafficgen.KindTier2)
+	rob, err := study.Figure4Robustness(trafficgen.KindTier2)
 	if err != nil {
 		return err
 	}
@@ -349,7 +367,6 @@ func (h *harness) takedown(seed uint64, scale float64) error {
 	}
 	h.add("S5.2", "Welch verdicts agree with the Mann-Whitney rank test",
 		agree == len(rob), "%d/%d panels agree", agree, len(rob))
-	_ = takedown.FBITakedown
 	return nil
 }
 

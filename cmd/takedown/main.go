@@ -2,16 +2,19 @@
 // seizure: daily packet series toward DDoS reflectors with Welch tests
 // (Figure 4) and hourly counts of systems under NTP attack (Figure 5).
 //
-// Two modes: live generation (default, driven by -seed/-scale/-days) or
-// replay from a flowstore archive written by flowgen -out. Replay is
-// exact — the analyses are order-insensitive and the archive codec is
-// lossless, so both modes print identical results for the same seed.
+// By default it generates the -seed/-scale/-days scenario into a
+// temporary flowstore archive, replays it and removes it on exit. With
+// -store.dir it replays an archive written by flowgen -out instead.
+// Replay is exact — the analyses are order-insensitive and the archive
+// codec is lossless — so both print identical figures for the same
+// seed; -store.dir adds a "replaying" header line.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"strings"
 	"time"
 
@@ -27,114 +30,120 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("takedown: ")
-	var (
-		seed     = flag.Uint64("seed", 1, "random seed")
-		scale    = flag.Float64("scale", 0.5, "traffic scale factor")
-		days     = flag.Int("days", 122, "days of traffic (122 spans the seizure ±~60 days)")
-		storeDir = flag.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
-		par      = flag.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
-	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	reg := telemetry.Default()
+// run is the command with its arguments and output streams passed in,
+// so a test can drive it in process; it returns the exit code: 0 on
+// success, 1 when the analysis fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("takedown", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed     = fs.Uint64("seed", 1, "random seed")
+		scale    = fs.Float64("scale", 0.5, "traffic scale factor")
+		days     = fs.Int("days", 122, "days of traffic (122 spans the seizure ±~60 days)")
+		storeDir = fs.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
+		par      = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
+	)
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its smoke test.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	opts := core.Options{Seed: *seed, Scale: *scale, Days: *days, Parallelism: *par}
+	if err := analyze(stdout, opts, *storeDir, *debugAddr); err != nil {
+		fmt.Fprintf(stderr, "takedown: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// analyze opens the archive (storeDir, or one generated from opts),
+// computes Figures 4 and 5 from it and prints them.
+func analyze(out io.Writer, opts core.Options, storeDir, debugAddr string) error {
+	reg := telemetry.NewRegistry()
 	flow.RegisterTelemetry(reg)
 	flowstore.RegisterTelemetry(reg)
 	pipe.RegisterTelemetry(reg)
-	srv, err := debugserver.Start(*debugAddr, reg)
+	srv, err := debugserver.Start(debugAddr, reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(out, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 
-	var (
-		event    takedown.Event
-		kinds    []trafficgen.Kind
-		fig4     map[trafficgen.Kind][]takedown.Figure4Panel
-		fig5For  func(trafficgen.Kind) (*takedown.Figure5Result, error)
-		fig5Kind trafficgen.Kind
-	)
-	if *storeDir != "" {
-		replay, err := core.OpenReplay(*storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer replay.Close()
-		replay.Parallelism = *par
-		event = replay.Event
-		kinds = replay.Kinds()
-		w := replay.Window()
-		fmt.Printf("replaying %d-day archive %s (vantages: %s)\n\n",
-			w.Days, *storeDir, kindList(kinds))
-		fig4, err = replay.Figure4All()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fig5For = replay.Figure5
+	var replay *core.ReplayStudy
+	if storeDir != "" {
+		replay, err = core.OpenReplay(storeDir)
 	} else {
-		study := core.NewTakedownStudy(core.Options{Seed: *seed, Scale: *scale, Days: *days, Parallelism: *par})
-		event = study.Event
-		kinds = []trafficgen.Kind{trafficgen.KindIXP, trafficgen.KindTier1, trafficgen.KindTier2}
-		fig4, err = study.Figure4All()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fig5For = study.Figure5
+		replay, err = core.GenerateReplay(opts)
 	}
-	// Figure 5 uses the IXP perspective when present (the paper's), else
-	// the first archived vantage.
-	fig5Kind = kinds[0]
-	for _, k := range kinds {
-		if k == trafficgen.KindIXP {
-			fig5Kind = k
-			break
-		}
+	if err != nil {
+		return err
 	}
-
-	fmt.Printf("takedown event: %s, %d booter domains seized\n\n",
+	defer replay.Close()
+	replay.Parallelism = opts.Parallelism
+	kinds := replay.Kinds()
+	if storeDir != "" {
+		fmt.Fprintf(out, "replaying %d-day archive %s (vantages: %s)\n\n",
+			replay.Window().Days, storeDir, kindList(kinds))
+	}
+	event := replay.Event
+	fmt.Fprintf(out, "takedown event: %s, %d booter domains seized\n\n",
 		event.Date.Format("2006-01-02"), event.SeizedDomains)
 
-	fmt.Println("== Figure 4: daily packets toward DDoS reflectors ==")
-	renderFigure4(fig4, kinds, event.Date)
-
-	fmt.Printf("\n== Figure 5: systems under NTP DDoS attack per hour (%v) ==\n", fig5Kind)
-	fig5, err := fig5For(fig5Kind)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(out, "== Figure 4: daily packets toward DDoS reflectors ==")
+	for _, k := range kinds {
+		panels, err := replay.Figure4(k)
+		if err != nil {
+			return err
+		}
+		renderFigure4(out, k, panels, event.Date)
 	}
-	renderFigure5(fig5)
+
+	// Figure 5 uses the IXP perspective when present (the paper's), else
+	// the first archived vantage.
+	fig5Kind := kinds[0]
+	if replay.Store(trafficgen.KindIXP) != nil {
+		fig5Kind = trafficgen.KindIXP
+	}
+	fmt.Fprintf(out, "\n== Figure 5: systems under NTP DDoS attack per hour (%v) ==\n", fig5Kind)
+	fig5, err := replay.Figure5(fig5Kind)
+	if err != nil {
+		return err
+	}
+	renderFigure5(out, fig5)
+	return nil
 }
 
-// renderFigure4 prints every vantage's reflector panels.
-func renderFigure4(all map[trafficgen.Kind][]takedown.Figure4Panel, kinds []trafficgen.Kind, eventDate time.Time) {
-	for _, k := range kinds {
-		fmt.Printf("\n-- %v perspective --\n", k)
-		for _, p := range all[k] {
-			fmt.Printf("packets %v dst port:\n", p.Vector)
-			values := make([]float64, len(p.Daily))
-			eventIdx := -1
-			for i, pt := range p.Daily {
-				values[i] = pt.Value
-				if eventIdx < 0 && !pt.Time.Before(eventDate) {
-					eventIdx = i
-				}
+// renderFigure4 prints one vantage's reflector panels.
+func renderFigure4(out io.Writer, k trafficgen.Kind, panels []takedown.Figure4Panel, eventDate time.Time) {
+	fmt.Fprintf(out, "\n-- %v perspective --\n", k)
+	for _, p := range panels {
+		fmt.Fprintf(out, "packets %v dst port:\n", p.Vector)
+		values := make([]float64, len(p.Daily))
+		eventIdx := -1
+		for i, pt := range p.Daily {
+			values[i] = pt.Value
+			if eventIdx < 0 && !pt.Time.Before(eventDate) {
+				eventIdx = i
 			}
-			fmt.Println(indent(textplot.TimeSeries{Values: values, EventIndex: eventIdx, Width: 72}.Render()))
-			fmt.Printf("  wt30 sign. (p=0.05): %t   red30: %.2f%%\n",
-				p.Metrics.WT30.Significant, p.Metrics.WT30.Reduction*100)
-			fmt.Printf("  wt40 sign. (p=0.05): %t   red40: %.2f%%\n",
-				p.Metrics.WT40.Significant, p.Metrics.WT40.Reduction*100)
 		}
+		fmt.Fprintln(out, indent(textplot.TimeSeries{Values: values, EventIndex: eventIdx, Width: 72}.Render()))
+		fmt.Fprintf(out, "  wt30 sign. (p=0.05): %t   red30: %.2f%%\n",
+			p.Metrics.WT30.Significant, p.Metrics.WT30.Reduction*100)
+		fmt.Fprintf(out, "  wt40 sign. (p=0.05): %t   red40: %.2f%%\n",
+			p.Metrics.WT40.Significant, p.Metrics.WT40.Reduction*100)
 	}
 }
 
 // renderFigure5 prints the systems-under-attack series and verdicts.
-func renderFigure5(fig5 *takedown.Figure5Result) {
+func renderFigure5(out io.Writer, fig5 *takedown.Figure5Result) {
 	maxCount := 0
 	hourly := make([]float64, len(fig5.Hourly))
 	eventIdx := -1
@@ -147,13 +156,13 @@ func renderFigure5(fig5 *takedown.Figure5Result) {
 			eventIdx = i
 		}
 	}
-	fmt.Println(indent(textplot.TimeSeries{Values: hourly, EventIndex: eventIdx, Width: 72}.Render()))
-	fmt.Printf("hours with attacks: %d, peak systems under attack in one hour: %d\n",
+	fmt.Fprintln(out, indent(textplot.TimeSeries{Values: hourly, EventIndex: eventIdx, Width: 72}.Render()))
+	fmt.Fprintf(out, "hours with attacks: %d, peak systems under attack in one hour: %d\n",
 		len(fig5.Hourly), maxCount)
-	fmt.Printf("wt30 sign. (p=0.05): %t\n", fig5.Metrics.WT30.Significant)
-	fmt.Printf("wt40 sign. (p=0.05): %t\n", fig5.Metrics.WT40.Significant)
+	fmt.Fprintf(out, "wt30 sign. (p=0.05): %t\n", fig5.Metrics.WT30.Significant)
+	fmt.Fprintf(out, "wt40 sign. (p=0.05): %t\n", fig5.Metrics.WT40.Significant)
 	if !fig5.Metrics.WT30.Significant && !fig5.Metrics.WT40.Significant {
-		fmt.Println("=> no significant reduction in systems attacked (the paper's headline result)")
+		fmt.Fprintln(out, "=> no significant reduction in systems attacked (the paper's headline result)")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"booterscope/internal/core"
+	"booterscope/internal/takedown"
 	"booterscope/internal/trafficgen"
 )
 
@@ -17,9 +18,19 @@ func main() {
 
 	opts := core.Options{Seed: 9, Scale: 0.3}
 
-	// Data-plane: Figure 4 (to reflectors) and Figure 5 (to victims).
-	traffic := core.NewTakedownStudy(opts)
+	// Data-plane: Figure 4 (to reflectors) and Figure 5 (to victims),
+	// replayed from a generated archive of the two vantages they use.
+	// The archive is closed, and so removed, before any log.Fatal.
+	traffic, err := core.GenerateReplay(opts, trafficgen.KindIXP, trafficgen.KindTier2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	panels, err := traffic.Figure4(trafficgen.KindTier2)
+	var fig5 *takedown.Figure5Result
+	if err == nil {
+		fig5, err = traffic.Figure5(trafficgen.KindIXP)
+	}
+	traffic.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,10 +44,6 @@ func main() {
 		}
 	}
 
-	fig5, err := traffic.Figure5(trafficgen.KindIXP)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nsystems under NTP attack (IXP): wt30 significant: %t, wt40 significant: %t\n",
 		fig5.Metrics.WT30.Significant, fig5.Metrics.WT40.Significant)
 

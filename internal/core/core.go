@@ -1,14 +1,15 @@
 // Package core is booterscope's top-level orchestration API: it wires
 // the substrates (IXP fabric, booter engine, traffic scenario, domain
-// observatory) into the four studies the paper reports, one constructor
-// per study:
+// observatory) into the studies the paper reports:
 //
 //   - NewSelfAttackStudy — Section 3: booter self-attacks against the
 //     measurement AS (Table 1, Figure 1a-c);
-//   - NewLandscapeStudy — Section 4: NTP amplification in the wild at
-//     three vantage points (Figure 2a-c);
-//   - NewTakedownStudy — Section 5.2: traffic effects of the FBI
-//     seizure (Figures 4 and 5);
+//   - NewTakedownStudy — the traffic scenario of Sections 4 and 5.2,
+//     written to a flowstore archive by WriteArchive;
+//   - ReplayStudy (OpenReplay, or GenerateReplay to generate and open
+//     in one step) — every traffic figure, computed from an archive:
+//     NTP amplification in the wild (Figure 2a-c) and the seizure's
+//     traffic effects (Figures 4 and 5);
 //   - NewDomainStudy — Section 5.1: booter domains before and after the
 //     takedown (Figure 3).
 //
@@ -16,11 +17,7 @@
 // deterministic and cheap configurations can run in tests.
 package core
 
-import (
-	"time"
-
-	"booterscope/internal/pipe"
-)
+import "time"
 
 // Defaults shared by the studies.
 var (
@@ -43,16 +40,16 @@ type Options struct {
 	// Seed drives all randomness; equal seeds give identical results.
 	Seed uint64
 	// Scale multiplies synthetic traffic volumes. 1.0 is the calibrated
-	// default; tests use smaller values. Applies to the landscape and
-	// takedown studies.
+	// default; tests use smaller values. Applies to the traffic
+	// scenario.
 	Scale float64
 	// Days is the traffic window length (default 122, the paper's).
 	Days int
-	// Parallelism is the shard count the record analyses fan out to on
-	// the batch pipeline (internal/pipe): 0 resolves to runtime.NumCPU,
-	// 1 runs serially. Every aggregation merges exactly, so results are
-	// byte-identical at any setting — this is the value behind the
-	// studies' shared -parallelism flag.
+	// Parallelism is the shard count GenerateReplay's analyses fan out
+	// to on the batch pipeline (internal/pipe): 0 resolves to
+	// runtime.NumCPU, 1 runs serially. Every aggregation merges exactly,
+	// so results are byte-identical at any setting — this is the value
+	// behind the studies' shared -parallelism flag.
 	Parallelism int
 }
 
@@ -63,6 +60,5 @@ func (o Options) withDefaults() Options {
 	if o.Days == 0 {
 		o.Days = 122
 	}
-	o.Parallelism = pipe.Parallelism(o.Parallelism)
 	return o
 }

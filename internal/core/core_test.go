@@ -181,8 +181,11 @@ func TestRunReflectorOverlap(t *testing.T) {
 }
 
 func TestLandscapeFigure2a(t *testing.T) {
-	l := NewLandscapeStudy(Options{Seed: 2, Scale: 0.3, Days: 14})
-	dist := l.Figure2a()
+	l := replayOf(t, Options{Seed: 2, Scale: 0.3, Days: 14}, trafficgen.KindIXP)
+	dist, err := l.Figure2a()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dist.Histogram.Total() == 0 {
 		t.Fatal("empty histogram")
 	}
@@ -193,8 +196,11 @@ func TestLandscapeFigure2a(t *testing.T) {
 }
 
 func TestLandscapeFigure2bc(t *testing.T) {
-	l := NewLandscapeStudy(Options{Seed: 2, Scale: 0.5, Days: 30})
-	all := l.AllVantages()
+	l := replayOf(t, Options{Seed: 2, Scale: 0.5, Days: 30})
+	all, err := l.AllVantages()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) != 3 {
 		t.Fatalf("vantages = %d", len(all))
 	}
@@ -232,7 +238,7 @@ func TestLandscapeFigure2bc(t *testing.T) {
 }
 
 func TestTakedownStudy(t *testing.T) {
-	ts := NewTakedownStudy(Options{Seed: 3, Scale: 0.25})
+	ts := replayOf(t, Options{Seed: 3, Scale: 0.25}, trafficgen.KindIXP, trafficgen.KindTier2)
 	panels, err := ts.Figure4(trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,11 @@ func TestStudiesDeterministic(t *testing.T) {
 	}
 
 	runLandscape := func() (int, float64) {
-		l := NewLandscapeStudy(Options{Seed: seed, Scale: 0.2, Days: 7})
-		v := l.figure2bc(trafficgen.KindTier2)
+		l := replayOf(t, Options{Seed: seed, Scale: 0.2, Days: 7}, trafficgen.KindTier2)
+		v, err := l.Figure2bc(trafficgen.KindTier2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return len(v.Victims), v.MaxGbps()
 	}
 	v1, g1 := runLandscape()
@@ -47,7 +50,7 @@ func TestStudiesDeterministic(t *testing.T) {
 	}
 
 	runTakedown := func() (float64, float64) {
-		ts := NewTakedownStudy(Options{Seed: seed, Scale: 0.15})
+		ts := replayOf(t, Options{Seed: seed, Scale: 0.15}, trafficgen.KindTier2)
 		panels, err := ts.Figure4(trafficgen.KindTier2)
 		if err != nil {
 			t.Fatal(err)
@@ -75,8 +78,14 @@ func TestStudiesDeterministic(t *testing.T) {
 // TestStudySeedsIndependent verifies different seeds explore different
 // realizations (no accidental seed pinning).
 func TestStudySeedsIndependent(t *testing.T) {
-	a := NewLandscapeStudy(Options{Seed: 1, Scale: 0.2, Days: 7}).figure2bc(trafficgen.KindTier2)
-	b := NewLandscapeStudy(Options{Seed: 2, Scale: 0.2, Days: 7}).figure2bc(trafficgen.KindTier2)
+	landscape := func(seed uint64) *VantageVictims {
+		v, err := replayOf(t, Options{Seed: seed, Scale: 0.2, Days: 7}, trafficgen.KindTier2).Figure2bc(trafficgen.KindTier2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	a, b := landscape(1), landscape(2)
 	if len(a.Victims) == len(b.Victims) && a.MaxGbps() == b.MaxGbps() {
 		t.Error("different seeds produced identical landscapes")
 	}

@@ -8,59 +8,12 @@ import (
 	"booterscope/internal/trafficgen"
 )
 
-// LandscapeStudy reproduces Section 4: NTP amplification traffic in the
-// wild across the three vantage points.
-type LandscapeStudy struct {
-	opts     Options
-	Scenario *trafficgen.Scenario
-	// WindowDays bounds how many scenario days the landscape analysis
-	// scans (the full 122 at scale 1 is the paper's setting).
-	WindowDays int
-}
-
-// NewLandscapeStudy builds the traffic scenario.
-func NewLandscapeStudy(opts Options) *LandscapeStudy {
-	opts = opts.withDefaults()
-	return &LandscapeStudy{
-		opts: opts,
-		Scenario: trafficgen.NewScenario(trafficgen.Config{
-			Start:    StudyStart,
-			Days:     opts.Days,
-			Takedown: TakedownDate,
-			Seed:     opts.Seed,
-			Scale:    opts.Scale,
-		}),
-		WindowDays: opts.Days,
-	}
-}
-
-// source streams one vantage point's records over the study's window —
-// the landscape analogue of takedown.ScenarioSource, bounded by
-// WindowDays instead of the scenario length.
-func (l *LandscapeStudy) source(k trafficgen.Kind) takedown.Source {
-	return func(emit func(*pipe.Batch) error) error {
-		for day := 0; day < l.WindowDays; day++ {
-			if err := emit(pipe.Wrap(l.Scenario.Day(k, day))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // PacketSizeDistribution is the Figure 2(a) data: the NTP packet size
 // histogram at the IXP with its below-200-byte share.
 type PacketSizeDistribution struct {
 	Histogram *stats.Histogram
 	// FractionBelow200 is the benign share (the paper measured 54 %).
 	FractionBelow200 float64
-}
-
-// Figure2a builds the NTP packet size distribution from the IXP view.
-func (l *LandscapeStudy) Figure2a() *PacketSizeDistribution {
-	// The live source never errors.
-	d, _ := figure2aSource(l.source(trafficgen.KindIXP), l.opts.Parallelism)
-	return d
 }
 
 // histStage accumulates one shard's NTP packet size histogram. Bin
@@ -149,13 +102,6 @@ func (v *VantageVictims) MaxGbps() float64 {
 	return max
 }
 
-// figure2bc classifies NTP amplification victims at one vantage point.
-func (l *LandscapeStudy) figure2bc(k trafficgen.Kind) *VantageVictims {
-	// The live source never errors.
-	v, _ := figure2bcSource(l.source(k), k, l.opts.Parallelism)
-	return v
-}
-
 // classifyStage accumulates one shard's victim classification. The
 // victim-hash fan-out keeps each destination on one shard, so the
 // per-destination map merge in Close is exact.
@@ -212,14 +158,4 @@ func figure2bcSource(src takedown.Source, k trafficgen.Kind, par int) (*VantageV
 		SourcesCDF: stats.NewECDF(sources),
 		RateCDF:    stats.NewECDF(rates),
 	}, nil
-}
-
-// AllVantages runs Figure2bc for the three vantage points.
-func (l *LandscapeStudy) AllVantages() []*VantageVictims {
-	kinds := []trafficgen.Kind{trafficgen.KindIXP, trafficgen.KindTier1, trafficgen.KindTier2}
-	out := make([]*VantageVictims, len(kinds))
-	for i, k := range kinds {
-		out[i] = l.figure2bc(k)
-	}
-	return out
 }

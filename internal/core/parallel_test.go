@@ -36,7 +36,7 @@ func TestParallelismGolden(t *testing.T) {
 	scen := trafficgen.NewScenario(cfg)
 	k := trafficgen.KindTier2
 	w := takedown.WindowOf(cfg)
-	src := takedown.ScenarioSource(scen, k)
+	src := liveSource(scen, k)
 
 	want, err := takedown.Analyze(src, w, k, 1)
 	if err != nil {
@@ -83,21 +83,29 @@ func TestParallelismGolden(t *testing.T) {
 // size histogram, victim classification) must be identical at any
 // shard count.
 func TestLandscapeParallelismGolden(t *testing.T) {
-	mk := func(par int) *LandscapeStudy {
-		return NewLandscapeStudy(Options{Seed: 5, Scale: 0.2, Days: 7, Parallelism: par})
+	replay := replayOf(t, Options{Seed: 5, Scale: 0.2, Days: 7}, trafficgen.KindIXP, trafficgen.KindTier2)
+	figures := func(par int) (*PacketSizeDistribution, *VantageVictims) {
+		replay.Parallelism = par
+		dist, err := replay.Figure2a()
+		if err != nil {
+			t.Fatalf("figure2a par=%d: %v", par, err)
+		}
+		victims, err := replay.Figure2bc(trafficgen.KindTier2)
+		if err != nil {
+			t.Fatalf("figure2bc par=%d: %v", par, err)
+		}
+		return dist, victims
 	}
-	serial := mk(1)
-	wantDist := serial.Figure2a()
-	wantVictims := serial.figure2bc(trafficgen.KindTier2)
+	wantDist, wantVictims := figures(1)
 	if wantDist.Histogram.Total() == 0 || len(wantVictims.Victims) == 0 {
 		t.Fatal("serial reference is degenerate")
 	}
 	for _, par := range goldenPars() {
-		l := mk(par)
-		if got := l.Figure2a(); !reflect.DeepEqual(wantDist, got) {
+		gotDist, gotVictims := figures(par)
+		if !reflect.DeepEqual(wantDist, gotDist) {
 			t.Errorf("figure2a par=%d diverges from serial", par)
 		}
-		if got := l.figure2bc(trafficgen.KindTier2); !reflect.DeepEqual(wantVictims, got) {
+		if !reflect.DeepEqual(wantVictims, gotVictims) {
 			t.Errorf("figure2bc par=%d diverges from serial", par)
 		}
 	}

@@ -85,8 +85,10 @@ func (t *TakedownStudy) WriteArchive(dir string, opts flowstore.Options, kinds .
 // sums, per-key maps), replaying an archive yields results identical to
 // the live run that wrote it.
 type ReplayStudy struct {
-	Event  takedown.Event
-	dir    string
+	Event takedown.Event
+	dir   string
+	// temp marks an archive GenerateReplay wrote: Close removes dir.
+	temp   bool
 	window takedown.Window
 	stores map[trafficgen.Kind]*flowstore.Store
 	// Parallelism is the pipeline shard count the replayed analyses fan
@@ -136,6 +138,41 @@ func OpenReplay(dir string) (*ReplayStudy, error) {
 	if first == "" {
 		return nil, fmt.Errorf("core: no vantage stores under %s", dir)
 	}
+	return r, nil
+}
+
+// GenerateReplay generates the scenario opts describes for the given
+// vantage points (all three when none are named) into an archive in a
+// new temporary directory, and opens it for replay with
+// opts.Parallelism shards. It is how a binary without -store.dir
+// computes its figures: through the same stored path a flowgen -out
+// archive takes. The archive is fsynced, as flowgen -out writes it;
+// Close removes it.
+func GenerateReplay(opts Options, kinds ...trafficgen.Kind) (*ReplayStudy, error) {
+	dir, err := os.MkdirTemp("", "booterscope-archive-")
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	r, err := openGenerated(dir, flowstore.Options{}, opts, kinds)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	r.temp = true
+	return r, nil
+}
+
+// openGenerated writes the scenario opts describes to an archive at dir
+// with the given store options and opens it for replay.
+func openGenerated(dir string, store flowstore.Options, opts Options, kinds []trafficgen.Kind) (*ReplayStudy, error) {
+	if err := NewTakedownStudy(opts).WriteArchive(dir, store, kinds...); err != nil {
+		return nil, err
+	}
+	r, err := OpenReplay(dir)
+	if err != nil {
+		return nil, err
+	}
+	r.Parallelism = opts.Parallelism
 	return r, nil
 }
 
@@ -199,14 +236,12 @@ func triggerPorts() []uint16 {
 	return ports
 }
 
-// Figure4 computes the to-reflector panels for one vantage point from
-// the archive. The scan is pruned to UDP trigger-port records — the
+// triggerSource scans one vantage store for the Figure 4 trigger
+// aggregation. The scan is pruned to UDP trigger-port records — the
 // aggregation applies the identical exact filter, so pruning cannot
 // change the result.
-//
-//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with the live study
-func (r *ReplayStudy) Figure4(k trafficgen.Kind) ([]takedown.Figure4Panel, error) {
-	src, err := r.source(k, flowstore.Query{
+func (r *ReplayStudy) triggerSource(k trafficgen.Kind) (takedown.Source, error) {
+	return r.source(k, flowstore.Query{
 		Protocols: []uint8{packet.IPProtoUDP},
 		DstPorts:  triggerPorts(),
 		// The trigger aggregation bins scaled packets by day and dst
@@ -214,23 +249,26 @@ func (r *ReplayStudy) Figure4(k trafficgen.Kind) ([]takedown.Figure4Panel, error
 		Project: flowstore.ColDstAddr | flowstore.ColDstPort |
 			flowstore.ColProto | flowstore.ColCounters | flowstore.ColStartSec,
 	})
+}
+
+// Figure4 computes the to-reflector panels for one vantage point from
+// the archive.
+func (r *ReplayStudy) Figure4(k trafficgen.Kind) ([]takedown.Figure4Panel, error) {
+	src, err := r.triggerSource(k)
 	if err != nil {
 		return nil, err
 	}
 	return takedown.Figure4Source(src, r.window, k, r.par())
 }
 
-// Figure4All computes the panels for every vantage point in the archive.
-func (r *ReplayStudy) Figure4All() (map[trafficgen.Kind][]takedown.Figure4Panel, error) {
-	out := make(map[trafficgen.Kind][]takedown.Figure4Panel, len(r.stores))
-	for _, k := range r.Kinds() {
-		panels, err := r.Figure4(k)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = panels
+// Figure4Robustness runs the Welch/Mann-Whitney comparison over one
+// vantage point's Figure 4 trigger series from the archive.
+func (r *ReplayStudy) Figure4Robustness(k trafficgen.Kind) ([]takedown.Robustness, error) {
+	src, err := r.triggerSource(k)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return takedown.Figure4RobustnessSource(src, r.window, r.par())
 }
 
 // Figure5 computes the systems-under-attack analysis for one vantage
@@ -317,11 +355,17 @@ func (r *ReplayStudy) AllVantages() ([]*VantageVictims, error) {
 	return out, nil
 }
 
-// Close closes every vantage store.
+// Close closes every vantage store, and removes the archive when
+// GenerateReplay wrote it.
 func (r *ReplayStudy) Close() error {
 	var firstErr error
 	for _, st := range r.stores {
 		if err := st.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if r.temp {
+		if err := os.RemoveAll(r.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"booterscope/internal/flowstore"
+	"booterscope/internal/pipe"
 	"booterscope/internal/takedown"
 	"booterscope/internal/trafficgen"
 )
@@ -88,9 +89,21 @@ func TestReplayMatchesLive(t *testing.T) {
 			t.Errorf("%v figure5: hourly series diverge (%d vs %d points)", k, len(live5.Hourly), len(rep5.Hourly))
 		}
 
+		liveRob, err := takedown.Figure4Robustness(study.Scenario, k)
+		if err != nil {
+			t.Fatalf("%v live robustness: %v", k, err)
+		}
+		repRob, err := replay.Figure4Robustness(k)
+		if err != nil {
+			t.Fatalf("%v replay robustness: %v", k, err)
+		}
+		if len(liveRob) == 0 || !reflect.DeepEqual(liveRob, repRob) {
+			t.Errorf("%v robustness: replay diverges from live\nlive:   %+v\nreplay: %+v", k, liveRob, repRob)
+		}
+
 		// The landscape figures: the replayed columnar scan against the
 		// same aggregation fed whole-record batches from the generator.
-		live2bc, err := figure2bcSource(takedown.ScenarioSource(study.Scenario, k), k, 1)
+		live2bc, err := figure2bcSource(liveSource(study.Scenario, k), k, 1)
 		if err != nil {
 			t.Fatalf("%v live figure2bc: %v", k, err)
 		}
@@ -102,7 +115,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			t.Errorf("%v figure2bc: replay diverges from live (%d vs %d victims)", k, len(rep2bc.Victims), len(live2bc.Victims))
 		}
 	}
-	live2a, err := figure2aSource(takedown.ScenarioSource(study.Scenario, trafficgen.KindIXP), 1)
+	live2a, err := figure2aSource(liveSource(study.Scenario, trafficgen.KindIXP), 1)
 	if err != nil {
 		t.Fatalf("live figure2a: %v", err)
 	}
@@ -113,6 +126,33 @@ func TestReplayMatchesLive(t *testing.T) {
 	if live2a.Histogram.Total() == 0 || !reflect.DeepEqual(live2a, rep2a) {
 		t.Errorf("figure2a: replay diverges from live")
 	}
+}
+
+// liveSource streams one vantage point's records straight from the
+// generator, one batch per day: the live side every replayed figure is
+// held against.
+func liveSource(s *trafficgen.Scenario, k trafficgen.Kind) takedown.Source {
+	return func(emit func(*pipe.Batch) error) error {
+		for day := 0; day < s.Config().Days; day++ {
+			if err := emit(pipe.Wrap(s.Day(k, day))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// replayOf archives the scenario opts describes for the given vantages
+// with fsync off, as GenerateReplay does with it on, and opens it for
+// replay; the archive lives until the test ends.
+func replayOf(tb testing.TB, opts Options, kinds ...trafficgen.Kind) *ReplayStudy {
+	tb.Helper()
+	r, err := openGenerated(tb.TempDir(), flowstore.Options{NoSync: true}, opts, kinds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	return r
 }
 
 // TestOpenReplayWindow: the analysis window is read in vantage order and

@@ -9,8 +9,9 @@ import (
 
 // Source streams flow records in batches to a visitor. It is the seam
 // between the takedown analyses and where the records come from: a
-// live traffic generator (ScenarioSource), a collector, or a flowstore
-// archive replayed with ScanBatches. Every aggregation below is
+// flowstore archive replayed with ScanBatches, a collector, or (in the
+// serial oracles only) the live traffic generator through
+// scenarioSource. Every aggregation below is
 // order-insensitive — integer-valued daily sums and per-key maps — so
 // any delivery order over the same record multiset yields identical
 // results; that is the replay-equals-live guarantee the flowstore
@@ -22,9 +23,9 @@ import (
 // reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
 
-// ScenarioSource streams one vantage point's records from the live
+// scenarioSource streams one vantage point's records from the live
 // generator, one batch per day.
-func ScenarioSource(s *trafficgen.Scenario, k trafficgen.Kind) Source {
+func scenarioSource(s *trafficgen.Scenario, k trafficgen.Kind) Source {
 	return func(emit func(*pipe.Batch) error) error {
 		cfg := s.Config()
 		for day := 0; day < cfg.Days; day++ {

@@ -13,7 +13,7 @@ import (
 // immediately and emit no further batches.
 func TestScenarioSourceStopsOnEmitError(t *testing.T) {
 	s := trafficgen.NewScenario(trafficgen.Config{Seed: 7, Days: 6})
-	src := ScenarioSource(s, trafficgen.KindTier1)
+	src := scenarioSource(s, trafficgen.KindTier1)
 
 	stop := errors.New("stop early")
 	emits := 0

@@ -217,7 +217,7 @@ func panelsFromSeries(series map[amplify.Vector]*timeseries.Series, w Window, k 
 //
 //bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
 func Figure4(s *trafficgen.Scenario, k trafficgen.Kind) ([]Figure4Panel, error) {
-	return Figure4Source(ScenarioSource(s, k), WindowOf(s.Config()), k, 1)
+	return Figure4Source(scenarioSource(s, k), WindowOf(s.Config()), k, 1)
 }
 
 // Figure4Source computes the Figure 4 panels from any record stream —
@@ -268,7 +268,7 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 //
 //bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
 func Figure5(s *trafficgen.Scenario, k trafficgen.Kind) (*Figure5Result, error) {
-	return Figure5Source(ScenarioSource(s, k), WindowOf(s.Config()), k, 1)
+	return Figure5Source(scenarioSource(s, k), WindowOf(s.Config()), k, 1)
 }
 
 // Figure5Source computes the systems-under-attack analysis from any
@@ -300,8 +300,10 @@ func (r Robustness) Agrees() bool { return r.WelchSig == r.RankSig }
 
 // Figure4Robustness runs both tests over the ±30-day window for each
 // reflector vector.
+//
+//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
 func Figure4Robustness(s *trafficgen.Scenario, k trafficgen.Kind) ([]Robustness, error) {
-	return figure4RobustnessSource(ScenarioSource(s, k), WindowOf(s.Config()), 1)
+	return Figure4RobustnessSource(scenarioSource(s, k), WindowOf(s.Config()), 1)
 }
 
 // robustnessFromSeries finishes the test comparison from the merged
@@ -327,9 +329,9 @@ func robustnessFromSeries(series map[amplify.Vector]*timeseries.Series, w Window
 	return out, nil
 }
 
-// figure4RobustnessSource runs the parametric/non-parametric comparison
+// Figure4RobustnessSource runs the parametric/non-parametric comparison
 // from any record stream, sharded par ways.
-func figure4RobustnessSource(src Source, w Window, par int) ([]Robustness, error) {
+func Figure4RobustnessSource(src Source, w Window, par int) ([]Robustness, error) {
 	series, err := triggerSeries(src, w, par)
 	if err != nil {
 		return nil, err

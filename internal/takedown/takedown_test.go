@@ -240,5 +240,5 @@ func TestRobustnessNullScenarioAgrees(t *testing.T) {
 // directionBreakdown is Figure4 for the per-direction breakdown: the
 // serial, unsourced reference.
 func directionBreakdown(s *trafficgen.Scenario, k trafficgen.Kind, v amplify.Vector) (map[flow.Direction]timeseries.TakedownMetrics, error) {
-	return directionBreakdownSource(ScenarioSource(s, k), WindowOf(s.Config()), k, v, 1)
+	return directionBreakdownSource(scenarioSource(s, k), WindowOf(s.Config()), k, v, 1)
 }
