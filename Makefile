@@ -54,14 +54,17 @@ analyze:
 bench:
 	$(GO) run ./bench -out BENCH_latest.json
 
-# bench-smoke runs the federated-scan and flowstore benchmarks for one
-# iteration — no timing claims, just proof they still execute (go vet
-# already compiles every benchmark; the full `make bench` run is
-# manual, and bench/bench_test.go smokes its five workloads in the
-# suite).
+# bench-smoke runs the federated-scan, flowstore and Section 5.2
+# (Figure 4, Figure 5, full pipeline, Welch-vs-rank ablation)
+# benchmarks for one iteration — no timing claims, just proof they
+# still execute (go vet already compiles every benchmark; the full
+# `make bench` run is manual, and bench/bench_test.go smokes its five
+# workloads in the suite).
 bench-smoke:
 	$(GO) test ./internal/core -run xxx -bench BenchmarkFederatedScan -benchtime 1x -count=1
 	$(GO) test ./internal/flowstore -run xxx -bench . -benchtime 1x -count=1
+	$(GO) test . -run xxx -bench 'Figure4ReflectorTraffic|Figure5AttackCounts|TakedownFullPipeline|AblationWelchVsRank' -benchtime 1x -count=1
+	$(GO) test ./internal/takedown -run xxx -bench . -benchtime 1x -count=1
 
 # lint enforces formatting. The telemetry-registration rule that used
 # to live in scripts/lint-telemetry.sh is now the type-aware telemetry

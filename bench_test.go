@@ -24,7 +24,6 @@ import (
 	"booterscope/internal/observatory"
 	"booterscope/internal/packet"
 	"booterscope/internal/reflector"
-	"booterscope/internal/takedown"
 	"booterscope/internal/trafficgen"
 )
 
@@ -211,11 +210,11 @@ func BenchmarkFigure4ReflectorTraffic(b *testing.B) {
 	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.3}, trafficgen.KindTier2)
 	var redMem, redNTP, redDNS float64
 	for i := 0; i < b.N; i++ {
-		panels, err := study.Figure4(trafficgen.KindTier2)
+		a, err := study.Analyze(trafficgen.KindTier2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range panels {
+		for _, p := range a.Figure4 {
 			switch p.Vector {
 			case amplify.Memcached:
 				redMem = p.Metrics.WT30.Reduction
@@ -237,10 +236,11 @@ func BenchmarkFigure5AttackCounts(b *testing.B) {
 	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.3}, trafficgen.KindIXP)
 	var significant, hours float64
 	for i := 0; i < b.N; i++ {
-		res, err := study.Figure5(trafficgen.KindIXP)
+		a, err := study.Analyze(trafficgen.KindIXP)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := a.Figure5
 		if res.Metrics.WT30.Significant || res.Metrics.WT40.Significant {
 			significant = 1
 		}
@@ -375,12 +375,9 @@ func BenchmarkTakedownFullPipeline(b *testing.B) {
 	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.2})
 	for i := 0; i < b.N; i++ {
 		for _, k := range study.Kinds() {
-			if _, err := study.Figure4(k); err != nil {
+			if _, err := study.Analyze(k); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if _, err := study.Figure5(trafficgen.KindIXP); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -616,19 +613,16 @@ func BenchmarkFlowstoreScan(b *testing.B) {
 // design-choice ablation for testing heavy-tailed daily sums with a
 // t-test.
 func BenchmarkAblationWelchVsRank(b *testing.B) {
+	study := benchReplay(b, core.Options{Seed: benchSeed, Scale: 0.3})
 	var agree, total float64
 	for i := 0; i < b.N; i++ {
-		s := trafficgen.NewScenario(trafficgen.Config{
-			Start: core.StudyStart, Days: 122, Takedown: core.TakedownDate,
-			Seed: benchSeed, Scale: 0.3,
-		})
 		agree, total = 0, 0
-		for _, k := range []trafficgen.Kind{trafficgen.KindIXP, trafficgen.KindTier1, trafficgen.KindTier2} {
-			rob, err := takedown.Figure4Robustness(s, k)
+		for _, k := range study.Kinds() {
+			a, err := study.Analyze(k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, r := range rob {
+			for _, r := range a.Robustness {
 				total++
 				if r.Agrees() {
 					agree++

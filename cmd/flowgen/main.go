@@ -18,9 +18,10 @@ package main
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"booterscope/internal/core"
@@ -34,38 +35,61 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("flowgen: ")
-	var (
-		seed    = flag.Uint64("seed", 1, "random seed")
-		scale   = flag.Float64("scale", 0.2, "traffic scale factor")
-		day     = flag.Int("day", 0, "scenario day to export (packet mode)")
-		days    = flag.Int("days", 122, "days of traffic to archive (-out mode)")
-		vantage = flag.String("vantage", "tier2", "vantage point: ixp, tier1, tier2, or all (-out mode only)")
-		format  = flag.String("format", "ipfix", "export format: v5, v9, ipfix")
-		out     = flag.String("o", "flows.bin", "output file (packet mode)")
-		outDir  = flag.String("out", "", "write a flowstore archive to this directory instead of export packets")
-		shards  = flag.Int("store.shards", flowstore.DefaultShards, "archive shard count (-out mode)")
-		fedOut  = flag.Bool("federate", false, "with -out: write per-vantage federated archives plus vantages.json for ddoswatch -federate")
-		fedUni  = flag.Bool("federate.union", false, "with -federate: also write the union store the federated scan must match byte-for-byte")
-	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	reg := telemetry.Default()
+// run is the command with its arguments and output streams passed in,
+// so a test can drive it in process; it returns the exit code: 0 on
+// success (and for -h), 1 when generation fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flowgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed    = fs.Uint64("seed", 1, "random seed")
+		scale   = fs.Float64("scale", 0.2, "traffic scale factor")
+		day     = fs.Int("day", 0, "scenario day to export (packet mode)")
+		days    = fs.Int("days", 122, "days of traffic to archive (-out mode)")
+		vantage = fs.String("vantage", "tier2", "vantage point: ixp, tier1, tier2, or all (-out mode only)")
+		format  = fs.String("format", "ipfix", "export format: v5, v9, ipfix")
+		out     = fs.String("o", "flows.bin", "output file (packet mode)")
+		outDir  = fs.String("out", "", "write a flowstore archive to this directory instead of export packets")
+		shards  = fs.Int("store.shards", flowstore.DefaultShards, "archive shard count (-out mode)")
+		fedOut  = fs.Bool("federate", false, "with -out: write per-vantage federated archives plus vantages.json for ddoswatch -federate")
+		fedUni  = fs.Bool("federate.union", false, "with -federate: also write the union store the federated scan must match byte-for-byte")
+	)
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its smoke test.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	reg := telemetry.NewRegistry()
 	flow.RegisterTelemetry(reg)
 	flowstore.RegisterTelemetry(reg)
 	srv, err := debugserver.Start(*debugAddr, reg)
+	if err == nil {
+		if srv != nil {
+			defer srv.Close()
+			fmt.Fprintf(stdout, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		}
+		err = generate(stdout, *seed, *scale, *day, *days, *vantage, *format, *out, *outDir, *shards, *fedOut, *fedUni)
+	}
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "flowgen: %v\n", err)
+		return 1
 	}
-	if srv != nil {
-		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
-	}
+	return 0
+}
 
+// generate dispatches to the mode the flags select.
+func generate(stdout io.Writer, seed uint64, scale float64, day, days int, vantage, format, out, outDir string, shards int, fedOut, fedUni bool) error {
 	var kind trafficgen.Kind
-	switch *vantage {
+	switch vantage {
 	case "ixp":
 		kind = trafficgen.KindIXP
 	case "tier1":
@@ -73,70 +97,45 @@ func main() {
 	case "tier2":
 		kind = trafficgen.KindTier2
 	case "all":
-		if *outDir == "" {
-			log.Fatal("-vantage all requires -out (packet export is single-vantage)")
+		if outDir == "" {
+			return errors.New("-vantage all requires -out (packet export is single-vantage)")
 		}
 	default:
-		log.Fatalf("unknown vantage %q", *vantage)
+		return fmt.Errorf("unknown vantage %q", vantage)
 	}
 
-	if *outDir != "" {
-		if *fedOut {
-			writeFederated(*outDir, *seed, *scale, *days, *shards, *fedUni)
-		} else {
-			writeArchive(*outDir, *seed, *scale, *days, *shards, *vantage, kind)
+	if outDir != "" {
+		if fedOut {
+			return writeFederated(stdout, outDir, seed, scale, days, shards, fedUni)
 		}
-		return
+		return writeArchive(stdout, outDir, seed, scale, days, shards, vantage, kind)
 	}
-	if *fedOut || *fedUni {
-		log.Fatal("-federate requires -out (federation is archive export)")
+	if fedOut || fedUni {
+		return errors.New("-federate requires -out (federation is archive export)")
 	}
+	return exportPackets(stdout, seed, scale, day, kind, format, out)
+}
 
+// exportPackets writes one vantage-day as length-prefixed export
+// packets in the given format to path.
+func exportPackets(stdout io.Writer, seed uint64, scale float64, day int, kind trafficgen.Kind, format, path string) error {
 	scenario := trafficgen.NewScenario(trafficgen.Config{
 		Start:    core.StudyStart,
-		Days:     *day + 1,
+		Days:     day + 1,
 		Takedown: core.TakedownDate,
-		Seed:     *seed,
-		Scale:    *scale,
+		Seed:     seed,
+		Scale:    scale,
 	})
-	records := scenario.Day(kind, *day)
-	ts := scenario.DayTime(*day)
+	records := scenario.Day(kind, day)
+	ts := scenario.DayTime(day)
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-
-	packets := 0
-	write := func(msg []byte) error {
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(msg)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(msg)
-		packets++
-		return err
-	}
-
-	switch *format {
+	var encode func(recs []flow.Record) ([]byte, error)
+	batch := 100
+	switch format {
 	case "v5":
 		exp := &netflow.V5Exporter{BootTime: ts.AddDate(0, 0, -1)}
-		for i := 0; i < len(records); i += netflow.MaxV5Records {
-			end := i + netflow.MaxV5Records
-			if end > len(records) {
-				end = len(records)
-			}
-			msg, err := exp.EncodeV5(clampCounters(records[i:end]), ts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := write(msg); err != nil {
-				log.Fatal(err)
-			}
-		}
+		batch = netflow.MaxV5Records
+		encode = func(recs []flow.Record) ([]byte, error) { return exp.EncodeV5(clampCounters(recs), ts) }
 	case "v9":
 		exp := &netflow.V9Exporter{SourceID: 1, BootTime: ts.AddDate(0, 0, -1)}
 		if kind == trafficgen.KindIXP {
@@ -144,49 +143,51 @@ func main() {
 			// v9 options template so collectors scale counters up.
 			exp.SamplingRate = scenario.Config().IXPSamplingRate
 		}
-		for i := 0; i < len(records); i += 100 {
-			end := i + 100
-			if end > len(records) {
-				end = len(records)
-			}
-			msg, err := exp.EncodeV9(records[i:end], ts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := write(msg); err != nil {
-				log.Fatal(err)
-			}
-		}
+		encode = func(recs []flow.Record) ([]byte, error) { return exp.EncodeV9(recs, ts) }
 	case "ipfix":
 		enc := &ipfix.Encoder{DomainID: 1}
-		for i := 0; i < len(records); i += 100 {
-			end := i + 100
-			if end > len(records) {
-				end = len(records)
-			}
-			msg, err := enc.Encode(records[i:end], ts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := write(msg); err != nil {
-				log.Fatal(err)
-			}
-		}
+		encode = func(recs []flow.Record) ([]byte, error) { return enc.Encode(recs, ts) }
 	default:
-		log.Fatalf("unknown format %q", *format)
+		return fmt.Errorf("unknown format %q", format)
 	}
 
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("wrote %d %s export packets carrying %d flow records (%v, day %d) to %s\n",
-		packets, *format, len(records), kind, *day, *out)
+	defer f.Close()
+	w := bufio.NewWriter(f)
+	packets := 0
+	for i := 0; i < len(records); i += batch {
+		msg, err := encode(records[i:min(i+batch, len(records))])
+		if err != nil {
+			return err
+		}
+		var lenBuf [4]byte
+		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(msg)))
+		if _, err := w.Write(lenBuf[:]); err != nil {
+			return err
+		}
+		if _, err := w.Write(msg); err != nil {
+			return err
+		}
+		packets++
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %d %s export packets carrying %d flow records (%v, day %d) to %s\n",
+		packets, format, len(records), kind, day, path)
+	return nil
 }
 
 // writeArchive generates the takedown study window and persists it as a
 // flowstore archive — phase one of the two-phase generate-then-analyse
 // workflow (cmd/takedown -store.dir replays phase two).
-func writeArchive(dir string, seed uint64, scale float64, days, shards int, vantage string, kind trafficgen.Kind) {
+func writeArchive(stdout io.Writer, dir string, seed uint64, scale float64, days, shards int, vantage string, kind trafficgen.Kind) error {
 	study := core.NewTakedownStudy(core.Options{Seed: seed, Scale: scale, Days: days})
 	var kinds []trafficgen.Kind
 	if vantage != "all" {
@@ -194,15 +195,15 @@ func writeArchive(dir string, seed uint64, scale float64, days, shards int, vant
 	}
 	opts := flowstore.Options{Shards: shards}
 	if err := study.WriteArchive(dir, opts, kinds...); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	replay, err := core.OpenReplay(dir)
 	if err != nil {
-		log.Fatalf("verifying archive: %v", err)
+		return fmt.Errorf("verifying archive: %w", err)
 	}
 	defer replay.Close()
-	fmt.Printf("archived %d days (seed %d, scale %g) to %s\n", days, seed, scale, dir)
+	fmt.Fprintf(stdout, "archived %d days (seed %d, scale %g) to %s\n", days, seed, scale, dir)
 	for _, k := range replay.Kinds() {
 		st := replay.Store(k)
 		var records, bytes uint64
@@ -211,10 +212,11 @@ func writeArchive(dir string, seed uint64, scale float64, days, shards int, vant
 			records += e.Records
 			bytes += e.Bytes
 		}
-		fmt.Printf("  %-8s %9d records in %3d segments, %.1f MiB\n",
+		fmt.Fprintf(stdout, "  %-8s %9d records in %3d segments, %.1f MiB\n",
 			core.KindSlug(k), records, len(segs), float64(bytes)/(1<<20))
 	}
-	fmt.Printf("replay with: takedown -store.dir %s\n", dir)
+	fmt.Fprintf(stdout, "replay with: takedown -store.dir %s\n", dir)
+	return nil
 }
 
 // writeFederated generates ONE study window and persists it as N
@@ -222,18 +224,18 @@ func writeArchive(dir string, seed uint64, scale float64, days, shards int, vant
 // ddoswatch -federate opens — every collector sees its own subset of
 // the same ground truth (visibility + sampling), so cross-vantage
 // disagreement in the correlation report is seeded, not simulated.
-func writeFederated(dir string, seed uint64, scale float64, days, shards int, withUnion bool) {
+func writeFederated(stdout io.Writer, dir string, seed uint64, scale float64, days, shards int, withUnion bool) error {
 	study := core.NewTakedownStudy(core.Options{Seed: seed, Scale: scale, Days: days})
 	opts := flowstore.Options{Shards: shards}
 	m, err := study.WriteFederatedArchive(dir, opts, nil, withUnion)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("federated %d days (seed %d, scale %g) to %s\n", days, seed, scale, dir)
+	fmt.Fprintf(stdout, "federated %d days (seed %d, scale %g) to %s\n", days, seed, scale, dir)
 	for _, v := range m.Vantages {
 		st, err := flowstore.Open(v.Dir, flowstore.Options{})
 		if err != nil {
-			log.Fatalf("verifying vantage %s: %v", v.Name, err)
+			return fmt.Errorf("verifying vantage %s: %w", v.Name, err)
 		}
 		var records, bytes uint64
 		segs := st.Segments()
@@ -242,10 +244,11 @@ func writeFederated(dir string, seed uint64, scale float64, days, shards int, wi
 			bytes += e.Bytes
 		}
 		st.Close()
-		fmt.Printf("  %-8s %-12s %9d records in %3d segments, %.1f MiB, skew<=%ds\n",
+		fmt.Fprintf(stdout, "  %-8s %-12s %9d records in %3d segments, %.1f MiB, skew<=%ds\n",
 			v.Name, v.Tier, records, len(segs), float64(bytes)/(1<<20), v.ClockSkewMaxSeconds)
 	}
-	fmt.Printf("query with: ddoswatch -federate %s/vantages.json -correlate\n", dir)
+	fmt.Fprintf(stdout, "query with: ddoswatch -federate %s/vantages.json -correlate\n", dir)
+	return nil
 }
 
 // clampCounters bounds NetFlow v5's 32-bit counters (v9/IPFIX carry 64

@@ -304,7 +304,8 @@ func (h *harness) landscape(seed uint64, scale float64) error {
 	return nil
 }
 
-// takedown replays a 122-day archive of the IXP and tier-2 vantages.
+// takedown replays a 122-day archive of the IXP and tier-2 vantages,
+// one Analyze pass per vantage.
 func (h *harness) takedown(seed uint64, scale float64) error {
 	study, err := core.GenerateReplay(core.Options{Seed: seed, Scale: scale, Parallelism: h.par},
 		trafficgen.KindIXP, trafficgen.KindTier2)
@@ -312,13 +313,17 @@ func (h *harness) takedown(seed uint64, scale float64) error {
 		return err
 	}
 	defer study.Close()
-	panels, err := study.Figure4(trafficgen.KindTier2)
+	tier2, err := study.Analyze(trafficgen.KindTier2)
+	if err != nil {
+		return err
+	}
+	ixp, err := study.Analyze(trafficgen.KindIXP)
 	if err != nil {
 		return err
 	}
 	red := map[amplify.Vector]float64{}
 	sig := map[amplify.Vector]bool{}
-	for _, p := range panels {
+	for _, p := range tier2.Figure4 {
 		red[p.Vector] = p.Metrics.WT30.Reduction
 		sig[p.Vector] = p.Metrics.WT30.Significant
 	}
@@ -329,12 +334,8 @@ func (h *harness) takedown(seed uint64, scale float64) error {
 		red[amplify.Memcached] < red[amplify.NTP] && red[amplify.NTP] < red[amplify.DNS],
 		"red30 %.2f / %.2f / %.2f", red[amplify.Memcached], red[amplify.NTP], red[amplify.DNS])
 
-	ixpPanels, err := study.Figure4(trafficgen.KindIXP)
-	if err != nil {
-		return err
-	}
 	var ixpMemSig, ixpDNSSig bool
-	for _, p := range ixpPanels {
+	for _, p := range ixp.Figure4 {
 		if p.Vector == amplify.Memcached {
 			ixpMemSig = p.Metrics.WT30.Significant
 		}
@@ -345,20 +346,14 @@ func (h *harness) takedown(seed uint64, scale float64) error {
 	h.add("Fig4", "IXP: memcached drop significant, DNS drop not visible",
 		ixpMemSig && !ixpDNSSig, "mem %t, DNS %t", ixpMemSig, ixpDNSSig)
 
-	fig5, err := study.Figure5(trafficgen.KindIXP)
-	if err != nil {
-		return err
-	}
+	fig5 := ixp.Figure5
 	h.add("Fig5", "no significant reduction in systems attacked",
 		!fig5.Metrics.WT30.Significant && !fig5.Metrics.WT40.Significant,
 		"wt30 %t, wt40 %t", fig5.Metrics.WT30.Significant, fig5.Metrics.WT40.Significant)
 
 	// Robustness ablation: the Welch verdicts survive a non-parametric
 	// re-test.
-	rob, err := study.Figure4Robustness(trafficgen.KindTier2)
-	if err != nil {
-		return err
-	}
+	rob := tier2.Robustness
 	agree := 0
 	for _, r := range rob {
 		if r.Agrees() {

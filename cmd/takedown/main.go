@@ -62,7 +62,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // analyze opens the archive (storeDir, or one generated from opts),
-// computes Figures 4 and 5 from it and prints them.
+// computes Figures 4 and 5 from it with one Analyze pass per vantage
+// and prints them.
 func analyze(out io.Writer, opts core.Options, storeDir, debugAddr string) error {
 	reg := telemetry.NewRegistry()
 	flow.RegisterTelemetry(reg)
@@ -98,25 +99,20 @@ func analyze(out io.Writer, opts core.Options, storeDir, debugAddr string) error
 		event.Date.Format("2006-01-02"), event.SeizedDomains)
 
 	fmt.Fprintln(out, "== Figure 4: daily packets toward DDoS reflectors ==")
+	// Figure 5 uses the IXP perspective when present (the paper's), else
+	// the first archived vantage.
+	var fig5 *takedown.Figure5Result
 	for _, k := range kinds {
-		panels, err := replay.Figure4(k)
+		a, err := replay.Analyze(k)
 		if err != nil {
 			return err
 		}
-		renderFigure4(out, k, panels, event.Date)
+		renderFigure4(out, k, a.Figure4, event.Date)
+		if fig5 == nil || k == trafficgen.KindIXP {
+			fig5 = a.Figure5
+		}
 	}
-
-	// Figure 5 uses the IXP perspective when present (the paper's), else
-	// the first archived vantage.
-	fig5Kind := kinds[0]
-	if replay.Store(trafficgen.KindIXP) != nil {
-		fig5Kind = trafficgen.KindIXP
-	}
-	fmt.Fprintf(out, "\n== Figure 5: systems under NTP DDoS attack per hour (%v) ==\n", fig5Kind)
-	fig5, err := replay.Figure5(fig5Kind)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(out, "\n== Figure 5: systems under NTP DDoS attack per hour (%v) ==\n", fig5.Vantage)
 	renderFigure5(out, fig5)
 	return nil
 }

@@ -19,21 +19,23 @@ func main() {
 	opts := core.Options{Seed: 9, Scale: 0.3}
 
 	// Data-plane: Figure 4 (to reflectors) and Figure 5 (to victims),
-	// replayed from a generated archive of the two vantages they use.
+	// replayed from a generated archive of the two vantages they use,
+	// one Analyze pass per vantage.
 	// The archive is closed, and so removed, before any log.Fatal.
 	traffic, err := core.GenerateReplay(opts, trafficgen.KindIXP, trafficgen.KindTier2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	panels, err := traffic.Figure4(trafficgen.KindTier2)
-	var fig5 *takedown.Figure5Result
+	tier2, err := traffic.Analyze(trafficgen.KindTier2)
+	var ixp *takedown.Analysis
 	if err == nil {
-		fig5, err = traffic.Figure5(trafficgen.KindIXP)
+		ixp, err = traffic.Analyze(trafficgen.KindIXP)
 	}
 	traffic.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
+	panels, fig5 := tier2.Figure4, ixp.Figure5
 	fmt.Println("to-reflector traffic at the tier-2 ISP after the seizure:")
 	reflectorDropped := true
 	for _, p := range panels {

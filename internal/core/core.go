@@ -8,8 +8,9 @@
 //     written to a flowstore archive by WriteArchive;
 //   - ReplayStudy (OpenReplay, or GenerateReplay to generate and open
 //     in one step) — every traffic figure, computed from an archive:
-//     NTP amplification in the wild (Figure 2a-c) and the seizure's
-//     traffic effects (Figures 4 and 5);
+//     NTP amplification in the wild (Figure 2a-c), and the seizure's
+//     traffic effects (Figures 4 and 5 and the S5.2 robustness
+//     ablation) from one Analyze pass per vantage point;
 //   - NewDomainStudy — Section 5.1: booter domains before and after the
 //     takedown (Figure 3).
 //

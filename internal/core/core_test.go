@@ -239,10 +239,11 @@ func TestLandscapeFigure2bc(t *testing.T) {
 
 func TestTakedownStudy(t *testing.T) {
 	ts := replayOf(t, Options{Seed: 3, Scale: 0.25}, trafficgen.KindIXP, trafficgen.KindTier2)
-	panels, err := ts.Figure4(trafficgen.KindTier2)
+	tier2, err := ts.Analyze(trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	panels := tier2.Figure4
 	if len(panels) != 3 {
 		t.Fatalf("panels = %d", len(panels))
 	}
@@ -251,11 +252,11 @@ func TestTakedownStudy(t *testing.T) {
 			t.Errorf("%v: tier-2 reduction not significant", p.Vector)
 		}
 	}
-	fig5, err := ts.Figure5(trafficgen.KindIXP)
+	ixp, err := ts.Analyze(trafficgen.KindIXP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig5.Metrics.WT30.Significant {
+	if fig5 := ixp.Figure5; fig5.Metrics.WT30.Significant {
 		t.Error("Figure 5 should show no significant reduction")
 	}
 }

@@ -51,11 +51,11 @@ func TestStudiesDeterministic(t *testing.T) {
 
 	runTakedown := func() (float64, float64) {
 		ts := replayOf(t, Options{Seed: seed, Scale: 0.15}, trafficgen.KindTier2)
-		panels, err := ts.Figure4(trafficgen.KindTier2)
+		a, err := ts.Analyze(trafficgen.KindTier2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return panels[0].Metrics.WT30.Reduction, panels[0].Metrics.WT30.Welch.P
+		return a.Figure4[0].Metrics.WT30.Reduction, a.Figure4[0].Metrics.WT30.Welch.P
 	}
 	p1, q1 := runTakedown()
 	p2, q2 := runTakedown()

@@ -79,11 +79,11 @@ func (t *TakedownStudy) WriteArchive(dir string, opts flowstore.Options, kinds .
 	return nil
 }
 
-// ReplayStudy serves the Section 5.2 analyses from a stored flow
-// archive instead of live generation. Because every takedown
-// aggregation is order-insensitive and exact (integer-valued daily
-// sums, per-key maps), replaying an archive yields results identical to
-// the live run that wrote it.
+// ReplayStudy serves the traffic figures from a stored flow archive;
+// Analyze computes all of Section 5.2 for one vantage point in one
+// scan. Because every takedown aggregation is order-insensitive and
+// exact (integer-valued daily sums, per-key maps), replaying an archive
+// yields results identical to the live run that wrote it.
 type ReplayStudy struct {
 	Event takedown.Event
 	dir   string
@@ -234,62 +234,6 @@ func triggerPorts() []uint16 {
 		ports = append(ports, v.Port())
 	}
 	return ports
-}
-
-// triggerSource scans one vantage store for the Figure 4 trigger
-// aggregation. The scan is pruned to UDP trigger-port records — the
-// aggregation applies the identical exact filter, so pruning cannot
-// change the result.
-func (r *ReplayStudy) triggerSource(k trafficgen.Kind) (takedown.Source, error) {
-	return r.source(k, flowstore.Query{
-		Protocols: []uint8{packet.IPProtoUDP},
-		DstPorts:  triggerPorts(),
-		// The trigger aggregation bins scaled packets by day and dst
-		// port; the dst address feeds the fan-out hash.
-		Project: flowstore.ColDstAddr | flowstore.ColDstPort |
-			flowstore.ColProto | flowstore.ColCounters | flowstore.ColStartSec,
-	})
-}
-
-// Figure4 computes the to-reflector panels for one vantage point from
-// the archive.
-func (r *ReplayStudy) Figure4(k trafficgen.Kind) ([]takedown.Figure4Panel, error) {
-	src, err := r.triggerSource(k)
-	if err != nil {
-		return nil, err
-	}
-	return takedown.Figure4Source(src, r.window, k, r.par())
-}
-
-// Figure4Robustness runs the Welch/Mann-Whitney comparison over one
-// vantage point's Figure 4 trigger series from the archive.
-func (r *ReplayStudy) Figure4Robustness(k trafficgen.Kind) ([]takedown.Robustness, error) {
-	src, err := r.triggerSource(k)
-	if err != nil {
-		return nil, err
-	}
-	return takedown.Figure4RobustnessSource(src, r.window, r.par())
-}
-
-// Figure5 computes the systems-under-attack analysis for one vantage
-// point from the archive. The scan keeps only UDP records touching the
-// NTP port on either side — a superset of the counter's exact
-// amplified-NTP filter (UDP src port 123), so the result is unchanged.
-func (r *ReplayStudy) Figure5(k trafficgen.Kind) (*takedown.Figure5Result, error) {
-	src, err := r.source(k, flowstore.Query{
-		Protocols:   []uint8{packet.IPProtoUDP},
-		PortsEither: []uint16{classify.NTPPort},
-		// The attack counter reads both endpoint addresses (victim key
-		// and amplifier set), the NTP src-port filter, minute bins from
-		// start seconds, and the scaled volume counters.
-		Project: flowstore.ColSrcAddr | flowstore.ColDstAddr |
-			flowstore.ColSrcPort | flowstore.ColProto |
-			flowstore.ColCounters | flowstore.ColStartSec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return takedown.Figure5Source(src, r.window, k, r.par())
 }
 
 // Analyze computes Figure 4, Figure 5, and the robustness ablation for

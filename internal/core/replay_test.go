@@ -50,14 +50,15 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 
 	for _, k := range kinds {
-		livePanels, err := takedown.Figure4(study.Scenario, k)
+		live, err := takedown.Analyze(liveSource(study.Scenario, k), takedown.WindowOf(cfg), k, 1)
 		if err != nil {
-			t.Fatalf("%v live figure4: %v", k, err)
+			t.Fatalf("%v live analyze: %v", k, err)
 		}
-		repPanels, err := replay.Figure4(k)
+		rep, err := replay.Analyze(k)
 		if err != nil {
-			t.Fatalf("%v replay figure4: %v", k, err)
+			t.Fatalf("%v replay analyze: %v", k, err)
 		}
+		livePanels, repPanels := live.Figure4, rep.Figure4
 		if len(livePanels) != len(repPanels) {
 			t.Fatalf("%v: %d live panels vs %d replayed", k, len(livePanels), len(repPanels))
 		}
@@ -74,14 +75,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			}
 		}
 
-		live5, err := takedown.Figure5(study.Scenario, k)
-		if err != nil {
-			t.Fatalf("%v live figure5: %v", k, err)
-		}
-		rep5, err := replay.Figure5(k)
-		if err != nil {
-			t.Fatalf("%v replay figure5: %v", k, err)
-		}
+		live5, rep5 := live.Figure5, rep.Figure5
 		if !reflect.DeepEqual(live5.Metrics, rep5.Metrics) {
 			t.Errorf("%v figure5: metrics diverge\nlive:   %+v\nreplay: %+v", k, live5.Metrics, rep5.Metrics)
 		}
@@ -89,14 +83,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			t.Errorf("%v figure5: hourly series diverge (%d vs %d points)", k, len(live5.Hourly), len(rep5.Hourly))
 		}
 
-		liveRob, err := takedown.Figure4Robustness(study.Scenario, k)
-		if err != nil {
-			t.Fatalf("%v live robustness: %v", k, err)
-		}
-		repRob, err := replay.Figure4Robustness(k)
-		if err != nil {
-			t.Fatalf("%v replay robustness: %v", k, err)
-		}
+		liveRob, repRob := live.Robustness, rep.Robustness
 		if len(liveRob) == 0 || !reflect.DeepEqual(liveRob, repRob) {
 			t.Errorf("%v robustness: replay diverges from live\nlive:   %+v\nreplay: %+v", k, liveRob, repRob)
 		}

@@ -270,22 +270,14 @@ func (c *Columns) DstAs16(i int) (b [16]byte) {
 	return b
 }
 
-// Start materializes row i's start time.
-func (c *Columns) Start(i int) time.Time {
+// start materializes row i's start time.
+func (c *Columns) start(i int) time.Time {
 	return time.Unix(c.StartSec[i], int64(c.StartNs[i])).UTC()
 }
 
 // End materializes row i's end time.
 func (c *Columns) End(i int) time.Time {
 	return time.Unix(c.EndSec[i], int64(c.EndNs[i])).UTC()
-}
-
-// Direction returns row i's direction.
-func (c *Columns) Direction(i int) Direction {
-	if c.Flags[i]&FlagEgress != 0 {
-		return Egress
-	}
-	return Ingress
 }
 
 // ScaledBytes is Record.ScaledBytes for row i.
@@ -326,7 +318,7 @@ func (c *Columns) Record(i int) Record {
 		},
 		Packets:      c.Packets[i],
 		Bytes:        c.Bytes[i],
-		Start:        c.Start(i),
+		Start:        c.start(i),
 		End:          c.End(i),
 		SrcAS:        c.SrcAS[i],
 		DstAS:        c.DstAS[i],

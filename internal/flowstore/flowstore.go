@@ -9,9 +9,9 @@
 // through N shard writers (hash of the flow key) into append-only
 // segment files — one segment per (shard, time partition) — encoded
 // column by column with delta + varint compression and CRC-checked
-// block framing. Append only routes and stages records; a flusher
-// goroutine per shard writes them (flusher.go). Sealing a segment fsyncs it
-// and records it in an atomically updated manifest; a crash
+// block framing. Writes are asynchronous: the files catch up with
+// Append at the quiescent points (see Store). Sealing a segment fsyncs
+// it and records it in an atomically updated manifest; a crash
 // mid-segment leaves an unsealed file that the next Open re-scans,
 // truncating the torn tail and adopting every intact block, with the
 // damage reported — never silent (see RecoveryReport and the store
@@ -65,12 +65,10 @@ type Options struct {
 	// NoSync skips the fsync on segment seal — for tests and
 	// benchmarks; durable deployments leave it false.
 	NoSync bool
-	// WriteFault, when set, is consulted before every block write —
-	// the chaos hook crash-recovery tests use to kill a writer
-	// mid-segment. Records of a failed write are dropped and counted
-	// in Stats().RecordsDropped, never silently lost. The ops are
-	// "block-write shard N" and, when NoSync is false, "segment-fsync
-	// shard N"; flusher.go says where and in what order each is checked.
+	// WriteFault, when set, is the chaos hook crash-recovery tests use
+	// to fail a "block-write shard N" or, when NoSync is false, a
+	// "segment-fsync shard N". Records of a failed write are counted in
+	// Stats().RecordsDropped, never silently lost.
 	WriteFault *chaos.Failpoint
 	// Meta is arbitrary user metadata stored in the manifest at
 	// creation (e.g. generator seed, scale, vantage point) so replay
@@ -129,12 +127,11 @@ type RecoveryReport struct {
 // Store is a flow archive rooted at one directory. A Store is safe for
 // one writer goroutine plus any number of concurrent Scan calls.
 //
-// Append stages records; each shard's flusher goroutine writes them
-// (flusher.go). Stats, Segments, Seal and Close are the quiescent
-// points: each first waits until every flusher has finished what it was
-// handed, so the ledger is exact there and the manifest Seal and Close
-// save lists only fsynced segments. Scans see the segments sealed up to
-// the last quiescent point.
+// Stats, Segments, Seal and Close are the quiescent points: there the
+// files hold everything appended before, the ledger is exact, and the
+// manifest lists only fsynced segments. Scans see the segments sealed
+// up to the last quiescent point. A write error is returned by the next
+// Append, Seal or Close.
 type Store struct {
 	dir  string
 	opts Options

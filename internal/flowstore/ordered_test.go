@@ -183,7 +183,7 @@ func TestOrderedScanHonoursProject(t *testing.T) {
 		c := b.Cols
 		for row := 0; row < c.Len(); row, i = row+1, i+1 {
 			if want := &full[i]; c.Dst(row) != want.Dst || c.Packets[row] != want.Packets || c.Bytes[row] != want.Bytes ||
-				c.Sampling[row] != want.SamplingRate || !c.Start(row).Equal(want.Start) {
+				c.Sampling[row] != want.SamplingRate || !time.Unix(c.StartSec[row], int64(c.StartNs[row])).Equal(want.Start) {
 				t.Fatalf("row %d: projected columns differ from the full scan's", i)
 			}
 		}

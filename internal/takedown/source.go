@@ -9,9 +9,8 @@ import (
 
 // Source streams flow records in batches to a visitor. It is the seam
 // between the takedown analyses and where the records come from: a
-// flowstore archive replayed with ScanBatches, a collector, or (in the
-// serial oracles only) the live traffic generator through
-// scenarioSource. Every aggregation below is
+// flowstore archive replayed with ScanBatches, a collector, or (in
+// tests) the live traffic generator. Every aggregation below is
 // order-insensitive — integer-valued daily sums and per-key maps — so
 // any delivery order over the same record multiset yields identical
 // results; that is the replay-equals-live guarantee the flowstore
@@ -22,20 +21,6 @@ import (
 // propagated immediately — that is how early exit and cancellation
 // reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
-
-// scenarioSource streams one vantage point's records from the live
-// generator, one batch per day.
-func scenarioSource(s *trafficgen.Scenario, k trafficgen.Kind) Source {
-	return func(emit func(*pipe.Batch) error) error {
-		cfg := s.Config()
-		for day := 0; day < cfg.Days; day++ {
-			if err := emit(pipe.Wrap(s.Day(k, day))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
 
 // Window bounds an analysis: the day grid records are binned onto and
 // the event date tested against it.

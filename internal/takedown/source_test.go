@@ -8,6 +8,21 @@ import (
 	"booterscope/internal/trafficgen"
 )
 
+// scenarioSource streams one vantage point's records from the live
+// generator, one batch per day: the record stream the package's tests
+// analyze.
+func scenarioSource(s *trafficgen.Scenario, k trafficgen.Kind) Source {
+	return func(emit func(*pipe.Batch) error) error {
+		cfg := s.Config()
+		for day := 0; day < cfg.Days; day++ {
+			if err := emit(pipe.Wrap(s.Day(k, day))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // TestScenarioSourceStopsOnEmitError is the cancellation-propagation
 // regression test: when emit fails, the source must return that error
 // immediately and emit no further batches.

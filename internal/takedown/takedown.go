@@ -12,9 +12,11 @@
 //     conservative classification — where no significant reduction
 //     appears.
 //
-// Every analysis runs on the batch pipeline (internal/pipe): records
-// are hash-fanned across par shard stages, each shard aggregates
-// locally, and shard results merge exactly — the sums are
+// Analyze computes both figures and the Welch/Mann-Whitney robustness
+// ablation in one pass over a vantage point's records, on the batch
+// pipeline (internal/pipe): records are hash-fanned across par shard
+// stages, each shard runs the trigger and attack-counter aggregations
+// side by side, and shard results merge exactly — the sums are
 // integer-valued and the maps victim-disjoint — so any parallelism
 // yields byte-identical output to the serial pass.
 package takedown
@@ -25,7 +27,6 @@ import (
 
 	"booterscope/internal/amplify"
 	"booterscope/internal/classify"
-	"booterscope/internal/flow"
 	"booterscope/internal/packet"
 	"booterscope/internal/pipe"
 	"booterscope/internal/timeseries"
@@ -90,11 +91,11 @@ func newVectorSeries() map[amplify.Vector]*timeseries.Series {
 }
 
 // triggerStage accumulates one shard's daily to-reflector packet sums
-// per vector — the shared aggregation behind Figure 4, its robustness
-// ablation, and the direction breakdown. Daily sums are integer-valued
-// float64 additions (each well below 2^53), so they are exact and
-// independent of record order and sharding; Close folds the shard's
-// series into the merge target (the engine serializes Closes).
+// per vector — the aggregation behind Figure 4 and its robustness
+// ablation. Daily sums are integer-valued float64 additions (each well
+// below 2^53), so they are exact and independent of record order and
+// sharding; Close folds the shard's series into the merge target (the
+// engine serializes Closes).
 type triggerStage struct {
 	w      Window
 	into   map[amplify.Vector]*timeseries.Series
@@ -183,16 +184,6 @@ func (c *counterStage) Close() error {
 	return nil
 }
 
-// triggerSeries runs the trigger aggregation over src with par shards.
-func triggerSeries(src Source, w Window, par int) (map[amplify.Vector]*timeseries.Series, error) {
-	merged := newVectorSeries()
-	err := RunSharded(src, par, func() pipe.Stage { return newTriggerStage(w, merged) })
-	if err != nil {
-		return nil, err
-	}
-	return merged, nil
-}
-
 // panelsFromSeries finishes Figure 4 from the merged trigger series.
 func panelsFromSeries(series map[amplify.Vector]*timeseries.Series, w Window, k trafficgen.Kind) ([]Figure4Panel, error) {
 	var out []Figure4Panel
@@ -210,25 +201,6 @@ func panelsFromSeries(series map[amplify.Vector]*timeseries.Series, w Window, k 
 		})
 	}
 	return out, nil
-}
-
-// Figure4 computes the to-reflector traffic analysis for one vantage
-// point of a scenario.
-//
-//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
-func Figure4(s *trafficgen.Scenario, k trafficgen.Kind) ([]Figure4Panel, error) {
-	return Figure4Source(scenarioSource(s, k), WindowOf(s.Config()), k, 1)
-}
-
-// Figure4Source computes the Figure 4 panels from any record stream —
-// live generation or a flowstore replay — over the given window,
-// sharded par ways. k labels the vantage point in the output.
-func Figure4Source(src Source, w Window, k trafficgen.Kind, par int) ([]Figure4Panel, error) {
-	series, err := triggerSeries(src, w, par)
-	if err != nil {
-		return nil, err
-	}
-	return panelsFromSeries(series, w, k)
 }
 
 // Figure5Result is the systems-under-attack analysis.
@@ -262,28 +234,6 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 	return &Figure5Result{Vantage: k, Hourly: hourly, Metrics: metrics}, nil
 }
 
-// Figure5 counts systems under NTP DDoS attack (conservative filter)
-// per hour across the scenario and tests for a reduction at the
-// takedown.
-//
-//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
-func Figure5(s *trafficgen.Scenario, k trafficgen.Kind) (*Figure5Result, error) {
-	return Figure5Source(scenarioSource(s, k), WindowOf(s.Config()), k, 1)
-}
-
-// Figure5Source computes the systems-under-attack analysis from any
-// record stream over the given window, sharded par ways. The attack
-// counter is a per-victim map aggregation with an exact merge, so the
-// result is independent of record order and shard count.
-func Figure5Source(src Source, w Window, k trafficgen.Kind, par int) (*Figure5Result, error) {
-	counter := classify.NewAttackCounter(classify.Config{})
-	err := RunSharded(src, par, func() pipe.Stage { return newCounterStage(counter) })
-	if err != nil {
-		return nil, err
-	}
-	return figure5FromCounter(counter, w, k)
-}
-
 // Robustness compares the parametric (Welch) and non-parametric
 // (Mann-Whitney) verdicts for one vantage point's Figure 4 panels — the
 // ablation for the paper's choice of test statistic on heavy-tailed
@@ -297,14 +247,6 @@ type Robustness struct {
 
 // Agrees reports whether both tests reach the same verdict.
 func (r Robustness) Agrees() bool { return r.WelchSig == r.RankSig }
-
-// Figure4Robustness runs both tests over the ±30-day window for each
-// reflector vector.
-//
-//bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with this serial live reference
-func Figure4Robustness(s *trafficgen.Scenario, k trafficgen.Kind) ([]Robustness, error) {
-	return Figure4RobustnessSource(scenarioSource(s, k), WindowOf(s.Config()), 1)
-}
 
 // robustnessFromSeries finishes the test comparison from the merged
 // trigger series.
@@ -329,16 +271,6 @@ func robustnessFromSeries(series map[amplify.Vector]*timeseries.Series, w Window
 	return out, nil
 }
 
-// Figure4RobustnessSource runs the parametric/non-parametric comparison
-// from any record stream, sharded par ways.
-func Figure4RobustnessSource(src Source, w Window, par int) ([]Robustness, error) {
-	series, err := triggerSeries(src, w, par)
-	if err != nil {
-		return nil, err
-	}
-	return robustnessFromSeries(series, w)
-}
-
 // Analysis bundles everything one pass over a vantage point's records
 // can produce.
 type Analysis struct {
@@ -351,8 +283,7 @@ type Analysis struct {
 // a single sharded pass over the record stream: each shard runs the
 // trigger and attack-counter aggregations side by side on the same
 // batches, so the source is scanned once instead of once per figure.
-// Results are byte-identical to the separate per-figure passes at any
-// par.
+// Results are byte-identical at any par.
 func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
 	series := newVectorSeries()
 	counter := classify.NewAttackCounter(classify.Config{})
@@ -375,79 +306,4 @@ func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error
 		return nil, err
 	}
 	return &Analysis{Figure4: fig4, Figure5: fig5, Robustness: rob}, nil
-}
-
-// directionStage accumulates one shard's per-direction daily sums for
-// a single vector.
-type directionStage struct {
-	w      Window
-	v      amplify.Vector
-	into   map[flow.Direction]*timeseries.Series
-	series map[flow.Direction]*timeseries.Series
-}
-
-func newDirectionStage(w Window, v amplify.Vector, into map[flow.Direction]*timeseries.Series) *directionStage {
-	return &directionStage{
-		w: w, v: v, into: into,
-		series: map[flow.Direction]*timeseries.Series{
-			flow.Ingress: timeseries.NewDaily(),
-			flow.Egress:  timeseries.NewDaily(),
-		},
-	}
-}
-
-// Process implements pipe.Stage.
-func (d *directionStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		port := d.v.Port()
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Proto[i] == packet.IPProtoUDP && c.DstPort[i] == port {
-				d.series[c.Direction(i)].Add(d.w.dayTime(c.Start(i)), float64(c.ScaledPackets(i)))
-			}
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.Protocol == packet.IPProtoUDP && rec.DstPort == d.v.Port() {
-			d.series[rec.Direction].Add(d.w.dayTime(rec.Start), float64(rec.ScaledPackets()))
-		}
-	}
-	return nil
-}
-
-// Close implements pipe.Stage.
-func (d *directionStage) Close() error {
-	for dir, s := range d.into {
-		s.Merge(d.series[dir])
-	}
-	return nil
-}
-
-// directionBreakdownSource computes the per-direction metrics from any
-// record stream, sharded par ways.
-//
-//bsvet:allow deadcode no production caller; kept for TestDirectionBreakdownTier2 and TestDirectionBreakdownTier1IngressOnly (deletion deferred, ROADMAP 8(iv))
-func directionBreakdownSource(src Source, w Window, k trafficgen.Kind, v amplify.Vector, par int) (map[flow.Direction]timeseries.TakedownMetrics, error) {
-	series := map[flow.Direction]*timeseries.Series{
-		flow.Ingress: timeseries.NewDaily(),
-		flow.Egress:  timeseries.NewDaily(),
-	}
-	err := RunSharded(src, par, func() pipe.Stage { return newDirectionStage(w, v, series) })
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[flow.Direction]timeseries.TakedownMetrics, 2)
-	for dir, ser := range series {
-		if ser.Sum() == 0 {
-			continue
-		}
-		label := fmt.Sprintf("packets %v dst port %v (%v)", v, dir, k)
-		metrics, err := timeseries.AnalyzeTakedown(ser, w.Takedown, label)
-		if err != nil {
-			return nil, fmt.Errorf("takedown: %s: %w", label, err)
-		}
-		out[dir] = metrics
-	}
-	return out, nil
 }

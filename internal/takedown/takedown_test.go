@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"booterscope/internal/amplify"
-	"booterscope/internal/flow"
-	"booterscope/internal/timeseries"
 	"booterscope/internal/trafficgen"
 )
 
@@ -31,10 +29,11 @@ func TestFBITakedownEvent(t *testing.T) {
 }
 
 func TestFigure4Tier2(t *testing.T) {
-	panels, err := Figure4(testScenario(0.3), trafficgen.KindTier2)
+	a, err := analyze(testScenario(0.3), trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	panels := a.Figure4
 	if len(panels) != 3 {
 		t.Fatalf("panels = %d", len(panels))
 	}
@@ -82,11 +81,11 @@ func TestFigure4Tier2(t *testing.T) {
 }
 
 func TestFigure4IXPMemcachedSignificant(t *testing.T) {
-	panels, err := Figure4(testScenario(0.3), trafficgen.KindIXP)
+	a, err := analyze(testScenario(0.3), trafficgen.KindIXP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range panels {
+	for _, p := range a.Figure4 {
 		if p.Vector == amplify.Memcached {
 			if !p.Metrics.WT30.Significant {
 				t.Error("IXP memcached reduction should be significant (paper Figure 4 top)")
@@ -96,10 +95,11 @@ func TestFigure4IXPMemcachedSignificant(t *testing.T) {
 }
 
 func TestFigure5NoSignificantReduction(t *testing.T) {
-	res, err := Figure5(testScenario(0.3), trafficgen.KindIXP)
+	a, err := analyze(testScenario(0.3), trafficgen.KindIXP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := a.Figure5
 	// The paper's headline negative result.
 	if res.Metrics.WT30.Significant || res.Metrics.WT40.Significant {
 		t.Errorf("attack counts flagged significant: wt30 p=%v wt40 p=%v",
@@ -123,42 +123,13 @@ func TestFigure5NoSignificantReduction(t *testing.T) {
 }
 
 func TestFigure4PanelString(t *testing.T) {
-	panels, err := Figure4(testScenario(0.2), trafficgen.KindTier2)
+	a, err := analyze(testScenario(0.2), trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := panels[0].String()
+	s := a.Figure4[0].String()
 	if s == "" {
 		t.Error("empty panel string")
-	}
-}
-
-func TestDirectionBreakdownTier2(t *testing.T) {
-	m, err := directionBreakdown(testScenario(0.3), trafficgen.KindTier2, amplify.NTP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tier-2 sees both directions of trigger traffic.
-	if len(m) != 2 {
-		t.Fatalf("directions = %d", len(m))
-	}
-	for dir, metrics := range m {
-		if !metrics.WT30.Significant {
-			t.Errorf("%v NTP trigger reduction not significant", dir)
-		}
-	}
-}
-
-func TestDirectionBreakdownTier1IngressOnly(t *testing.T) {
-	m, err := directionBreakdown(testScenario(0.3), trafficgen.KindTier1, amplify.NTP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 {
-		t.Fatalf("tier-1 directions = %d, want ingress only", len(m))
-	}
-	if _, ok := m[flow.Ingress]; !ok {
-		t.Error("tier-1 missing ingress metrics")
 	}
 }
 
@@ -174,11 +145,11 @@ func TestNoTakedownScenarioNotSignificant(t *testing.T) {
 			amplify.NTP: 1, amplify.DNS: 1, amplify.Memcached: 1,
 		},
 	})
-	panels, err := Figure4(s, trafficgen.KindTier2)
+	a, err := analyze(s, trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range panels {
+	for _, p := range a.Figure4 {
 		if p.Metrics.WT30.Significant && p.Metrics.WT30.Reduction < 0.9 {
 			t.Errorf("null scenario: %v flagged with red30=%.2f", p.Vector, p.Metrics.WT30.Reduction)
 		}
@@ -189,17 +160,18 @@ func BenchmarkFigure4Tier2(b *testing.B) {
 	s := testScenario(0.2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure4(s, trafficgen.KindTier2); err != nil {
+		if _, err := analyze(s, trafficgen.KindTier2); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func TestFigure4Robustness(t *testing.T) {
-	rob, err := Figure4Robustness(testScenario(0.3), trafficgen.KindTier2)
+	a, err := analyze(testScenario(0.3), trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rob := a.Robustness
 	if len(rob) != 3 {
 		t.Fatalf("vectors = %d", len(rob))
 	}
@@ -226,19 +198,19 @@ func TestRobustnessNullScenarioAgrees(t *testing.T) {
 			amplify.NTP: 1, amplify.DNS: 1, amplify.Memcached: 1,
 		},
 	})
-	rob, err := Figure4Robustness(s, trafficgen.KindTier2)
+	a, err := analyze(s, trafficgen.KindTier2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rob {
+	for _, r := range a.Robustness {
 		if r.RankSig {
 			t.Errorf("%v: rank test fired on the null scenario (p=%v)", r.Vector, r.RankP)
 		}
 	}
 }
 
-// directionBreakdown is Figure4 for the per-direction breakdown: the
-// serial, unsourced reference.
-func directionBreakdown(s *trafficgen.Scenario, k trafficgen.Kind, v amplify.Vector) (map[flow.Direction]timeseries.TakedownMetrics, error) {
-	return directionBreakdownSource(scenarioSource(s, k), WindowOf(s.Config()), k, v, 1)
+// analyze runs the one-pass analysis serially over a scenario's live
+// records for one vantage point.
+func analyze(s *trafficgen.Scenario, k trafficgen.Kind) (*Analysis, error) {
+	return Analyze(scenarioSource(s, k), WindowOf(s.Config()), k, 1)
 }
