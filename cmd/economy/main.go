@@ -7,7 +7,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"booterscope/internal/core"
@@ -18,42 +19,66 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("economy: ")
-	var (
-		seed = flag.Uint64("seed", 1, "random seed")
-		days = flag.Int("days", 120, "simulated days (takedown sits mid-window)")
-	)
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	srv, err := debugserver.Start(*debugAddr, telemetry.Default())
+// run is the command with its arguments and output streams passed in,
+// so a test can drive it in process; it returns the exit code: 0 on
+// success, 1 when the simulation fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("economy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed = fs.Uint64("seed", 1, "random seed")
+		days = fs.Int("days", 120, "simulated days (takedown sits mid-window)")
+	)
+	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
+	// called more than once per process by its smoke test.
+	debugAddr := fs.String("debug.addr", "",
+		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if err := simulate(stdout, *seed, *days, *debugAddr); err != nil {
+		fmt.Fprintf(stderr, "economy: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// simulate runs the market over days around the takedown and prints
+// its series.
+func simulate(out io.Writer, seed uint64, days int, debugAddr string) error {
+	srv, err := debugserver.Start(debugAddr, telemetry.Default())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(out, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 
-	start := core.TakedownDate.AddDate(0, 0, -*days/2)
+	start := core.TakedownDate.AddDate(0, 0, -days/2)
 	market := economy.NewMarket(economy.Config{
 		Start:    start,
-		Days:     *days,
+		Days:     days,
 		Takedown: core.TakedownDate,
-		Seed:     *seed,
+		Seed:     seed,
 	})
 	stats := market.Run()
 
-	fmt.Printf("booter market, %d days around the %s takedown\n\n",
-		*days, core.TakedownDate.Format("2006-01-02"))
+	fmt.Fprintf(out, "booter market, %d days around the %s takedown\n\n",
+		days, core.TakedownDate.Format("2006-01-02"))
 
 	series := func(pick func(economy.DayStats) float64) []float64 {
-		out := make([]float64, len(stats))
+		vals := make([]float64, len(stats))
 		for i, s := range stats {
-			out[i] = pick(s)
+			vals[i] = pick(s)
 		}
-		return out
+		return vals
 	}
 	eventIdx := -1
 	for i, s := range stats {
@@ -63,32 +88,33 @@ func main() {
 		}
 	}
 
-	fmt.Println("daily revenue, seized booters (A+B):")
-	fmt.Println(textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
+	fmt.Fprintln(out, "daily revenue, seized booters (A+B):")
+	fmt.Fprintln(out, textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
 		return d.RevenueByService["A"] + d.RevenueByService["B"]
 	}), EventIndex: eventIdx, Width: 72}.Render())
 
-	fmt.Println("\ndaily revenue, surviving booters (C+D):")
-	fmt.Println(textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
+	fmt.Fprintln(out, "\ndaily revenue, surviving booters (C+D):")
+	fmt.Fprintln(out, textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
 		return d.RevenueByService["C"] + d.RevenueByService["D"]
 	}), EventIndex: eventIdx, Width: 72}.Render())
 
-	fmt.Println("\naggregate attack demand (attacks/day):")
-	fmt.Println(textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
+	fmt.Fprintln(out, "\naggregate attack demand (attacks/day):")
+	fmt.Fprintln(out, textplot.TimeSeries{Values: series(func(d economy.DayStats) float64 {
 		return d.AttackDemand
 	}), EventIndex: eventIdx, Width: 72}.Render())
 
 	impact, err := economy.Impact(stats, core.TakedownDate, 14)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\n±14-day impact: %v\n", impact)
+	fmt.Fprintf(out, "\n±14-day impact: %v\n", impact)
 
 	last := stats[len(stats)-1]
-	fmt.Println("\nsubscribers at end of window:")
+	fmt.Fprintln(out, "\nsubscribers at end of window:")
 	var chart textplot.BarChart
 	for _, row := range market.MigrationMatrix(last.Day.Add(24 * time.Hour)) {
 		chart.Add("booter "+row.Service, float64(row.Count))
 	}
-	fmt.Print(chart.Render())
+	fmt.Fprint(out, chart.Render())
+	return nil
 }

@@ -232,6 +232,10 @@ func (c *Classifier) FilterStats() FilterStats {
 // rules.
 type AttackCounter struct {
 	cfg Config
+	// limit is how many distinct sources a minute bin records:
+	// MinSources+1, the fewest that prove "> MinSources" (see
+	// minuteAgg.addSource).
+	limit int
 	// hours maps hour start -> set of victims. Keys are flat 16-byte
 	// addresses rather than netip.Addr: the counter sits on the
 	// per-record hot path, and pointer-free keys keep the maps out of
@@ -260,11 +264,12 @@ type minuteKey struct {
 	minute int64
 }
 
-// smallSources is the inline source-set capacity of a minute bin: one
-// past the (default) conservative threshold, so a bin can prove
-// "> conservativeMinSources distinct amplifiers" without ever
-// allocating a map. Only bins that overflow it — or runs with a larger
-// configured MinSources — spill to a real map.
+// smallSources is the inline source-set capacity of a minute bin. It
+// equals the recording cap at the paper's threshold (MinSources+1 =
+// 11), so at the default config every bin's set lives in the array and
+// no minute ever allocates a map. A smaller configured MinSources caps
+// below it; only a larger one spills to a map, which then stops
+// growing at its own cap.
 const smallSources = conservativeMinSources + 1
 
 type minuteAgg struct {
@@ -274,34 +279,49 @@ type minuteAgg struct {
 	// can skip the threshold math, since hour membership never retracts.
 	counted bool
 	// nsmall/small are the inline distinct-source set; sources is the
-	// map it spills into (nil until then). Reads go through numSources.
+	// map it spills into (nil until then). Either holds at most the
+	// counter's limit. Reads go through numSources.
 	nsmall  uint8
 	small   [smallSources][16]byte
 	sources map[[16]byte]struct{}
 }
 
-// addSource records one distinct amplifier address.
-func (m *minuteAgg) addSource(src [16]byte) {
-	if m.sources == nil {
-		for i := 0; i < int(m.nsmall); i++ {
-			if m.small[i] == src {
-				return
-			}
+// addSource records one distinct amplifier address, unless the bin
+// already holds limit of them. The set is only ever asked whether it
+// holds more than MinSources = limit-1, and a full set answers yes
+// however many more distinct sources arrive, so the cap keeps every
+// answer exact: the set holds min(distinct sources seen, limit) of
+// them. A full set also skips the dedupe scan.
+func (m *minuteAgg) addSource(src [16]byte, limit int) {
+	if m.sources != nil {
+		if len(m.sources) < limit {
+			m.sources[src] = struct{}{}
 		}
-		if int(m.nsmall) < smallSources {
-			m.small[m.nsmall] = src
-			m.nsmall++
+		return
+	}
+	n := int(m.nsmall)
+	if n >= limit {
+		return
+	}
+	for i := 0; i < n; i++ {
+		if m.small[i] == src {
 			return
 		}
-		m.sources = make(map[[16]byte]struct{}, 2*smallSources)
-		for i := range m.small {
-			m.sources[m.small[i]] = struct{}{}
-		}
+	}
+	if n < smallSources {
+		m.small[n] = src
+		m.nsmall++
+		return
+	}
+	m.sources = make(map[[16]byte]struct{}, 2*smallSources)
+	for i := range m.small {
+		m.sources[m.small[i]] = struct{}{}
 	}
 	m.sources[src] = struct{}{}
 }
 
-// numSources reports the distinct amplifier count.
+// numSources reports the recorded distinct amplifier count: exact
+// below the counter's limit, the limit itself from there on.
 func (m *minuteAgg) numSources() int {
 	if m.sources != nil {
 		return len(m.sources)
@@ -330,8 +350,10 @@ func (m *minuteAgg) dropSources() {
 
 // NewAttackCounter returns an empty counter.
 func NewAttackCounter(cfg Config) *AttackCounter {
+	cfg = cfg.withDefaults()
 	return &AttackCounter{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
+		limit:   cfg.MinSources + 1,
 		hours:   make(map[int64]map[[16]byte]struct{}),
 		minutes: make(map[minuteKey]*minuteAgg),
 	}
@@ -395,7 +417,7 @@ func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 		return
 	}
 	agg.bytes += bytes
-	agg.addSource(src)
+	agg.addSource(src, a.limit)
 
 	rate := float64(agg.bytes) * 8 / 60
 	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {
@@ -421,9 +443,19 @@ func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 // source counts only grow under fusion, and a counted bin — frozen at
 // the moment it crossed the thresholds — already contributed its
 // (hour, dst) entry to the hour sets being unioned, so the re-check
-// has nothing left to prove for it.
+// has nothing left to prove for it. Capped source sets fuse exactly
+// too: if either side is full the union is, and if neither is, both
+// are exact.
+//
+// A receiver that holds nothing adopts other's maps instead: other's
+// hour sets already record every bin its own adds and merges saw
+// cross the thresholds, so there is nothing to re-check.
 func (a *AttackCounter) Merge(other *AttackCounter) {
 	if other == nil {
+		return
+	}
+	if len(a.minutes) == 0 && len(a.hours) == 0 {
+		a.minutes, a.hours = other.minutes, other.hours
 		return
 	}
 	for k, oagg := range other.minutes {
@@ -438,7 +470,7 @@ func (a *AttackCounter) Merge(other *AttackCounter) {
 			continue
 		}
 		agg.bytes += oagg.bytes
-		oagg.eachSource(agg.addSource)
+		oagg.eachSource(func(src [16]byte) { agg.addSource(src, a.limit) })
 	}
 	for hour, oset := range other.hours {
 		set, ok := a.hours[hour]

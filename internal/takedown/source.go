@@ -1,6 +1,7 @@
 package takedown
 
 import (
+	"math"
 	"time"
 
 	"booterscope/internal/pipe"
@@ -54,6 +55,50 @@ func (w Window) dayTime(t time.Time) time.Time {
 func (w Window) dayTimeSec(sec int64) time.Time {
 	const day = 24 * time.Hour
 	return w.Start.Add(time.Unix(sec, 0).Sub(w.Start) / day * day)
+}
+
+// secondsPerDay is one window day in whole seconds.
+const secondsPerDay = 24 * 60 * 60
+
+// maxIndexedDays bounds the windows dayIndex covers. Below it every
+// second in [Start - 1 day, Start + (Days+1) days] is well inside
+// time.Duration's ±292 years, so dayTimeSec never saturates there.
+const maxIndexedDays = 1 << 16
+
+// dayIndex maps whole start seconds onto window days 0..days in integer
+// arithmetic, for the columnar trigger path. Seconds in [lo, hi] land
+// on day (sec - start) / secondsPerDay, which truncates toward zero
+// exactly as dayTimeSec does, so the 86 399 seconds before Start are
+// day 0 too. Every other second is outside: the caller bins it with
+// dayTimeSec.
+type dayIndex struct {
+	start, lo, hi int64
+	days          int
+}
+
+// dayIndex returns the window's index. A window it cannot index
+// exactly — a start with a fraction of a second, a negative or
+// oversized Days, or a start so close to the int64 limits that the
+// bounds would overflow — gets an index with no days and no seconds
+// inside, so every record takes dayTimeSec.
+func (w Window) dayIndex() dayIndex {
+	start := w.Start.Unix()
+	span := int64(w.Days+1) * secondsPerDay
+	if w.Start.Nanosecond() != 0 || w.Days < 0 || w.Days >= maxIndexedDays ||
+		start < math.MinInt64+secondsPerDay || start > math.MaxInt64-span {
+		return dayIndex{lo: 1, hi: 0, days: -1}
+	}
+	return dayIndex{start: start, lo: start - (secondsPerDay - 1), hi: start + span - 1, days: w.Days}
+}
+
+// of returns sec's window day, or false when sec lies outside [lo, hi].
+// The range check comes before any subtraction, so no timestamp can
+// overflow into a window day.
+func (x dayIndex) of(sec int64) (int, bool) {
+	if sec < x.lo || sec > x.hi {
+		return 0, false
+	}
+	return int((sec - x.start) / secondsPerDay), true
 }
 
 // dayTimes enumerates the window's day grid.

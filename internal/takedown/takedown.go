@@ -27,6 +27,7 @@ import (
 
 	"booterscope/internal/amplify"
 	"booterscope/internal/classify"
+	"booterscope/internal/flow"
 	"booterscope/internal/packet"
 	"booterscope/internal/pipe"
 	"booterscope/internal/timeseries"
@@ -103,13 +104,27 @@ type triggerStage struct {
 	// ports/byPort flatten the vector lookup off the per-record path.
 	ports  []uint16
 	byPort []*timeseries.Series
+	// bins are the columnar path's per-vector day bins over idx's
+	// window days; Close folds them into byPort.
+	idx  dayIndex
+	bins []dayBins
+}
+
+// dayBins is one vector's daily sums indexed by window day. touched
+// marks the days a record landed on, even with zero packets: a series
+// spans its first to its last touched day.
+type dayBins struct {
+	sum     []float64
+	touched []bool
 }
 
 func newTriggerStage(w Window, into map[amplify.Vector]*timeseries.Series) *triggerStage {
-	t := &triggerStage{w: w, into: into, series: newVectorSeries()}
+	t := &triggerStage{w: w, into: into, series: newVectorSeries(), idx: w.dayIndex()}
 	for _, v := range ReflectorVectors {
 		t.ports = append(t.ports, v.Port())
 		t.byPort = append(t.byPort, t.series[v])
+		n := t.idx.days + 1
+		t.bins = append(t.bins, dayBins{sum: make([]float64, n), touched: make([]bool, n)})
 	}
 	return t
 }
@@ -119,15 +134,7 @@ func newTriggerStage(w Window, into map[amplify.Vector]*timeseries.Series) *trig
 func (t *triggerStage) Process(b *pipe.Batch) error {
 	if c := b.Cols; c != nil {
 		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Proto[i] != packet.IPProtoUDP {
-				continue
-			}
-			for j, p := range t.ports {
-				if c.DstPort[i] == p {
-					t.byPort[j].Add(t.w.dayTimeSec(c.StartSec[i]), float64(c.ScaledPackets(i)))
-					break
-				}
-			}
+			t.addCol(c, i)
 		}
 		return nil
 	}
@@ -146,8 +153,40 @@ func (t *triggerStage) Process(b *pipe.Batch) error {
 	return nil
 }
 
-// Close implements pipe.Stage: the exact shard merge.
+// addCol adds row i of a columnar slab: a window day's packets go to
+// its day bin, any other second to the series through dayTimeSec.
+//
+//bsvet:hotpath
+func (t *triggerStage) addCol(c *flow.Columns, i int) {
+	if c.Proto[i] != packet.IPProtoUDP {
+		return
+	}
+	for j, p := range t.ports {
+		if c.DstPort[i] != p {
+			continue
+		}
+		v := float64(c.ScaledPackets(i))
+		if d, ok := t.idx.of(c.StartSec[i]); ok {
+			t.bins[j].sum[d] += v
+			t.bins[j].touched[d] = true
+		} else {
+			t.byPort[j].Add(t.w.dayTimeSec(c.StartSec[i]), v)
+		}
+		return
+	}
+}
+
+// Close implements pipe.Stage: the day bins fold into the shard's
+// series at the times dayTimeSec gives their days, then the exact
+// shard merge.
 func (t *triggerStage) Close() error {
+	for j, bins := range t.bins {
+		for d, ok := range bins.touched {
+			if ok {
+				t.byPort[j].Add(t.w.Start.Add(time.Duration(d)*24*time.Hour), bins.sum[d])
+			}
+		}
+	}
 	for v, s := range t.into {
 		s.Merge(t.series[v])
 	}
