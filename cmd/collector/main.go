@@ -105,10 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		incidentDir = fs.String("incident.dir", "", "dump the flight-recorder event ring here when an incident trigger fires (SLO burn breach, shed escalation, drain, checkpoint failure)")
 		ringSize    = fs.Int("incident.ring", eventlog.DefaultRingSize, "flight-recorder event ring capacity")
 	)
-	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
-	// called more than once per process by its smoke test.
-	debugAddr := fs.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

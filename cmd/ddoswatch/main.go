@@ -61,10 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		federate  = fs.String("federate", "", "open a federation manifest (vantages.json) and query the multi-vantage plane instead of running the landscape analysis")
 		correlate = fs.Bool("correlate", false, "with -federate: join attacks across vantages and report seen-at/missing-at disagreement")
 	)
-	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
-	// called more than once per process by its smoke tests.
-	debugAddr := fs.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

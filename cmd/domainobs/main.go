@@ -7,7 +7,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -20,31 +21,51 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("domainobs: ")
-	seed := flag.Uint64("seed", 1, "random seed")
-	debugAddr := debugserver.AddrFlag()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	srv, err := debugserver.Start(*debugAddr, telemetry.Default())
+// run is the command with its arguments and output streams passed in,
+// so a test can drive it in process; it returns the exit code: 0 on
+// success, 1 when the analysis fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("domainobs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "random seed")
+	debugAddr := debugserver.AddrFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if err := analyze(stdout, *seed, *debugAddr); err != nil {
+		fmt.Fprintf(stderr, "domainobs: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// analyze runs the domain study and prints its findings.
+func analyze(out io.Writer, seed uint64, debugAddr string) error {
+	srv, err := debugserver.Start(debugAddr, telemetry.Default())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
+		fmt.Fprintf(out, "debug surface on http://%s/ (metrics, pprof)\n", srv.Addr())
 	}
 
-	study := core.NewDomainStudy(core.Options{Seed: *seed})
+	study := core.NewDomainStudy(core.Options{Seed: seed})
 
 	booters := study.IdentifiedBooters()
-	fmt.Printf("verified booter domains in .com/.net/.org zones: %d (paper: 58)\n", len(booters))
+	fmt.Fprintf(out, "verified booter domains in .com/.net/.org zones: %d (paper: 58)\n", len(booters))
 
 	first, atTakedown, last := study.PopulationGrowth()
-	fmt.Printf("booter domain population: %d (Jan 2018) -> %d (Dec 2018) -> %d (May 2019)\n",
+	fmt.Fprintf(out, "booter domain population: %d (Jan 2018) -> %d (Dec 2018) -> %d (May 2019)\n",
 		first, atTakedown, last)
 
-	fmt.Println("\n== Figure 3: booter domains in the Alexa Top 1M by month ==")
+	fmt.Fprintln(out, "\n== Figure 3: booter domains in the Alexa Top 1M by month ==")
 	rows := study.Figure3()
 	perMonth := map[time.Time][2]int{} // [all, seized]
 	for _, row := range rows {
@@ -64,26 +85,26 @@ func main() {
 		chart.Add(fmt.Sprintf("%s (%d seized)", m.Format("2006-01"), c[1]), float64(c[0]))
 		month = month.AddDate(0, 1, 0)
 	}
-	fmt.Print(chart.Render())
+	fmt.Fprint(out, chart.Render())
 
-	fmt.Println("\n== Booter domains activated within a week of the takedown ==")
+	fmt.Fprintln(out, "\n== Booter domains activated within a week of the takedown ==")
 	for _, d := range study.SuccessorDomains() {
 		successor := ""
 		if d.SuccessorOf != "" {
 			successor = fmt.Sprintf(" (successor of seized %s)", d.SuccessorOf)
 		}
-		fmt.Printf("%s activated %s, registered %s%s\n",
+		fmt.Fprintf(out, "%s activated %s, registered %s%s\n",
 			d.Name, d.Activated.Format("2006-01-02"), d.Registered.Format("2006-01-02"), successor)
 	}
 
-	certLandscape(booters, *seed)
+	return certLandscape(out, booters, seed)
 }
 
 // certLandscape reproduces the TLS-certificate view of the booter
 // ecosystem (Kuhnert et al.): booter sites cluster on free ACME
 // certificates, CDN fronting, and self-signed certificates.
-func certLandscape(booters []string, seed uint64) {
-	fmt.Println("\n== TLS certificates of booter websites ==")
+func certLandscape(out io.Writer, booters []string, seed uint64) error {
+	fmt.Fprintln(out, "\n== TLS certificates of booter websites ==")
 	r := netutil.NewRand(seed).Fork("certs")
 	notBefore := core.TakedownDate.AddDate(0, -2, 0)
 	var snaps []*webobs.Snapshot
@@ -99,7 +120,7 @@ func certLandscape(booters []string, seed uint64) {
 		}
 		cert, _, err := webobs.GenerateCert(domain, profile, notBefore)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		snaps = append(snaps, &webobs.Snapshot{Domain: domain, Cert: cert})
 	}
@@ -125,7 +146,8 @@ func certLandscape(booters []string, seed uint64) {
 	if selfSignedCount > 0 {
 		chart.Add("(self-signed, per-domain issuers)", float64(selfSignedCount))
 	}
-	fmt.Print(chart.Render())
-	fmt.Printf("self-signed share: %.0f%%, short-lived (<=90d): %d/%d\n",
+	fmt.Fprint(out, chart.Render())
+	fmt.Fprintf(out, "self-signed share: %.0f%%, short-lived (<=90d): %d/%d\n",
 		stats.SelfSignedShare()*100, stats.ShortLived, stats.Total)
+	return nil
 }

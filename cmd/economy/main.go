@@ -32,10 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed = fs.Uint64("seed", 1, "random seed")
 		days = fs.Int("days", 120, "simulated days (takedown sits mid-window)")
 	)
-	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
-	// called more than once per process by its smoke test.
-	debugAddr := fs.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0

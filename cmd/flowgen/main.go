@@ -57,10 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fedOut  = fs.Bool("federate", false, "with -out: write per-vantage federated archives plus vantages.json for ddoswatch -federate")
 		fedUni  = fs.Bool("federate.union", false, "with -federate: also write the union store the federated scan must match byte-for-byte")
 	)
-	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
-	// called more than once per process by its smoke test.
-	debugAddr := fs.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

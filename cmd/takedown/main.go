@@ -46,10 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir = fs.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
 		par      = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
 	)
-	// debugserver.AddrFlag's flag, declared on this FlagSet: run is
-	// called more than once per process by its smoke test.
-	debugAddr := fs.String("debug.addr", "",
-		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
+	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"booterscope/internal/telemetry/eventlog"
@@ -97,32 +98,24 @@ func summarize(victim netip.Addr, st *attackState) AttackSummary {
 	}
 }
 
-// events resolves the recorder this monitor emits lifecycle events
-// into: an explicitly attached one, else the process-wide recorder
-// (which may be nil — Emit is nil-safe).
-func (m *Monitor) events() *eventlog.Log {
-	if m.Events != nil {
-		return m.Events
-	}
-	return eventlog.Active()
-}
-
 // openAttack returns the victim's attack state, creating it — and
 // emitting the attack-opened event — at the first suspicious bin
 // while no attack is open.
-func (m *Monitor) openAttack(victim netip.Addr, minuteUnix int64) *attackState {
+func (m *Monitor) openAttack(victim [16]byte, minuteUnix int64) *attackState {
 	st, ok := m.attacks[victim]
 	if !ok {
 		st = &attackState{
-			id:         attackID(victim.As16(), minuteUnix),
+			id:         attackID(victim, minuteUnix),
 			openedUnix: minuteUnix,
 			lastUnix:   minuteUnix,
 		}
 		m.attacks[victim] = st
 		m.attacksAt.add(minuteUnix, victim)
-		m.events().Emit("classify", "classify_attack_opened", st.id,
-			eventlog.A("victim", victim.String()),
-			eventlog.AInt("minute_unix", minuteUnix))
+		if ev := m.Events; ev != nil {
+			ev.Emit("classify", "classify_attack_opened", st.id,
+				eventlog.A("victim", victimAddr(victim).String()),
+				eventlog.AInt("minute_unix", minuteUnix))
+		}
 	}
 	if minuteUnix > st.lastUnix {
 		st.lastUnix = minuteUnix
@@ -134,15 +127,19 @@ func (m *Monitor) openAttack(victim netip.Addr, minuteUnix int64) *attackState {
 // evictAttacks closes attacks whose newest bin fell past the horizon.
 // Every open attack is filed under its lastUnix, so the expired minutes
 // of the index name them all — along with attacks that have grown
-// since, which stay. Victims are emitted in sorted order so the event
-// stream does not leak map iteration order.
+// since, which stay. With a recorder attached, victims are visited in
+// address order so the event stream does not leak the index's filing
+// order; nothing else depends on the order (AttackLog sorts).
 func (m *Monitor) evictAttacks(horizonUnix int64) {
 	victims := m.attacksAt.expire(m.expired[:0], horizonUnix)
 	m.expired = victims
 	if len(victims) == 0 {
 		return
 	}
-	sortAddrs(victims)
+	ev := m.Events
+	if ev != nil {
+		sortVictims(victims)
+	}
 	for _, v := range victims {
 		st, ok := m.attacks[v]
 		if !ok || st.lastUnix >= horizonUnix {
@@ -150,12 +147,14 @@ func (m *Monitor) evictAttacks(horizonUnix int64) {
 		}
 		delete(m.attacks, v)
 		if m.TrackAttackLog {
-			m.attackLog = append(m.attackLog, summarize(v, st))
+			m.attackLog = append(m.attackLog, summarize(victimAddr(v), st))
 		}
-		m.events().Emit("classify", "classify_attack_evicted", st.id,
-			eventlog.A("victim", v.String()),
-			eventlog.AInt("opened_minute_unix", st.openedUnix),
-			eventlog.AInt("last_minute_unix", st.lastUnix))
+		if ev != nil {
+			ev.Emit("classify", "classify_attack_evicted", st.id,
+				eventlog.A("victim", victimAddr(v).String()),
+				eventlog.AInt("opened_minute_unix", st.openedUnix),
+				eventlog.AInt("last_minute_unix", st.lastUnix))
+		}
 	}
 }
 
@@ -174,7 +173,7 @@ func (m *Monitor) AttackLog() []AttackSummary {
 	}
 	out := append([]AttackSummary(nil), m.attackLog...)
 	for v, st := range m.attacks {
-		out = append(out, summarize(v, st))
+		out = append(out, summarize(victimAddr(v), st))
 	}
 	sortAttackSummaries(out)
 	return out
@@ -195,8 +194,9 @@ func sortAttackSummaries(s []AttackSummary) {
 	})
 }
 
-// sortAddrs orders victims bytewise so eviction events (and snapshot
-// folds) are independent of map iteration order.
-func sortAddrs(addrs []netip.Addr) {
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
+// sortVictims orders victim keys as netip.Addr.Compare orders the
+// addresses they stand for, so eviction events are independent of
+// filing order.
+func sortVictims(vs [][16]byte) {
+	slices.SortFunc(vs, func(a, b [16]byte) int { return victimAddr(a).Compare(victimAddr(b)) })
 }

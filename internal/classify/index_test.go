@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -13,15 +12,26 @@ import (
 // tables: every bin is filed exactly once, under its minute, and every
 // attack and alert marker can be found under the minute that decides
 // its expiry. (The attack and marker indexes may also hold entries
-// their owners have outgrown; eviction skips those.)
+// their owners have outgrown; eviction skips those.) Each index keeps
+// its minutes in strictly ascending order, which expire relies on.
 func checkIndexes(t *testing.T, m *Monitor, when string) {
 	t.Helper()
+	ordered := func(name string, minutes []int64) {
+		for i := 1; i < len(minutes); i++ {
+			if minutes[i-1] >= minutes[i] {
+				t.Fatalf("%s: %s index files minute %d before minute %d", when, name, minutes[i-1], minutes[i])
+			}
+		}
+	}
+	ordered("bin", indexMinutes(&m.binsAt))
+	ordered("attack", indexMinutes(&m.attacksAt))
+	ordered("alert marker", indexMinutes(&m.alertedAt))
 	filed := 0
-	for minute, keys := range m.binsAt {
-		for _, key := range keys {
+	for _, bucket := range m.binsAt.buckets {
+		for _, key := range bucket.keys {
 			filed++
-			if key.minute != minute {
-				t.Fatalf("%s: bin for minute %d filed under %d", when, key.minute, minute)
+			if key.minute != bucket.minute {
+				t.Fatalf("%s: bin for minute %d filed under %d", when, key.minute, bucket.minute)
 			}
 			if _, ok := m.minutes[key]; !ok {
 				t.Fatalf("%s: bin index holds %v, the table does not", when, key)
@@ -31,24 +41,39 @@ func checkIndexes(t *testing.T, m *Monitor, when string) {
 	if filed != len(m.minutes) {
 		t.Fatalf("%s: %d bins filed, %d in the table", when, filed, len(m.minutes))
 	}
-	has := func(ix minuteIndex[netip.Addr], minute int64, v netip.Addr) bool {
-		for _, filed := range ix[minute] {
-			if filed == v {
-				return true
+	has := func(ix *minuteIndex[[16]byte], minute int64, v [16]byte) bool {
+		for _, bucket := range ix.buckets {
+			if bucket.minute != minute {
+				continue
+			}
+			for _, filed := range bucket.keys {
+				if filed == v {
+					return true
+				}
 			}
 		}
 		return false
 	}
 	for v, st := range m.attacks {
-		if !has(m.attacksAt, st.lastUnix, v) {
-			t.Fatalf("%s: attack on %v (last minute %d) is not filed under it", when, v, st.lastUnix)
+		if !has(&m.attacksAt, st.lastUnix, v) {
+			t.Fatalf("%s: attack on %v (last minute %d) is not filed under it", when, victimAddr(v), st.lastUnix)
 		}
 	}
 	for v, last := range m.alerted {
-		if !has(m.alertedAt, last, v) {
-			t.Fatalf("%s: alert marker for %v (minute %d) is not filed under it", when, v, last)
+		if !has(&m.alertedAt, last, v) {
+			t.Fatalf("%s: alert marker for %v (minute %d) is not filed under it", when, victimAddr(v), last)
 		}
 	}
+}
+
+// indexMinutes lists the minutes an index files keys under, in its
+// order.
+func indexMinutes[K any](ix *minuteIndex[K]) []int64 {
+	out := make([]int64, len(ix.buckets))
+	for i, b := range ix.buckets {
+		out[i] = b.minute
+	}
+	return out
 }
 
 // sweepResidue counts what whole-table sweeps would evict right now:

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"booterscope/internal/flow"
+	"booterscope/internal/pipe"
 )
 
 // feedAttack pushes an attack of `sources` amplifiers totalling `gbps`
@@ -184,4 +187,58 @@ func BenchmarkMonitorAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Add(&r)
 	}
+}
+
+// BenchmarkMonitorAddCols drives the sharded monitor's columnar path
+// the way a replay does: 1024-row slabs of four victims interleaved,
+// each hit by 300 amplifiers twice a minute, over minutes that keep
+// advancing — so every minute opens bins, spills their source sets
+// past the inline dozen, crosses the thresholds, and evicts the bins
+// that fell past the retention horizon. One op is one slab.
+func BenchmarkMonitorAddCols(b *testing.B) {
+	const (
+		victims   = 4
+		amps      = 300
+		perMinute = 2 * victims * amps
+		minutes   = 32
+		slab      = 1024
+	)
+	var all flow.Columns
+	for mi := 0; mi < minutes; mi++ {
+		at := t0.Add(time.Duration(mi) * time.Minute)
+		for k := 0; k < perMinute; k++ {
+			a := k / victims % amps
+			src := fmt.Sprintf("21.0.%d.%d", a>>8, a&0xff)
+			dst := fmt.Sprintf("203.0.113.%d", 30+k%victims)
+			r := ntpRec(src, dst, 486, 2000, at.Add(time.Duration(k*60/perMinute)*time.Second))
+			all.AppendRecord(&r)
+		}
+	}
+	var slabs []*flow.Columns
+	for lo := 0; lo < all.Len(); lo += slab {
+		c := new(flow.Columns)
+		c.AppendRange(&all, lo, min(lo+slab, all.Len()))
+		slabs = append(slabs, c)
+	}
+	shard := NewShardedMonitor(Config{}, 1).shards[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(slabs)
+		if k == 0 && i > 0 {
+			// Next pass: the same traffic, minutes later.
+			b.StopTimer()
+			for _, c := range slabs {
+				for j := range c.StartSec {
+					c.StartSec[j] += minutes * 60
+				}
+			}
+			shard.alerts = shard.alerts[:0]
+			b.StartTimer()
+		}
+		if err := shard.Process(&pipe.Batch{Cols: slabs[k]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab), "ns/rec")
 }

@@ -1,10 +1,13 @@
 package classify
 
 import (
+	"net/netip"
 	"sort"
 	"time"
 
 	"booterscope/internal/flow"
+	"booterscope/internal/packet"
+	"booterscope/internal/telemetry/eventlog"
 )
 
 // The reference the Figure 5 counter is tested against: AttackCounter
@@ -262,4 +265,333 @@ func (a *refAttackCounter) Series() []HourPoint {
 		out[i] = HourPoint{Hour: time.Unix(k, 0).UTC(), Count: len(a.hours[k])}
 	}
 	return out
+}
+
+// The reference the streaming Monitor is tested against: its hot path
+// as it was before the bins carried their attack, before the memo, the
+// 16-byte victim keys, the ordered minute index, the per-slab counters
+// and the recorder guard — addMatched, evict, minuteIndex, openAttack,
+// evictAttacks and onCrossing, with their flow.SourceSet use through
+// netip.Addr. Only the names changed (ref prefix), the hotpath
+// directives went, and the monitor's own counters and reading methods
+// (Stats, AttackLog, snapshot) are reduced to what the comparison
+// needs. It keys victims by netip.Addr, so it is exact only for
+// canonical addresses (netip.AddrFrom16(a.As16()).Unmap()): that is
+// what TestMonitorMatchesReference feeds it.
+
+// refMonAgg is one (victim, minute) bin with a bounded source set.
+type refMonAgg struct {
+	bytes   uint64
+	sources *flow.SourceSet
+	crossed bool
+}
+
+type refMonitor struct {
+	cfg              Config
+	Retention        time.Duration
+	ReAlertAfter     time.Duration
+	MaxMinutes       int
+	MaxSourcesPerBin int
+	Events           *eventlog.Log
+	TrackAttackLog   bool
+
+	minutes   map[minuteKey]*refMonAgg
+	alerted   map[netip.Addr]int64
+	attacks   map[netip.Addr]*attackState
+	attackLog []AttackSummary
+	latest    int64
+
+	binsAt      refMinuteIndex[minuteKey]
+	attacksAt   refMinuteIndex[netip.Addr]
+	alertedAt   refMinuteIndex[netip.Addr]
+	expired     []netip.Addr
+	expiredBins []minuteKey
+	m           *monitorMetrics
+	// late is test bookkeeping: a matched record arrived behind the
+	// horizon.
+	late bool
+}
+
+func newRefMonitor(cfg Config) *refMonitor {
+	return &refMonitor{
+		cfg:              cfg.withDefaults(),
+		Retention:        10 * time.Minute,
+		ReAlertAfter:     30 * time.Minute,
+		MaxMinutes:       defaultMaxMinutes,
+		MaxSourcesPerBin: defaultMaxSourcesPerBin,
+		minutes:          make(map[minuteKey]*refMonAgg),
+		alerted:          make(map[netip.Addr]int64),
+		attacks:          make(map[netip.Addr]*attackState),
+		latest:           noClock,
+		binsAt:           make(refMinuteIndex[minuteKey]),
+		attacksAt:        make(refMinuteIndex[netip.Addr]),
+		alertedAt:        make(refMinuteIndex[netip.Addr]),
+		m:                newMonitorMetrics(),
+	}
+}
+
+type refMinuteIndex[K any] map[int64][]K
+
+func (ix refMinuteIndex[K]) add(minute int64, k K) { ix[minute] = append(ix[minute], k) }
+
+// expire appends to dst every key filed under a minute before horizon
+// and forgets those minutes.
+func (ix refMinuteIndex[K]) expire(dst []K, horizon int64) []K {
+	for minute, keys := range ix {
+		if minute < horizon {
+			dst = append(dst, keys...)
+			delete(ix, minute)
+		}
+	}
+	return dst
+}
+
+func (m *refMonitor) noteDetection(proto uint8, srcPort uint16, packets, bytes uint64) {
+	if proto != packet.IPProtoUDP {
+		return
+	}
+	for i, port := range reflectionPorts {
+		if port != srcPort {
+			continue
+		}
+		var avgSize float64
+		if packets != 0 {
+			avgSize = float64(bytes) / float64(packets)
+		}
+		if avgSize > m.cfg.SizeThreshold {
+			m.m.detections.With(reflectionLabels[i]).Inc()
+		}
+		return
+	}
+}
+
+func (m *refMonitor) maxMinutes() int {
+	if m.MaxMinutes <= 0 {
+		return defaultMaxMinutes
+	}
+	return m.MaxMinutes
+}
+
+func (m *refMonitor) maxSourcesPerBin() int {
+	if m.MaxSourcesPerBin <= 0 {
+		return defaultMaxSourcesPerBin
+	}
+	return m.MaxSourcesPerBin
+}
+
+func (m *refMonitor) Add(r *flow.Record) *Alert {
+	m.m.records.Inc()
+	m.noteDetection(r.Protocol, r.SrcPort, r.Packets, r.Bytes)
+	if !isAmplifiedNTP(r, m.cfg) {
+		return nil
+	}
+	return m.addMatched(r.Dst, r.Src, r.Start.Unix(), r.ScaledBytes(), r.Start.Unix())
+}
+
+func (m *refMonitor) AdvanceTo(unixSec int64) {
+	if wm := floorMinute(unixSec); wm > m.latest {
+		m.latest = wm
+		m.evict()
+	}
+}
+
+func (m *refMonitor) addMatched(dst, src netip.Addr, startSec int64, scaledBytes uint64, watermarkUnix int64) *Alert {
+	m.m.matched.Inc()
+	minute := floorMinute(startSec)
+	m.AdvanceTo(watermarkUnix)
+	// Open (or extend) the victim's attack after the clock advance so
+	// eviction of a previous attack is observed first — the same order
+	// the serial and sharded monitors both see.
+	st := m.openAttack(dst, minute)
+	key := minuteKey{dst: dst.As16(), minute: minute}
+	agg, ok := m.minutes[key]
+	if !ok {
+		if len(m.minutes) >= m.maxMinutes() {
+			m.evict()
+		}
+		if len(m.minutes) >= m.maxMinutes() {
+			// Table full of in-retention bins: refuse the new bin but
+			// account for it. Established victims keep aggregating.
+			m.m.rejected.Inc()
+			return nil
+		}
+		agg = &refMonAgg{sources: flow.NewSourceSet(m.maxSourcesPerBin())}
+		m.minutes[key] = agg
+		m.binsAt.add(minute, key)
+		m.m.occupancy.Add(1)
+	}
+	agg.bytes += scaledBytes
+	if !agg.sources.Add(src) {
+		m.m.overflows.Inc()
+	}
+
+	rate := float64(agg.bytes) * 8 / 60
+	if m.TrackAttackLog {
+		if rate > st.peakBps {
+			st.peakBps = rate
+		}
+		if n := agg.sources.Len(); n > st.maxSources {
+			st.maxSources = n
+		}
+	}
+	if rate <= m.cfg.MinRateBps || agg.sources.Len() <= m.cfg.MinSources {
+		return nil
+	}
+	return m.onCrossing(st, agg, dst, minute, rate)
+}
+
+func (m *refMonitor) onCrossing(st *attackState, agg *refMonAgg, dst netip.Addr, minute int64, rate float64) *Alert {
+	st.crossed = true
+	if !agg.crossed {
+		agg.crossed = true
+		m.Events.Emit("classify", "classify_threshold_crossed", st.id,
+			eventlog.A("victim", dst.String()),
+			eventlog.AInt("minute_unix", minute),
+			eventlog.AFloat("gbps", rate/1e9),
+			eventlog.AInt("sources", int64(agg.sources.Len())))
+	}
+	if last, ok := m.alerted[dst]; ok && minute-last < ceilSeconds(m.ReAlertAfter) {
+		return nil
+	}
+	m.alerted[dst] = minute
+	m.alertedAt.add(minute, dst)
+	st.alerts++
+	m.m.alerts.Inc()
+	m.Events.Emit("classify", "classify_alert_raised", st.id,
+		eventlog.A("victim", dst.String()),
+		eventlog.AFloat("gbps", rate/1e9),
+		eventlog.AInt("sources", int64(agg.sources.Len())),
+		eventlog.AUint("bytes", agg.bytes))
+	return &Alert{
+		ID:      st.id,
+		Victim:  dst,
+		Minute:  time.Unix(minute, 0).UTC(),
+		Gbps:    rate / 1e9,
+		Sources: agg.sources.Len(),
+	}
+}
+
+func (m *refMonitor) evict() {
+	if m.latest == noClock {
+		return
+	}
+	horizon := m.latest - ceilSeconds(m.Retention)
+	// Every live bin is filed exactly once, under its own minute, so
+	// every expired key is a live bin.
+	m.expiredBins = m.binsAt.expire(m.expiredBins[:0], horizon)
+	for _, key := range m.expiredBins {
+		delete(m.minutes, key)
+	}
+	dropped := len(m.expiredBins)
+	m.m.evicted.Add(uint64(dropped))
+	m.m.occupancy.Add(-float64(dropped))
+	m.evictAttacks(horizon)
+	alertHorizon := m.latest - floorSeconds(2*m.ReAlertAfter)
+	m.expired = m.alertedAt.expire(m.expired[:0], alertHorizon)
+	for _, victim := range m.expired {
+		// A marker filed under an old minute may since have been renewed.
+		if last, ok := m.alerted[victim]; ok && last < alertHorizon {
+			delete(m.alerted, victim)
+		}
+	}
+}
+
+func (m *refMonitor) openAttack(victim netip.Addr, minuteUnix int64) *attackState {
+	st, ok := m.attacks[victim]
+	if !ok {
+		st = &attackState{
+			id:         attackID(victim.As16(), minuteUnix),
+			openedUnix: minuteUnix,
+			lastUnix:   minuteUnix,
+		}
+		m.attacks[victim] = st
+		m.attacksAt.add(minuteUnix, victim)
+		m.Events.Emit("classify", "classify_attack_opened", st.id,
+			eventlog.A("victim", victim.String()),
+			eventlog.AInt("minute_unix", minuteUnix))
+	}
+	if minuteUnix > st.lastUnix {
+		st.lastUnix = minuteUnix
+		m.attacksAt.add(minuteUnix, victim)
+	}
+	return st
+}
+
+func (m *refMonitor) evictAttacks(horizonUnix int64) {
+	victims := m.attacksAt.expire(m.expired[:0], horizonUnix)
+	m.expired = victims
+	if len(victims) == 0 {
+		return
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].Compare(victims[j]) < 0 })
+	for _, v := range victims {
+		st, ok := m.attacks[v]
+		if !ok || st.lastUnix >= horizonUnix {
+			continue // filed under several expired minutes and closed already, or still live
+		}
+		delete(m.attacks, v)
+		if m.TrackAttackLog {
+			m.attackLog = append(m.attackLog, summarize(v, st))
+		}
+		m.Events.Emit("classify", "classify_attack_evicted", st.id,
+			eventlog.A("victim", v.String()),
+			eventlog.AInt("opened_minute_unix", st.openedUnix),
+			eventlog.AInt("last_minute_unix", st.lastUnix))
+	}
+}
+
+func (m *refMonitor) Stats() MonitorStats {
+	return MonitorStats{
+		Records:         m.m.records.Value(),
+		Matched:         m.m.matched.Value(),
+		Alerts:          m.m.alerts.Value(),
+		RejectedRecords: m.m.rejected.Value(),
+		EvictedBins:     m.m.evicted.Value(),
+		SourceOverflows: m.m.overflows.Value(),
+	}
+}
+
+func (m *refMonitor) AttackLog() []AttackSummary {
+	if !m.TrackAttackLog {
+		return nil
+	}
+	out := append([]AttackSummary(nil), m.attackLog...)
+	for v, st := range m.attacks {
+		out = append(out, summarize(v, st))
+	}
+	sortAttackSummaries(out)
+	return out
+}
+
+func (m *refMonitor) Snapshot() *MonitorSnapshot {
+	s := &MonitorSnapshot{Stats: m.Stats()}
+	if m.latest != noClock {
+		s.LatestUnix, s.LatestValid = m.latest, true
+	}
+	s.Bins = make([]BinSnapshot, 0, len(m.minutes))
+	for key, agg := range m.minutes {
+		s.Bins = append(s.Bins, BinSnapshot{
+			Victim:         key.dst,
+			MinuteUnix:     key.minute,
+			Bytes:          agg.bytes,
+			Sources:        agg.sources.Snapshot(),
+			SourceOverflow: agg.sources.Overflow(),
+		})
+	}
+	sortBins(s.Bins)
+	s.Alerted = make([]AlertMarker, 0, len(m.alerted))
+	for victim, last := range m.alerted {
+		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last})
+	}
+	sortMarkers(s.Alerted)
+	for victim, st := range m.attacks {
+		s.Attacks = append(s.Attacks, AttackSnapshot{
+			Victim:     victim.As16(),
+			ID:         st.id,
+			OpenedUnix: st.openedUnix,
+			LastUnix:   st.lastUnix,
+		})
+	}
+	sortAttacks(s.Attacks)
+	return s
 }

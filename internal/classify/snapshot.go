@@ -3,7 +3,6 @@ package classify
 import (
 	"bytes"
 	"math"
-	"net/netip"
 	"sort"
 
 	"booterscope/internal/flow"
@@ -82,21 +81,21 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 	sortBins(s.Bins)
 	s.Alerted = make([]AlertMarker, 0, len(m.alerted))
 	for victim, last := range m.alerted {
-		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last})
+		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim, MinuteUnix: last})
 	}
 	sortMarkers(s.Alerted)
 	s.Attacks = attackSnapshots(m.attacks)
 	return s
 }
 
-func attackSnapshots(attacks map[netip.Addr]*attackState) []AttackSnapshot {
+func attackSnapshots(attacks map[[16]byte]*attackState) []AttackSnapshot {
 	if len(attacks) == 0 {
 		return nil
 	}
 	out := make([]AttackSnapshot, 0, len(attacks))
 	for victim, st := range attacks {
 		out = append(out, AttackSnapshot{
-			Victim:     victim.As16(),
+			Victim:     victim,
 			ID:         st.id,
 			OpenedUnix: st.openedUnix,
 			LastUnix:   st.lastUnix,
@@ -127,13 +126,19 @@ func sortMarkers(ms []AlertMarker) {
 	})
 }
 
-// restoreInto loads one bin and marker subset into the monitor. Counter
-// state is restored separately (once, not per shard).
+// restoreBin loads one bin into the monitor, after the attacks: the
+// bin carries its victim's attack when that attack reaches the bin's
+// minute; otherwise the bin's next record opens or extends the attack,
+// as it would have uninterrupted. Counter state is restored separately
+// (once, not per shard).
 func (m *Monitor) restoreBin(b *BinSnapshot) {
 	key := minuteKey{dst: b.Victim, minute: b.MinuteUnix}
 	agg := &monAgg{
 		bytes:   b.Bytes,
-		sources: flow.RestoreSourceSet(m.maxSourcesPerBin(), b.Sources, b.SourceOverflow),
+		sources: *flow.RestoreSourceSet(m.maxSourcesPerBin(), b.Sources, b.SourceOverflow),
+	}
+	if st := m.attacks[key.dst]; st != nil && st.lastUnix >= key.minute {
+		agg.attack = st
 	}
 	// Recompute the threshold latch (rate and sources grow
 	// monotonically within a bin, so "crossed earlier" equals "crossed
@@ -146,21 +151,19 @@ func (m *Monitor) restoreBin(b *BinSnapshot) {
 }
 
 func (m *Monitor) restoreMarker(a *AlertMarker) {
-	victim := netip.AddrFrom16(a.Victim).Unmap()
-	m.alerted[victim] = a.MinuteUnix
-	m.alertedAt.add(a.MinuteUnix, victim)
+	m.alerted[a.Victim] = a.MinuteUnix
+	m.alertedAt.add(a.MinuteUnix, a.Victim)
 }
 
 // restoreAttack reinstates one open attack without emitting an opened
 // event — the process that took the checkpoint already recorded it.
 func (m *Monitor) restoreAttack(a *AttackSnapshot) {
-	victim := netip.AddrFrom16(a.Victim).Unmap()
-	m.attacks[victim] = &attackState{
+	m.attacks[a.Victim] = &attackState{
 		id:         a.ID,
 		openedUnix: a.OpenedUnix,
 		lastUnix:   a.LastUnix,
 	}
-	m.attacksAt.add(a.LastUnix, victim)
+	m.attacksAt.add(a.LastUnix, a.Victim)
 }
 
 func (m *Monitor) restoreClock(s *MonitorSnapshot) {
@@ -176,20 +179,21 @@ func (m *Monitor) restoreClock(s *MonitorSnapshot) {
 //bsvet:allow deadcode oracle: TestMonitorSnapshotRoundTrip and TestShardedSnapshotRestoreAcrossShardCounts use the serial monitor as reference
 func (m *Monitor) Restore(s *MonitorSnapshot) {
 	m.minutes = make(map[minuteKey]*monAgg, len(s.Bins))
-	m.alerted = make(map[netip.Addr]int64, len(s.Alerted))
-	m.attacks = make(map[netip.Addr]*attackState, len(s.Attacks))
-	m.binsAt = make(minuteIndex[minuteKey])
-	m.attacksAt = make(minuteIndex[netip.Addr])
-	m.alertedAt = make(minuteIndex[netip.Addr])
+	m.alerted = make(map[[16]byte]int64, len(s.Alerted))
+	m.attacks = make(map[[16]byte]*attackState, len(s.Attacks))
+	m.binsAt = minuteIndex[minuteKey]{}
+	m.attacksAt = minuteIndex[[16]byte]{}
+	m.alertedAt = minuteIndex[[16]byte]{}
+	m.memoKeys, m.memoAggs = [memoWays]minuteKey{}, [memoWays]*monAgg{}
 	m.m.occupancy.Add(-m.m.occupancy.Value())
-	for i := range s.Bins {
-		m.restoreBin(&s.Bins[i])
+	for i := range s.Attacks {
+		m.restoreAttack(&s.Attacks[i])
 	}
 	for i := range s.Alerted {
 		m.restoreMarker(&s.Alerted[i])
 	}
-	for i := range s.Attacks {
-		m.restoreAttack(&s.Attacks[i])
+	for i := range s.Bins {
+		m.restoreBin(&s.Bins[i])
 	}
 	m.restoreClock(s)
 	restoreStats(m.m, s.Stats)
@@ -233,11 +237,11 @@ func (s *ShardedMonitor) Snapshot() *MonitorSnapshot {
 			})
 		}
 		for victim, last := range m.alerted {
-			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim.As16(), MinuteUnix: last})
+			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim, MinuteUnix: last})
 		}
 		for victim, st := range m.attacks {
 			snap.Attacks = append(snap.Attacks, AttackSnapshot{
-				Victim:     victim.As16(),
+				Victim:     victim,
 				ID:         st.id,
 				OpenedUnix: st.openedUnix,
 				LastUnix:   st.lastUnix,
@@ -266,23 +270,23 @@ func (s *ShardedMonitor) AdvanceAll(unixSec int64) {
 	}
 }
 
-// Restore loads a flat snapshot, distributing bins and markers across
-// shards by the same destination hash the fan-out routes records with.
-// Shard monitors must be empty (freshly constructed); the shared
-// counters resume from the snapshot's values.
+// Restore loads a flat snapshot, distributing attacks, markers and
+// bins across shards by the same destination hash the fan-out routes
+// records with. Shard monitors must be empty (freshly constructed);
+// the shared counters resume from the snapshot's values.
 func (s *ShardedMonitor) Restore(snap *MonitorSnapshot) {
 	n := uint64(len(s.shards))
-	for i := range snap.Bins {
-		b := &snap.Bins[i]
-		s.shards[pipe.KeyDstAddr(b.Victim)%n].mon.restoreBin(b)
+	for i := range snap.Attacks {
+		a := &snap.Attacks[i]
+		s.shards[pipe.KeyDstAddr(a.Victim)%n].mon.restoreAttack(a)
 	}
 	for i := range snap.Alerted {
 		a := &snap.Alerted[i]
 		s.shards[pipe.KeyDstAddr(a.Victim)%n].mon.restoreMarker(a)
 	}
-	for i := range snap.Attacks {
-		a := &snap.Attacks[i]
-		s.shards[pipe.KeyDstAddr(a.Victim)%n].mon.restoreAttack(a)
+	for i := range snap.Bins {
+		b := &snap.Bins[i]
+		s.shards[pipe.KeyDstAddr(b.Victim)%n].mon.restoreBin(b)
 	}
 	for _, sh := range s.shards {
 		sh.mon.restoreClock(snap)

@@ -176,9 +176,9 @@ const monitorColumns = flowstore.ColSrcAddr | flowstore.ColDstAddr | flowstore.C
 	flowstore.ColProto | flowstore.ColCounters | flowstore.ColStart
 
 // classifyStream runs scan — one vantage store's ScanOrdered — through
-// a fresh sharded monitor with attack-log tracking. The monitors emit no
-// lifecycle events (vantage runs race each other; see
-// CorrelateOptions.Events).
+// a fresh sharded monitor with attack-log tracking. The monitors get no
+// recorder, so they emit no lifecycle events (vantage runs race each
+// other; see CorrelateOptions.Events).
 func (c *Coordinator) classifyStream(opts CorrelateOptions, scan func(flowstore.Query, func(*pipe.Batch) error) (flowstore.ScanStats, error)) vantageRun {
 	sm := classify.NewShardedMonitor(opts.Config, c.opts.Parallelism)
 	for _, m := range sm.Monitors() {
@@ -190,10 +190,6 @@ func (c *Coordinator) classifyStream(opts CorrelateOptions, scan func(flowstore.
 		}
 	}
 	sm.SetTrackAttackLog(true)
-	// A private throwaway ring: vantage runs race each other, so their
-	// classify lifecycle events must not interleave into the shared
-	// recorder (SetEvents(nil) would fall back to it).
-	sm.SetEvents(eventlog.New(64))
 	// The monitor's watermark clock makes it order-sensitive, so feed
 	// it the deterministic time-ordered stream — ScanOrdered, NOT
 	// ScanBatches, whose cross-shard batch interleaving is

@@ -242,14 +242,14 @@ func appendIndexed[T any](dst, src []T, idx []int32) []T {
 	return dst
 }
 
-// Src materializes row i's source address.
-func (c *Columns) Src(i int) netip.Addr {
+// src materializes row i's source address.
+func (c *Columns) src(i int) netip.Addr {
 	f := c.Flags[i]
 	return addrFromHalves(c.SrcHi[i], c.SrcLo[i], f&FlagSrcValid != 0, f&FlagSrcIs4 != 0)
 }
 
-// Dst materializes row i's destination address.
-func (c *Columns) Dst(i int) netip.Addr {
+// dst materializes row i's destination address.
+func (c *Columns) dst(i int) netip.Addr {
 	f := c.Flags[i]
 	return addrFromHalves(c.DstHi[i], c.DstLo[i], f&FlagDstValid != 0, f&FlagDstIs4 != 0)
 }
@@ -310,8 +310,8 @@ func (c *Columns) Record(i int) Record {
 	f := c.Flags[i]
 	return Record{
 		Key: Key{
-			Src:      c.Src(i),
-			Dst:      c.Dst(i),
+			Src:      c.src(i),
+			Dst:      c.dst(i),
 			SrcPort:  c.SrcPort[i],
 			DstPort:  c.DstPort[i],
 			Protocol: c.Proto[i],

@@ -7,7 +7,10 @@ package flow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"net/netip"
 	"sort"
 	"time"
@@ -197,22 +200,81 @@ func (t *table) Flush() []Record {
 // aggregators use it so adversarial source churn (randomized spoofed
 // sources) degrades counting gracefully instead of exhausting memory.
 //
-// The first inlineSources addresses live in the set itself and are
-// searched linearly; only a set that outgrows them spills to a map. A
-// monitor bin is one of these per (victim, minute), and most hold a
-// handful of amplifiers: they allocate no map and never rehash.
+// Members are netip.Addr values compared by address and family, so an
+// IPv4 address and its IPv4-mapped IPv6 twin are two members, and the
+// invalid address is one more (zones are not kept: a flow record's
+// addresses never carry one). The storage holds no pointer: each
+// member is its 16-byte form plus a one-byte form tag (IPv4, IPv6,
+// invalid). The first inlineSources members live in the set itself and
+// are searched linearly; a set that outgrows them moves into one flat
+// open-addressed table (linear probing, at most 3/4 full, doubled as
+// it fills). A monitor bin is one of these per (victim, minute): most
+// hold a handful of amplifiers and never allocate, and a spilled one
+// is a single slice the garbage collector does not scan.
 type SourceSet struct {
-	n        int // addresses in inline, while set is nil
-	inline   [inlineSources]netip.Addr
-	set      map[netip.Addr]struct{} // nil until the inline array is full
+	n        int                       // members, inline or in the table
+	inline   [inlineSources]sourceSlot // the members, while set is nil
+	set      []sourceSlot              // nil until the inline array is full
 	cap      int
 	overflow uint64
 }
 
 // inlineSources is how many addresses a SourceSet holds before it
-// allocates a map — a dozen, as classify's per-minute attack counter
+// allocates a table — a dozen, as classify's per-minute attack counter
 // keeps inline.
 const inlineSources = 12
+
+// firstTableSlots sizes the table a set spills into: room for twice
+// the inline array at 3/4 load.
+const firstTableSlots = 32
+
+// sourceSlot is one member: As16 of the address and its form.
+// formEmpty marks a free table slot.
+type sourceSlot struct {
+	addr [16]byte
+	form uint8
+}
+
+// The form tags of a sourceSlot.
+const (
+	formEmpty uint8 = iota
+	formInvalid
+	form4
+	form6
+)
+
+// slotOf is a's member slot.
+func slotOf(a netip.Addr) sourceSlot {
+	switch {
+	case !a.IsValid():
+		return sourceSlot{form: formInvalid}
+	case a.Is4():
+		return sourceSlot{addr: a.As16(), form: form4}
+	}
+	return sourceSlot{addr: a.As16(), form: form6}
+}
+
+// canonicalSlot is the slot of netip.AddrFrom16(b).Unmap(): IPv4 when
+// b is IPv4-mapped, IPv6 otherwise.
+func canonicalSlot(b [16]byte) sourceSlot {
+	if binary.BigEndian.Uint64(b[:8]) == 0 && binary.BigEndian.Uint32(b[8:12]) == 0xffff {
+		return sourceSlot{addr: b, form: form4}
+	}
+	return sourceSlot{addr: b, form: form6}
+}
+
+// sourceSeed keys the table hash per process, so sources cannot be
+// chosen to collide. Nothing the set reports depends on where a member
+// sits: Snapshot sorts.
+var sourceSeed = maphash.Bytes(maphash.MakeSeed(), []byte("flow.SourceSet"))
+
+// hash mixes the slot's address (a 64×64→128-bit multiply folded to 64
+// bits). Twins share a hash; the form tag tells them apart on compare.
+func (sl *sourceSlot) hash() uint64 {
+	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(sl.addr[:8])^sourceSeed,
+		binary.LittleEndian.Uint64(sl.addr[8:])^(sourceSeed*0x9e3779b97f4a7c15))
+	return hi ^ lo
+}
 
 // NewSourceSet returns an empty set holding at most cap addresses
 // (cap <= 0 means unbounded).
@@ -222,59 +284,90 @@ func NewSourceSet(cap int) *SourceSet {
 
 // Add tracks a. It reports false when a is new but the set is at
 // capacity; the rejection is recorded in Overflow.
-//
+func (s *SourceSet) Add(a netip.Addr) bool { return s.add(slotOf(a)) }
+
+// AddAs16 is Add of netip.AddrFrom16(b).Unmap() — the canonical form
+// flowstore replay and RestoreSourceSet give an address — without
+// building the netip.Addr.
+func (s *SourceSet) AddAs16(b [16]byte) bool { return s.add(canonicalSlot(b)) }
+
 //bsvet:hotpath
-func (s *SourceSet) Add(a netip.Addr) bool {
-	if s.contains(a) {
+func (s *SourceSet) add(sl sourceSlot) bool {
+	at, ok := s.lookup(sl)
+	if ok {
 		return true
 	}
-	if s.cap > 0 && s.Len() >= s.cap {
+	if s.cap > 0 && s.n >= s.cap {
 		s.overflow++
 		metricSourceOverflows.Inc()
 		return false
 	}
-	s.insert(a)
+	s.insert(sl, at)
 	return true
 }
 
-func (s *SourceSet) contains(a netip.Addr) bool {
-	if s.set != nil {
-		_, ok := s.set[a]
-		return ok
+// lookup reports whether the set holds sl and, if it does not, where
+// sl would go: the next inline index, or the free table slot its probe
+// ended on.
+func (s *SourceSet) lookup(sl sourceSlot) (at int, ok bool) {
+	if s.set == nil {
+		for i := range s.inline[:s.n] {
+			if s.inline[i] == sl {
+				return i, true
+			}
+		}
+		return s.n, false
 	}
-	for i := range s.inline[:s.n] {
-		if s.inline[i] == a {
-			return true
+	mask := len(s.set) - 1
+	for i := int(sl.hash()) & mask; ; i = (i + 1) & mask {
+		switch {
+		case s.set[i].form == formEmpty:
+			return i, false
+		case s.set[i] == sl:
+			return i, true
 		}
 	}
-	return false
 }
 
-// insert adds a, which the set does not contain, spilling the inline
-// addresses to a map when there is no room for it among them.
-func (s *SourceSet) insert(a netip.Addr) {
-	if s.set == nil && s.n < inlineSources {
-		s.inline[s.n] = a
-		s.n++
-		return
+// insert adds sl, which the set does not hold, at the position lookup
+// found for it — unless the inline array is full or the table would
+// pass 3/4 load, when the set grows first.
+func (s *SourceSet) insert(sl sourceSlot, at int) {
+	switch {
+	case s.set == nil && s.n < inlineSources:
+		s.inline[at] = sl
+	case s.set == nil || 4*(s.n+1) > 3*len(s.set):
+		s.grow()
+		at, _ = s.lookup(sl)
+		fallthrough
+	default:
+		s.set[at] = sl
 	}
-	if s.set == nil {
-		s.set = make(map[netip.Addr]struct{}, 2*inlineSources)
-		for _, in := range s.inline[:s.n] {
-			s.set[in] = struct{}{}
+	s.n++
+}
+
+// grow moves the members into a fresh table: the first one when the
+// inline array is full, else one twice the current size.
+//
+//bsvet:hotpath
+func (s *SourceSet) grow() {
+	old := s.set
+	if old == nil {
+		old = s.inline[:s.n]
+		s.set = make([]sourceSlot, firstTableSlots)
+	} else {
+		s.set = make([]sourceSlot, 2*len(old))
+	}
+	for _, sl := range old {
+		if sl.form != formEmpty {
+			at, _ := s.lookup(sl)
+			s.set[at] = sl
 		}
-		s.n = 0
 	}
-	s.set[a] = struct{}{}
 }
 
 // Len reports the number of tracked addresses.
-func (s *SourceSet) Len() int {
-	if s.set != nil {
-		return len(s.set)
-	}
-	return s.n
-}
+func (s *SourceSet) Len() int { return s.n }
 
 // Overflow reports how many Add calls were rejected at capacity.
 func (s *SourceSet) Overflow() uint64 { return s.overflow }
@@ -283,12 +376,16 @@ func (s *SourceSet) Overflow() uint64 { return s.overflow }
 // deterministic serialization checkpointing needs. Addresses are
 // normalized through As16, matching the flowstore codec convention.
 func (s *SourceSet) Snapshot() [][16]byte {
-	out := make([][16]byte, 0, s.Len())
-	for _, a := range s.inline[:s.n] {
-		out = append(out, a.As16())
+	out := make([][16]byte, 0, s.n)
+	if s.set == nil {
+		for _, sl := range s.inline[:s.n] {
+			out = append(out, sl.addr)
+		}
 	}
-	for a := range s.set {
-		out = append(out, a.As16())
+	for _, sl := range s.set {
+		if sl.form != formEmpty {
+			out = append(out, sl.addr)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
 	return out
@@ -302,8 +399,9 @@ func (s *SourceSet) Snapshot() [][16]byte {
 func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
 	s := NewSourceSet(cap)
 	for _, b := range addrs {
-		if a := netip.AddrFrom16(b).Unmap(); !s.contains(a) {
-			s.insert(a)
+		sl := canonicalSlot(b)
+		if at, ok := s.lookup(sl); !ok {
+			s.insert(sl, at)
 		}
 	}
 	s.overflow = overflow

@@ -26,11 +26,12 @@ import (
 	"booterscope/internal/telemetry/eventlog"
 )
 
-// AddrFlag registers the conventional -debug.addr flag on the default
-// flag set and returns the destination string. Every cmd binary calls
-// this before flag.Parse.
-func AddrFlag() *string {
-	return flag.String("debug.addr", "",
+// AddrFlag registers the conventional -debug.addr flag on fs and
+// returns the destination string. Every cmd binary calls this on the
+// FlagSet its run function parses — not the process-wide one, since a
+// smoke test calls run more than once per process.
+func AddrFlag(fs *flag.FlagSet) *string {
+	return fs.String("debug.addr", "",
 		"serve /metrics, /metrics.json, /events, /attacks and /debug/pprof on this address (empty: disabled)")
 }
 
