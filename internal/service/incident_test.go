@@ -189,3 +189,35 @@ func TestCheckpointFailureDumpsIncident(t *testing.T) {
 		t.Fatal("dump does not record the checkpoint failure event")
 	}
 }
+
+// TestRecorderResolvedOnceAtNew pins Options.Events == nil: New takes
+// the process-wide recorder as it is then, and the monitor shards, the
+// mitigator and the daemon all keep emitting into that one recorder
+// after SetActive installs another.
+func TestRecorderResolvedOnceAtNew(t *testing.T) {
+	atNew, later := eventlog.New(1<<14), eventlog.New(1<<14)
+	prev := eventlog.Active()
+	defer eventlog.SetActive(prev)
+	eventlog.SetActive(atNew)
+	svc := openService(t, t.TempDir(), "", testCfg, Options{
+		Mitigation: MitigationOptions{Enabled: true, SustainAlerts: 1},
+	})
+	eventlog.SetActive(later)
+
+	feed(t, svc, genStream(9, 4_000))
+	if alerts := quiesceAlerts(t, svc); len(alerts) == 0 {
+		t.Fatal("attack stream raised no alerts")
+	}
+	kinds := map[string]bool{}
+	for _, e := range atNew.Snapshot() {
+		kinds[e.Kind] = true
+	}
+	for _, k := range []string{"classify_attack_opened", "classify_alert_raised", "service_flowspec_announced"} {
+		if !kinds[k] {
+			t.Errorf("recorder active at New has no %s event", k)
+		}
+	}
+	if n := later.Len(); n != 0 {
+		t.Errorf("recorder installed after New got %d events, want 0", n)
+	}
+}
