@@ -93,16 +93,6 @@ func (r route) effectiveLocalPref() int {
 	return r.Source.defaultLocalPref()
 }
 
-// OriginAS returns the last AS on the path (0 for an empty path).
-//
-//bsvet:allow deadcode no production caller; kept for TestOriginAS (deletion deferred, ROADMAP 8(iv))
-func (r route) OriginAS() uint32 {
-	if len(r.Path) == 0 {
-		return 0
-	}
-	return r.Path[len(r.Path)-1]
-}
-
 // better reports whether a is preferred over b by BGP decision order:
 // local preference, AS-path length, then lowest next-hop ASN as a
 // deterministic tiebreak.
@@ -162,33 +152,6 @@ func (rib *RIB) withdraw(prefix netip.Prefix, nextHopAS uint32) bool {
 		}
 	}
 	return false
-}
-
-// WithdrawAllFrom removes every route learned from nexthop AS,
-// returning how many were removed. Used when a session flaps.
-//
-//bsvet:allow deadcode no production caller; kept for TestWithdrawAllFrom (deletion deferred, ROADMAP 8(iv))
-func (rib *RIB) WithdrawAllFrom(nextHopAS uint32) int {
-	rib.mu.Lock()
-	defer rib.mu.Unlock()
-	removed := 0
-	for prefix, list := range rib.routes {
-		kept := list[:0]
-		for _, r := range list {
-			if r.NextHopAS == nextHopAS {
-				removed++
-			} else {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) == 0 {
-			delete(rib.routes, prefix)
-		} else {
-			rib.routes[prefix] = kept
-		}
-	}
-	metricRouteWithdraws.Add(uint64(removed))
-	return removed
 }
 
 // Lookup returns the best route for addr by longest prefix match, or

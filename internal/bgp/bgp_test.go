@@ -34,16 +34,6 @@ func TestEffectiveLocalPref(t *testing.T) {
 	}
 }
 
-func TestOriginAS(t *testing.T) {
-	r := route{Path: []uint32{100, 200, 300}}
-	if r.OriginAS() != 300 {
-		t.Errorf("origin = %d", r.OriginAS())
-	}
-	if (route{}).OriginAS() != 0 {
-		t.Error("empty path origin should be 0")
-	}
-}
-
 func TestRIBBestPathSelection(t *testing.T) {
 	rib := NewRIB()
 	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100, 65000}, Source: SourceTransit})
@@ -134,22 +124,6 @@ func TestRIBWithdraw(t *testing.T) {
 	rib.withdraw(p24, 200)
 	if rib.Len() != 0 {
 		t.Errorf("rib len = %d", rib.Len())
-	}
-}
-
-func TestWithdrawAllFrom(t *testing.T) {
-	rib := NewRIB()
-	rib.insert(route{Prefix: p24, NextHopAS: 100, Path: []uint32{100}})
-	rib.insert(route{Prefix: p16, NextHopAS: 100, Path: []uint32{100}})
-	rib.insert(route{Prefix: p16, NextHopAS: 200, Path: []uint32{200}})
-	if n := rib.WithdrawAllFrom(100); n != 2 {
-		t.Errorf("withdrew %d routes", n)
-	}
-	if rib.Len() != 1 {
-		t.Errorf("rib len = %d", rib.Len())
-	}
-	if _, ok := rib.Lookup(netip.MustParseAddr("203.0.113.1")); !ok {
-		t.Error("/16 route via 200 should still cover the /24's space")
 	}
 }
 

@@ -99,9 +99,9 @@ func (c *Classifier) Add(r *flow.Record) bool {
 	return true
 }
 
-// AddCols feeds row i of a columnar slab: the optimistic pre-filter
-// runs on the columns and only accepted rows pay for materializing a
-// record (the per-destination aggregation still wants one).
+// AddCols feeds row i of a columnar slab: the filter and the
+// per-destination aggregation read the column vectors, so no record is
+// materialized.
 //
 //bsvet:hotpath
 func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
@@ -109,8 +109,7 @@ func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	if !isNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
 		return false
 	}
-	r := cols.Record(i)
-	c.perDest.Add(&r)
+	c.perDest.AddAs16(cols.DstAs16(i), cols.SrcAs16(i), cols.StartSec[i], cols.ScaledBytes(i))
 	return true
 }
 

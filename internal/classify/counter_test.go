@@ -10,6 +10,7 @@ import (
 
 	"booterscope/internal/flow"
 	"booterscope/internal/packet"
+	"booterscope/internal/pipe"
 )
 
 // genCounterStream builds a shuffled stream of minute-bin bursts for
@@ -67,15 +68,6 @@ func genCounterStream(seed int64) []flow.Record {
 	return recs
 }
 
-// refSeries is the reference counter's series over recs.
-func refSeries(recs []flow.Record, cfg Config) []HourPoint {
-	ref := newRefAttackCounter(cfg)
-	for i := range recs {
-		ref.Add(&recs[i])
-	}
-	return ref.Series()
-}
-
 // splitCounters feeds recs to k counters by assign, which is an
 // arbitrary partition (not by victim, so minute bins split across
 // counters); even counters take records through Add, odd ones through
@@ -96,11 +88,11 @@ func splitCounters(recs []flow.Record, cols *flow.Columns, assign []int, k int, 
 }
 
 // TestAttackCounterMatchesReference pins the capped source sets and the
-// adopting merge against the uncapped reference counter
-// (reference_test.go): random streams split across k counters by an
-// arbitrary partition and merged in shuffled order — into a fresh
-// counter (the first merge adopts) and into one of the parts (no merge
-// adopts) — must give the reference's serial series at every
+// adopting merge against Figure 5's spec (spec_test.go): a counter fed
+// every record as a column row, and random streams split across k
+// counters by an arbitrary partition and merged in shuffled order —
+// into a fresh counter (the first merge adopts) and into one of the
+// parts (no merge adopts) — must give the spec's series at every
 // MinSources and rate threshold. Seeds 1–4 are the first four positive
 // integers, fixed before the test first ran; a failing seed is a
 // finding, never a reason to drop it.
@@ -115,14 +107,21 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 		for _, minSources := range []int{0, 3, 40, 300} {
 			for _, rate := range []float64{0, 1e8} {
 				cfg := Config{MinRateBps: rate, MinSources: minSources}
-				want := refSeries(recs, cfg)
+				want := specHourly(recs, cfg)
 				// Both rules must bite at every grid point, or the
 				// comparison proves nothing about them.
 				noSources, noRate := cfg, cfg
 				noSources.MinSources, noRate.MinRateBps = -1, -1
-				if len(want) == 0 || reflect.DeepEqual(want, refSeries(recs, noSources)) ||
-					reflect.DeepEqual(want, refSeries(recs, noRate)) {
+				if len(want) == 0 || reflect.DeepEqual(want, specHourly(recs, noSources)) ||
+					reflect.DeepEqual(want, specHourly(recs, noRate)) {
 					t.Fatalf("seed %d %+v: the stream does not exercise both thresholds", seed, cfg)
+				}
+				byCols := NewAttackCounter(cfg)
+				for i := range recs {
+					byCols.AddCols(cols, i)
+				}
+				if got := byCols.Series(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %+v column rows:\ngot  %v\nwant %v", seed, cfg, got, want)
 				}
 				for _, k := range []int{1, 2, 3, 5} {
 					assign := make([]int, len(recs))
@@ -151,6 +150,94 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClassifierMatchesSpec: Figures 2(b) and 2(c) — every victim's
+// peak rate, peak and total source counts and verdict, and the filter's
+// cut — equal the spec's, serially and merged across destination-
+// disjoint parts, through Add and through AddCols.
+func TestClassifierMatchesSpec(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		recs := genCounterStream(seed)
+		cols := new(flow.Columns)
+		for i := range recs {
+			cols.AppendRecord(&recs[i])
+		}
+		for _, cfg := range []Config{{MinRateBps: 1.2e9, MinSources: 40}, {MinRateBps: 1.2e9, MinSources: 300}} {
+			want, wantFS := specVictims(recs, cfg)
+			if wantFS.Conservative == 0 || wantFS.RateOnly == wantFS.Optimistic || wantFS.SourcesOnly == wantFS.Optimistic {
+				t.Fatalf("seed %d %+v: the stream does not exercise both rules: %+v", seed, cfg, wantFS)
+			}
+			for _, k := range []int{1, 3} {
+				for _, columnar := range []bool{false, true} {
+					parts := make([]*Classifier, k)
+					for j := range parts {
+						parts[j] = New(cfg)
+					}
+					for i := range recs {
+						if p := parts[pipe.KeyDst(&recs[i])%uint64(k)]; columnar {
+							p.AddCols(cols, i)
+						} else {
+							p.Add(&recs[i])
+						}
+					}
+					for _, p := range parts[1:] {
+						parts[0].Merge(p)
+					}
+					if got := parts[0].Victims(); !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d %+v k=%d columnar %t: victims differ from the spec", seed, cfg, k, columnar)
+					}
+					if got := parts[0].FilterStats(); got != wantFS {
+						t.Errorf("seed %d %+v k=%d columnar %t: filter stats %+v, spec %+v", seed, cfg, k, columnar, got, wantFS)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTwinVictimIsOneVictim: a stream naming its victim and its sources
+// both as IPv4 addresses and as their IPv4-mapped twins is one victim
+// with one source per twin pair, to the classifier through Add and
+// AddCols as to the spec, the attack counter and the monitor.
+func TestTwinVictimIsOneVictim(t *testing.T) {
+	var recs []flow.Record
+	cols := new(flow.Columns)
+	for i := 0; i < 6; i++ {
+		r := ntpRec(fmt.Sprintf("9.9.9.%d", i/2), "1.2.3.4", 486, 1000, t0.Add(time.Duration(i)*time.Second))
+		if i%2 == 1 {
+			r.Src, r.Dst = netip.AddrFrom16(r.Src.As16()), netip.AddrFrom16(r.Dst.As16())
+		}
+		recs = append(recs, r)
+		cols.AppendRecord(&r)
+	}
+	cfg := Config{MinRateBps: 1000, MinSources: 2}
+	want, _ := specVictims(recs, cfg)
+	if len(want) != 1 || want[0].Addr != netip.MustParseAddr("1.2.3.4") || want[0].TotalSources != 3 || !want[0].Conservative {
+		t.Fatalf("spec victims %+v", want)
+	}
+	byRows, byCols := New(cfg), New(cfg)
+	counter, mon := NewAttackCounter(cfg), NewMonitor(cfg)
+	var alerts int
+	for i := range recs {
+		byRows.Add(&recs[i])
+		byCols.AddCols(cols, i)
+		counter.Add(&recs[i])
+		if mon.Add(&recs[i]) != nil {
+			alerts++
+		}
+	}
+	for name, c := range map[string]*Classifier{"Add": byRows, "AddCols": byCols} {
+		if got := c.Victims(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: victims %+v, spec %+v", name, got, want)
+		}
+	}
+	if got := counter.Series(); len(got) != 1 || got[0].Count != 1 {
+		t.Errorf("attack counter series %+v, want one victim in one hour", got)
+	}
+	if alerts != 1 {
+		t.Errorf("monitor raised %d alerts, want 1", alerts)
 	}
 }
 

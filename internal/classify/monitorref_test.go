@@ -166,12 +166,11 @@ func eventViews(l *eventlog.Log, ordered bool) []eventView {
 }
 
 // TestMonitorMatchesReference drives the Monitor, serial and sharded,
-// and the reference monitor (reference_test.go: the hot path before
-// the bins carried their attack, the memo, the ordered index and the
-// recorder guard) through the same canonical-address streams under
-// randomly drawn configurations, and after every chunk of records
-// compares every alert, the accounting, the attack log, the event
-// stream when a recorder is attached, and the snapshot.
+// and the spec monitor (spec_test.go: the documented behaviour by full
+// scans) through the same canonical-address streams under randomly
+// drawn configurations, and after every chunk of records compares
+// every alert, the accounting, the attack log, the event stream when a
+// recorder is attached, and the snapshot.
 func TestMonitorMatchesReference(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	var refused, overflowed, spilled, late, sharded bool
@@ -180,15 +179,15 @@ func TestMonitorMatchesReference(t *testing.T) {
 		recs := genRefStream(rng, 12_000)
 		run := drawRefRun(rng)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := matchReference(t, run, recs, rng)
-			st := ref.Stats()
+			ref, sawLate := matchReference(t, run, recs, rng)
+			st := ref.stats
 			t.Logf("%v: %+v", run, st)
 			refused = refused || st.RejectedRecords > 0
 			overflowed = overflowed || st.SourceOverflows > 0
-			late = late || ref.late
+			late = late || sawLate
 			sharded = sharded || run.shards > 0
-			for _, agg := range ref.minutes {
-				spilled = spilled || agg.sources.Len() > 12
+			for _, b := range ref.bins {
+				spilled = spilled || len(b.sources) > 12
 			}
 			if st.Alerts == 0 || st.EvictedBins == 0 {
 				t.Fatalf("%v: degenerate run: %+v", run, st)
@@ -202,23 +201,20 @@ func TestMonitorMatchesReference(t *testing.T) {
 }
 
 // matchReference feeds recs, in chunks of random size, to the monitor
-// run describes and to the reference monitor, and after every chunk
+// run describes and to the spec monitor, and after every chunk
 // compares every alert so far, the accounting, the attack log, the
 // event stream when a recorder is attached, and the snapshot. A
 // sharded run gets each chunk as one row or column batch (a coin
 // flip) and is read inside a fan-out barrier, after replaying the
-// global clock on every shard. It returns the reference monitor.
-func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand) *refMonitor {
+// global clock on every shard. It returns the spec monitor, and whether
+// a matched record arrived behind the horizon.
+func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand) (ref *specMonitor, late bool) {
 	t.Helper()
-	ref := newRefMonitor(run.cfg)
-	ref.Retention, ref.ReAlertAfter = run.retention, run.reAlertAfter
-	ref.MaxMinutes, ref.MaxSourcesPerBin = run.maxMinutes, run.maxSources
-	ref.TrackAttackLog = run.trackLog
 	var refEvents, events *eventlog.Log
 	if run.record {
 		refEvents, events = eventlog.New(1<<18), eventlog.New(1<<18)
-		ref.Events = refEvents
 	}
+	ref = newSpecMonitor(run, refEvents)
 
 	var m *Monitor
 	var sm *ShardedMonitor
@@ -247,12 +243,12 @@ func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand
 		chunk := recs[off : off+n]
 		off += n
 		for i := range chunk {
-			was := ref.latest
+			was := ref.clock
 			if a := ref.Add(&chunk[i]); a != nil {
 				want = append(want, *a)
 			}
-			ref.late = ref.late || (ref.latest == was && ref.latest != noClock &&
-				floorMinute(chunk[i].Start.Unix()) < ref.latest-ceilSeconds(ref.Retention))
+			late = late || ref.clock == was && specMatches(&chunk[i], ref.cfg) &&
+				specKeyOf(&chunk[i]).minute < ref.clock-int64(ref.retention/time.Second)
 		}
 		var log []AttackSummary
 		var st MonitorStats
@@ -300,7 +296,7 @@ func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand
 		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: alerts diverge (%d vs %d reference)", where, len(got), len(want))
 		}
-		if rst := ref.Stats(); st != rst {
+		if rst := ref.stats; st != rst {
 			t.Fatalf("%s: stats %+v, reference %+v", where, st, rst)
 		}
 		if rlog := ref.AttackLog(); len(log) != len(rlog) || len(log) > 0 && !reflect.DeepEqual(log, rlog) {
@@ -313,7 +309,7 @@ func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand
 			t.Fatalf("%s: snapshots diverge:\n%s\nreference\n%s", where, g, w)
 		}
 	}
-	return ref
+	return ref, late
 }
 
 // TestMonitorMatchesReferenceAtEdges runs matchReference over streams

@@ -44,13 +44,6 @@ type Key struct {
 	Protocol uint8
 }
 
-// Reverse returns the key with endpoints swapped.
-//
-//bsvet:allow deadcode no production caller; kept for TestKeyReverse (deletion deferred, ROADMAP 8(iv))
-func (k Key) Reverse() Key {
-	return Key{Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort, Protocol: k.Protocol}
-}
-
 // String formats the key as "proto src:port -> dst:port".
 func (k Key) String() string {
 	return fmt.Sprintf("%d %s:%d -> %s:%d", k.Protocol, k.Src, k.SrcPort, k.Dst, k.DstPort)
@@ -412,50 +405,60 @@ func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
 // minute: the core unit of the paper's victim analysis (max Gbps per
 // minute, unique sources per minute).
 type minuteBin struct {
-	Minute  time.Time
 	Bytes   uint64
-	Packets uint64
-	Sources map[netip.Addr]struct{}
+	Sources map[[16]byte]struct{}
 }
 
 // Rate returns the bin's traffic rate in bits per second.
 func (b *minuteBin) Rate() float64 { return float64(b.Bytes) * 8 / 60 }
 
-// PerDestMinutes indexes minute bins by destination address.
+// PerDestMinutes indexes minute bins by destination address. Every
+// address is taken in its 16-byte form, as classify's attack counter
+// and monitor take it, so an IPv4 address and its IPv4-mapped IPv6
+// twin are one destination (or one source), and the invalid address
+// is "::".
 type PerDestMinutes struct {
-	bins map[netip.Addr]map[int64]*minuteBin
+	bins map[[16]byte]map[int64]*minuteBin
 }
 
 // NewPerDestMinutes returns an empty per-destination aggregator.
 func NewPerDestMinutes() *PerDestMinutes {
-	return &PerDestMinutes{bins: make(map[netip.Addr]map[int64]*minuteBin)}
+	return &PerDestMinutes{bins: make(map[[16]byte]map[int64]*minuteBin)}
 }
 
 // Add merges a record into its destination's minute bin. Sampled counters
 // are scaled up.
 func (p *PerDestMinutes) Add(rec *Record) {
-	minute := rec.Start.Truncate(time.Minute)
-	m, ok := p.bins[rec.Dst]
+	p.AddAs16(rec.Dst.As16(), rec.Src.As16(), rec.Start.Unix(), rec.ScaledBytes())
+}
+
+// AddAs16 is Add of a record given as its destination and source in
+// 16-byte form, its whole start second and its scaled bytes — what a
+// columnar slab holds, so no record is built.
+func (p *PerDestMinutes) AddAs16(dst, src [16]byte, startSec int64, scaledBytes uint64) {
+	minute := startSec - startSec%60
+	if startSec%60 < 0 {
+		minute -= 60
+	}
+	m, ok := p.bins[dst]
 	if !ok {
 		m = make(map[int64]*minuteBin)
-		p.bins[rec.Dst] = m
+		p.bins[dst] = m
 	}
-	key := minute.Unix()
-	bin, ok := m[key]
+	bin, ok := m[minute]
 	if !ok {
-		bin = &minuteBin{Minute: minute, Sources: make(map[netip.Addr]struct{})}
-		m[key] = bin
+		bin = &minuteBin{Sources: make(map[[16]byte]struct{})}
+		m[minute] = bin
 	}
-	bin.Bytes += rec.ScaledBytes()
-	bin.Packets += rec.ScaledPackets()
-	bin.Sources[rec.Src] = struct{}{}
+	bin.Bytes += scaledBytes
+	bin.Sources[src] = struct{}{}
 }
 
 // Merge folds other into p, adopting other's bins where p has none.
 // other must not be used afterwards. When the two aggregators saw
 // disjoint destination sets — the sharded pipeline routes by
-// destination hash, so they do — the merge is exact: byte/packet sums
-// and source sets per bin equal a single serial pass.
+// destination hash, so they do — the merge is exact: byte sums and
+// source sets per bin equal a single serial pass.
 func (p *PerDestMinutes) Merge(other *PerDestMinutes) {
 	if other == nil {
 		return
@@ -473,7 +476,6 @@ func (p *PerDestMinutes) Merge(other *PerDestMinutes) {
 				continue
 			}
 			bin.Bytes += ob.Bytes
-			bin.Packets += ob.Packets
 			for src := range ob.Sources {
 				bin.Sources[src] = struct{}{}
 			}
@@ -484,6 +486,7 @@ func (p *PerDestMinutes) Merge(other *PerDestMinutes) {
 // DestSummary condenses one destination's bins into the quantities
 // Figures 2(b) and 2(c) plot.
 type DestSummary struct {
+	// Dst is the destination, an IPv4-mapped address unmapped.
 	Dst netip.Addr
 	// MaxRateBps is the highest one-minute traffic rate in bits/second.
 	MaxRateBps float64
@@ -499,8 +502,8 @@ type DestSummary struct {
 func (p *PerDestMinutes) Summaries() []DestSummary {
 	out := make([]DestSummary, 0, len(p.bins))
 	for dst, m := range p.bins {
-		s := DestSummary{Dst: dst, Minutes: len(m)}
-		all := make(map[netip.Addr]struct{})
+		s := DestSummary{Dst: netip.AddrFrom16(dst).Unmap(), Minutes: len(m)}
+		all := make(map[[16]byte]struct{})
 		for _, bin := range m {
 			if r := bin.Rate(); r > s.MaxRateBps {
 				s.MaxRateBps = r

@@ -29,17 +29,6 @@ func rec(src, dst string, sport, dport uint16, pkts, bytes uint64, start time.Ti
 	}
 }
 
-func TestKeyReverse(t *testing.T) {
-	k := Key{Src: addr("1.1.1.1"), Dst: addr("2.2.2.2"), SrcPort: 123, DstPort: 999, Protocol: 17}
-	r := k.Reverse()
-	if r.Src != k.Dst || r.Dst != k.Src || r.SrcPort != k.DstPort || r.DstPort != k.SrcPort {
-		t.Errorf("Reverse() = %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Error("double reverse is not identity")
-	}
-}
-
 func TestDirectionString(t *testing.T) {
 	if Ingress.String() != "ingress" || Egress.String() != "egress" {
 		t.Error("direction names wrong")

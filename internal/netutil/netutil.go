@@ -173,16 +173,6 @@ const (
 	tbps         = 1e12 * bps
 )
 
-// Mbps reports the rate in megabits per second.
-//
-//bsvet:allow deadcode no production caller; kept for TestBitrateConversions (deletion deferred, ROADMAP 8(iv))
-func (b Bitrate) Mbps() float64 { return float64(b) / 1e6 }
-
-// Gbps reports the rate in gigabits per second.
-//
-//bsvet:allow deadcode no production caller; kept for TestBitrateConversions (deletion deferred, ROADMAP 8(iv))
-func (b Bitrate) Gbps() float64 { return float64(b) / 1e9 }
-
 // String formats the bitrate with an auto-selected unit.
 func (b Bitrate) String() string {
 	switch {

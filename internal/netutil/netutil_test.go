@@ -175,16 +175,6 @@ func TestRateFromBytes(t *testing.T) {
 	}
 }
 
-func TestBitrateConversions(t *testing.T) {
-	r := 2500 * mbps
-	if got := r.Gbps(); got != 2.5 {
-		t.Errorf("Gbps() = %v", got)
-	}
-	if got := r.Mbps(); got != 2500 {
-		t.Errorf("Mbps() = %v", got)
-	}
-}
-
 func TestBackoffGrowthAndJitter(t *testing.T) {
 	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Rand: NewRand(1)}
 	// Attempt n's delay is drawn from [c/2, c) with c = min(Max, Base·2ⁿ).

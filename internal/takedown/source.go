@@ -39,19 +39,13 @@ func WindowOf(cfg trafficgen.Config) Window {
 	return Window{Start: cfg.Start, Days: cfg.Days, Takedown: cfg.Takedown}
 }
 
-// dayTime maps a record start time onto its window day. Trigger records
-// never cross midnight, so this reproduces the generator's day binning
-// exactly when replaying from an archive.
-func (w Window) dayTime(t time.Time) time.Time {
-	const day = 24 * time.Hour
-	return w.Start.Add(t.Sub(w.Start) / day * day)
-}
-
-// dayTimeSec is DayTime from whole seconds only. For records at or
-// after the (whole-second) window start, sub-second precision cannot
-// move the day bin — the distance to the next day boundary is always a
-// whole number of seconds — so columnar consumers can bin on the start
-// seconds column and skip decoding nanoseconds.
+// dayTimeSec maps a record's whole start second onto its window day:
+// Start plus the whole days from Start to sec, truncated toward zero.
+// Both the record and the columnar path bin by the start second, so a
+// record's sub-second part never moves its day, and columnar consumers
+// can bin on the start seconds column and skip decoding nanoseconds.
+// Trigger records never cross midnight, so this reproduces the
+// generator's day binning exactly when replaying from an archive.
 func (w Window) dayTimeSec(sec int64) time.Time {
 	const day = 24 * time.Hour
 	return w.Start.Add(time.Unix(sec, 0).Sub(w.Start) / day * day)

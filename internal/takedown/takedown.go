@@ -145,7 +145,7 @@ func (t *triggerStage) Process(b *pipe.Batch) error {
 		}
 		for j, p := range t.ports {
 			if rec.DstPort == p {
-				t.byPort[j].Add(t.w.dayTime(rec.Start), float64(rec.ScaledPackets()))
+				t.byPort[j].Add(t.w.dayTimeSec(rec.Start.Unix()), float64(rec.ScaledPackets()))
 				break
 			}
 		}

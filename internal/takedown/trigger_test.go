@@ -12,7 +12,6 @@ import (
 	"booterscope/internal/flow"
 	"booterscope/internal/packet"
 	"booterscope/internal/pipe"
-	"booterscope/internal/timeseries"
 	"booterscope/internal/trafficgen"
 )
 
@@ -26,8 +25,8 @@ import (
 //     second of day Days, so its first and last touched days are
 //     zero-sum array days.
 //   - NTP: records up to a day before Start (the second that is day -1,
-//     two days before) and on day Days+1, zero-packet ones on its first
-//     and last touched days.
+//     once more half a second into it, two days before) and on day
+//     Days+1, zero-packet ones on its first and last touched days.
 //   - DNS: StartSec at ±MaxInt64.
 func edgeRecords(w Window) []flow.Record {
 	rng := rand.New(rand.NewSource(1))
@@ -57,7 +56,9 @@ func edgeRecords(w Window) []flow.Record {
 		}
 	}
 	last := start + int64(w.Days+1)*secondsPerDay - 1
-	recs = append(recs,
+	half := rec(amplify.NTP, start-secondsPerDay, 5)
+	half.Start = half.Start.Add(time.Second / 2)
+	recs = append(recs, half,
 		rec(amplify.Memcached, start-(secondsPerDay-1), 0),
 		rec(amplify.Memcached, start-1, 0),
 		rec(amplify.Memcached, last, 0),
@@ -96,36 +97,32 @@ func batchSource(recs []flow.Record, columnar bool) Source {
 	}
 }
 
-// TestTriggerDayIndexMatchesSeriesAdd: columnar Analyze, whose trigger
-// stage bins window days in an array, equals the record path, which
-// adds every record to the series through dayTime, at par 1 and 3;
-// and each vector's daily points equal a series built record by record
-// with dayTimeSec.
+// TestTriggerDayIndexMatchesSeriesAdd: every vector's Figure 4 daily
+// points equal the spec's (spec_test.go) through record batches and
+// through columnar slabs, whose trigger stage bins window days in an
+// array, at par 1 and 3; and every run's panels and robustness
+// verdicts equal the first one's.
 func TestTriggerDayIndexMatchesSeriesAdd(t *testing.T) {
 	w := WindowOf(testScenario(1).Config())
 	recs := edgeRecords(w)
-	want, err := Analyze(batchSource(recs, false), w, trafficgen.KindTier2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 3} {
-		got, err := Analyze(batchSource(recs, true), w, trafficgen.KindTier2, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Figure4, want.Figure4) || !reflect.DeepEqual(got.Robustness, want.Robustness) {
-			t.Fatalf("par %d: columnar Figure 4 differs from the record path", par)
-		}
-	}
-	for j, v := range ReflectorVectors {
-		s := timeseries.NewDaily()
-		for i := range recs {
-			if recs[i].DstPort == v.Port() {
-				s.Add(w.dayTimeSec(recs[i].Start.Unix()), float64(recs[i].Packets))
+	spec := specFigure4(recs, w)
+	var first *Analysis
+	for _, columnar := range []bool{false, true} {
+		for _, par := range []int{1, 3} {
+			got, err := Analyze(batchSource(recs, columnar), w, trafficgen.KindTier2, par)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := want.Figure4[j].Daily; !reflect.DeepEqual(got, s.Points()) {
-			t.Errorf("%v: daily points differ from per-record Series.Add", v)
+			for j, v := range ReflectorVectors {
+				if !reflect.DeepEqual(got.Figure4[j].Daily, spec[v]) {
+					t.Errorf("columnar %t par %d: %v daily points differ from the spec", columnar, par, v)
+				}
+			}
+			if first == nil {
+				first = got
+			} else if !reflect.DeepEqual(got.Figure4, first.Figure4) || !reflect.DeepEqual(got.Robustness, first.Robustness) {
+				t.Errorf("columnar %t par %d: Figure 4 differs from the record path at par 1", columnar, par)
+			}
 		}
 	}
 }
