@@ -38,7 +38,9 @@ check-noanalyze: lint
 # invariants), goroutinelifecycle (every goroutine in a long-running
 # package has a shutdown path), hotpath (//bsvet:hotpath functions
 # stay allocation-free per -gcflags=-m=2, modulo the checked-in
-# budget), and deadcode (on this whole-module load: nothing exported
+# budget; it sees escapes inside the annotated body, inlined callees
+# included, and does not follow callees the compiler does not inline),
+# and deadcode (on this whole-module load: nothing exported
 # from internal/ without an outside caller, nothing unexported without
 # a caller). Diagnostics come out in the standard vet file:line:col
 # format and any finding fails the build.
@@ -57,18 +59,20 @@ bench:
 # bench-smoke runs the federated-scan, flowstore, classify (classifier,
 # the monitor's row add and BenchmarkMonitorAddCols — columnar slabs
 # whose bins spill their source sets and expire, as in production — and
-# the Figure 5 attack counter's columnar add) and Section 5.2 (Figure 4,
-# Figure 5, full pipeline, Welch-vs-rank ablation) benchmarks for one
-# iteration — no timing claims, just proof they still execute (go vet
-# already compiles every benchmark; the full
-# `make bench` run is manual, and bench/bench_test.go smokes its five
-# workloads in the suite).
+# the Figure 5 attack counter's columnar add), Section 5.2 (Figure 4,
+# Figure 5, full pipeline, Welch-vs-rank ablation) and generator
+# (BenchmarkDayTier2, BenchmarkDayIXP: records per day and bytes
+# allocated per record) benchmarks for one iteration — no timing
+# claims, just proof they still execute (go vet already compiles every
+# benchmark; the full `make bench` run is manual, and
+# bench/bench_test.go smokes its five workloads in the suite).
 bench-smoke:
 	$(GO) test ./internal/core -run xxx -bench BenchmarkFederatedScan -benchtime 1x -count=1
 	$(GO) test ./internal/flowstore -run xxx -bench . -benchtime 1x -count=1
 	$(GO) test ./internal/classify -run xxx -bench . -benchtime 1x -count=1
 	$(GO) test . -run xxx -bench 'Figure4ReflectorTraffic|Figure5AttackCounts|TakedownFullPipeline|AblationWelchVsRank' -benchtime 1x -count=1
 	$(GO) test ./internal/takedown -run xxx -bench . -benchtime 1x -count=1
+	$(GO) test ./internal/trafficgen -run xxx -bench 'BenchmarkDayTier2|BenchmarkDayIXP' -benchtime 1x -count=1
 
 # lint enforces formatting. The telemetry-registration rule that used
 # to live in scripts/lint-telemetry.sh is now the type-aware telemetry

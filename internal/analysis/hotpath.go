@@ -43,6 +43,12 @@ const hotpathPrefix = "//bsvet:hotpath"
 // (analysis/hotpath_budget.json); anything uncovered is a diagnostic
 // at the escape site naming the escaping value.
 //
+// What it sees is what the compiler positions inside the annotated
+// body: the body's own escapes and those of callees inlined into it.
+// It does not follow a call the compiler does not inline, so a
+// non-inlined callee's allocations are not gated, and whether a
+// callee's allocation counts can change with an inlining decision.
+//
 // A //bsvet:hotpath directive on anything other than a function or
 // method declaration is itself an error — a misplaced annotation that
 // silently gated nothing would defeat the point.

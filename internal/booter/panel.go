@@ -22,9 +22,9 @@ const (
 	concurrentsVIP    = 3
 )
 
-// HistoryEntry is one attack as the panel's backend logs it — the rows
+// historyEntry is one attack as the panel's backend logs it — the rows
 // that later leak as the service's database.
-type HistoryEntry struct {
+type historyEntry struct {
 	UserID   int
 	Target   netip.Addr
 	Vector   amplify.Vector
@@ -41,7 +41,7 @@ type panel struct {
 	engine  *Engine
 
 	running []time.Time // end times of in-flight attacks per slot use
-	history []HistoryEntry
+	history []historyEntry
 }
 
 // NewPanel opens a panel for one service on an engine.
@@ -93,7 +93,7 @@ func (p *panel) Launch(userID int, order Order, t time.Time) (*Attack, error) {
 	}
 	p.running = append(p.running, t.Add(order.Duration))
 	p.compact(t)
-	p.history = append(p.history, HistoryEntry{
+	p.history = append(p.history, historyEntry{
 		UserID:   userID,
 		Target:   order.Target,
 		Vector:   order.Vector,
@@ -118,4 +118,4 @@ func (p *panel) compact(t time.Time) {
 // History returns the backend attack log.
 //
 //bsvet:allow deadcode the booter panel has no production caller; kept for TestPanelHistory (deletion deferred, ROADMAP 8(iv))
-func (p *panel) History() []HistoryEntry { return p.history }
+func (p *panel) History() []historyEntry { return p.history }

@@ -4,17 +4,12 @@
 // the paper's refs [10], [21], [24]): customers, payments, and attack
 // logs, with generators for synthetic leaks and the standard analyses
 // on top.
-//
-// Databases round-trip through CSV, the format real leaks circulate in.
 package booterdb
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
-	"strconv"
 	"time"
 
 	"booterscope/internal/amplify"
@@ -51,22 +46,6 @@ func (m paymentMethod) String() string {
 		return "giftcard"
 	default:
 		return fmt.Sprintf("PaymentMethod(%d)", uint8(m))
-	}
-}
-
-// parsePaymentMethod inverts String.
-//
-//bsvet:allow deadcode no production caller; kept for TestPaymentMethodStrings (deletion deferred, ROADMAP 8(iv))
-func parsePaymentMethod(s string) (paymentMethod, error) {
-	switch s {
-	case "paypal":
-		return PayPal, nil
-	case "bitcoin":
-		return Bitcoin, nil
-	case "giftcard":
-		return GiftCard, nil
-	default:
-		return 0, fmt.Errorf("booterdb: unknown payment method %q", s)
 	}
 }
 
@@ -256,17 +235,6 @@ func (db *Database) PowerUserShare(topFrac float64) float64 {
 	return float64(top) / float64(total)
 }
 
-// RevenueByMethod sums payments per method.
-//
-//bsvet:allow deadcode no production caller; kept for TestRevenue (deletion deferred, ROADMAP 8(iv))
-func (db *Database) RevenueByMethod() map[paymentMethod]float64 {
-	out := make(map[paymentMethod]float64)
-	for _, p := range db.Payments {
-		out[p.Method] += p.Amount
-	}
-	return out
-}
-
 // TotalRevenue sums all payments.
 func (db *Database) TotalRevenue() float64 {
 	var total float64
@@ -274,155 +242,4 @@ func (db *Database) TotalRevenue() float64 {
 		total += p.Amount
 	}
 	return total
-}
-
-// VectorUsage counts attacks per vector.
-//
-//bsvet:allow deadcode no production caller; kept for TestVectorUsage (deletion deferred, ROADMAP 8(iv))
-func (db *Database) VectorUsage() map[amplify.Vector]int {
-	out := make(map[amplify.Vector]int)
-	for _, a := range db.Attacks {
-		out[a.Vector]++
-	}
-	return out
-}
-
-// VictimOverlap returns how many victims two leaks share — the
-// cross-booter victimization studied by Noroozian et al.
-//
-//bsvet:allow deadcode no production caller; kept for TestVictimOverlap (deletion deferred, ROADMAP 8(iv))
-func VictimOverlap(a, b *Database) int {
-	inA := make(map[netip.Addr]bool)
-	for _, atk := range a.Attacks {
-		inA[atk.Target] = true
-	}
-	seen := make(map[netip.Addr]bool)
-	shared := 0
-	for _, atk := range b.Attacks {
-		if inA[atk.Target] && !seen[atk.Target] {
-			seen[atk.Target] = true
-			shared++
-		}
-	}
-	return shared
-}
-
-// WriteCSV dumps the attack log table in the column layout leaks use.
-//
-//bsvet:allow deadcode no production caller; kept for TestCSVRoundTrip (deletion deferred, ROADMAP 8(iv))
-func (db *Database) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "user_id", "target", "vector", "duration_s", "time"}); err != nil {
-		return fmt.Errorf("booterdb: writing header: %w", err)
-	}
-	for _, a := range db.Attacks {
-		rec := []string{
-			strconv.Itoa(a.ID),
-			strconv.Itoa(a.UserID),
-			a.Target.String(),
-			a.Vector.String(),
-			strconv.Itoa(int(a.Duration / time.Second)),
-			a.Time.UTC().Format(time.RFC3339),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("booterdb: writing row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses an attack log table written by WriteCSV.
-//
-//bsvet:allow deadcode no production caller; kept for TestCSVRoundTrip and TestReadCSVErrors (deletion deferred, ROADMAP 8(iv))
-func ReadCSV(r io.Reader) ([]AttackLog, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("booterdb: reading header: %w", err)
-	}
-	if len(header) != 6 || header[0] != "id" {
-		return nil, fmt.Errorf("booterdb: unexpected header %v", header)
-	}
-	var out []AttackLog
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: reading row: %w", err)
-		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: bad id %q: %w", rec[0], err)
-		}
-		userID, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: bad user id %q: %w", rec[1], err)
-		}
-		target, err := netip.ParseAddr(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: bad target %q: %w", rec[2], err)
-		}
-		vector, err := parseVector(rec[3])
-		if err != nil {
-			return nil, err
-		}
-		durS, err := strconv.Atoi(rec[4])
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: bad duration %q: %w", rec[4], err)
-		}
-		ts, err := time.Parse(time.RFC3339, rec[5])
-		if err != nil {
-			return nil, fmt.Errorf("booterdb: bad time %q: %w", rec[5], err)
-		}
-		out = append(out, AttackLog{
-			ID:       id,
-			UserID:   userID,
-			Target:   target,
-			Vector:   vector,
-			Duration: time.Duration(durS) * time.Second,
-			Time:     ts,
-		})
-	}
-}
-
-// parseVector inverts amplify.Vector.String.
-func parseVector(s string) (amplify.Vector, error) {
-	for _, v := range []amplify.Vector{amplify.NTP, amplify.DNS, amplify.CLDAP, amplify.Memcached, amplify.SSDP, amplify.Chargen} {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("booterdb: unknown vector %q", s)
-}
-
-// FromHistory builds a leak database from a panel's backend attack log
-// — what investigators obtain when they seize the service's
-// infrastructure rather than just its domain.
-//
-//bsvet:allow deadcode no production caller; kept for TestFromHistory (deletion deferred, ROADMAP 8(iv))
-func FromHistory(booterName string, history []booter.HistoryEntry) *Database {
-	db := &Database{Booter: booterName}
-	users := make(map[int]bool)
-	for i, h := range history {
-		if !users[h.UserID] {
-			users[h.UserID] = true
-			db.Users = append(db.Users, User{
-				ID:         h.UserID,
-				Username:   fmt.Sprintf("user%04d", h.UserID),
-				Registered: h.Time,
-			})
-		}
-		db.Attacks = append(db.Attacks, AttackLog{
-			ID:       i,
-			UserID:   h.UserID,
-			Target:   h.Target,
-			Vector:   h.Vector,
-			Duration: h.Duration,
-			Time:     h.Time,
-		})
-	}
-	return db
 }

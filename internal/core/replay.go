@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"booterscope/internal/classify"
@@ -44,37 +46,64 @@ func KindSlug(k trafficgen.Kind) string {
 // points (all three when none are named) and writes one flowstore per
 // vantage under dir/<slug>/. The stores are sealed and carry the
 // generation parameters in their manifests; OpenReplay reads them back.
+//
+// Each store is written by its own goroutine, which generates and
+// appends its vantage's days in day order, so every store holds the
+// bytes a serial write gives it. A vantage named twice is written once.
+// The error returned is that of the first failing vantage in kinds
+// order; the others' stores are still completed.
 func (t *TakedownStudy) WriteArchive(dir string, opts flowstore.Options, kinds ...trafficgen.Kind) error {
 	if len(kinds) == 0 {
 		for _, ak := range archiveKinds {
 			kinds = append(kinds, ak.Kind)
 		}
 	}
-	cfg := t.Scenario.Config()
-	for _, k := range kinds {
-		o := opts
-		o.Meta = map[string]string{
-			"study":    "takedown",
-			"vantage":  KindSlug(k),
-			"seed":     strconv.FormatUint(cfg.Seed, 10),
-			"scale":    strconv.FormatFloat(cfg.Scale, 'g', -1, 64),
-			"days":     strconv.Itoa(cfg.Days),
-			"start":    cfg.Start.UTC().Format(time.RFC3339),
-			"takedown": cfg.Takedown.UTC().Format(time.RFC3339),
+	errs := make([]error, len(kinds))
+	var wg sync.WaitGroup
+	for i, k := range kinds {
+		if slices.Index(kinds, k) < i {
+			continue // a repeat of an earlier vantage
 		}
-		st, err := flowstore.Open(filepath.Join(dir, KindSlug(k)), o)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = t.writeStore(filepath.Join(dir, KindSlug(k)), opts, k)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("core: opening archive store for %v: %w", k, err)
+			return err
 		}
-		for day := 0; day < cfg.Days; day++ {
-			if err := st.Append(t.Scenario.Day(k, day)); err != nil {
-				st.Close()
-				return fmt.Errorf("core: archiving %v day %d: %w", k, day, err)
-			}
+	}
+	return nil
+}
+
+// writeStore writes vantage k's days, in day order, to a new store at
+// dir and seals it.
+func (t *TakedownStudy) writeStore(dir string, opts flowstore.Options, k trafficgen.Kind) error {
+	cfg := t.Scenario.Config()
+	opts.Meta = map[string]string{
+		"study":    "takedown",
+		"vantage":  KindSlug(k),
+		"seed":     strconv.FormatUint(cfg.Seed, 10),
+		"scale":    strconv.FormatFloat(cfg.Scale, 'g', -1, 64),
+		"days":     strconv.Itoa(cfg.Days),
+		"start":    cfg.Start.UTC().Format(time.RFC3339),
+		"takedown": cfg.Takedown.UTC().Format(time.RFC3339),
+	}
+	st, err := flowstore.Open(dir, opts)
+	if err != nil {
+		return fmt.Errorf("core: opening archive store for %v: %w", k, err)
+	}
+	for day := 0; day < cfg.Days; day++ {
+		if err := st.Append(t.Scenario.Day(k, day)); err != nil {
+			st.Close()
+			return fmt.Errorf("core: archiving %v day %d: %w", k, day, err)
 		}
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("core: sealing archive store for %v: %w", k, err)
-		}
+	}
+	if err := st.Close(); err != nil {
+		return fmt.Errorf("core: sealing archive store for %v: %w", k, err)
 	}
 	return nil
 }

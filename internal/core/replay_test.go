@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -223,5 +225,85 @@ func TestWriteArchiveAccounting(t *testing.T) {
 	}
 	if sealed != uint64(total) {
 		t.Fatalf("archive holds %d records, generator produced %d", sealed, total)
+	}
+}
+
+// TestWriteArchiveConcurrentMatchesSerial: WriteArchive writes its
+// vantage stores concurrently, and every file it leaves must equal,
+// byte for byte, what writing one vantage per call leaves. A vantage
+// named twice is written once.
+func TestWriteArchiveConcurrentMatchesSerial(t *testing.T) {
+	cfg := trafficgen.Config{
+		Start:    TakedownDate.Add(-2 * 24 * time.Hour),
+		Days:     4,
+		Takedown: TakedownDate,
+		Seed:     7,
+		Scale:    0.05,
+	}
+	study := &TakedownStudy{Scenario: trafficgen.NewScenario(cfg), Event: takedown.FBITakedown}
+	opts := flowstore.Options{NoSync: true}
+	together, apart := t.TempDir(), t.TempDir()
+	if err := study.WriteArchive(together, opts, trafficgen.KindTier2, trafficgen.KindIXP, trafficgen.KindTier1, trafficgen.KindTier2); err != nil {
+		t.Fatal(err)
+	}
+	for _, ak := range archiveKinds {
+		if err := study.WriteArchive(apart, opts, ak.Kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func(root string) map[string]string {
+		out := make(map[string]string)
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(root, path)
+			out[rel] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := files(together), files(apart)
+	if len(got) != len(want) {
+		t.Fatalf("concurrent write left %d files, serial %d", len(got), len(want))
+	}
+	for name, b := range want {
+		if got[name] != b {
+			t.Errorf("%s differs from the serial write", name)
+		}
+	}
+}
+
+// TestWriteArchiveReportsFailingVantage: a vantage whose store cannot
+// be opened fails the call with that vantage's error, and the other
+// vantages' stores are still written and sealed.
+func TestWriteArchiveReportsFailingVantage(t *testing.T) {
+	cfg := trafficgen.Config{
+		Start:    TakedownDate.Add(-1 * 24 * time.Hour),
+		Days:     2,
+		Takedown: TakedownDate,
+		Seed:     7,
+		Scale:    0.05,
+	}
+	study := &TakedownStudy{Scenario: trafficgen.NewScenario(cfg), Event: takedown.FBITakedown}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "tier1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := study.WriteArchive(dir, flowstore.Options{NoSync: true})
+	if err == nil || !strings.Contains(err.Error(), trafficgen.KindTier1.String()) {
+		t.Fatalf("err = %v, want the tier-1 store's error", err)
+	}
+	replay, err := OpenReplay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	if got := replay.Kinds(); !reflect.DeepEqual(got, []trafficgen.Kind{trafficgen.KindIXP, trafficgen.KindTier2}) {
+		t.Fatalf("readable stores %v, want IXP and tier-2", got)
 	}
 }

@@ -127,13 +127,10 @@ func (v FederatedView) Observe(recs []flow.Record) []flow.Record {
 func (s *Scenario) FederatedDay(day int, views []FederatedView) (union []flow.Record, perView [][]flow.Record) {
 	r := netutil.NewRand(s.cfg.Seed).Fork(fmt.Sprintf("fed-day-%d", day))
 	dayStart := s.DayTime(day)
-	b := bases[KindTier2]
 
-	var recs []flow.Record
-	recs = s.appendTriggerFlows(recs, r, KindTier2, day, dayStart, b)
-	recs = s.appendBenignNTP(recs, r, dayStart, b)
-	recs = s.appendNoiseDests(recs, r, dayStart, b)
-	recs = s.appendAttacks(recs, r, KindTier2, dayStart, b)
+	var buf dayBuf
+	s.generate(&buf, r, KindTier2, day, dayStart)
+	recs := buf.records(dayStart)
 	for i := range recs {
 		recs[i].Start = recs[i].Start.Add(time.Duration(i) * time.Nanosecond)
 	}

@@ -30,7 +30,6 @@ package trafficgen
 import (
 	"fmt"
 	"math"
-	"net/netip"
 	"time"
 
 	"booterscope/internal/amplify"
@@ -169,22 +168,24 @@ const (
 
 const reflectorPoolPerVect = 4000
 
-// Scenario generates traffic for all vantage points.
+// Scenario generates traffic for all vantage points. It is read-only
+// once built, so it is safe for concurrent use: each call draws from its
+// own stream into buffers that it allocates and drops.
 type Scenario struct {
 	cfg Config
-	// reflector address pools per vector (stable across days).
-	reflectors map[amplify.Vector][]netip.Addr
+	// reflector IPv4 address pools per vector (stable across days).
+	reflectors map[amplify.Vector][]uint32
 }
 
 // NewScenario builds a scenario.
 func NewScenario(cfg Config) *Scenario {
 	cfg = cfg.withDefaults()
-	s := &Scenario{cfg: cfg, reflectors: make(map[amplify.Vector][]netip.Addr)}
+	s := &Scenario{cfg: cfg, reflectors: make(map[amplify.Vector][]uint32)}
 	r := netutil.NewRand(cfg.Seed).Fork("scenario-reflectors")
 	for _, v := range []amplify.Vector{amplify.NTP, amplify.DNS, amplify.Memcached} {
-		pool := make([]netip.Addr, reflectorPoolPerVect)
+		pool := make([]uint32, reflectorPoolPerVect)
 		for i := range pool {
-			pool[i] = netutil.Addr4(uint32(20+r.IntN(180))<<24 | r.Uint32N(1<<24))
+			pool[i] = uint32(20+r.IntN(180))<<24 | r.Uint32N(1<<24)
 		}
 		s.reflectors[v] = pool
 	}
@@ -214,18 +215,109 @@ func (s *Scenario) dayRand(k Kind, day int) *netutil.Rand {
 
 // Day generates one vantage point's flow records for one day. Records
 // appear in generation order; callers needing time order should bin
-// them.
+// them. The result is a fresh, exactly sized slice the caller owns.
 func (s *Scenario) Day(k Kind, day int) []flow.Record {
 	r := s.dayRand(k, day)
 	dayStart := s.DayTime(day)
-	b := bases[k]
 
-	var recs []flow.Record
-	recs = s.appendTriggerFlows(recs, r, k, day, dayStart, b)
-	recs = s.appendBenignNTP(recs, r, dayStart, b)
-	recs = s.appendNoiseDests(recs, r, dayStart, b)
-	recs = s.appendAttacks(recs, r, k, dayStart, b)
-	return s.applyVantage(recs, r, k)
+	var buf dayBuf
+	s.generate(&buf, r, k, day, dayStart)
+	for i, blk := range buf.blocks {
+		buf.blocks[i] = s.applyVantage(blk, r, k)
+	}
+	return buf.records(dayStart)
+}
+
+// generate runs a vantage's four generating processes for one day into
+// buf, in the order that fixes the day's draws.
+func (s *Scenario) generate(buf *dayBuf, r *netutil.Rand, k Kind, day int, dayStart time.Time) {
+	b := bases[k]
+	s.appendTriggerFlows(buf, r, k, day, dayStart, b)
+	s.appendBenignNTP(buf, r, b)
+	s.appendNoiseDests(buf, r, b)
+	s.appendAttacks(buf, r, k, b)
+}
+
+// row is a generated record in the form it is drawn: IPv4 addresses as
+// integers and times as offsets from the day's midnight. It holds no
+// pointers and takes 56 bytes to flow.Record's 136, so a day's scratch
+// costs the garbage collector nothing to scan. Every generated flow is
+// UDP. Time.Add is exact integer arithmetic on a time without a
+// monotonic reading, such as a day's midnight, so dayStart.Add(a+b) is
+// the same Time as dayStart.Add(a).Add(b).
+type row struct {
+	start, end       time.Duration
+	packets, bytes   uint64
+	src, dst         uint32
+	samplingRate     uint32
+	srcPort, dstPort uint16
+	dir              flow.Direction
+}
+
+// record expands w into the flow.Record it stands for.
+func (w *row) record(dayStart time.Time) flow.Record {
+	return flow.Record{
+		Key: flow.Key{
+			Src:      netutil.Addr4(w.src),
+			Dst:      netutil.Addr4(w.dst),
+			SrcPort:  w.srcPort,
+			DstPort:  w.dstPort,
+			Protocol: packet.IPProtoUDP,
+		},
+		Packets:      w.packets,
+		Bytes:        w.bytes,
+		Start:        dayStart.Add(w.start),
+		End:          dayStart.Add(w.end),
+		Direction:    w.dir,
+		SamplingRate: w.samplingRate,
+	}
+}
+
+// Block sizes of a dayBuf: the first block holds firstBlock rows and
+// each later one twice its predecessor, up to maxBlock (224 KB).
+const (
+	firstBlock = 256
+	maxBlock   = 4096
+)
+
+// dayBuf collects one day's rows in blocks that never move, so each row
+// is written once while the day grows and expanded once by records,
+// where one growing slice would be cleared and copied again at every
+// reallocation.
+type dayBuf struct {
+	blocks [][]row // the last block is the one being filled
+}
+
+// add appends w to the last block, starting a new one when it is full.
+func (d *dayBuf) add(w row) {
+	n := len(d.blocks)
+	if n == 0 || len(d.blocks[n-1]) == cap(d.blocks[n-1]) {
+		size := firstBlock
+		if n > 0 {
+			size = min(2*cap(d.blocks[n-1]), maxBlock)
+		}
+		d.blocks = append(d.blocks, make([]row, 0, size))
+		n++
+	}
+	d.blocks[n-1] = append(d.blocks[n-1], w)
+}
+
+// records expands the blocks' rows, in order, into one exactly sized
+// slice.
+func (d *dayBuf) records(dayStart time.Time) []flow.Record {
+	n := 0
+	for _, blk := range d.blocks {
+		n += len(blk)
+	}
+	out := make([]flow.Record, n)
+	i := 0
+	for _, blk := range d.blocks {
+		for j := range blk {
+			out[i] = blk[j].record(dayStart)
+			i++
+		}
+	}
+	return out
 }
 
 // booterShare returns the booter-driven fraction of a vector's trigger
@@ -245,7 +337,7 @@ func (s *Scenario) booterShare(k Kind, v amplify.Vector) float64 {
 
 // appendTriggerFlows emits request traffic toward reflectors — the
 // traffic whose booter-driven share shifts at the takedown.
-func (s *Scenario) appendTriggerFlows(recs []flow.Record, r *netutil.Rand, k Kind, day int, dayStart time.Time, b vantageBases) []flow.Record {
+func (s *Scenario) appendTriggerFlows(buf *dayBuf, r *netutil.Rand, k Kind, day int, dayStart time.Time, b vantageBases) {
 	after := s.afterTakedown(day)
 	weekday := weekdayFactor(dayStart)
 	for _, v := range []amplify.Vector{amplify.NTP, amplify.DNS, amplify.Memcached} {
@@ -262,25 +354,21 @@ func (s *Scenario) appendTriggerFlows(recs []flow.Record, r *netutil.Rand, k Kin
 		reqSize := triggerPacketSize(v)
 		for i := 0; i < count; i++ {
 			pkts := uint64(1 + r.IntN(200)) // booters fire request bursts
-			ts := dayStart.Add(time.Duration(r.Int64N(int64(24 * time.Hour))))
-			recs = append(recs, flow.Record{
-				Key: flow.Key{
-					Src:      randomHost(r),
-					Dst:      pool[r.IntN(len(pool))],
-					SrcPort:  randomHighPort(r),
-					DstPort:  v.Port(),
-					Protocol: packet.IPProtoUDP,
-				},
-				Packets:      pkts,
-				Bytes:        pkts * uint64(reqSize),
-				Start:        ts,
-				End:          ts.Add(time.Duration(1+r.IntN(30)) * time.Second),
-				Direction:    triggerDirection(r, k),
-				SamplingRate: 1,
+			ts := time.Duration(r.Int64N(int64(24 * time.Hour)))
+			buf.add(row{
+				src:          randomHost(r),
+				dst:          pool[r.IntN(len(pool))],
+				srcPort:      randomHighPort(r),
+				dstPort:      v.Port(),
+				packets:      pkts,
+				bytes:        pkts * uint64(reqSize),
+				start:        ts,
+				end:          ts + time.Duration(1+r.IntN(30))*time.Second,
+				dir:          triggerDirection(r, k),
+				samplingRate: 1,
 			})
 		}
 	}
-	return recs
 }
 
 // weekdayFactor applies the weekly seasonality visible in the paper's
@@ -326,7 +414,7 @@ func triggerDirection(r *netutil.Rand, k Kind) flow.Direction {
 // appendBenignNTP emits legitimate NTP sync traffic: the < 200-byte mode
 // of the packet-size distribution. The daily packet budget is spread
 // over aggregate server flows so the IXP's sampling still sees it.
-func (s *Scenario) appendBenignNTP(recs []flow.Record, r *netutil.Rand, dayStart time.Time, b vantageBases) []flow.Record {
+func (s *Scenario) appendBenignNTP(buf *dayBuf, r *netutil.Rand, b vantageBases) {
 	budget := b.benignNTPPackets * s.cfg.Scale
 	const flows = 600
 	perFlow := budget / flows
@@ -339,29 +427,24 @@ func (s *Scenario) appendBenignNTP(recs []flow.Record, r *netutil.Rand, dayStart
 		if r.Float64() < 0.3 {
 			size = 48 + r.IntN(120)
 		}
-		ts := dayStart.Add(time.Duration(r.Int64N(int64(24 * time.Hour))))
+		ts := time.Duration(r.Int64N(int64(24 * time.Hour)))
 		// Benign NTP is represented by its server-response side (src
 		// port 123); the request side toward servers is part of the
 		// non-booter share of trigger traffic, so the dst-port-123
 		// packet series cleanly reflects the trigger processes.
-		key := flow.Key{
-			Src:      randomHost(r),
-			Dst:      randomHost(r),
-			SrcPort:  123,
-			DstPort:  randomHighPort(r),
-			Protocol: packet.IPProtoUDP,
-		}
-		recs = append(recs, flow.Record{
-			Key:          key,
-			Packets:      pkts,
-			Bytes:        pkts * uint64(size),
-			Start:        ts,
-			End:          ts.Add(time.Duration(1+r.IntN(3600)) * time.Second),
-			Direction:    flow.Direction(r.IntN(2)),
-			SamplingRate: 1,
+		buf.add(row{
+			src:          randomHost(r),
+			dst:          randomHost(r),
+			srcPort:      123,
+			dstPort:      randomHighPort(r),
+			packets:      pkts,
+			bytes:        pkts * uint64(size),
+			start:        ts,
+			end:          ts + time.Duration(1+r.IntN(3600))*time.Second,
+			dir:          flow.Direction(r.IntN(2)),
+			samplingRate: 1,
 		})
 	}
-	return recs
 }
 
 // appendNoiseDests emits large-packet NTP flows to destinations that
@@ -370,7 +453,7 @@ func (s *Scenario) appendBenignNTP(recs []flow.Record, r *netutil.Rand, dayStart
 // traffic on the NTP port. They enter the optimistic victim set and are
 // cut by the conservative rules, reproducing the paper's per-rule
 // reductions ((a) only: 74 %, (b) only: 59 %, both: 78 %).
-func (s *Scenario) appendNoiseDests(recs []flow.Record, r *netutil.Rand, dayStart time.Time, b vantageBases) []flow.Record {
+func (s *Scenario) appendNoiseDests(buf *dayBuf, r *netutil.Rand, b vantageBases) {
 	count := poissonish(r, b.noiseDestsPerDay*s.cfg.Scale)
 	pool := s.reflectors[amplify.NTP]
 	for i := 0; i < count; i++ {
@@ -391,7 +474,7 @@ func (s *Scenario) appendNoiseDests(recs []flow.Record, r *netutil.Rand, dayStar
 			sources = 1 + r.IntN(3)
 			highRate = true
 		}
-		ts := dayStart.Add(time.Duration(r.Int64N(int64(24 * time.Hour))))
+		ts := time.Duration(r.Int64N(int64(24 * time.Hour)))
 		for sIdx := 0; sIdx < sources; sIdx++ {
 			var pkts uint64
 			if highRate {
@@ -409,28 +492,24 @@ func (s *Scenario) appendNoiseDests(recs []flow.Record, r *netutil.Rand, dayStar
 				}
 			}
 			size := uint64(amplify.MonlistResponseIPLens[(i+sIdx)%2])
-			end := dayStart.Add(24*time.Hour - time.Second)
+			end := 24*time.Hour - time.Second
 			if highRate {
-				end = ts.Add(time.Minute)
+				end = ts + time.Minute
 			}
-			recs = append(recs, flow.Record{
-				Key: flow.Key{
-					Src:      pool[r.IntN(len(pool))],
-					Dst:      dst,
-					SrcPort:  123,
-					DstPort:  randomHighPort(r),
-					Protocol: packet.IPProtoUDP,
-				},
-				Packets:      pkts,
-				Bytes:        pkts * size,
-				Start:        ts,
-				End:          end,
-				Direction:    flow.Ingress,
-				SamplingRate: 1,
+			buf.add(row{
+				src:          pool[r.IntN(len(pool))],
+				dst:          dst,
+				srcPort:      123,
+				dstPort:      randomHighPort(r),
+				packets:      pkts,
+				bytes:        pkts * size,
+				start:        ts,
+				end:          end,
+				dir:          flow.Ingress,
+				samplingRate: 1,
 			})
 		}
 	}
-	return recs
 }
 
 // appendAttacks emits amplified NTP attack traffic to victims. The
@@ -438,9 +517,16 @@ func (s *Scenario) appendNoiseDests(recs []flow.Record, r *netutil.Rand, dayStar
 // negative result. Peak rates follow a Pareto tail calibrated so ~9 % of
 // victims exceed 1 Gbps (the paper's fraction) and the extreme tail
 // reaches the 602 Gbps ceiling at the IXP.
-func (s *Scenario) appendAttacks(recs []flow.Record, r *netutil.Rand, k Kind, dayStart time.Time, b vantageBases) []flow.Record {
+//
+// Each attack takes its sources from a fresh permutation of the
+// reflector pool. srcIdx is reset to the identity and shuffled before
+// every attack: that is exactly r.Perm's work and draws, without a new
+// slice per attack.
+func (s *Scenario) appendAttacks(buf *dayBuf, r *netutil.Rand, k Kind, b vantageBases) {
 	attacks := poissonish(r, b.attacksPerDay*s.cfg.Scale)
 	pool := s.reflectors[amplify.NTP]
+	srcIdx := make([]int, len(pool))
+	swap := func(i, j int) { srcIdx[i], srcIdx[j] = srcIdx[j], srcIdx[i] }
 	for i := 0; i < attacks; i++ {
 		victim := randomHost(r)
 		startMin := r.IntN(24 * 60)
@@ -465,12 +551,15 @@ func (s *Scenario) appendAttacks(recs []flow.Record, r *netutil.Rand, k Kind, da
 			rate = cap
 		}
 		bytesPerMinute := rate / 8 * 60
-		srcIdx := r.Perm(len(pool))
+		for j := range srcIdx {
+			srcIdx[j] = j
+		}
+		r.Shuffle(len(srcIdx), swap)
 		if sources > len(srcIdx) {
 			sources = len(srcIdx)
 		}
 		for m := 0; m < durMin; m++ {
-			ts := dayStart.Add(time.Duration(startMin+m) * time.Minute)
+			ts := time.Duration(startMin+m) * time.Minute
 			perSrc := bytesPerMinute / float64(sources)
 			for si := 0; si < sources; si++ {
 				size := uint64(amplify.MonlistResponseIPLens[(si+m)%2])
@@ -478,58 +567,54 @@ func (s *Scenario) appendAttacks(recs []flow.Record, r *netutil.Rand, k Kind, da
 				if pkts == 0 {
 					pkts = 1
 				}
-				recs = append(recs, flow.Record{
-					Key: flow.Key{
-						Src:      pool[srcIdx[si]],
-						Dst:      victim,
-						SrcPort:  123,
-						DstPort:  randomHighPort(r),
-						Protocol: packet.IPProtoUDP,
-					},
-					Packets:      pkts,
-					Bytes:        pkts * size,
-					Start:        ts,
-					End:          ts.Add(time.Minute),
-					Direction:    flow.Ingress,
-					SamplingRate: 1,
+				buf.add(row{
+					src:          pool[srcIdx[si]],
+					dst:          victim,
+					srcPort:      123,
+					dstPort:      randomHighPort(r),
+					packets:      pkts,
+					bytes:        pkts * size,
+					start:        ts,
+					end:          ts + time.Minute,
+					dir:          flow.Ingress,
+					samplingRate: 1,
 				})
 			}
 		}
 	}
-	return recs
 }
 
-// applyVantage filters and samples records according to the vantage
-// point's semantics.
-func (s *Scenario) applyVantage(recs []flow.Record, r *netutil.Rand, k Kind) []flow.Record {
+// applyVantage filters and samples rows according to the vantage
+// point's semantics, in place.
+func (s *Scenario) applyVantage(rows []row, r *netutil.Rand, k Kind) []row {
 	switch k {
 	case KindTier1:
 		// Ingress only; customer/end-user sourced traffic excluded.
-		kept := recs[:0]
-		for _, rec := range recs {
-			if rec.Direction == flow.Ingress {
-				kept = append(kept, rec)
+		kept := rows[:0]
+		for _, w := range rows {
+			if w.dir == flow.Ingress {
+				kept = append(kept, w)
 			}
 		}
 		return kept
 	case KindTier2:
-		return recs
+		return rows
 	default: // IXP: packet-level sampling approximated per record
 		rate := s.cfg.IXPSamplingRate
-		kept := recs[:0]
-		for _, rec := range recs {
-			sampled := rec.Packets / uint64(rate)
-			if r.Uint64N(uint64(rate)) < rec.Packets%uint64(rate) {
+		kept := rows[:0]
+		for _, w := range rows {
+			sampled := w.packets / uint64(rate)
+			if r.Uint64N(uint64(rate)) < w.packets%uint64(rate) {
 				sampled++
 			}
 			if sampled == 0 {
 				continue
 			}
-			avg := rec.Bytes / rec.Packets
-			rec.Packets = sampled
-			rec.Bytes = sampled * avg
-			rec.SamplingRate = rate
-			kept = append(kept, rec)
+			avg := w.bytes / w.packets
+			w.packets = sampled
+			w.bytes = sampled * avg
+			w.samplingRate = rate
+			kept = append(kept, w)
 		}
 		return kept
 	}
@@ -549,9 +634,9 @@ func randomHighPort(r *netutil.Rand) uint16 {
 	}
 }
 
-// randomHost draws a random public-ish host address.
-func randomHost(r *netutil.Rand) netip.Addr {
-	return netutil.Addr4(uint32(11+r.IntN(200))<<24 | r.Uint32N(1<<24))
+// randomHost draws a random public-ish IPv4 host address.
+func randomHost(r *netutil.Rand) uint32 {
+	return uint32(11+r.IntN(200))<<24 | r.Uint32N(1<<24)
 }
 
 // poissonish draws an integer with the given mean (normal approximation

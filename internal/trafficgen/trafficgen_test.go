@@ -1,6 +1,9 @@
 package trafficgen
 
 import (
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -316,20 +319,71 @@ func TestPostTakedownOverride(t *testing.T) {
 	}
 }
 
-func BenchmarkDayTier2(b *testing.B) {
-	s := testScenario(0.5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = s.Day(KindTier2, i%122)
+// TestScenarioConcurrentUse: one Scenario serving Day for every kind
+// and FederatedDay from four goroutines at once returns exactly what
+// serial calls return. Under -race it also shows the calls share no
+// mutable state.
+func TestScenarioConcurrentUse(t *testing.T) {
+	s := testScenario(0.1)
+	const firstDay, lastDay = 78, 82
+	type result struct {
+		days  [][]flow.Record
+		views [][][]flow.Record
+	}
+	calls := []func(day int) ([]flow.Record, [][]flow.Record){
+		func(day int) ([]flow.Record, [][]flow.Record) { return s.Day(KindIXP, day), nil },
+		func(day int) ([]flow.Record, [][]flow.Record) { return s.Day(KindTier1, day), nil },
+		func(day int) ([]flow.Record, [][]flow.Record) { return s.Day(KindTier2, day), nil },
+		func(day int) ([]flow.Record, [][]flow.Record) { return s.FederatedDay(day, digestViews) },
+	}
+	run := func(call func(int) ([]flow.Record, [][]flow.Record)) (res result) {
+		for d := firstDay; d <= lastDay; d++ {
+			recs, views := call(d)
+			res.days = append(res.days, recs)
+			res.views = append(res.views, views)
+		}
+		return res
+	}
+	serial := make([]result, len(calls))
+	for i, call := range calls {
+		serial[i] = run(call)
+	}
+	concurrent := make([]result, len(calls))
+	var wg sync.WaitGroup
+	for i, call := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = run(call)
+		}()
+	}
+	wg.Wait()
+	for i := range calls {
+		if !reflect.DeepEqual(concurrent[i], serial[i]) {
+			t.Errorf("call %d: concurrent result differs from serial", i)
+		}
 	}
 }
 
-func BenchmarkDayIXP(b *testing.B) {
+func BenchmarkDayTier2(b *testing.B) { benchDay(b, KindTier2) }
+
+func BenchmarkDayIXP(b *testing.B) { benchDay(b, KindIXP) }
+
+// benchDay generates one vantage's days in turn and reports, beside
+// B/op, how many records a day holds and how many bytes were allocated
+// per record Day generated.
+func benchDay(b *testing.B, k Kind) {
 	s := testScenario(0.5)
 	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	recs := 0
 	for i := 0; i < b.N; i++ {
-		_ = s.Day(KindIXP, i%122)
+		recs += len(s.Day(k, i%122))
 	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(recs)/float64(b.N), "records/op")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(recs), "B/record")
 }
 
 func TestWeeklySeasonality(t *testing.T) {
