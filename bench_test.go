@@ -20,10 +20,8 @@ import (
 	"booterscope/internal/economy"
 	"booterscope/internal/flow"
 	"booterscope/internal/flowstore"
-	"booterscope/internal/honeypot"
 	"booterscope/internal/observatory"
 	"booterscope/internal/packet"
-	"booterscope/internal/reflector"
 	"booterscope/internal/trafficgen"
 )
 
@@ -269,7 +267,7 @@ func BenchmarkAblationSizeThreshold(b *testing.B) {
 					c.Add(&rec)
 				}
 			}
-			counts[t] = float64(c.Destinations())
+			counts[t] = float64(len(c.Victims()))
 		}
 	}
 	b.ReportMetric(counts[0], "victims_thr100")
@@ -320,7 +318,7 @@ func BenchmarkAblationSamplingRate(b *testing.B) {
 					c.Add(&rec)
 				}
 			}
-			victims[ri] = float64(c.Destinations())
+			victims[ri] = float64(len(c.Victims()))
 		}
 	}
 	b.ReportMetric(victims[0], "victims_1in1k")
@@ -402,53 +400,6 @@ func BenchmarkExtensionEconomy(b *testing.B) {
 	}
 	b.ReportMetric(seizedRatio*100, "seized_revenue_pct")
 	b.ReportMetric(demandRatio*100, "attack_demand_pct") // stays near 100
-}
-
-// BenchmarkExtensionHoneypotAttribution measures honeypot-based
-// attack-to-booter attribution (Krupp et al.'s technique on this
-// substrate).
-func BenchmarkExtensionHoneypotAttribution(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		pool := reflector.NewPool(amplify.NTP, 20000, 300, benchSeed)
-		dep := honeypot.NewDeployment(pool, 600, benchSeed)
-		eng := booter.NewEngine(map[amplify.Vector]*reflector.Pool{amplify.NTP: pool}, benchSeed)
-		attr := honeypot.NewAttributor()
-		// Train on self-attacks from A and B, then observe wild attacks
-		// from all four booters.
-		for _, name := range []string{"A", "B"} {
-			svc, err := booter.ServiceByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			atk, err := eng.Launch(booter.Order{
-				Service: svc, Vector: amplify.NTP,
-				Target:   netip.MustParseAddr("203.0.113.99"),
-				Duration: 30 * time.Second,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			attr.TrainFromSelfAttack(atk)
-		}
-		for j, name := range []string{"A", "B", "C", "D"} {
-			svc, err := booter.ServiceByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			atk, err := eng.Launch(booter.Order{
-				Service: svc, Vector: amplify.NTP,
-				Target:   netip.AddrFrom4([4]byte{198, 51, 100, byte(j + 1)}),
-				Duration: 60 * time.Second,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dep.ObserveAttack(atk, core.SelfAttackStart.Add(time.Duration(j)*time.Hour))
-		}
-		rate = attr.Report(dep.Reconstruct()).Rate()
-	}
-	b.ReportMetric(rate*100, "attribution_pct") // 2 of 4 booters trained
 }
 
 // BenchmarkExtensionBlackholeMitigation measures the RTBH valve: how

@@ -64,7 +64,6 @@ var deterministicPackages = []string{
 	"booterscope/internal/anon",
 	"booterscope/internal/bgp",
 	"booterscope/internal/booter",
-	"booterscope/internal/booterdb",
 	"booterscope/internal/chaos",
 	"booterscope/internal/classify",
 	"booterscope/internal/core",
@@ -73,7 +72,6 @@ var deterministicPackages = []string{
 	"booterscope/internal/federation",
 	"booterscope/internal/flow",
 	"booterscope/internal/flowstore",
-	"booterscope/internal/honeypot",
 	"booterscope/internal/ipfix",
 	"booterscope/internal/ixp",
 	"booterscope/internal/netflow",

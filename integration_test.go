@@ -72,8 +72,8 @@ func TestScenarioThroughNetFlowToClassifier(t *testing.T) {
 		}
 	}
 
-	if direct.Destinations() != wire.Destinations() {
-		t.Errorf("victims direct=%d via wire=%d", direct.Destinations(), wire.Destinations())
+	if len(direct.Victims()) != len(wire.Victims()) {
+		t.Errorf("victims direct=%d via wire=%d", len(direct.Victims()), len(wire.Victims()))
 	}
 	fsDirect, fsWire := direct.FilterStats(), wire.FilterStats()
 	if fsDirect.Conservative != fsWire.Conservative {
@@ -163,8 +163,8 @@ func TestAnonymizationPreservesVictimStructure(t *testing.T) {
 	if changed == 0 {
 		t.Fatal("anonymization changed nothing")
 	}
-	if plain.Destinations() != anonymized.Destinations() {
-		t.Errorf("victims plain=%d anonymized=%d", plain.Destinations(), anonymized.Destinations())
+	if len(plain.Victims()) != len(anonymized.Victims()) {
+		t.Errorf("victims plain=%d anonymized=%d", len(plain.Victims()), len(anonymized.Victims()))
 	}
 	pf, af := plain.FilterStats(), anonymized.FilterStats()
 	if pf != af {

@@ -36,8 +36,7 @@ var accessorNames = map[string]bool{"Stats": true, "Health": true, "Ledger": tru
 // registerFuncs are the registry entry points whose first argument is
 // a metric name.
 var registerFuncs = map[string]bool{
-	"Register": true, "MustRegister": true,
-	"Counter": true, "Gauge": true, "Histogram": true, "CounterVec": true,
+	"Register": true, "MustRegister": true, "Counter": true, "Gauge": true,
 }
 
 // TelemetryConfig parameterizes the Telemetry analyzer per driver.
@@ -67,9 +66,9 @@ type TelemetryConfig struct {
 //     scrapeable, not just printable. Packages in RequiredPaths must
 //     define it unconditionally.
 //  2. Naming: every metric name passed as a compile-time constant to
-//     Register/MustRegister/Counter/Gauge/Histogram/CounterVec must
-//     match ^[a-z][a-z0-9_]*$ and start with the owning component's
-//     prefix (the package name, or an AllowPrefixes grant) — the
+//     Register/MustRegister/Counter/Gauge must match ^[a-z][a-z0-9_]*$
+//     and start with the owning component's prefix (the package name,
+//     or an AllowPrefixes grant) — the
 //     component_subsystem_name_unit scheme of DESIGN.md §6, checked
 //     before the registry's runtime panic can fire.
 //  3. Cardinality: SetMaxCardinality must be called with a constant in

@@ -352,9 +352,6 @@ func attackPacketSize(v amplify.Vector) int {
 	}
 }
 
-// Seconds reports the attack duration in seconds.
-func (a *Attack) Seconds() int { return a.seconds }
-
 // Next produces the next second of traffic, or false when the attack has
 // ended. The envelope ramps up over ~5 s, holds near the sustained rate
 // with noise, and occasionally bursts toward the peak.

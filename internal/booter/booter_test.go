@@ -111,8 +111,8 @@ func TestNonVIPNTPAttackEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if atk.Seconds() != 120 {
-		t.Errorf("seconds = %d", atk.Seconds())
+	if atk.seconds != 120 {
+		t.Errorf("seconds = %d", atk.seconds)
 	}
 	var rates []float64
 	var reflectors int

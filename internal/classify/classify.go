@@ -113,11 +113,6 @@ func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	return true
 }
 
-// Destinations reports how many destinations received amplified NTP
-// traffic (the optimistic victim count: 311K across the paper's three
-// vantage points).
-func (c *Classifier) Destinations() int { return c.perDest.Len() }
-
 // Merge folds another classifier's accumulated state into c; other
 // must not be used afterwards. With destination-disjoint shards (the
 // pipeline's victim-hash routing) the merged victim summaries equal a
@@ -130,7 +125,9 @@ func (c *Classifier) Merge(other *Classifier) {
 }
 
 // Victim is one destination's attack profile (the axes of Figures 2(b)
-// and 2(c)).
+// and 2(c)). MaxGbps and MaxSources are each the peak over the
+// destination's minutes and may come from different minutes; Figure 5's
+// AttackCounter and the Monitor instead judge a single victim-minute.
 type Victim struct {
 	Addr netip.Addr
 	// MaxGbps is the peak one-minute traffic rate.
@@ -140,7 +137,12 @@ type Victim struct {
 	// TotalSources is the distinct amplifier count over the whole
 	// window.
 	TotalSources int
-	// Conservative marks victims passing both conservative filter rules.
+	// Conservative marks victims passing both conservative filter rules,
+	// each on its own peak: MaxGbps above the rate rule and MaxSources
+	// above the sources rule. A victim with a 2.6 Gbps minute from one
+	// amplifier and a 20-amplifier minute at a trickle is Conservative
+	// here, although no minute of it is an attack for Figure 5 or the
+	// Monitor.
 	Conservative bool
 }
 
@@ -171,7 +173,9 @@ func (c *Classifier) Victims() []Victim {
 
 // FilterStats quantifies how much each conservative rule cuts from the
 // optimistic victim set — the paper reports (a) only: −74 %, (b) only:
-// −59 %, both: −78 %.
+// −59 %, both: −78 %. Like Victim.Conservative, it applies the rate rule
+// to a victim's peak-minute rate and the sources rule to its
+// peak-minute source count, which may be different minutes.
 type FilterStats struct {
 	Optimistic   int
 	RateOnly     int

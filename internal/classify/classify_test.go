@@ -77,8 +77,8 @@ func TestClassifierAdd(t *testing.T) {
 	if c.Add(&benign) || c.Add(&dns) {
 		t.Error("non-matching record accepted")
 	}
-	if c.Destinations() != 1 {
-		t.Errorf("destinations = %d", c.Destinations())
+	if len(c.Victims()) != 1 {
+		t.Errorf("destinations = %d", len(c.Victims()))
 	}
 }
 
@@ -139,26 +139,55 @@ func TestFilterStats(t *testing.T) {
 		r := ntpRec(fmt.Sprintf("12.0.0.%d", i+1), "203.0.113.9", 486, 5, t0) // neither
 		c.Add(&r)
 	}
+	// The peak rule: 2.6 Gbps from one amplifier in one minute and 20
+	// amplifiers at a trickle in the next pass both rules here, because
+	// each rule reads its own peak minute. No single victim-minute
+	// passes both, so Figure 5's counter and the monitor see no attack.
+	split := []flow.Record{ntpRec("13.0.0.1", "203.0.113.10", 486, 40_123_457, t0)} // 19.5 GB in a minute: 2.6 Gbps
+	for i := 0; i < 20; i++ {
+		split = append(split, ntpRec(fmt.Sprintf("13.0.1.%d", i+1), "203.0.113.10", 486, 1, t0.Add(time.Minute)))
+	}
+	counter, mon := NewAttackCounter(Config{}), NewMonitor(Config{})
+	for i := range split {
+		c.Add(&split[i])
+		counter.Add(&split[i])
+		if al := mon.Add(&split[i]); al != nil {
+			t.Errorf("monitor alerted on the split victim: %+v", al)
+		}
+	}
+	if got := counter.Series(); len(got) != 0 {
+		t.Errorf("attack counter series %+v, want none", got)
+	}
+	var splitVictim Victim
+	for _, v := range c.Victims() {
+		if v.Addr == netip.MustParseAddr("203.0.113.10") {
+			splitVictim = v
+		}
+	}
+	if !splitVictim.Conservative || splitVictim.MaxGbps < 2.6 || splitVictim.MaxSources != 20 {
+		t.Errorf("split victim %+v, want conservative at 2.6 Gbps and 20 sources", splitVictim)
+	}
+
 	fs := c.FilterStats()
-	if fs.Optimistic != 4 {
+	if fs.Optimistic != 5 {
 		t.Fatalf("optimistic = %d", fs.Optimistic)
 	}
-	if fs.RateOnly != 2 {
+	if fs.RateOnly != 3 {
 		t.Errorf("rate only = %d", fs.RateOnly)
 	}
-	if fs.SourcesOnly != 2 {
+	if fs.SourcesOnly != 3 {
 		t.Errorf("sources only = %d", fs.SourcesOnly)
 	}
-	if fs.Conservative != 1 {
+	if fs.Conservative != 2 {
 		t.Errorf("conservative = %d", fs.Conservative)
 	}
-	if got := fs.ReductionBoth(); got != 0.75 {
+	if got := fs.ReductionBoth(); got != 0.6 {
 		t.Errorf("reduction both = %v", got)
 	}
-	if got := fs.ReductionRate(); got != 0.5 {
+	if got := fs.ReductionRate(); got != 0.4 {
 		t.Errorf("reduction rate = %v", got)
 	}
-	if got := fs.ReductionSources(); got != 0.5 {
+	if got := fs.ReductionSources(); got != 0.4 {
 		t.Errorf("reduction sources = %v", got)
 	}
 }

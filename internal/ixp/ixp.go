@@ -219,23 +219,6 @@ func (f *Fabric) AnnounceFlowSpec(rule bgp.FlowSpecRule) error {
 	return nil
 }
 
-// WithdrawFlowSpec removes all rules covering dst.
-//
-//bsvet:allow deadcode no production caller; kept for TestFlowSpecFiltersAttackOnly and TestFlowSpecValidation (deletion deferred, ROADMAP 8(iv))
-func (f *Fabric) WithdrawFlowSpec(dst netip.Prefix) error {
-	if f.meas == nil {
-		return errNotConnected
-	}
-	kept := f.meas.flowspec[:0]
-	for _, r := range f.meas.flowspec {
-		if r.Dst != dst {
-			kept = append(kept, r)
-		}
-	}
-	f.meas.flowspec = kept
-	return nil
-}
-
 // FlowSpecRules reports the number of active rules.
 //
 //bsvet:allow deadcode oracle: TestFlowSpecFiltersAttackOnly and TestFlowSpecValidation count the installed rules

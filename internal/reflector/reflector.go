@@ -119,11 +119,6 @@ func NewWorkingSet(pool *Pool, name string, n int, seed uint64) *WorkingSet {
 	}
 }
 
-// Current returns the working set. Same-day attacks calling Current
-// repeatedly observe the identical set — the paper's observation (3).
-// The returned slice is shared; callers must not modify it.
-func (w *WorkingSet) Current() []Reflector { return w.cur }
-
 // Size reports the working set size.
 func (w *WorkingSet) Size() int { return len(w.cur) }
 

@@ -16,7 +16,7 @@ func TestPoolDeterministic(t *testing.T) {
 	}
 	wsA := NewWorkingSet(a, "x", 100, 1)
 	wsB := NewWorkingSet(b, "x", 100, 1)
-	if Overlap(wsA.Current(), wsB.Current()) != 1 {
+	if Overlap(wsA.cur, wsB.cur) != 1 {
 		t.Error("same seeds should produce identical working sets")
 	}
 }
@@ -56,8 +56,9 @@ func TestPoolHeavyTailedASes(t *testing.T) {
 func TestWorkingSetStableWithinDay(t *testing.T) {
 	p := NewPool(amplify.NTP, 10000, 100, 3)
 	ws := NewWorkingSet(p, "boaterB", 500, 3)
-	a := ws.Current()
-	b := ws.Current()
+	a := append([]Reflector(nil), ws.cur...)
+	ws.Select(100) // a same-day attack
+	b := ws.cur
 	if Overlap(a, b) != 1 {
 		t.Error("same-day working set must be identical (paper observation 3)")
 	}
@@ -66,9 +67,9 @@ func TestWorkingSetStableWithinDay(t *testing.T) {
 func TestWorkingSetChurnRate(t *testing.T) {
 	p := NewPool(amplify.NTP, 100000, 100, 4)
 	ws := NewWorkingSet(p, "boaterB", 1000, 4)
-	before := append([]Reflector(nil), ws.Current()...)
+	before := append([]Reflector(nil), ws.cur...)
 	ws.Advance(14) // two weeks
-	after := ws.Current()
+	after := ws.cur
 	if len(after) != 1000 {
 		t.Fatalf("set size changed: %d", len(after))
 	}
@@ -98,9 +99,9 @@ func TestWorkingSetChurnRate(t *testing.T) {
 func TestWorkingSetSwap(t *testing.T) {
 	p := NewPool(amplify.NTP, 100000, 100, 5)
 	ws := NewWorkingSet(p, "boaterB", 500, 5)
-	before := append([]Reflector(nil), ws.Current()...)
+	before := append([]Reflector(nil), ws.cur...)
 	ws.Swap()
-	after := ws.Current()
+	after := ws.cur
 	if len(after) != 500 {
 		t.Fatalf("size after swap = %d", len(after))
 	}
@@ -117,11 +118,11 @@ func TestWorkingSetSelect(t *testing.T) {
 		t.Fatalf("selected %d", len(sel))
 	}
 	// All selected reflectors come from the working set.
-	if Overlap(sel, ws.Current()) <= 0 {
+	if Overlap(sel, ws.cur) <= 0 {
 		t.Error("selection disjoint from working set")
 	}
 	inSet := make(map[netip.Addr]bool)
-	for _, r := range ws.Current() {
+	for _, r := range ws.cur {
 		inSet[r.Addr] = true
 	}
 	seen := make(map[netip.Addr]bool)
@@ -144,10 +145,10 @@ func TestWorkingSetSelect(t *testing.T) {
 func TestAdvanceNoOp(t *testing.T) {
 	p := NewPool(amplify.NTP, 1000, 10, 7)
 	ws := NewWorkingSet(p, "b", 100, 7)
-	before := append([]Reflector(nil), ws.Current()...)
+	before := append([]Reflector(nil), ws.cur...)
 	ws.Advance(0)
 	ws.Advance(-3)
-	if Overlap(before, ws.Current()) != 1 {
+	if Overlap(before, ws.cur) != 1 {
 		t.Error("zero-day advance changed the set")
 	}
 }
@@ -178,7 +179,7 @@ func TestOverlapMatrix(t *testing.T) {
 	p := NewPool(amplify.NTP, 100000, 100, 8)
 	wsA := NewWorkingSet(p, "A", 200, 8)
 	wsB := NewWorkingSet(p, "B", 200, 8)
-	sets := [][]Reflector{wsA.Current(), wsB.Current(), wsA.Current()}
+	sets := [][]Reflector{wsA.cur, wsB.cur, wsA.cur}
 	m := OverlapMatrix(sets)
 	if len(m) != 3 {
 		t.Fatalf("matrix dim = %d", len(m))

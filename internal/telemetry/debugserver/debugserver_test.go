@@ -16,7 +16,9 @@ import (
 func newTestRegistry() *telemetry.Registry {
 	r := telemetry.NewRegistry()
 	r.Counter("ipfix_collector_messages_total", "msgs").Add(3)
-	r.CounterVec("chaos_proxy_faults_total", "faults", "kind").With("drop").Inc()
+	vec := telemetry.NewCounterVec("kind")
+	r.MustRegister("chaos_proxy_faults_total", "faults", vec)
+	vec.With("drop").Inc()
 	return r
 }
 

@@ -22,8 +22,11 @@ func TestPrometheusOutputParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ipfix_collector_messages_total", "datagrams read").Add(12)
 	r.Gauge("ipfix_collector_queue_depth_high_watermark", "peak queue depth").Set(7)
-	r.Histogram("ipfix_exporter_backoff_seconds", "retry delays", 0.01, 0.1, 1).Observe(0.05)
-	vec := r.CounterVec("chaos_proxy_faults_total", "faults by kind", "kind")
+	h := NewHistogram(0.01, 0.1, 1)
+	r.MustRegister("ipfix_exporter_backoff_seconds", "retry delays", h)
+	h.Observe(0.05)
+	vec := NewCounterVec("kind")
+	r.MustRegister("chaos_proxy_faults_total", "faults by kind", vec)
 	vec.With("drop").Add(3)
 	vec.With("re\"order\nx").Inc() // exercises label escaping
 	if err := r.register("classify_monitor_active_minute_bins", "occupancy", func() float64 { return 4 }); err != nil {
@@ -132,7 +135,8 @@ func TestPrometheusHelpAndTypeLines(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("service_slo_burn_rate_fast", "error-budget burn rate over the fast window").Set(1.5)
 	r.Gauge("service_slo_burn_rate_slow", "error-budget burn rate over the slow window").Set(0.5)
-	vec := r.CounterVec("eventlog_events_total", "events emitted by component", "component")
+	vec := NewCounterVec("component")
+	r.MustRegister("eventlog_events_total", "events emitted by component", vec)
 	vec.With("classify").Add(2)
 
 	var sb strings.Builder
@@ -193,7 +197,8 @@ func TestPrometheusHelpAndTypeLines(t *testing.T) {
 // bound, and the folded counts are preserved.
 func TestPrometheusVecOverflowFoldsToOther(t *testing.T) {
 	r := NewRegistry()
-	vec := r.CounterVec("eventlog_events_total", "events emitted by component", "component")
+	vec := NewCounterVec("component")
+	r.MustRegister("eventlog_events_total", "events emitted by component", vec)
 	vec.SetMaxCardinality(2)
 	vec.With("classify").Add(5)
 	vec.With("service").Add(3)

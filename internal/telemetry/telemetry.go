@@ -504,48 +504,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bounds on first use.
-//
-//bsvet:allow deadcode no production caller; kept for TestPrometheusOutputParses and TestConcurrentUpdates (deletion deferred, ROADMAP 8(iv))
-func (r *Registry) Histogram(name, help string, bounds ...float64) *Histogram {
-	if e := r.lookup(name); e != nil {
-		if e.hist == nil {
-			panic(fmt.Sprintf("telemetry: %q is not a histogram", name))
-		}
-		return e.hist
-	}
-	h := NewHistogram(bounds...)
-	if err := r.register(name, help, h); err != nil {
-		if e := r.lookup(name); e != nil && e.hist != nil {
-			return e.hist
-		}
-		panic(err)
-	}
-	return h
-}
-
-// CounterVec returns the counter vector registered under name, creating
-// it over the given labels on first use.
-//
-//bsvet:allow deadcode no production caller; kept for TestPrometheusOutputParses and TestPrometheusHelpAndTypeLines (deletion deferred, ROADMAP 8(iv))
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if e := r.lookup(name); e != nil {
-		if e.vec == nil {
-			panic(fmt.Sprintf("telemetry: %q is not a counter vec", name))
-		}
-		return e.vec
-	}
-	v := NewCounterVec(labels...)
-	if err := r.register(name, help, v); err != nil {
-		if e := r.lookup(name); e != nil && e.vec != nil {
-			return e.vec
-		}
-		panic(err)
-	}
-	return v
-}
-
 // Snapshot is a stable point-in-time view of every registered metric,
 // usable from tests and the reproduce harness without HTTP.
 type Snapshot struct {

@@ -107,8 +107,12 @@ func TestRegistryGetOrCreateAndSnapshot(t *testing.T) {
 	}
 	c.Add(5)
 	r.Gauge("ipfix_collector_queue_depth", "").Set(12)
-	r.Histogram("ipfix_exporter_backoff_seconds", "").Observe(0.03)
-	r.CounterVec("chaos_proxy_faults_total", "", "kind").With("drop").Add(3)
+	h := NewHistogram()
+	r.MustRegister("ipfix_exporter_backoff_seconds", "", h)
+	h.Observe(0.03)
+	vec := NewCounterVec("kind")
+	r.MustRegister("chaos_proxy_faults_total", "", vec)
+	vec.With("drop").Add(3)
 	if err := r.register("flow_table_active", "", func() float64 { return 99 }); err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +163,10 @@ func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_counter_total", "")
 	g := r.Gauge("test_queue_depth_high_watermark", "")
-	h := r.Histogram("test_latency_seconds", "", 0.001, 0.01, 0.1, 1)
-	v := r.CounterVec("test_faults_total", "", "kind")
+	h := NewHistogram(0.001, 0.01, 0.1, 1)
+	r.MustRegister("test_latency_seconds", "", h)
+	v := NewCounterVec("kind")
+	r.MustRegister("test_faults_total", "", v)
 
 	stopSnap := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -253,8 +259,12 @@ func TestDashboardRendersFrame(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("demo_records_total", "").Add(7)
 	r.Gauge("demo_queue_depth", "").Set(3)
-	r.Histogram("demo_latency_seconds", "").Observe(0.02)
-	r.CounterVec("demo_faults_total", "", "kind").With("drop").Inc()
+	h := NewHistogram()
+	r.MustRegister("demo_latency_seconds", "", h)
+	h.Observe(0.02)
+	vec := NewCounterVec("kind")
+	r.MustRegister("demo_faults_total", "", vec)
+	vec.With("drop").Inc()
 	r.Counter("demo_batches_total", "").Add(2)
 	r.Counter("demo_idle_total", "")
 

@@ -263,7 +263,7 @@ func TestVantageDestinationOrdering(t *testing.T) {
 				c.Add(&rec)
 			}
 		}
-		return c.Destinations()
+		return len(c.Victims())
 	}
 	ixp, t1, t2 := count(KindIXP), count(KindTier1), count(KindTier2)
 	if !(ixp > t2 && t2 > t1) {
