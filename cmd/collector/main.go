@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		par         = fs.Int("parallelism", 0, "detection pipeline shard count: 0 = NumCPU, 1 = serial (alerts identical)")
 		ckptDir     = fs.String("checkpoint.dir", "", "checkpoint monitor state into this directory (enables restore-on-start)")
 		ckptEvery   = fs.Duration("checkpoint.every", time.Minute, "checkpoint interval (with -checkpoint.dir)")
-		evalEvery   = fs.Duration("slo.every", 5*time.Second, "overload/SLO evaluation interval")
+		evalEvery   = fs.Duration("slo.every", 5*time.Second, "overload/SLO evaluation interval; each evaluation also hands idle shards the records a quiet exporter left in their slabs")
 		sloP99      = fs.Duration("slo.p99", 0, "detection-latency p99 objective (0: 250ms default)")
 		mitigate    = fs.Bool("mitigate", false, "announce BGP FlowSpec discard rules on sustained attacks")
 		thresholds  = fs.String("thresholds", "", "JSON file with classifier thresholds; re-read on SIGHUP (empty: paper defaults)")

@@ -129,8 +129,9 @@ func sortMarkers(ms []AlertMarker) {
 // restoreBin loads one bin into the monitor, after the attacks: the
 // bin carries its victim's attack when that attack reaches the bin's
 // minute; otherwise the bin's next record opens or extends the attack,
-// as it would have uninterrupted. Counter state is restored separately
-// (once, not per shard).
+// as it would have uninterrupted. Counter state and the occupancy
+// gauge are restored separately (once, not per shard), the gauge from
+// the table itself.
 func (m *Monitor) restoreBin(b *BinSnapshot) {
 	key := minuteKey{dst: b.Victim, minute: b.MinuteUnix}
 	agg := &monAgg{
@@ -147,7 +148,6 @@ func (m *Monitor) restoreBin(b *BinSnapshot) {
 	agg.crossed = rate > m.cfg.MinRateBps && agg.sources.Len() > m.cfg.MinSources
 	m.minutes[key] = agg
 	m.binsAt.add(key.minute, key)
-	m.m.occupancy.Add(1)
 }
 
 func (m *Monitor) restoreMarker(a *AlertMarker) {
@@ -185,7 +185,6 @@ func (m *Monitor) Restore(s *MonitorSnapshot) {
 	m.attacksAt = minuteIndex[[16]byte]{}
 	m.alertedAt = minuteIndex[[16]byte]{}
 	m.memoKeys, m.memoAggs = [memoWays]minuteKey{}, [memoWays]*monAgg{}
-	m.m.occupancy.Add(-m.m.occupancy.Value())
 	for i := range s.Attacks {
 		m.restoreAttack(&s.Attacks[i])
 	}
@@ -195,6 +194,7 @@ func (m *Monitor) Restore(s *MonitorSnapshot) {
 	for i := range s.Bins {
 		m.restoreBin(&s.Bins[i])
 	}
+	m.m.occupancy.Set(float64(len(m.minutes)))
 	m.restoreClock(s)
 	restoreStats(m.m, s.Stats)
 }
@@ -288,9 +288,12 @@ func (s *ShardedMonitor) Restore(snap *MonitorSnapshot) {
 		b := &snap.Bins[i]
 		s.shards[pipe.KeyDstAddr(b.Victim)%n].mon.restoreBin(b)
 	}
+	var bins int
 	for _, sh := range s.shards {
 		sh.mon.restoreClock(snap)
+		bins += len(sh.mon.minutes)
 	}
+	s.m.occupancy.Set(float64(bins))
 	restoreStats(s.m, snap.Stats)
 }
 

@@ -173,3 +173,31 @@ func TestShardedSnapshotResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("health diverges: %+v vs %+v", gh, wh)
 	}
 }
+
+// TestRestoreGaugeMirrorsTable restores the snapshot of
+// service/testdata/duplicate-bin.bsck — five bin entries, one listed
+// twice — into a serial and a sharded monitor: the occupancy gauge must
+// read the table's 4 bins, not the 5 entries.
+func TestRestoreGaugeMirrorsTable(t *testing.T) {
+	victim := func(i byte) [16]byte { return [16]byte{10: 0xff, 11: 0xff, 12: 203, 14: 113, 15: i} }
+	snap := &MonitorSnapshot{LatestUnix: 1543600020, LatestValid: true}
+	for _, i := range []byte{1, 2, 2, 3, 4} {
+		snap.Bins = append(snap.Bins, BinSnapshot{
+			Victim: victim(i), MinuteUnix: 1543600020, Bytes: uint64(i) * 1_000_000,
+			Sources: [][16]byte{{15: 1}, {15: 2}},
+		})
+	}
+	cfg := Config{MinRateBps: 50_000, MinSources: 3}
+	m := NewMonitor(cfg)
+	m.Restore(snap)
+	if got, bins := m.m.occupancy.Value(), len(m.minutes); got != float64(bins) || bins != 4 {
+		t.Fatalf("serial: gauge %v over %d bins, want 4 and 4", got, bins)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		s := NewShardedMonitor(cfg, shards)
+		s.Restore(snap)
+		if got, bins := s.m.occupancy.Value(), s.Health().ActiveMinutes; got != float64(bins) || bins != 4 {
+			t.Fatalf("%d shards: gauge %v over %d bins, want 4 and 4", shards, got, bins)
+		}
+	}
+}

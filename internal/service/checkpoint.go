@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,6 +183,9 @@ func decodeBins(b []byte, snap *classify.MonitorSnapshot) error {
 			copy(bin.Sources[j][:], b[off:])
 			off += 16
 		}
+		if k := len(snap.Bins); k > 0 && !binBefore(&snap.Bins[k-1], &bin) {
+			return fmt.Errorf("%w: bin %d unsorted or duplicated", errCheckpointCorrupt, i)
+		}
 		snap.Bins = append(snap.Bins, bin)
 	}
 	if off != len(b) {
@@ -189,6 +193,19 @@ func decodeBins(b []byte, snap *classify.MonitorSnapshot) error {
 	}
 	return nil
 }
+
+// binBefore and victimBefore are the snapshot's sort orders (bins by
+// victim then minute, markers and attacks by victim), strict: the
+// monitor's Snapshot never lists an entry twice or out of order, so a
+// frame that does is corrupt even when its CRC holds.
+func binBefore(a, b *classify.BinSnapshot) bool {
+	if c := bytes.Compare(a.Victim[:], b.Victim[:]); c != 0 {
+		return c < 0
+	}
+	return a.MinuteUnix < b.MinuteUnix
+}
+
+func victimBefore(a, b [16]byte) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
 func encodeAlerted(ms []classify.AlertMarker) []byte {
 	b := []byte{frameAlerted}
@@ -213,6 +230,9 @@ func decodeAlerted(b []byte, snap *classify.MonitorSnapshot) error {
 		var m classify.AlertMarker
 		copy(m.Victim[:], b[off:])
 		m.MinuteUnix = int64(binary.BigEndian.Uint64(b[off+16:]))
+		if k := len(snap.Alerted); k > 0 && !victimBefore(snap.Alerted[k-1].Victim, m.Victim) {
+			return fmt.Errorf("%w: alert marker %d unsorted or duplicated", errCheckpointCorrupt, i)
+		}
 		snap.Alerted = append(snap.Alerted, m)
 		off += 24
 	}
@@ -246,6 +266,9 @@ func decodeAttacks(b []byte, snap *classify.MonitorSnapshot) error {
 		a.ID = binary.BigEndian.Uint64(b[off+16:])
 		a.OpenedUnix = int64(binary.BigEndian.Uint64(b[off+24:]))
 		a.LastUnix = int64(binary.BigEndian.Uint64(b[off+32:]))
+		if k := len(snap.Attacks); k > 0 && !victimBefore(snap.Attacks[k-1].Victim, a.Victim) {
+			return fmt.Errorf("%w: attack %d unsorted or duplicated", errCheckpointCorrupt, i)
+		}
 		snap.Attacks = append(snap.Attacks, a)
 		off += 40
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -14,6 +15,7 @@ import (
 
 	"booterscope/internal/chaos"
 	"booterscope/internal/classify"
+	"booterscope/internal/durable"
 	"booterscope/internal/flow"
 	"booterscope/internal/flowstore"
 	"booterscope/internal/packet"
@@ -450,5 +452,77 @@ func TestCorruptCheckpointFallsBackToColdStartWithReplay(t *testing.T) {
 	}
 	if rep.Monitor != refStats {
 		t.Fatalf("rebuilt accounting = %+v, want %+v", rep.Monitor, refStats)
+	}
+}
+
+// TestCheckpointRejectsUnsortedOrDuplicateEntries holds the decoder to
+// the snapshot's sort orders. testdata/duplicate-bin.bsck is a
+// checkpoint whose every frame passes its CRC but whose bins frame
+// lists five entries, 203.0.113.2's bin twice; restored, it left the
+// occupancy gauge at 5 over a 4-bin table. It must decode as corrupt,
+// so the daemon cold-starts (and replays its archive), and so must a
+// frame listing bins, alert markers or attacks out of order or twice.
+func TestCheckpointRejectsUnsortedOrDuplicateEntries(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "duplicate-bin.bsck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Walk(seed[len(ckptMagic):], func(int, []byte) error { return nil }); err != nil {
+		t.Fatalf("seed fails its envelope, so it does not test the decoder: %v", err)
+	}
+	if _, err := decodeCheckpoint(seed); !errors.Is(err, errCheckpointCorrupt) {
+		t.Fatalf("duplicate bin decoded: err = %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(checkpointPath(dir), seed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Options{Classify: testCfg, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := svc.Restore(); rr.Restored || !rr.Corrupt {
+		t.Fatalf("restore report = %+v, want corrupt cold start", rr)
+	}
+	if h := svc.Health().Monitor; h.ActiveMinutes != 0 {
+		t.Fatalf("cold start holds %d bins", h.ActiveMinutes)
+	}
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	victim := func(i byte) [16]byte { return [16]byte{10: 0xff, 11: 0xff, 12: 203, 14: 113, 15: i} }
+	const minute = 1543600020
+	valid := func() *Checkpoint {
+		snap := &classify.MonitorSnapshot{LatestUnix: minute + 60, LatestValid: true}
+		for i := range 300 { // > binsPerFrame: the order holds across frames too
+			snap.Bins = append(snap.Bins, classify.BinSnapshot{
+				Victim: victim(byte(i / 2)), MinuteUnix: minute + 60*int64(i%2), Bytes: 1000,
+			})
+		}
+		snap.Alerted = []classify.AlertMarker{{Victim: victim(1), MinuteUnix: minute}, {Victim: victim(2), MinuteUnix: minute}}
+		snap.Attacks = []classify.AttackSnapshot{{Victim: victim(1), ID: 1}, {Victim: victim(2), ID: 2}}
+		return &Checkpoint{Config: testCfg, Monitor: snap}
+	}
+	if _, err := decodeCheckpoint(EncodeCheckpoint(valid())); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *classify.MonitorSnapshot)
+	}{
+		{"bins unsorted by victim", func(s *classify.MonitorSnapshot) { s.Bins[1], s.Bins[2] = s.Bins[2], s.Bins[1] }},
+		{"bins unsorted by minute", func(s *classify.MonitorSnapshot) { s.Bins[0], s.Bins[1] = s.Bins[1], s.Bins[0] }},
+		{"bin duplicated across frames", func(s *classify.MonitorSnapshot) { s.Bins[binsPerFrame] = s.Bins[binsPerFrame-1] }},
+		{"marker duplicated", func(s *classify.MonitorSnapshot) { s.Alerted[1] = s.Alerted[0] }},
+		{"markers unsorted", func(s *classify.MonitorSnapshot) { s.Alerted[0], s.Alerted[1] = s.Alerted[1], s.Alerted[0] }},
+		{"attack duplicated", func(s *classify.MonitorSnapshot) { s.Attacks[1].Victim = s.Attacks[0].Victim }},
+		{"attacks unsorted", func(s *classify.MonitorSnapshot) { s.Attacks[0], s.Attacks[1] = s.Attacks[1], s.Attacks[0] }},
+	} {
+		cp := valid()
+		tc.mutate(cp.Monitor)
+		if _, err := decodeCheckpoint(EncodeCheckpoint(cp)); !errors.Is(err, errCheckpointCorrupt) {
+			t.Errorf("%s: err = %v, want errCheckpointCorrupt", tc.name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -37,26 +38,27 @@ func firstAlertRecord(t *testing.T, recs []flow.Record) int {
 	return 0
 }
 
-// TestIngestHandsOverPartialSlabs pins the hand-over policy on a fake
-// clock, feeding 24-record batches (one IPFIX datagram's worth): the
-// alert for the triggering record fires during the first Ingest at or
-// after +1 ms — not earlier, not at Drain — whether there is no queue
-// probe or one reading depth 0 or depth > 0 (the policy does not read
-// it). One shard, so the stage runs inline and "during Ingest" is
-// exact; the two-shard case checks the same alert reaches OnAlert while
-// the daemon is still ingesting.
+// TestIngestHandsOverPartialSlabs pins the hand-over budget on a fake
+// clock, feeding 24-record batches (one IPFIX datagram's worth): after
+// an idle spell the first three calls hand over back to back, then one
+// call per handOverEvery does, and the alert for the triggering record
+// fires in the first call the budget lets through after it was routed
+// — not earlier, not at Drain — whether there is no queue probe or one
+// reading depth 0 or depth > 0 (the policy does not read it). One
+// shard, so the stage runs inline and "during Ingest" is exact, and
+// service_partial_flushes_total is checked after every call; the
+// two-shard case checks the same alert reaches OnAlert while the
+// daemon is still ingesting.
 func TestIngestHandsOverPartialSlabs(t *testing.T) {
 	const dgram = 24
 	recs := genStream(3, 4_000)
 	trigger := firstAlertRecord(t, recs)
-	if trigger < 2*dgram || trigger > 3_000 {
+	triggerCall := trigger / dgram
+	if triggerCall < 3 || trigger > 3_000 {
 		t.Fatalf("first alert at record %d: stream unsuitable", trigger)
 	}
-	triggerCall := trigger / dgram
+	burst := int(handOverBurst/handOverEvery) + 1 // hand-overs a full bucket allows at one instant
 
-	// The clock only moves just before call triggerCall+2, so that is the
-	// Ingest call (0-based) the alert must fire in.
-	wantCall := triggerCall + 2
 	for _, tc := range []struct {
 		name  string
 		depth int // -1: no probe
@@ -72,7 +74,12 @@ func TestIngestHandsOverPartialSlabs(t *testing.T) {
 				opts := Options{
 					Classify:    testCfg,
 					Parallelism: shards,
-					OnAlert:     func(classify.Alert) { alerted <- int(calls.Load()) },
+					OnAlert: func(classify.Alert) {
+						select {
+						case alerted <- int(calls.Load()):
+						default: // later alerts are not under test
+						}
+					},
 				}
 				if tc.depth >= 0 {
 					opts.QueueDepth = func() (int, int) { return tc.depth, 1024 }
@@ -83,36 +90,68 @@ func TestIngestHandsOverPartialSlabs(t *testing.T) {
 				}
 				clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 				svc.now = clk.now
-				for call := 0; call <= triggerCall+2; call++ {
+				call, flushes := 0, uint64(0)
+				// ingest feeds the next datagram after moving the clock by
+				// step and checks whether the budget let a hand-over through.
+				ingest := func(step time.Duration, handsOver bool) {
+					t.Helper()
 					calls.Store(int64(call))
-					if call == triggerCall+2 {
-						if shards == 1 && len(alerted) != 0 {
-							t.Fatalf("alert fired before the clock moved: slab handed over early")
-						}
-						clk.advance(partialFlushEvery)
-					}
+					clk.advance(step)
 					if err := svc.Ingest(recs[call*dgram : (call+1)*dgram]); err != nil {
 						t.Fatal(err)
 					}
+					call++
+					if handsOver {
+						flushes++
+					}
+					if got := svc.m.partialFlushes.Value(); got != flushes {
+						t.Fatalf("after call %d (clock +%v): service_partial_flushes_total = %d, want %d",
+							call-1, step, got, flushes)
+					}
 				}
+
+				// A fresh daemon has been idle forever: a full burst, then
+				// nothing while the clock stands still — the trigger record
+				// is routed in that stretch and stays in its slab.
+				for call <= triggerCall+1 {
+					ingest(0, call < burst)
+				}
+				if shards == 1 && len(alerted) != 0 {
+					t.Fatal("alert fired with the budget spent: slab handed over early")
+				}
+				// Half a refill is not a hand-over; the other half is, and
+				// the alert fires in that call.
+				ingest(handOverEvery/2, false)
+				if shards == 1 && len(alerted) != 0 {
+					t.Fatal("alert fired half a refill early")
+				}
+				ingest(handOverEvery/2, true)
+				wantCall := call - 1
 				if shards == 1 {
-					if len(alerted) == 0 {
+					select {
+					case got := <-alerted:
+						if got != wantCall {
+							t.Fatalf("alert fired during Ingest call %d, want %d (trigger record in call %d)",
+								got, wantCall, triggerCall)
+						}
+					default:
 						t.Fatal("alert for a routed record is waiting for Drain")
 					}
-					if got := <-alerted; got != wantCall {
-						t.Fatalf("alert fired during Ingest call %d, want %d (trigger record in call %d)",
-							got, wantCall, triggerCall)
-					}
-					// One hand-over on the first call (the zero lastPartial is
-					// long ago), one when the clock moved.
-					if got := svc.m.partialFlushes.Value(); got != 2 {
-						t.Fatalf("service_partial_flushes_total = %d, want 2", got)
-					}
+				}
+				// The bucket is empty: one hand-over per refill.
+				for range 4 {
+					ingest(handOverEvery, true)
+					ingest(0, false)
+				}
+				// An idle spell refills it: a burst again.
+				ingest(time.Second, true)
+				for i := 1; i < burst+2; i++ {
+					ingest(0, i < burst)
 				}
 				// With workers a shard still holding an earlier slab in its
 				// queue keeps filling, so which Ingest hands the record over
-				// depends on scheduling — but one a millisecond on must.
-				for call, fired := triggerCall+3, shards == 1; !fired; call++ {
+				// depends on scheduling — but one a refill later must.
+				for fired := shards == 1; !fired; {
 					select {
 					case <-alerted:
 						fired = true
@@ -120,10 +159,7 @@ func TestIngestHandsOverPartialSlabs(t *testing.T) {
 						if (call+1)*dgram > len(recs) {
 							t.Fatal("alert for a routed record never fired before Drain")
 						}
-						clk.advance(partialFlushEvery)
-						if err := svc.Ingest(recs[call*dgram : (call+1)*dgram]); err != nil {
-							t.Fatal(err)
-						}
+						ingest(handOverEvery, true)
 					}
 				}
 				if _, err := svc.Drain(); err != nil {
@@ -131,6 +167,69 @@ func TestIngestHandsOverPartialSlabs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestServeHandsOverTrailingBatch is the bound on a quiet exporter's
+// last datagrams: with the Ingest budget spent on a frozen clock, the
+// slab holding the triggering record gets no further Ingest to hand it
+// over, and Serve's evaluation tick must — the alert arrives before
+// Drain, not from it.
+func TestServeHandsOverTrailingBatch(t *testing.T) {
+	recs := genStream(3, 4_000)
+	trigger := firstAlertRecord(t, recs)
+	burst := int(handOverBurst/handOverEvery) + 1
+	if trigger < burst {
+		t.Fatalf("first alert at record %d: stream unsuitable", trigger)
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			alerted := make(chan struct{}, 1)
+			svc, err := New(Options{
+				Classify:    testCfg,
+				Parallelism: shards,
+				OnAlert: func(classify.Alert) {
+					select {
+					case alerted <- struct{}{}:
+					default:
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+			svc.now = clk.now
+			// One record per call spends the budget; the rest up to the
+			// trigger arrive in one last call the budget refuses.
+			for i := 0; i < burst; i++ {
+				if err := svc.Ingest(recs[i : i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Ingest(recs[burst : trigger+1]); err != nil {
+				t.Fatal(err)
+			}
+			if got := svc.m.partialFlushes.Value(); got != uint64(burst) {
+				t.Fatalf("service_partial_flushes_total = %d, want %d: budget not spent", got, burst)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				svc.Serve(ctx, 0, time.Millisecond)
+			}()
+			select {
+			case <-alerted:
+			case <-time.After(5 * time.Second):
+				t.Error("trailing batch never handed over: the alert waits for Drain")
+			}
+			cancel()
+			<-served
+			if _, err := svc.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

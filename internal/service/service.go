@@ -138,7 +138,7 @@ type Service struct {
 
 	mu sync.Mutex
 	//bsvet:guards mu
-	lastPartial time.Time
+	handOverAt time.Time // GCRA theoretical arrival time of the next partial hand-over
 	//bsvet:guards mu
 	restore RestoreReport
 	//bsvet:guards mu
@@ -306,22 +306,48 @@ func (s *Service) ingest(recs []flow.Record, start time.Time) error {
 	return cmp.Or(s.handOverLocked(start), archErr)
 }
 
-// handOverLocked gives idle shards their partial slabs, at most once
-// per partialFlushEvery (moderation: waking workers ten times as often
-// cost saturated throughput 9–25 %, DESIGN.md §11). No timer: a
-// trailing batch waits for the next Ingest, Checkpoint or Drain. now
-// is the Ingest call's entry time — the clock read the detect
-// histogram already paid for.
+// handOverLocked gives idle shards their partial slabs when the
+// hand-over budget allows: a token bucket written as GCRA, refilling
+// one hand-over per handOverEvery and holding up to handOverBurst of
+// them, so after an idle spell up to three go back to back and the
+// long-run rate is two per millisecond (moderation: waking workers on
+// every datagram cost saturated throughput 8–12 %, DESIGN.md §11). No
+// timer: a trailing batch waits for the next Ingest, Checkpoint, Drain
+// or Serve evaluation tick. now is the Ingest call's entry time — the
+// clock read the detect histogram already paid for.
 func (s *Service) handOverLocked(now time.Time) error {
-	if now.Sub(s.lastPartial) < partialFlushEvery {
+	if now.Before(s.handOverAt.Add(-handOverBurst)) {
 		return nil
 	}
-	s.lastPartial = now
+	if now.After(s.handOverAt) {
+		s.handOverAt = now
+	}
+	s.handOverAt = s.handOverAt.Add(handOverEvery)
 	s.m.partialFlushes.Inc()
 	return s.fan.FlushIdle()
 }
 
-const partialFlushEvery = time.Millisecond
+// The hand-over budget: one partial hand-over per handOverEvery on
+// average, with handOverBurst of credit after an idle spell.
+const (
+	handOverEvery = 500 * time.Microsecond
+	handOverBurst = time.Millisecond
+)
+
+// handOverTrailing is the evaluation tick's share of the hand-over
+// policy: it gives idle shards whatever a quiet exporter's last
+// datagrams left in their slabs. It runs at most once per tick, so it
+// does not draw on the Ingest budget; once draining, Drain has handed
+// everything over.
+func (s *Service) handOverTrailing() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return
+	}
+	s.m.partialFlushes.Inc()
+	_ = s.fan.FlushIdle() // a failed stage is reported by the next Ingest and by Drain
+}
 
 // checkpoint quiesces the pipeline and atomically publishes a
 // snapshot: the archive is sealed (making its durable count the exact
@@ -564,11 +590,13 @@ func (s *Service) Health() HealthReport {
 	}
 }
 
-// Serve runs the daemon's periodic duties — checkpoints and SLO
-// evaluations — until ctx is cancelled. Checkpoint failures are
-// accounted (the previous snapshot stays valid) and serving
-// continues. Ingest keeps running concurrently; cancel ctx and then
-// call Drain for a graceful shutdown.
+// Serve runs the daemon's periodic duties — checkpoints, and SLO
+// evaluations each followed by a hand-over of idle shards' partial
+// slabs, so a quiet exporter's last records go out at the first tick
+// that finds their shard idle — until ctx is cancelled. Checkpoint
+// failures are accounted (the previous snapshot stays valid) and
+// serving continues. Ingest keeps running concurrently; cancel ctx and
+// then call Drain for a graceful shutdown.
 func (s *Service) Serve(ctx context.Context, checkpointEvery, evaluateEvery time.Duration) {
 	var ckptC, evalC <-chan time.Time
 	if checkpointEvery > 0 && s.opts.CheckpointDir != "" {
@@ -589,6 +617,7 @@ func (s *Service) Serve(ctx context.Context, checkpointEvery, evaluateEvery time
 			_, _ = s.checkpoint()
 		case <-evalC:
 			s.evaluate()
+			s.handOverTrailing()
 		}
 	}
 }

@@ -83,7 +83,7 @@ func (s *Service) registerTelemetry(r *telemetry.Registry) {
 	r.MustRegister("service_shed_archive_records_total", "records not archived at ShedArchive (classification still ran)", m.archiveShed)
 	r.MustRegister("service_drain_refused_records_total", "records refused after drain began", m.refused)
 	r.MustRegister("service_archive_errors_total", "ingest calls whose archive append failed (the batch was still classified)", m.archiveErrors)
-	r.MustRegister("service_partial_flushes_total", "partial-slab hand-overs to idle shards (at most one per millisecond)", m.partialFlushes)
+	r.MustRegister("service_partial_flushes_total", "partial-slab hand-overs to idle shards (Ingest: two per millisecond, bursts of three; Serve: one per evaluation tick)", m.partialFlushes)
 	r.MustRegister("service_detect_seconds", "duration of one Ingest call: archive append and routing (the latency the SLO evaluates)", s.detect)
 	r.MustRegister("service_checkpoints_total", "checkpoints published", m.checkpoints)
 	r.MustRegister("service_checkpoint_failures_total", "checkpoint attempts that failed (previous snapshot kept)", m.checkpointFailures)
