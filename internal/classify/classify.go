@@ -80,13 +80,25 @@ func isAmplifiedNTPCols(c *flow.Columns, i int, cfg Config) bool {
 // Classifier accumulates flow records and produces the study's victim
 // and attack statistics.
 type Classifier struct {
-	cfg     Config
-	perDest *flow.PerDestMinutes
+	cfg Config
+	// bins holds every (victim, minute)'s scaled bytes and distinct
+	// sources, uncapped: Figure 2(c) plots exact peak counts.
+	bins binTable[victimMinute]
+	// sources is each victim's distinct sources over the whole window
+	// (Victim.TotalSources); every bin points at its victim's set.
+	sources map[[16]byte]*flow.SourceSet
+}
+
+// victimMinute is one of the Classifier's bins.
+type victimMinute struct {
+	bytes   uint64
+	sources flow.SourceSet
+	total   *flow.SourceSet
 }
 
 // New returns a classifier with the given configuration.
 func New(cfg Config) *Classifier {
-	return &Classifier{cfg: cfg.withDefaults(), perDest: flow.NewPerDestMinutes()}
+	return &Classifier{cfg: cfg.withDefaults(), bins: newBinTable[victimMinute](), sources: make(map[[16]byte]*flow.SourceSet)}
 }
 
 // Add feeds one record; non-NTP or non-amplified records are ignored.
@@ -95,7 +107,7 @@ func (c *Classifier) Add(r *flow.Record) bool {
 	if !isAmplifiedNTP(r, c.cfg) {
 		return false
 	}
-	c.perDest.Add(r)
+	c.add(r.Dst.As16(), r.Src.As16(), r.Start.Unix(), r.ScaledBytes())
 	return true
 }
 
@@ -109,19 +121,65 @@ func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	if !isNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
 		return false
 	}
-	c.perDest.AddAs16(cols.DstAs16(i), cols.SrcAs16(i), cols.StartSec[i], cols.ScaledBytes(i))
+	c.add(cols.DstAs16(i), cols.SrcAs16(i), cols.StartSec[i], cols.ScaledBytes(i))
 	return true
 }
 
+// add bins one accepted record. Addresses are taken in their 16-byte
+// form, so an IPv4 address and its IPv4-mapped twin are one victim (or
+// one source).
+//
+//bsvet:hotpath
+func (c *Classifier) add(dst, src [16]byte, startSec int64, bytes uint64) {
+	b, isNew := c.bins.get(dst, startSec)
+	if isNew {
+		if b.total = c.sources[dst]; b.total == nil {
+			b.total = new(flow.SourceSet)
+			c.sources[dst] = b.total
+		}
+	}
+	b.bytes += bytes
+	b.sources.AddAs16(src)
+	b.total.AddAs16(src)
+}
+
 // Merge folds another classifier's accumulated state into c; other
-// must not be used afterwards. With destination-disjoint shards (the
-// pipeline's victim-hash routing) the merged victim summaries equal a
-// serial pass exactly.
+// must not be used afterwards. A bin only other holds is adopted (and
+// joins c's set of its victim, if c has one); a bin both hold is fused,
+// bytes summed and sources united, so the result equals a serial pass
+// over both inputs however they were split.
 func (c *Classifier) Merge(other *Classifier) {
 	if other == nil {
 		return
 	}
-	c.perDest.Merge(other.perDest)
+	if len(c.sources) == 0 {
+		c.bins, c.sources = other.bins, other.sources
+		return
+	}
+	for k, ob := range other.bins.index {
+		b, ok := c.bins.index[k]
+		if !ok {
+			if total := c.sources[k.dst]; total != nil {
+				ob.total = total
+			}
+			c.bins.index[k] = ob
+			continue
+		}
+		b.bytes += ob.bytes
+		for _, src := range ob.sources.Snapshot() {
+			b.sources.AddAs16(src)
+		}
+	}
+	for dst, ototal := range other.sources {
+		total, ok := c.sources[dst]
+		if !ok {
+			c.sources[dst] = ototal
+			continue
+		}
+		for _, src := range ototal.Snapshot() {
+			total.AddAs16(src)
+		}
+	}
 }
 
 // Victim is one destination's attack profile (the axes of Figures 2(b)
@@ -149,18 +207,16 @@ type Victim struct {
 // Victims returns per-destination summaries, sorted by descending peak
 // rate.
 func (c *Classifier) Victims() []Victim {
-	sums := c.perDest.Summaries()
-	out := make([]Victim, 0, len(sums))
-	cfg := c.cfg
-	for _, s := range sums {
-		v := Victim{
-			Addr:         s.Dst,
-			MaxGbps:      s.MaxRateBps / 1e9,
-			MaxSources:   s.MaxSources,
-			TotalSources: s.TotalSources,
-		}
-		v.Conservative = s.MaxRateBps > cfg.MinRateBps && s.MaxSources > cfg.MinSources
-		out = append(out, v)
+	out := make([]Victim, 0, len(c.sources))
+	for dst, p := range c.peaks() {
+		rate := minuteRate(p.bytes)
+		out = append(out, Victim{
+			Addr:         netip.AddrFrom16(dst).Unmap(),
+			MaxGbps:      rate / 1e9,
+			MaxSources:   p.sources,
+			TotalSources: c.sources[dst].Len(),
+			Conservative: c.cfg.passes(rate, p.sources),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].MaxGbps != out[j].MaxGbps {
@@ -168,6 +224,24 @@ func (c *Classifier) Victims() []Victim {
 		}
 		return out[i].Addr.Less(out[j].Addr)
 	})
+	return out
+}
+
+// peak is one victim's peak-minute bytes and peak-minute source count,
+// each over all its minutes.
+type peak struct {
+	bytes   uint64
+	sources int
+}
+
+// peaks takes one walk over the bins for every victim's peaks. The
+// peak bytes give the peak rate: minuteRate keeps their order.
+func (c *Classifier) peaks() map[[16]byte]peak {
+	out := make(map[[16]byte]peak, len(c.sources))
+	for k, b := range c.bins.index {
+		p := out[k.dst]
+		out[k.dst] = peak{bytes: max(p.bytes, b.bytes), sources: max(p.sources, b.sources.Len())}
+	}
 	return out
 }
 
@@ -210,12 +284,11 @@ func (f FilterStats) ReductionSources() float64 {
 // FilterStats evaluates the conservative rules against the accumulated
 // victims.
 func (c *Classifier) FilterStats() FilterStats {
-	cfg := c.cfg
 	var fs FilterStats
-	for _, s := range c.perDest.Summaries() {
+	for _, p := range c.peaks() {
 		fs.Optimistic++
-		rateOK := s.MaxRateBps > cfg.MinRateBps
-		srcOK := s.MaxSources > cfg.MinSources
+		rateOK := minuteRate(p.bytes) > c.cfg.MinRateBps
+		srcOK := p.sources > c.cfg.MinSources
 		if rateOK {
 			fs.RateOnly++
 		}
@@ -244,27 +317,83 @@ type AttackCounter struct {
 	// per-record hot path, and pointer-free keys keep the maps out of
 	// both the write barrier and the garbage collector's scan.
 	hours map[int64]map[[16]byte]struct{}
-	// minuteState tracks per (dest, minute) aggregates; arena is the
-	// chunked allocator the bins come from (one allocation per 256
-	// bins instead of one each — the counter's dominant allocation).
-	minutes map[minuteKey]*minuteAgg
-	arena   []minuteAgg
-	// lastKeys/lastAggs memoize recent minute bins in a small
-	// direct-mapped cache indexed by the victim's low address byte:
-	// attack records arrive in per-victim bursts, but a handful of
-	// victims interleave within any time slice, so one entry per
-	// low-byte slot keeps the hit rate high where a single-entry memo
-	// thrashes. Purely a cache — misses fall through to the map.
-	lastKeys [memoWays]minuteKey
-	lastAggs [memoWays]*minuteAgg
+	bins  binTable[minuteAgg]
 }
 
-// memoWays sizes the AttackCounter minute-bin memo (a power of two).
+// binTable finds the (victim, minute) bin of a record for the Figure 2
+// classifier and the Figure 5 counter. Bins come from a chunked arena,
+// one allocation per 256 bins instead of one each. A small
+// direct-mapped memo indexed by the victim's low address byte finds
+// recent bins without the map: attack records arrive in per-victim
+// bursts, but a handful of victims interleave within any time slice,
+// so one entry per low-byte slot keeps the hit rate high where a
+// single-entry memo thrashes. The memo is purely a cache of index.
+type binTable[B any] struct {
+	index    map[minuteKey]*B
+	arena    []B
+	memoKeys [memoWays]minuteKey
+	memoBins [memoWays]*B
+}
+
+// memoWays sizes a bin memo (a power of two).
 const memoWays = 8
 
 type minuteKey struct {
 	dst    [16]byte
 	minute int64
+}
+
+func newBinTable[B any]() binTable[B] {
+	return binTable[B]{index: make(map[minuteKey]*B)}
+}
+
+// get returns the bin of victim dst for the minute holding startSec,
+// and whether this call made it.
+//
+//bsvet:hotpath
+func (t *binTable[B]) get(dst [16]byte, startSec int64) (bin *B, isNew bool) {
+	key := minuteKey{dst: dst, minute: floorMinute(startSec)}
+	w := dst[15] & (memoWays - 1)
+	if bin = t.memoBins[w]; bin != nil && t.memoKeys[w] == key {
+		return bin, false
+	}
+	bin, ok := t.index[key]
+	if !ok {
+		if len(t.arena) == 0 {
+			t.arena = make([]B, 256)
+		}
+		bin = &t.arena[0]
+		t.arena = t.arena[1:]
+		t.index[key] = bin
+	}
+	t.memoKeys[w], t.memoBins[w] = key, bin
+	return bin, !ok
+}
+
+// floorTo truncates unix seconds to a multiple of step seconds,
+// rounding toward the past on both sides of 1970 —
+// time.Time.Truncate, in integers. floorMinute and floorHour are the
+// minute and hour rule of the classifier, the counter and the monitor.
+func floorTo(unixSec, step int64) int64 {
+	into := unixSec % step
+	if into < 0 {
+		into += step
+	}
+	return unixSec - into
+}
+
+func floorMinute(unixSec int64) int64 { return floorTo(unixSec, 60) }
+
+func floorHour(unixSec int64) int64 { return floorTo(unixSec, 3600) }
+
+// minuteRate is the mean rate in bits per second of a minute bin
+// holding bytes.
+func minuteRate(bytes uint64) float64 { return float64(bytes) * 8 / 60 }
+
+// passes reports whether a minute at rate bits per second from sources
+// distinct amplifiers passes both conservative rules.
+func (c Config) passes(rate float64, sources int) bool {
+	return rate > c.MinRateBps && sources > c.MinSources
 }
 
 // smallSources is the inline source-set capacity of a minute bin. It
@@ -355,10 +484,10 @@ func (m *minuteAgg) dropSources() {
 func NewAttackCounter(cfg Config) *AttackCounter {
 	cfg = cfg.withDefaults()
 	return &AttackCounter{
-		cfg:     cfg,
-		limit:   cfg.MinSources + 1,
-		hours:   make(map[int64]map[[16]byte]struct{}),
-		minutes: make(map[minuteKey]*minuteAgg),
+		cfg:   cfg,
+		limit: cfg.MinSources + 1,
+		hours: make(map[int64]map[[16]byte]struct{}),
+		bins:  newBinTable[minuteAgg](),
 	}
 }
 
@@ -391,26 +520,7 @@ func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 //
 //bsvet:hotpath
 func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
-	// Truncate in unix-seconds arithmetic: equivalent to
-	// Start.UTC().Truncate(time.Minute) for the study's post-1970
-	// timestamps and far cheaper on the per-record path.
-	minute := startSec - startSec%60
-	key := minuteKey{dst: dst, minute: minute}
-	w := key.dst[15] & (memoWays - 1)
-	agg := a.lastAggs[w]
-	if agg == nil || key != a.lastKeys[w] {
-		var ok bool
-		agg, ok = a.minutes[key]
-		if !ok {
-			if len(a.arena) == 0 {
-				a.arena = make([]minuteAgg, 256)
-			}
-			agg = &a.arena[0]
-			a.arena = a.arena[1:]
-			a.minutes[key] = agg
-		}
-		a.lastKeys[w], a.lastAggs[w] = key, agg
-	}
+	agg, _ := a.bins.get(dst, startSec)
 	// A counted bin is frozen: its (hour, dst) entry is recorded and
 	// hour membership never retracts, so further bytes/source tracking
 	// cannot change any output — including Merge's re-check, which only
@@ -421,16 +531,8 @@ func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	}
 	agg.bytes += bytes
 	agg.addSource(src, a.limit)
-
-	rate := float64(agg.bytes) * 8 / 60
-	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {
-		hour := minute - minute%3600
-		set, ok := a.hours[hour]
-		if !ok {
-			set = make(map[[16]byte]struct{})
-			a.hours[hour] = set
-		}
-		set[key.dst] = struct{}{}
+	if a.cfg.passes(minuteRate(agg.bytes), agg.numSources()) {
+		a.count(floorHour(startSec), dst)
 		agg.counted = true
 		// Frozen bins never read their source set again (Merge visits
 		// an empty set); dropping it here releases the per-minute
@@ -438,6 +540,16 @@ func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 		// memory — as soon as they stop mattering.
 		agg.dropSources()
 	}
+}
+
+// count records dst as under attack in the hour starting at hour.
+func (a *AttackCounter) count(hour int64, dst [16]byte) {
+	set, ok := a.hours[hour]
+	if !ok {
+		set = make(map[[16]byte]struct{})
+		a.hours[hour] = set
+	}
+	set[dst] = struct{}{}
 }
 
 // Merge folds another counter's state into a; other must not be used
@@ -450,21 +562,21 @@ func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 // too: if either side is full the union is, and if neither is, both
 // are exact.
 //
-// A receiver that holds nothing adopts other's maps instead: other's
+// A receiver that holds nothing adopts other's tables instead: other's
 // hour sets already record every bin its own adds and merges saw
 // cross the thresholds, so there is nothing to re-check.
 func (a *AttackCounter) Merge(other *AttackCounter) {
 	if other == nil {
 		return
 	}
-	if len(a.minutes) == 0 && len(a.hours) == 0 {
-		a.minutes, a.hours = other.minutes, other.hours
+	if len(a.bins.index) == 0 && len(a.hours) == 0 {
+		a.bins, a.hours = other.bins, other.hours
 		return
 	}
-	for k, oagg := range other.minutes {
-		agg, ok := a.minutes[k]
+	for k, oagg := range other.bins.index {
+		agg, ok := a.bins.index[k]
 		if !ok {
-			a.minutes[k] = oagg
+			a.bins.index[k] = oagg
 			continue
 		}
 		if agg.counted {
@@ -485,17 +597,9 @@ func (a *AttackCounter) Merge(other *AttackCounter) {
 			set[d] = struct{}{}
 		}
 	}
-	for k := range other.minutes {
-		agg := a.minutes[k]
-		rate := float64(agg.bytes) * 8 / 60
-		if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {
-			hour := k.minute - k.minute%3600
-			set, ok := a.hours[hour]
-			if !ok {
-				set = make(map[[16]byte]struct{})
-				a.hours[hour] = set
-			}
-			set[k.dst] = struct{}{}
+	for k := range other.bins.index {
+		if agg := a.bins.index[k]; a.cfg.passes(minuteRate(agg.bytes), agg.numSources()) {
+			a.count(floorHour(k.minute), k.dst)
 		}
 	}
 }

@@ -20,11 +20,10 @@ import (
 // to as many repeats. Its byte total is 2/3 or 3/2 of one of the two
 // rate thresholds (7.5e8 and 7.5e9 bytes per minute), a coin flip. Forty
 // victims, some sharing a low address byte (the memo's way index),
-// over six hours; about one record in twenty has a benign twin that
-// must be filtered out.
-func genCounterStream(seed int64) []flow.Record {
+// over the six hours from base; about one record in twenty has a benign
+// twin that must be filtered out.
+func genCounterStream(seed int64, base time.Time) []flow.Record {
 	rng := rand.New(rand.NewSource(seed))
-	base := time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)
 	var recs []flow.Record
 	for b := 0; b < 320; b++ {
 		v := rng.Intn(40)
@@ -68,6 +67,23 @@ func genCounterStream(seed int64) []flow.Record {
 	return recs
 }
 
+// counterStreams are the property tests' inputs. Seeds 1–4 are the
+// first four positive integers, fixed before the tests first ran; a
+// failing seed is a finding, never a reason to drop it. Seed 1 runs
+// again from 21:00 on 1969-12-31, so its six hours straddle the Unix
+// epoch, where flooring a minute or an hour and truncating it toward
+// zero disagree.
+var counterStreams = []struct {
+	seed int64
+	base time.Time
+}{
+	{1, time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)},
+	{2, time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)},
+	{3, time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)},
+	{4, time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)},
+	{1, time.Date(1969, 12, 31, 21, 0, 0, 0, time.UTC)},
+}
+
 // splitCounters feeds recs to k counters by assign, which is an
 // arbitrary partition (not by victim, so minute bins split across
 // counters); even counters take records through Add, odd ones through
@@ -93,12 +109,10 @@ func splitCounters(recs []flow.Record, cols *flow.Columns, assign []int, k int, 
 // counters by an arbitrary partition and merged in shuffled order —
 // into a fresh counter (the first merge adopts) and into one of the
 // parts (no merge adopts) — must give the spec's series at every
-// MinSources and rate threshold. Seeds 1–4 are the first four positive
-// integers, fixed before the test first ran; a failing seed is a
-// finding, never a reason to drop it.
+// MinSources and rate threshold, for every stream in counterStreams.
 func TestAttackCounterMatchesReference(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4} {
-		recs := genCounterStream(seed)
+	for _, in := range counterStreams {
+		seed, recs := in.seed, genCounterStream(in.seed, in.base)
 		cols := new(flow.Columns)
 		for i := range recs {
 			cols.AppendRecord(&recs[i])
@@ -114,14 +128,14 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 				noSources.MinSources, noRate.MinRateBps = -1, -1
 				if len(want) == 0 || reflect.DeepEqual(want, specHourly(recs, noSources)) ||
 					reflect.DeepEqual(want, specHourly(recs, noRate)) {
-					t.Fatalf("seed %d %+v: the stream does not exercise both thresholds", seed, cfg)
+					t.Fatalf("seed %d from %v %+v: the stream does not exercise both thresholds", seed, in.base, cfg)
 				}
 				byCols := NewAttackCounter(cfg)
 				for i := range recs {
 					byCols.AddCols(cols, i)
 				}
 				if got := byCols.Series(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %+v column rows:\ngot  %v\nwant %v", seed, cfg, got, want)
+					t.Fatalf("seed %d from %v %+v column rows:\ngot  %v\nwant %v", seed, in.base, cfg, got, want)
 				}
 				for _, k := range []int{1, 2, 3, 5} {
 					assign := make([]int, len(recs))
@@ -136,7 +150,7 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 						fresh.Merge(parts[j])
 					}
 					if got := fresh.Series(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %+v k=%d merged into a fresh counter:\ngot  %v\nwant %v", seed, cfg, k, got, want)
+						t.Fatalf("seed %d from %v %+v k=%d merged into a fresh counter:\ngot  %v\nwant %v", seed, in.base, cfg, k, got, want)
 					}
 
 					parts = splitCounters(recs, cols, assign, k, cfg)
@@ -145,7 +159,7 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 						into.Merge(parts[j])
 					}
 					if got := into.Series(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %+v k=%d merged into a part:\ngot  %v\nwant %v", seed, cfg, k, got, want)
+						t.Fatalf("seed %d from %v %+v k=%d merged into a part:\ngot  %v\nwant %v", seed, in.base, cfg, k, got, want)
 					}
 				}
 			}
@@ -155,28 +169,39 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 
 // TestClassifierMatchesSpec: Figures 2(b) and 2(c) — every victim's
 // peak rate, peak and total source counts and verdict, and the filter's
-// cut — equal the spec's, serially and merged across destination-
-// disjoint parts, through Add and through AddCols.
+// cut — equal the spec's for every stream in counterStreams, through
+// Add and through AddCols: serially, merged across destination-disjoint
+// parts (every merge adopts), and merged across parts split by record
+// index (merges fuse the bins and source sets both parts hold).
 func TestClassifierMatchesSpec(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4} {
-		recs := genCounterStream(seed)
+	for _, in := range counterStreams {
+		seed, recs := in.seed, genCounterStream(in.seed, in.base)
 		cols := new(flow.Columns)
 		for i := range recs {
 			cols.AppendRecord(&recs[i])
 		}
+		splits := []struct {
+			name string
+			k    int
+			part func(i int) uint64
+		}{
+			{"serial", 1, func(int) uint64 { return 0 }},
+			{"by victim", 3, func(i int) uint64 { return pipe.KeyDst(&recs[i]) % 3 }},
+			{"by index", 3, func(i int) uint64 { return uint64(i % 3) }},
+		}
 		for _, cfg := range []Config{{MinRateBps: 1.2e9, MinSources: 40}, {MinRateBps: 1.2e9, MinSources: 300}} {
 			want, wantFS := specVictims(recs, cfg)
 			if wantFS.Conservative == 0 || wantFS.RateOnly == wantFS.Optimistic || wantFS.SourcesOnly == wantFS.Optimistic {
-				t.Fatalf("seed %d %+v: the stream does not exercise both rules: %+v", seed, cfg, wantFS)
+				t.Fatalf("seed %d from %v %+v: the stream does not exercise both rules: %+v", seed, in.base, cfg, wantFS)
 			}
-			for _, k := range []int{1, 3} {
+			for _, split := range splits {
 				for _, columnar := range []bool{false, true} {
-					parts := make([]*Classifier, k)
+					parts := make([]*Classifier, split.k)
 					for j := range parts {
 						parts[j] = New(cfg)
 					}
 					for i := range recs {
-						if p := parts[pipe.KeyDst(&recs[i])%uint64(k)]; columnar {
+						if p := parts[split.part(i)]; columnar {
 							p.AddCols(cols, i)
 						} else {
 							p.Add(&recs[i])
@@ -186,10 +211,10 @@ func TestClassifierMatchesSpec(t *testing.T) {
 						parts[0].Merge(p)
 					}
 					if got := parts[0].Victims(); !reflect.DeepEqual(got, want) {
-						t.Errorf("seed %d %+v k=%d columnar %t: victims differ from the spec", seed, cfg, k, columnar)
+						t.Errorf("seed %d from %v %+v %s columnar %t: victims differ from the spec", seed, in.base, cfg, split.name, columnar)
 					}
 					if got := parts[0].FilterStats(); got != wantFS {
-						t.Errorf("seed %d %+v k=%d columnar %t: filter stats %+v, spec %+v", seed, cfg, k, columnar, got, wantFS)
+						t.Errorf("seed %d from %v %+v %s columnar %t: filter stats %+v, spec %+v", seed, in.base, cfg, split.name, columnar, got, wantFS)
 					}
 				}
 			}
@@ -255,7 +280,7 @@ func TestAttackCounterCapsSources(t *testing.T) {
 			r := ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 486, 1, t0)
 			a.Add(&r)
 		}
-		agg := a.minutes[minuteKey{dst: netip.MustParseAddr("203.0.113.20").As16(), minute: t0.Unix()}]
+		agg := a.bins.index[minuteKey{dst: netip.MustParseAddr("203.0.113.20").As16(), minute: t0.Unix()}]
 		if agg.numSources() != tc.want || (agg.sources != nil) != tc.spill {
 			t.Errorf("MinSources %d: %d sources recorded (spilled %t), want %d (spilled %t)",
 				tc.minSources, agg.numSources(), agg.sources != nil, tc.want, tc.spill)

@@ -170,7 +170,7 @@ type Monitor struct {
 	expired     [][16]byte
 	expiredBins []minuteKey
 	// memoKeys/memoAggs memoize recent bins, direct-mapped by the
-	// victim's low address byte as AttackCounter's memo is. Purely a
+	// victim's low address byte as binTable's memo is. Purely a
 	// cache of the minutes table: emptied whenever eviction drops a
 	// bin, and on Restore.
 	memoKeys [memoWays]minuteKey
@@ -239,17 +239,6 @@ func (ix *minuteIndex[K]) expire(dst []K, horizon int64) []K {
 		ix.buckets = ix.buckets[:n]
 	}
 	return dst
-}
-
-// floorMinute truncates unix seconds to the minute, rounding toward the
-// past on both sides of 1970 — time.Time.Truncate(time.Minute), in
-// integers.
-func floorMinute(unixSec int64) int64 {
-	into := unixSec % 60
-	if into < 0 {
-		into += 60
-	}
-	return unixSec - into
 }
 
 // ceilSeconds and floorSeconds round a duration to whole seconds, so

@@ -103,8 +103,8 @@ func (v *VantageVictims) MaxGbps() float64 {
 }
 
 // classifyStage accumulates one shard's victim classification. The
-// victim-hash fan-out keeps each destination on one shard, so the
-// per-destination map merge in Close is exact.
+// victim-hash fan-out keeps each destination on one shard, so the merge
+// in Close adopts whole victims.
 type classifyStage struct {
 	into *classify.Classifier
 	c    *classify.Classifier
@@ -136,8 +136,8 @@ func (s *classifyStage) Close() error {
 }
 
 // figure2bcSource classifies victims from any record stream, sharded
-// par ways. The classifier is built on per-destination maps of minute
-// maxima and the victim sort breaks ties by address, so any delivery
+// par ways. The classifier's merge is exact for any split of the
+// records and the victim sort breaks ties by address, so any delivery
 // order over the same record multiset yields identical results.
 func figure2bcSource(src takedown.Source, k trafficgen.Kind, par int) (*VantageVictims, error) {
 	c := classify.New(classify.Config{})

@@ -1,8 +1,8 @@
 // Package flow defines the flow record model shared by every vantage
 // point in booterscope: a NetFlow/IPFIX-style 5-tuple record with packet
-// and byte counters, plus aggregation primitives (flow tables keyed on the
-// 5-tuple, per-minute and per-day time bins) that the study's analyses
-// are built on.
+// and byte counters, plus the aggregation primitives the study's
+// analyses are built on: a flow table keyed on the 5-tuple and a
+// bounded set of source addresses.
 package flow
 
 import (
@@ -400,126 +400,3 @@ func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
 	s.overflow = overflow
 	return s
 }
-
-// minuteBin aggregates flow records about a single destination within one
-// minute: the core unit of the paper's victim analysis (max Gbps per
-// minute, unique sources per minute).
-type minuteBin struct {
-	Bytes   uint64
-	Sources map[[16]byte]struct{}
-}
-
-// Rate returns the bin's traffic rate in bits per second.
-func (b *minuteBin) Rate() float64 { return float64(b.Bytes) * 8 / 60 }
-
-// PerDestMinutes indexes minute bins by destination address. Every
-// address is taken in its 16-byte form, as classify's attack counter
-// and monitor take it, so an IPv4 address and its IPv4-mapped IPv6
-// twin are one destination (or one source), and the invalid address
-// is "::".
-type PerDestMinutes struct {
-	bins map[[16]byte]map[int64]*minuteBin
-}
-
-// NewPerDestMinutes returns an empty per-destination aggregator.
-func NewPerDestMinutes() *PerDestMinutes {
-	return &PerDestMinutes{bins: make(map[[16]byte]map[int64]*minuteBin)}
-}
-
-// Add merges a record into its destination's minute bin. Sampled counters
-// are scaled up.
-func (p *PerDestMinutes) Add(rec *Record) {
-	p.AddAs16(rec.Dst.As16(), rec.Src.As16(), rec.Start.Unix(), rec.ScaledBytes())
-}
-
-// AddAs16 is Add of a record given as its destination and source in
-// 16-byte form, its whole start second and its scaled bytes — what a
-// columnar slab holds, so no record is built.
-func (p *PerDestMinutes) AddAs16(dst, src [16]byte, startSec int64, scaledBytes uint64) {
-	minute := startSec - startSec%60
-	if startSec%60 < 0 {
-		minute -= 60
-	}
-	m, ok := p.bins[dst]
-	if !ok {
-		m = make(map[int64]*minuteBin)
-		p.bins[dst] = m
-	}
-	bin, ok := m[minute]
-	if !ok {
-		bin = &minuteBin{Sources: make(map[[16]byte]struct{})}
-		m[minute] = bin
-	}
-	bin.Bytes += scaledBytes
-	bin.Sources[src] = struct{}{}
-}
-
-// Merge folds other into p, adopting other's bins where p has none.
-// other must not be used afterwards. When the two aggregators saw
-// disjoint destination sets — the sharded pipeline routes by
-// destination hash, so they do — the merge is exact: byte sums and
-// source sets per bin equal a single serial pass.
-func (p *PerDestMinutes) Merge(other *PerDestMinutes) {
-	if other == nil {
-		return
-	}
-	for dst, om := range other.bins {
-		m, ok := p.bins[dst]
-		if !ok {
-			p.bins[dst] = om
-			continue
-		}
-		for k, ob := range om {
-			bin, ok := m[k]
-			if !ok {
-				m[k] = ob
-				continue
-			}
-			bin.Bytes += ob.Bytes
-			for src := range ob.Sources {
-				bin.Sources[src] = struct{}{}
-			}
-		}
-	}
-}
-
-// DestSummary condenses one destination's bins into the quantities
-// Figures 2(b) and 2(c) plot.
-type DestSummary struct {
-	// Dst is the destination, an IPv4-mapped address unmapped.
-	Dst netip.Addr
-	// MaxRateBps is the highest one-minute traffic rate in bits/second.
-	MaxRateBps float64
-	// MaxSources is the highest number of unique sources in any minute.
-	MaxSources int
-	// TotalSources is the number of unique sources across all minutes.
-	TotalSources int
-	// Minutes is how many minute bins the destination appears in.
-	Minutes int
-}
-
-// Summaries returns one DestSummary per destination.
-func (p *PerDestMinutes) Summaries() []DestSummary {
-	out := make([]DestSummary, 0, len(p.bins))
-	for dst, m := range p.bins {
-		s := DestSummary{Dst: netip.AddrFrom16(dst).Unmap(), Minutes: len(m)}
-		all := make(map[[16]byte]struct{})
-		for _, bin := range m {
-			if r := bin.Rate(); r > s.MaxRateBps {
-				s.MaxRateBps = r
-			}
-			if n := len(bin.Sources); n > s.MaxSources {
-				s.MaxSources = n
-			}
-			for src := range bin.Sources {
-				all[src] = struct{}{}
-			}
-		}
-		s.TotalSources = len(all)
-		out = append(out, s)
-	}
-	return out
-}
-
-// Len reports the number of destinations tracked.
-func (p *PerDestMinutes) Len() int { return len(p.bins) }

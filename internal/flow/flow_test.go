@@ -173,58 +173,6 @@ func TestTableActiveTimeout(t *testing.T) {
 	}
 }
 
-func TestPerDestMinutes(t *testing.T) {
-	p := NewPerDestMinutes()
-	// 3 sources hitting one victim in the same minute, 1 in the next.
-	for i, src := range []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"} {
-		r := rec(src, "192.0.2.9", 123, 40000, 100, 48600, t0.Add(time.Duration(i)*time.Second))
-		p.Add(&r)
-	}
-	r := rec("10.0.0.1", "192.0.2.9", 123, 40000, 50, 24300, t0.Add(70*time.Second))
-	p.Add(&r)
-	other := rec("10.0.0.9", "203.0.113.4", 123, 40000, 1, 486, t0)
-	p.Add(&other)
-
-	if p.Len() != 2 {
-		t.Fatalf("destinations = %d", p.Len())
-	}
-	sums := p.Summaries()
-	var victim *DestSummary
-	for i := range sums {
-		if sums[i].Dst == addr("192.0.2.9") {
-			victim = &sums[i]
-		}
-	}
-	if victim == nil {
-		t.Fatal("victim summary missing")
-	}
-	if victim.MaxSources != 3 {
-		t.Errorf("MaxSources = %d", victim.MaxSources)
-	}
-	if victim.TotalSources != 3 {
-		t.Errorf("TotalSources = %d", victim.TotalSources)
-	}
-	if victim.Minutes != 2 {
-		t.Errorf("Minutes = %d", victim.Minutes)
-	}
-	wantRate := float64(3*48600) * 8 / 60
-	if victim.MaxRateBps != wantRate {
-		t.Errorf("MaxRateBps = %v, want %v", victim.MaxRateBps, wantRate)
-	}
-}
-
-func TestPerDestMinutesSampling(t *testing.T) {
-	p := NewPerDestMinutes()
-	r := rec("10.0.0.1", "192.0.2.9", 123, 40000, 1, 486, t0)
-	r.SamplingRate = 10000
-	p.Add(&r)
-	s := p.Summaries()[0]
-	wantRate := float64(486*10000) * 8 / 60
-	if s.MaxRateBps != wantRate {
-		t.Errorf("MaxRateBps = %v, want %v (scaled)", s.MaxRateBps, wantRate)
-	}
-}
-
 func BenchmarkTableAdd(b *testing.B) {
 	tbl := NewTable()
 	recs := make([]Record, 1024)
@@ -234,15 +182,6 @@ func BenchmarkTableAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tbl.Add(recs[i%len(recs)])
-	}
-}
-
-func BenchmarkPerDestAdd(b *testing.B) {
-	p := NewPerDestMinutes()
-	r := rec("10.0.0.1", "192.0.2.9", 123, 40000, 100, 48600, t0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Add(&r)
 	}
 }
 

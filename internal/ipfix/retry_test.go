@@ -160,26 +160,3 @@ func TestExporterRedialsAndResendsTemplate(t *testing.T) {
 		t.Fatalf("second message not self-describing after redial: %v", err)
 	}
 }
-
-func TestExporterResendTemplateOnDemand(t *testing.T) {
-	fc := &flakyConn{}
-	e := newExporterConn(fc, 1)
-	for i := 0; i < 3; i++ {
-		if err := e.Export(sampleRecords(1), exportTime); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.ResendTemplate()
-	if err := e.Export(sampleRecords(1), exportTime); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDecoder()
-	if _, err := d.Decode(fc.sent[3]); err != nil {
-		t.Fatalf("message after ResendTemplate not self-describing: %v", err)
-	}
-	// Messages 1 and 2 are data-only (inside the refresh cycle).
-	d2 := NewDecoder()
-	if _, err := d2.Decode(fc.sent[1]); err != errNoTemplate {
-		t.Fatalf("mid-cycle message err = %v, want ErrNoTemplate", err)
-	}
-}

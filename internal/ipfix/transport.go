@@ -133,16 +133,6 @@ func (e *Exporter) SetTemplateRefresh(n int) {
 	e.enc.TemplateRefresh = n
 }
 
-// ResendTemplate forces the next message to carry the template set —
-// on-demand retransmission for a collector known to be missing it.
-//
-//bsvet:allow deadcode no production caller; kept for TestExporterResendTemplateOnDemand (deletion deferred, ROADMAP 8(iv))
-func (e *Exporter) ResendTemplate() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.enc.forceTemplate = true
-}
-
 // Stats returns a snapshot of the exporter's delivery accounting — a
 // view over the same telemetry counters RegisterTelemetry exposes.
 //
