@@ -265,6 +265,36 @@ func TestHotPathGolden(t *testing.T) {
 	runGolden(t, suite, "hotpath")
 }
 
+// TestHotPathGenericShapes pins the budget match for generic code: one
+// entry with a count covers the arena refill of both instantiations,
+// although it spells a struct layout neither type argument has, and the
+// planted escape beside it is still reported.
+func TestHotPathGenericShapes(t *testing.T) {
+	pkg := testdataPath("hotshape")
+	suite := NewSuite(NewHotPath(&Budget{Entries: []budgetEntry{{
+		Pkg:    pkg,
+		Func:   "(*table).get",
+		Value:  "make([]go.shape.struct { " + pkg + ".n uint64; " + pkg + ".gone string }, 256)",
+		Count:  2,
+		Reason: "seeded entry spelled with a stale layout: it must match both instantiations' shapes",
+	}}}))
+	runGolden(t, suite, "hotshape")
+}
+
+func TestNormalizeShapes(t *testing.T) {
+	for in, want := range map[string]string{
+		"make([]go.shape.struct { p.a uint64; p.b [4]uint8 }, 256)": "make([]go.shape, 256)",
+		"make(map[go.shape.int]go.shape.*uint8)":                    "make(map[go.shape]go.shape)",
+		"f(go.shape.[]int, go.shape.struct {})":                     "f(go.shape, go.shape)",
+		"&monAgg{...}":                                              "&monAgg{...}",
+		"go.shape.string escapes":                                   "go.shape escapes",
+	} {
+		if got := normalizeShapes(in); got != want {
+			t.Errorf("normalizeShapes(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 // TestHotPathInjectedEscape is the end-to-end driver contract: writing
 // a new allocation into an annotated function makes the analyzer fail
 // with a diagnostic positioned at the escape and naming the escaping

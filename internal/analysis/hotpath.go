@@ -70,7 +70,9 @@ type Budget struct {
 	// Entries lists the allowed escapes. Each names the package, the
 	// annotated function, the escaping value as the compiler prints it,
 	// and why the escape is acceptable; Count bounds how many distinct
-	// source positions of that value may escape (0 means 1).
+	// escapes of that value may be covered (0 means 1): source
+	// positions, and for a generic function each instantiation's, since
+	// values match with their GC shapes normalised (normalizeShapes).
 	Entries []budgetEntry `json:"entries"`
 }
 
@@ -367,8 +369,9 @@ func (h *HotPath) budgeted(pkg *Pkg, fn *hotFunc, e escape, used map[int]int) bo
 	if h.Budget == nil {
 		return false
 	}
+	value := normalizeShapes(e.value)
 	for i, entry := range h.Budget.Entries {
-		if entry.Pkg != pkg.Path || entry.Func != fn.name || entry.Value != e.value {
+		if entry.Pkg != pkg.Path || entry.Func != fn.name || normalizeShapes(entry.Value) != value {
 			continue
 		}
 		limit := entry.Count
@@ -381,6 +384,56 @@ func (h *HotPath) budgeted(pkg *Pkg, fn *hotFunc, e escape, used map[int]int) bo
 		}
 	}
 	return false
+}
+
+// normalizeShapes replaces each GC shape in an escaping value's text
+// ("go.shape.struct { pkg.a uint64; pkg.b bool }", "go.shape.int") with
+// a bare "go.shape". The compiler names a generic function's escapes by
+// the shape of each instantiation, which for a struct type argument
+// spells its whole field list; matched as written, a budget entry would
+// need one spelling per instantiation and go stale whenever a field of
+// a type argument changed. Budget values and escapes are both
+// normalised, so one entry with a count covers every instantiation of
+// the allocation.
+func normalizeShapes(v string) string {
+	const shape = "go.shape."
+	var b strings.Builder
+	for {
+		i := strings.Index(v, shape)
+		if i < 0 {
+			return b.String() + v
+		}
+		b.WriteString(v[:i] + "go.shape")
+		v = v[i+len(shape):]
+		v = v[shapeLen(v):]
+	}
+}
+
+// shapeLen is the length of the shape type at the start of v: up to the
+// first comma, space or closing bracket outside brackets and braces, a
+// space that opens a struct's field list excepted.
+func shapeLen(v string) int {
+	depth := 0
+	for j := 0; j < len(v); j++ {
+		switch v[j] {
+		case '{', '(', '[':
+			depth++
+		case '}', ')', ']':
+			if depth == 0 {
+				return j
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				return j
+			}
+		case ' ':
+			if depth == 0 && !strings.HasPrefix(v[j:], " {") {
+				return j
+			}
+		}
+	}
+	return len(v)
 }
 
 // positionIn reconstructs an absolute position for an escape (the

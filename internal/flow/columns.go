@@ -51,8 +51,14 @@ const (
 
 // AddrHalves splits an address's 16-byte form into two big-endian
 // uint64 halves. Invalid addresses yield zero halves; flag bits record
-// validity and the 4/16 distinction so reconstruction is exact.
+// validity and the 4/16 distinction so reconstruction is exact. An IPv4
+// address's 16-byte form is ::ffff:a.b.c.d, so its halves are built
+// from the four bytes directly.
 func AddrHalves(a netip.Addr) (hi, lo uint64) {
+	if a.Is4() {
+		b := a.As4()
+		return 0, 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:]))
+	}
 	b := a.As16()
 	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -294,6 +295,38 @@ func TestSourceSetMatchesMapReference(t *testing.T) {
 		}
 		if limit == 0 && got.set == nil {
 			t.Fatal("the unbounded set never spilled: the boundary was not crossed")
+		}
+	}
+}
+
+// TestAddrHalvesMatchesAs16 holds AddrHalves's IPv4 shortcut to the
+// halves of the 16-byte form, for IPv4, IPv4-mapped IPv6, IPv6 and
+// invalid addresses.
+func TestAddrHalvesMatchesAs16(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	addrs := []netip.Addr{
+		{},
+		netip.MustParseAddr("0.0.0.0"),
+		netip.MustParseAddr("255.255.255.255"),
+		netip.MustParseAddr("::ffff:0.0.0.0"),
+		netip.MustParseAddr("::ffff:255.255.255.255"),
+		netip.MustParseAddr("::"),
+		netip.MustParseAddr("::1"),
+		netip.MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+	}
+	for i := 0; i < 5000; i++ {
+		var b [16]byte
+		rng.Read(b[:])
+		addrs = append(addrs,
+			netip.AddrFrom4([4]byte(b[:4])),
+			netip.AddrFrom16(netip.AddrFrom4([4]byte(b[4:8])).As16()),
+			netip.AddrFrom16(b))
+	}
+	for _, a := range addrs {
+		b := a.As16()
+		wantHi, wantLo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+		if hi, lo := AddrHalves(a); hi != wantHi || lo != wantLo {
+			t.Fatalf("AddrHalves(%v) = %#x, %#x; the 16-byte form says %#x, %#x", a, hi, lo, wantHi, wantLo)
 		}
 	}
 }

@@ -144,8 +144,12 @@ type Store struct {
 	sealing []*segmentWriter
 	rec     RecoveryReport
 	closed  bool
-	// flushers counts the running flusher goroutines Close joins.
+	// flushers counts the running flusher and syncer goroutines Close
+	// joins.
 	flushers sync.WaitGroup
+	// syncHook, when set, runs on a syncer just before each seal's fsync:
+	// tests use it to hold an fsync.
+	syncHook func()
 
 	// acct guards the ledger, the bytes-on-disk figure and the first
 	// flusher error not yet returned, all of which the flushers update
@@ -163,7 +167,7 @@ type Store struct {
 }
 
 // shardWriter routes one shard's records into per-partition segments
-// and owns the shard's flusher (flusher.go).
+// and owns the shard's flusher and syncer (flusher.go).
 type shardWriter struct {
 	id       int
 	dir      string
@@ -171,12 +175,19 @@ type shardWriter struct {
 	segSeq   int
 	maxPart  int64
 	havePart bool
+	// last is the open writer the shard's previous record went to, so a
+	// run of records in one partition skips the map; a seal clears it.
+	last *segmentWriter
 
 	// jobs carries blocks and seals to the flusher in hand-off order;
-	// free carries emptied staging slabs back; pending counts jobs handed
-	// but not finished. primed records that the shard's slab budget has
-	// been allocated, at its first full block.
+	// tokens holds one entry per block handed and not yet written; syncs
+	// carries seals from the flusher to the syncer; free carries emptied
+	// staging slabs back; pending counts jobs handed but not finished,
+	// seals until the syncer is done with them. primed records that the
+	// shard's slab budget has been allocated, at its first full block.
 	jobs    chan flushJob
+	tokens  chan struct{}
+	syncs   chan flushJob
 	free    chan *flow.Columns
 	pending sync.WaitGroup
 	primed  bool
@@ -200,7 +211,7 @@ const (
 )
 
 // fnvPrimePow[k] is fnvPrime64 to the k-th power.
-var fnvPrimePow = func() (p [9]uint64) {
+var fnvPrimePow = func() (p [11]uint64) {
 	p[0] = 1
 	for k := 1; k < len(p); k++ {
 		p[k] = p[k-1] * fnvPrime64
@@ -226,18 +237,54 @@ func fnv1a(h, v uint64, n int) uint64 {
 	return h
 }
 
+// fnvV4Src is the FNV-1a state after an IPv4 source's ::ffff: prefix:
+// ten zero bytes, then 0xff twice.
+var fnvV4Src = fnvV4Prefix(fnvOffset64)
+
+// fnvV4Prefix folds the ::ffff: prefix of an IPv4 address's 16-byte
+// form into h: the ten zero bytes are one multiply, the two 0xff bytes
+// one step each.
+//
+//bsvet:hotpath
+func fnvV4Prefix(h uint64) uint64 {
+	h *= fnvPrimePow[10]
+	h = (h ^ 0xff) * fnvPrime64
+	return (h ^ 0xff) * fnvPrime64
+}
+
+// fnvV4 folds the four bytes of v, most significant first, into h.
+//
+//bsvet:hotpath
+func fnvV4(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v>>24)) * fnvPrime64
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+	return (h ^ uint64(v&0xff)) * fnvPrime64
+}
+
 // shardOf routes a record to a shard by the FNV-1a hash of its flow
 // key: source and destination in 16-byte form, both ports big-endian,
 // protocol. The hash is fixed (not per-process seeded) so the same
 // input always produces the same shard layout — replay determinism
-// extends to the bytes on disk.
+// extends to the bytes on disk. When both 16-byte forms are
+// ::ffff:a.b.c.d (IPv4 and IPv4-mapped addresses), their constant
+// 12-byte prefixes are folded in closed form and only the variable
+// bytes are hashed one at a time.
 //
 //bsvet:hotpath
 func shardOf(r *flow.Record, shards int) int {
 	shi, slo := flow.AddrHalves(r.Src)
 	dhi, dlo := flow.AddrHalves(r.Dst)
-	h := fnv1a(fnv1a(fnv1a(fnv1a(fnvOffset64, shi, 8), slo, 8), dhi, 8), dlo, 8)
-	h = fnv1a(h, uint64(r.SrcPort)<<24|uint64(r.DstPort)<<8|uint64(r.Protocol), 5)
+	key := uint64(r.SrcPort)<<24 | uint64(r.DstPort)<<8 | uint64(r.Protocol)
+	var h uint64
+	if shi == 0 && slo>>32 == 0xffff && dhi == 0 && dlo>>32 == 0xffff {
+		h = fnvV4(fnvV4Prefix(fnvV4(fnvV4Src, uint32(slo))), uint32(dlo))
+		h = fnvV4(h, uint32(key>>8)) // both ports
+		h = (h ^ key&0xff) * fnvPrime64
+	} else {
+		h = fnv1a(fnv1a(fnv1a(fnv1a(fnvOffset64, shi, 8), slo, 8), dhi, 8), dlo, 8)
+		h = fnv1a(h, key, 5)
+	}
 	return int(h % uint64(shards))
 }
 
@@ -291,13 +338,18 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.onDisk = onDisk
 	s.acct.Unlock()
 	for _, sw := range s.shards {
-		sw.jobs = make(chan flushJob, flushQueue)
+		// Blocks are bounded by the tokens; the rest of the queue is room
+		// for seals.
+		sw.jobs = make(chan flushJob, flushQueue+sealQueue)
+		sw.tokens = make(chan struct{}, flushQueue)
+		sw.syncs = make(chan flushJob, sealQueue)
 		// Room for the slab budget twice over: a shard that briefly had
 		// many partitions open keeps a few of their slabs, the collector
 		// gets the rest.
 		sw.free = make(chan *flow.Columns, 2*shardSlabs)
-		s.flushers.Add(1)
+		s.flushers.Add(2)
 		go s.flush(sw)
+		go s.syncSeals(sw)
 	}
 	registerOpen(s)
 	return s, nil
@@ -456,14 +508,6 @@ func (s *Store) Meta() map[string]string {
 //bsvet:allow deadcode oracle: TestCrashRecovery and TestHostileSealedSegment locate the segment files with it
 func (s *Store) Dir() string { return s.dir }
 
-// partitionOf truncates a record start time to its partition.
-func (s *Store) partitionOf(t time.Time) int64 {
-	psec := int64(s.opts.Partition / time.Second)
-	sec := t.Unix()
-	p := sec - mod(sec, psec)
-	return p
-}
-
 // mod is a non-negative modulo (records before 1970 still partition).
 func mod(a, b int64) int64 {
 	m := a % b
@@ -474,8 +518,10 @@ func mod(a, b int64) int64 {
 }
 
 // Append routes a batch of records into the shard writers and stages
-// them in their open segments; full blocks go to the shards' flushers.
-// Append waits only when a shard's flusher has all its slabs in flight.
+// them in their open segments; full blocks go to the shards' flushers,
+// and the segments a new partition retires go to be sealed. Append waits
+// only when flushQueue blocks of a shard are in flight, never for a
+// seal's fsync, which the shard's syncer runs (flusher.go).
 // Partial failures do not abort the batch: a block an injected fault
 // refuses has its records counted dropped, and the first error is
 // returned after the batch completes. A real write or fsync error on a
@@ -489,17 +535,23 @@ func (s *Store) Append(records []flow.Record) error {
 	}
 	start := time.Now() //bsvet:allow determinism ingest latency telemetry measures host time, not simulated time
 	metricIngestRecords.Add(uint64(len(records)))
+	psec := int64(s.opts.Partition / time.Second)
 	var firstErr error
 	for i := range records {
 		r := &records[i]
 		sw := s.shards[shardOf(r, s.opts.Shards)]
-		w, err := s.segmentFor(sw, s.partitionOf(r.Start))
-		if err != nil {
-			s.dropRecords(1)
-			if firstErr == nil {
-				firstErr = err
+		w := sw.last
+		if sec := r.Start.Unix(); w == nil || sec < w.part || sec >= w.part+psec {
+			var err error
+			w, err = s.segmentFor(sw, sec-mod(sec, psec))
+			if err != nil {
+				s.dropRecords(1)
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
-			continue
+			sw.last = w
 		}
 		if w.add(r, s.opts.BlockRecords) {
 			if err := s.handOff(w, false); err != nil && firstErr == nil {
@@ -556,6 +608,7 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 func (s *Store) sealSegment(sw *shardWriter, part int64) error {
 	w := sw.open[part]
 	delete(sw.open, part)
+	sw.last = nil
 	return s.handOff(w, true)
 }
 

@@ -5,36 +5,47 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"booterscope/internal/flow"
 	"booterscope/internal/telemetry/eventlog"
 )
 
-// The write path's second half. Every shard has one flusher goroutine,
-// started by Open and joined by Close, with its own blockEncoder. Append
-// hands it a block when an open segment's staging slab fills and Seal
-// hands it each segment to seal; the flusher sorts (when the block came
-// in out of order), encodes and writes each block, returns the emptied
-// slab, and on seal fsyncs and closes the file. A shard's jobs run in
-// hand-off order, so its segment files hold exactly the bytes a
-// synchronous writer would have written.
+// The write path's second half. Every shard has one flusher goroutine
+// and one syncer goroutine, started by Open and joined by Close. Append
+// hands the flusher a block when an open segment's staging slab fills,
+// and Append and Seal hand it each segment to seal; the flusher sorts
+// (when the block came in out of order), encodes and writes each block
+// and returns the emptied slab. A seal's last block is written the same
+// way; the flusher then passes the segment to the syncer, which fsyncs
+// and closes it, so while one segment fsyncs the next blocks still
+// encode and write. A shard's jobs run in hand-off order and its seals
+// reach the syncer in seal order, so its segment files hold exactly the
+// bytes a synchronous writer would have written.
 //
 // WriteFault: block writes ("block-write shard N") are checked on the
 // caller, in handOff, in the order Append stages blocks — a synchronous
 // writer's order up to a real write error. Only the flusher learns that
 // such an error broke a segment, so the caller still checks the segment's
 // later blocks, which a synchronous writer dropped unchecked. Seal fsyncs
-// ("segment-fsync shard N") are checked on the flusher, so with several
-// shards they interleave with the caller's ops by scheduling.
+// ("segment-fsync shard N") are checked on the syncer, so they interleave
+// with the caller's ops by scheduling.
 //
 // Memory and backpressure: a shard stages into shardSlabs slabs of
-// BlockRecords rows — one for the open segment, the rest queued, being
-// written, or free — plus one per further open partition. Append waits
-// only when the flusher has flushQueue jobs queued and one in hand, that
-// is when every other slab of the shard is in flight.
+// BlockRecords rows — one for the open segment, flushQueue for blocks
+// handed to the flusher and not yet written, one for the last block of
+// a segment being sealed — plus one per further open partition. Each
+// block hand-off takes one of the shard's flushQueue tokens and the
+// flusher returns it once the block is written, so Append waits only
+// when flushQueue blocks of its shard are in flight (the wait is
+// flowstore_ingest_wait_seconds). A seal takes no token: the slab it
+// carries is its own partition's, so Append never waits behind a seal's
+// fsync. Only when sealQueue seals wait for the syncer does the flusher
+// stop, and its blocks then hold up Append through the tokens.
 const (
 	flushQueue = 2
 	shardSlabs = flushQueue + 2
+	sealQueue  = 2
 )
 
 // flushJob is one unit of a flusher's work: a block to write (cols
@@ -115,6 +126,9 @@ func (s *Store) handOff(w *segmentWriter, seal bool) error {
 		s.sealing = append(s.sealing, w)
 	}
 	sw.pending.Add(1)
+	if !seal {
+		sw.takeToken()
+	}
 	sw.jobs <- j
 	if !seal {
 		if !sw.primed {
@@ -134,10 +148,26 @@ func (s *Store) handOff(w *segmentWriter, seal bool) error {
 	return err
 }
 
+// takeToken takes one of the shard's block tokens, waiting for the
+// flusher to write a block when all of them are in flight. Only a wait
+// is timed, so a hand-off that finds a token pays for no clock read.
+func (sw *shardWriter) takeToken() {
+	select {
+	case sw.tokens <- struct{}{}:
+		return
+	default:
+	}
+	start := time.Now() //bsvet:allow determinism ingest wait telemetry measures host time, not simulated time
+	sw.tokens <- struct{}{}
+	metricIngestWait.ObserveDuration(time.Since(start)) //bsvet:allow determinism ingest wait telemetry measures host time, not simulated time
+}
+
 // flush is a shard's flusher: it runs the shard's jobs in hand-off order
-// until Close closes the queue.
+// until Close closes the queue, passing each seal to the syncer once its
+// last block is written, and then stops the syncer.
 func (s *Store) flush(sw *shardWriter) {
 	defer s.flushers.Done()
+	defer close(sw.syncs)
 	var enc blockEncoder
 	for j := range sw.jobs {
 		if j.cols != nil {
@@ -148,9 +178,21 @@ func (s *Store) flush(sw *shardWriter) {
 			sw.recycle(j.cols)
 		}
 		if j.seal {
-			if err := s.finishSegment(j.w, j.failed); err != nil {
-				s.noteFlushErr(err)
-			}
+			sw.syncs <- j // the syncer finishes the job
+			continue
+		}
+		<-sw.tokens
+		sw.pending.Done()
+	}
+}
+
+// syncSeals is a shard's syncer: it finishes the seals the flusher
+// passes it, in seal order, until the flusher stops.
+func (s *Store) syncSeals(sw *shardWriter) {
+	defer s.flushers.Done()
+	for j := range sw.syncs {
+		if err := s.finishSegment(j.w, j.failed); err != nil {
+			s.noteFlushErr(err)
 		}
 		sw.pending.Done()
 	}
@@ -197,8 +239,8 @@ func (s *Store) writeBlock(enc *blockEncoder, w *segmentWriter, c *flow.Columns,
 	return nil
 }
 
-// finishSegment is the flusher's half of a seal, after the segment's
-// last block: fsync (unless NoSync), close, and mark the segment ready
+// finishSegment is the syncer's half of a seal, after the segment's
+// last block is written: fsync (unless NoSync), close, and mark the segment ready
 // for the manifest. A segment whose last block was refused, that a write
 // error broke, or whose fsync or close fails stays out of the manifest;
 // the blocks it has on disk are the next Open's to recover. An empty
@@ -235,7 +277,7 @@ func (s *Store) finishSegment(w *segmentWriter, failed bool) error {
 
 // syncClose fsyncs (unless NoSync) and closes w's file; a segment a write
 // error broke is closed unsynced. The fsync consults WriteFault first, on
-// the flusher, so a chaos test can fail a seal after its blocks are
+// the syncer, so a chaos test can fail a seal after its blocks are
 // written.
 func (s *Store) syncClose(w *segmentWriter) error {
 	if w.broken {
@@ -243,6 +285,9 @@ func (s *Store) syncClose(w *segmentWriter) error {
 		return fmt.Errorf("flowstore: segment %s %w", w.path, errSegmentBroken)
 	}
 	if !s.opts.NoSync {
+		if s.syncHook != nil {
+			s.syncHook()
+		}
 		var err error
 		if fp := s.opts.WriteFault; fp != nil {
 			err = fp.Check(fmt.Sprintf("segment-fsync shard %d", w.sw.id))
@@ -268,8 +313,8 @@ func (s *Store) noteFlushErr(err error) {
 	s.acct.Unlock()
 }
 
-// quiesceLocked waits until every flusher has finished what it was
-// handed, then records the segments they sealed in the in-memory
+// quiesceLocked waits until every flusher and syncer has finished what
+// it was handed, then records the segments they sealed in the in-memory
 // manifest, in the order they were handed off to be sealed. Called with
 // s.mu held.
 func (s *Store) quiesceLocked() {

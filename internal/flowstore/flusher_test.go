@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,5 +307,122 @@ func TestFlushedBytesIndependentOfScheduling(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSealNeverWaits holds a seal's fsync on the syncer and shows that
+// nothing on Append's path waits for it: the Append that seals returns,
+// as do the Appends behind it, until the flusher itself stops — sealQueue
+// further seals wait for the held syncer, and the flusher holds the next
+// — and flushQueue blocks are in flight behind it. Only the next block
+// waits, and the wait is counted. A quiescent point waits for the fsync,
+// and lists each segment only once its fsync has run.
+func TestSealNeverWaits(t *testing.T) {
+	const blockRecords = 8
+	s, err := Open(t.TempDir(), Options{Shards: 1, BlockRecords: blockRecords, Partition: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{}, 64) // one entry per fsync reached
+	release := make(chan struct{})
+	var synced atomic.Int64 // fsyncs let through
+	s.syncHook = func() {
+		held <- struct{}{}
+		<-release
+		synced.Add(1)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+		s.Close()
+	}()
+
+	rng := rand.New(rand.NewSource(71))
+	// at draws n records starting in the given hour, in start order.
+	at := func(hour, n int) []flow.Record {
+		recs := genFlows(rng, testBase, 1, n)
+		for i := range recs {
+			recs[i].Start = testBase.Add(time.Duration(hour)*time.Hour + time.Duration(i)*time.Second)
+			recs[i].End = recs[i].Start.Add(time.Second)
+		}
+		return recs
+	}
+	appendAsync := func(recs []flow.Record) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- s.Append(recs) }()
+		return done
+	}
+	returns := func(done <-chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited for the held fsync", what)
+		}
+	}
+
+	returns(appendAsync(at(0, 3)), "Append opening hour 0")
+	// Hour 2 seals hour 0, whose fsync the hook then holds.
+	returns(appendAsync(at(2, 3)), "Append sealing hour 0")
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hour 0's seal never reached its fsync")
+	}
+	// Each further partition seals the one before; sealQueue of those
+	// seals wait for the syncer and the flusher holds the next.
+	hour := 2
+	for range sealQueue + 1 {
+		hour += 2
+		returns(appendAsync(at(hour, 3)), fmt.Sprintf("Append sealing hour %d", hour-2))
+	}
+	waits := metricIngestWait.Snapshot().Count
+	// The open partition's blocks queue behind the held seal: flushQueue
+	// of them take the tokens, and the next waits.
+	for i := range flushQueue {
+		returns(appendAsync(at(hour, blockRecords)), fmt.Sprintf("Append handing off block %d", i+1))
+	}
+	blocked := appendAsync(at(hour, blockRecords))
+	select {
+	case err := <-blocked:
+		t.Fatalf("Append returned (%v) with %d blocks in flight behind a stopped flusher", err, flushQueue)
+	case <-time.After(100 * time.Millisecond):
+	}
+	listed := make(chan []SegmentEntry, 1)
+	go func() { listed <- s.Segments() }()
+	select {
+	case segs := <-listed:
+		t.Fatalf("Segments returned %d entries while a seal's fsync was held", len(segs))
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	close(release)
+	released = true
+	returns(blocked, "Append waiting for a block token")
+	if got := metricIngestWait.Snapshot().Count - waits; got != 1 {
+		t.Errorf("flowstore_ingest_wait_seconds counted %d waits, want 1", got)
+	}
+	segs := <-listed
+	if n := synced.Load(); int64(len(segs)) > n {
+		t.Fatalf("Segments listed %d segments after %d fsyncs", len(segs), n)
+	}
+	if len(segs) != sealQueue+2 {
+		t.Fatalf("Segments listed %d segments, want the %d sealed", len(segs), sealQueue+2)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	segs = s.Segments()
+	if n := synced.Load(); len(segs) != sealQueue+3 || int64(len(segs)) != n {
+		t.Fatalf("after Seal: %d segments listed, %d fsyncs run; want %d of each", len(segs), n, sealQueue+3)
+	}
+	st := s.Stats()
+	if want := uint64(3*(sealQueue+3) + (flushQueue+1)*blockRecords); st.RecordsDurable != want || ledgerErr(st) != nil {
+		t.Fatalf("stats %+v, want %d records durable", st, want)
 	}
 }

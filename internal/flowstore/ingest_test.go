@@ -426,6 +426,57 @@ func TestShardOfMatchesBytewise(t *testing.T) {
 	}
 }
 
+// TestShardOfFastPathMatchesBytewise holds shardOf's IPv4 closed form to
+// the byte-wise loop: random keys whose addresses are both IPv4 (the
+// closed form), both IPv4-mapped IPv6 or one of each (the same 16-byte
+// forms, so the same hash), and keys that mix IPv4 with IPv6 or an
+// invalid address (the general path).
+func TestShardOfFastPathMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	v4 := func() netip.Addr {
+		var b [4]byte
+		rng.Read(b[:])
+		return netip.AddrFrom4(b)
+	}
+	mapped := func() netip.Addr { return netip.AddrFrom16(v4().As16()) }
+	v6 := func() netip.Addr {
+		var b [16]byte
+		rng.Read(b[:])
+		return netip.AddrFrom16(b)
+	}
+	invalid := func() netip.Addr { return netip.Addr{} }
+	pairs := []struct {
+		name     string
+		src, dst func() netip.Addr
+	}{
+		{"v4/v4", v4, v4},
+		{"mapped/mapped", mapped, mapped},
+		{"v4/mapped", v4, mapped},
+		{"mapped/v4", mapped, v4},
+		{"v4/v6", v4, v6},
+		{"v6/v4", v6, v4},
+		{"v4/invalid", v4, invalid},
+		{"invalid/v4", invalid, v4},
+	}
+	for _, p := range pairs {
+		n := 2000
+		if p.name == "v4/v4" {
+			n = 20000
+		}
+		for i := 0; i < n; i++ {
+			r := flow.Record{Key: flow.Key{
+				Src: p.src(), Dst: p.dst(),
+				SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Protocol: uint8(rng.Uint32()),
+			}}
+			for _, shards := range []int{1, 4, 7, math.MaxInt64} {
+				if got, want := shardOf(&r, shards), refShardOf(&r, shards); got != want {
+					t.Fatalf("%s: shardOf(%+v, %d) = %d, byte-wise loop says %d", p.name, r.Key, shards, got, want)
+				}
+			}
+		}
+	}
+}
+
 // appendBatch draws n records whose starts rise evenly from testBase
 // across span — one Append call's worth — in arrival order or shuffled.
 func appendBatch(n int, span time.Duration, shuffled bool) []flow.Record {

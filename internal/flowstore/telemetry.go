@@ -25,6 +25,7 @@ var (
 	metricRecordsScanned   = telemetry.NewCounter()
 	metricRecordsMatched   = telemetry.NewCounter()
 	metricIngestSeconds    = telemetry.NewHistogram()
+	metricIngestWait       = telemetry.NewHistogram()
 	metricScanSeconds      = telemetry.NewHistogram()
 )
 
@@ -81,6 +82,7 @@ func RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister("flowstore_scan_records_total", "records decoded by scans", metricRecordsScanned)
 	r.MustRegister("flowstore_scan_matched_records_total", "records matching scan predicates", metricRecordsMatched)
 	r.MustRegister("flowstore_ingest_batch_seconds", "Append batch latency", metricIngestSeconds)
+	r.MustRegister("flowstore_ingest_wait_seconds", "time Append waited for a shard's flusher to write a block, observed only when a hand-off found every block token in flight", metricIngestWait)
 	r.MustRegister("flowstore_scan_seconds", "full Scan call latency", metricScanSeconds)
 	r.MustRegister("flowstore_bytes_on_disk", "segment bytes on disk across open stores", bytesOnDisk)
 }
