@@ -94,12 +94,14 @@ var deterministicPackages = []string{
 
 // lifecyclePackages are the long-running packages where every spawned
 // goroutine must have a reachable shutdown path (DESIGN.md §15): the
-// daemon itself, the batch pipeline, the federated query plane, the
-// wire-protocol endpoints, the flow archive, and the debug server.
+// daemon itself, the batch pipeline, the replay's worker runner, the
+// federated query plane, the wire-protocol endpoints, the flow archive,
+// and the debug server.
 // One-shot cmd binaries and test-support packages may fire and forget.
 var lifecyclePackages = []string{
 	"booterscope/internal/service",
 	"booterscope/internal/pipe",
+	"booterscope/internal/takedown",
 	"booterscope/internal/federation",
 	"booterscope/internal/ipfix",
 	"booterscope/internal/flowstore",

@@ -36,7 +36,7 @@ type check struct {
 
 type harness struct {
 	checks []check
-	// par is the pipeline shard count for the record analyses (0 =
+	// par is the replay worker count for the record analyses (0 =
 	// NumCPU); results are identical at any setting.
 	par int
 	// stdout receives the progress lines printed before the table.
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		seed  = fs.Uint64("seed", 1, "random seed")
 		scale = fs.Float64("scale", 0.3, "traffic scale for landscape/takedown studies")
-		par   = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
+		par   = fs.Int("parallelism", 0, "replay worker count: 0 = NumCPU, 1 = serial (results identical)")
 	)
 	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Float64("scale", 0.5, "traffic scale factor")
 		days     = fs.Int("days", 122, "days of traffic (122 spans the seizure ±~60 days)")
 		storeDir = fs.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
-		par      = fs.Int("parallelism", 0, "pipeline shard count: 0 = NumCPU, 1 = serial (results identical)")
+		par      = fs.Int("parallelism", 0, "replay worker count: 0 = NumCPU, 1 = serial (results identical)")
 	)
 	debugAddr := debugserver.AddrFlag(fs)
 	if err := fs.Parse(args); err != nil {

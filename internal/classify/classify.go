@@ -562,9 +562,12 @@ func (a *AttackCounter) count(hour int64, dst [16]byte) {
 // too: if either side is full the union is, and if neither is, both
 // are exact.
 //
-// A receiver that holds nothing adopts other's tables instead: other's
-// hour sets already record every bin its own adds and merges saw
-// cross the thresholds, so there is nothing to re-check.
+// A bin only other holds is adopted as it is, with nothing to
+// re-check: other's hour sets already record every bin its own adds
+// and merges saw cross the thresholds. So a receiver that holds
+// nothing adopts other's tables whole, and counters over disjoint
+// minutes (a replay's workers, which read whole days) merge by
+// inserting.
 func (a *AttackCounter) Merge(other *AttackCounter) {
 	if other == nil {
 		return
@@ -586,6 +589,9 @@ func (a *AttackCounter) Merge(other *AttackCounter) {
 		}
 		agg.bytes += oagg.bytes
 		oagg.eachSource(func(src [16]byte) { agg.addSource(src, a.limit) })
+		if a.cfg.passes(minuteRate(agg.bytes), agg.numSources()) {
+			a.count(floorHour(k.minute), k.dst)
+		}
 	}
 	for hour, oset := range other.hours {
 		set, ok := a.hours[hour]
@@ -595,11 +601,6 @@ func (a *AttackCounter) Merge(other *AttackCounter) {
 		}
 		for d := range oset {
 			set[d] = struct{}{}
-		}
-	}
-	for k := range other.bins.index {
-		if agg := a.bins.index[k]; a.cfg.passes(minuteRate(agg.bytes), agg.numSources()) {
-			a.count(floorHour(k.minute), k.dst)
 		}
 	}
 }

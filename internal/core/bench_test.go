@@ -38,17 +38,17 @@ func benchArchive(tb testing.TB) (*ReplayStudy, uint64) {
 	return replay, recs
 }
 
-// pipelineAnalyze is the batch-pipeline path: one unordered
-// ScanBatches pass fanned out across par shards, producing Figure 4,
-// Figure 5, and the robustness ablation together.
+// pipelineAnalyze is the replay path: one partition scan on par
+// workers, producing Figure 4, Figure 5, and the robustness ablation
+// together.
 func pipelineAnalyze(r *ReplayStudy, k trafficgen.Kind, par int) error {
 	r.Parallelism = par
 	_, err := r.Analyze(k)
 	return err
 }
 
-// BenchmarkPipelineAnalyze runs the batch pipeline (single unordered
-// scan, sharded stages) at one and four shards on the same archive;
+// BenchmarkPipelineAnalyze runs the replay path (one partition scan,
+// per-worker stages) at one and four workers on the same archive;
 // go run ./bench is where replay throughput is measured.
 func BenchmarkPipelineAnalyze(b *testing.B) {
 	replay, recs := benchArchive(b)

@@ -16,9 +16,9 @@ type PacketSizeDistribution struct {
 	FractionBelow200 float64
 }
 
-// histStage accumulates one shard's NTP packet size histogram. Bin
-// counts are integer adds, so the shard merge is exact under any
-// routing and delivery order.
+// histStage accumulates one worker's NTP packet size histogram. Bin
+// counts are integer adds, so the worker merge is exact under any
+// split and delivery order.
 type histStage struct {
 	into *stats.Histogram
 	h    *stats.Histogram
@@ -57,19 +57,19 @@ func (s *histStage) Process(b *pipe.Batch) error {
 	return nil
 }
 
-// Close implements pipe.Stage: the exact shard merge.
+// Close implements pipe.Stage: the exact worker merge.
 func (s *histStage) Close() error {
 	s.into.Merge(s.h)
 	return nil
 }
 
 // figure2aSource accumulates the packet size distribution from any
-// record stream — live generation or a flowstore replay — sharded par
-// ways. Histogram adds are commutative, so the result is independent
-// of record order and shard count.
-func figure2aSource(src takedown.Source, par int) (*PacketSizeDistribution, error) {
+// record stream — live generation or a flowstore replay — on par
+// workers. Histogram adds are commutative, so the result is independent
+// of record order and worker count.
+func figure2aSource(sc takedown.Scanner, par int) (*PacketSizeDistribution, error) {
 	h := stats.NewHistogram(0, 1500, 75) // 20-byte bins
-	err := takedown.RunSharded(src, par, func() pipe.Stage { return newHistStage(h) })
+	err := takedown.Run(sc, par, func() pipe.Stage { return newHistStage(h) })
 	if err != nil {
 		return nil, err
 	}
@@ -102,9 +102,10 @@ func (v *VantageVictims) MaxGbps() float64 {
 	return max
 }
 
-// classifyStage accumulates one shard's victim classification. The
-// victim-hash fan-out keeps each destination on one shard, so the merge
-// in Close adopts whole victims.
+// classifyStage accumulates one worker's victim classification. A
+// victim's records may reach several workers (a replay splits by day);
+// the merge in Close fuses their (victim, minute) bins and per-victim
+// source sets exactly.
 type classifyStage struct {
 	into *classify.Classifier
 	c    *classify.Classifier
@@ -129,19 +130,19 @@ func (s *classifyStage) Process(b *pipe.Batch) error {
 	return nil
 }
 
-// Close implements pipe.Stage: the exact shard merge.
+// Close implements pipe.Stage: the exact worker merge.
 func (s *classifyStage) Close() error {
 	s.into.Merge(s.c)
 	return nil
 }
 
-// figure2bcSource classifies victims from any record stream, sharded
-// par ways. The classifier's merge is exact for any split of the
+// figure2bcSource classifies victims from any record stream on par
+// workers. The classifier's merge is exact for any split of the
 // records and the victim sort breaks ties by address, so any delivery
 // order over the same record multiset yields identical results.
-func figure2bcSource(src takedown.Source, k trafficgen.Kind, par int) (*VantageVictims, error) {
+func figure2bcSource(sc takedown.Scanner, k trafficgen.Kind, par int) (*VantageVictims, error) {
 	c := classify.New(classify.Config{})
-	if err := takedown.RunSharded(src, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
+	if err := takedown.Run(sc, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
 		return nil, err
 	}
 	victims := c.Victims()

@@ -110,3 +110,39 @@ func TestLandscapeParallelismGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayWorkerCounts: every replayed figure — 2(a), 2(b)/(c), 4
+// and 5 — is the same on one worker, on two, and on eight, more
+// workers than the archive has days.
+func TestReplayWorkerCounts(t *testing.T) {
+	replay := replayOf(t, Options{Seed: 11, Scale: 0.1, Days: 6}, trafficgen.KindIXP, trafficgen.KindTier2)
+	type figures struct {
+		dist     *PacketSizeDistribution
+		victims  *VantageVictims
+		analysis *takedown.Analysis
+	}
+	run := func(par int) figures {
+		replay.Parallelism = par
+		var f figures
+		var err error
+		if f.dist, err = replay.Figure2a(); err != nil {
+			t.Fatalf("figure2a par=%d: %v", par, err)
+		}
+		if f.victims, err = replay.Figure2bc(trafficgen.KindIXP); err != nil {
+			t.Fatalf("figure2bc par=%d: %v", par, err)
+		}
+		if f.analysis, err = replay.Analyze(trafficgen.KindTier2); err != nil {
+			t.Fatalf("analyze par=%d: %v", par, err)
+		}
+		return f
+	}
+	want := run(1)
+	if len(want.victims.Victims) == 0 || len(want.analysis.Figure5.Hourly) == 0 {
+		t.Fatal("serial reference is degenerate")
+	}
+	for _, par := range []int{2, 8} {
+		if got := run(par); !reflect.DeepEqual(want, got) {
+			t.Errorf("replay on %d workers diverges from one worker", par)
+		}
+	}
+}

@@ -120,13 +120,14 @@ type ReplayStudy struct {
 	temp   bool
 	window takedown.Window
 	stores map[trafficgen.Kind]*flowstore.Store
-	// Parallelism is the pipeline shard count the replayed analyses fan
-	// out to: 0 resolves to runtime.NumCPU, 1 runs serially. Results
-	// are byte-identical at any setting.
+	// Parallelism is the number of workers a replayed analysis runs on,
+	// each taking whole days of the archive: 0 resolves to
+	// runtime.NumCPU, 1 runs on the caller alone. Results are
+	// byte-identical at any setting.
 	Parallelism int
 }
 
-// par resolves the study's pipeline shard count.
+// par resolves the study's worker count.
 func (r *ReplayStudy) par() int { return pipe.Parallelism(r.Parallelism) }
 
 // OpenReplay opens the archive at dir (written by WriteArchive or
@@ -173,7 +174,7 @@ func OpenReplay(dir string) (*ReplayStudy, error) {
 // GenerateReplay generates the scenario opts describes for the given
 // vantage points (all three when none are named) into an archive in a
 // new temporary directory, and opens it for replay with
-// opts.Parallelism shards. It is how a binary without -store.dir
+// opts.Parallelism workers. It is how a binary without -store.dir
 // computes its figures: through the same stored path a flowgen -out
 // archive takes. The archive is fsynced, as flowgen -out writes it;
 // Close removes it.
@@ -240,20 +241,27 @@ func (r *ReplayStudy) Kinds() []trafficgen.Kind {
 // Store exposes one vantage's archive (nil when absent).
 func (r *ReplayStudy) Store(k trafficgen.Kind) *flowstore.Store { return r.stores[k] }
 
-// source adapts one vantage store to a takedown batch stream, letting
-// the sparse indexes prune with the given query. ScanBatches feeds the
-// pipeline straight from the shard scanners — no k-way time-ordered
-// funnel — which is sound because every replayed aggregation is
-// order-insensitive over the record multiset.
-func (r *ReplayStudy) source(k trafficgen.Kind, q flowstore.Query) (takedown.Source, error) {
+// partitionScan is a takedown.Scanner over one vantage store:
+// ScanPartitions hands each worker whole days, which it decodes and
+// feeds to its own stages inline. The sparse indexes prune with q.
+type partitionScan struct {
+	st *flowstore.Store
+	q  flowstore.Query
+}
+
+// Scan implements takedown.Scanner.
+func (p partitionScan) Scan(workers int, emit func(w int, b *pipe.Batch) error) error {
+	_, err := p.st.ScanPartitions(p.q, workers, emit)
+	return err
+}
+
+// scan returns the partition scan of vantage k's store for q.
+func (r *ReplayStudy) scan(k trafficgen.Kind, q flowstore.Query) (partitionScan, error) {
 	st, ok := r.stores[k]
 	if !ok {
-		return nil, fmt.Errorf("core: archive has no %v store", k)
+		return partitionScan{}, fmt.Errorf("core: archive has no %v store", k)
 	}
-	return func(emit func(*pipe.Batch) error) error {
-		_, err := st.ScanBatches(q, emit)
-		return err
-	}, nil
+	return partitionScan{st, q}, nil
 }
 
 // triggerPorts are the reflector dst ports Figure 4 sums over.
@@ -271,9 +279,9 @@ func triggerPorts() []uint16 {
 // reflector port on either side: a superset of everything the stages
 // consume (trigger traffic has a reflector dst port, amplified NTP
 // responses have src port 123), so the filter cannot change the
-// result while sparing the fan-out the bulk of background traffic.
+// result while sparing the stages the bulk of background traffic.
 func (r *ReplayStudy) Analyze(k trafficgen.Kind) (*takedown.Analysis, error) {
-	src, err := r.source(k, flowstore.Query{
+	sc, err := r.scan(k, flowstore.Query{
 		Protocols:   []uint8{packet.IPProtoUDP},
 		PortsEither: triggerPorts(),
 		// Union of the trigger and counter stages' reads — end times
@@ -286,20 +294,20 @@ func (r *ReplayStudy) Analyze(k trafficgen.Kind) (*takedown.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return takedown.Analyze(src, r.window, k, r.par())
+	return takedown.AnalyzeScan(sc, r.window, k, r.par())
 }
 
 // Figure2a builds the Section 4 NTP packet size distribution from the
 // archived IXP view. The histogram's src-port-or-dst-port NTP match is
 // exactly the PortsEither predicate.
 func (r *ReplayStudy) Figure2a() (*PacketSizeDistribution, error) {
-	src, err := r.source(trafficgen.KindIXP, flowstore.Query{
+	sc, err := r.scan(trafficgen.KindIXP, flowstore.Query{
 		PortsEither: []uint16{classify.NTPPort},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return figure2aSource(src, r.par())
+	return figure2aSource(sc, r.par())
 }
 
 // Figure2bc classifies NTP amplification victims at one vantage point
@@ -308,11 +316,11 @@ func (r *ReplayStudy) Figure2a() (*PacketSizeDistribution, error) {
 //
 //bsvet:allow deadcode oracle: TestReplayMatchesLive compares the replay with the live study
 func (r *ReplayStudy) Figure2bc(k trafficgen.Kind) (*VantageVictims, error) {
-	src, err := r.source(k, flowstore.Query{Protocols: []uint8{packet.IPProtoUDP}})
+	sc, err := r.scan(k, flowstore.Query{Protocols: []uint8{packet.IPProtoUDP}})
 	if err != nil {
 		return nil, err
 	}
-	return figure2bcSource(src, k, r.par())
+	return figure2bcSource(sc, k, r.par())
 }
 
 // AllVantages runs Figure2bc for every vantage point in the archive.

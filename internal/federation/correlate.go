@@ -192,9 +192,8 @@ func (c *Coordinator) classifyStream(opts CorrelateOptions, scan func(flowstore.
 	sm.SetTrackAttackLog(true)
 	// The monitor's watermark clock makes it order-sensitive, so feed
 	// it the deterministic time-ordered stream — ScanOrdered, NOT
-	// ScanBatches, whose cross-shard batch interleaving is
-	// scheduler-dependent and would evict attack state differently run
-	// to run. The batches stay columnar from the block decoder to the
+	// ScanBatches or ScanPartitions, which deliver blocks unsorted and
+	// would evict attack state differently. The batches stay columnar from the block decoder to the
 	// monitor's bins.
 	q := opts.Query
 	q.Project = monitorColumns

@@ -139,7 +139,7 @@ func MergeScan(stores []*Store, q Query, fn func(i int, cols *flow.Columns, lo, 
 	var owner []int // stream ordinal -> store index
 	runs := make([]*scanRun, len(stores))
 	for i, s := range stores {
-		runs[i] = s.launch(q, true)
+		runs[i] = s.launch(q)
 		for _, out := range runs[i].outs {
 			m.streams = append(m.streams, &shardStream{ch: out})
 			owner = append(owner, i)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"booterscope/internal/pipe"
@@ -36,9 +37,9 @@ type Query struct {
 	// Protocols, when non-empty, matches any of the given IP protocols.
 	Protocols []uint8
 	// Project, when non-zero, names the column groups the caller will
-	// read from delivered columnar batches; ScanBatches and ScanOrdered
-	// then skip decoding every other column (predicate columns are
-	// always decoded, and so is ColStart on an ordered scan: it is the
+	// read from delivered columnar batches; the scans then skip
+	// decoding every other column (predicate columns are always
+	// decoded, and so is ColStart on an ordered scan: it is the
 	// merge key). Projected-out columns in delivered batches hold
 	// unspecified values, so a projecting caller must consume batches
 	// columnar — materializing records from a projected batch yields
@@ -117,7 +118,7 @@ type ScanStats struct {
 }
 
 // Merge folds another scan's accounting into s — the one accumulation
-// path shared by the per-shard aggregation inside Scan/ScanBatches and
+// path shared by the per-scanner aggregation inside every scan and
 // by cross-store callers (the federation coordinator sums per-vantage
 // stats with it).
 func (s *ScanStats) Merge(o ScanStats) {
@@ -153,63 +154,52 @@ func (s ScanStats) ColumnsDecodedFraction() float64 {
 	return float64(s.ColumnsDecoded) / float64(s.ColumnsTotal)
 }
 
-// shardBatch is one batch of matching records from a shard scanner. The
-// slab lives in a pooled pipe.Batch: scanners recycle slabs through the
-// pool instead of allocating one per block, so a steady-state scan
-// stops feeding the garbage collector.
+// shardBatch is one slab, or the failure, an ordered shard scanner sends
+// the merge. The slab lives in a pooled pipe.Batch: scanners recycle
+// slabs through the pool instead of allocating one per block, so a
+// steady-state scan stops feeding the garbage collector.
 type shardBatch struct {
 	batch *pipe.Batch
 	err   error
 }
 
-// scanRun is one launched scan: a scanner goroutine per shard feeding
-// outs, cancelled by closing done, each reporting its accounting on
-// statsCh when it exits.
+// scanRun is one launched ordered scan: a scanner goroutine per shard,
+// each feeding its own channel in outs (the merge needs each shard's
+// stream apart) and closing it on exit, cancelled by closing done, each
+// reporting its accounting on statsCh.
 type scanRun struct {
 	begin   time.Time
-	stats   ScanStats // plan-time pruning; finish adds the scanners' share
+	stats   ScanStats // plan-time pruning; stop adds the scanners' share
 	statsCh chan ScanStats
 	done    chan struct{}
-	// outs holds one channel per shard for an ordered scan (the merge
-	// needs each shard's stream apart) and a single shared channel
-	// otherwise. Each is closed once every scanner sending on it exits.
-	outs []chan shardBatch
+	outs    []chan shardBatch
 }
 
-// launch snapshots the manifest and starts the shard scanners for q.
-func (s *Store) launch(q Query, ordered bool) *scanRun {
+// launch snapshots the manifest and starts one ordered scanner per
+// shard for q.
+func (s *Store) launch(q Query) *scanRun {
 	begin := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
-	shards, dir, byShard, stats := s.planScan(q)
-	nOut := 1
-	if ordered {
-		nOut = shards
+	shards, dir, segs, stats := s.planScan(q)
+	byShard := make([][]SegmentEntry, shards)
+	for _, e := range segs {
+		byShard[e.Shard] = append(byShard[e.Shard], e)
 	}
 	run := &scanRun{
 		begin:   begin,
 		stats:   stats,
 		statsCh: make(chan ScanStats, shards),
 		done:    make(chan struct{}),
-		outs:    make([]chan shardBatch, nOut),
+		outs:    make([]chan shardBatch, shards),
 	}
-	senders := make([]sync.WaitGroup, nOut)
-	for o := range run.outs {
-		// Room for two slabs per sender: a scanner decodes ahead while
-		// the consumer works through what it was last handed.
-		run.outs[o] = make(chan shardBatch, 2*shards/nOut)
-	}
-	for shard := 0; shard < shards; shard++ {
-		o := shard % nOut
-		senders[o].Add(1)
-		go func(out chan<- shardBatch) {
-			defer senders[o].Done()
-			scanShard(dir, shard, byShard[shard], q, out, run.statsCh, run.done, ordered)
-		}(run.outs[o])
-	}
-	for o, out := range run.outs {
-		go func(out chan shardBatch) {
-			senders[o].Wait()
-			close(out)
-		}(out)
+	for shard := range run.outs {
+		// Room for two slabs: the scanner decodes ahead while the merge
+		// works through what it was last handed.
+		out := make(chan shardBatch, 2)
+		run.outs[shard] = out
+		go func() {
+			defer close(out)
+			scanShard(dir, shard, byShard[shard], q, out, run.statsCh, run.done)
+		}()
 	}
 	return run
 }
@@ -222,7 +212,7 @@ func (run *scanRun) stop() ScanStats {
 		run.stats.Merge(<-run.statsCh)
 	}
 	for _, out := range run.outs {
-		for b := range out { // closed once its scanners have exited
+		for b := range out { // closed once its scanner has exited
 			if b.batch != nil {
 				b.batch.Release()
 			}
@@ -232,13 +222,16 @@ func (run *scanRun) stop() ScanStats {
 	return run.stats
 }
 
-// planScan snapshots the manifest under the lock, prunes whole
-// segments, and groups the survivors by shard in partition order.
-func (s *Store) planScan(q Query) (shards int, dir string, byShard map[int][]SegmentEntry, stats ScanStats) {
+// planScan snapshots the manifest under the lock and prunes whole
+// segments. The survivors come back in segmentBefore order: by shard,
+// then partition, then seal order.
+func (s *Store) planScan(q Query) (shards int, dir string, segs []SegmentEntry, stats ScanStats) {
 	s.mu.Lock()
 	shards = s.opts.Shards
-	byShard = make(map[int][]SegmentEntry, shards)
 	for _, e := range s.man.Segments {
+		if e.Shard < 0 || e.Shard >= shards {
+			continue // no scanner reads a shard the store does not have
+		}
 		if q.segPrunable(&e) {
 			stats.SegmentsPruned++
 			blocks := int(e.Blocks)
@@ -247,72 +240,129 @@ func (s *Store) planScan(q Query) (shards int, dir string, byShard map[int][]Seg
 			metricBlocksPruned.Add(uint64(blocks))
 			continue
 		}
-		byShard[e.Shard] = append(byShard[e.Shard], e)
+		segs = append(segs, e)
 	}
 	dir = s.dir
 	s.mu.Unlock()
-	for _, segs := range byShard {
-		sort.Slice(segs, func(i, j int) bool { return segmentBefore(&segs[i], &segs[j]) })
-	}
-	return shards, dir, byShard, stats
+	sort.Slice(segs, func(i, j int) bool { return segmentBefore(&segs[i], &segs[j]) })
+	return shards, dir, segs, stats
 }
 
 // ScanBatches streams every sealed record matching q to emit as pooled
-// columnar batches, without the k-way time-ordered funnel ScanOrdered
-// pays for: shard scanners feed a shared channel and batches arrive in
-// whatever order decoding finishes, unsorted. Use it to drive a pipe
-// fan-out over order-insensitive stages; use ScanOrdered when the
-// consumer needs global time order. Ownership of each batch passes to
-// emit; an error from emit cancels the scan and is returned.
+// columnar batches, unsorted, on the calling goroutine: it is
+// ScanPartitions with one worker. Use it to feed order-insensitive
+// stages; use ScanOrdered when the consumer needs global time order.
+// Ownership of each batch passes to emit; an error from emit ends the
+// scan and is returned.
 func (s *Store) ScanBatches(q Query, emit func(*pipe.Batch) error) (ScanStats, error) {
-	run := s.launch(q, false)
-	var err error
-	for b := range run.outs[0] {
-		if err = b.err; err == nil {
-			err = emit(b.batch)
-		}
-		if err != nil {
-			break
-		}
-	}
-	return run.stop(), err
+	return s.ScanPartitions(q, 1, func(_ int, b *pipe.Batch) error { return emit(b) })
 }
 
-// errScanCancelled ends a shard scanner whose consumer went away.
+// ScanPartitions streams every sealed record matching q to emit as
+// pooled columnar batches, unsorted, on at most workers goroutines: the
+// caller's, as worker 0, and workers-1 it starts. Workers take whole
+// time partitions off a shared counter in partition order and read each
+// one from every shard, segment after segment, with no channel between
+// the decode and emit: worker w calls emit(w, b) on its own goroutine,
+// never concurrently with itself. A segment never spans its partition
+// (a day by default), so a worker's batches hold whole days no other
+// worker sees. Ownership of each batch passes to emit. The first
+// error, from emit or from a segment, is latched: every worker stops at
+// its next segment or batch, and the error is returned with the
+// accounting of what was read.
+func (s *Store) ScanPartitions(q Query, workers int, emit func(w int, b *pipe.Batch) error) (ScanStats, error) {
+	begin := time.Now() //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
+	_, dir, segs, stats := s.planScan(q)
+	// Partition-major; the stable sort keeps shard and seal order within.
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].PartitionSec < segs[j].PartitionSec })
+	var parts [][]SegmentEntry
+	for i, j := 0, 0; i < len(segs); i = j {
+		for j = i + 1; j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec; j++ {
+		}
+		parts = append(parts, segs[i:j])
+	}
+	workers = max(1, min(workers, len(parts)))
+
+	var (
+		next atomic.Int64 // the next unclaimed partition
+		done = make(chan struct{})
+		mu   sync.Mutex // guards stats and err
+		err  error
+		wg   sync.WaitGroup
+	)
+	work := func(w int) {
+		sc := newShardScanner(&q, false, done, func(b *pipe.Batch) error {
+			select {
+			case <-done: // a peer failed: hand nothing more out
+				b.Release()
+				return errScanCancelled
+			default:
+				return emit(w, b)
+			}
+		})
+		werr := sc.runPartitions(dir, parts, &next)
+		sc.release()
+		mu.Lock()
+		stats.Merge(sc.stats)
+		if werr != nil && werr != errScanCancelled && err == nil {
+			err = werr // the latch
+			close(done)
+		}
+		mu.Unlock()
+	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	metricScanSeconds.ObserveDuration(time.Since(begin)) //bsvet:allow determinism scan latency telemetry measures host time, not simulated time
+	return stats, err
+}
+
+// errScanCancelled ends a scanner whose consumer went away or whose
+// peer failed.
 var errScanCancelled = errors.New("flowstore: scan cancelled")
 
 // errIndexBelowRows fails an ordered scan that sent rows on a sparse
 // index's promise and then found the block holding earlier ones.
 var errIndexBelowRows = errors.New("flowstore: block holds start times before its index minimum (corrupt sparse index?)")
 
-// shardScanner streams one shard's matching records, partition by
-// partition. Each block is parsed into a pooled columnBlock, the
-// compiled predicate runs against only the columns it references, and
-// survivors move column-wise into the pending slab: filtered-out rows
-// are never materialized, a block with no survivors never decodes its
-// other columns, one that survives whole is handed over by swapping
+// shardScanner streams matching records, one partition's segments of
+// one shard at a time. Each block is parsed into a pooled columnBlock,
+// the compiled predicate runs against only the columns it references,
+// and survivors move column-wise into the pending slab: filtered-out
+// rows are never materialized, a block with no survivors never decodes
+// its other columns, one that survives whole is handed over by swapping
 // slice headers, and no flow.Record is built in either mode.
 //
-// Unordered, the slab goes out once it passes pipe.DefaultBatchSize and
-// at each partition's end. Ordered, a partition's rows go out in stable
-// (start second, nanosecond) order — ties in segment, block, row order —
-// but only what must be held is: after each block the scanner sends
-// every pending row that starts before the earliest second the
-// partition's unread blocks can hold (their sparse indexes and the later
-// segments' manifest ranges say), sorting only if a row arrived out of
-// order. Time-sorted ingest streams block by block, holding a block plus
-// the rows of its last second; overlapping blocks hold the overlap (up
-// to twice it, see flushBelow), at worst the partition.
+// Unordered (a ScanPartitions worker), the slab goes out once it passes
+// pipe.DefaultBatchSize and when the worker runs out of partitions.
+// Ordered (one shard's scanner under the merge), a partition's rows go
+// out in stable (start second, nanosecond) order — ties in segment,
+// block, row order — but only what must be held is: after each block
+// the scanner sends every pending row that starts before the earliest
+// second the partition's unread blocks can hold (their sparse indexes
+// and the later segments' manifest ranges say), sorting only if a row
+// arrived out of order. Time-sorted ingest streams block by block,
+// holding a block plus the rows of its last second; overlapping blocks
+// hold the overlap (up to twice it, see flushBelow), at worst the
+// partition.
 type shardScanner struct {
 	q       *Query
 	pred    colPredicate
 	proj    ColumnSet
 	ordered bool
-	out     chan<- shardBatch
-	done    <-chan struct{}
-	stats   ScanStats
-	cb      *ColumnBlock
-	slab    *pipe.Batch // pending survivors
+	// send hands a slab on and takes ownership of it, also when it
+	// fails; done closes when the scan is cancelled.
+	send  func(*pipe.Batch) error
+	done  <-chan struct{}
+	stats ScanStats
+	cb    *ColumnBlock
+	slab  *pipe.Batch // pending survivors
 
 	// Ordered only. unsorted: a pending row starts before its
 	// predecessor. floor: rows below it are sent; a later one there means
@@ -324,10 +374,11 @@ type shardScanner struct {
 	perm     []int32 // sort scratch
 }
 
-// scanShard runs one shard's scanner to the end, a failure, or a close
-// of done. The caller owns out; stats are always sent.
-func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, ordered bool) {
-	sc := shardScanner{q: &q, pred: compilePredicate(&q), proj: q.Project, ordered: ordered, out: out, done: done}
+// newShardScanner returns a scanner for q holding one pooled block,
+// recycled across its blocks and, through the shared pool, across scans
+// and vantage stores; release returns it.
+func newShardScanner(q *Query, ordered bool, done <-chan struct{}, send func(*pipe.Batch) error) *shardScanner {
+	sc := &shardScanner{q: q, pred: compilePredicate(q), proj: q.Project, ordered: ordered, send: send, done: done}
 	// Survivors decode the caller's projection (everything when unset)
 	// and, ordered, the sort key; applyQuery decodes the predicate's.
 	if sc.proj == 0 {
@@ -335,12 +386,34 @@ func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- s
 	} else if ordered {
 		sc.proj |= ColStart
 	}
-	// One pooled block per scanner, recycled across the shard's blocks
-	// and, through the shared pool, across scans and vantage stores.
 	sc.cb, sc.slab = getColumnBlock(), pipe.NewColsBatch()
-	err := sc.run(filepath.Join(dir, fmt.Sprintf("shard-%02d", shard)), segs)
+	return sc
+}
+
+func (sc *shardScanner) release() {
 	sc.slab.Release()
 	sc.cb.Release()
+}
+
+// shardDir is where a shard's segment files live.
+func shardDir(dir string, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%02d", shard))
+}
+
+// scanShard runs one shard's ordered scanner to the end, a failure, or
+// a close of done. The caller owns out; stats are always sent.
+func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}) {
+	sc := newShardScanner(&q, true, done, func(b *pipe.Batch) error {
+		select {
+		case out <- shardBatch{batch: b}:
+			return nil
+		case <-done:
+			b.Release()
+			return errScanCancelled
+		}
+	})
+	err := sc.run(shardDir(dir, shard), segs)
+	sc.release()
 	if err != nil && err != errScanCancelled {
 		select {
 		case out <- shardBatch{err: err}:
@@ -359,37 +432,62 @@ func (sc *shardScanner) flush() error {
 	}
 	sc.stats.RecordsMatched += matched
 	metricRecordsMatched.Add(matched)
-	select {
-	case sc.out <- shardBatch{batch: sc.slab}:
-		sc.slab = pipe.NewColsBatch()
-		return nil
-	case <-sc.done:
-		return errScanCancelled
-	}
+	err := sc.send(sc.slab)
+	sc.slab = pipe.NewColsBatch()
+	return err
 }
 
-func (sc *shardScanner) run(shardDir string, segs []SegmentEntry) error {
+// run scans one shard's segments partition by partition, each sent in
+// order once read (partitions are disjoint in start time: nothing later
+// sorts before what is pending).
+func (sc *shardScanner) run(dir string, segs []SegmentEntry) error {
 	for i, j := 0, 0; i < len(segs); i = j {
 		for j = i + 1; j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec; j++ {
 		}
-		sc.floor = math.MinInt64
-		for k := i; k < j; k++ {
-			select {
-			case <-sc.done:
-				return errScanCancelled
-			default:
+		if err := sc.scanPartition(dir, segs[i:j]); err != nil {
+			return err
+		}
+		if err := sc.flushFirst(sc.slab.Cols.Len()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runPartitions claims partitions off next until none is left, scans
+// each from every shard in turn, and sends what is pending at the end.
+func (sc *shardScanner) runPartitions(dir string, parts [][]SegmentEntry, next *atomic.Int64) error {
+	for {
+		p := next.Add(1) - 1
+		if p >= int64(len(parts)) {
+			return sc.flush()
+		}
+		segs := parts[p]
+		for i, j := 0, 0; i < len(segs); i = j {
+			for j = i + 1; j < len(segs) && segs[j].Shard == segs[i].Shard; j++ {
 			}
-			after := int64(math.MaxInt64) // the partition's later segments start no earlier
-			for _, e := range segs[k+1 : j] {
-				after = min(after, e.MinStartSec)
-			}
-			if err := sc.scanSegment(filepath.Join(shardDir, segs[k].File), after); err != nil {
+			if err := sc.scanPartition(shardDir(dir, segs[i].Shard), segs[i:j]); err != nil {
 				return err
 			}
 		}
-		// Partitions are disjoint in start time: nothing later sorts
-		// before what is pending.
-		if err := sc.flushFirst(sc.slab.Cols.Len()); err != nil {
+	}
+}
+
+// scanPartition decodes one shard's segments of one partition, in seal
+// order, into the pending slab.
+func (sc *shardScanner) scanPartition(shardDir string, segs []SegmentEntry) error {
+	sc.floor = math.MinInt64
+	for k := range segs {
+		select {
+		case <-sc.done:
+			return errScanCancelled
+		default:
+		}
+		after := int64(math.MaxInt64) // the partition's later segments start no earlier
+		for _, e := range segs[k+1:] {
+			after = min(after, e.MinStartSec)
+		}
+		if err := sc.scanSegment(filepath.Join(shardDir, segs[k].File), after); err != nil {
 			return err
 		}
 	}

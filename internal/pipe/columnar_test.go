@@ -217,7 +217,7 @@ func TestFanOutMixedShapes(t *testing.T) {
 	for i, s := range shards {
 		stages[i] = s
 	}
-	if err := RunShardedCols(mixed, KeyDst, KeyDstCols, stages...); err != nil {
+	if err := runLean(mixed, stages...); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	total := 0

@@ -512,17 +512,6 @@ func (f *FanOut) SetColMarkFilter(pred func(*flow.Columns, int) bool) {
 	f.colMarkIf = pred
 }
 
-// RunShardedCols drives src through a fan-out over shards and returns
-// the first error. The columnar routing key sits alongside the row
-// key, so columnar batches from the source route without materializing
-// records. The two keys must agree row-for-row.
-func RunShardedCols(src Source, key func(*flow.Record) uint64,
-	colKey func(*flow.Columns, int) uint64, shards ...Stage) error {
-	f := NewFanOut(key, shards...)
-	f.SetColKey(colKey)
-	return Run(src, f)
-}
-
 // Parallelism normalizes a -parallelism flag value: n >= 1 is used as
 // given, anything else means runtime.NumCPU().
 func Parallelism(n int) int {

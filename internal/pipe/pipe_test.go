@@ -114,6 +114,15 @@ func runMarked(src Source, shards ...Stage) error {
 	return Run(src, f)
 }
 
+// runLean drives src through a fan-out with no mark filter and the
+// columnar key beside the row key, so columnar batches route without
+// materializing records.
+func runLean(src Source, shards ...Stage) error {
+	f := NewFanOut(KeyDst, shards...)
+	f.SetColKey(KeyDstCols)
+	return Run(src, f)
+}
+
 func TestFanOutRoutesAllRecordsByKey(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -217,9 +226,9 @@ func TestFanOutPropagatesStageErrorAndCancelsSource(t *testing.T) {
 			for i := range sts {
 				sts[i] = &collectStage{failAfter: 100}
 			}
-			err := RunShardedCols(src, KeyDst, KeyDstCols, sts...)
+			err := runLean(src, sts...)
 			if err == nil || err.Error() != "stage failed" {
-				t.Fatalf("RunShardedCols error = %v, want stage failed", err)
+				t.Fatalf("runLean error = %v, want stage failed", err)
 			}
 			if emitted > 1000 {
 				t.Fatalf("source emitted %d batches after stage failure — cancellation not propagated", emitted)
@@ -262,8 +271,8 @@ func TestFanOutLeanWithoutMarkFilter(t *testing.T) {
 	}
 	sts := []*collectStage{{}, {}, {}}
 	stages := []Stage{sts[0], sts[1], sts[2]}
-	if err := RunShardedCols(sliceSource(recs, 256), KeyDst, KeyDstCols, stages...); err != nil {
-		t.Fatalf("RunShardedCols: %v", err)
+	if err := runLean(sliceSource(recs, 256), stages...); err != nil {
+		t.Fatalf("runLean: %v", err)
 	}
 	total := 0
 	for s, st := range sts {

@@ -1,27 +1,101 @@
 package takedown
 
 import (
+	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"booterscope/internal/pipe"
 	"booterscope/internal/trafficgen"
 )
 
-// Source streams flow records in batches to a visitor. It is the seam
-// between the takedown analyses and where the records come from: a
-// flowstore archive replayed with ScanBatches, a collector, or (in
-// tests) the live traffic generator. Every aggregation below is
-// order-insensitive — integer-valued daily sums and per-key maps — so
-// any delivery order over the same record multiset yields identical
-// results; that is the replay-equals-live guarantee the flowstore
-// relies on, and what lets the same Source drive a sharded pipeline.
+// Source streams flow records in batches to a visitor: the live
+// traffic generator in tests and benchmarks, or anything else that
+// produces one stream. Every aggregation below is order-insensitive —
+// integer-valued daily sums and per-key maps — so any delivery order
+// over the same record multiset yields identical results; that is the
+// replay-equals-live guarantee the flowstore relies on.
 //
 // Source has the same shape as pipe.Source: ownership of each emitted
 // batch passes to emit, and an error returned by emit must be
 // propagated immediately — that is how early exit and cancellation
 // reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
+
+// Scanner hands a record stream to a pool of workers: Scan calls
+// emit(w, b) with w in [0, workers), never concurrently for one w,
+// passing ownership of b. It returns the first error, from emit or from
+// reading, once every worker has stopped. A flowstore archive is
+// scanned by whole time partitions (core's replay); a Source is a
+// Scanner too.
+type Scanner interface {
+	Scan(workers int, emit func(w int, b *pipe.Batch) error) error
+}
+
+// Scan implements Scanner: each batch goes to whichever of workers-1
+// goroutines is idle, or is processed on the source's own goroutine as
+// worker 0 when none is. So no more than workers goroutines run emit,
+// and the source is held back only while worker 0 works. The first
+// emit error stops the source; the rest of its batches are released
+// unprocessed.
+func (src Source) Scan(workers int, emit func(w int, b *pipe.Batch) error) error {
+	if workers <= 1 {
+		return src(func(b *pipe.Batch) error { return emit(0, b) })
+	}
+	var (
+		work   = make(chan *pipe.Batch)
+		mu     sync.Mutex // guards err
+		err    error
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	run := func(w int, b *pipe.Batch) {
+		if failed.Load() {
+			b.Release()
+			return
+		}
+		if werr := emit(w, b); werr != nil {
+			mu.Lock()
+			if err == nil {
+				err = werr
+			}
+			mu.Unlock()
+			failed.Store(true)
+		}
+	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				run(w, b)
+			}
+		}()
+	}
+	serr := src(func(b *pipe.Batch) error {
+		select {
+		case work <- b:
+		default:
+			run(0, b)
+		}
+		if failed.Load() {
+			return errStopped
+		}
+		return nil
+	})
+	close(work)
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	return serr
+}
+
+// errStopped ends a Source whose batches a failed worker stopped; Scan
+// returns the worker's error instead.
+var errStopped = errors.New("takedown: a worker failed")
 
 // Window bounds an analysis: the day grid records are binned onto and
 // the event date tested against it.

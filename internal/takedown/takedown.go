@@ -13,12 +13,14 @@
 //     appears.
 //
 // Analyze computes both figures and the Welch/Mann-Whitney robustness
-// ablation in one pass over a vantage point's records, on the batch
-// pipeline (internal/pipe): records are hash-fanned across par shard
-// stages, each shard runs the trigger and attack-counter aggregations
-// side by side, and shard results merge exactly — the sums are
-// integer-valued and the maps victim-disjoint — so any parallelism
-// yields byte-identical output to the serial pass.
+// ablation in one pass over a vantage point's records, on par
+// workers (Run): each worker feeds its batches to its own trigger and
+// attack-counter stages inline, and the workers' results merge exactly
+// — the sums are integer-valued and the counter's merge fuses shared
+// (victim, minute) bins — so any parallelism, and any split of the
+// records among the workers, yields byte-identical output to the serial
+// pass. A replayed archive is split by whole days, so the workers' bins
+// are disjoint and the merges only insert.
 package takedown
 
 import (
@@ -68,18 +70,29 @@ func (p Figure4Panel) String() string {
 // ReflectorVectors are the amplification vectors analyzed in Figure 4.
 var ReflectorVectors = []amplify.Vector{amplify.Memcached, amplify.NTP, amplify.DNS}
 
-// RunSharded drives src through par shard stages built by mk, routed
-// by victim hash — the pipeline driver of every sharded analysis here
-// and in core.
-func RunSharded(src Source, par int, mk func() pipe.Stage) error {
-	if par < 1 {
-		par = 1
-	}
-	stages := make([]pipe.Stage, par)
+// Run drives sc through par workers, each with its own stage built by
+// mk and fed inline on its worker's goroutine, then closes the stages
+// in worker order on the caller's goroutine — the merge point, so merge
+// code needs no locking. It is the driver of every replayed analysis
+// here and in core. The merges are exact for any split of the records,
+// so the result does not depend on par or on which worker got which
+// batch. The first error — the scan's, a Process's or a Close's — is
+// returned; every Close still runs.
+func Run(sc Scanner, par int, mk func() pipe.Stage) error {
+	stages := make([]pipe.Stage, max(par, 1))
 	for i := range stages {
 		stages[i] = mk()
 	}
-	return pipe.RunShardedCols(pipe.Source(src), pipe.KeyDst, pipe.KeyDstCols, stages...)
+	err := sc.Scan(len(stages), func(w int, b *pipe.Batch) error {
+		defer b.Release()
+		return stages[w].Process(b)
+	})
+	for _, st := range stages {
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // newVectorSeries allocates one daily series per reflector vector.
@@ -91,11 +104,11 @@ func newVectorSeries() map[amplify.Vector]*timeseries.Series {
 	return series
 }
 
-// triggerStage accumulates one shard's daily to-reflector packet sums
+// triggerStage accumulates one worker's daily to-reflector packet sums
 // per vector — the aggregation behind Figure 4 and its robustness
 // ablation. Daily sums are integer-valued float64 additions (each well
 // below 2^53), so they are exact and independent of record order and
-// sharding; Close folds the shard's series into the merge target (the
+// split; Close folds the worker's series into the merge target (the
 // engine serializes Closes).
 type triggerStage struct {
 	w      Window
@@ -176,9 +189,9 @@ func (t *triggerStage) addCol(c *flow.Columns, i int) {
 	}
 }
 
-// Close implements pipe.Stage: the day bins fold into the shard's
+// Close implements pipe.Stage: the day bins fold into the worker's
 // series at the times dayTimeSec gives their days, then the exact
-// shard merge.
+// worker merge.
 func (t *triggerStage) Close() error {
 	for j, bins := range t.bins {
 		for d, ok := range bins.touched {
@@ -193,7 +206,7 @@ func (t *triggerStage) Close() error {
 	return nil
 }
 
-// counterStage accumulates one shard's systems-under-attack state.
+// counterStage accumulates one worker's systems-under-attack state.
 type counterStage struct {
 	into    *classify.AttackCounter
 	counter *classify.AttackCounter
@@ -319,14 +332,19 @@ type Analysis struct {
 }
 
 // Analyze computes Figure 4, Figure 5, and the robustness ablation in
-// a single sharded pass over the record stream: each shard runs the
-// trigger and attack-counter aggregations side by side on the same
-// batches, so the source is scanned once instead of once per figure.
-// Results are byte-identical at any par.
+// a single pass over a record stream, on par workers. Results are
+// byte-identical at any par.
 func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
+	return AnalyzeScan(src, w, k, par)
+}
+
+// AnalyzeScan is Analyze over any Scanner: each worker runs the trigger
+// and attack-counter aggregations side by side on the same batches, so
+// the records are read once instead of once per figure.
+func AnalyzeScan(sc Scanner, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
 	series := newVectorSeries()
 	counter := classify.NewAttackCounter(classify.Config{})
-	err := RunSharded(src, par, func() pipe.Stage {
+	err := Run(sc, par, func() pipe.Stage {
 		return pipe.MultiStage(newTriggerStage(w, series), newCounterStage(counter))
 	})
 	if err != nil {
