@@ -3,7 +3,7 @@
 // standard vet format (file:line:col: rule: message), exiting nonzero
 // when anything is found. `make analyze` wires it into `make check`.
 //
-// Seven analyzers run:
+// Six analyzers run:
 //
 //   - determinism: no wall-clock reads (time.Now/Since/Until), no
 //     process-global math/rand draws, and no map-iteration feeding
@@ -27,17 +27,13 @@
 //     argument, a lifecycle construct in its body, or an explicit
 //     allow directive. This makes the daemon's drain semantics
 //     mechanical.
-//   - hotpath: functions annotated `//bsvet:hotpath` stay
-//     allocation-free per the compiler's own escape analysis
-//     (-gcflags=-m=2), modulo the justified entries in
-//     analysis/hotpath_budget.json.
 //   - deadcode: on a whole-module load, exported identifiers in
 //     internal/ that no non-test code outside their package uses, and
 //     unexported ones nothing uses. cmd/, examples/ and bench/ count as
 //     callers. The same load reports any package path the lists below
 //     name that the module no longer contains.
 //
-// Usage: bsvet [-hotpath.budget file] [-timings] [packages]
+// Usage: bsvet [-timings] [packages]
 // (packages default to ./...)
 package main
 
@@ -158,7 +154,6 @@ var telemetryConfig = analysis.TelemetryConfig{
 }
 
 func main() {
-	budgetPath := flag.String("hotpath.budget", "", "path to the hotpath escape budget JSON (empty: no budget, every escape is a finding)")
 	timings := flag.Bool("timings", false, "print per-analyzer wall time in the run summary")
 	flag.Parse()
 	patterns := flag.Args()
@@ -166,18 +161,8 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	var budget *analysis.Budget
-	if *budgetPath != "" {
-		var err error
-		budget, err = analysis.LoadBudget(*budgetPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bsvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	// One loader for the whole run: the go list resolution and the
-	// type-check of each package are shared by all seven analyzers.
+	// type-check of each package are shared by all six analyzers.
 	pkgs, err := analysis.NewLoader().Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bsvet: %v\n", err)
@@ -189,7 +174,6 @@ func main() {
 		analysis.NewTelemetry(telemetryConfig),
 		analysis.NewLockDiscipline(),
 		analysis.NewGoroutineLifecycle(lifecyclePackages...),
-		analysis.NewHotPath(budget),
 		analysis.NewDeadcode(),
 	)
 	diags := suite.Run(pkgs)

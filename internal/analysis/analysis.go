@@ -11,10 +11,12 @@
 //
 // The suite is stdlib-only (go/parser + go/types, with dependency
 // export data located via `go list -export`), so go.mod stays free of
-// module dependencies. Seven analyzers ship today: determinism,
-// batchownership, telemetry, lockdiscipline, goroutinelifecycle,
-// hotpath, and the whole-program deadcode — see their files for the
-// exact rules, and DESIGN.md §10/§15 for the catalogue.
+// module dependencies. Six analyzers ship today: determinism,
+// batchownership, telemetry, lockdiscipline, goroutinelifecycle, and
+// the whole-program deadcode — see their files for the exact rules, and
+// DESIGN.md §10/§15 for the catalogue. Per-record allocation budgets
+// are not a static rule: each package measures its own with
+// testing.AllocsPerRun in a TestHotPathAllocs table.
 //
 // # Allow directives
 //

@@ -245,107 +245,6 @@ func TestGoroutineLifecycleScoped(t *testing.T) {
 	}
 }
 
-func TestHotPathGolden(t *testing.T) {
-	suite := NewSuite(NewHotPath(&Budget{Entries: []budgetEntry{{
-		Pkg:    testdataPath("hotpath"),
-		Func:   "Budgeted",
-		Value:  "new(int)",
-		Reason: "seeded budget entry: the golden test pins that budgeted escapes stay silent",
-	}, {
-		Pkg:    testdataPath("hotpath"),
-		Func:   "Sum",
-		Value:  "make([]int, n)",
-		Reason: "seeded stale entry: Sum allocates nothing, so the entry is reported at Sum",
-	}, {
-		Pkg:    testdataPath("hotpath"),
-		Func:   "Gone",
-		Value:  "new(int)",
-		Reason: "seeded stale entry for a function that does not exist, reported at the package clause",
-	}}}))
-	runGolden(t, suite, "hotpath")
-}
-
-// TestHotPathGenericShapes pins the budget match for generic code: one
-// entry with a count covers the arena refill of both instantiations,
-// although it spells a struct layout neither type argument has, and the
-// planted escape beside it is still reported.
-func TestHotPathGenericShapes(t *testing.T) {
-	pkg := testdataPath("hotshape")
-	suite := NewSuite(NewHotPath(&Budget{Entries: []budgetEntry{{
-		Pkg:    pkg,
-		Func:   "(*table).get",
-		Value:  "make([]go.shape.struct { " + pkg + ".n uint64; " + pkg + ".gone string }, 256)",
-		Count:  2,
-		Reason: "seeded entry spelled with a stale layout: it must match both instantiations' shapes",
-	}}}))
-	runGolden(t, suite, "hotshape")
-}
-
-func TestNormalizeShapes(t *testing.T) {
-	for in, want := range map[string]string{
-		"make([]go.shape.struct { p.a uint64; p.b [4]uint8 }, 256)": "make([]go.shape, 256)",
-		"make(map[go.shape.int]go.shape.*uint8)":                    "make(map[go.shape]go.shape)",
-		"f(go.shape.[]int, go.shape.struct {})":                     "f(go.shape, go.shape)",
-		"&monAgg{...}":                                              "&monAgg{...}",
-		"go.shape.string escapes":                                   "go.shape escapes",
-	} {
-		if got := normalizeShapes(in); got != want {
-			t.Errorf("normalizeShapes(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestHotPathInjectedEscape is the end-to-end driver contract: writing
-// a new allocation into an annotated function makes the analyzer fail
-// with a diagnostic positioned at the escape and naming the escaping
-// value. The injected package is generated under testdata at run time
-// (it must live inside the module for go list to resolve it).
-func TestHotPathInjectedEscape(t *testing.T) {
-	dir := filepath.Join("testdata", "hotinject")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	src := `// Package hotinject is generated by TestHotPathInjectedEscape.
-package hotinject
-
-import "fmt"
-
-// Decode stands in for the columnar decode loop.
-//bsvet:hotpath
-func Decode(vals []uint64) int {
-	n := 0
-	for _, v := range vals {
-		n += int(v)
-	}
-	_ = fmt.Sprintf("decoded %d", n) // the injected escape
-	return n
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "hotinject.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := NewLoader().Load("", "./"+dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := NewSuite(NewHotPath(nil))
-	diags := suite.Run(pkgs)
-	if len(diags) != 1 {
-		t.Fatalf("injected escape produced %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if !strings.HasSuffix(d.Pos.Filename, "hotinject.go") || d.Pos.Line != 13 {
-		t.Errorf("diagnostic not positioned at the injected escape (line 13): %s", d)
-	}
-	if d.Rule != "hotpath" || !strings.Contains(d.Message, "n escapes to heap") {
-		t.Errorf("diagnostic does not name the escaping value: %s", d)
-	}
-	if !strings.Contains(d.Message, "Decode") {
-		t.Errorf("diagnostic does not name the hotpath function: %s", d)
-	}
-}
-
 func TestDeadcodeGolden(t *testing.T) {
 	runGoldenModule(t, NewSuite(NewDeadcode()), "deadcode")
 }
@@ -372,9 +271,9 @@ func TestDeadcodeSilentOnPartialLoad(t *testing.T) {
 	}
 }
 
-// TestDeadcodeInjectedUnused is the end-to-end contract in the
-// TestHotPathInjectedEscape pattern: an exported function nothing
-// calls, written into a generated module, is reported at its line.
+// TestDeadcodeInjectedUnused is the end-to-end driver contract: an
+// exported function nothing calls, written into a generated module, is
+// reported at its line.
 func TestDeadcodeInjectedUnused(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -431,29 +330,6 @@ func TestStaleScopeGolden(t *testing.T) {
 		NewDeterminism("staleconf/cmd/vet", gone),
 		NewGoroutineLifecycle(gone),
 	), "staleconf")
-}
-
-// TestLoadBudgetRejectsBadEntries pins the budget-file contract: a
-// missing file, unknown keys, and entries without a reason are all
-// hard errors, never a silently-empty allowance.
-func TestLoadBudgetRejectsBadEntries(t *testing.T) {
-	if _, err := LoadBudget(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing budget file loaded without error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"entries":[{"pkg":"p","func":"F","value":"v"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBudget(bad); err == nil || !strings.Contains(err.Error(), "reason") {
-		t.Errorf("entry without reason loaded, err = %v", err)
-	}
-	unknown := filepath.Join(t.TempDir(), "unknown.json")
-	if err := os.WriteFile(unknown, []byte(`{"allowlist":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBudget(unknown); err == nil {
-		t.Error("budget with unknown keys loaded without error")
-	}
 }
 
 // TestZeroPackagesIsError pins the satellite fix: a wildcard pattern

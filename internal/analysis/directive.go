@@ -16,6 +16,12 @@ import (
 // prose documentation).
 const directivePrefix = "//bsvet:allow"
 
+// knownDirectives are the //bsvet: names the suite reads: allow here,
+// guards in the lockdiscipline rule. Any other is reported — a
+// misspelt or retired directive would otherwise check nothing without
+// saying so.
+var knownDirectives = map[string]bool{"allow": true, "guards": true}
+
 // allowSet records, per file and line, which rules are suppressed.
 type allowSet map[string]map[int]map[string]bool
 
@@ -63,7 +69,8 @@ func directiveFields(text, prefix string) (fields []string, ok bool) {
 // Well-formed directives land in the returned allowSet; a directive
 // naming a rule outside rules, or missing its mandatory reason, is
 // reported as a "directive" diagnostic — a suppression that silently
-// did nothing would be worse than the finding it meant to hide.
+// did nothing would be worse than the finding it meant to hide. So is
+// a //bsvet: directive of any name the suite does not read.
 //
 // A directive covers its own line and the line directly below it
 // (trailing or immediately-above placement). Struct fields and go
@@ -75,11 +82,21 @@ func collectDirectives(pkg *Pkg, rules map[string]bool) (allowSet, []Diagnostic)
 	allowed := make(allowSet)
 	var errs []Diagnostic
 	record := func(c *ast.Comment, atLine int) {
+		pos := pkg.Fset.Position(c.Pos())
+		if name, ok := strings.CutPrefix(c.Text, "//bsvet:"); ok {
+			if i := strings.IndexAny(name, " \t"); i >= 0 {
+				name = name[:i]
+			}
+			if !knownDirectives[name] {
+				errs = append(errs, Diagnostic{Pos: pos, Rule: "directive",
+					Message: "unknown directive //bsvet:" + name + " (known: " + strings.Join(sortedSet(knownDirectives), ", ") + ")"})
+				return
+			}
+		}
 		fields, ok := directiveFields(c.Text, directivePrefix)
 		if !ok {
 			return
 		}
-		pos := pkg.Fset.Position(c.Pos())
 		if len(fields) == 0 {
 			errs = append(errs, Diagnostic{Pos: pos, Rule: "directive",
 				Message: "bsvet:allow needs a rule name and a reason"})

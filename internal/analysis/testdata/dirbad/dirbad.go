@@ -1,5 +1,6 @@
-// Package dirbad seeds malformed bsvet:allow directives: unknown rule
-// names and missing reasons must be rejected, not silently ignored.
+// Package dirbad seeds malformed bsvet directives: unknown rule names,
+// missing reasons and unknown directive names must be rejected, not
+// silently ignored.
 // The expectations use the harness's offset form (want:-1) because a
 // `// want` trailing a directive line would be swallowed as the
 // directive's reason text.
@@ -28,3 +29,10 @@ func Empty() time.Time {
 	// want:-1 "needs a rule name and a reason"
 	return time.Now() // want "time.Now depends on the host wall clock"
 }
+
+// Retired carries the directive of a deleted rule, which is reported
+// rather than silently ignored.
+// want:+2 "unknown directive //bsvet:hotpath \\(known: allow, guards\\)"
+//
+//bsvet:hotpath
+func Retired() {}

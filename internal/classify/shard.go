@@ -149,16 +149,7 @@ func (s *ShardedMonitor) Alerts() []Alert {
 // Stats returns the aggregate accounting — the shards share one
 // metrics struct, so this is the same view Monitor.Stats gives for a
 // serial run.
-func (s *ShardedMonitor) Stats() MonitorStats {
-	return MonitorStats{
-		Records:         s.m.records.Value(),
-		Matched:         s.m.matched.Value(),
-		Alerts:          s.m.alerts.Value(),
-		RejectedRecords: s.m.rejected.Value(),
-		EvictedBins:     s.m.evicted.Value(),
-		SourceOverflows: s.m.overflows.Value(),
-	}
-}
+func (s *ShardedMonitor) Stats() MonitorStats { return s.m.stats() }
 
 // Health aggregates the shard monitors' health: occupancy and live
 // alerts sum; the table is saturated if any shard is.
@@ -204,8 +195,6 @@ type monitorShard struct {
 // reaches the bins as its two 16-byte addresses and two integers — no
 // flow.Record and no netip.Addr is built for any row. The counters
 // every shard shares are added once for the whole batch.
-//
-//bsvet:hotpath
 func (s *monitorShard) Process(b *pipe.Batch) error {
 	m := s.mon
 	var t slabTally

@@ -59,50 +59,53 @@ type AttackSnapshot struct {
 	LastUnix   int64
 }
 
-// Snapshot captures the monitor's state. The caller must ensure the
-// monitor is quiescent (no concurrent Add).
+// Snapshot captures the monitor's state: the one-monitor case of the
+// sharded fold. The caller must ensure the monitor is quiescent (no
+// concurrent Add).
 //
 //bsvet:allow deadcode oracle: TestMonitorSnapshotRoundTrip and TestShardedSnapshotRestoreAcrossShardCounts use the serial monitor as reference
-func (m *Monitor) Snapshot() *MonitorSnapshot {
-	s := &MonitorSnapshot{Stats: m.Stats()}
-	if m.latest != noClock {
-		s.LatestUnix, s.LatestValid = m.latest, true
-	}
-	s.Bins = make([]BinSnapshot, 0, len(m.minutes))
-	for key, agg := range m.minutes {
-		s.Bins = append(s.Bins, BinSnapshot{
-			Victim:         key.dst,
-			MinuteUnix:     key.minute,
-			Bytes:          agg.bytes,
-			Sources:        agg.sources.Snapshot(),
-			SourceOverflow: agg.sources.Overflow(),
-		})
-	}
-	sortBins(s.Bins)
-	s.Alerted = make([]AlertMarker, 0, len(m.alerted))
-	for victim, last := range m.alerted {
-		s.Alerted = append(s.Alerted, AlertMarker{Victim: victim, MinuteUnix: last})
-	}
-	sortMarkers(s.Alerted)
-	s.Attacks = attackSnapshots(m.attacks)
-	return s
-}
+func (m *Monitor) Snapshot() *MonitorSnapshot { return snapshot([]*Monitor{m}) }
 
-func attackSnapshots(attacks map[[16]byte]*attackState) []AttackSnapshot {
-	if len(attacks) == 0 {
-		return nil
+// snapshot folds the state of monitors that share one metrics struct
+// and own disjoint victim sets into one flat snapshot: a disjoint
+// union, under the latest of their eviction clocks. Its bin and marker
+// tables are empty, not nil, when the monitors hold none.
+func snapshot(ms []*Monitor) *MonitorSnapshot {
+	var bins, alerted int
+	for _, m := range ms {
+		bins, alerted = bins+len(m.minutes), alerted+len(m.alerted)
 	}
-	out := make([]AttackSnapshot, 0, len(attacks))
-	for victim, st := range attacks {
-		out = append(out, AttackSnapshot{
-			Victim:     victim,
-			ID:         st.id,
-			OpenedUnix: st.openedUnix,
-			LastUnix:   st.lastUnix,
-		})
+	snap := &MonitorSnapshot{Stats: ms[0].m.stats(),
+		Bins: make([]BinSnapshot, 0, bins), Alerted: make([]AlertMarker, 0, alerted)}
+	for _, m := range ms {
+		if u := m.latest; u != noClock && (!snap.LatestValid || u > snap.LatestUnix) {
+			snap.LatestUnix, snap.LatestValid = u, true
+		}
+		for key, agg := range m.minutes {
+			snap.Bins = append(snap.Bins, BinSnapshot{
+				Victim:         key.dst,
+				MinuteUnix:     key.minute,
+				Bytes:          agg.bytes,
+				Sources:        agg.sources.Snapshot(),
+				SourceOverflow: agg.sources.Overflow(),
+			})
+		}
+		for victim, last := range m.alerted {
+			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim, MinuteUnix: last})
+		}
+		for victim, st := range m.attacks {
+			snap.Attacks = append(snap.Attacks, AttackSnapshot{
+				Victim:     victim,
+				ID:         st.id,
+				OpenedUnix: st.openedUnix,
+				LastUnix:   st.lastUnix,
+			})
+		}
 	}
-	sortAttacks(out)
-	return out
+	sortBins(snap.Bins)
+	sortMarkers(snap.Alerted)
+	sortAttacks(snap.Attacks)
+	return snap
 }
 
 func sortAttacks(as []AttackSnapshot) {
@@ -144,8 +147,7 @@ func (m *Monitor) restoreBin(b *BinSnapshot) {
 	// Recompute the threshold latch (rate and sources grow
 	// monotonically within a bin, so "crossed earlier" equals "crossed
 	// now"): a restored bin must not re-fire its crossing event.
-	rate := float64(agg.bytes) * 8 / 60
-	agg.crossed = rate > m.cfg.MinRateBps && agg.sources.Len() > m.cfg.MinSources
+	agg.crossed = m.cfg.passes(minuteRate(agg.bytes), agg.sources.Len())
 	m.minutes[key] = agg
 	m.binsAt.add(key.minute, key)
 }
@@ -166,37 +168,42 @@ func (m *Monitor) restoreAttack(a *AttackSnapshot) {
 	m.attacksAt.add(a.LastUnix, a.Victim)
 }
 
-func (m *Monitor) restoreClock(s *MonitorSnapshot) {
-	if s.LatestValid {
-		m.latest = floorMinute(s.LatestUnix)
-	}
-}
-
-// Restore loads a snapshot into an empty monitor, replacing any state.
-// Counters resume from the snapshot's values, so accounting survives a
-// restart instead of resetting to zero.
+// Restore loads a snapshot into a freshly constructed monitor: the
+// one-monitor case of the sharded restore. Counters resume from the
+// snapshot's values, so accounting survives a restart instead of
+// resetting to zero.
 //
 //bsvet:allow deadcode oracle: TestMonitorSnapshotRoundTrip and TestShardedSnapshotRestoreAcrossShardCounts use the serial monitor as reference
-func (m *Monitor) Restore(s *MonitorSnapshot) {
-	m.minutes = make(map[minuteKey]*monAgg, len(s.Bins))
-	m.alerted = make(map[[16]byte]int64, len(s.Alerted))
-	m.attacks = make(map[[16]byte]*attackState, len(s.Attacks))
-	m.binsAt = minuteIndex[minuteKey]{}
-	m.attacksAt = minuteIndex[[16]byte]{}
-	m.alertedAt = minuteIndex[[16]byte]{}
-	m.memoKeys, m.memoAggs = [memoWays]minuteKey{}, [memoWays]*monAgg{}
-	for i := range s.Attacks {
-		m.restoreAttack(&s.Attacks[i])
+func (m *Monitor) Restore(s *MonitorSnapshot) { restore([]*Monitor{m}, s) }
+
+// restore loads a flat snapshot into freshly constructed monitors that
+// share one metrics struct, handing each attack, marker and bin to the
+// monitor the fan-out's destination hash routes its victim to — all to
+// the one monitor when there is one. The shared counters resume from
+// the snapshot's values, and the occupancy gauge is set from the table.
+func restore(ms []*Monitor, snap *MonitorSnapshot) {
+	n := uint64(len(ms))
+	for i := range snap.Attacks {
+		a := &snap.Attacks[i]
+		ms[pipe.KeyDstAddr(a.Victim)%n].restoreAttack(a)
 	}
-	for i := range s.Alerted {
-		m.restoreMarker(&s.Alerted[i])
+	for i := range snap.Alerted {
+		a := &snap.Alerted[i]
+		ms[pipe.KeyDstAddr(a.Victim)%n].restoreMarker(a)
 	}
-	for i := range s.Bins {
-		m.restoreBin(&s.Bins[i])
+	for i := range snap.Bins {
+		b := &snap.Bins[i]
+		ms[pipe.KeyDstAddr(b.Victim)%n].restoreBin(b)
 	}
-	m.m.occupancy.Set(float64(len(m.minutes)))
-	m.restoreClock(s)
-	restoreStats(m.m, s.Stats)
+	var bins int
+	for _, m := range ms {
+		if snap.LatestValid {
+			m.latest = floorMinute(snap.LatestUnix)
+		}
+		bins += len(m.minutes)
+	}
+	ms[0].m.occupancy.Set(float64(bins))
+	restoreStats(ms[0].m, snap.Stats)
 }
 
 // restoreStats advances fresh counters to the snapshot's values. The
@@ -220,39 +227,7 @@ func (m *Monitor) setConfig(cfg Config) { m.cfg = cfg.withDefaults() }
 // disjoint union. Before snapshotting, advance every shard to the
 // global watermark first (AdvanceAll) so the per-shard eviction clocks
 // agree — the service daemon's checkpoint path does both.
-func (s *ShardedMonitor) Snapshot() *MonitorSnapshot {
-	snap := &MonitorSnapshot{Stats: s.Stats()}
-	for _, sh := range s.shards {
-		m := sh.mon
-		if u := m.latest; u != noClock && (!snap.LatestValid || u > snap.LatestUnix) {
-			snap.LatestUnix, snap.LatestValid = u, true
-		}
-		for key, agg := range m.minutes {
-			snap.Bins = append(snap.Bins, BinSnapshot{
-				Victim:         key.dst,
-				MinuteUnix:     key.minute,
-				Bytes:          agg.bytes,
-				Sources:        agg.sources.Snapshot(),
-				SourceOverflow: agg.sources.Overflow(),
-			})
-		}
-		for victim, last := range m.alerted {
-			snap.Alerted = append(snap.Alerted, AlertMarker{Victim: victim, MinuteUnix: last})
-		}
-		for victim, st := range m.attacks {
-			snap.Attacks = append(snap.Attacks, AttackSnapshot{
-				Victim:     victim,
-				ID:         st.id,
-				OpenedUnix: st.openedUnix,
-				LastUnix:   st.lastUnix,
-			})
-		}
-	}
-	sortBins(snap.Bins)
-	sortMarkers(snap.Alerted)
-	sortAttacks(snap.Attacks)
-	return snap
-}
+func (s *ShardedMonitor) Snapshot() *MonitorSnapshot { return snapshot(s.Monitors()) }
 
 // AdvanceAll replays the global eviction clock on every shard — the
 // same normalization FanOut.Close applies at end of stream. Running it
@@ -274,28 +249,7 @@ func (s *ShardedMonitor) AdvanceAll(unixSec int64) {
 // bins across shards by the same destination hash the fan-out routes
 // records with. Shard monitors must be empty (freshly constructed);
 // the shared counters resume from the snapshot's values.
-func (s *ShardedMonitor) Restore(snap *MonitorSnapshot) {
-	n := uint64(len(s.shards))
-	for i := range snap.Attacks {
-		a := &snap.Attacks[i]
-		s.shards[pipe.KeyDstAddr(a.Victim)%n].mon.restoreAttack(a)
-	}
-	for i := range snap.Alerted {
-		a := &snap.Alerted[i]
-		s.shards[pipe.KeyDstAddr(a.Victim)%n].mon.restoreMarker(a)
-	}
-	for i := range snap.Bins {
-		b := &snap.Bins[i]
-		s.shards[pipe.KeyDstAddr(b.Victim)%n].mon.restoreBin(b)
-	}
-	var bins int
-	for _, sh := range s.shards {
-		sh.mon.restoreClock(snap)
-		bins += len(sh.mon.minutes)
-	}
-	s.m.occupancy.Set(float64(bins))
-	restoreStats(s.m, snap.Stats)
-}
+func (s *ShardedMonitor) Restore(snap *MonitorSnapshot) { restore(s.Monitors(), snap) }
 
 // SetConfig replaces the classification thresholds on every shard and
 // on the fan-out's watermark filter (MarkFilter reads the live config).

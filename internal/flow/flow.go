@@ -284,7 +284,6 @@ func (s *SourceSet) Add(a netip.Addr) bool { return s.add(slotOf(a)) }
 // building the netip.Addr.
 func (s *SourceSet) AddAs16(b [16]byte) bool { return s.add(canonicalSlot(b)) }
 
-//bsvet:hotpath
 func (s *SourceSet) add(sl sourceSlot) bool {
 	at, ok := s.lookup(sl)
 	if ok {
@@ -341,8 +340,6 @@ func (s *SourceSet) insert(sl sourceSlot, at int) {
 
 // grow moves the members into a fresh table: the first one when the
 // inline array is full, else one twice the current size.
-//
-//bsvet:hotpath
 func (s *SourceSet) grow() {
 	old := s.set
 	if old == nil {

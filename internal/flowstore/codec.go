@@ -173,8 +173,6 @@ func (e *blockEncoder) sortedCopy(c *flow.Columns) *flow.Columns {
 // already in start-time order. columnBlock.load plus its column
 // decoders are the payload's exact inverse. The frame aliases e's
 // scratch and is valid until the next call.
-//
-//bsvet:hotpath
 func (e *blockEncoder) encode(c *flow.Columns) ([]byte, blockIndex) {
 	n := c.Len()
 	if cap(e.vals) < n {
@@ -226,8 +224,6 @@ func (e *blockEncoder) encode(c *flow.Columns) ([]byte, blockIndex) {
 
 // widen copies a narrow column into dst as the uint64s the codec
 // encodes.
-//
-//bsvet:hotpath
 func widen[T uint8 | uint16 | uint32](dst []uint64, src []T) []uint64 {
 	for i, v := range src {
 		dst[i] = uint64(v)
@@ -240,8 +236,6 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // measure returns the length of vals as a raw uvarint stream and their
 // maximum — what the encoding choice needs, without building any form.
-//
-//bsvet:hotpath
 func measure(vals []uint64) (rawLen int, maxv uint64) {
 	for _, v := range vals {
 		rawLen += uvarintLen(v)
@@ -254,8 +248,6 @@ func measure(vals []uint64) (rawLen int, maxv uint64) {
 // first-appearance order — deterministic, pinned by the layout golden
 // test — and each row's position into e.idx. It gives up, ok=false, at
 // the first value past maxDictValues distinct ones.
-//
-//bsvet:hotpath
 func (e *blockEncoder) probe(vals []uint64) (distinct int, ok bool) {
 	clear(e.slots[:])
 	const mask = uint64(len(e.slots) - 1)
@@ -290,8 +282,6 @@ func (e *blockEncoder) probe(vals []uint64) (distinct int, ok bool) {
 // columns (random source addresses, byte counters) land raw or fixed;
 // protocol, ports, victim-set destination halves, near-constant
 // sampling rates and the mostly-0/1 sorted-timestamp deltas land dict.
-//
-//bsvet:hotpath
 func (e *blockEncoder) appendValueColumn(vals []uint64, rawBytes []uint8) {
 	n, f := len(vals), e.frame
 	rawLen, maxv := measure(vals)
@@ -343,8 +333,6 @@ func (e *blockEncoder) appendValueColumn(vals []uint64, rawBytes []uint8) {
 // appendPacked appends dictionary positions bit-packed w bits each
 // (w in {0, 1, 2, 4, 8}; 0 — a constant column — appends nothing),
 // low bits first within a byte.
-//
-//bsvet:hotpath
 func appendPacked(f []byte, idx []uint8, w int) []byte {
 	if w == 0 {
 		return f

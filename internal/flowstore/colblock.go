@@ -98,8 +98,6 @@ func (cb *ColumnBlock) load(payload []byte, count int) error {
 // (deltas, dict sizes, small counters) fit them — with a general loop
 // as the tail case, byte-compatible with binary.Uvarint in both
 // accepted encodings (including overlong forms) and errors.
-//
-//bsvet:hotpath
 func decodeUvarints(dst []uint64, col []byte, count int) error {
 	off := 0
 	for i := 0; i < count; i++ {
@@ -144,8 +142,6 @@ func decodeUvarints(dst []uint64, col []byte, count int) error {
 
 // decodeDict decodes a dict-encoded column into dst. Range validation
 // of the looked-up values is the caller's job.
-//
-//bsvet:hotpath
 func decodeDict(dst []uint64, col []byte, count int) error {
 	values, packed, err := dictHeader(col, count)
 	if err != nil {
@@ -177,8 +173,6 @@ func decodeDict(dst []uint64, col []byte, count int) error {
 // decodeFixed decodes an encFixed column into dst with fixed-stride
 // little-endian loads — the vectorized path for high-entropy wide
 // columns the writer refused to varint (see appendValueColumn).
-//
-//bsvet:hotpath
 func decodeFixed(dst []uint64, col []byte, count int) error {
 	w, data, err := fixedHeader(col, count)
 	if err != nil {
@@ -231,8 +225,6 @@ var u64ScratchPool = sync.Pool{New: func() any { return new([]uint64) }}
 // decodeCol decodes column i into cb.Cols (idempotent). Undecoded
 // columns cost nothing — the lazy-materialization saving ScanStats
 // reports via ColumnsDecodedFraction.
-//
-//bsvet:hotpath
 func (cb *ColumnBlock) decodeCol(i int) error {
 	if cb.decoded[i] {
 		return nil
@@ -455,8 +447,6 @@ func compilePredicate(q *Query) colPredicate {
 }
 
 // rowMatches evaluates the compiled predicate for one row.
-//
-//bsvet:hotpath
 func (p *colPredicate) rowMatches(c *flow.Columns, i int) bool {
 	if p.hasFrom {
 		if sec := c.StartSec[i]; sec < p.fromSec || (sec == p.fromSec && c.StartNs[i] < p.fromNs) {
@@ -516,8 +506,6 @@ func (p *colPredicate) rowMatches(c *flow.Columns, i int) bool {
 // selection bitmap. Rows filtered out here are never materialized, and
 // when no row survives, the block's remaining columns are never
 // decoded at all.
-//
-//bsvet:hotpath
 func (cb *ColumnBlock) applyQuery(p *colPredicate) error {
 	words := (cb.count + 63) / 64
 	if cap(cb.sel) < words {
@@ -565,8 +553,6 @@ func (cb *ColumnBlock) selected(i int) bool {
 // bulk range copies for dense runs (the common case: blocks either
 // match wholesale or carry a few contiguous survivors). The caller
 // owns dst; nothing references cb afterwards.
-//
-//bsvet:hotpath
 func (cb *ColumnBlock) appendSelected(dst *flow.Columns) {
 	if cb.selCount == 0 {
 		return

@@ -223,8 +223,6 @@ var fnvPrimePow = func() (p [11]uint64) {
 // FNV-1a state h — exactly what hashing them one at a time computes. A
 // zero byte leaves h^b == h, so a run of k leading zero bytes (an IPv4
 // address's whole high half) is one multiply by prime^k.
-//
-//bsvet:hotpath
 func fnv1a(h, v uint64, n int) uint64 {
 	v <<= 8 * (8 - n)
 	k := min(bits.LeadingZeros64(v)/8, n)
@@ -244,8 +242,6 @@ var fnvV4Src = fnvV4Prefix(fnvOffset64)
 // fnvV4Prefix folds the ::ffff: prefix of an IPv4 address's 16-byte
 // form into h: the ten zero bytes are one multiply, the two 0xff bytes
 // one step each.
-//
-//bsvet:hotpath
 func fnvV4Prefix(h uint64) uint64 {
 	h *= fnvPrimePow[10]
 	h = (h ^ 0xff) * fnvPrime64
@@ -253,8 +249,6 @@ func fnvV4Prefix(h uint64) uint64 {
 }
 
 // fnvV4 folds the four bytes of v, most significant first, into h.
-//
-//bsvet:hotpath
 func fnvV4(h uint64, v uint32) uint64 {
 	h = (h ^ uint64(v>>24)) * fnvPrime64
 	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
@@ -270,8 +264,6 @@ func fnvV4(h uint64, v uint32) uint64 {
 // ::ffff:a.b.c.d (IPv4 and IPv4-mapped addresses), their constant
 // 12-byte prefixes are folded in closed form and only the variable
 // bytes are hashed one at a time.
-//
-//bsvet:hotpath
 func shardOf(r *flow.Record, shards int) int {
 	shi, slo := flow.AddrHalves(r.Src)
 	dhi, dlo := flow.AddrHalves(r.Dst)

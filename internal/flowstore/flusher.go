@@ -202,8 +202,6 @@ func (s *Store) syncSeals(sw *shardWriter) {
 // A block of a segment an earlier write error broke, or one whose own
 // write fails, is dropped — counted, never silent — and the error
 // returned.
-//
-//bsvet:hotpath
 func (s *Store) writeBlock(enc *blockEncoder, w *segmentWriter, c *flow.Columns, unsorted bool) error {
 	n := uint64(c.Len())
 	if w.broken {

@@ -90,8 +90,6 @@ func (m *merge) prime() {
 // next returns the next run — rows [lo, hi) of c, all from stream i —
 // valid until the following call; ok is false at the end or on a stream
 // failure.
-//
-//bsvet:hotpath
 func (m *merge) next() (i int, c *flow.Columns, lo, hi int, ok bool) {
 	if w := m.last; w != nil && m.err == nil {
 		// The previous run consumed rows of w, which is order[0].

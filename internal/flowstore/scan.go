@@ -574,8 +574,6 @@ func (sc *shardScanner) take(blk int) error {
 // from index from on, the ones the last block added: one that starts
 // before its predecessor marks the slab unsorted, and one below the
 // floor fails the scan.
-//
-//bsvet:hotpath
 func (sc *shardScanner) flushBelow(from int, bound int64) error {
 	sec, ns := sc.slab.Cols.StartSec, sc.slab.Cols.StartNs
 	below := 0

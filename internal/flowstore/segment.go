@@ -64,8 +64,6 @@ func (ix *blockIndex) hasProto(p uint8) bool { return ix.Protocols[p>>3]&(1<<(p&
 // buildIndex computes the sparse index of a block from its staged
 // columns. Destination halves compare as the big-endian 16-byte form
 // does: high half first, unsigned.
-//
-//bsvet:hotpath
 func buildIndex(c *flow.Columns) blockIndex {
 	ix := blockIndex{Records: uint32(c.Len())}
 	if c.Len() == 0 {
@@ -198,8 +196,6 @@ func newSegmentWriter(sw *shardWriter, path string, part int64, blockRecords int
 }
 
 // add stages one record and reports whether the block is full.
-//
-//bsvet:hotpath
 func (w *segmentWriter) add(r *flow.Record, blockRecords int) bool {
 	c := w.cols
 	c.AppendRecord(r)

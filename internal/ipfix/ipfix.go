@@ -340,8 +340,6 @@ func (d *Decoder) Decode(b []byte) ([]flow.Record, error) {
 // any error the rows appended for this message are cut off again, so a
 // slab reused across messages never carries a malformed datagram's
 // partial rows; the returned slice keeps whatever capacity was grown.
-//
-//bsvet:hotpath
 func (d *Decoder) appendDecode(dst []flow.Record, b []byte) ([]flow.Record, error) {
 	if len(b) < headerLen {
 		return dst, errTruncated
@@ -505,8 +503,6 @@ func checkTemplate(tid uint16, fields []fieldSpec) error {
 // once for the whole set. Every slice below is as wide as legalLength
 // allowed when the template was stored, so the fixed-width reads cannot
 // run past it.
-//
-//bsvet:hotpath
 func (d *Decoder) parseDataLocked(dst []flow.Record, domain uint32, tid uint16, b []byte) ([]flow.Record, error) {
 	t, ok := d.templates[uint64(domain)<<16|uint64(tid)]
 	if !ok {

@@ -433,8 +433,6 @@ func (w *decodeWorker) recycle(b []byte) {
 // handle decodes one queued datagram into the worker's slab, returns the
 // datagram's buffer (no record points into it), and lends the records
 // to the handler.
-//
-//bsvet:hotpath
 func (w *decodeWorker) handle(msg []byte) {
 	c := w.c
 	recs, err := c.decode(w.recs[:0], msg)

@@ -197,8 +197,6 @@ func (f *FanOut) Process(b *Batch) error {
 // routeRows is the row routing loop. Pending slabs keep whatever shape
 // their first append gave them — a record landing on a column-shaped
 // slab is appended column-wise, never mixed in as a row.
-//
-//bsvet:hotpath
 func (f *FanOut) routeRows(recs []flow.Record) error {
 	n := uint64(len(f.shards))
 	stamp := f.markIf != nil
@@ -247,8 +245,6 @@ func (f *FanOut) routeRows(recs []flow.Record) error {
 // slabs flush after the batch, so they can briefly exceed
 // DefaultBatchSize; where a slab is cut cannot change a stage's result
 // (pinned by classify's TestShardedHandOverPointsCannotChangeResult).
-//
-//bsvet:hotpath
 func (f *FanOut) routeCols(c *flow.Columns) error {
 	m := c.Len()
 	if m == 0 {

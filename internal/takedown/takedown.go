@@ -168,8 +168,6 @@ func (t *triggerStage) Process(b *pipe.Batch) error {
 
 // addCol adds row i of a columnar slab: a window day's packets go to
 // its day bin, any other second to the series through dayTimeSec.
-//
-//bsvet:hotpath
 func (t *triggerStage) addCol(c *flow.Columns, i int) {
 	if c.Proto[i] != packet.IPProtoUDP {
 		return
