@@ -18,7 +18,7 @@ import (
 // runFederation opens the federation named by a vantages.json manifest
 // and serves the -federate / -correlate mode: a merged multi-vantage
 // scan summary, and optionally the cross-vantage attack join.
-func runFederation(out io.Writer, manifestPath string, correlate bool, par int, debugAddr string) error {
+func runFederation(out io.Writer, manifestPath string, correlate bool, debugAddr string) error {
 	m, err := federation.LoadManifest(manifestPath)
 	if err != nil {
 		return err
@@ -31,7 +31,7 @@ func runFederation(out io.Writer, manifestPath string, correlate bool, par int, 
 	rec := eventlog.New(0)
 	eventlog.SetActive(rec)
 
-	c, err := federation.Open(m, federation.Options{Parallelism: par})
+	c, err := federation.Open(m, federation.Options{})
 	if err != nil {
 		return err
 	}

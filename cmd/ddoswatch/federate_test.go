@@ -77,7 +77,7 @@ func TestRunFederationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := federation.Open(loaded, federation.Options{Parallelism: 1})
+	c, err := federation.Open(loaded, federation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunFederationSmoke(t *testing.T) {
 	}
 
 	var printed bytes.Buffer
-	runErr := runFederation(&printed, manifest, true, 2, "")
+	runErr := runFederation(&printed, manifest, true, "")
 	out := printed.String()
 	if runErr != nil {
 		t.Fatalf("runFederation: %v\n%s", runErr, out)

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale     = fs.Float64("scale", 0.5, "traffic scale factor")
 		days      = fs.Int("days", 30, "days of traffic to analyze")
 		storeDir  = fs.String("store.dir", "", "replay from a flowstore archive (flowgen -out) instead of generating")
-		par       = fs.Int("parallelism", 0, "replay workers, or -correlate shards: 0 = NumCPU, 1 = serial (results identical)")
+		par       = fs.Int("parallelism", 0, "replay workers: 0 = NumCPU, 1 = serial (results identical)")
 		incident  = fs.String("incident", "", "read a collector incident dump (.bsevt) and print attack timelines instead of running the landscape analysis")
 		federate  = fs.String("federate", "", "open a federation manifest (vantages.json) and query the multi-vantage plane instead of running the landscape analysis")
 		correlate = fs.Bool("correlate", false, "with -federate: join attacks across vantages and report seen-at/missing-at disagreement")
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *incident != "":
 		err = readIncident(stdout, *incident)
 	case *federate != "":
-		err = runFederation(stdout, *federate, *correlate, *par, *debugAddr)
+		err = runFederation(stdout, *federate, *correlate, *debugAddr)
 	case *correlate:
 		err = errors.New("-correlate requires -federate")
 	default:

@@ -113,15 +113,29 @@ func TestHotPathAllocs(t *testing.T) {
 		},
 	}, {
 		name:   "monitor, existing bins",
-		covers: []string{"(*monitorShard).Process", "(*Monitor).addMatched"},
+		covers: []string{"(*monitorShard).Process", "(*Monitor).addCols", "(*Monitor).addMatched"},
 		runs:   100,
 		setup: func(t *testing.T) func() {
 			s := NewShardedMonitor(Config{}, 1).shards[0]
 			return func() { process(t, s, warm) }
 		},
 	}, {
+		name:   "monitor, column ranges over existing bins",
+		covers: []string{"(*Monitor).AddCols", "(*Monitor).addCols", "(*Monitor).addMatched", "(*Monitor).Count"},
+		runs:   100,
+		setup: func(*testing.T) func() {
+			m := NewMonitor(Config{})
+			return func() {
+				var t Tally
+				for lo := 0; lo < warm.Len(); lo += 7 {
+					m.AddCols(warm, lo, min(lo+7, warm.Len()), &t)
+				}
+				m.Count(&t)
+			}
+		},
+	}, {
 		name:   "monitor, a new minute per call",
-		covers: []string{"(*monitorShard).Process", "(*Monitor).addMatched", "(*Monitor).newBin", "(*minuteIndex).expire"},
+		covers: []string{"(*monitorShard).Process", "(*Monitor).addCols", "(*Monitor).addMatched", "(*Monitor).newBin", "(*minuteIndex).expire"},
 		runs:   100,
 		budget: 3,
 		reason: "bin creation, one &monAgg per (victim, minute) bin, source set and attack link included; and the new minute's key list in each of the bin and attack eviction indexes; the clock advance expires the minutes past retention",
@@ -139,7 +153,7 @@ func TestHotPathAllocs(t *testing.T) {
 		},
 	}, {
 		name:   "monitor, alerted bins",
-		covers: []string{"(*monitorShard).Process", "(*Monitor).addMatched"},
+		covers: []string{"(*monitorShard).Process", "(*Monitor).addCols", "(*Monitor).addMatched"},
 		runs:   100,
 		setup: func(t *testing.T) func() {
 			s := NewShardedMonitor(Config{}, 1).shards[0]

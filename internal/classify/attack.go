@@ -164,9 +164,7 @@ func (m *Monitor) evictAttacks(horizonUnix int64) {
 // Victim-hash routing gives each victim's attacks to exactly one
 // shard, so a sharded run's per-shard logs concatenate and re-sort
 // into the identical list a serial monitor produces
-// (ShardedMonitor.AttackLog does exactly that).
-//
-//bsvet:allow deadcode oracle: TestMonitorRunFrozen and TestShardedAttackLogMatchesSerial read the serial monitor's attack log
+// (TestShardedAttackLogMatchesSerial holds them to it).
 func (m *Monitor) AttackLog() []AttackSummary {
 	if !m.TrackAttackLog {
 		return nil

@@ -1,13 +1,10 @@
 package classify
 
 import (
-	"booterscope/internal/flow"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
-
-	"booterscope/internal/pipe"
 )
 
 // TestAttackLogSummaries pins what the attack log records: interval,
@@ -83,9 +80,22 @@ func TestAttackLogOffByDefault(t *testing.T) {
 	}
 }
 
+// shardedAttackLog merges the shard monitors' attack logs after the
+// pipeline has finished: victim-hash routing pins each victim's attacks
+// to one shard, so concatenating the per-shard logs and re-sorting by
+// (first minute, victim) must give the serial monitor's list.
+func shardedAttackLog(sm *ShardedMonitor) []AttackSummary {
+	var all []AttackSummary
+	for _, m := range sm.Monitors() {
+		all = append(all, m.AttackLog()...)
+	}
+	sortAttackSummaries(all)
+	return all
+}
+
 // TestShardedAttackLogMatchesSerial: the merged per-shard attack logs
-// equal the serial monitor's log at every shard count — the property
-// the federation correlator relies on to shard its per-vantage runs.
+// equal the serial monitor's log at every shard count, so the live
+// daemon's sharded monitors keep the attacks a serial run logs.
 func TestShardedAttackLogMatchesSerial(t *testing.T) {
 	cfg := Config{MinRateBps: 50_000, MinSources: 3}
 	tune := func(m *Monitor) {
@@ -109,24 +119,8 @@ func TestShardedAttackLogMatchesSerial(t *testing.T) {
 			for _, m := range sm.Monitors() {
 				tune(m)
 			}
-			sm.SetTrackAttackLog(true)
-			src := pipe.Source(func(emit func(*pipe.Batch) error) error {
-				for off := 0; off < len(recs); off += 512 {
-					end := off + 512
-					if end > len(recs) {
-						end = len(recs)
-					}
-					b := pipe.Wrap(append([]flow.Record(nil), recs[off:end]...))
-					if err := emit(b); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err := pipe.Run(src, sm.FanOut()); err != nil {
-				t.Fatalf("pipeline: %v", err)
-			}
-			got := sm.AttackLog()
+			runFanOut(t, sm, recs)
+			got := shardedAttackLog(sm)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("attack logs diverge: got %d entries, want %d\ngot  = %+v\nwant = %+v",
 					len(got), len(want), got, want)

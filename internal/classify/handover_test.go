@@ -102,7 +102,7 @@ func runHandOver(t *testing.T, cfg Config, tune func(*Monitor), shards int, recs
 	}
 	return &handOverResult{
 		alerts:   sm.Alerts(),
-		log:      sm.AttackLog(),
+		log:      shardedAttackLog(sm),
 		stats:    sm.Stats(),
 		snapshot: snapshotBytes(t, sm.Snapshot()),
 	}

@@ -380,22 +380,22 @@ func (m *Monitor) detections(i int) *telemetry.Counter {
 	return m.detected[i]
 }
 
-// slabTally accumulates a slab's shares of the counters every shard
-// shares, so a shard adds to those atomics once per batch rather than
-// once per row.
-type slabTally struct {
+// Tally accumulates rows' shares of the record, match and detection
+// counters, atomics every shard shares, so a caller adds them once per
+// slab or per scan (Count) rather than once per row.
+type Tally struct {
 	records, matched uint64
 	detected         [len(reflectionLabels)]uint64
 }
 
-func (t *slabTally) detect(i int) {
+func (t *Tally) detect(i int) {
 	if i >= 0 {
 		t.detected[i]++
 	}
 }
 
-// count adds a slab's tally to the shared counters.
-func (m *Monitor) count(t *slabTally) {
+// Count adds t to the monitor's counters; pass each tally once.
+func (m *Monitor) Count(t *Tally) {
 	m.m.records.Add(t.records)
 	if t.matched > 0 {
 		m.m.matched.Add(t.matched)
@@ -424,17 +424,46 @@ func (m *Monitor) maxSourcesPerBin() int {
 // Add consumes one record and returns an alert if its victim just
 // crossed the thresholds (nil otherwise).
 func (m *Monitor) Add(r *flow.Record) *Alert {
-	var t slabTally
+	var t Tally
 	al := m.addRecord(r, nil, 0, &t)
-	m.count(&t)
+	m.Count(&t)
 	return al
+}
+
+// AddCols consumes rows [lo, hi) of c in order, as Add consumes
+// records, and tallies them into t for Count. It reads only a row's
+// addresses, source port, protocol, counters and start second. Alerts
+// it raises are counted and logged (TrackAttackLog), not returned.
+func (m *Monitor) AddCols(c *flow.Columns, lo, hi int, t *Tally) {
+	m.addCols(c, lo, hi, nil, t, nil)
+}
+
+// addCols is AddCols' loop, shared with a shard's columnar batches: a
+// matched row's clock is marks[i], or its own start past len(marks),
+// and onAlert, when set, receives each alert with its row.
+func (m *Monitor) addCols(c *flow.Columns, lo, hi int, marks []int64, t *Tally, onAlert func(*Alert, int)) {
+	for i := lo; i < hi; i++ {
+		t.detect(m.detection(c.Proto[i], c.SrcPort[i], c.Packets[i], c.Bytes[i]))
+		if !isAmplifiedNTPCols(c, i, m.cfg) {
+			continue
+		}
+		t.matched++
+		mark := c.StartSec[i]
+		if i < len(marks) {
+			mark = marks[i]
+		}
+		if al := m.addMatched(c.DstAs16(i), c.SrcAs16(i), c.StartSec[i], c.ScaledBytes(i), mark); al != nil && onAlert != nil {
+			onAlert(al, i)
+		}
+	}
+	t.records += uint64(hi - lo)
 }
 
 // addRecord is the row body Add and a shard's row batches share: it
 // tallies r into t and, when r passes the optimistic filter,
 // aggregates it under the clock marks[i] — r's own start when the
 // batch carries no stamp for it.
-func (m *Monitor) addRecord(r *flow.Record, marks []int64, i int, t *slabTally) *Alert {
+func (m *Monitor) addRecord(r *flow.Record, marks []int64, i int, t *Tally) *Alert {
 	t.records++
 	t.detect(m.detection(r.Protocol, r.SrcPort, r.Packets, r.Bytes))
 	if !isAmplifiedNTP(r, m.cfg) {

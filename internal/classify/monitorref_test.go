@@ -278,7 +278,7 @@ func matchReference(t *testing.T, run refRun, recs []flow.Record, rng *rand.Rand
 			if err := f.Barrier(func() error {
 				sm.AdvanceAll(f.Watermark())
 				got = sm.Alerts()
-				log, st, snap = sm.AttackLog(), sm.Stats(), sm.Snapshot()
+				log, st, snap = shardedAttackLog(sm), sm.Stats(), sm.Snapshot()
 				// The fold leaves empty tables nil; a serial
 				// snapshot has them empty.
 				if snap.Bins == nil {

@@ -61,31 +61,10 @@ func (s *ShardedMonitor) SetEvents(l *eventlog.Log) {
 	}
 }
 
-// SetTrackAttackLog enables (or disables) per-attack summary tracking
-// on every shard monitor. Call before the pipeline starts; read the
-// merged result with AttackLog after it finishes.
-func (s *ShardedMonitor) SetTrackAttackLog(v bool) {
-	for _, sh := range s.shards {
-		sh.mon.TrackAttackLog = v
-	}
-}
-
-// AttackLog merges the shard monitors' attack logs into the identical
-// list a serial monitor produces: victim-hash routing pins each
-// victim's attacks to one shard, so concatenating the per-shard logs
-// and re-sorting by (first minute, victim) loses nothing and
-// duplicates nothing. Call only after the pipeline has finished.
-func (s *ShardedMonitor) AttackLog() []AttackSummary {
-	var all []AttackSummary
-	for _, sh := range s.shards {
-		all = append(all, sh.mon.AttackLog()...)
-	}
-	sortAttackSummaries(all)
-	return all
-}
-
 // Monitors exposes the per-shard monitors for configuration
 // (Retention, ReAlertAfter, capacity bounds) before the run starts.
+//
+//bsvet:allow deadcode oracle: TestMonitorCheckpointFrozen tunes each shard's retention, re-alert and source cap with it
 func (s *ShardedMonitor) Monitors() []*Monitor {
 	out := make([]*Monitor, len(s.shards))
 	for i, sh := range s.shards {
@@ -191,34 +170,20 @@ type monitorShard struct {
 // Process feeds the batch to the shard monitor, using the stamped
 // watermarks (falling back to each record's own start time when the
 // batch was not routed through a fan-out). Columnar batches stay
-// columnar: the filters read the column vectors and a matched row
-// reaches the bins as its two 16-byte addresses and two integers — no
-// flow.Record and no netip.Addr is built for any row. The counters
-// every shard shares are added once for the whole batch.
+// columnar: they run the column loop AddCols runs, so no flow.Record
+// and no netip.Addr is built for any row. The counters every shard
+// shares are added once for the whole batch.
 func (s *monitorShard) Process(b *pipe.Batch) error {
 	m := s.mon
-	var t slabTally
+	var t Tally
 	if c := b.Cols; c != nil {
-		n := c.Len()
-		for i := 0; i < n; i++ {
-			t.detect(m.detection(c.Proto[i], c.SrcPort[i], c.Packets[i], c.Bytes[i]))
-			if !isAmplifiedNTPCols(c, i, m.cfg) {
-				continue
-			}
-			t.matched++
-			mark := c.StartSec[i]
-			if i < len(b.Marks) {
-				mark = b.Marks[i]
-			}
-			s.emit(m.addMatched(c.DstAs16(i), c.SrcAs16(i), c.StartSec[i], c.ScaledBytes(i), mark), b, i)
-		}
-		t.records = uint64(n)
+		m.addCols(c, 0, c.Len(), b.Marks, &t, func(al *Alert, i int) { s.emit(al, b, i) })
 	} else {
 		for i := range b.Recs {
 			s.emit(m.addRecord(&b.Recs[i], b.Marks, i, &t), b, i)
 		}
 	}
-	m.count(&t)
+	m.Count(&t)
 	return nil
 }
 

@@ -13,6 +13,25 @@ import (
 	"booterscope/internal/pipe"
 )
 
+// runFanOut drives recs through sm's fan-out in 512-record row batches
+// and closes it, so every shard has joined when it returns.
+func runFanOut(t *testing.T, sm *ShardedMonitor, recs []flow.Record) {
+	t.Helper()
+	f := sm.FanOut()
+	for off := 0; off < len(recs); off += 512 {
+		b := pipe.Wrap(append([]flow.Record(nil), recs[off:min(off+512, len(recs))]...))
+		err := f.Process(b)
+		b.Release()
+		if err != nil {
+			f.Close()
+			t.Fatalf("pipeline: %v", err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+}
+
 // genMonitorStream builds an adversarial record stream for the
 // monitor equivalence property: many victims, bursty rates that cross
 // the (lowered) thresholds, out-of-order timestamps, re-alert gaps,
@@ -99,22 +118,7 @@ func TestShardedMonitorMatchesSerial(t *testing.T) {
 				for _, m := range sm.Monitors() {
 					tune(m)
 				}
-				src := pipe.Source(func(emit func(*pipe.Batch) error) error {
-					for off := 0; off < len(recs); off += 512 {
-						end := off + 512
-						if end > len(recs) {
-							end = len(recs)
-						}
-						b := pipe.Wrap(append([]flow.Record(nil), recs[off:end]...))
-						if err := emit(b); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err := pipe.Run(src, sm.FanOut()); err != nil {
-					t.Fatalf("pipeline: %v", err)
-				}
+				runFanOut(t, sm, recs)
 				gotAlerts := sm.Alerts()
 				if len(gotAlerts) != len(wantAlerts) || !reflect.DeepEqual(gotAlerts, wantAlerts) {
 					t.Fatalf("alerts diverge: got %d, want %d\ngot  = %v\nwant = %v",

@@ -96,13 +96,12 @@ func TestFederatedMatchesMerged(t *testing.T) {
 
 	// Identical record sequences must classify identically.
 	classifyStream := func(recs []flow.Record) []classify.AttackSummary {
-		sm := classify.NewShardedMonitor(classify.Config{}, 1)
-		sm.SetTrackAttackLog(true)
-		m := sm.Monitors()[0]
+		m := classify.NewMonitor(classify.Config{})
+		m.TrackAttackLog = true
 		for i := range recs {
 			m.Add(&recs[i])
 		}
-		return sm.AttackLog()
+		return m.AttackLog()
 	}
 	fedLog := classifyStream(fedRecs)
 	unionLog := classifyStream(unionRecs)

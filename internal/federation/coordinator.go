@@ -12,16 +12,15 @@ import (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// MaxParallel bounds how many vantage archives are processed
-	// concurrently by the vantage-level fan-outs (Correlate's
-	// per-vantage classification runs). <= 0 means all at once.
+	// MaxParallel bounds how many vantage archives Correlate
+	// classifies at once, each on its own goroutine beside that
+	// store's shard scanners. <= 0 means all at once.
 	// Scan needs no such bound: its per-vantage scans stream lazily
 	// under the merge's backpressure, so memory stays proportional to
 	// (vantages × shards × batch), not to archive size.
 	MaxParallel int
-	// Parallelism is the pipeline shard count of per-vantage
-	// classification runs (0 = NumCPU, 1 = serial). Results are
-	// identical at any setting.
+	// Parallelism is ignored: Correlate runs one serial monitor per
+	// vantage (ROADMAP 2b deletes the field).
 	Parallelism int
 	// StoreOptions is passed to flowstore.Open for each vantage store.
 	// Geometry (shard count) always comes from the stores' own

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"booterscope/internal/classify"
+	"booterscope/internal/flow"
 	"booterscope/internal/flowstore"
-	"booterscope/internal/pipe"
 	"booterscope/internal/telemetry/eventlog"
 )
 
@@ -95,14 +95,14 @@ type vantageRun struct {
 	err   error
 }
 
-// Correlate runs the sharded streaming classifier over every vantage
-// archive (bounded by Options.MaxParallel) and joins the resulting
+// Correlate runs one serial streaming classifier over every vantage
+// archive (at most Options.MaxParallel at once) and joins the resulting
 // attack logs by (victim, time-overlap). Two observations of one
 // victim join when their minute intervals — widened by one minute of
 // bin granularity plus each side's clock-skew bound — overlap.
 // Attacks where no vantage crossed the thresholds are dropped as
 // noise. The report is deterministic: same archives, same manifest,
-// same options — identical report at any parallelism.
+// same options — identical report at any MaxParallel.
 func (c *Coordinator) Correlate(opts CorrelateOptions) (*CorrelationReport, error) {
 	metricCorrelations.Inc()
 	runs := make([]vantageRun, len(c.vantages))
@@ -114,7 +114,7 @@ func (c *Coordinator) Correlate(opts CorrelateOptions) (*CorrelationReport, erro
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			runs[i] = c.classifyStream(opts, c.vantages[i].store.ScanOrdered)
+			runs[i] = classifyStream(opts, mergeScan(c.vantages[i].store))
 		}(i)
 	}
 	wg.Wait()
@@ -166,46 +166,52 @@ func maxParallel(n, vantages int) int {
 	return n
 }
 
-// monitorColumns is what the sharded monitor and its fan-out read of a
-// record: both addresses (routing, bins, source sets), the source port
-// and protocol (the reflection filters), the counters (average packet
-// size, scaled bytes) and the start time (minute bins, the watermark,
-// the merge order). Destination ports, end times and AS numbers are
-// never decoded.
+// monitorColumns is what the monitor reads of a record: both addresses
+// (bins, source sets), the source port and protocol (the reflection
+// filters), the counters (average packet size, scaled bytes) and the
+// start time (minute bins, the clock, the merge order). Destination
+// ports, end times and AS numbers are never decoded.
 const monitorColumns = flowstore.ColSrcAddr | flowstore.ColDstAddr | flowstore.ColSrcPort |
 	flowstore.ColProto | flowstore.ColCounters | flowstore.ColStart
 
-// classifyStream runs scan — one vantage store's ScanOrdered — through
-// a fresh sharded monitor with attack-log tracking. The monitors get no
-// recorder, so they emit no lifecycle events (vantage runs race each
-// other; see CorrelateOptions.Events).
-func (c *Coordinator) classifyStream(opts CorrelateOptions, scan func(flowstore.Query, func(*pipe.Batch) error) (flowstore.ScanStats, error)) vantageRun {
-	sm := classify.NewShardedMonitor(opts.Config, c.opts.Parallelism)
-	for _, m := range sm.Monitors() {
-		if opts.Retention > 0 {
-			m.Retention = opts.Retention
-		}
-		if opts.ReAlertAfter > 0 {
-			m.ReAlertAfter = opts.ReAlertAfter
-		}
+// orderedScan is one vantage store's ordered scan in flowstore.MergeScan's
+// shape: fn receives the merge's runs, rows [lo, hi) of a shard
+// scanner's own decoded slab, valid for the duration of the call.
+type orderedScan func(flowstore.Query, func(i int, cols *flow.Columns, lo, hi int) error) ([]flowstore.ScanStats, error)
+
+// mergeScan is store's ordered scan.
+func mergeScan(store *flowstore.Store) orderedScan {
+	return func(q flowstore.Query, fn func(int, *flow.Columns, int, int) error) ([]flowstore.ScanStats, error) {
+		return flowstore.MergeScan([]*flowstore.Store{store}, q, fn)
 	}
-	sm.SetTrackAttackLog(true)
-	// The monitor's watermark clock makes it order-sensitive, so feed
-	// it the deterministic time-ordered stream — ScanOrdered, NOT
-	// ScanBatches or ScanPartitions, which deliver blocks unsorted and
-	// would evict attack state differently. The batches stay columnar from the block decoder to the
-	// monitor's bins.
+}
+
+// classifyStream runs scan, run by run and with no copy after decode,
+// through one fresh serial monitor with attack-log tracking. The
+// monitor's clock makes it order-sensitive, hence the ordered merge,
+// not ScanPartitions' unsorted blocks. It gets no recorder, so it emits
+// no lifecycle events (see CorrelateOptions.Events).
+func classifyStream(opts CorrelateOptions, scan orderedScan) vantageRun {
+	m := classify.NewMonitor(opts.Config)
+	if opts.Retention > 0 {
+		m.Retention = opts.Retention
+	}
+	if opts.ReAlertAfter > 0 {
+		m.ReAlertAfter = opts.ReAlertAfter
+	}
+	m.TrackAttackLog = true
 	q := opts.Query
 	q.Project = monitorColumns
-	var stats flowstore.ScanStats
-	src := pipe.Source(func(emit func(*pipe.Batch) error) (err error) {
-		stats, err = scan(q, emit)
-		return err
+	var t classify.Tally
+	stats, err := scan(q, func(_ int, cols *flow.Columns, lo, hi int) error {
+		m.AddCols(cols, lo, hi, &t)
+		return nil
 	})
-	if err := pipe.Run(src, sm.FanOut()); err != nil {
+	m.Count(&t)
+	if err != nil {
 		return vantageRun{err: err}
 	}
-	return vantageRun{log: sm.AttackLog(), stats: stats}
+	return vantageRun{log: m.AttackLog(), stats: stats[0]}
 }
 
 // obsRef is one (vantage, summary) pair during the join sweep.

@@ -12,7 +12,7 @@
 // server's /vantages endpoint.
 //
 // On top of the merged plane sits cross-vantage correlation: Correlate
-// runs the sharded classify.Monitor once per vantage archive, joins
+// runs one serial classify.Monitor per vantage archive, joins
 // the resulting attack logs by (victim, time-overlap) — widened by the
 // vantages' clock-skew bounds — and reports each attack's SeenAt /
 // MissingAt vantage sets. "Seen at the IXP, missing at the tier-1
@@ -21,7 +21,7 @@
 //
 // Determinism contract: with fixed archives and a fixed manifest,
 // Scan delivers the identical record sequence on every run and
-// Correlate the identical report, independent of parallelism —
+// Correlate the identical report, independent of MaxParallel —
 // same property the single-store pipeline pins, lifted across stores.
 package federation
 

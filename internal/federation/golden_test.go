@@ -15,7 +15,6 @@ import (
 	"booterscope/internal/flow"
 	"booterscope/internal/flowstore"
 	"booterscope/internal/packet"
-	"booterscope/internal/pipe"
 	"booterscope/internal/telemetry/eventlog"
 )
 
@@ -157,12 +156,74 @@ func TestCorrelationReportFrozen(t *testing.T) {
 	}
 }
 
+// TestCorrelateMatchesRowMonitor: Correlate feeds each vantage's
+// monitor column ranges straight from the ordered merge. What it joins
+// must be what the plainest reading gives: one Monitor.Add per record
+// of the vantage store's Scan, in order. Each vantage's attack log, and
+// the report joined from those logs, must match at pipeline parallelism
+// 1 and 4.
+func TestCorrelateMatchesRowMonitor(t *testing.T) {
+	m := buildGoldenFederation(t, t.TempDir())
+	opts := CorrelateOptions{
+		Config:       classify.Config{MinRateBps: 2_000_000, MinSources: 8},
+		Retention:    4 * time.Minute,
+		ReAlertAfter: 6 * time.Minute,
+		Events:       eventlog.New(64),
+	}
+	for _, par := range []int{1, 4} {
+		c, err := Open(m, Options{Parallelism: par, StoreOptions: flowstore.Options{NoSync: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		report, err := c.Correlate(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]vantageRun, len(c.vantages))
+		for v, vs := range c.vantages {
+			mon := classify.NewMonitor(opts.Config)
+			mon.Retention, mon.ReAlertAfter, mon.TrackAttackLog = opts.Retention, opts.ReAlertAfter, true
+			rows[v].stats, err = vs.store.Scan(flowstore.Query{}, func(r *flow.Record) error {
+				mon.Add(r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[v].log = mon.AttackLog()
+			if len(rows[v].log) == 0 {
+				t.Fatalf("vantage %s logged no attacks", vs.v.Name)
+			}
+			got := classifyStream(opts, mergeScan(vs.store))
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if !reflect.DeepEqual(got.log, rows[v].log) {
+				t.Errorf("parallelism %d, vantage %s: Correlate's monitor logged %d attacks, a row Monitor.Add run %d, and they differ",
+					par, vs.v.Name, len(got.log), len(rows[v].log))
+			}
+		}
+		want := c.join(rows)
+		for i := range want.PerVantage {
+			// The scans differ in what they decode, not in what they read.
+			if g, w := report.PerVantage[i].Stats.RecordsMatched, want.PerVantage[i].Stats.RecordsMatched; g != w {
+				t.Errorf("parallelism %d, vantage %s: Correlate read %d records, Scan %d", par, want.PerVantage[i].Name, g, w)
+			}
+			want.PerVantage[i].Stats = report.PerVantage[i].Stats
+		}
+		if !reflect.DeepEqual(report, want) {
+			t.Errorf("parallelism %d: Correlate's report differs from the join of row Monitor.Add attack logs", par)
+		}
+	}
+}
+
 // TestCorrelateReadsOnlyWhatItProjects: Correlate asks its scans for
 // monitorColumns only, so every other column of a delivered slab holds
-// whatever the decode buffers last held. Overwrite those columns with
-// garbage on the way to the monitor: the report and the scan's
-// accounting must not notice, and must be what a run that decoded every
-// column reports. A monitor that starts reading a column the projection
+// whatever the decode buffers last held. Overwrite those columns of
+// every merge run with garbage on the way to the monitor: the report and
+// the scan's accounting must not notice, and must be what a run that
+// decoded every column reports. A monitor that starts reading a column the projection
 // leaves out fails here, not as a flaky figure.
 func TestCorrelateReadsOnlyWhatItProjects(t *testing.T) {
 	c, err := Open(buildGoldenFederation(t, t.TempDir()), Options{Parallelism: 2, StoreOptions: flowstore.Options{NoSync: true}})
@@ -204,21 +265,21 @@ func TestCorrelateReadsOnlyWhatItProjects(t *testing.T) {
 	classify := func(everything bool) *CorrelationReport {
 		runs := make([]vantageRun, len(c.vantages))
 		for v := range c.vantages {
-			runs[v] = c.classifyStream(opts, func(q flowstore.Query, emit func(*pipe.Batch) error) (flowstore.ScanStats, error) {
+			runs[v] = classifyStream(opts, func(q flowstore.Query, fn func(int, *flow.Columns, int, int) error) ([]flowstore.ScanStats, error) {
 				if everything {
 					q.Project = flowstore.AllColumns
 				}
-				return c.vantages[v].store.ScanOrdered(q, func(b *pipe.Batch) error {
+				return mergeScan(c.vantages[v].store)(q, func(s int, cols *flow.Columns, lo, hi int) error {
 					for _, g := range groups {
 						if q.Project&g.set == g.set {
 							continue
 						}
 						poisoned++
-						for i := 0; i < b.Cols.Len(); i++ {
-							g.poison(b.Cols, i)
+						for i := lo; i < hi; i++ {
+							g.poison(cols, i)
 						}
 					}
-					return emit(b)
+					return fn(s, cols, lo, hi)
 				})
 			})
 			if runs[v].err != nil {

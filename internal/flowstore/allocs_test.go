@@ -59,10 +59,9 @@ func TestHotPathAllocs(t *testing.T) {
 	}, {
 		name: "decode and filter",
 		covers: []string{"(*ColumnBlock).applyQuery", "(*colPredicate).rowMatches", "(*ColumnBlock).decodeCol",
-			"decodeUvarints", "decodeDict", "decodeFixed", "(*ColumnBlock).appendSelected"},
+			"decodeUvarints", "(*ColumnBlock).decodeDict", "dictHeader", "decodeFixed", "(*ColumnBlock).appendSelected"},
 		runs:   100,
-		budget: 8,
-		reason: "dictHeader's value table, one per dict-encoded column: 8 of this block's 16 value columns. The selection bitmap grows once per ColumnBlock and is reused for every later block it fits; the decoders' other allocations are on their corrupt-block error paths, which box an offset, a dict index or a column index",
+		reason: "the selection bitmap and the dict value table grow once per ColumnBlock and are reused for every later block and dict column they fit (this block has 8 dict columns); the decoders' other allocations are on their corrupt-block error paths, which box an offset, a dict index or a column index",
 		pooled: true,
 		setup: func(t *testing.T) func() {
 			payload := encodeBlock(recs)

@@ -414,10 +414,11 @@ func (pb *parsedBlock) parse(payload []byte) error {
 	return nil
 }
 
-// dictHeader decodes a dict column's value table, returning the values
-// and the packed-index bytes that follow. count bounds the table: a
-// dictionary can never hold more distinct values than rows.
-func dictHeader(col []byte, count int) (values []uint64, packed []byte, err error) {
+// dictHeader decodes a dict column's value table into buf's storage
+// (grown if it is short), returning the values and the packed-index
+// bytes that follow. count bounds the table: a dictionary can never
+// hold more distinct values than rows.
+func dictHeader(col []byte, count int, buf []uint64) (values []uint64, packed []byte, err error) {
 	rd := colReader{b: col}
 	n, err := rd.uvarint()
 	if err != nil {
@@ -426,7 +427,7 @@ func dictHeader(col []byte, count int) (values []uint64, packed []byte, err erro
 	if n == 0 || n > maxDictValues || int(n) > count {
 		return nil, nil, fmt.Errorf("flowstore: dict column with %d values for %d rows", n, count)
 	}
-	values = make([]uint64, n)
+	values = u64Scratch(buf, int(n))
 	for i := range values {
 		values[i], err = rd.uvarint()
 		if err != nil {

@@ -41,6 +41,9 @@ type ColumnBlock struct {
 	// pushed-down predicate).
 	sel      []uint64
 	selCount int
+	// dict holds the value table of the dict column being decoded,
+	// reused for every dict column of every block.
+	dict []uint64
 }
 
 // colBlockPool recycles ColumnBlocks process-wide. A single pool —
@@ -140,13 +143,15 @@ func decodeUvarints(dst []uint64, col []byte, count int) error {
 	return nil
 }
 
-// decodeDict decodes a dict-encoded column into dst. Range validation
-// of the looked-up values is the caller's job.
-func decodeDict(dst []uint64, col []byte, count int) error {
-	values, packed, err := dictHeader(col, count)
+// decodeDict decodes a dict-encoded column into dst, its value table
+// into cb.dict. Range validation of the looked-up values is the
+// caller's job.
+func (cb *ColumnBlock) decodeDict(dst []uint64, col []byte, count int) error {
+	values, packed, err := dictHeader(col, count, cb.dict)
 	if err != nil {
 		return err
 	}
+	cb.dict = values
 	w := dictWidth(len(values))
 	if w == 0 {
 		for i := 0; i < count; i++ {
@@ -199,7 +204,8 @@ func decodeFixed(dst []uint64, col []byte, count int) error {
 	return nil
 }
 
-// u64Scratch sizes a scratch vector for narrow-column decodes.
+// u64Scratch sizes a scratch vector, the narrow-column decodes' or a
+// dict value table, reusing buf when it is large enough.
 func u64Scratch(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
 		return make([]uint64, n)
@@ -212,7 +218,7 @@ func u64Scratch(buf []uint64, n int) []uint64 {
 func (cb *ColumnBlock) decodeValueCol(i int, dst []uint64) error {
 	switch cb.pb.encs[i] {
 	case encDict:
-		return decodeDict(dst, cb.pb.cols[i], cb.count)
+		return cb.decodeDict(dst, cb.pb.cols[i], cb.count)
 	case encFixed:
 		return decodeFixed(dst, cb.pb.cols[i], cb.count)
 	}

@@ -76,7 +76,7 @@ func TestHostileSealedSegment(t *testing.T) {
 			if pb.encs[colDstPortIdx] != encDict {
 				t.Fatalf("dst-port column encoding %d, test needs dict", pb.encs[colDstPortIdx])
 			}
-			values, packed, err := dictHeader(pb.cols[colDstPortIdx], int(binary.BigEndian.Uint32(seg[first+frameHeadLen:])))
+			values, packed, err := dictHeader(pb.cols[colDstPortIdx], int(binary.BigEndian.Uint32(seg[first+frameHeadLen:])), nil)
 			if err != nil || dictWidth(len(values)) != 4 {
 				t.Fatalf("dst-port dict: %d values, err %v; test needs a 4-bit dict", len(values), err)
 			}

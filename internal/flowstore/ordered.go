@@ -13,6 +13,10 @@ type shardStream struct {
 	ch  <-chan shardBatch
 	cur *pipe.Batch // the slab being merged, released when exhausted
 	pos int         // first unmerged row of cur
+	// sec and ns are row pos's (StartSec, StartNs), the stream's head
+	// key, kept here so the merge's compares read no slab.
+	sec int64
+	ns  uint32
 	err error
 }
 
@@ -22,7 +26,11 @@ func (s *shardStream) advance() bool {
 	s.release()
 	b, ok := <-s.ch
 	s.cur, s.pos, s.err = b.batch, 0, b.err
-	return ok && b.err == nil
+	if !ok || b.err != nil {
+		return false
+	}
+	s.sec, s.ns = s.cur.Cols.StartSec[0], s.cur.Cols.StartNs[0]
+	return true
 }
 
 func (s *shardStream) release() {
@@ -53,12 +61,11 @@ type merge struct {
 // less reports whether stream a's next row sorts before stream b's.
 func (m *merge) less(a, b int) bool {
 	sa, sb := m.streams[a], m.streams[b]
-	ca, cb := sa.cur.Cols, sb.cur.Cols
-	if x, y := ca.StartSec[sa.pos], cb.StartSec[sb.pos]; x != y {
-		return x < y
+	if sa.sec != sb.sec {
+		return sa.sec < sb.sec
 	}
-	if x, y := ca.StartNs[sa.pos], cb.StartNs[sb.pos]; x != y {
-		return x < y
+	if sa.ns != sb.ns {
+		return sa.ns < sb.ns
 	}
 	return a < b
 }
@@ -110,10 +117,11 @@ func (m *merge) next() (i int, c *flow.Columns, lo, hi int, ok bool) {
 		// The run ends at the first row the runner-up's next row sorts
 		// before; on an equal key the earlier stream goes first.
 		r := m.streams[m.order[1]]
-		rs, rn, yield := r.cur.Cols.StartSec[r.pos], r.cur.Cols.StartNs[r.pos], i > m.order[1]
+		rs, rn, yield := r.sec, r.ns, i > m.order[1]
 		sec, ns := c.StartSec[:hi], c.StartNs[:hi]
 		for hi = lo + 1; hi < len(sec); hi++ {
 			if s := sec[hi]; s > rs || s == rs && (ns[hi] > rn || yield && ns[hi] == rn) {
+				w.sec, w.ns = s, ns[hi]
 				break
 			}
 		}

@@ -69,7 +69,7 @@ func refColumn(pb *parsedBlock, i, count int) ([]uint64, error) {
 			out[j], col = v, col[n:]
 		}
 	case encDict:
-		values, packed, err := dictHeader(col, count)
+		values, packed, err := dictHeader(col, count, nil)
 		if err != nil {
 			return nil, err
 		}

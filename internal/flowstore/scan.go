@@ -336,8 +336,8 @@ var errIndexBelowRows = errors.New("flowstore: block holds start times before it
 // the compiled predicate runs against only the columns it references,
 // and survivors move column-wise into the pending slab: filtered-out
 // rows are never materialized, a block with no survivors never decodes
-// its other columns, one that survives whole is handed over by swapping
-// slice headers, and no flow.Record is built in either mode.
+// its other columns, one that survives whole is handed over unordered by
+// swapping slice headers, and no flow.Record is built in either mode.
 //
 // Unordered (a ScanPartitions worker), the slab goes out once it passes
 // pipe.DefaultBatchSize and when the worker runs out of partitions.
@@ -546,10 +546,13 @@ func (sc *shardScanner) take(blk int) error {
 	cb, from := sc.cb, sc.slab.Cols.Len()
 	switch {
 	case cb.selCount == 0:
-	case cb.selCount == cb.count && (from == 0 || !sc.ordered):
-		// Every row survived: ship the decoded columns whole (unordered,
-		// behind the partial slab) — a swap of slice headers with the
-		// fresh slab instead of a 17-column copy.
+	case cb.selCount == cb.count && !sc.ordered:
+		// Every row survived: ship the decoded columns whole, behind the
+		// partial slab — a swap of slice headers with the fresh slab
+		// instead of a 17-column copy. An ordered scanner copies instead
+		// and keeps its decode buffers: its fresh slabs come from a pool
+		// that every GC empties, and a block handed an empty slab's
+		// columns regrows them on its next load.
 		if err := sc.flush(); err != nil {
 			return err
 		}

@@ -14,13 +14,13 @@
 //
 // # Batch lifecycle and ownership
 //
-// A Batch is produced by exactly one party (a Source, or FanOut when it
-// re-slabs routed records) and consumed by exactly one Stage. The
+// A Batch is produced by exactly one party (a scanner, or FanOut when
+// it re-slabs routed records) and consumed by exactly one Stage. The
 // caller of Process retains ownership: after Process returns, the
 // batch may be released and its backing arrays reused, so a stage must
-// copy anything it keeps. Sources hand ownership of each emitted batch
-// to the consumer via emit; whoever drives the source (Run, FanOut)
-// releases it.
+// copy anything it keeps. A producer hands ownership of each emitted
+// batch to its consumer via emit; whoever drives the stage (a scan's
+// caller, FanOut) releases it.
 //
 // # Determinism
 //
@@ -165,26 +165,6 @@ func (b *Batch) Release() {
 type Stage interface {
 	Process(b *Batch) error
 	Close() error
-}
-
-// Source streams batches to emit until the stream is exhausted or emit
-// returns an error, which the source must propagate immediately —
-// early exit and cancellation flow through this return value.
-// Ownership of each emitted batch passes to emit's implementation.
-type Source func(emit func(*Batch) error) error
-
-// Run drives src through st on the calling goroutine and closes the
-// stage. The first error — source, Process, or Close — is returned;
-// Close always runs so stages can release resources.
-func Run(src Source, st Stage) error {
-	err := src(func(b *Batch) error {
-		defer b.Release()
-		return st.Process(b)
-	})
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // StageFunc adapts a pair of funcs to Stage; either may be nil.

@@ -31,6 +31,26 @@ func testRec(i int, start time.Time) flow.Record {
 	}
 }
 
+// Source streams batches to emit until the stream is exhausted or emit
+// returns an error, which the source must propagate immediately —
+// early exit and cancellation flow through this return value.
+// Ownership of each emitted batch passes to emit's implementation.
+type Source func(emit func(*Batch) error) error
+
+// Run drives src through st on the calling goroutine and closes the
+// stage. The first error — source, Process, or Close — is returned;
+// Close always runs so stages can release resources.
+func Run(src Source, st Stage) error {
+	err := src(func(b *Batch) error {
+		defer b.Release()
+		return st.Process(b)
+	})
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // sliceSource emits recs in batches of batchLen.
 func sliceSource(recs []flow.Record, batchLen int) Source {
 	return func(emit func(*Batch) error) error {

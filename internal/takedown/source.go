@@ -18,10 +18,9 @@ import (
 // over the same record multiset yields identical results; that is the
 // replay-equals-live guarantee the flowstore relies on.
 //
-// Source has the same shape as pipe.Source: ownership of each emitted
-// batch passes to emit, and an error returned by emit must be
-// propagated immediately — that is how early exit and cancellation
-// reach the producer.
+// Ownership of each emitted batch passes to emit, and an error
+// returned by emit must be propagated immediately — that is how early
+// exit and cancellation reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
 
 // Scanner hands a record stream to a pool of workers: Scan calls

@@ -9,11 +9,15 @@
 # Each side is built once before any run: the parent from
 # `git archive PARENT` unpacked into a temporary directory (so an
 # interrupted run leaves nothing registered in the repository), the
-# change from the working tree, uncommitted edits included. Each binary
-# runs from its own source root, where it reads its own BENCHMARK.json,
-# with --trace 0 and the given seed. The order flips every pair
-# (parent first, then change first, ...) so a drift of the box during
-# the set does not favour one side. It prints every run's metrics, then
+# change from the working tree, uncommitted edits included. Both
+# binaries run from one working directory and write their archives
+# under one shared --workdir inside it, each reading its own side's
+# BENCHMARK.json through --spec, with --trace 0 and the given seed: a
+# binary run from the temporary directory and one run from the
+# repository write to different file systems, and replay_correlate's
+# rec/s read 5-12 % apart that way between binaries with identical hot
+# code. The order flips every pair (parent first, then change first,
+# ...) so a drift of the box during the set does not favour one side. It prints every run's metrics, then
 # each side's median [q1, q3] and how many pairs each side won by the
 # metric's declared direction. Needs git, go, jq and awk; it edits
 # nothing under bench/.
@@ -40,11 +44,11 @@ names=$(echo "$metrics" | awk '{print $1}')
 
 # run SIDE PAIR appends one line "SIDE PAIR name=value ..." to results.
 run() {
-	local side=$1 pair=$2 dir out
+	local side=$1 pair=$2 spec out
 	shift 2
-	if [ "$side" = parent ]; then dir=$work/parent; else dir=$root; fi
+	if [ "$side" = parent ]; then spec=$work/parent/BENCHMARK.json; else spec=$root/BENCHMARK.json; fi
 	out=$work/$side-$pair.out
-	if ! (cd "$dir" && "$work/bench-$side" --workload "$workload" --seed "$seed" --trace 0 "$@" >"$out" 2>&1); then
+	if ! (cd "$work" && "$work/bench-$side" --spec "$spec" --workdir "$work/runs" --workload "$workload" --seed "$seed" --trace 0 "$@" >"$out" 2>&1); then
 		echo "$side run $pair failed:" >&2
 		tail -20 "$out" >&2
 		exit 1
