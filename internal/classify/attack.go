@@ -1,11 +1,11 @@
 package classify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"booterscope/internal/telemetry/eventlog"
 )
@@ -184,11 +184,8 @@ func sortAttackSummaries(s []AttackSummary) {
 	// Stable: one victim can log several summaries with the same first
 	// minute (evicted then re-opened by late records); their log order
 	// must survive the sort.
-	sort.SliceStable(s, func(i, j int) bool {
-		if s[i].FirstMinuteUnix != s[j].FirstMinuteUnix {
-			return s[i].FirstMinuteUnix < s[j].FirstMinuteUnix
-		}
-		return s[i].Victim.Compare(s[j].Victim) < 0
+	slices.SortStableFunc(s, func(a, b AttackSummary) int {
+		return cmp.Or(cmp.Compare(a.FirstMinuteUnix, b.FirstMinuteUnix), a.Victim.Compare(b.Victim))
 	})
 }
 

@@ -1,8 +1,9 @@
 package federation
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -130,6 +131,18 @@ func (c *Coordinator) Correlate(opts CorrelateOptions) (*CorrelationReport, erro
 	if ev == nil {
 		ev = eventlog.Active()
 	}
+	if ev != nil {
+		emitJoinEvents(ev, report)
+	}
+	metricCorrelatedAttacks.Add(uint64(len(report.Attacks)))
+	metricDisagreements.Add(uint64(report.Disagreements))
+	return report, nil
+}
+
+// emitJoinEvents records the report on ev: one event per vantage, then
+// one per joined attack. Correlate calls it only with a recorder, so a
+// run without one builds no attribute.
+func emitJoinEvents(ev *eventlog.Log, report *CorrelationReport) {
 	for _, pv := range report.PerVantage {
 		ev.Emit("federation", "federation_vantage_classified", 0,
 			eventlog.A("vantage", pv.Name),
@@ -151,9 +164,6 @@ func (c *Coordinator) Correlate(opts CorrelateOptions) (*CorrelationReport, erro
 		}
 		ev.Emit("federation", "federation_attack_joined", a.ID, attrs...)
 	}
-	metricCorrelatedAttacks.Add(uint64(len(report.Attacks)))
-	metricDisagreements.Add(uint64(report.Disagreements))
-	return report, nil
 }
 
 func maxParallel(n, vantages int) int {
@@ -214,10 +224,40 @@ func classifyStream(opts CorrelateOptions, scan orderedScan) vantageRun {
 	return vantageRun{log: m.AttackLog(), stats: stats[0]}
 }
 
-// obsRef is one (vantage, summary) pair during the join sweep.
+// obsRef is one vantage's attack summary during the join. seq is its
+// index in the vantages' concatenated logs: it orders vantages as the
+// federation does and, within one, keeps a vantage's same-victim
+// summaries with equal first minutes in attack-log order. hi, lo and
+// bits are the victim's 16-byte form and BitLen, so the sort compares
+// victims as netip.Addr.Compare does without reading the summary
+// (victims are canonical and carry no zone).
 type obsRef struct {
-	vantage int
-	sum     classify.AttackSummary
+	hi, lo  uint64
+	first   int64
+	bits    int32
+	vantage int32
+	seq     int
+	sum     *classify.AttackSummary
+}
+
+func (o obsRef) sameVictim(p obsRef) bool { return o.hi == p.hi && o.lo == p.lo && o.bits == p.bits }
+
+// cmpObs orders refs by (victim, first minute, vantage, attack-log
+// order).
+func cmpObs(a, b obsRef) int {
+	if c := cmp.Compare(a.bits, b.bits); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.first, b.first); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // join clusters the per-vantage attack logs by victim and widened
@@ -226,71 +266,55 @@ func (c *Coordinator) join(runs []vantageRun) *CorrelationReport {
 	report := &CorrelationReport{
 		PerVantage: make([]VantageClassification, len(c.vantages)),
 	}
-	byVictim := make(map[netip.Addr][]obsRef)
-	var victims []netip.Addr
+	var n int
+	for i := range runs {
+		n += len(runs[i].log)
+	}
+	refs := make([]obsRef, 0, n)
 	for i := range runs {
 		pv := &report.PerVantage[i]
 		pv.Name = c.vantages[i].v.Name
 		pv.Tier = c.vantages[i].v.Tier
 		pv.Stats = runs[i].stats
-		for _, sum := range runs[i].log {
+		for j := range runs[i].log {
+			sum := &runs[i].log[j]
 			pv.Attacks++
 			if sum.Crossed {
 				pv.Crossed++
 			}
-			if _, ok := byVictim[sum.Victim]; !ok {
-				victims = append(victims, sum.Victim)
-			}
-			byVictim[sum.Victim] = append(byVictim[sum.Victim], obsRef{vantage: i, sum: sum})
+			hi, lo := flow.AddrHalves(sum.Victim)
+			refs = append(refs, obsRef{hi: hi, lo: lo, first: sum.FirstMinuteUnix, bits: int32(sum.Victim.BitLen()),
+				vantage: int32(i), seq: len(refs), sum: sum})
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Less(victims[j]) })
+	slices.SortFunc(refs, cmpObs)
 
-	for _, v := range victims {
-		obs := byVictim[v]
-		// Stable: a vantage can log several same-victim summaries with
-		// equal first minutes; their attack-log order must carry
-		// through, not the sort's pivot luck.
-		sort.SliceStable(obs, func(i, j int) bool {
-			if obs[i].sum.FirstMinuteUnix != obs[j].sum.FirstMinuteUnix {
-				return obs[i].sum.FirstMinuteUnix < obs[j].sum.FirstMinuteUnix
-			}
-			return obs[i].vantage < obs[j].vantage
-		})
-		// Interval sweep: cluster observations whose widened minute
-		// intervals overlap. An observation covering minutes
-		// [first, last] spans [first-skew, last+60+skew] seconds.
-		var cluster []obsRef
-		var clusterEnd int64
-		flush := func() {
-			if len(cluster) > 0 {
-				c.emitCluster(report, v, cluster)
-			}
-			cluster = nil
+	// Interval sweep: cluster each victim's observations whose widened
+	// minute intervals overlap. An observation covering minutes
+	// [first, last] spans [first-skew, last+60+skew] seconds.
+	var start int
+	var clusterEnd int64
+	for i, o := range refs {
+		skew := c.vantages[o.vantage].v.ClockSkewMaxSeconds
+		from := o.first - skew
+		to := o.sum.LastMinuteUnix + 60 + skew
+		if i > start && (!o.sameVictim(refs[start]) || from > clusterEnd) {
+			c.emitCluster(report, refs[start:i])
+			start = i
 		}
-		for _, o := range obs {
-			skew := c.vantages[o.vantage].v.ClockSkewMaxSeconds
-			start := o.sum.FirstMinuteUnix - skew
-			end := o.sum.LastMinuteUnix + 60 + skew
-			if len(cluster) > 0 && start > clusterEnd {
-				flush()
-			}
-			cluster = append(cluster, o)
-			if len(cluster) == 1 || end > clusterEnd {
-				clusterEnd = end
-			}
+		if i == start || to > clusterEnd {
+			clusterEnd = to
 		}
-		flush()
+	}
+	if start < len(refs) {
+		c.emitCluster(report, refs[start:])
 	}
 
 	// The victim sweep appends in (victim, first minute) order;
 	// re-sort to (first minute, victim) — the timeline order the CLI
 	// prints — before assigning the dense join IDs.
-	sort.SliceStable(report.Attacks, func(i, j int) bool {
-		if report.Attacks[i].FirstMinuteUnix != report.Attacks[j].FirstMinuteUnix {
-			return report.Attacks[i].FirstMinuteUnix < report.Attacks[j].FirstMinuteUnix
-		}
-		return report.Attacks[i].Victim.Less(report.Attacks[j].Victim)
+	slices.SortStableFunc(report.Attacks, func(a, b CorrelatedAttack) int {
+		return cmp.Or(cmp.Compare(a.FirstMinuteUnix, b.FirstMinuteUnix), a.Victim.Compare(b.Victim))
 	})
 	for i := range report.Attacks {
 		report.Attacks[i].ID = uint64(i + 1)
@@ -301,10 +325,10 @@ func (c *Coordinator) join(runs []vantageRun) *CorrelationReport {
 	return report
 }
 
-// emitCluster turns one (victim, overlapping observations) cluster
+// emitCluster turns one cluster, one victim's overlapping observations,
 // into a CorrelatedAttack, dropping clusters no vantage saw cross the
-// thresholds.
-func (c *Coordinator) emitCluster(report *CorrelationReport, victim netip.Addr, cluster []obsRef) {
+// thresholds. It reorders cluster.
+func (c *Coordinator) emitCluster(report *CorrelationReport, cluster []obsRef) {
 	crossed := false
 	for _, o := range cluster {
 		if o.sum.Crossed {
@@ -316,15 +340,15 @@ func (c *Coordinator) emitCluster(report *CorrelationReport, victim netip.Addr, 
 		return
 	}
 	a := CorrelatedAttack{
-		Victim:          victim,
-		FirstMinuteUnix: cluster[0].sum.FirstMinuteUnix,
+		Victim:          cluster[0].sum.Victim,
+		FirstMinuteUnix: cluster[0].first,
 		LastMinuteUnix:  cluster[0].sum.LastMinuteUnix,
 		PerVantageRate:  make(map[string]float64, len(c.vantages)),
 	}
 	seen := make([]bool, len(c.vantages))
 	for _, o := range cluster {
-		if o.sum.FirstMinuteUnix < a.FirstMinuteUnix {
-			a.FirstMinuteUnix = o.sum.FirstMinuteUnix
+		if o.first < a.FirstMinuteUnix {
+			a.FirstMinuteUnix = o.first
 		}
 		if o.sum.LastMinuteUnix > a.LastMinuteUnix {
 			a.LastMinuteUnix = o.sum.LastMinuteUnix
@@ -337,20 +361,16 @@ func (c *Coordinator) emitCluster(report *CorrelationReport, victim netip.Addr, 
 			a.PerVantageRate[name] = g
 		}
 	}
-	// Observations in federation order; within a vantage, by first
-	// minute (the sweep's sort is stable under the re-sort below).
-	sort.SliceStable(cluster, func(i, j int) bool {
-		if cluster[i].vantage != cluster[j].vantage {
-			return cluster[i].vantage < cluster[j].vantage
-		}
-		return cluster[i].sum.FirstMinuteUnix < cluster[j].sum.FirstMinuteUnix
-	})
-	for _, o := range cluster {
-		a.Observations = append(a.Observations, vantageObservation{
+	// Observations in federation order; within a vantage, the sweep's
+	// (first minute, attack-log) order.
+	slices.SortStableFunc(cluster, func(a, b obsRef) int { return cmp.Compare(a.vantage, b.vantage) })
+	a.Observations = make([]vantageObservation, len(cluster))
+	for i, o := range cluster {
+		a.Observations[i] = vantageObservation{
 			Vantage: c.vantages[o.vantage].v.Name,
 			Tier:    c.vantages[o.vantage].v.Tier,
-			Summary: o.sum,
-		})
+			Summary: *o.sum,
+		}
 	}
 	for i := range c.vantages {
 		switch {

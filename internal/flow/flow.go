@@ -12,7 +12,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"booterscope/internal/packet"
@@ -196,33 +196,48 @@ func (t *table) Flush() []Record {
 // Members are netip.Addr values compared by address and family, so an
 // IPv4 address and its IPv4-mapped IPv6 twin are two members, and the
 // invalid address is one more (zones are not kept: a flow record's
-// addresses never carry one). The storage holds no pointer: each
-// member is its 16-byte form plus a one-byte form tag (IPv4, IPv6,
-// invalid). The first inlineSources members live in the set itself and
-// are searched linearly; a set that outgrows them moves into one flat
-// open-addressed table (linear probing, at most 3/4 full, doubled as
-// it fills). A monitor bin is one of these per (victim, minute): most
-// hold a handful of amplifiers and never allocate, and a spilled one
-// is a single slice the garbage collector does not scan.
+// addresses never carry one). The storage holds no pointer the
+// collector has to follow per member. IPv4 members, the sources of
+// nearly every reflection attack, are kept as their four bytes: the
+// first inlineSources live in the set itself and are searched
+// linearly; a set that outgrows them moves into one flat
+// open-addressed []uint32 (linear probing, at most 3/4 full, doubled
+// as it fills), where 0 marks a free slot and a flag holds 0.0.0.0.
+// IPv6 and invalid members are each their 16-byte form plus a one-byte
+// form tag, in a second table of the same kind that is allocated only
+// on the first such member. A monitor bin is one of these per (victim,
+// minute): most hold a handful of amplifiers and never allocate, and a
+// spilled one is a single slice the garbage collector does not scan.
 type SourceSet struct {
-	n        int                       // members, inline or in the table
-	inline   [inlineSources]sourceSlot // the members, while set is nil
-	set      []sourceSlot              // nil until the inline array is full
+	n        int                   // members of every form
+	inline   [inlineSources]uint32 // the nonzero IPv4 members, in order, while v4 is nil
+	v4       []uint32              // nil until the inline array is full
+	wide     *wideSet              // nil until the first IPv6 or invalid member
+	zero4    bool                  // 0.0.0.0 is a member
 	cap      int
 	overflow uint64
 }
 
-// inlineSources is how many addresses a SourceSet holds before it
+// inlineSources is how many IPv4 addresses a SourceSet holds before it
 // allocates a table — a dozen, as classify's per-minute attack counter
 // keeps inline.
 const inlineSources = 12
 
-// firstTableSlots sizes the table a set spills into: room for twice
-// the inline array at 3/4 load.
+// firstTableSlots sizes the IPv4 table a set spills into: room for
+// twice the inline array at 3/4 load.
 const firstTableSlots = 32
 
-// sourceSlot is one member: As16 of the address and its form.
-// formEmpty marks a free table slot.
+// firstWideSlots sizes the table of IPv6 and invalid members.
+const firstWideSlots = 8
+
+// wideSet holds a SourceSet's IPv6 and invalid members.
+type wideSet struct {
+	n     int
+	slots []sourceSlot
+}
+
+// sourceSlot is one IPv6 or invalid member: As16 of the address and
+// its form. formEmpty marks a free table slot.
 type sourceSlot struct {
 	addr [16]byte
 	form uint8
@@ -232,37 +247,22 @@ type sourceSlot struct {
 const (
 	formEmpty uint8 = iota
 	formInvalid
-	form4
 	form6
 )
 
-// slotOf is a's member slot.
-func slotOf(a netip.Addr) sourceSlot {
-	switch {
-	case !a.IsValid():
-		return sourceSlot{form: formInvalid}
-	case a.Is4():
-		return sourceSlot{addr: a.As16(), form: form4}
-	}
-	return sourceSlot{addr: a.As16(), form: form6}
-}
-
-// canonicalSlot is the slot of netip.AddrFrom16(b).Unmap(): IPv4 when
-// b is IPv4-mapped, IPv6 otherwise.
-func canonicalSlot(b [16]byte) sourceSlot {
-	if binary.BigEndian.Uint64(b[:8]) == 0 && binary.BigEndian.Uint32(b[8:12]) == 0xffff {
-		return sourceSlot{addr: b, form: form4}
-	}
-	return sourceSlot{addr: b, form: form6}
-}
-
-// sourceSeed keys the table hash per process, so sources cannot be
+// sourceSeed keys the table hashes per process, so sources cannot be
 // chosen to collide. Nothing the set reports depends on where a member
 // sits: Snapshot sorts.
 var sourceSeed = maphash.Bytes(maphash.MakeSeed(), []byte("flow.SourceSet"))
 
-// hash mixes the slot's address (a 64×64→128-bit multiply folded to 64
-// bits). Twins share a hash; the form tag tells them apart on compare.
+// hash4 mixes an IPv4 member (a 64×64→128-bit multiply folded to 64
+// bits).
+func hash4(v uint32) uint64 {
+	hi, lo := bits.Mul64(uint64(v)^sourceSeed, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
+
+// hash mixes the slot's address the same way, over both halves.
 func (sl *sourceSlot) hash() uint64 {
 	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(sl.addr[:8])^sourceSeed,
 		binary.LittleEndian.Uint64(sl.addr[8:])^(sourceSeed*0x9e3779b97f4a7c15))
@@ -277,83 +277,165 @@ func NewSourceSet(cap int) *SourceSet {
 
 // Add tracks a. It reports false when a is new but the set is at
 // capacity; the rejection is recorded in Overflow.
-func (s *SourceSet) Add(a netip.Addr) bool { return s.add(slotOf(a)) }
+func (s *SourceSet) Add(a netip.Addr) bool {
+	switch {
+	case a.Is4():
+		b := a.As4()
+		return s.add4(binary.BigEndian.Uint32(b[:]))
+	case !a.IsValid():
+		return s.addWide(sourceSlot{form: formInvalid})
+	}
+	return s.addWide(sourceSlot{addr: a.As16(), form: form6})
+}
 
 // AddAs16 is Add of netip.AddrFrom16(b).Unmap() — the canonical form
 // flowstore replay and RestoreSourceSet give an address — without
 // building the netip.Addr.
-func (s *SourceSet) AddAs16(b [16]byte) bool { return s.add(canonicalSlot(b)) }
-
-func (s *SourceSet) add(sl sourceSlot) bool {
-	at, ok := s.lookup(sl)
-	if ok {
-		return true
+func (s *SourceSet) AddAs16(b [16]byte) bool {
+	if binary.BigEndian.Uint64(b[:8]) == 0 && binary.BigEndian.Uint32(b[8:12]) == 0xffff {
+		return s.add4(binary.BigEndian.Uint32(b[12:]))
 	}
+	return s.addWide(sourceSlot{addr: b, form: form6})
+}
+
+// admit counts a new member in, or, when the set is at capacity,
+// records the rejection and reports false.
+func (s *SourceSet) admit() bool {
 	if s.cap > 0 && s.n >= s.cap {
 		s.overflow++
 		metricSourceOverflows.Inc()
 		return false
 	}
-	s.insert(sl, at)
+	s.n++
 	return true
 }
 
-// lookup reports whether the set holds sl and, if it does not, where
-// sl would go: the next inline index, or the free table slot its probe
-// ended on.
-func (s *SourceSet) lookup(sl sourceSlot) (at int, ok bool) {
-	if s.set == nil {
-		for i := range s.inline[:s.n] {
-			if s.inline[i] == sl {
+// add4 is Add of the IPv4 address whose big-endian bytes are v.
+func (s *SourceSet) add4(v uint32) bool {
+	if v == 0 {
+		if !s.zero4 {
+			s.zero4 = s.admit()
+		}
+		return s.zero4
+	}
+	at, ok := s.find4(v)
+	switch {
+	case ok:
+		return true
+	case !s.admit():
+		return false
+	case s.v4 == nil && at < inlineSources:
+		s.inline[at] = v
+	case s.v4 == nil || 4*s.n4() > 3*len(s.v4):
+		s.grow4()
+		at, _ = s.find4(v)
+		fallthrough
+	default:
+		s.v4[at] = v
+	}
+	return true
+}
+
+// find4 reports whether the set holds the nonzero IPv4 member v and,
+// if it does not, where v would go: the first free inline index
+// (inlineSources when the array is full), or the free table slot its
+// probe ended on.
+func (s *SourceSet) find4(v uint32) (at int, ok bool) {
+	if s.v4 == nil {
+		for i, m := range s.inline[:] {
+			switch m {
+			case v:
 				return i, true
+			case 0:
+				return i, false
 			}
 		}
-		return s.n, false
+		return inlineSources, false
 	}
-	mask := len(s.set) - 1
+	mask := len(s.v4) - 1
+	for i := int(hash4(v)) & mask; ; i = (i + 1) & mask {
+		switch s.v4[i] {
+		case v:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// n4 is the number of nonzero IPv4 members.
+func (s *SourceSet) n4() int {
+	n := s.n
+	if s.zero4 {
+		n--
+	}
+	if s.wide != nil {
+		n -= s.wide.n
+	}
+	return n
+}
+
+// grow4 moves the nonzero IPv4 members into a fresh table: the first
+// one when the inline array is full, else one twice the current size.
+func (s *SourceSet) grow4() {
+	old := s.v4
+	if old == nil {
+		old = s.inline[:]
+	}
+	s.v4 = make([]uint32, max(firstTableSlots, 2*len(s.v4)))
+	for _, v := range old {
+		if v != 0 {
+			at, _ := s.find4(v)
+			s.v4[at] = v
+		}
+	}
+}
+
+// addWide is Add of an IPv6 or invalid address.
+func (s *SourceSet) addWide(sl sourceSlot) bool {
+	if s.wide != nil {
+		if _, ok := s.wide.find(sl); ok {
+			return true
+		}
+	}
+	if !s.admit() {
+		return false
+	}
+	if s.wide == nil {
+		s.wide = new(wideSet)
+	}
+	s.wide.insert(sl)
+	return true
+}
+
+// find is find4 for a wide member, which the table always has room for.
+func (w *wideSet) find(sl sourceSlot) (at int, ok bool) {
+	mask := len(w.slots) - 1
 	for i := int(sl.hash()) & mask; ; i = (i + 1) & mask {
 		switch {
-		case s.set[i].form == formEmpty:
+		case w.slots[i].form == formEmpty:
 			return i, false
-		case s.set[i] == sl:
+		case w.slots[i] == sl:
 			return i, true
 		}
 	}
 }
 
-// insert adds sl, which the set does not hold, at the position lookup
-// found for it — unless the inline array is full or the table would
-// pass 3/4 load, when the set grows first.
-func (s *SourceSet) insert(sl sourceSlot, at int) {
-	switch {
-	case s.set == nil && s.n < inlineSources:
-		s.inline[at] = sl
-	case s.set == nil || 4*(s.n+1) > 3*len(s.set):
-		s.grow()
-		at, _ = s.lookup(sl)
-		fallthrough
-	default:
-		s.set[at] = sl
-	}
-	s.n++
-}
-
-// grow moves the members into a fresh table: the first one when the
-// inline array is full, else one twice the current size.
-func (s *SourceSet) grow() {
-	old := s.set
-	if old == nil {
-		old = s.inline[:s.n]
-		s.set = make([]sourceSlot, firstTableSlots)
-	} else {
-		s.set = make([]sourceSlot, 2*len(old))
-	}
-	for _, sl := range old {
-		if sl.form != formEmpty {
-			at, _ := s.lookup(sl)
-			s.set[at] = sl
+// insert adds sl, which w does not hold, growing the table first when
+// it would pass 3/4 load.
+func (w *wideSet) insert(sl sourceSlot) {
+	if w.n++; 4*w.n > 3*len(w.slots) {
+		old := w.slots
+		w.slots = make([]sourceSlot, max(firstWideSlots, 2*len(old)))
+		for _, o := range old {
+			if o.form != formEmpty {
+				at, _ := w.find(o)
+				w.slots[at] = o
+			}
 		}
 	}
+	at, _ := w.find(sl)
+	w.slots[at] = sl
 }
 
 // Len reports the number of tracked addresses.
@@ -367,18 +449,35 @@ func (s *SourceSet) Overflow() uint64 { return s.overflow }
 // normalized through As16, matching the flowstore codec convention.
 func (s *SourceSet) Snapshot() [][16]byte {
 	out := make([][16]byte, 0, s.n)
-	if s.set == nil {
-		for _, sl := range s.inline[:s.n] {
-			out = append(out, sl.addr)
+	v4 := s.v4
+	if v4 == nil {
+		v4 = s.inline[:]
+	}
+	if s.zero4 {
+		out = append(out, mapped4(0))
+	}
+	for _, v := range v4 {
+		if v != 0 {
+			out = append(out, mapped4(v))
 		}
 	}
-	for _, sl := range s.set {
-		if sl.form != formEmpty {
-			out = append(out, sl.addr)
+	if s.wide != nil {
+		for _, sl := range s.wide.slots {
+			if sl.form != formEmpty {
+				out = append(out, sl.addr)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	slices.SortFunc(out, func(a, b [16]byte) int { return bytes.Compare(a[:], b[:]) })
 	return out
+}
+
+// mapped4 is the 16-byte form, ::ffff:a.b.c.d, of the IPv4 address
+// whose big-endian bytes are v.
+func mapped4(v uint32) [16]byte {
+	b := [16]byte{10: 0xff, 11: 0xff}
+	binary.BigEndian.PutUint32(b[12:], v)
+	return b
 }
 
 // RestoreSourceSet rebuilds a set from a Snapshot without touching the
@@ -387,13 +486,10 @@ func (s *SourceSet) Snapshot() [][16]byte {
 // Unmap, the same normalization the flowstore replay path applies, and
 // all of them, whatever cap says: a snapshot is not re-judged.
 func RestoreSourceSet(cap int, addrs [][16]byte, overflow uint64) *SourceSet {
-	s := NewSourceSet(cap)
+	s := NewSourceSet(0)
 	for _, b := range addrs {
-		sl := canonicalSlot(b)
-		if at, ok := s.lookup(sl); !ok {
-			s.insert(sl, at)
-		}
+		s.AddAs16(b)
 	}
-	s.overflow = overflow
+	s.cap, s.overflow = cap, overflow
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -293,10 +294,104 @@ func TestSourceSetMatchesMapReference(t *testing.T) {
 					limit, i, next, g, back.Len(), back.Overflow(), w, len(refBack.set), refBack.overflow)
 			}
 		}
-		if limit == 0 && got.set == nil {
+		if limit == 0 && got.v4 == nil {
 			t.Fatal("the unbounded set never spilled: the boundary was not crossed")
 		}
 	}
+}
+
+// FuzzSourceSet holds the set to refSourceSet over byte-derived Adds.
+// Each pair of input bytes is one Add: the first picks the entry point
+// and the address family, the second the address, so short inputs
+// already repeat members. The addresses cover 0.0.0.0 (the IPv4
+// table's free-slot value), 255.255.255.255, ::ffff: twins through
+// both Add and AddAs16, IPv6 (:: among them, whose 16-byte form is the
+// invalid address's) and the invalid address. Each input runs at caps
+// 0, 1, inlineSources and inlineSources+1, comparing every return
+// value, Len, Overflow and Snapshot, and a Snapshot/Restore round trip
+// at every size.
+func FuzzSourceSet(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 1, 1, 2, 1, 5, 0, 3, 0, 4, 0})
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 255, 2, 255, 6, 255, 7, 255})
+	seq := make([]byte, 0, 2*40)
+	for i := 0; i < 40; i++ {
+		seq = append(seq, byte(i%8), byte(i))
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 1024 {
+			in = in[:1024]
+		}
+		// add applies op (and its address byte b) to both sets.
+		add := func(s *SourceSet, ref *refSourceSet, op, b byte) (got, want bool, a netip.Addr) {
+			v4 := netip.AddrFrom4([4]byte{198, 51, 100, b})
+			switch b {
+			case 0:
+				v4 = netip.AddrFrom4([4]byte{})
+			case 255:
+				v4 = netip.AddrFrom4([4]byte{255, 255, 255, 255})
+			}
+			v6 := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: b})
+			if b == 0 {
+				v6 = netip.IPv6Unspecified()
+			}
+			switch op % 8 {
+			case 0:
+				a = v4
+				got = s.Add(a)
+			case 1: // the IPv4 address, through its 16-byte form
+				a = v4
+				got = s.AddAs16(a.As16())
+			case 2: // ::ffff:a.b.c.d, a different member from a.b.c.d
+				a = netip.AddrFrom16(v4.As16())
+				got = s.Add(a)
+			case 3:
+				a = v6
+				got = s.Add(a)
+			case 4:
+				a = v6
+				got = s.AddAs16(a.As16())
+			case 5: // the invalid address
+				got = s.Add(a)
+			case 6: // a full 4-byte address from the op's high bits
+				a = netip.AddrFrom4([4]byte{op, b, op ^ b, b})
+				got = s.Add(a)
+			default:
+				a = netip.AddrFrom4([4]byte{op, b, op ^ b, b})
+				got = s.AddAs16(a.As16())
+			}
+			return got, ref.add(a), a
+		}
+		for _, limit := range []int{0, 1, inlineSources, inlineSources + 1} {
+			got := NewSourceSet(limit)
+			want := &refSourceSet{set: map[netip.Addr]struct{}{}, cap: limit}
+			for i := 0; i+1 < len(in); i += 2 {
+				if g, w, a := add(got, want, in[i], in[i+1]); g != w {
+					t.Fatalf("cap %d, add %d (%v): Add = %v, reference %v", limit, i/2, a, g, w)
+				}
+				snap := got.Snapshot()
+				if got.Len() != len(want.set) || got.Overflow() != want.overflow || !slices.Equal(snap, want.snapshot()) {
+					t.Fatalf("cap %d, after add %d: len %d overflow %d snapshot %v; reference len %d overflow %d snapshot %v",
+						limit, i/2, got.Len(), got.Overflow(), snap, len(want.set), want.overflow, want.snapshot())
+				}
+				back := RestoreSourceSet(limit, snap, got.Overflow())
+				refBack := &refSourceSet{set: map[netip.Addr]struct{}{}, cap: limit, overflow: want.overflow}
+				for _, b := range snap {
+					refBack.set[netip.AddrFrom16(b).Unmap()] = struct{}{}
+				}
+				if back.Len() != len(refBack.set) || back.Overflow() != refBack.overflow || !slices.Equal(back.Snapshot(), refBack.snapshot()) {
+					t.Fatalf("cap %d, restored after add %d: len %d overflow %d snapshot %v; reference len %d overflow %d snapshot %v",
+						limit, i/2, back.Len(), back.Overflow(), back.Snapshot(), len(refBack.set), refBack.overflow, refBack.snapshot())
+				}
+				if j := i + 2; j+1 < len(in) {
+					if g, w, a := add(back, refBack, in[j], in[j+1]); g != w || back.Len() != len(refBack.set) || back.Overflow() != refBack.overflow {
+						t.Fatalf("cap %d, restored after add %d, then %v: Add = %v len %d overflow %d; reference %v %d %d",
+							limit, i/2, a, g, back.Len(), back.Overflow(), w, len(refBack.set), refBack.overflow)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestAddrHalvesMatchesAs16 holds AddrHalves's IPv4 shortcut to the
