@@ -79,7 +79,8 @@ bench-pairs:
 # whose bins spill their source sets and expire, as in production — and
 # the Figure 5 attack counter's columnar add), Figure 2(b)'s victim
 # scatter, Section 5.2 (Figure 4, Figure 5, full pipeline,
-# Welch-vs-rank ablation) and generator
+# Welch-vs-rank ablation), the classifier ablations (size threshold,
+# conservative rules, sampling rate) and generator
 # (BenchmarkDayTier2, BenchmarkDayIXP: records per day and bytes
 # allocated per record) benchmarks for one iteration — no timing
 # claims, just proof they still execute (go vet already compiles every
@@ -89,7 +90,7 @@ bench-smoke:
 	$(GO) test ./internal/core -run xxx -bench BenchmarkFederatedScan -benchtime 1x -count=1
 	$(GO) test ./internal/flowstore -run xxx -bench . -benchtime 1x -count=1
 	$(GO) test ./internal/classify -run xxx -bench . -benchtime 1x -count=1
-	$(GO) test . -run xxx -bench 'Figure2bVictimScatter|Figure4ReflectorTraffic|Figure5AttackCounts|TakedownFullPipeline|AblationWelchVsRank' -benchtime 1x -count=1
+	$(GO) test . -run xxx -bench 'Figure2bVictimScatter|Figure4ReflectorTraffic|Figure5AttackCounts|TakedownFullPipeline|AblationWelchVsRank|AblationSizeThreshold|AblationConservativeRules|AblationSamplingRate' -benchtime 1x -count=1
 	$(GO) test ./internal/takedown -run xxx -bench . -benchtime 1x -count=1
 	$(GO) test ./internal/trafficgen -run xxx -bench 'BenchmarkDayTier2|BenchmarkDayIXP' -benchtime 1x -count=1
 

@@ -262,10 +262,7 @@ func BenchmarkAblationSizeThreshold(b *testing.B) {
 		for t, thr := range thresholds {
 			c := classify.New(classify.Config{SizeThreshold: thr})
 			for day := 0; day < 10; day++ {
-				for _, rec := range scenario.Day(trafficgen.KindTier2, day) {
-					rec := rec
-					c.Add(&rec)
-				}
+				classifyRecs(c, scenario.Day(trafficgen.KindTier2, day))
 			}
 			counts[t] = float64(len(c.Victims()))
 		}
@@ -288,10 +285,7 @@ func BenchmarkAblationConservativeRules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := classify.New(classify.Config{})
 		for day := 0; day < 20; day++ {
-			for _, rec := range scenario.Day(trafficgen.KindTier2, day) {
-				rec := rec
-				c.Add(&rec)
-			}
+			classifyRecs(c, scenario.Day(trafficgen.KindTier2, day))
 		}
 		fs = c.FilterStats()
 	}
@@ -313,10 +307,7 @@ func BenchmarkAblationSamplingRate(b *testing.B) {
 			})
 			c := classify.New(classify.Config{})
 			for day := 0; day < 10; day++ {
-				for _, rec := range scenario.Day(trafficgen.KindIXP, day) {
-					rec := rec
-					c.Add(&rec)
-				}
+				classifyRecs(c, scenario.Day(trafficgen.KindIXP, day))
 			}
 			victims[ri] = float64(len(c.Victims()))
 		}

@@ -24,6 +24,18 @@ import (
 	"booterscope/internal/trafficgen"
 )
 
+// classifyRecs feeds recs to c as one columnar slab, the shape the
+// classifier reads.
+func classifyRecs(c *classify.Classifier, recs []flow.Record) {
+	var cols flow.Columns
+	for i := range recs {
+		cols.AppendRecord(&recs[i])
+	}
+	for i := range recs {
+		c.AddCols(&cols, i)
+	}
+}
+
 // TestScenarioThroughNetFlowToClassifier pushes synthetic tier-2 traffic
 // through the NetFlow v9 wire format and verifies the classifier sees
 // the same victims as it does on the raw records.
@@ -38,9 +50,7 @@ func TestScenarioThroughNetFlowToClassifier(t *testing.T) {
 	}
 
 	direct := classify.New(classify.Config{})
-	for i := range records {
-		direct.Add(&records[i])
-	}
+	classifyRecs(direct, records)
 
 	exp := &netflow.V9Exporter{SourceID: 1, BootTime: core.StudyStart.Add(-time.Hour)}
 	col := netflow.NewV9Collector()
@@ -67,9 +77,7 @@ func TestScenarioThroughNetFlowToClassifier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range decoded {
-			wire.Add(&decoded[i])
-		}
+		classifyRecs(wire, decoded)
 	}
 
 	if len(direct.Victims()) != len(wire.Victims()) {
@@ -148,17 +156,17 @@ func TestAnonymizationPreservesVictimStructure(t *testing.T) {
 	anonymized := classify.New(classify.Config{})
 	changed := 0
 	for d := 0; d < 2; d++ {
-		for _, rec := range scenario.Day(trafficgen.KindTier2, d) {
-			rec := rec
-			plain.Add(&rec)
-			ar := rec
-			ar.Src = cp.Anonymize(rec.Src)
-			ar.Dst = cp.Anonymize(rec.Dst)
-			if ar.Dst != rec.Dst {
+		recs := scenario.Day(trafficgen.KindTier2, d)
+		classifyRecs(plain, recs)
+		for i := range recs {
+			dst := recs[i].Dst
+			recs[i].Src = cp.Anonymize(recs[i].Src)
+			recs[i].Dst = cp.Anonymize(dst)
+			if recs[i].Dst != dst {
 				changed++
 			}
-			anonymized.Add(&ar)
 		}
+		classifyRecs(anonymized, recs)
 	}
 	if changed == 0 {
 		t.Fatal("anonymization changed nothing")

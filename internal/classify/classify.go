@@ -101,19 +101,10 @@ func New(cfg Config) *Classifier {
 	return &Classifier{cfg: cfg.withDefaults(), bins: newBinTable[victimMinute](), sources: make(map[[16]byte]*flow.SourceSet)}
 }
 
-// Add feeds one record; non-NTP or non-amplified records are ignored.
-// It reports whether the record was accepted.
-func (c *Classifier) Add(r *flow.Record) bool {
-	if !isAmplifiedNTP(r, c.cfg) {
-		return false
-	}
-	c.add(r.Dst.As16(), r.Src.As16(), r.Start.Unix(), r.ScaledBytes())
-	return true
-}
-
-// AddCols feeds row i of a columnar slab: the filter and the
-// per-destination aggregation read the column vectors, so no record is
-// materialized.
+// AddCols feeds row i of a columnar slab; non-NTP or non-amplified
+// rows are ignored. It reports whether the row was accepted. The
+// filter and the per-destination aggregation read the column vectors,
+// so no record is materialized.
 func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
 	// c.cfg is already defaulted (New), so apply the predicate directly.
 	if !isNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
@@ -485,21 +476,11 @@ func NewAttackCounter(cfg Config) *AttackCounter {
 	}
 }
 
-// Add feeds one record (applying the optimistic pre-filter) and updates
-// the hour buckets.
-func (a *AttackCounter) Add(r *flow.Record) {
-	// a.cfg is already defaulted (NewAttackCounter), so apply the
-	// amplified-NTP predicate directly instead of re-deriving defaults
-	// per record through isAmplifiedNTP.
-	if !isNTPFlow(r) || r.AvgPacketSize() <= a.cfg.SizeThreshold {
-		return
-	}
-	a.add(r.Dst.As16(), r.Src.As16(), r.Start.Unix(), r.ScaledBytes())
-}
-
-// AddCols is Add over row i of a columnar slab: the filter and every
-// input of the shared body come straight from the column vectors — the
-// counter's hot path never materializes a flow.Record.
+// AddCols feeds row i of a columnar slab (applying the optimistic
+// pre-filter) and updates the hour buckets. a.cfg is already defaulted
+// (NewAttackCounter), so the amplified-NTP predicate applies directly;
+// the filter and every input of the count come straight from the
+// column vectors — the counter never materializes a flow.Record.
 func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 	if !isNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
 		return
@@ -507,8 +488,7 @@ func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
 	a.add(c.DstAs16(i), c.SrcAs16(i), c.StartSec[i], c.ScaledBytes(i))
 }
 
-// add counts one record that passed the filter — the one aggregation
-// body behind both entry points.
+// add counts one record that passed the filter.
 func (a *AttackCounter) add(dst, src [16]byte, startSec int64, bytes uint64) {
 	agg, _ := a.bins.get(dst, startSec)
 	// A counted bin is frozen: its (hour, dst) entry is recorded and

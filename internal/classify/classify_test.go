@@ -29,6 +29,36 @@ func ntpRec(src, dst string, pktSize int, pkts uint64, start time.Time) flow.Rec
 	}
 }
 
+// colsOf transposes recs into a columnar slab, the one shape the
+// Classifier and the AttackCounter read.
+func colsOf(recs ...flow.Record) *flow.Columns {
+	c := new(flow.Columns)
+	for i := range recs {
+		c.AppendRecord(&recs[i])
+	}
+	return c
+}
+
+// classifyRecs feeds recs to c through one columnar slab and reports
+// how many it accepted.
+func classifyRecs(c *Classifier, recs ...flow.Record) (accepted int) {
+	cols := colsOf(recs...)
+	for i := range recs {
+		if c.AddCols(cols, i) {
+			accepted++
+		}
+	}
+	return accepted
+}
+
+// countRecs feeds recs to a through one columnar slab.
+func countRecs(a *AttackCounter, recs ...flow.Record) {
+	cols := colsOf(recs...)
+	for i := range recs {
+		a.AddCols(cols, i)
+	}
+}
+
 func TestIsNTPFlow(t *testing.T) {
 	r := ntpRec("1.1.1.1", "2.2.2.2", 486, 10, t0)
 	if !isNTPFlow(&r) {
@@ -71,10 +101,10 @@ func TestClassifierAdd(t *testing.T) {
 	benign := ntpRec("1.1.1.1", "2.2.2.2", 76, 10, t0)
 	dns := ntpRec("1.1.1.1", "3.3.3.3", 486, 10, t0)
 	dns.SrcPort = 53
-	if !c.Add(&amplified) {
+	if classifyRecs(c, amplified) != 1 {
 		t.Error("amplified record rejected")
 	}
-	if c.Add(&benign) || c.Add(&dns) {
+	if classifyRecs(c, benign, dns) != 0 {
 		t.Error("non-matching record accepted")
 	}
 	if len(c.Victims()) != 1 {
@@ -89,8 +119,7 @@ func bigAttack(c *Classifier, dst string, sources int, gbps float64) {
 	pkts := bytesPerSource / 486
 	for i := 0; i < sources; i++ {
 		src := fmt.Sprintf("11.%d.%d.%d", i>>16&0xff, i>>8&0xff, i&0xff)
-		r := ntpRec(src, dst, 486, pkts, t0.Add(time.Duration(i%60)*time.Second))
-		c.Add(&r)
+		classifyRecs(c, ntpRec(src, dst, 486, pkts, t0.Add(time.Duration(i%60)*time.Second)))
 	}
 }
 
@@ -100,8 +129,7 @@ func TestVictimsAndConservativeFilter(t *testing.T) {
 	bigAttack(c, "203.0.113.5", 500, 5)
 	// Small victim: scanner-like, 3 sources, tiny rate.
 	for i := 0; i < 3; i++ {
-		r := ntpRec(fmt.Sprintf("12.0.0.%d", i+1), "203.0.113.6", 486, 5, t0)
-		c.Add(&r)
+		classifyRecs(c, ntpRec(fmt.Sprintf("12.0.0.%d", i+1), "203.0.113.6", 486, 5, t0))
 	}
 	// Mid victim: high rate but few sources (fails rule b).
 	bigAttack(c, "203.0.113.7", 5, 3)
@@ -136,8 +164,7 @@ func TestFilterStats(t *testing.T) {
 	bigAttack(c, "203.0.113.7", 5, 3)    // rate only
 	bigAttack(c, "203.0.113.8", 50, 0.1) // sources only
 	for i := 0; i < 3; i++ {
-		r := ntpRec(fmt.Sprintf("12.0.0.%d", i+1), "203.0.113.9", 486, 5, t0) // neither
-		c.Add(&r)
+		classifyRecs(c, ntpRec(fmt.Sprintf("12.0.0.%d", i+1), "203.0.113.9", 486, 5, t0)) // neither
 	}
 	// The peak rule: 2.6 Gbps from one amplifier in one minute and 20
 	// amplifiers at a trickle in the next pass both rules here, because
@@ -148,9 +175,9 @@ func TestFilterStats(t *testing.T) {
 		split = append(split, ntpRec(fmt.Sprintf("13.0.1.%d", i+1), "203.0.113.10", 486, 1, t0.Add(time.Minute)))
 	}
 	counter, mon := NewAttackCounter(Config{}), NewMonitor(Config{})
+	classifyRecs(c, split...)
+	countRecs(counter, split...)
 	for i := range split {
-		c.Add(&split[i])
-		counter.Add(&split[i])
 		if al := mon.Add(&split[i]); al != nil {
 			t.Errorf("monitor alerted on the split victim: %+v", al)
 		}
@@ -204,12 +231,12 @@ func TestSamplingAwareRates(t *testing.T) {
 	c := New(Config{})
 	r := ntpRec("11.0.0.1", "203.0.113.5", 486, 5000, t0)
 	r.SamplingRate = 10000 // 5000 sampled pkts -> 50M actual -> ~24 GB/min
-	c.Add(&r)
+	classifyRecs(c, r)
 	// Add 10 more sources so the sources rule passes.
 	for i := 0; i < 11; i++ {
 		rr := ntpRec(fmt.Sprintf("11.0.1.%d", i+1), "203.0.113.5", 486, 100, t0)
 		rr.SamplingRate = 10000
-		c.Add(&rr)
+		classifyRecs(c, rr)
 	}
 	victims := c.Victims()
 	if len(victims) != 1 || !victims[0].Conservative {
@@ -225,15 +252,12 @@ func TestAttackCounter(t *testing.T) {
 	// Hour 1: one real attack (2 Gbps, 100 sources) + one scanner.
 	bytesPerSource := uint64(2e9 / 8 * 60 / 100)
 	for i := 0; i < 100; i++ {
-		r := ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 486, bytesPerSource/486, t0)
-		a.Add(&r)
+		countRecs(a, ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 486, bytesPerSource/486, t0))
 	}
-	scan := ntpRec("14.0.0.1", "203.0.113.21", 486, 3, t0)
-	a.Add(&scan)
+	countRecs(a, ntpRec("14.0.0.1", "203.0.113.21", 486, 3, t0))
 	// Hour 2: a second victim.
 	for i := 0; i < 100; i++ {
-		r := ntpRec(fmt.Sprintf("13.1.%d.%d", i>>8, i&0xff), "203.0.113.22", 486, bytesPerSource/486, t0.Add(time.Hour))
-		a.Add(&r)
+		countRecs(a, ntpRec(fmt.Sprintf("13.1.%d.%d", i>>8, i&0xff), "203.0.113.22", 486, bytesPerSource/486, t0.Add(time.Hour)))
 	}
 	series := a.Series()
 	if len(series) != 2 {
@@ -250,22 +274,22 @@ func TestAttackCounter(t *testing.T) {
 func TestAttackCounterIgnoresBenign(t *testing.T) {
 	a := NewAttackCounter(Config{})
 	for i := 0; i < 1000; i++ {
-		r := ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 76, 1000, t0)
-		a.Add(&r)
+		countRecs(a, ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 76, 1000, t0))
 	}
 	if len(a.Series()) != 0 {
 		t.Error("benign NTP counted as attack")
 	}
 }
 
-func BenchmarkClassifierAdd(b *testing.B) {
+func BenchmarkClassifierAddCols(b *testing.B) {
 	c := New(Config{})
 	recs := make([]flow.Record, 256)
 	for i := range recs {
 		recs[i] = ntpRec(fmt.Sprintf("11.0.%d.%d", i>>8, i&0xff), "203.0.113.5", 486, 1000, t0)
 	}
+	cols := colsOf(recs...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(&recs[i%len(recs)])
+		c.AddCols(cols, i%len(recs))
 	}
 }

@@ -86,19 +86,14 @@ var counterStreams = []struct {
 
 // splitCounters feeds recs to k counters by assign, which is an
 // arbitrary partition (not by victim, so minute bins split across
-// counters); even counters take records through Add, odd ones through
-// AddCols.
-func splitCounters(recs []flow.Record, cols *flow.Columns, assign []int, k int, cfg Config) []*AttackCounter {
+// counters), each reading its rows of the stream's slab cols.
+func splitCounters(cols *flow.Columns, assign []int, k int, cfg Config) []*AttackCounter {
 	parts := make([]*AttackCounter, k)
 	for j := range parts {
 		parts[j] = NewAttackCounter(cfg)
 	}
 	for i, j := range assign {
-		if j%2 == 0 {
-			parts[j].Add(&recs[i])
-		} else {
-			parts[j].AddCols(cols, i)
-		}
+		parts[j].AddCols(cols, i)
 	}
 	return parts
 }
@@ -113,10 +108,7 @@ func splitCounters(recs []flow.Record, cols *flow.Columns, assign []int, k int, 
 func TestAttackCounterMatchesReference(t *testing.T) {
 	for _, in := range counterStreams {
 		seed, recs := in.seed, genCounterStream(in.seed, in.base)
-		cols := new(flow.Columns)
-		for i := range recs {
-			cols.AppendRecord(&recs[i])
-		}
+		cols := colsOf(recs...)
 		rng := rand.New(rand.NewSource(seed))
 		for _, minSources := range []int{0, 3, 40, 300} {
 			for _, rate := range []float64{0, 1e8} {
@@ -145,7 +137,7 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 					order := rng.Perm(k)
 
 					fresh := NewAttackCounter(cfg)
-					parts := splitCounters(recs, cols, assign, k, cfg)
+					parts := splitCounters(cols, assign, k, cfg)
 					for _, j := range order {
 						fresh.Merge(parts[j])
 					}
@@ -153,7 +145,7 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 						t.Fatalf("seed %d from %v %+v k=%d merged into a fresh counter:\ngot  %v\nwant %v", seed, in.base, cfg, k, got, want)
 					}
 
-					parts = splitCounters(recs, cols, assign, k, cfg)
+					parts = splitCounters(cols, assign, k, cfg)
 					into := parts[order[0]]
 					for _, j := range order[1:] {
 						into.Merge(parts[j])
@@ -169,17 +161,14 @@ func TestAttackCounterMatchesReference(t *testing.T) {
 
 // TestClassifierMatchesSpec: Figures 2(b) and 2(c) — every victim's
 // peak rate, peak and total source counts and verdict, and the filter's
-// cut — equal the spec's for every stream in counterStreams, through
-// Add and through AddCols: serially, merged across destination-disjoint
-// parts (every merge adopts), and merged across parts split by record
-// index (merges fuse the bins and source sets both parts hold).
+// cut — equal the spec's for every stream in counterStreams, read from
+// a columnar slab: serially, merged across destination-disjoint parts
+// (every merge adopts), and merged across parts split by record index
+// (merges fuse the bins and source sets both parts hold).
 func TestClassifierMatchesSpec(t *testing.T) {
 	for _, in := range counterStreams {
 		seed, recs := in.seed, genCounterStream(in.seed, in.base)
-		cols := new(flow.Columns)
-		for i := range recs {
-			cols.AppendRecord(&recs[i])
-		}
+		cols := colsOf(recs...)
 		splits := []struct {
 			name string
 			k    int
@@ -195,27 +184,21 @@ func TestClassifierMatchesSpec(t *testing.T) {
 				t.Fatalf("seed %d from %v %+v: the stream does not exercise both rules: %+v", seed, in.base, cfg, wantFS)
 			}
 			for _, split := range splits {
-				for _, columnar := range []bool{false, true} {
-					parts := make([]*Classifier, split.k)
-					for j := range parts {
-						parts[j] = New(cfg)
-					}
-					for i := range recs {
-						if p := parts[split.part(i)]; columnar {
-							p.AddCols(cols, i)
-						} else {
-							p.Add(&recs[i])
-						}
-					}
-					for _, p := range parts[1:] {
-						parts[0].Merge(p)
-					}
-					if got := parts[0].Victims(); !reflect.DeepEqual(got, want) {
-						t.Errorf("seed %d from %v %+v %s columnar %t: victims differ from the spec", seed, in.base, cfg, split.name, columnar)
-					}
-					if got := parts[0].FilterStats(); got != wantFS {
-						t.Errorf("seed %d from %v %+v %s columnar %t: filter stats %+v, spec %+v", seed, in.base, cfg, split.name, columnar, got, wantFS)
-					}
+				parts := make([]*Classifier, split.k)
+				for j := range parts {
+					parts[j] = New(cfg)
+				}
+				for i := range recs {
+					parts[split.part(i)].AddCols(cols, i)
+				}
+				for _, p := range parts[1:] {
+					parts[0].Merge(p)
+				}
+				if got := parts[0].Victims(); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d from %v %+v %s: victims differ from the spec", seed, in.base, cfg, split.name)
+				}
+				if got := parts[0].FilterStats(); got != wantFS {
+					t.Errorf("seed %d from %v %+v %s: filter stats %+v, spec %+v", seed, in.base, cfg, split.name, got, wantFS)
 				}
 			}
 		}
@@ -224,8 +207,8 @@ func TestClassifierMatchesSpec(t *testing.T) {
 
 // TestTwinVictimIsOneVictim: a stream naming its victim and its sources
 // both as IPv4 addresses and as their IPv4-mapped twins is one victim
-// with one source per twin pair, to the classifier through Add and
-// AddCols as to the spec, the attack counter and the monitor.
+// with one source per twin pair, to the classifier as to the spec, the
+// attack counter and the monitor.
 func TestTwinVictimIsOneVictim(t *testing.T) {
 	var recs []flow.Record
 	cols := new(flow.Columns)
@@ -242,21 +225,17 @@ func TestTwinVictimIsOneVictim(t *testing.T) {
 	if len(want) != 1 || want[0].Addr != netip.MustParseAddr("1.2.3.4") || want[0].TotalSources != 3 || !want[0].Conservative {
 		t.Fatalf("spec victims %+v", want)
 	}
-	byRows, byCols := New(cfg), New(cfg)
-	counter, mon := NewAttackCounter(cfg), NewMonitor(cfg)
+	c, counter, mon := New(cfg), NewAttackCounter(cfg), NewMonitor(cfg)
 	var alerts int
 	for i := range recs {
-		byRows.Add(&recs[i])
-		byCols.AddCols(cols, i)
-		counter.Add(&recs[i])
+		c.AddCols(cols, i)
+		counter.AddCols(cols, i)
 		if mon.Add(&recs[i]) != nil {
 			alerts++
 		}
 	}
-	for name, c := range map[string]*Classifier{"Add": byRows, "AddCols": byCols} {
-		if got := c.Victims(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: victims %+v, spec %+v", name, got, want)
-		}
+	if got := c.Victims(); !reflect.DeepEqual(got, want) {
+		t.Errorf("victims %+v, spec %+v", got, want)
 	}
 	if got := counter.Series(); len(got) != 1 || got[0].Count != 1 {
 		t.Errorf("attack counter series %+v, want one victim in one hour", got)
@@ -277,8 +256,7 @@ func TestAttackCounterCapsSources(t *testing.T) {
 	}{{0, 11, false}, {3, 4, false}, {40, 41, true}} {
 		a := NewAttackCounter(Config{MinSources: tc.minSources})
 		for i := 0; i < 500; i++ {
-			r := ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 486, 1, t0)
-			a.Add(&r)
+			countRecs(a, ntpRec(fmt.Sprintf("13.0.%d.%d", i>>8, i&0xff), "203.0.113.20", 486, 1, t0))
 		}
 		agg := a.bins.index[minuteKey{dst: netip.MustParseAddr("203.0.113.20").As16(), minute: t0.Unix()}]
 		if agg.numSources() != tc.want || (agg.sources != nil) != tc.spill {

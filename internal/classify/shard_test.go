@@ -145,16 +145,14 @@ func TestAttackCounterMergeMatchesSerial(t *testing.T) {
 	cfg := Config{MinRateBps: 50_000, MinSources: 3}
 	recs := genMonitorStream(7, 20_000)
 	serial := NewAttackCounter(cfg)
-	for i := range recs {
-		serial.Add(&recs[i])
-	}
+	countRecs(serial, recs...)
 	for _, shards := range []int{2, 5} {
 		parts := make([]*AttackCounter, shards)
 		for i := range parts {
 			parts[i] = NewAttackCounter(cfg)
 		}
 		for i := range recs {
-			parts[pipe.KeyDst(&recs[i])%uint64(shards)].Add(&recs[i])
+			countRecs(parts[pipe.KeyDst(&recs[i])%uint64(shards)], recs[i])
 		}
 		merged := NewAttackCounter(cfg)
 		for _, p := range parts {
@@ -171,12 +169,10 @@ func TestClassifierMergeMatchesSerial(t *testing.T) {
 	cfg := Config{}
 	recs := genMonitorStream(13, 10_000)
 	serial := New(cfg)
-	for i := range recs {
-		serial.Add(&recs[i])
-	}
+	classifyRecs(serial, recs...)
 	parts := []*Classifier{New(cfg), New(cfg), New(cfg)}
 	for i := range recs {
-		parts[pipe.KeyDst(&recs[i])%3].Add(&recs[i])
+		classifyRecs(parts[pipe.KeyDst(&recs[i])%3], recs[i])
 	}
 	merged := New(cfg)
 	for _, p := range parts {

@@ -30,25 +30,13 @@ func newHistStage(into *stats.Histogram) *histStage {
 
 // Process implements pipe.Stage.
 func (s *histStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.SrcPort[i] != classify.NTPPort && c.DstPort[i] != classify.NTPPort {
-				continue
-			}
-			size := c.AvgPacketSize(i)
-			for p := uint64(0); p < c.ScaledPackets(i); p += 10000 {
-				s.h.Add(size)
-			}
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.SrcPort != classify.NTPPort && rec.DstPort != classify.NTPPort {
+	c := b.Cols
+	for i, n := 0, c.Len(); i < n; i++ {
+		if c.SrcPort[i] != classify.NTPPort && c.DstPort[i] != classify.NTPPort {
 			continue
 		}
-		size := rec.AvgPacketSize()
-		for p := uint64(0); p < rec.ScaledPackets(); p += 10000 {
+		size := c.AvgPacketSize(i)
+		for p := uint64(0); p < c.ScaledPackets(i); p += 10000 {
 			// Add in sampled strides to bound cost; the histogram
 			// is a distribution, absolute counts do not matter.
 			s.h.Add(size)
@@ -64,9 +52,9 @@ func (s *histStage) Close() error {
 }
 
 // figure2aSource accumulates the packet size distribution from any
-// record stream — live generation or a flowstore replay — on par
-// workers. Histogram adds are commutative, so the result is independent
-// of record order and worker count.
+// record stream — a flowstore replay, or the generator's days in tests
+// — on par workers. Histogram adds are commutative, so the result is
+// independent of record order and worker count.
 func figure2aSource(sc takedown.Scanner, par int) (*PacketSizeDistribution, error) {
 	h := stats.NewHistogram(0, 1500, 75) // 20-byte bins
 	err := takedown.Run(sc, par, func() pipe.Stage { return newHistStage(h) })
@@ -115,17 +103,11 @@ func newClassifyStage(into *classify.Classifier) *classifyStage {
 	return &classifyStage{into: into, c: classify.New(classify.Config{})}
 }
 
-// Process implements pipe.Stage. Columnar batches run the classifier
-// filter on the columns and materialize only the records that pass.
+// Process implements pipe.Stage: the classifier's filter and bins read
+// the columns; no record is materialized.
 func (s *classifyStage) Process(b *pipe.Batch) error {
-	if cols := b.Cols; cols != nil {
-		for i, n := 0, cols.Len(); i < n; i++ {
-			s.c.AddCols(cols, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		s.c.Add(&b.Recs[i])
+	for i, n := 0, b.Cols.Len(); i < n; i++ {
+		s.c.AddCols(b.Cols, i)
 	}
 	return nil
 }

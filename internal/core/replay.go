@@ -294,7 +294,7 @@ func (r *ReplayStudy) Analyze(k trafficgen.Kind) (*takedown.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return takedown.AnalyzeScan(sc, r.window, k, r.par())
+	return takedown.Analyze(sc, r.window, k, r.par())
 }
 
 // Figure2a builds the Section 4 NTP packet size distribution from the

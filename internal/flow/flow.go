@@ -70,6 +70,8 @@ type Record struct {
 }
 
 // ScaledPackets returns the packet count corrected for sampling.
+//
+//bsvet:allow deadcode oracle: TestTriggerDayIndexMatchesSeriesAdd's Figure 4 spec sums each record's scaled packets with it
 func (r *Record) ScaledPackets() uint64 {
 	if r.SamplingRate > 1 {
 		return r.Packets * uint64(r.SamplingRate)

@@ -4,13 +4,14 @@
 // fan-out (FanOut) that shards a record stream across bounded worker
 // queues and merges per-shard state deterministically on Close.
 //
-// The pipeline exists because the producers are parallel — the
-// flowstore scans segments per shard, the traffic generator emits whole
-// days — while the paper's analyses were written as one serial
+// The pipeline exists because records arrive in slabs — the flowstore
+// scan decodes whole blocks into columnar slabs, the collector whole
+// datagrams — while the paper's analyses were written as one serial
 // func(*flow.Record) callback chain. pipe moves records in batches and
-// lets each aggregation run one instance per shard, so the scan →
-// classify → analyze path keeps every core busy without giving up the
-// replay-equals-live guarantee.
+// lets a stage read columns in place. Offline, takedown.Run feeds each
+// worker's stages inline and merges them exactly; FanOut serves the
+// live monitor, which needs each victim's records on one shard in
+// stream order.
 //
 // # Batch lifecycle and ownership
 //
@@ -53,14 +54,14 @@ const DefaultBatchSize = 4096
 // A batch carries its records in exactly one of two shapes: row form
 // (Recs, the original representation) or columnar form (Cols, the
 // structure-of-arrays slab the flowstore scan emits). The shapes are
-// not mixed — when Cols is non-nil it is the source of truth and Recs
-// is only the lazy materialization cache Records() fills on first
-// demand, so stages that read columns directly never pay for record
-// structs at all.
+// not mixed — when Cols is non-nil it is the source of truth, and Recs,
+// if filled, holds the same records: the lazy materialization cache
+// records() fills on first demand, or the rows Columnar transposed.
+// Stages that read columns directly never pay for record structs.
 type Batch struct {
 	// Recs are the records; consumers iterate Recs[i] by index and must
 	// not retain pointers into the slice past Process. For a columnar
-	// batch, Recs is empty until Records() materializes it.
+	// batch, Recs is empty until records() materializes it.
 	Recs []flow.Record
 	// Cols, when non-nil, holds the batch's records in columnar form.
 	// Consumers must not retain Cols or any of its column slices past
@@ -137,6 +138,20 @@ func (b *Batch) records() []flow.Record {
 		b.Recs = b.Cols.MaterializeAppend(b.Recs)
 	}
 	return b.Recs
+}
+
+// Columnar returns the batch's records in columnar form, transposing a
+// row batch's Recs into a pooled slab attached to the batch — records'
+// inverse. Recs stay as they are, so the batch's owner and Release do
+// not change, and records() keeps returning them unmaterialized.
+func (b *Batch) Columnar() *flow.Columns {
+	if b.Cols == nil {
+		c := b.ensureCols()
+		for i := range b.Recs {
+			c.AppendRecord(&b.Recs[i])
+		}
+	}
+	return b.Cols
 }
 
 // Release resets the batch and returns it to the pool. The batch and

@@ -1,10 +1,7 @@
 package takedown
 
 import (
-	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"booterscope/internal/pipe"
@@ -23,78 +20,27 @@ import (
 // exit and cancellation reach the producer.
 type Source func(emit func(*pipe.Batch) error) error
 
-// Scanner hands a record stream to a pool of workers: Scan calls
-// emit(w, b) with w in [0, workers), never concurrently for one w,
-// passing ownership of b. It returns the first error, from emit or from
-// reading, once every worker has stopped. A flowstore archive is
-// scanned by whole time partitions (core's replay); a Source is a
-// Scanner too.
+// Scanner hands a record stream to at most workers workers as
+// columnar batches: Scan calls emit(w, b) with w in [0, workers) and
+// b.Cols set, never concurrently for one w, passing ownership of b. It
+// returns the first error, from emit or from reading, once every worker
+// has stopped. A flowstore archive is scanned by whole time partitions
+// (core's replay); a Source is a Scanner too.
 type Scanner interface {
 	Scan(workers int, emit func(w int, b *pipe.Batch) error) error
 }
 
-// Scan implements Scanner: each batch goes to whichever of workers-1
-// goroutines is idle, or is processed on the source's own goroutine as
-// worker 0 when none is. So no more than workers goroutines run emit,
-// and the source is held back only while worker 0 works. The first
-// emit error stops the source; the rest of its batches are released
-// unprocessed.
-func (src Source) Scan(workers int, emit func(w int, b *pipe.Batch) error) error {
-	if workers <= 1 {
-		return src(func(b *pipe.Batch) error { return emit(0, b) })
-	}
-	var (
-		work   = make(chan *pipe.Batch)
-		mu     sync.Mutex // guards err
-		err    error
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	run := func(w int, b *pipe.Batch) {
-		if failed.Load() {
-			b.Release()
-			return
-		}
-		if werr := emit(w, b); werr != nil {
-			mu.Lock()
-			if err == nil {
-				err = werr
-			}
-			mu.Unlock()
-			failed.Store(true)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				run(w, b)
-			}
-		}()
-	}
-	serr := src(func(b *pipe.Batch) error {
-		select {
-		case work <- b:
-		default:
-			run(0, b)
-		}
-		if failed.Load() {
-			return errStopped
-		}
-		return nil
+// Scan implements Scanner on the caller's goroutine, as worker 0
+// whatever workers says. It is the one place a row batch meets the
+// analyses: its records are transposed into a pooled columnar slab
+// attached to the batch (pipe.Batch.Columnar), so every stage reads
+// columns only. The first emit error stops the source.
+func (src Source) Scan(_ int, emit func(w int, b *pipe.Batch) error) error {
+	return src(func(b *pipe.Batch) error {
+		b.Columnar()
+		return emit(0, b)
 	})
-	close(work)
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	return serr
 }
-
-// errStopped ends a Source whose batches a failed worker stopped; Scan
-// returns the worker's error instead.
-var errStopped = errors.New("takedown: a worker failed")
 
 // Window bounds an analysis: the day grid records are binned onto and
 // the event date tested against it.
@@ -114,9 +60,8 @@ func WindowOf(cfg trafficgen.Config) Window {
 
 // dayTimeSec maps a record's whole start second onto its window day:
 // Start plus the whole days from Start to sec, truncated toward zero.
-// Both the record and the columnar path bin by the start second, so a
-// record's sub-second part never moves its day, and columnar consumers
-// can bin on the start seconds column and skip decoding nanoseconds.
+// Binning by the start second means a record's sub-second part never
+// moves its day, and the trigger stage skips decoding nanoseconds.
 // Trigger records never cross midnight, so this reproduces the
 // generator's day binning exactly when replaying from an archive.
 func (w Window) dayTimeSec(sec int64) time.Time {
@@ -133,7 +78,7 @@ const secondsPerDay = 24 * 60 * 60
 const maxIndexedDays = 1 << 16
 
 // dayIndex maps whole start seconds onto window days 0..days in integer
-// arithmetic, for the columnar trigger path. Seconds in [lo, hi] land
+// arithmetic, for the trigger stage. Seconds in [lo, hi] land
 // on day (sec - start) / secondsPerDay, which truncates toward zero
 // exactly as dayTimeSec does, so the 86 399 seconds before Start are
 // day 0 too. Every other second is outside: the caller bins it with

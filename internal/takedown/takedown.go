@@ -142,26 +142,11 @@ func newTriggerStage(w Window, into map[amplify.Vector]*timeseries.Series) *trig
 	return t
 }
 
-// Process implements pipe.Stage. Columnar batches aggregate straight
-// from the port/proto columns; no record is materialized.
+// Process implements pipe.Stage: it aggregates straight from the
+// port/proto columns; no record is materialized.
 func (t *triggerStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		for i, n := 0, c.Len(); i < n; i++ {
-			t.addCol(c, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.Protocol != packet.IPProtoUDP {
-			continue
-		}
-		for j, p := range t.ports {
-			if rec.DstPort == p {
-				t.byPort[j].Add(t.w.dayTimeSec(rec.Start.Unix()), float64(rec.ScaledPackets()))
-				break
-			}
-		}
+	for i, n := 0, b.Cols.Len(); i < n; i++ {
+		t.addCol(b.Cols, i)
 	}
 	return nil
 }
@@ -216,14 +201,8 @@ func newCounterStage(into *classify.AttackCounter) *counterStage {
 
 // Process implements pipe.Stage.
 func (c *counterStage) Process(b *pipe.Batch) error {
-	if cols := b.Cols; cols != nil {
-		for i, n := 0, cols.Len(); i < n; i++ {
-			c.counter.AddCols(cols, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		c.counter.Add(&b.Recs[i])
+	for i, n := 0, b.Cols.Len(); i < n; i++ {
+		c.counter.AddCols(b.Cols, i)
 	}
 	return nil
 }
@@ -330,16 +309,11 @@ type Analysis struct {
 }
 
 // Analyze computes Figure 4, Figure 5, and the robustness ablation in
-// a single pass over a record stream, on par workers. Results are
-// byte-identical at any par.
-func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
-	return AnalyzeScan(src, w, k, par)
-}
-
-// AnalyzeScan is Analyze over any Scanner: each worker runs the trigger
-// and attack-counter aggregations side by side on the same batches, so
-// the records are read once instead of once per figure.
-func AnalyzeScan(sc Scanner, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
+// a single pass over a record stream, on par workers: each worker runs
+// the trigger and attack-counter aggregations side by side on the same
+// batches, so the records are read once instead of once per figure.
+// Results are byte-identical at any par.
+func Analyze(sc Scanner, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
 	series := newVectorSeries()
 	counter := classify.NewAttackCounter(classify.Config{})
 	err := Run(sc, par, func() pipe.Stage {

@@ -75,7 +75,7 @@ func edgeRecords(w Window) []flow.Record {
 }
 
 // batchSource emits recs in batches of 64, as columnar slabs or as
-// record batches.
+// record batches (transposed by Source.Scan).
 func batchSource(recs []flow.Record, columnar bool) Source {
 	return func(emit func(*pipe.Batch) error) error {
 		for off := 0; off < len(recs); off += 64 {
@@ -99,8 +99,8 @@ func batchSource(recs []flow.Record, columnar bool) Source {
 
 // TestTriggerDayIndexMatchesSeriesAdd: every vector's Figure 4 daily
 // points equal the spec's (spec_test.go) through record batches and
-// through columnar slabs, whose trigger stage bins window days in an
-// array, at par 1 and 3; and every run's panels and robustness
+// through columnar slabs — the trigger stage bins window days in an
+// array — at par 1 and 3; and every run's panels and robustness
 // verdicts equal the first one's.
 func TestTriggerDayIndexMatchesSeriesAdd(t *testing.T) {
 	w := WindowOf(testScenario(1).Config())

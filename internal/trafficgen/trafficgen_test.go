@@ -195,14 +195,23 @@ func TestNTPPacketSizeBimodal(t *testing.T) {
 	}
 }
 
+// classifyRecs feeds recs to c as one columnar slab, the shape the
+// classifier reads.
+func classifyRecs(c *classify.Classifier, recs []flow.Record) {
+	var cols flow.Columns
+	for i := range recs {
+		cols.AppendRecord(&recs[i])
+	}
+	for i := range recs {
+		c.AddCols(&cols, i)
+	}
+}
+
 func TestAttacksDetectableByConservativeFilter(t *testing.T) {
 	s := testScenario(0.3)
 	c := classify.New(classify.Config{})
 	for d := 10; d < 20; d++ {
-		for _, rec := range s.Day(KindTier2, d) {
-			rec := rec
-			c.Add(&rec)
-		}
+		classifyRecs(c, s.Day(KindTier2, d))
 	}
 	fs := c.FilterStats()
 	if fs.Optimistic == 0 {
@@ -221,10 +230,7 @@ func TestHeavyTailedAttackRates(t *testing.T) {
 	s := testScenario(1.0)
 	c := classify.New(classify.Config{})
 	for d := 10; d < 40; d++ {
-		for _, rec := range s.Day(KindIXP, d) {
-			rec := rec
-			c.Add(&rec)
-		}
+		classifyRecs(c, s.Day(KindIXP, d))
 	}
 	victims := c.Victims()
 	if len(victims) == 0 {
@@ -258,10 +264,7 @@ func TestVantageDestinationOrdering(t *testing.T) {
 	count := func(k Kind) int {
 		c := classify.New(classify.Config{})
 		for d := 10; d < 16; d++ {
-			for _, rec := range s.Day(k, d) {
-				rec := rec
-				c.Add(&rec)
-			}
+			classifyRecs(c, s.Day(k, d))
 		}
 		return len(c.Victims())
 	}
@@ -276,10 +279,7 @@ func TestScannersHaveFewSourcesPerDest(t *testing.T) {
 	// optimistic/conservative gap is meaningful.
 	s := testScenario(0.3)
 	c := classify.New(classify.Config{})
-	for _, rec := range s.Day(KindTier2, 5) {
-		rec := rec
-		c.Add(&rec)
-	}
+	classifyRecs(c, s.Day(KindTier2, 5))
 	lowSources := 0
 	for _, v := range c.Victims() {
 		if v.MaxSources <= 2 && v.MaxGbps < 0.01 {
